@@ -18,19 +18,16 @@ import json
 import sys
 from pathlib import Path
 
-from .diagnostics import (
-    boundedness_ratio_grid,
-    export_grid_csv,
-    nevanlinna_bound_grid,
-)
+from .diagnostics import export_grid_csv
 from .errors import ConfigError, UnboundedSymbolError
-from .matrices import build_wcd_matrix, export_matrix_csv
+from .matrices import export_matrix_csv
 from .runner import (
     GRID_CHECKS,
     RunConfig,
+    RunContext,
     canonical_json,
     check_report_document,
-    make_pair,
+    grid_report,
     parse_config,
     run,
     sweep,
@@ -104,21 +101,16 @@ def _cmd_grid(args) -> int:
         raise ConfigError("checks", "no grid checks configured")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pair = make_pair(config.symbols, config.space)
+    context = RunContext(config)
     for name in grid_checks:
-        if name == "boundedness-grid":
-            report = boundedness_ratio_grid(pair.phi, config.space.alpha, config.space.n)
-        else:
-            report = nevanlinna_bound_grid(pair.phi, config.space.alpha, config.space.n)
-        export_grid_csv(report, out_dir / f"{name}.csv")
+        export_grid_csv(grid_report(context, name), out_dir / f"{name}.csv")
     return EXIT_PASS
 
 
 def _cmd_export_matrix(args) -> int:
     config = _load_config(args.config)
-    pair = make_pair(config.symbols, config.space)
     try:
-        matrix = build_wcd_matrix(pair, config.space)
+        matrix = RunContext(config).matrix
     except UnboundedSymbolError as exc:
         sys.stderr.write(f"unverified: {exc}\n")
         return EXIT_UNVERIFIED

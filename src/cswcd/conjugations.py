@@ -21,7 +21,7 @@ and assert claims on the leading block of the original truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,13 @@ from .symbols import unitary_symbols
 class AntilinearConjugation:
     """Antilinear map: conjugate coefficients, then apply the unitary part.
 
-    ``exact`` marks kinds whose truncated unitary part is exactly unitary
-    (identity and diagonal rotations); the weighted-composition kind is only
-    approximately unitary on a leading block of its truncation.
+    The truncated unitary part is exactly unitary for the identity and the
+    diagonal rotations; the weighted-composition kind is only approximately
+    unitary on a leading block of its truncation.
     """
 
     unitary_part: OperatorMatrix
     kind: str
-    exact: bool
-    params: dict = field(default_factory=dict)
 
     @property
     def space(self) -> SpaceParams:
@@ -59,9 +57,7 @@ def make_J(space: SpaceParams) -> AntilinearConjugation:
     fixes it and the factored form is exact.
     """
     eye = np.eye(space.N + 1, dtype=complex)
-    return AntilinearConjugation(
-        OperatorMatrix(eye, space, 0), kind="plain-J", exact=True
-    )
+    return AntilinearConjugation(OperatorMatrix(eye, space, 0), kind="plain-J")
 
 
 def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
@@ -69,12 +65,7 @@ def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> Antilinear
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
     diag = mu * lam ** np.arange(space.N + 1)
-    return AntilinearConjugation(
-        OperatorMatrix(np.diag(diag), space, 0),
-        kind="rotation-J",
-        exact=True,
-        params={"mu": complex(mu), "lam": complex(lam)},
-    )
+    return AntilinearConjugation(OperatorMatrix(np.diag(diag), space, 0), kind="rotation-J")
 
 
 def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
@@ -86,12 +77,7 @@ def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearCo
     """
     pair = unitary_symbols(p, lambda_u, space.alpha, space.N)
     U = build_weighted_composition(pair.psi, pair.phi, space)
-    return AntilinearConjugation(
-        U,
-        kind="wc-J",
-        exact=False,
-        params={"p": complex(p), "lambda_u": complex(lambda_u)},
-    )
+    return AntilinearConjugation(U, kind="wc-J")
 
 
 def extended_space(space: SpaceParams, p: complex, slack: int = 48) -> SpaceParams:
@@ -156,7 +142,7 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
         out = M.entries.T
     else:
         out = U @ M.entries.T @ np.conj(U)
-    return OperatorMatrix(out, M.space, M.order, exact_columns=C.exact and M.exact_columns)
+    return OperatorMatrix(out, M.space, M.order)
 
 
 def is_C_symmetric(

@@ -10,7 +10,6 @@ excludes a trailing guard band.
 import os
 
 DEFAULT_N = 64
-KERNEL_CHECK_N = 96
 
 TOL_EXACT = 1e-10
 TOL_GUARDED = 1e-8

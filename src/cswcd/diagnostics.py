@@ -18,7 +18,7 @@ import numpy as np
 
 from .bergman import SpaceParams, kernel_norm_sq
 from .defaults import guard_band
-from .errors import DomainError
+from .errors import DomainError, UnboundedSymbolError
 from .matrices import OperatorMatrix
 from .series import series_eval
 from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
@@ -233,6 +233,23 @@ def is_normal(
     return defect <= tol, defect
 
 
+def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]:
+    """Return the kernel images (p1, p2) of ``norm_defect_kernel_test`` if
+    |w| <= 0.7, |p1| < 1 and |p2| < 1; else refuse w. Outside the disk the
+    kernel norms are undefined."""
+    if abs(w) > 0.7:
+        raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
+    b, c = pair.params["b"], pair.params["c"]
+    p1 = c + np.conj(b) * w / (1 - np.conj(c) * w)
+    p2 = lft_eval(pair.phi, w)
+    for name, point in (("p1", p1), ("p2", p2)):
+        if abs(point) >= 1.0:
+            raise UnboundedSymbolError(
+                f"kernel image {name} left the disk: |{name}| = {abs(point):.6f}"
+            )
+    return p1, p2
+
+
 def norm_defect_kernel_test(pair: SymbolPair, w: complex, space: SpaceParams) -> float:
     """| ||D K_w||^2 - ||D* K_w||^2 | from the two rational closed forms.
 
@@ -245,23 +262,16 @@ def norm_defect_kernel_test(pair: SymbolPair, w: complex, space: SpaceParams) ->
     p2 = phi(w); the shared prefactor has modulus
     |a| |w|^n / (n! |1 - conj(c) w|^(n+alpha+2)). Equality of the two norms
     for every w is a consequence of normality, and |p1| != |p2| certifies
-    its failure.
+    its failure. The point must pass ``kernel_balance_gate``.
     """
     if pair.provenance not in ("general", "self-adjoint"):
         raise DomainError(
             "kernel-norm test applies to the conjugated-denominator family, "
             f"got provenance {pair.provenance!r}"
         )
-    params = pair.params
-    a, b, c = params["a"], params["b"], params["c"]
+    p1, p2 = kernel_balance_gate(pair, w)
+    a, c = pair.params["a"], pair.params["c"]
     n, alpha = pair.n, space.alpha
-    if abs(w) > 0.7:
-        raise DomainError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
-    p1 = c + np.conj(b) * w / (1 - np.conj(c) * w)
-    p2 = lft_eval(pair.phi, w)
-    for name, point in (("p1", p1), ("p2", p2)):
-        if abs(point) >= 1.0:
-            raise DomainError(f"kernel image {name} left the disk: |{name}| = {abs(point):.6f}")
     pref = (
         abs(a) ** 2
         * abs(w) ** (2 * n)

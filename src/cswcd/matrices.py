@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bergman import SpaceParams, beta_sq_vector, kernel, space_norm
+from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, space_norm
 from .errors import TruncationMismatchError, UnboundedSymbolError
 from .series import (
     TruncatedSeries,
@@ -44,15 +44,13 @@ from .symbols import (
 class OperatorMatrix:
     """Entries M[i][j] = <T e_j, e_i> of a truncated operator matrix.
 
-    ``exact_columns`` is True when every retained entry is exact for the
-    infinite operator; ``order`` is the differentiation order n, so columns
-    j < order vanish identically.
+    ``order`` is the differentiation order n, so columns j < order vanish
+    identically.
     """
 
     entries: np.ndarray
     space: SpaceParams
     order: int = 0
-    exact_columns: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
@@ -81,13 +79,6 @@ def _column_functions(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, N:
     return columns
 
 
-def _falling(j: int, n: int) -> float:
-    out = 1.0
-    for i in range(j - n + 1, j + 1):
-        out *= i
-    return out
-
-
 def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
     N = space.N
     if psi.order != N:
@@ -97,7 +88,7 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for j, col in enumerate(_column_functions(psi, phi, n, N), start=n):
-        M[:, j] = col.coeffs * (_falling(j, n) / broot[j]) * broot
+        M[:, j] = col.coeffs * (falling_factorial(j, n) / broot[j]) * broot
     return M
 
 
@@ -146,9 +137,7 @@ def build_toeplitz_analytic(h: TruncatedSeries, space: SpaceParams) -> OperatorM
 def adjoint_matrix(M: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose; entrywise exactness is preserved because
     truncation commutes with transposition."""
-    return OperatorMatrix(
-        M.entries.conj().T, M.space, M.order, exact_columns=M.exact_columns
-    )
+    return OperatorMatrix(M.entries.conj().T, M.space, M.order)
 
 
 def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
@@ -173,26 +162,31 @@ class AdjointKernelResult(NamedTuple):
     defect: float
 
 
-def adjoint_on_kernel(
-    pair: SymbolPair, w: complex, space: SpaceParams
-) -> AdjointKernelResult:
-    """Adjoint identity on point-evaluation kernels, evaluated two ways.
-
-    The adjoint of the bounded operator sends the kernel at w to
-    conj(psi(w)) times the order-n kernel at phi(w). The left side is
-    computed by applying the conjugate-transposed truncated matrix to the
-    kernel coefficients, the right side from the closed form; the defect is
-    the space norm of the difference. Gated to |w| <= 0.7 and
-    |phi(w)| <= 0.85 so both tails are negligible at the working truncation.
-    """
+def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
+    """Return phi(w) if |w| <= 0.7 and |phi(w)| <= 0.85, where the tails of
+    both kernels are negligible at the working truncation; else refuse w."""
     if abs(w) > 0.7:
         raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
-    phi_w = lft_eval(pair.phi, w)
+    phi_w = lft_eval(phi, w)
     if abs(phi_w) > 0.85:
         raise UnboundedSymbolError(
             f"image gate |phi(w)| <= 0.85 violated: {abs(phi_w):.6f}"
         )
-    M = build_wcd_matrix(pair, space)
+    return phi_w
+
+
+def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> AdjointKernelResult:
+    """Adjoint identity on point-evaluation kernels, evaluated two ways.
+
+    The adjoint of the bounded operator sends the kernel at w to
+    conj(psi(w)) times the order-n kernel at phi(w). The left side is
+    computed by applying the conjugate transpose of M, the truncated matrix
+    of the pair, to the kernel coefficients, the right side from the closed
+    form; the defect is the space norm of the difference. The point must
+    pass ``kernel_point_gate``.
+    """
+    phi_w = kernel_point_gate(pair.phi, w)
+    space = M.space
     k_w = kernel(w, 0, space.alpha, space.N)
     via_matrix = apply(adjoint_matrix(M), k_w)
     psi_w = series_eval(pair.psi, w)

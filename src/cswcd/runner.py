@@ -16,6 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,34 +32,38 @@ from .conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from .defaults import TOL_EXACT, TOL_GUARDED, guard_band
+from .defaults import DEFAULT_N, TOL_EXACT, TOL_GUARDED, guard_band
 from .diagnostics import (
+    GridReport,
     boundedness_ratio_grid,
     is_hermitian,
     is_normal,
+    kernel_balance_gate,
     necessary_conditions_check,
     nevanlinna_bound_grid,
     norm_defect_kernel_test,
 )
 from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
 from .matrices import (
+    OperatorMatrix,
     adjoint_matrix,
     adjoint_on_kernel,
     build_wcd_matrix,
     cowen_adjoint_pair,
+    kernel_point_gate,
 )
 from .rng import SplitMix64
 from .series import TruncatedSeries, polynomial
 from .symbols import (
     LinearFractionalMap,
     SymbolPair,
+    _family_phi,
     bounded_sufficient,
     family_conjugated,
     family_general,
     family_j_symmetric,
     family_normal_origin,
     family_self_adjoint,
-    lft_eval,
     sup_norm_lft,
     unitary_symbols,
 )
@@ -66,6 +71,8 @@ from .symbols import (
 FAIL_THRESHOLD = 1e-3           # macroscopic defect certifying a structural failure
 DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
 BALANCE_POINTS = (0.5, 0.5j)
+PREDICATE_CHECKS = ("normality-predicate", "kernel-norm-balance")
+PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are proved
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         space = SpaceParams(
             alpha=float(_require(space_doc, "alpha", "space")),
             n=int(_require(space_doc, "n", "space")),
-            N=int(space_doc.get("N", 64)),
+            N=int(space_doc.get("N", DEFAULT_N)),
         )
     except DomainError as exc:
         raise ConfigError("space", str(exc)) from exc
@@ -151,6 +158,12 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     for i, name in enumerate(checks):
         if name not in CHECKS:
             raise ConfigError(f"checks[{i}]", f"unknown check {name!r}")
+        if name in PREDICATE_CHECKS and symbols["family"] not in PREDICATE_FAMILIES:
+            raise ConfigError(
+                f"checks[{i}]",
+                f"{name} applies to the families {', '.join(PREDICATE_FAMILIES)}, "
+                f"not {symbols['family']!r}",
+            )
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances", "expected an object of check -> tolerance")
@@ -286,110 +299,151 @@ def _predicted_normal(symbols: dict) -> bool:
     return (b.imag == 0 and b.real != 0) or c == 0
 
 
+class RunContext:
+    """What the checks of one config share, each built the first time asked.
+
+    ``work_space`` is the extended truncation for the weighted-composition
+    conjugation kind and the config's truncation otherwise; ``work_matrix``
+    and ``conjugation`` are built there.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.descriptor = resolve_conjugation_kind(config)
+        self.kind = self.descriptor["kind"]
+
+    @cached_property
+    def pair(self) -> SymbolPair:
+        return make_pair(self.config.symbols, self.config.space)
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        return build_wcd_matrix(self.pair, self.config.space)
+
+    @cached_property
+    def work_space(self) -> SpaceParams:
+        if self.kind != "wc-J":
+            return self.config.space
+        p = _complex_value(_require(self.descriptor, "p", "conjugation"), "conjugation.p")
+        return extended_space(self.config.space, p)
+
+    @cached_property
+    def work_matrix(self) -> OperatorMatrix:
+        if self.kind != "wc-J":
+            return self.matrix
+        pair = make_pair(self.config.symbols, self.config.space, N=self.work_space.N)
+        return build_wcd_matrix(pair, self.work_space)
+
+    @cached_property
+    def conjugation(self) -> AntilinearConjugation:
+        return make_conjugation(self.descriptor, self.work_space)
+
+    @cached_property
+    def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """Matrices of the companion adjoint pair induced by the map."""
+        space = self.config.space
+        pair_a, pair_b = cowen_adjoint_pair(self.pair.phi, space.n, space)
+        return build_wcd_matrix(pair_a, space), build_wcd_matrix(pair_b, space)
+
+
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
 
-def _check_j_symmetry(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "J-symmetry", TOL_EXACT)
-    pair = make_pair(config.symbols, config.space)
-    M = build_wcd_matrix(pair, config.space)
-    ok, defect = is_C_symmetric(M, make_J(config.space), tol)
-    return CheckReport(
-        "J-symmetry", "pass" if ok else "fail", defect, tol, guard_band(),
-        "matrix-symmetry",
+def _check_c_symmetry(context: RunContext) -> CheckReport:
+    kind = context.kind
+    tol = _tolerance(
+        context.config, "C-symmetry", TOL_EXACT if kind == "plain-J" else TOL_GUARDED
     )
-
-
-def _check_c_symmetry(config: RunConfig) -> CheckReport:
-    descriptor = resolve_conjugation_kind(config)
-    kind = descriptor["kind"]
-    tol = _tolerance(config, "C-symmetry", TOL_EXACT if kind == "plain-J" else TOL_GUARDED)
-    space = config.space
-    if kind == "wc-J":
-        p = _complex_value(_require(descriptor, "p", "conjugation"), "conjugation.p")
-        work = extended_space(space, p)
-        pair = make_pair(config.symbols, space, N=work.N)
-        M = build_wcd_matrix(pair, work)
-        C = make_conjugation(descriptor, work)
-        ok, defect = is_C_symmetric(M, C, tol, claim_dim=space.N + 1)
-    else:
-        pair = make_pair(config.symbols, space)
-        M = build_wcd_matrix(pair, space)
-        C = make_conjugation(descriptor, space)
-        ok, defect = is_C_symmetric(M, C, tol)
+    ok, defect = is_C_symmetric(
+        context.work_matrix, context.conjugation, tol, claim_dim=context.config.space.N + 1
+    )
     return CheckReport(
         "C-symmetry", "pass" if ok else "fail", defect, tol, guard_band(),
         f"conjugation-symmetry; kind={kind}",
     )
 
 
-def _check_self_adjointness(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "self-adjointness", TOL_EXACT)
-    pair = make_pair(config.symbols, config.space)
-    M = build_wcd_matrix(pair, config.space)
-    ok, defect = is_hermitian(M, tol)
-    return CheckReport(
-        "self-adjointness", "pass" if ok else "fail", defect, tol, guard_band(),
-        "hermitian-defect",
-    )
+# matrix check -> (predicate on the matrix and a tolerance, default tolerance, provenance tag)
+MATRIX_CHECKS = {
+    "J-symmetry": (lambda M, tol: is_C_symmetric(M, make_J(M.space), tol), TOL_EXACT,
+                   "matrix-symmetry"),
+    "self-adjointness": (is_hermitian, TOL_EXACT, "hermitian-defect"),
+    "normality": (is_normal, TOL_GUARDED, "commutator-defect"),
+}
 
 
-def _check_normality(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "normality", TOL_GUARDED)
-    pair = make_pair(config.symbols, config.space)
-    M = build_wcd_matrix(pair, config.space)
-    ok, defect = is_normal(M, tol)
-    return CheckReport(
-        "normality", "pass" if ok else "fail", defect, tol, guard_band(),
-        "commutator-defect",
-    )
+def _check_matrix(name: str, context: RunContext) -> CheckReport:
+    predicate, default_tol, tag = MATRIX_CHECKS[name]
+    tol = _tolerance(context.config, name, default_tol)
+    ok, defect = predicate(context.matrix, tol)
+    return CheckReport(name, "pass" if ok else "fail", defect, tol, guard_band(), tag)
 
 
-def _check_normality_predicate(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "normality-predicate", TOL_GUARDED)
-    pair = make_pair(config.symbols, config.space)
-    M = build_wcd_matrix(pair, config.space)
-    _, defect = is_normal(M, tol)
-    predicted = _predicted_normal(config.symbols)
-    if defect <= tol:
-        status = "pass" if predicted else "fail"
+def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
+    """Compare a normality defect with the paper's prediction for the family.
+
+    A normal prediction passes iff the defect meets tol. A non-normal one
+    passes once the defect reaches FAIL_THRESHOLD, fails when it meets tol,
+    and is 'unverified' in the band between; sweeps redraw such parameters.
+    """
+    tol = _tolerance(context.config, name, TOL_GUARDED)
+    defect = defect_of(context, tol)
+    predicted = _predicted_normal(context.config.symbols)
+    if predicted:
+        status = "pass" if defect <= tol else "fail"
     elif defect >= FAIL_THRESHOLD:
-        status = "fail" if predicted else "pass"
+        status = "pass"
+    elif defect <= tol:
+        status = "fail"
     else:
-        status = "unverified"  # ambiguous band; sweeps redraw instead
+        status = "unverified"
     return CheckReport(
-        "normality-predicate", status, defect, tol, guard_band(),
-        f"normality-predicate; predicted={'normal' if predicted else 'nonnormal'}",
+        name, status, defect, tol, guard_band(),
+        f"{name}; predicted={'normal' if predicted else 'nonnormal'}",
     )
 
 
-def _check_adjoint_kernel(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "adjoint-kernel", TOL_GUARDED)
-    pair = make_pair(config.symbols, config.space)
-    if "w_points" in config.symbols:
-        points = [
-            _complex_value(v, f"symbols.w_points[{i}]")
-            for i, v in enumerate(config.symbols["w_points"])
-        ]
-    else:
-        points = list(DEFAULT_KERNEL_POINTS)
+def _commutator_defect(context: RunContext, tol: float) -> float:
+    return is_normal(context.matrix, tol)[1]
+
+
+def _kernel_norm_defect(context: RunContext, tol: float) -> float:
+    space = context.config.space
+    return max(norm_defect_kernel_test(context.pair, w, space) for w in BALANCE_POINTS)
+
+
+def _kernel_points(symbols: dict) -> list:
+    if "w_points" not in symbols:
+        return list(DEFAULT_KERNEL_POINTS)
+    return [
+        _complex_value(v, f"symbols.w_points[{i}]")
+        for i, v in enumerate(symbols["w_points"])
+    ]
+
+
+def _gate_adjoint_kernel(context: RunContext) -> None:
+    for w in _kernel_points(context.config.symbols):
+        kernel_point_gate(context.pair.phi, w)
+
+
+def _check_adjoint_kernel(context: RunContext) -> CheckReport:
+    tol = _tolerance(context.config, "adjoint-kernel", TOL_GUARDED)
     worst = 0.0
-    for w in points:
-        worst = max(worst, adjoint_on_kernel(pair, w, config.space).defect)
+    for w in _kernel_points(context.config.symbols):
+        # a refused point is reported ahead of a refused build of the matrix
+        kernel_point_gate(context.pair.phi, w)
+        worst = max(worst, adjoint_on_kernel(context.matrix, context.pair, w).defect)
     return CheckReport(
         "adjoint-kernel", "pass" if worst <= tol else "fail", worst, tol, guard_band(),
         "adjoint-kernel-identity",
     )
 
 
-def _check_adjoint_pair(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "adjoint-pair", 1e-9)
-    pair = make_pair(config.symbols, config.space)
-    pair_a, pair_b = cowen_adjoint_pair(pair.phi, config.space.n, config.space)
-    MA = build_wcd_matrix(pair_a, config.space)
-    MB = build_wcd_matrix(pair_b, config.space)
+def _check_adjoint_pair(context: RunContext) -> CheckReport:
+    tol = _tolerance(context.config, "adjoint-pair", 1e-9)
+    MA, MB = context.companion_matrices
     scale = float(np.max(np.abs(MB.entries)))
     defect = float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries)))
     rel = defect / scale if scale > 0 else defect
@@ -399,9 +453,8 @@ def _check_adjoint_pair(config: RunConfig) -> CheckReport:
     )
 
 
-def _check_necessary_conditions(config: RunConfig) -> CheckReport:
-    pair = make_pair(config.symbols, config.space)
-    report = necessary_conditions_check(pair, config.space)
+def _check_necessary_conditions(context: RunContext) -> CheckReport:
+    report = necessary_conditions_check(context.pair, context.config.space)
     status = "pass" if report.all_pass else "fail"
     detail = ",".join(report.violations) if report.violations else "none"
     return CheckReport(
@@ -410,25 +463,16 @@ def _check_necessary_conditions(config: RunConfig) -> CheckReport:
     )
 
 
-def _check_conjugation_axioms(config: RunConfig) -> CheckReport:
-    descriptor = resolve_conjugation_kind(config)
-    kind = descriptor["kind"]
+def _check_conjugation_axioms(context: RunContext) -> CheckReport:
+    kind = context.kind
     exact_kind = kind in ("plain-J", "rotation-J")
-    tol = _tolerance(config, "conjugation-axioms", 1e-12 if exact_kind else 1e-9)
-    space = config.space
-    rng = SplitMix64(config.seed ^ 0xA5A5)
-    if kind == "wc-J":
-        p = _complex_value(_require(descriptor, "p", "conjugation"), "conjugation.p")
-        work = extended_space(space, p)
-        claim = space.N + 1
-    else:
-        work = space
-        claim = None
-    C = make_conjugation(descriptor, work)
+    tol = _tolerance(context.config, "conjugation-axioms", 1e-12 if exact_kind else 1e-9)
+    C, claim = context.conjugation, context.config.space.N + 1
+    rng = SplitMix64(context.config.seed ^ 0xA5A5)
     worst = 0.0
     for _ in range(5):
-        coeffs = np.zeros(work.N + 1, dtype=complex)
-        deg = space.N - guard_band()
+        coeffs = np.zeros(context.work_space.N + 1, dtype=complex)
+        deg = context.config.space.N - guard_band()
         coeffs[: deg + 1] = [
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)
         ]
@@ -441,76 +485,68 @@ def _check_conjugation_axioms(config: RunConfig) -> CheckReport:
     )
 
 
-def _check_boundedness_grid(config: RunConfig) -> CheckReport:
-    pair = make_pair(config.symbols, config.space)
-    report = boundedness_ratio_grid(pair.phi, config.space.alpha, config.space.n)
+# grid check -> (grid function, provenance tag)
+GRID_CHECKS = {
+    "boundedness-grid": (boundedness_ratio_grid, "boundedness-ratio-trend"),
+    "nevanlinna-grid": (nevanlinna_bound_grid, "counting-function-trend"),
+}
+
+
+def grid_report(context: RunContext, name: str) -> GridReport:
+    """Samples of the grid check ``name`` for the config's map."""
+    grid, _ = GRID_CHECKS[name]
+    space = context.config.space
+    return grid(context.pair.phi, space.alpha, space.n)
+
+
+def _check_grid(name: str, context: RunContext) -> CheckReport:
+    report = grid_report(context, name)
     status = "pass" if report.samples else "unverified"
     return CheckReport(
-        "boundedness-grid", status, report.supremum, None, guard_band(),
-        f"boundedness-ratio-trend; trend={report.trend}",
+        name, status, report.supremum, None, guard_band(),
+        f"{GRID_CHECKS[name][1]}; trend={report.trend}",
     )
 
 
-def _check_nevanlinna_grid(config: RunConfig) -> CheckReport:
-    pair = make_pair(config.symbols, config.space)
-    report = nevanlinna_bound_grid(pair.phi, config.space.alpha, config.space.n)
-    status = "pass" if report.samples else "unverified"
-    return CheckReport(
-        "nevanlinna-grid", status, report.supremum, None, guard_band(),
-        f"counting-function-trend; trend={report.trend}",
-    )
-
-
-def _check_kernel_norm_balance(config: RunConfig) -> CheckReport:
-    tol = _tolerance(config, "kernel-norm-balance", TOL_GUARDED)
-    pair = make_pair(config.symbols, config.space)
-    worst = 0.0
+def _gate_kernel_norm_balance(context: RunContext) -> None:
     for w in BALANCE_POINTS:
-        worst = max(worst, norm_defect_kernel_test(pair, w, config.space))
-    predicted = _predicted_normal(config.symbols)
-    if predicted:
-        status = "pass" if worst <= tol else "fail"
-    elif worst >= FAIL_THRESHOLD:
-        status = "pass"
-    elif worst <= tol:
-        status = "fail"
-    else:
-        status = "unverified"
-    return CheckReport(
-        "kernel-norm-balance", status, worst, tol, guard_band(),
-        f"kernel-norm-balance; predicted={'normal' if predicted else 'nonnormal'}",
-    )
+        kernel_balance_gate(context.pair, w)
 
 
 CHECKS = {
-    "J-symmetry": _check_j_symmetry,
+    "J-symmetry": partial(_check_matrix, "J-symmetry"),
     "C-symmetry": _check_c_symmetry,
-    "self-adjointness": _check_self_adjointness,
-    "normality": _check_normality,
-    "normality-predicate": _check_normality_predicate,
+    "self-adjointness": partial(_check_matrix, "self-adjointness"),
+    "normality": partial(_check_matrix, "normality"),
+    "normality-predicate": partial(_check_predicate, "normality-predicate", _commutator_defect),
     "adjoint-kernel": _check_adjoint_kernel,
     "adjoint-pair": _check_adjoint_pair,
     "necessary-conditions": _check_necessary_conditions,
     "conjugation-axioms": _check_conjugation_axioms,
-    "boundedness-grid": _check_boundedness_grid,
-    "nevanlinna-grid": _check_nevanlinna_grid,
-    "kernel-norm-balance": _check_kernel_norm_balance,
+    "boundedness-grid": partial(_check_grid, "boundedness-grid"),
+    "nevanlinna-grid": partial(_check_grid, "nevanlinna-grid"),
+    "kernel-norm-balance": partial(_check_predicate, "kernel-norm-balance", _kernel_norm_defect),
 }
 
-GRID_CHECKS = ("boundedness-grid", "nevanlinna-grid")
+# checks whose point gates a sweep applies before it runs a draw
+GATES = {
+    "adjoint-kernel": _gate_adjoint_kernel,
+    "kernel-norm-balance": _gate_kernel_norm_balance,
+}
 
 
 def run(config: RunConfig) -> list[CheckReport]:
-    """Run the configured checks in declared order.
+    """Run the configured checks in declared order on one shared context.
 
     Boundedness-gate refusals become 'unverified' reports; they signal that
     the parameters left the certified region, not that a claim failed.
     """
+    context = RunContext(config)
     reports = []
     for name in config.checks:
         start = time.perf_counter()
         try:
-            report = CHECKS[name](config)
+            report = CHECKS[name](context)
         except UnboundedSymbolError as exc:
             report = CheckReport(
                 name, "unverified", None, None, guard_band(), f"gate-refusal; {exc}"
@@ -594,9 +630,7 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
                 else:
                     b = rng.complex_annulus(b_lo, b_hi)
                     c = rng.complex_annulus(max(c_lo, 0.05), c_hi)
-            cbar = c.conjugate()
-            phi = LinearFractionalMap(b - c * cbar, c, -cbar, 1.0)
-            if not sup_norm_lft(phi) < 0.95:
+            if not sup_norm_lft(_family_phi(b, c.conjugate(), c)) < 0.95:
                 continue
             draw.update({"a": as_pair(a), "b": as_pair(b), "c": as_pair(c)})
         elif family == "normal-origin":
@@ -619,34 +653,25 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
     raise ConfigError("symbols", "admissible region looks empty after 1e5 rejections")
 
 
-def _draw_passes_gates(draw: dict, config: RunConfig) -> bool:
-    """Check-specific gates a drawn parameter set must satisfy."""
-    if "adjoint-kernel" in config.checks:
-        pair = make_pair(draw, config.space)
-        if "w_points" in draw:
-            points = [_complex_value(v, "symbols.w_points") for v in draw["w_points"]]
-        else:
-            points = list(DEFAULT_KERNEL_POINTS)
-        for w in points:
-            if abs(w) > 0.7 or abs(lft_eval(pair.phi, w)) > 0.85:
-                return False
-    if "kernel-norm-balance" in config.checks:
-        b = _complex_value(draw["b"], "symbols.b")
-        c = _complex_value(draw["c"], "symbols.c")
-        for w in BALANCE_POINTS:
-            p1 = c + np.conj(b) * w / (1 - np.conj(c) * w)
-            p2 = c + b * w / (1 - np.conj(c) * w)
-            if max(abs(p1), abs(p2)) >= 0.95:
-                return False
+def _draw_passes_gates(config: RunConfig) -> bool:
+    """Whether the gates of the configured checks admit the drawn config."""
+    context = RunContext(config)
+    try:
+        for name in config.checks:
+            if name in GATES:
+                GATES[name](context)
+    except UnboundedSymbolError:
+        return False
     return True
 
 
 def sweep(config: RunConfig, draws: int, seed: int) -> dict:
     """Run the configured checks across random family draws.
 
-    Ambiguous predicate outcomes (defects between the pass tolerance and the
-    failure threshold) are re-drawn and counted rather than recorded, so
-    boolean aggregates are never decided inside the gray band.
+    Draws that a check's gate refuses are never run. Those and ambiguous
+    predicate outcomes (defects between the pass tolerance and the failure
+    threshold) are re-drawn and counted rather than recorded, so boolean
+    aggregates are never decided inside the gray band.
     """
     rng = SplitMix64(seed)
     per_check = {
@@ -657,29 +682,21 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
     redraws = 0
     completed = 0
     while completed < draws:
-        draw = draw_symbols(config.symbols, rng)
-        if not _draw_passes_gates(draw, config):
-            redraws += 1
-            if redraws > MAX_REJECTIONS:
-                raise ConfigError("symbols", "gates rejected too many draws")
-            continue
         draw_config = RunConfig(
             space=config.space,
-            symbols=draw,
+            symbols=draw_symbols(config.symbols, rng),
             conjugation=config.conjugation,
             checks=config.checks,
             tolerances=config.tolerances,
             seed=seed,
         )
-        reports = run(draw_config)
-        ambiguous = any(
-            r.status == "unverified" and r.name in ("normality-predicate", "kernel-norm-balance")
-            for r in reports
-        )
-        if ambiguous:
+        reports = run(draw_config) if _draw_passes_gates(draw_config) else None
+        if reports is None or any(
+            r.status == "unverified" and r.name in PREDICATE_CHECKS for r in reports
+        ):
             redraws += 1
             if redraws > MAX_REJECTIONS:
-                raise ConfigError("symbols", "ambiguous band rejected too many draws")
+                raise ConfigError("symbols", "gates or the ambiguous band rejected too many draws")
             continue
         completed += 1
         for report in reports:
@@ -687,10 +704,7 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
             slot[report.status] += 1
             if report.defect is not None:
                 slot["worst_defect"] = max(slot["worst_defect"], report.defect)
-            if report.status == "fail" and report.name in (
-                "normality-predicate",
-                "kernel-norm-balance",
-            ):
+            if report.status == "fail" and report.name in PREDICATE_CHECKS:
                 mismatches += 1
     return {
         "draws": draws,

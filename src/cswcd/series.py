@@ -5,8 +5,7 @@ All arithmetic keeps the shared truncation order N. Sums, Cauchy products
 and powers are coefficient-exact: coefficient m of a product depends only
 on coefficients 0..m of the factors, so every retained coefficient equals
 the infinite function's coefficient up to rounding. Differentiation is the
-one lossy operation; it zeroes its top k coefficients and records them as
-untrustworthy in ``lossy_tail``.
+one lossy operation; it zeroes its top k coefficients.
 """
 
 from __future__ import annotations
@@ -23,14 +22,11 @@ from .errors import DomainError, TruncationMismatchError
 class TruncatedSeries:
     """Coefficients c_0..c_N of an analytic function, truncated at order N.
 
-    ``lossy_tail`` counts trailing coefficients that are not exact for the
-    represented function (produced by differentiation and propagated by
-    arithmetic). The invariant length == N+1 with finite entries is checked
-    at construction.
+    The invariant length == N+1 with finite entries is checked at
+    construction.
     """
 
     coeffs: np.ndarray
-    lossy_tail: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=complex)
@@ -38,8 +34,6 @@ class TruncatedSeries:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coeffs must be finite")
-        if not 0 <= self.lossy_tail <= arr.size:
-            raise ValueError("lossy_tail out of range")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -90,11 +84,11 @@ def _check_same_order(f: TruncatedSeries, g: TruncatedSeries):
 def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise sum at the shared truncation order."""
     _check_same_order(f, g)
-    return TruncatedSeries(f.coeffs + g.coeffs, max(f.lossy_tail, g.lossy_tail))
+    return TruncatedSeries(f.coeffs + g.coeffs)
 
 
 def series_scale(f: TruncatedSeries, a: complex) -> TruncatedSeries:
-    return TruncatedSeries(a * f.coeffs, f.lossy_tail)
+    return TruncatedSeries(a * f.coeffs)
 
 
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -105,14 +99,14 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """
     _check_same_order(f, g)
     prod = np.convolve(f.coeffs, g.coeffs)[: f.order + 1]
-    return TruncatedSeries(prod, max(f.lossy_tail, g.lossy_tail))
+    return TruncatedSeries(prod)
 
 
 def series_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th derivative; coefficient j becomes (j+k)!/j! * c_{j+k}.
 
     The top k coefficients of the result have no source data; they are set
-    to zero and added to the lossy tail.
+    to zero.
     """
     if k < 0:
         raise DomainError("derivative order must be nonnegative")
@@ -125,7 +119,7 @@ def series_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     for i in range(k):
         fall = fall * (j + k - i)
     out[: N + 1 - k] = fall * f.coeffs[k:]
-    return TruncatedSeries(out, min(N + 1, f.lossy_tail + k))
+    return TruncatedSeries(out)
 
 
 def series_eval(f: TruncatedSeries, z: complex, edge: float = EVAL_EDGE) -> complex:
@@ -190,4 +184,4 @@ def series_conjugate_reflect(f: TruncatedSeries) -> TruncatedSeries:
 
     An involution, exact on the coefficient vector.
     """
-    return TruncatedSeries(np.conj(f.coeffs), f.lossy_tail)
+    return TruncatedSeries(np.conj(f.coeffs))

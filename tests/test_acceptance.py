@@ -116,8 +116,9 @@ def test_criterion_2_adjoint_on_kernels():
         n = ORDERS[i % 3]
         space = SpaceParams(alpha, n, N_KERNEL)
         pair = draw_gated_family(rng, n, alpha, N_KERNEL)
+        M = build_wcd_matrix(pair, space)
         for w in KERNEL_POINTS:
-            worst = max(worst, adjoint_on_kernel(pair, w, space).defect)
+            worst = max(worst, adjoint_on_kernel(M, pair, w).defect)
     criterion(2, "adjoint identity on kernels", worst <= 1e-8, f"worst defect {worst:.2e}")
 
 

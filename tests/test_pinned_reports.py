@@ -1,0 +1,51 @@
+"""Byte-for-byte comparison of check and sweep reports against pinned fixtures.
+
+The reports are made in a subprocess with one BLAS thread: at two threads
+some products sum in another order and the last digits of defects move.
+The fixtures are valid for the BLAS build recorded in their manifest.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pinned_reports import THREAD_VARS, blas_record, cases
+
+HERE = Path(__file__).parent
+FIXTURES = HERE / "fixtures" / "pinned"
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pinned")
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    src = str(HERE.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, str(HERE / "pinned_reports.py"), str(out)],
+        env=env, check=True, timeout=300,
+    )
+    return out
+
+
+def manifest(directory):
+    return json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_fixtures_cover_every_case():
+    names = {name for name, _, _ in cases()}
+    assert names == set(manifest(FIXTURES)["exit_codes"])
+    assert names == {p.stem for p in FIXTURES.glob("*.json")} - {"manifest"}
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in cases()])
+def test_report_bytes(fresh, name):
+    pinned = manifest(FIXTURES)
+    if blas_record()["blas"] != pinned["blas"]:
+        pytest.skip(f"fixtures pin BLAS build {pinned['blas']}")
+    assert manifest(fresh)["exit_codes"][name] == pinned["exit_codes"][name]
+    assert (fresh / f"{name}.json").read_bytes() == (FIXTURES / f"{name}.json").read_bytes()

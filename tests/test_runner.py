@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cswcd import runner
 from cswcd.cli import main
 from cswcd.errors import ConfigError
 from cswcd.rng import SplitMix64
@@ -189,7 +190,102 @@ class TestRun:
         assert reports[0].defect <= 1e-9
 
 
+def counting(monkeypatch, name):
+    """Replace runner.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(runner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, wrapper)
+    return calls
+
+
+class TestRunContext:
+    def test_one_matrix_build_per_run(self, monkeypatch):
+        builds = counting(monkeypatch, "build_wcd_matrix")
+        doc = config_with(
+            symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
+            checks=["C-symmetry", "self-adjointness", "normality", "normality-predicate"],
+        )
+        reports = run(parse_config(doc))
+        assert [r.status for r in reports] == ["pass"] * 4
+        assert len(builds) == 1
+
+    def test_one_wc_conjugation_per_run(self, monkeypatch):
+        conjugations = counting(monkeypatch, "make_wc_J")
+        doc = config_with(
+            symbols={
+                "family": "wc-conjugated", "a": 1.0, "b": 0.3, "c": 0.15, "p": [0.3, 0.2],
+            },
+            checks=["C-symmetry", "conjugation-axioms"],
+        )
+        reports = run(parse_config(doc))
+        assert [r.status for r in reports] == ["pass", "pass"]
+        assert len(conjugations) == 1
+
+
+class TestPredicates:
+    def test_scope_rejected_for_check(self, tmp_path, capsys):
+        for i, check in enumerate(["normality-predicate", "kernel-norm-balance"]):
+            doc = config_with(
+                symbols={"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": [0.0, 0.2]},
+                checks=["J-symmetry", check],
+            )
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["check", str(path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["path"] == "checks[1]"
+
+    def test_scope_rejected_for_sweep(self):
+        doc = config_with(symbols={"family": "wc-conjugated"}, checks=["kernel-norm-balance"])
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, require_concrete=False)
+        assert err.value.path == "checks[0]"
+
+    def test_kernel_image_outside_disk_is_unverified(self, tmp_path):
+        # |p1| = 1.03 at w = 0.5: the balance gate refuses the point
+        doc = config_with(
+            symbols={"family": "general", "a": 1.0, "b": 0.6, "c": 0.6},
+            checks=["kernel-norm-balance"],
+        )
+        reports = run(parse_config(doc))
+        assert reports[0].status == "unverified"
+        assert "p1 left the disk" in reports[0].provenance
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 3
+
+    def test_normal_prediction_in_gray_band_fails_for_both(self):
+        # a Hermitian matrix has a rounding-size commutator; a 1e-20
+        # tolerance puts it between the tolerance and the failure threshold
+        doc = config_with(
+            symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
+            checks=["normality-predicate", "kernel-norm-balance"],
+            tolerances={"normality-predicate": 1e-20, "kernel-norm-balance": 1e-20},
+        )
+        reports = run(parse_config(doc))
+        for report in reports:
+            assert "predicted=normal" in report.provenance
+            assert 1e-20 < report.defect < 1e-3
+        assert [r.status for r in reports] == ["fail", "fail"]
+
+
 class TestSweep:
+    def test_gate_rejected_draws_never_run(self, monkeypatch):
+        runs = counting(monkeypatch, "run")
+        doc = config_with(
+            symbols={"family": "j-symmetric", "ranges": {"abs_c": [0.6, 0.9]}},
+            checks=["adjoint-kernel"],
+        )
+        aggregate = sweep(parse_config(doc, require_concrete=False), 8, seed=17)
+        assert aggregate["redraws"] >= 1
+        assert len(runs) == 8
+        assert aggregate["checks"]["adjoint-kernel"]["pass"] == 8
+
     def test_small_aggregate(self):
         doc = config_with(symbols={"family": "j-symmetric"}, checks=["J-symmetry"])
         config = parse_config(doc, require_concrete=False)
