@@ -7,8 +7,9 @@ Subcommands:
     export-matrix <config.json> --out FILE    dump the operator matrix
 
 Exit codes: 0 all pass, 1 any check failure, 2 configuration error,
-3 everything unverified (boundedness gates refused every check).
-The CSWCD_GUARD environment variable overrides the trailing guard band.
+3 everything unverified (boundedness gates refused every check). A sweep
+applies the same rule to its status counts summed over draws and checks.
+The trailing guard band is the constant ``defaults.GUARD_BAND``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .diagnostics import export_grid_csv
@@ -58,11 +60,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _exit_code(reports) -> int:
-    statuses = [r.status for r in reports]
-    if any(s == "fail" for s in statuses):
+def _exit_code(counts: Counter) -> int:
+    """Exit code from status counts: any fail, else unverified with no pass."""
+    if counts["fail"]:
         return EXIT_FAIL
-    if statuses and all(s == "unverified" for s in statuses):
+    if counts["unverified"] and not counts["pass"]:
         return EXIT_UNVERIFIED
     return EXIT_PASS
 
@@ -75,7 +77,7 @@ def _cmd_check(args) -> int:
         Path(args.timings).write_text(
             canonical_json(timing_sidecar(reports)), encoding="utf-8"
         )
-    return _exit_code(reports)
+    return _exit_code(Counter(r.status for r in reports))
 
 
 def _cmd_sweep(args) -> int:
@@ -83,15 +85,10 @@ def _cmd_sweep(args) -> int:
     seed = config.seed if args.seed is None else args.seed
     aggregate = sweep(config, args.draws, seed)
     _emit(canonical_json(sweep_report_document(config, aggregate, args.draws, seed)), args.out)
-    counts = aggregate["checks"]
-    total_fail = sum(slot["fail"] for slot in counts.values())
-    total_pass = sum(slot["pass"] for slot in counts.values())
-    total_unverified = sum(slot["unverified"] for slot in counts.values())
-    if total_fail:
-        return EXIT_FAIL
-    if total_unverified and not total_pass:
-        return EXIT_UNVERIFIED
-    return EXIT_PASS
+    counts = Counter()
+    for slot in aggregate["checks"].values():
+        counts.update({status: slot[status] for status in ("pass", "fail", "unverified")})
+    return _exit_code(counts)
 
 
 def _cmd_grid(args) -> int:

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman import SpaceParams, space_norm
-from .defaults import guard_band
+from .defaults import GUARD_BAND
 from .errors import DomainError, TruncationMismatchError
 from .matrices import OperatorMatrix, apply, build_weighted_composition
 from .series import TruncatedSeries, series_add, series_conjugate_reflect, series_scale
 from .symbols import unitary_symbols
+
+EXTENSION_SLACK = 48       # terms of the extended truncation beyond the mass spread
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,17 @@ def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearCo
     return AntilinearConjugation(U, kind="wc-J")
 
 
-def extended_space(space: SpaceParams, p: complex, slack: int = 48) -> SpaceParams:
+def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
     """Truncation large enough that degree <= N inputs keep their image mass.
 
     The automorphism at p pushes the coefficient mass of degree j to about
-    j (1+|p|)/(1-|p|); the slack covers the geometric tail beyond that.
+    j (1+|p|)/(1-|p|); EXTENSION_SLACK more terms cover the geometric tail
+    beyond that.
     """
     r = abs(p)
     if r >= 1.0:
         raise DomainError("p must lie in the open disk")
-    n_ext = math.ceil(space.N * (1 + r) / (1 - r)) + slack
+    n_ext = math.ceil(space.N * (1 + r) / (1 - r)) + EXTENSION_SLACK
     return SpaceParams(space.alpha, space.n, n_ext)
 
 
@@ -146,27 +149,21 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
 
 
 def is_C_symmetric(
-    M: OperatorMatrix,
-    C: AntilinearConjugation,
-    tol: float,
-    claim_dim: int | None = None,
-    guard: int | None = None,
+    M: OperatorMatrix, C: AntilinearConjugation, tol: float, claim_dim: int | None = None
 ) -> tuple[bool, float]:
     """Frobenius-relative defect of C T* C = T, and whether it meets tol.
 
     With U = I the entries of both sides are exact, so the whole matrix is
     compared. Otherwise the comparison is restricted to the leading
-    (claim_dim - guard) block; claim_dim defaults to the matrix dimension,
-    so pass the original truncation when M was built extended.
+    (claim_dim - GUARD_BAND) block; claim_dim defaults to the matrix
+    dimension, so pass the original truncation when M was built extended.
     """
-    if guard is None:
-        guard = guard_band()
     target = conjugated_adjoint(C, M).entries
     if C.kind == "plain-J":
         block = slice(None)
     else:
         dim = M.dim if claim_dim is None else claim_dim
-        keep = max(dim - guard, 1)
+        keep = max(dim - GUARD_BAND, 1)
         block = slice(0, keep)
     num = np.linalg.norm(target[block, block] - M.entries[block, block])
     den = np.linalg.norm(M.entries[block, block])

@@ -1,35 +1,19 @@
-"""Run-wide numeric defaults and the guard-band override.
+"""Run-wide numeric constants.
 
 Tolerances follow the two-tier scheme used throughout: entrywise-exact
 claims (every retained matrix entry equals the infinite operator's entry up
 to rounding) are asserted at TOL_EXACT; claims that involve products of
 truncated matrices are asserted at TOL_GUARDED on a leading block that
-excludes a trailing guard band.
+excludes the trailing GUARD_BAND rows and columns.
 """
-
-import os
 
 DEFAULT_N = 64
 
 TOL_EXACT = 1e-10
 TOL_GUARDED = 1e-8
 
-DEFAULT_GUARD = 8
+GUARD_BAND = 8             # trailing rows/columns dropped from truncated-product assertions
 
 EVAL_EDGE = 1e-6           # refuse series evaluation for |z| > 1 - EVAL_EDGE
 KERNEL_NORM_TOL = 1e-12    # adaptive cutoff for kernel norm series
 KERNEL_NORM_CAP = 10**6    # hard cap on summed terms
-
-
-def guard_band() -> int:
-    """Trailing rows/columns dropped from truncated-product assertions.
-
-    Overridable through the CSWCD_GUARD environment variable.
-    """
-    raw = os.environ.get("CSWCD_GUARD")
-    if raw is None:
-        return DEFAULT_GUARD
-    value = int(raw)
-    if value < 0:
-        raise ValueError("CSWCD_GUARD must be nonnegative")
-    return value

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import SpaceParams, kernel_norm_sq
-from .defaults import guard_band
+from .defaults import GUARD_BAND
 from .errors import DomainError, UnboundedSymbolError
-from .matrices import OperatorMatrix
+from .matrices import OperatorMatrix, operator_gate
 from .series import series_eval
 from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
 
@@ -213,18 +213,14 @@ def is_hermitian(M: OperatorMatrix, tol: float) -> tuple[bool, float]:
     return defect <= tol, defect
 
 
-def is_normal(
-    M: OperatorMatrix, tol: float, guard: int | None = None
-) -> tuple[bool, float]:
+def is_normal(M: OperatorMatrix, tol: float) -> tuple[bool, float]:
     """Commutator defect ||M M* - M* M||_F / ||M||_F^2 on the guarded block.
 
-    The products mix truncated tails, so the trailing guard rows/columns are
-    excluded from the comparison.
+    The products mix truncated tails, so the trailing GUARD_BAND
+    rows/columns are excluded from the comparison.
     """
-    if guard is None:
-        guard = guard_band()
     A = M.entries
-    keep = max(M.dim - guard, 1)
+    keep = max(M.dim - GUARD_BAND, 1)
     comm = A @ A.conj().T - A.conj().T @ A
     den = np.linalg.norm(A) ** 2
     if den == 0:
@@ -235,8 +231,9 @@ def is_normal(
 
 def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]:
     """Return the kernel images (p1, p2) of ``norm_defect_kernel_test`` if
-    |w| <= 0.7, |p1| < 1 and |p2| < 1; else refuse w. Outside the disk the
-    kernel norms are undefined."""
+    |w| <= 0.7, |p1| < 1, |p2| < 1 and the pair passes ``operator_gate``;
+    else refuse. Outside the disk the kernel norms are undefined, and the
+    normality they test is a claim about bounded operators."""
     if abs(w) > 0.7:
         raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
     b, c = pair.params["b"], pair.params["c"]
@@ -247,6 +244,7 @@ def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]
             raise UnboundedSymbolError(
                 f"kernel image {name} left the disk: |{name}| = {abs(point):.6f}"
             )
+    operator_gate(pair)
     return p1, p2
 
 

@@ -92,21 +92,20 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     return M
 
 
-def build_wcd_matrix(pair: SymbolPair, space: SpaceParams) -> OperatorMatrix:
-    """Matrix of f -> psi * (f^(n) o phi) at the space truncation.
+def operator_gate(pair: SymbolPair) -> None:
+    """Refuse the symbols unless ``SymbolPair.bounded_hint`` says the
+    operator is bounded; every boundedness decision on a pair is made here."""
+    if not pair.bounded_hint:
+        raise UnboundedSymbolError(
+            f"no boundedness gate admits the symbols: sup|phi| = {sup_norm_lft(pair.phi):.6f} "
+            "and the pair carries no boundedness flag"
+        )
 
-    For n >= 1 the build is gated: it requires sup |phi| < 1 over the closed
-    disk or a boundedness flag carried by the pair; otherwise the symbols
-    are refused. Order-0 pairs (plain weighted compositions) are always
-    buildable since composition operators are bounded here.
-    """
-    if pair.n >= 1:
-        norm = sup_norm_lft(pair.phi)
-        if not (norm < 1.0 or pair.bounded_hint):
-            raise UnboundedSymbolError(
-                f"no boundedness gate admits the symbols: sup|phi| = {norm:.6f} "
-                "and the pair carries no boundedness flag"
-            )
+
+def build_wcd_matrix(pair: SymbolPair, space: SpaceParams) -> OperatorMatrix:
+    """Matrix of f -> psi * (f^(n) o phi) at the space truncation; the pair
+    must pass ``operator_gate``."""
+    operator_gate(pair)
     return OperatorMatrix(_build(pair.psi, pair.phi, pair.n, space), space, pair.n)
 
 
@@ -205,7 +204,8 @@ def cowen_adjoint_pair(
     For a linear fractional self-map phi with sup |phi| < 1, the adjoint of
     the operator weighted by the order-n kernel at sigma(0) along phi is the
     operator weighted by the order-n kernel at phi(0) along sigma. Returns
-    (pairA, pairB) with adjoint(matrix(pairA)) = matrix(pairB) entrywise.
+    (pairA, pairB) with adjoint(matrix(pairA)) = matrix(pairB) entrywise;
+    sigma maps the disk into itself, so both pairs pass ``operator_gate``.
     """
     norm = sup_norm_lft(phi)
     if not norm < 1.0:
@@ -216,18 +216,10 @@ def cowen_adjoint_pair(
     phi_0 = lft_eval(phi, 0.0)
     sigma_0 = lft_eval(sigma, 0.0)
     pair_a = SymbolPair(
-        kernel(sigma_0, n, space.alpha, space.N),
-        phi,
-        n,
-        provenance="companion-adjoint-A",
-        params={"bounded_hint": True},
+        kernel(sigma_0, n, space.alpha, space.N), phi, n, provenance="companion-adjoint-A"
     )
     pair_b = SymbolPair(
-        kernel(phi_0, n, space.alpha, space.N),
-        sigma,
-        n,
-        provenance="companion-adjoint-B",
-        params={"bounded_hint": True},
+        kernel(phi_0, n, space.alpha, space.N), sigma, n, provenance="companion-adjoint-B"
     )
     return pair_a, pair_b
 

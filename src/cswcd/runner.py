@@ -32,7 +32,7 @@ from .conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from .defaults import DEFAULT_N, TOL_EXACT, TOL_GUARDED, guard_band
+from .defaults import DEFAULT_N, GUARD_BAND, TOL_EXACT, TOL_GUARDED
 from .diagnostics import (
     GridReport,
     boundedness_ratio_grid,
@@ -92,7 +92,6 @@ class CheckReport:
     status: str                  # pass | fail | unverified
     defect: float | None
     tolerance: float | None
-    guard: int
     provenance: str
     wall_time: float | None = None
 
@@ -103,7 +102,7 @@ class CheckReport:
             "status": self.status,
             "defect": self.defect,
             "tolerance": self.tolerance,
-            "guard": self.guard,
+            "guard": GUARD_BAND,
             "provenance": self.provenance,
         }
 
@@ -126,21 +125,30 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _number(kind, value, path: str):
+    """kind(value) for kind int or float; a ConfigError at path if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected a number, got {value!r}") from exc
+
+
 def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     """Validate a configuration document, including family preconditions.
 
     Sweep base configurations carry a family plus draw ranges rather than
     concrete parameters; pass require_concrete=False to skip building the
-    probe pair.
+    probe pair. An explicit conjugation descriptor is built at the smallest
+    truncation, so its constructor's preconditions surface here too.
     """
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
     space_doc = _require(doc, "space", "$")
     try:
         space = SpaceParams(
-            alpha=float(_require(space_doc, "alpha", "space")),
-            n=int(_require(space_doc, "n", "space")),
-            N=int(space_doc.get("N", DEFAULT_N)),
+            alpha=_number(float, _require(space_doc, "alpha", "space"), "space.alpha"),
+            n=_number(int, _require(space_doc, "n", "space"), "space.n"),
+            N=_number(int, space_doc.get("N", DEFAULT_N), "space.N"),
         )
     except DomainError as exc:
         raise ConfigError("space", str(exc)) from exc
@@ -175,11 +183,16 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         symbols=symbols,
         conjugation=conjugation,
         checks=tuple(checks),
-        tolerances={k: float(v) for k, v in tolerances.items()},
-        seed=int(doc.get("seed", 0)),
+        tolerances={k: _number(float, v, f"tolerances.{k}") for k, v in tolerances.items()},
+        seed=_number(int, doc.get("seed", 0), "seed"),
         raw=doc,
     )
-    # family preconditions surface as config errors before any check runs
+    # family and conjugation preconditions surface as config errors before any check runs
+    if conjugation["kind"] != "auto":
+        try:
+            make_conjugation(conjugation, SpaceParams(space.alpha, space.n, space.n + 2))
+        except DomainError as exc:
+            raise ConfigError("conjugation", str(exc)) from exc
     if require_concrete:
         try:
             make_pair(config.symbols, config.space)
@@ -244,7 +257,7 @@ def make_pair(symbols: dict, space: SpaceParams, N: int | None = None) -> Symbol
             raise ConfigError(f"{path}.phi", str(exc)) from exc
         return SymbolPair(
             polynomial(coeffs, N), phi, space.n, provenance="explicit",
-            params={"bounded_hint": bool(symbols.get("bounded", False))},
+            params={"bounded": bool(symbols.get("bounded", False))},
         )
     raise ConfigError(f"{path}.family", f"unknown family {family!r}")
 
@@ -339,6 +352,12 @@ class RunContext:
         return make_conjugation(self.descriptor, self.work_space)
 
     @cached_property
+    def commutator_defect(self) -> float:
+        """Commutator defect of ``matrix``, read by both normality checks; it
+        does not depend on the tolerance ``is_normal`` is given."""
+        return is_normal(self.matrix, TOL_GUARDED)[1]
+
+    @cached_property
     def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
         """Matrices of the companion adjoint pair induced by the map."""
         space = self.config.space
@@ -360,25 +379,34 @@ def _check_c_symmetry(context: RunContext) -> CheckReport:
         context.work_matrix, context.conjugation, tol, claim_dim=context.config.space.N + 1
     )
     return CheckReport(
-        "C-symmetry", "pass" if ok else "fail", defect, tol, guard_band(),
+        "C-symmetry", "pass" if ok else "fail", defect, tol,
         f"conjugation-symmetry; kind={kind}",
     )
 
 
-# matrix check -> (predicate on the matrix and a tolerance, default tolerance, provenance tag)
+def _commutator_defect(context: RunContext) -> float:
+    return context.commutator_defect
+
+
+# matrix check -> (defect of the config's matrix, default tolerance, provenance tag);
+# a defect does not depend on the tolerance its predicate is given
 MATRIX_CHECKS = {
-    "J-symmetry": (lambda M, tol: is_C_symmetric(M, make_J(M.space), tol), TOL_EXACT,
-                   "matrix-symmetry"),
-    "self-adjointness": (is_hermitian, TOL_EXACT, "hermitian-defect"),
-    "normality": (is_normal, TOL_GUARDED, "commutator-defect"),
+    "J-symmetry": (
+        lambda context: is_C_symmetric(context.matrix, make_J(context.matrix.space), TOL_EXACT)[1],
+        TOL_EXACT, "matrix-symmetry",
+    ),
+    "self-adjointness": (
+        lambda context: is_hermitian(context.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
+    ),
+    "normality": (_commutator_defect, TOL_GUARDED, "commutator-defect"),
 }
 
 
 def _check_matrix(name: str, context: RunContext) -> CheckReport:
-    predicate, default_tol, tag = MATRIX_CHECKS[name]
+    defect_of, default_tol, tag = MATRIX_CHECKS[name]
     tol = _tolerance(context.config, name, default_tol)
-    ok, defect = predicate(context.matrix, tol)
-    return CheckReport(name, "pass" if ok else "fail", defect, tol, guard_band(), tag)
+    defect = defect_of(context)
+    return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, tag)
 
 
 def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
@@ -389,7 +417,7 @@ def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
     and is 'unverified' in the band between; sweeps redraw such parameters.
     """
     tol = _tolerance(context.config, name, TOL_GUARDED)
-    defect = defect_of(context, tol)
+    defect = defect_of(context)
     predicted = _predicted_normal(context.config.symbols)
     if predicted:
         status = "pass" if defect <= tol else "fail"
@@ -400,16 +428,12 @@ def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
     else:
         status = "unverified"
     return CheckReport(
-        name, status, defect, tol, guard_band(),
+        name, status, defect, tol,
         f"{name}; predicted={'normal' if predicted else 'nonnormal'}",
     )
 
 
-def _commutator_defect(context: RunContext, tol: float) -> float:
-    return is_normal(context.matrix, tol)[1]
-
-
-def _kernel_norm_defect(context: RunContext, tol: float) -> float:
+def _kernel_norm_defect(context: RunContext) -> float:
     space = context.config.space
     return max(norm_defect_kernel_test(context.pair, w, space) for w in BALANCE_POINTS)
 
@@ -436,7 +460,7 @@ def _check_adjoint_kernel(context: RunContext) -> CheckReport:
         kernel_point_gate(context.pair.phi, w)
         worst = max(worst, adjoint_on_kernel(context.matrix, context.pair, w).defect)
     return CheckReport(
-        "adjoint-kernel", "pass" if worst <= tol else "fail", worst, tol, guard_band(),
+        "adjoint-kernel", "pass" if worst <= tol else "fail", worst, tol,
         "adjoint-kernel-identity",
     )
 
@@ -448,7 +472,7 @@ def _check_adjoint_pair(context: RunContext) -> CheckReport:
     defect = float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries)))
     rel = defect / scale if scale > 0 else defect
     return CheckReport(
-        "adjoint-pair", "pass" if rel <= tol else "fail", rel, tol, guard_band(),
+        "adjoint-pair", "pass" if rel <= tol else "fail", rel, tol,
         "companion-adjoint-identity",
     )
 
@@ -458,7 +482,7 @@ def _check_necessary_conditions(context: RunContext) -> CheckReport:
     status = "pass" if report.all_pass else "fail"
     detail = ",".join(report.violations) if report.violations else "none"
     return CheckReport(
-        "necessary-conditions", status, None, None, guard_band(),
+        "necessary-conditions", status, None, None,
         f"structural-necessary-conditions; violations={detail}",
     )
 
@@ -472,7 +496,7 @@ def _check_conjugation_axioms(context: RunContext) -> CheckReport:
     worst = 0.0
     for _ in range(5):
         coeffs = np.zeros(context.work_space.N + 1, dtype=complex)
-        deg = context.config.space.N - guard_band()
+        deg = context.config.space.N - GUARD_BAND
         coeffs[: deg + 1] = [
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)
         ]
@@ -481,7 +505,7 @@ def _check_conjugation_axioms(context: RunContext) -> CheckReport:
         worst = max(worst, isometry_defect(C, f))
     return CheckReport(
         "conjugation-axioms", "pass" if worst <= tol else "fail", worst, tol,
-        guard_band(), f"conjugation-axioms; kind={kind}",
+        f"conjugation-axioms; kind={kind}",
     )
 
 
@@ -503,7 +527,7 @@ def _check_grid(name: str, context: RunContext) -> CheckReport:
     report = grid_report(context, name)
     status = "pass" if report.samples else "unverified"
     return CheckReport(
-        name, status, report.supremum, None, guard_band(),
+        name, status, report.supremum, None,
         f"{GRID_CHECKS[name][1]}; trend={report.trend}",
     )
 
@@ -548,9 +572,7 @@ def run(config: RunConfig) -> list[CheckReport]:
         try:
             report = CHECKS[name](context)
         except UnboundedSymbolError as exc:
-            report = CheckReport(
-                name, "unverified", None, None, guard_band(), f"gate-refusal; {exc}"
-            )
+            report = CheckReport(name, "unverified", None, None, f"gate-refusal; {exc}")
         report.wall_time = time.perf_counter() - start
         reports.append(report)
     return reports
@@ -741,7 +763,7 @@ def report_header(config: RunConfig, mode: str, **extra) -> dict:
         "mode": mode,
         "config_sha256": config_hash(config.raw),
         "seed": config.seed,
-        "guard": guard_band(),
+        "guard": GUARD_BAND,
     }
     header.update(extra)
     return header

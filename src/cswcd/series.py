@@ -122,9 +122,9 @@ def series_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def series_eval(f: TruncatedSeries, z: complex, edge: float = EVAL_EDGE) -> complex:
-    """Horner evaluation of the truncated polynomial at z, |z| <= 1 - edge."""
-    if abs(z) > 1.0 - edge:
+def series_eval(f: TruncatedSeries, z: complex) -> complex:
+    """Horner evaluation of the truncated polynomial at z, |z| <= 1 - EVAL_EDGE."""
+    if abs(z) > 1.0 - EVAL_EDGE:
         raise DomainError(f"|z| = {abs(z):.6f} too close to the unit circle")
     acc = 0.0 + 0.0j
     for c in f.coeffs[::-1]:

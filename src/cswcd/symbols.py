@@ -126,7 +126,8 @@ class SymbolPair:
     """Weight series psi, composition map phi and differentiation order n.
 
     ``provenance`` records which family built the pair; ``params`` keeps the
-    closed-form parameters for exact cross-checks downstream.
+    closed-form parameters for exact cross-checks downstream and, for an
+    explicit pair, the user's ``bounded`` flag.
     """
 
     psi: TruncatedSeries
@@ -143,7 +144,13 @@ class SymbolPair:
 
     @property
     def bounded_hint(self) -> bool:
-        return bool(self.params.get("bounded_hint", False))
+        """Whether the operator is known to be bounded: order 0 (a weighted
+        composition), sup |phi| < 1 over the closed disk, or the user's flag."""
+        return (
+            self.n == 0
+            or sup_norm_lft(self.phi) < 1.0
+            or bool(self.params.get("bounded", False))
+        )
 
 
 def bounded_sufficient(b: complex, c: complex) -> bool:
@@ -225,13 +232,7 @@ def family_j_symmetric(
         _family_phi(b, c, c),
         n,
         provenance="j-symmetric",
-        params={
-            "a": complex(a),
-            "b": complex(b),
-            "c": complex(c),
-            "alpha": alpha,
-            "bounded_hint": bounded_sufficient(b, c),
-        },
+        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
     )
 
 
@@ -244,19 +245,12 @@ def _family_conj_denominator(
         raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
     cbar = np.conj(c)
     psi = _kernel_shape_series(a / math.factorial(n), n, cbar, n + alpha + 2, N)
-    pair_phi = _family_phi(b, cbar, c)
     return SymbolPair(
         psi,
-        pair_phi,
+        _family_phi(b, cbar, c),
         n,
         provenance=provenance,
-        params={
-            "a": complex(a),
-            "b": complex(b),
-            "c": complex(c),
-            "alpha": alpha,
-            "bounded_hint": sup_norm_lft(pair_phi) < 1.0,
-        },
+        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
     )
 
 
@@ -297,7 +291,7 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
         rotation_map(b),
         n,
         provenance="normal-origin",
-        params={"a": complex(a), "b": complex(b), "bounded_hint": True},
+        params={"a": complex(a), "b": complex(b)},
     )
 
 
@@ -327,12 +321,7 @@ def unitary_symbols(
         phi,
         0,
         provenance="unitary-wc",
-        params={
-            "p": complex(p),
-            "lambda_u": complex(lambda_u),
-            "alpha": alpha,
-            "bounded_hint": True,
-        },
+        params={"p": complex(p), "lambda_u": complex(lambda_u), "alpha": alpha},
     )
 
 
@@ -381,12 +370,5 @@ def family_conjugated(
         psi = TruncatedSeries(mu * base.psi.coeffs * powers)
         provenance = "rotation-conjugated"
         extra = {"mu": complex(mu), "lam": complex(lam)}
-    params = {
-        "a": complex(a),
-        "b": complex(b),
-        "c": complex(c),
-        "alpha": alpha,
-        "bounded_hint": base.bounded_hint,
-    }
-    params.update(extra)
+    params = {"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha, **extra}
     return SymbolPair(psi, phi, n, provenance=provenance, params=params)

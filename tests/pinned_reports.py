@@ -9,7 +9,8 @@ byte-stable only at a fixed BLAS thread count, so pin both variables.
 
 ``test_pinned_reports.py`` compares a fresh run against ``fixtures/pinned``,
 which holds the output of this script for the commit that the fixtures pin.
-Every case is in scope for its checks and inside their gates.
+Every case is in scope for its checks, and all but one are inside their
+gates: ``check-near-balance-bound`` pins the operator gate's refusal.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ PREDICATE_CONFIGS = {
     },
 }
 
-# |p1| = 0.964 at w = 0.5, close to the balance gate's bound |p1| < 1
+# |p1| = 0.964 at w = 0.5 passes the balance gate's point bound |p1| < 1,
+# but sup|phi| = 1.883, so the operator gate refuses: unverified, exit 3
 NEAR_BALANCE_BOUND = {
     "space": {"alpha": 0.0, "n": 1, "N": 40},
     "symbols": {"family": "general", "a": 1.0, "b": 0.6, "c": 0.55},

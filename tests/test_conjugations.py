@@ -202,13 +202,3 @@ class TestIsCSymmetric:
         M = build_wcd_matrix(pair, SPACE)
         ok, defect = is_C_symmetric(M, make_J(SPACE), 1e-10)
         assert not ok and defect > 1e-3
-
-
-class TestGuardOverride:
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("CSWCD_GUARD", "12")
-        from cswcd.defaults import guard_band
-
-        assert guard_band() == 12
-        monkeypatch.delenv("CSWCD_GUARD")
-        assert guard_band() == 8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cswcd.bergman import SpaceParams, kernel
-from cswcd.defaults import DEFAULT_GUARD
+from cswcd.defaults import GUARD_BAND
 from cswcd.errors import TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
@@ -36,7 +36,7 @@ SPACE = SpaceParams(0.0, 1, 24)
 
 
 def explicit_pair(psi, phi, n, bounded=True):
-    return SymbolPair(psi, phi, n, params={"bounded_hint": bounded})
+    return SymbolPair(psi, phi, n, params={"bounded": bounded})
 
 
 def draw_contractive_lft(rng, sup_cap=0.7):
@@ -107,7 +107,7 @@ class TestToeplitz:
             M_full = build_wcd_matrix(explicit_pair(psi, phi, 1), space).entries
             M_comp = build_wcd_matrix(explicit_pair(one_series(64), phi, 1), space).entries
             T = build_toeplitz_analytic(psi, space).entries
-            keep = 65 - DEFAULT_GUARD
+            keep = 65 - GUARD_BAND
             prod = (T @ M_comp)[:keep, :keep]
             scale = np.max(np.abs(M_full[:keep, :keep]))
             assert np.max(np.abs(prod - M_full[:keep, :keep])) <= 1e-9 * scale
@@ -133,7 +133,7 @@ class TestWeightedComposition:
             U = build_weighted_composition(
                 pair.psi, pair.phi, SpaceParams(alpha, 1, n_ext)
             ).entries
-            keep = N + 1 - DEFAULT_GUARD
+            keep = N + 1 - GUARD_BAND
             gram = (U.conj().T @ U)[:keep, :keep]
             assert np.max(np.abs(gram - np.eye(keep))) <= 1e-8
 

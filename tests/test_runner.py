@@ -1,11 +1,13 @@
 """Tests for config parsing, the check registry, sweeps and the CLI."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from cswcd import runner
-from cswcd.cli import main
+from cswcd import diagnostics, runner
+from cswcd.cli import _exit_code, main
 from cswcd.errors import ConfigError
 from cswcd.rng import SplitMix64
 from cswcd.runner import (
@@ -226,6 +228,29 @@ class TestRunContext:
         assert [r.status for r in reports] == ["pass", "pass"]
         assert len(conjugations) == 1
 
+    def test_one_commutator_per_run(self):
+        # counted by code object, so no module binding of is_normal escapes
+        code = diagnostics.is_normal.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(1)
+
+        doc = config_with(
+            symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
+            checks=["normality", "normality-predicate"],
+        )
+        config = parse_config(doc)
+        sys.setprofile(profile)
+        try:
+            reports = run(config)
+        finally:
+            sys.setprofile(None)
+        assert [r.status for r in reports] == ["pass", "pass"]
+        assert reports[0].defect == reports[1].defect
+        assert len(calls) == 1
+
 
 class TestPredicates:
     def test_scope_rejected_for_check(self, tmp_path, capsys):
@@ -255,6 +280,22 @@ class TestPredicates:
         reports = run(parse_config(doc))
         assert reports[0].status == "unverified"
         assert "p1 left the disk" in reports[0].provenance
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 3
+
+    def test_unbounded_operator_is_unverified(self, tmp_path):
+        # the kernel images stay in the disk (|p1| = |p2| = 0.964 at w = 0.5),
+        # but sup|phi| = 1.883, so the operator gate refuses
+        doc = config_with(
+            symbols={"family": "general", "a": 1.0, "b": 0.6, "c": 0.55},
+            checks=["kernel-norm-balance"],
+        )
+        reports = run(parse_config(doc))
+        assert reports[0].status == "unverified"
+        assert "no boundedness gate admits the symbols: sup|phi| = 1.883333" in (
+            reports[0].provenance
+        )
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 3
@@ -352,6 +393,46 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["path"] == "symbols"
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"conjugation": {"kind": "rotation-J", "mu": 2.0}}, "conjugation"),
+            ({"space": {"alpha": 0.0, "n": 1, "N": "abc"}}, "space.N"),
+            ({"tolerances": {"J-symmetry": "x"}}, "tolerances.J-symmetry"),
+            ({"space": {"alpha": "abc", "n": 1, "N": 48}}, "space.alpha"),
+            ({"space": {"alpha": 0.0, "n": [1], "N": 48}}, "space.n"),
+            ({"seed": "abc"}, "seed"),
+        ],
+        ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed"],
+    )
+    def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
+        assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["path"] == path
+
+    def test_explicit_bounded_flag_admits_map(self, tmp_path):
+        # phi = (1+z)/2 has sup norm 1; the user's flag admits the operator
+        doc = config_with(
+            symbols={
+                "family": "explicit",
+                "psi": [0.0, 1.0],
+                "phi": [0.5, 0.5, 0.0, 1.0],
+                "bounded": True,
+            },
+            checks=["J-symmetry"],
+        )
+        assert runner.RunContext(parse_config(doc)).matrix.dim == 49
+        assert main(["check", self.write(tmp_path, doc)]) != 3
+
+    @pytest.mark.parametrize(
+        "counts, code",
+        [({}, 0), ({"pass": 2, "unverified": 1}, 0), ({"unverified": 2}, 3),
+         ({"pass": 1, "fail": 1, "unverified": 1}, 1)],
+    )
+    def test_exit_code_rule(self, counts, code):
+        assert _exit_code(Counter(counts)) == code
+
     def test_all_unverified_exit(self, tmp_path):
         doc = config_with(
             symbols={
@@ -398,8 +479,8 @@ class TestCli:
         assert "J-symmetry" in sidecar
         assert sidecar["J-symmetry"] >= 0
 
-    def test_guard_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CSWCD_GUARD", "16")
-        main(["check", self.write(tmp_path, config_with())])
+    def test_guard_band_ignores_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CSWCD_GUARD", "abc")
+        assert main(["check", self.write(tmp_path, config_with())]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["header"]["guard"] == 16
+        assert out["header"]["guard"] == 8
