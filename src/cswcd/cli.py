@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
     p_sweep.add_argument("--out", help="write the report JSON here instead of stdout")
-    p_sweep.add_argument("--timings", help="write wall-time sidecar JSON here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_grid = sub.add_parser("grid", help="write grid CSVs for the configured grid checks")

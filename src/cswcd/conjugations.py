@@ -13,9 +13,9 @@ kind whose U comes from the unitary symbol pair at a point p of the disk.
 The weighted-composition kind needs care under truncation: composing with a
 disk automorphism spreads the coefficient mass of basis vector j across
 rows up to roughly j (1+|p|)/(1-|p|), so a fixed trailing guard band cannot
-make the truncated U act like a unitary at the build size. Checks for that
-kind therefore work at an extended internal truncation (``extended_space``)
-and assert claims on the leading block of the original truncation.
+make the truncated U act like a unitary at the build size. ``make_wc_J``
+therefore builds U at an extended truncation (``extended_space``); the
+conjugation's ``claim_dim`` keeps the claims on the requested leading block.
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ class AntilinearConjugation:
 
     The truncated unitary part is exactly unitary for the identity and the
     diagonal rotations; the weighted-composition kind is only approximately
-    unitary on a leading block of its truncation.
+    unitary on a leading block of its truncation. ``claim_dim`` is the number
+    of leading coefficients on which the claims of the conjugation hold.
     """
 
     unitary_part: OperatorMatrix
     kind: str
+    claim_dim: int
 
     @property
     def space(self) -> SpaceParams:
@@ -59,7 +61,7 @@ def make_J(space: SpaceParams) -> AntilinearConjugation:
     fixes it and the factored form is exact.
     """
     eye = np.eye(space.N + 1, dtype=complex)
-    return AntilinearConjugation(OperatorMatrix(eye, space, 0), kind="plain-J")
+    return AntilinearConjugation(OperatorMatrix(eye, space), "plain-J", space.N + 1)
 
 
 def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
@@ -67,19 +69,19 @@ def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> Antilinear
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
     diag = mu * lam ** np.arange(space.N + 1)
-    return AntilinearConjugation(OperatorMatrix(np.diag(diag), space, 0), kind="rotation-J")
+    return AntilinearConjugation(OperatorMatrix(np.diag(diag), space), "rotation-J", space.N + 1)
 
 
 def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
-    """Weighted-composition kind at p != 0; U built at the given truncation.
+    """Weighted-composition kind at p != 0 for the truncation of ``space``.
 
-    Callers that assert quantitative claims should build at
-    ``extended_space(space, p)`` and window the claim to the original
-    leading block.
+    U is built at ``extended_space(space, p)``, and the claims are asserted
+    on the leading space.N + 1 coefficients.
     """
-    pair = unitary_symbols(p, lambda_u, space.alpha, space.N)
-    U = build_weighted_composition(pair.psi, pair.phi, space)
-    return AntilinearConjugation(U, kind="wc-J")
+    work = extended_space(space, p)
+    pair = unitary_symbols(p, lambda_u, space.alpha, work.N)
+    U = build_weighted_composition(pair.psi, pair.phi, work)
+    return AntilinearConjugation(U, "wc-J", space.N + 1)
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
@@ -91,7 +93,7 @@ def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
     """
     r = abs(p)
     if r >= 1.0:
-        raise DomainError("p must lie in the open disk")
+        raise DomainError(f"|p| must be < 1, got {r:.6f}")
     n_ext = math.ceil(space.N * (1 + r) / (1 - r)) + EXTENSION_SLACK
     return SpaceParams(space.alpha, space.n, n_ext)
 
@@ -104,23 +106,21 @@ def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> Truncated
     return apply(C.unitary_part, conj)
 
 
-def involution_defect(
-    C: AntilinearConjugation, f: TruncatedSeries, claim_dim: int | None = None
-) -> float:
-    """Relative space-norm defect of C(C(f)) = f.
+def involution_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
+    """Relative space-norm defect of C(C(f)) = f on the leading C.claim_dim
+    coefficients.
 
     For the weighted-composition kind, applying C twice at a finite
-    truncation leaves dust at indices far beyond the input degree;
-    ``claim_dim`` restricts the comparison to the leading coefficients so
-    the measurement reflects the identity rather than the truncation.
+    truncation leaves dust at indices far beyond the input degree; the
+    window makes the measurement reflect the identity, not the truncation.
     """
     twice = conjugation_apply(C, conjugation_apply(C, f))
-    alpha = C.space.alpha
+    alpha, keep = C.space.alpha, C.claim_dim
     diff = series_add(twice, series_scale(f, -1.0))
-    if claim_dim is not None:
-        diff = TruncatedSeries(diff.coeffs[:claim_dim])
-        f = TruncatedSeries(f.coeffs[:claim_dim])
-    return space_norm(diff, alpha) / space_norm(f, alpha)
+    return (
+        space_norm(TruncatedSeries(diff.coeffs[:keep]), alpha)
+        / space_norm(TruncatedSeries(f.coeffs[:keep]), alpha)
+    )
 
 
 def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
@@ -145,26 +145,21 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
         out = M.entries.T
     else:
         out = U @ M.entries.T @ np.conj(U)
-    return OperatorMatrix(out, M.space, M.order)
+    return OperatorMatrix(out, M.space)
 
 
-def is_C_symmetric(
-    M: OperatorMatrix, C: AntilinearConjugation, tol: float, claim_dim: int | None = None
-) -> tuple[bool, float]:
+def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation, tol: float) -> tuple[bool, float]:
     """Frobenius-relative defect of C T* C = T, and whether it meets tol.
 
-    With U = I the entries of both sides are exact, so the whole matrix is
-    compared. Otherwise the comparison is restricted to the leading
-    (claim_dim - GUARD_BAND) block; claim_dim defaults to the matrix
-    dimension, so pass the original truncation when M was built extended.
+    M must be built at ``C.space``. With U = I the entries of both sides are
+    exact, so the whole matrix is compared. Otherwise the comparison is
+    restricted to the leading (C.claim_dim - GUARD_BAND) block.
     """
     target = conjugated_adjoint(C, M).entries
     if C.kind == "plain-J":
         block = slice(None)
     else:
-        dim = M.dim if claim_dim is None else claim_dim
-        keep = max(dim - GUARD_BAND, 1)
-        block = slice(0, keep)
+        block = slice(0, max(C.claim_dim - GUARD_BAND, 1))
     num = np.linalg.norm(target[block, block] - M.entries[block, block])
     den = np.linalg.norm(M.entries[block, block])
     defect = float(num / den) if den > 0 else float(num)

@@ -17,10 +17,6 @@ class UnboundedSymbolError(ValueError):
     """A matrix build was refused because no boundedness gate admitted the symbols."""
 
 
-class ConvergenceError(RuntimeError):
-    """An adaptive summation hit its hard term cap before meeting tolerance."""
-
-
 class ConfigError(ValueError):
     """A run configuration failed validation.
 

@@ -42,15 +42,10 @@ from .symbols import (
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Entries M[i][j] = <T e_j, e_i> of a truncated operator matrix.
-
-    ``order`` is the differentiation order n, so columns j < order vanish
-    identically.
-    """
+    """Entries M[i][j] = <T e_j, e_i> of a truncated operator matrix."""
 
     entries: np.ndarray
     space: SpaceParams
-    order: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
@@ -106,14 +101,14 @@ def build_wcd_matrix(pair: SymbolPair, space: SpaceParams) -> OperatorMatrix:
     """Matrix of f -> psi * (f^(n) o phi) at the space truncation; the pair
     must pass ``operator_gate``."""
     operator_gate(pair)
-    return OperatorMatrix(_build(pair.psi, pair.phi, pair.n, space), space, pair.n)
+    return OperatorMatrix(_build(pair.psi, pair.phi, pair.n, space), space)
 
 
 def build_weighted_composition(
     psi: TruncatedSeries, phi: LinearFractionalMap, space: SpaceParams
 ) -> OperatorMatrix:
     """Order-0 specialization: the matrix of f -> psi * (f o phi)."""
-    return OperatorMatrix(_build(psi, phi, 0, space), space, 0)
+    return OperatorMatrix(_build(psi, phi, 0, space), space)
 
 
 def build_toeplitz_analytic(h: TruncatedSeries, space: SpaceParams) -> OperatorMatrix:
@@ -130,13 +125,13 @@ def build_toeplitz_analytic(h: TruncatedSeries, space: SpaceParams) -> OperatorM
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for j in range(N + 1):
         M[j:, j] = (broot[j:] / broot[j]) * h.coeffs[: N + 1 - j]
-    return OperatorMatrix(M, space, 0)
+    return OperatorMatrix(M, space)
 
 
 def adjoint_matrix(M: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose; entrywise exactness is preserved because
     truncation commutes with transposition."""
-    return OperatorMatrix(M.entries.conj().T, M.space, M.order)
+    return OperatorMatrix(M.entries.conj().T, M.space)
 
 
 def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:

@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from . import __version__
 from .bergman import SpaceParams
 from .conjugations import (
     AntilinearConjugation,
-    extended_space,
     involution_defect,
     isometry_defect,
     is_C_symmetric,
@@ -126,11 +126,37 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _number(kind, value, path: str):
-    """kind(value) for kind int or float; a ConfigError at path if that fails."""
+    """kind(value) for kind int or float; a ConfigError at path if that fails
+    or would drop the fractional part of a float."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(path, f"expected an integer, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
+
+
+def _check_ranges(symbols: dict) -> None:
+    """Sweep draw ranges are [lo, hi] with 0 <= lo <= hi, and hi < 1 for the
+    radius of a point that must lie in the open disk."""
+    ranges = symbols.get("ranges", {})
+    if not isinstance(ranges, dict):
+        raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
+    for key, value in ranges.items():
+        path = f"symbols.ranges.{key}"
+        if key not in RANGE_DEFAULTS:
+            raise ConfigError(path, f"unknown range; known: {', '.join(RANGE_DEFAULTS)}")
+        if not (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(v, (int, float)) for v in value)
+        ):
+            raise ConfigError(path, "expected two numbers [lo, hi]")
+        lo, hi = value
+        if not 0 <= lo <= hi:
+            raise ConfigError(path, f"expected 0 <= lo <= hi, got {value!r}")
+        if key in DISK_RADII and not hi < 1:
+            raise ConfigError(path, f"a radius in the disk needs hi < 1, got {hi!r}")
 
 
 def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
@@ -155,6 +181,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     symbols = _require(doc, "symbols", "$")
     if not isinstance(symbols, dict) or "family" not in symbols:
         raise ConfigError("symbols.family", "missing family name")
+    _check_ranges(symbols)
     conjugation = doc.get("conjugation", {"kind": "auto"})
     if not isinstance(conjugation, dict) or "kind" not in conjugation:
         raise ConfigError("conjugation.kind", "missing conjugation kind")
@@ -205,9 +232,9 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     return config
 
 
-def make_pair(symbols: dict, space: SpaceParams, N: int | None = None) -> SymbolPair:
-    """Build the symbol pair described by the config at truncation N."""
-    N = space.N if N is None else N
+def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
+    """Build the symbol pair described by the config at the truncation of space."""
+    N = space.N
     family = symbols["family"]
     path = "symbols"
 
@@ -302,10 +329,6 @@ def make_conjugation(descriptor: dict, space: SpaceParams) -> AntilinearConjugat
     raise ConfigError("conjugation.kind", f"unknown kind {kind!r}")
 
 
-def _tolerance(config: RunConfig, name: str, default: float) -> float:
-    return config.tolerances.get(name, default)
-
-
 def _predicted_normal(symbols: dict) -> bool:
     b = _complex_value(symbols.get("b", 0.0), "symbols.b")
     c = _complex_value(symbols.get("c", 0.0), "symbols.c")
@@ -315,15 +338,13 @@ def _predicted_normal(symbols: dict) -> bool:
 class RunContext:
     """What the checks of one config share, each built the first time asked.
 
-    ``work_space`` is the extended truncation for the weighted-composition
-    conjugation kind and the config's truncation otherwise; ``work_matrix``
-    and ``conjugation`` are built there.
+    ``conjugation`` is made for the config's space and chooses its own
+    working truncation (the weighted-composition kind works at an extended
+    one); ``work_matrix`` is the operator at that truncation.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.descriptor = resolve_conjugation_kind(config)
-        self.kind = self.descriptor["kind"]
 
     @cached_property
     def pair(self) -> SymbolPair:
@@ -334,22 +355,15 @@ class RunContext:
         return build_wcd_matrix(self.pair, self.config.space)
 
     @cached_property
-    def work_space(self) -> SpaceParams:
-        if self.kind != "wc-J":
-            return self.config.space
-        p = _complex_value(_require(self.descriptor, "p", "conjugation"), "conjugation.p")
-        return extended_space(self.config.space, p)
+    def conjugation(self) -> AntilinearConjugation:
+        return make_conjugation(resolve_conjugation_kind(self.config), self.config.space)
 
     @cached_property
     def work_matrix(self) -> OperatorMatrix:
-        if self.kind != "wc-J":
+        space = self.conjugation.space
+        if space == self.config.space:
             return self.matrix
-        pair = make_pair(self.config.symbols, self.config.space, N=self.work_space.N)
-        return build_wcd_matrix(pair, self.work_space)
-
-    @cached_property
-    def conjugation(self) -> AntilinearConjugation:
-        return make_conjugation(self.descriptor, self.work_space)
+        return build_wcd_matrix(make_pair(self.config.symbols, space), space)
 
     @cached_property
     def commutator_defect(self) -> float:
@@ -370,43 +384,34 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
-def _check_c_symmetry(context: RunContext) -> CheckReport:
-    kind = context.kind
-    tol = _tolerance(
-        context.config, "C-symmetry", TOL_EXACT if kind == "plain-J" else TOL_GUARDED
-    )
-    ok, defect = is_C_symmetric(
-        context.work_matrix, context.conjugation, tol, claim_dim=context.config.space.N + 1
-    )
-    return CheckReport(
-        "C-symmetry", "pass" if ok else "fail", defect, tol,
-        f"conjugation-symmetry; kind={kind}",
-    )
+def _check_tolerance(name: str, measure, context: RunContext) -> CheckReport:
+    """Pass iff the defect meets the tolerance: the config's override for
+    ``name``, else the default. ``measure(context)`` returns the defect, the
+    default tolerance and the provenance; a defect does not depend on the
+    tolerance that the predicate computing it is given."""
+    defect, default_tol, provenance = measure(context)
+    tol = context.config.tolerances.get(name, default_tol)
+    return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, provenance)
 
 
-def _commutator_defect(context: RunContext) -> float:
-    return context.commutator_defect
+def _j_symmetry(context: RunContext) -> tuple:
+    M = context.matrix
+    return is_C_symmetric(M, make_J(M.space), TOL_EXACT)[1], TOL_EXACT, "matrix-symmetry"
 
 
-# matrix check -> (defect of the config's matrix, default tolerance, provenance tag);
-# a defect does not depend on the tolerance its predicate is given
-MATRIX_CHECKS = {
-    "J-symmetry": (
-        lambda context: is_C_symmetric(context.matrix, make_J(context.matrix.space), TOL_EXACT)[1],
-        TOL_EXACT, "matrix-symmetry",
-    ),
-    "self-adjointness": (
-        lambda context: is_hermitian(context.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
-    ),
-    "normality": (_commutator_defect, TOL_GUARDED, "commutator-defect"),
-}
+def _c_symmetry(context: RunContext) -> tuple:
+    C = context.conjugation
+    tol = TOL_EXACT if C.kind == "plain-J" else TOL_GUARDED
+    defect = is_C_symmetric(context.work_matrix, C, tol)[1]
+    return defect, tol, f"conjugation-symmetry; kind={C.kind}"
 
 
-def _check_matrix(name: str, context: RunContext) -> CheckReport:
-    defect_of, default_tol, tag = MATRIX_CHECKS[name]
-    tol = _tolerance(context.config, name, default_tol)
-    defect = defect_of(context)
-    return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, tag)
+def _self_adjointness(context: RunContext) -> tuple:
+    return is_hermitian(context.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
+
+
+def _normality(context: RunContext) -> tuple:
+    return context.commutator_defect, TOL_GUARDED, "commutator-defect"
 
 
 def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
@@ -416,7 +421,7 @@ def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
     passes once the defect reaches FAIL_THRESHOLD, fails when it meets tol,
     and is 'unverified' in the band between; sweeps redraw such parameters.
     """
-    tol = _tolerance(context.config, name, TOL_GUARDED)
+    tol = context.config.tolerances.get(name, TOL_GUARDED)
     defect = defect_of(context)
     predicted = _predicted_normal(context.config.symbols)
     if predicted:
@@ -452,29 +457,20 @@ def _gate_adjoint_kernel(context: RunContext) -> None:
         kernel_point_gate(context.pair.phi, w)
 
 
-def _check_adjoint_kernel(context: RunContext) -> CheckReport:
-    tol = _tolerance(context.config, "adjoint-kernel", TOL_GUARDED)
+def _adjoint_kernel(context: RunContext) -> tuple:
     worst = 0.0
     for w in _kernel_points(context.config.symbols):
         # a refused point is reported ahead of a refused build of the matrix
         kernel_point_gate(context.pair.phi, w)
         worst = max(worst, adjoint_on_kernel(context.matrix, context.pair, w).defect)
-    return CheckReport(
-        "adjoint-kernel", "pass" if worst <= tol else "fail", worst, tol,
-        "adjoint-kernel-identity",
-    )
+    return worst, TOL_GUARDED, "adjoint-kernel-identity"
 
 
-def _check_adjoint_pair(context: RunContext) -> CheckReport:
-    tol = _tolerance(context.config, "adjoint-pair", 1e-9)
+def _adjoint_pair(context: RunContext) -> tuple:
     MA, MB = context.companion_matrices
     scale = float(np.max(np.abs(MB.entries)))
     defect = float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries)))
-    rel = defect / scale if scale > 0 else defect
-    return CheckReport(
-        "adjoint-pair", "pass" if rel <= tol else "fail", rel, tol,
-        "companion-adjoint-identity",
-    )
+    return (defect / scale if scale > 0 else defect), 1e-9, "companion-adjoint-identity"
 
 
 def _check_necessary_conditions(context: RunContext) -> CheckReport:
@@ -487,26 +483,21 @@ def _check_necessary_conditions(context: RunContext) -> CheckReport:
     )
 
 
-def _check_conjugation_axioms(context: RunContext) -> CheckReport:
-    kind = context.kind
-    exact_kind = kind in ("plain-J", "rotation-J")
-    tol = _tolerance(context.config, "conjugation-axioms", 1e-12 if exact_kind else 1e-9)
-    C, claim = context.conjugation, context.config.space.N + 1
+def _conjugation_axioms(context: RunContext) -> tuple:
+    C = context.conjugation
     rng = SplitMix64(context.config.seed ^ 0xA5A5)
+    deg = context.config.space.N - GUARD_BAND
     worst = 0.0
     for _ in range(5):
-        coeffs = np.zeros(context.work_space.N + 1, dtype=complex)
-        deg = context.config.space.N - GUARD_BAND
+        coeffs = np.zeros(C.space.N + 1, dtype=complex)
         coeffs[: deg + 1] = [
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)
         ]
         f = TruncatedSeries(coeffs)
-        worst = max(worst, involution_defect(C, f, claim_dim=claim))
+        worst = max(worst, involution_defect(C, f))
         worst = max(worst, isometry_defect(C, f))
-    return CheckReport(
-        "conjugation-axioms", "pass" if worst <= tol else "fail", worst, tol,
-        f"conjugation-axioms; kind={kind}",
-    )
+    exact_kind = C.kind in ("plain-J", "rotation-J")
+    return worst, 1e-12 if exact_kind else 1e-9, f"conjugation-axioms; kind={C.kind}"
 
 
 # grid check -> (grid function, provenance tag)
@@ -538,15 +529,17 @@ def _gate_kernel_norm_balance(context: RunContext) -> None:
 
 
 CHECKS = {
-    "J-symmetry": partial(_check_matrix, "J-symmetry"),
-    "C-symmetry": _check_c_symmetry,
-    "self-adjointness": partial(_check_matrix, "self-adjointness"),
-    "normality": partial(_check_matrix, "normality"),
-    "normality-predicate": partial(_check_predicate, "normality-predicate", _commutator_defect),
-    "adjoint-kernel": _check_adjoint_kernel,
-    "adjoint-pair": _check_adjoint_pair,
+    "J-symmetry": partial(_check_tolerance, "J-symmetry", _j_symmetry),
+    "C-symmetry": partial(_check_tolerance, "C-symmetry", _c_symmetry),
+    "self-adjointness": partial(_check_tolerance, "self-adjointness", _self_adjointness),
+    "normality": partial(_check_tolerance, "normality", _normality),
+    "normality-predicate": partial(
+        _check_predicate, "normality-predicate", attrgetter("commutator_defect")
+    ),
+    "adjoint-kernel": partial(_check_tolerance, "adjoint-kernel", _adjoint_kernel),
+    "adjoint-pair": partial(_check_tolerance, "adjoint-pair", _adjoint_pair),
     "necessary-conditions": _check_necessary_conditions,
-    "conjugation-axioms": _check_conjugation_axioms,
+    "conjugation-axioms": partial(_check_tolerance, "conjugation-axioms", _conjugation_axioms),
     "boundedness-grid": partial(_check_grid, "boundedness-grid"),
     "nevanlinna-grid": partial(_check_grid, "nevanlinna-grid"),
     "kernel-norm-balance": partial(_check_predicate, "kernel-norm-balance", _kernel_norm_defect),
@@ -595,10 +588,20 @@ SWEEPABLE_FAMILIES = (
 )
 
 
-def _range(symbols: dict, key: str, default: tuple) -> tuple:
+# default draw range per radius; parse_config admits only these keys
+RANGE_DEFAULTS = {
+    "abs_a": (0.5, 1.5),
+    "abs_b": (0.1, 0.6),
+    "abs_c": (0.0, 0.5),
+    "abs_p": (0.1, 0.6),
+}
+DISK_RADII = ("abs_c", "abs_p")     # radii of points that must lie in the open disk
+
+
+def _range(symbols: dict, key: str) -> tuple:
     value = symbols.get("ranges", {}).get(key)
     if value is None:
-        return default
+        return RANGE_DEFAULTS[key]
     return float(value[0]), float(value[1])
 
 
@@ -612,10 +615,10 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
     complex) so both sides of the normality predicate get exercised.
     """
     family = symbols["family"]
-    a_lo, a_hi = _range(symbols, "abs_a", (0.5, 1.5))
-    b_lo, b_hi = _range(symbols, "abs_b", (0.1, 0.6))
-    c_lo, c_hi = _range(symbols, "abs_c", (0.0, 0.5))
-    p_lo, p_hi = _range(symbols, "abs_p", (0.1, 0.6))
+    a_lo, a_hi = _range(symbols, "abs_a")
+    b_lo, b_hi = _range(symbols, "abs_b")
+    c_lo, c_hi = _range(symbols, "abs_c")
+    p_lo, p_hi = _range(symbols, "abs_p")
 
     def as_pair(z: complex):
         return [z.real, z.imag]

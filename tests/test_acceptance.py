@@ -14,7 +14,6 @@ import numpy as np
 from cswcd.bergman import SpaceParams, kernel_norm_sq, reproducing_check
 from cswcd.cli import main as cli_main
 from cswcd.conjugations import (
-    extended_space,
     involution_defect,
     is_C_symmetric,
     isometry_defect,
@@ -185,11 +184,9 @@ def test_criterion_5_composed_conjugations():
         raw = draw_symbols({"family": "wc-conjugated"}, rng)
         p = complex(*raw["p"])
         lam_u = complex(*raw["lambda_u"])
-        work = extended_space(space, p)
-        pair = make_pair(raw, space, N=work.N)
-        M = build_wcd_matrix(pair, work)
-        C = make_wc_J(p, lam_u, work)
-        _, defect = is_C_symmetric(M, C, 1e-8, claim_dim=space.N + 1)
+        C = make_wc_J(p, lam_u, space)
+        M = build_wcd_matrix(make_pair(raw, C.space), C.space)
+        _, defect = is_C_symmetric(M, C, 1e-8)
         worst = max(worst, defect)
     worst_rot = 0.0
     for i in range(50):
@@ -334,11 +331,10 @@ def test_criterion_9_conjugation_axioms():
         alpha = ALPHAS[i % 3]
         space = SpaceParams(alpha, 1, N_DEFAULT)
         p = rng.complex_annulus(0.1, 0.6) if i else 0.6
-        work = extended_space(space, p)
-        C = make_wc_J(p, rng.unimodular(), work)
+        C = make_wc_J(p, rng.unimodular(), space)
         for _ in range(3):
-            f = random_polynomial(rng, work.N, N_DEFAULT - 8)
-            worst_wc = max(worst_wc, involution_defect(C, f, claim_dim=N_DEFAULT + 1))
+            f = random_polynomial(rng, C.space.N, N_DEFAULT - 8)
+            worst_wc = max(worst_wc, involution_defect(C, f))
             worst_wc = max(worst_wc, isometry_defect(C, f))
     ok_wc = worst_wc <= 1e-9
     criterion(

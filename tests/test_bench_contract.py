@@ -1,0 +1,102 @@
+"""What the benchmark in ``perfbench/`` needs of the package.
+
+The benchmark counts ops by replacing ``runner.run`` during a sweep, and its
+traced mode wraps every ``TRACED`` function at each module binding and every
+``runner.CHECKS`` entry. A refactor that renames one of them, or that calls
+``run`` in another way, breaks the benchmark; these tests show it first.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from cswcd import cli, runner
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(tracing):
+    """Every name bound in the modules the tracer patches."""
+    modules = [importlib.import_module(f"cswcd.{m}") for m in tracing.LAYERS]
+    modules.append(importlib.import_module("cswcd"))
+    return {(m.__name__, attr): value for m in modules for attr, value in vars(m).items()}
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_install_resolves_every_traced_name(tracing):
+    originals = {
+        (mod, fn): getattr(importlib.import_module(f"cswcd.{mod}"), fn)
+        for mod, fn, _, _ in tracing.TRACED
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (mod, fn), original in originals.items():
+            wrapper = getattr(importlib.import_module(f"cswcd.{mod}"), fn)
+            assert wrapper.__wrapped__ is original, f"{mod}.{fn}"
+        for name, check in runner.CHECKS.items():
+            assert callable(check.__wrapped__), name
+    finally:
+        tracer.uninstall()
+
+
+def test_uninstall_restores_bindings_and_checks(tracing, tmp_path):
+    before, checks = bindings(tracing), dict(runner.CHECKS)
+    doc = {
+        "space": {"alpha": 0.5, "n": 1, "N": 24},
+        "symbols": {"family": "wc-conjugated", "a": 1.0, "b": 0.3, "c": 0.15, "p": 0.3},
+        "checks": ["C-symmetry", "conjugation-axioms"],
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["check", write_config(tmp_path, doc), "--out",
+                         str(tmp_path / "report.json")]) == 0
+    finally:
+        tracer.uninstall()
+    # the counters behind make_wc_J.calls and wc_dim_mean see the one conjugation
+    assert tracer.calls["conjugations.make_wc_J"] == 1
+    assert tracer.calls["conjugations.extended_space"] == 1
+    assert tracer.calls["runner.check.C-symmetry"] == 1
+    after = bindings(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert runner.CHECKS.keys() == checks.keys()
+    assert all(runner.CHECKS[name] is fn for name, fn in checks.items())
+
+
+def test_sweep_calls_run_once_per_draw(monkeypatch, tmp_path):
+    calls = []
+    inner = runner.run
+
+    def one_parameter(config):
+        calls.append(config)
+        return inner(config)
+
+    monkeypatch.setattr(runner, "run", one_parameter)
+    doc = {
+        "space": {"alpha": 0.0, "n": 1, "N": 24},
+        "symbols": {"family": "j-symmetric"},
+        "checks": ["J-symmetry"],
+    }
+    out = tmp_path / "report.json"
+    assert cli.main(["sweep", write_config(tmp_path, doc), "--draws", "4", "--seed", "2",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["aggregate"]["redraws"] == 0
+    assert len(calls) == 4

@@ -8,7 +8,6 @@ from cswcd.conjugations import (
     AntilinearConjugation,
     conjugated_adjoint,
     conjugation_apply,
-    extended_space,
     involution_defect,
     is_C_symmetric,
     isometry_defect,
@@ -95,10 +94,9 @@ class TestWcJ:
         N = 64
         for p in (0.6, 0.4 * np.exp(1.2j)):
             space = SpaceParams(0.0, 1, N)
-            work = extended_space(space, p)
-            C = make_wc_J(p, np.exp(0.5j), work)
-            f = rand_poly(rng, work.N, N - 8)
-            assert involution_defect(C, f, claim_dim=N + 1) <= 1e-9
+            C = make_wc_J(p, np.exp(0.5j), space)
+            f = rand_poly(rng, C.space.N, N - 8)
+            assert involution_defect(C, f) <= 1e-9
             assert isometry_defect(C, f) <= 1e-9
 
     def test_kernel_maps_to_constant_for_real_p(self):
@@ -108,9 +106,8 @@ class TestWcJ:
 
         alpha, p, lam_u = 0.5, 0.45, np.exp(0.9j)
         space = SpaceParams(alpha, 1, 64)
-        work = extended_space(space, p)
-        C = make_wc_J(p, lam_u, work)
-        out = conjugation_apply(C, kernel(p, 0, alpha, work.N))
+        C = make_wc_J(p, lam_u, space)
+        out = conjugation_apply(C, kernel(p, 0, alpha, C.space.N))
         expect = lam_u * (1 - p**2) ** (-(alpha + 2) / 2)
         assert out.coeffs[0] == pytest.approx(expect, abs=1e-10)
         assert np.max(np.abs(out.coeffs[1 : space.N])) <= 1e-10
@@ -124,7 +121,7 @@ class TestConjugatedAdjoint:
     def test_plain_J_gives_transpose(self):
         rng = np.random.default_rng(46)
         A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
-        M = OperatorMatrix(A, SPACE, 0)
+        M = OperatorMatrix(A, SPACE)
         out = conjugated_adjoint(make_J(SPACE), M)
         assert np.array_equal(out.entries, A.T)
 
@@ -132,13 +129,13 @@ class TestConjugatedAdjoint:
         rng = np.random.default_rng(47)
         A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
         A = A + A.T
-        M = OperatorMatrix(A, SPACE, 0)
+        M = OperatorMatrix(A, SPACE)
         out = conjugated_adjoint(make_J(SPACE), M)
         assert np.array_equal(out.entries, A)
 
     def test_diagonal_commutes_with_rotation(self):
         d = np.arange(1, 26) * (1 + 0.5j)
-        M = OperatorMatrix(np.diag(d), SPACE, 0)
+        M = OperatorMatrix(np.diag(d), SPACE)
         C = make_rotation_J(1.0, np.exp(0.4j), SPACE)
         out = conjugated_adjoint(C, M)
         assert np.allclose(out.entries, M.entries)
@@ -167,13 +164,12 @@ class TestIsCSymmetric:
             space = SpaceParams(alpha, 2, N)
             p = rng.complex_annulus(0.2, 0.6)
             lam_u = rng.unimodular()
-            work = extended_space(space, p)
+            C = make_wc_J(p, lam_u, space)
             pair = family_conjugated(
-                1.0 + 0.4j, 0.3, 0.15 - 0.1j, 2, alpha, work.N, p=p, lambda_u=lam_u
+                1.0 + 0.4j, 0.3, 0.15 - 0.1j, 2, alpha, C.space.N, p=p, lambda_u=lam_u
             )
-            M = build_wcd_matrix(pair, work)
-            C = make_wc_J(p, lam_u, work)
-            ok, defect = is_C_symmetric(M, C, 1e-8, claim_dim=N + 1)
+            M = build_wcd_matrix(pair, C.space)
+            ok, defect = is_C_symmetric(M, C, 1e-8)
             assert ok, f"defect {defect:.3e} at p={p}"
 
     def test_rotation_conjugated_family(self):

@@ -143,7 +143,7 @@ class TestIsHermitian:
         assert not ok and defect > 1e-3
 
     def test_zero_matrix(self):
-        M = OperatorMatrix(np.zeros((33, 33)), SPACE, 0)
+        M = OperatorMatrix(np.zeros((33, 33)), SPACE)
         ok, defect = is_hermitian(M, 1e-10)
         assert ok and defect == 0.0
 

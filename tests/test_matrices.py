@@ -141,24 +141,24 @@ class TestWeightedComposition:
 class TestAdjoint:
     def test_hermitian_fixed(self):
         H = np.eye(25) * 2.0
-        M = OperatorMatrix(H, SPACE, 0)
+        M = OperatorMatrix(H, SPACE)
         assert np.array_equal(adjoint_matrix(M).entries, H)
 
     def test_involution(self):
         rng = np.random.default_rng(31)
         A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
-        M = OperatorMatrix(A, SPACE, 0)
+        M = OperatorMatrix(A, SPACE)
         assert np.array_equal(adjoint_matrix(adjoint_matrix(M)).entries, A)
 
     def test_diagonal(self):
         d = np.arange(25) * (1 + 2j)
-        M = OperatorMatrix(np.diag(d), SPACE, 0)
+        M = OperatorMatrix(np.diag(d), SPACE)
         assert np.array_equal(adjoint_matrix(M).entries, np.diag(np.conj(d)))
 
 
 class TestApply:
     def test_identity_matrix(self):
-        M = OperatorMatrix(np.eye(25), SPACE, 0)
+        M = OperatorMatrix(np.eye(25), SPACE)
         f = polynomial([1, 2, 3], 24)
         assert np.allclose(apply(M, f).coeffs, f.coeffs)
 
@@ -186,7 +186,7 @@ class TestApply:
         assert np.allclose(lhs.coeffs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        M = OperatorMatrix(np.eye(25), SPACE, 0)
+        M = OperatorMatrix(np.eye(25), SPACE)
         with pytest.raises(TruncationMismatchError):
             apply(M, zero_series(30))
 

@@ -402,14 +402,45 @@ class TestCli:
             ({"space": {"alpha": "abc", "n": 1, "N": 48}}, "space.alpha"),
             ({"space": {"alpha": 0.0, "n": [1], "N": 48}}, "space.n"),
             ({"seed": "abc"}, "seed"),
+            ({"space": {"alpha": 0.0, "n": 1, "N": 40.7}}, "space.N"),
+            ({"space": {"alpha": 0.0, "n": 1.5, "N": 48}}, "space.n"),
+            ({"seed": 2.9}, "seed"),
+            ({"space": {"alpha": 10**400, "n": 1, "N": 48}}, "space.alpha"),
         ],
-        ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed"],
+        ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
+             "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["path"] == path
+
+    def test_integral_float_accepted(self):
+        config = parse_config(config_with(space={"alpha": 0.0, "n": 1.0, "N": 40.0}, seed=3.0))
+        assert (config.space.n, config.space.N, config.seed) == (1, 40, 3)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("abs_p", [0.5, 1.2]), ("abs_a", ["x", 1]), ("abs_b", [0.2]), ("abs_c", [0.4, 0.1]),
+         ("abs_q", [0.1, 0.2])],
+        ids=["radius-outside-disk", "not-a-number", "one-bound", "lo-above-hi", "unknown-key"],
+    )
+    def test_bad_sweep_range_exit(self, tmp_path, capsys, key, value):
+        doc = config_with(symbols={"family": "wc-conjugated", "ranges": {key: value}},
+                          checks=["C-symmetry"])
+        assert main(["sweep", self.write(tmp_path, doc), "--draws", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["path"] == f"symbols.ranges.{key}"
+
+    def test_sweep_has_no_timings_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write(tmp_path, config_with(symbols={"family": "j-symmetric"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", cfg, "--draws", "1", "--timings", "t.json"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.json").exists()
 
     def test_explicit_bounded_flag_admits_map(self, tmp_path):
         # phi = (1+z)/2 has sup norm 1; the user's flag admits the operator
