@@ -26,7 +26,6 @@ from .matrices import export_matrix_csv
 from .runner import (
     GRID_CHECKS,
     RunConfig,
-    RunContext,
     canonical_json,
     check_report_document,
     grid_report,
@@ -98,16 +97,15 @@ def _cmd_grid(args) -> int:
         raise ConfigError("checks", "no grid checks configured")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    context = RunContext(config)
     for name in grid_checks:
-        export_grid_csv(grid_report(context, name), out_dir / f"{name}.csv")
+        export_grid_csv(grid_report(config, name), out_dir / f"{name}.csv")
     return EXIT_PASS
 
 
 def _cmd_export_matrix(args) -> int:
     config = _load_config(args.config)
     try:
-        matrix = RunContext(config).matrix
+        matrix = config.matrix
     except UnboundedSymbolError as exc:
         sys.stderr.write(f"unverified: {exc}\n")
         return EXIT_UNVERIFIED

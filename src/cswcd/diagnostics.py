@@ -20,7 +20,6 @@ from .bergman import SpaceParams, kernel_norm_sq
 from .defaults import GUARD_BAND
 from .errors import DomainError, UnboundedSymbolError
 from .matrices import OperatorMatrix, operator_gate
-from .series import series_eval
 from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
@@ -179,15 +178,8 @@ def necessary_conditions_check(pair: SymbolPair, space: SpaceParams) -> Necessar
     coeffs = pair.psi.coeffs
     flat = bool(np.all(coeffs[:n] == 0)) if n > 0 else True
     order_exact = bool(coeffs[n] != 0)
-    nonvanishing = True
-    for r in np.linspace(0.1, 0.9, 9):
-        for k in range(64):
-            z = r * cmath.exp(2j * math.pi * k / 64)
-            if abs(series_eval(pair.psi, z)) <= 1e-10:
-                nonvanishing = False
-                break
-        if not nonvanishing:
-            break
+    grid = np.linspace(0.1, 0.9, 9)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    nonvanishing = not np.any(np.abs(np.polyval(coeffs[::-1], grid)) <= 1e-10)
     univalent = pair.phi.det != 0
     violations = []
     if not flat:

@@ -77,13 +77,53 @@ PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are pr
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated configuration and what its checks share, each built the
+    first time asked.
+
+    ``conjugation`` is made for the config's space from ``conjugation_doc``
+    and chooses its own working truncation (the weighted-composition kind
+    works at an extended one); ``work_matrix`` is the operator at that
+    truncation.
+    """
+
     space: SpaceParams
     symbols: dict
-    conjugation: dict
+    conjugation_doc: dict
     checks: tuple
     tolerances: dict
     seed: int
     raw: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def pair(self) -> SymbolPair:
+        return make_pair(self.symbols, self.space)
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        return build_wcd_matrix(self.pair, self.space)
+
+    @cached_property
+    def conjugation(self) -> AntilinearConjugation:
+        return make_conjugation(resolve_conjugation_kind(self), self.space)
+
+    @cached_property
+    def work_matrix(self) -> OperatorMatrix:
+        space = self.conjugation.space
+        if space == self.space:
+            return self.matrix
+        return build_wcd_matrix(make_pair(self.symbols, space), space)
+
+    @cached_property
+    def commutator_defect(self) -> float:
+        """Commutator defect of ``matrix``, read by both normality checks; it
+        does not depend on the tolerance ``is_normal`` is given."""
+        return is_normal(self.matrix, TOL_GUARDED)[1]
+
+    @cached_property
+    def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """Matrices of the companion adjoint pair induced by the map."""
+        pair_a, pair_b = cowen_adjoint_pair(self.pair.phi, self.space.n, self.space)
+        return build_wcd_matrix(pair_a, self.space), build_wcd_matrix(pair_b, self.space)
 
 
 @dataclass
@@ -109,14 +149,14 @@ class CheckReport:
 
 def _complex_value(value, path: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        value = [value, 0.0]
+    if not (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise ConfigError(path, "expected a number or a two-element [re, im] list")
+        raise ConfigError(path, "expected a number or a two-element [re, im] list")
+    return complex(*(_number(float, v, path) for v in value))
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -126,14 +166,17 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _number(kind, value, path: str):
-    """kind(value) for kind int or float; a ConfigError at path if that fails
-    or would drop the fractional part of a float."""
+    """kind(value) for kind int or float; a ConfigError at path if that fails,
+    would drop the fractional part of a float or gives a non-finite float."""
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(path, f"expected an integer, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _check_ranges(symbols: dict) -> None:
@@ -146,13 +189,9 @@ def _check_ranges(symbols: dict) -> None:
         path = f"symbols.ranges.{key}"
         if key not in RANGE_DEFAULTS:
             raise ConfigError(path, f"unknown range; known: {', '.join(RANGE_DEFAULTS)}")
-        if not (
-            isinstance(value, list)
-            and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)
-        ):
+        if not (isinstance(value, list) and len(value) == 2):
             raise ConfigError(path, "expected two numbers [lo, hi]")
-        lo, hi = value
+        lo, hi = (_number(float, v, path) for v in value)
         if not 0 <= lo <= hi:
             raise ConfigError(path, f"expected 0 <= lo <= hi, got {value!r}")
         if key in DISK_RADII and not hi < 1:
@@ -164,7 +203,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
 
     Sweep base configurations carry a family plus draw ranges rather than
     concrete parameters; pass require_concrete=False to skip building the
-    probe pair. An explicit conjugation descriptor is built at the smallest
+    probe pair. The probe is the config's own ``pair``, which ``run`` then
+    reuses. An explicit conjugation descriptor is built at the smallest
     truncation, so its constructor's preconditions surface here too.
     """
     if not isinstance(doc, dict):
@@ -182,6 +222,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     if not isinstance(symbols, dict) or "family" not in symbols:
         raise ConfigError("symbols.family", "missing family name")
     _check_ranges(symbols)
+    _kernel_points(symbols)
     conjugation = doc.get("conjugation", {"kind": "auto"})
     if not isinstance(conjugation, dict) or "kind" not in conjugation:
         raise ConfigError("conjugation.kind", "missing conjugation kind")
@@ -202,15 +243,20 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances", "expected an object of check -> tolerance")
-    for name in tolerances:
+    tols = {}
+    for name, value in tolerances.items():
+        path = f"tolerances.{name}"
         if name not in CHECKS:
-            raise ConfigError(f"tolerances.{name}", "tolerance for an unknown check")
+            raise ConfigError(path, "tolerance for an unknown check")
+        tols[name] = _number(float, value, path)
+        if tols[name] < 0:
+            raise ConfigError(path, f"expected a tolerance >= 0, got {value!r}")
     config = RunConfig(
         space=space,
         symbols=symbols,
-        conjugation=conjugation,
+        conjugation_doc=conjugation,
         checks=tuple(checks),
-        tolerances={k: _number(float, v, f"tolerances.{k}") for k, v in tolerances.items()},
+        tolerances=tols,
         seed=_number(int, doc.get("seed", 0), "seed"),
         raw=doc,
     )
@@ -222,7 +268,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             raise ConfigError("conjugation", str(exc)) from exc
     if require_concrete:
         try:
-            make_pair(config.symbols, config.space)
+            config.pair
         except (DomainError, SingularityError) as exc:
             raise ConfigError("symbols", str(exc)) from exc
     elif symbols["family"] not in SWEEPABLE_FAMILIES:
@@ -291,7 +337,7 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
 
 def resolve_conjugation_kind(config: RunConfig) -> dict:
     """Replace kind 'auto' with the descriptor matching the family."""
-    conj = dict(config.conjugation)
+    conj = dict(config.conjugation_doc)
     if conj.get("kind") != "auto":
         return conj
     symbols = config.symbols
@@ -335,95 +381,51 @@ def _predicted_normal(symbols: dict) -> bool:
     return (b.imag == 0 and b.real != 0) or c == 0
 
 
-class RunContext:
-    """What the checks of one config share, each built the first time asked.
-
-    ``conjugation`` is made for the config's space and chooses its own
-    working truncation (the weighted-composition kind works at an extended
-    one); ``work_matrix`` is the operator at that truncation.
-    """
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    @cached_property
-    def pair(self) -> SymbolPair:
-        return make_pair(self.config.symbols, self.config.space)
-
-    @cached_property
-    def matrix(self) -> OperatorMatrix:
-        return build_wcd_matrix(self.pair, self.config.space)
-
-    @cached_property
-    def conjugation(self) -> AntilinearConjugation:
-        return make_conjugation(resolve_conjugation_kind(self.config), self.config.space)
-
-    @cached_property
-    def work_matrix(self) -> OperatorMatrix:
-        space = self.conjugation.space
-        if space == self.config.space:
-            return self.matrix
-        return build_wcd_matrix(make_pair(self.config.symbols, space), space)
-
-    @cached_property
-    def commutator_defect(self) -> float:
-        """Commutator defect of ``matrix``, read by both normality checks; it
-        does not depend on the tolerance ``is_normal`` is given."""
-        return is_normal(self.matrix, TOL_GUARDED)[1]
-
-    @cached_property
-    def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
-        """Matrices of the companion adjoint pair induced by the map."""
-        space = self.config.space
-        pair_a, pair_b = cowen_adjoint_pair(self.pair.phi, space.n, space)
-        return build_wcd_matrix(pair_a, space), build_wcd_matrix(pair_b, space)
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
 
-def _check_tolerance(name: str, measure, context: RunContext) -> CheckReport:
+def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
     """Pass iff the defect meets the tolerance: the config's override for
-    ``name``, else the default. ``measure(context)`` returns the defect, the
+    ``name``, else the default. ``measure(config)`` returns the defect, the
     default tolerance and the provenance; a defect does not depend on the
     tolerance that the predicate computing it is given."""
-    defect, default_tol, provenance = measure(context)
-    tol = context.config.tolerances.get(name, default_tol)
+    defect, default_tol, provenance = measure(config)
+    tol = config.tolerances.get(name, default_tol)
     return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, provenance)
 
 
-def _j_symmetry(context: RunContext) -> tuple:
-    M = context.matrix
+def _j_symmetry(config: RunConfig) -> tuple:
+    M = config.matrix
     return is_C_symmetric(M, make_J(M.space), TOL_EXACT)[1], TOL_EXACT, "matrix-symmetry"
 
 
-def _c_symmetry(context: RunContext) -> tuple:
-    C = context.conjugation
+def _c_symmetry(config: RunConfig) -> tuple:
+    C = config.conjugation
     tol = TOL_EXACT if C.kind == "plain-J" else TOL_GUARDED
-    defect = is_C_symmetric(context.work_matrix, C, tol)[1]
+    defect = is_C_symmetric(config.work_matrix, C, tol)[1]
     return defect, tol, f"conjugation-symmetry; kind={C.kind}"
 
 
-def _self_adjointness(context: RunContext) -> tuple:
-    return is_hermitian(context.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
+def _self_adjointness(config: RunConfig) -> tuple:
+    return is_hermitian(config.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
 
 
-def _normality(context: RunContext) -> tuple:
-    return context.commutator_defect, TOL_GUARDED, "commutator-defect"
+def _normality(config: RunConfig) -> tuple:
+    return config.commutator_defect, TOL_GUARDED, "commutator-defect"
 
 
-def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
+def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     """Compare a normality defect with the paper's prediction for the family.
 
     A normal prediction passes iff the defect meets tol. A non-normal one
     passes once the defect reaches FAIL_THRESHOLD, fails when it meets tol,
     and is 'unverified' in the band between; sweeps redraw such parameters.
     """
-    tol = context.config.tolerances.get(name, TOL_GUARDED)
-    defect = defect_of(context)
-    predicted = _predicted_normal(context.config.symbols)
+    tol = config.tolerances.get(name, TOL_GUARDED)
+    defect = defect_of(config)
+    predicted = _predicted_normal(config.symbols)
     if predicted:
         status = "pass" if defect <= tol else "fail"
     elif defect >= FAIL_THRESHOLD:
@@ -438,43 +440,44 @@ def _check_predicate(name: str, defect_of, context: RunContext) -> CheckReport:
     )
 
 
-def _kernel_norm_defect(context: RunContext) -> float:
-    space = context.config.space
-    return max(norm_defect_kernel_test(context.pair, w, space) for w in BALANCE_POINTS)
+def _kernel_norm_defect(config: RunConfig) -> float:
+    return max(norm_defect_kernel_test(config.pair, w, config.space) for w in BALANCE_POINTS)
 
 
 def _kernel_points(symbols: dict) -> list:
     if "w_points" not in symbols:
         return list(DEFAULT_KERNEL_POINTS)
+    if not isinstance(symbols["w_points"], list):
+        raise ConfigError("symbols.w_points", "expected a list of points")
     return [
         _complex_value(v, f"symbols.w_points[{i}]")
         for i, v in enumerate(symbols["w_points"])
     ]
 
 
-def _gate_adjoint_kernel(context: RunContext) -> None:
-    for w in _kernel_points(context.config.symbols):
-        kernel_point_gate(context.pair.phi, w)
+def _gate_adjoint_kernel(config: RunConfig) -> None:
+    for w in _kernel_points(config.symbols):
+        kernel_point_gate(config.pair.phi, w)
 
 
-def _adjoint_kernel(context: RunContext) -> tuple:
+def _adjoint_kernel(config: RunConfig) -> tuple:
     worst = 0.0
-    for w in _kernel_points(context.config.symbols):
+    for w in _kernel_points(config.symbols):
         # a refused point is reported ahead of a refused build of the matrix
-        kernel_point_gate(context.pair.phi, w)
-        worst = max(worst, adjoint_on_kernel(context.matrix, context.pair, w).defect)
+        kernel_point_gate(config.pair.phi, w)
+        worst = max(worst, adjoint_on_kernel(config.matrix, config.pair, w).defect)
     return worst, TOL_GUARDED, "adjoint-kernel-identity"
 
 
-def _adjoint_pair(context: RunContext) -> tuple:
-    MA, MB = context.companion_matrices
+def _adjoint_pair(config: RunConfig) -> tuple:
+    MA, MB = config.companion_matrices
     scale = float(np.max(np.abs(MB.entries)))
     defect = float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries)))
     return (defect / scale if scale > 0 else defect), 1e-9, "companion-adjoint-identity"
 
 
-def _check_necessary_conditions(context: RunContext) -> CheckReport:
-    report = necessary_conditions_check(context.pair, context.config.space)
+def _check_necessary_conditions(config: RunConfig) -> CheckReport:
+    report = necessary_conditions_check(config.pair, config.space)
     status = "pass" if report.all_pass else "fail"
     detail = ",".join(report.violations) if report.violations else "none"
     return CheckReport(
@@ -483,10 +486,10 @@ def _check_necessary_conditions(context: RunContext) -> CheckReport:
     )
 
 
-def _conjugation_axioms(context: RunContext) -> tuple:
-    C = context.conjugation
-    rng = SplitMix64(context.config.seed ^ 0xA5A5)
-    deg = context.config.space.N - GUARD_BAND
+def _conjugation_axioms(config: RunConfig) -> tuple:
+    C = config.conjugation
+    rng = SplitMix64(config.seed ^ 0xA5A5)
+    deg = config.space.N - GUARD_BAND
     worst = 0.0
     for _ in range(5):
         coeffs = np.zeros(C.space.N + 1, dtype=complex)
@@ -507,15 +510,15 @@ GRID_CHECKS = {
 }
 
 
-def grid_report(context: RunContext, name: str) -> GridReport:
+def grid_report(config: RunConfig, name: str) -> GridReport:
     """Samples of the grid check ``name`` for the config's map."""
     grid, _ = GRID_CHECKS[name]
-    space = context.config.space
-    return grid(context.pair.phi, space.alpha, space.n)
+    space = config.space
+    return grid(config.pair.phi, space.alpha, space.n)
 
 
-def _check_grid(name: str, context: RunContext) -> CheckReport:
-    report = grid_report(context, name)
+def _check_grid(name: str, config: RunConfig) -> CheckReport:
+    report = grid_report(config, name)
     status = "pass" if report.samples else "unverified"
     return CheckReport(
         name, status, report.supremum, None,
@@ -523,9 +526,9 @@ def _check_grid(name: str, context: RunContext) -> CheckReport:
     )
 
 
-def _gate_kernel_norm_balance(context: RunContext) -> None:
+def _gate_kernel_norm_balance(config: RunConfig) -> None:
     for w in BALANCE_POINTS:
-        kernel_balance_gate(context.pair, w)
+        kernel_balance_gate(config.pair, w)
 
 
 CHECKS = {
@@ -553,17 +556,17 @@ GATES = {
 
 
 def run(config: RunConfig) -> list[CheckReport]:
-    """Run the configured checks in declared order on one shared context.
+    """Run the configured checks in declared order; they share what the
+    config builds.
 
     Boundedness-gate refusals become 'unverified' reports; they signal that
     the parameters left the certified region, not that a claim failed.
     """
-    context = RunContext(config)
     reports = []
     for name in config.checks:
         start = time.perf_counter()
         try:
-            report = CHECKS[name](context)
+            report = CHECKS[name](config)
         except UnboundedSymbolError as exc:
             report = CheckReport(name, "unverified", None, None, f"gate-refusal; {exc}")
         report.wall_time = time.perf_counter() - start
@@ -680,11 +683,10 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
 
 def _draw_passes_gates(config: RunConfig) -> bool:
     """Whether the gates of the configured checks admit the drawn config."""
-    context = RunContext(config)
     try:
         for name in config.checks:
             if name in GATES:
-                GATES[name](context)
+                GATES[name](config)
     except UnboundedSymbolError:
         return False
     return True
@@ -710,7 +712,7 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
         draw_config = RunConfig(
             space=config.space,
             symbols=draw_symbols(config.symbols, rng),
-            conjugation=config.conjugation,
+            conjugation_doc=config.conjugation_doc,
             checks=config.checks,
             tolerances=config.tolerances,
             seed=seed,

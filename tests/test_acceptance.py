@@ -161,9 +161,7 @@ def test_criterion_4_symmetry_characterization():
         # converse probe: weight rebuilt with c + 0.1, map unchanged
         a, b, c = pair.params["a"], pair.params["b"], pair.params["c"]
         shifted = family_j_symmetric(a, b, c + 0.1, n, alpha, N_DEFAULT)
-        broken = SymbolPair(
-            shifted.psi, pair.phi, n, params={"bounded_hint": True}
-        )
+        broken = SymbolPair(shifted.psi, pair.phi, n)
         _, bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space), 1e-10)
         if bad > 1e-3:
             broken_detected += 1

@@ -152,7 +152,7 @@ class TestIsCSymmetric:
         # rebuild the weight with c shifted by 0.1 while phi keeps c
         pair = family_j_symmetric(1.0, 0.3, 0.2, 1, 0.0, 24)
         shifted = family_j_symmetric(1.0, 0.3, 0.3, 1, 0.0, 24)
-        broken = SymbolPair(shifted.psi, pair.phi, 1, params={"bounded_hint": True})
+        broken = SymbolPair(shifted.psi, pair.phi, 1)
         M = build_wcd_matrix(broken, SPACE)
         ok, defect = is_C_symmetric(M, make_J(SPACE), 1e-10)
         assert not ok and defect > 1e-3

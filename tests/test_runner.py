@@ -1,6 +1,7 @@
 """Tests for config parsing, the check registry, sweeps and the CLI."""
 
 import json
+import math
 import sys
 from collections import Counter
 
@@ -205,7 +206,28 @@ def counting(monkeypatch, name):
     return calls
 
 
-class TestRunContext:
+class TestOneBuildPerConfig:
+    """A config builds its pair, matrices and conjugation once, for all its
+    checks, its sweep gates and its validation."""
+
+    def test_one_pair_per_check(self, tmp_path, monkeypatch):
+        pairs = counting(monkeypatch, "make_pair")
+        doc = config_with(checks=["J-symmetry", "adjoint-kernel", "necessary-conditions"])
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
+        assert len(pairs) == 1
+
+    def test_one_pair_per_gated_sweep_draw(self, tmp_path, monkeypatch):
+        pairs = counting(monkeypatch, "make_pair")
+        doc = config_with(symbols={"family": "j-symmetric"}, checks=["adjoint-kernel"])
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--draws", "6", "--seed", "3", "--out", str(out)]) == 0
+        aggregate = json.loads(out.read_text(encoding="utf-8"))["aggregate"]
+        assert aggregate["redraws"] == 0
+        assert len(pairs) == 6
+
     def test_one_matrix_build_per_run(self, monkeypatch):
         builds = counting(monkeypatch, "build_wcd_matrix")
         doc = config_with(
@@ -406,9 +428,18 @@ class TestCli:
             ({"space": {"alpha": 0.0, "n": 1.5, "N": 48}}, "space.n"),
             ({"seed": 2.9}, "seed"),
             ({"space": {"alpha": 10**400, "n": 1, "N": 48}}, "space.alpha"),
+            ({"space": {"alpha": math.inf, "n": 1, "N": 48}}, "space.alpha"),
+            ({"symbols": {**BASE["symbols"], "a": math.nan}}, "symbols.a"),
+            ({"symbols": {**BASE["symbols"], "w_points": [math.nan]}}, "symbols.w_points[0]"),
+            ({"symbols": {**BASE["symbols"], "w_points": 0.4}}, "symbols.w_points"),
+            ({"symbols": {**BASE["symbols"], "b": [0.3, math.nan]}}, "symbols.b"),
+            ({"tolerances": {"J-symmetry": math.nan}}, "tolerances.J-symmetry"),
+            ({"tolerances": {"J-symmetry": -1.0}}, "tolerances.J-symmetry"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
-             "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow"],
+             "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
+             "infinite-alpha", "nan-a", "nan-w-point", "w-points-not-a-list", "nan-imag-b",
+             "nan-tolerance", "negative-tolerance"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
@@ -453,7 +484,7 @@ class TestCli:
             },
             checks=["J-symmetry"],
         )
-        assert runner.RunContext(parse_config(doc)).matrix.dim == 49
+        assert parse_config(doc).matrix.dim == 49
         assert main(["check", self.write(tmp_path, doc)]) != 3
 
     @pytest.mark.parametrize(
