@@ -4,12 +4,19 @@ Matrices are taken in the orthonormal basis e_j = z^j / beta(j), so the
 coordinates of f = sum c_j z^j are x_j = c_j beta(j). Column j of the
 order-n operator f -> psi * (f^(n) o phi) is the coordinate vector of
 
-    (j!/(j-n)!) * psi * phi^(j-n) / beta(j),
+    (j!/(j-n)!) * psi * phi^(j-n) / beta(j).
 
-and because series products are coefficient-exact, every retained entry
-equals the corresponding entry of the infinite matrix up to rounding. In
-this basis beta(j) is real, so symmetry of the matrix is exactly symmetry
-of the operator under coefficient conjugation.
+The Taylor coefficients G[m, k] = [z^m] psi * phi^k come from one
+recurrence. With phi = (a z + b) / (c z + d), the functions G_k = psi phi^k
+satisfy (d + c z) G_k = (a z + b) G_(k-1), that is
+
+    d G[m, k] = a G[m-1, k-1] + b G[m, k-1] - c G[m-1, k],
+
+with G[m, 0] = psi_m and G[-1, k] = 0. Entry (m, k) reads only entries in
+rows <= m, so every retained entry equals the corresponding entry of the
+infinite matrix up to rounding. In this basis beta(j) is real, so symmetry
+of the matrix is exactly symmetry of the operator under coefficient
+conjugation.
 """
 
 from __future__ import annotations
@@ -22,19 +29,12 @@ import numpy as np
 
 from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, space_norm
 from .errors import TruncationMismatchError, UnboundedSymbolError
-from .series import (
-    TruncatedSeries,
-    one_series,
-    series_add,
-    series_eval,
-    series_mul,
-    series_scale,
-)
+from .series import TruncatedSeries, series_add, series_eval, series_scale
 from .symbols import (
     LinearFractionalMap,
     SymbolPair,
     lft_eval,
-    lft_to_series,
+    require_pole_outside_disk,
     sigma_companion,
     sup_norm_lft,
 )
@@ -62,16 +62,34 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _column_functions(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, N: int):
-    """Series of psi * phi^(j-n) for columns j = n..N, powers built incrementally."""
-    phi_series = lft_to_series(phi, N)
-    power = one_series(N)
-    columns = []
-    for k in range(N - n + 1):
-        if k > 0:
-            power = series_mul(power, phi_series)
-        columns.append(series_mul(psi, power))
-    return columns
+def _columns(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, N: int) -> np.ndarray:
+    """The (N+1) x (N-n+1) array G[m, k] = [z^m] psi * phi^k.
+
+    One vectorised step per anti-diagonal m + k = s computes it from the two
+    before it. G is stored below one zero row (row -1), C-contiguous with C
+    columns, so the anti-diagonal s is the flat slice from s + C with step
+    C - 1, and its neighbours (m, k-1), (m-1, k) and (m-1, k-1) sit 1, C and
+    C + 1 places before each of its entries.
+    """
+    require_pole_outside_disk(phi)
+    K = N - n
+    C = K + 1
+    G = np.zeros((N + 2, C), dtype=complex)
+    G[1:, 0] = psi.coeffs
+    flat = G.reshape(-1)
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    for s in range(1, N + K + 1):
+        lo, hi = max(0, s - K), min(N, s - 1)   # the rows with k >= 1
+        if lo > hi:                              # K == 0: the one column is psi
+            continue
+        first = C + lo * (C - 1) + s
+        last = first + (hi - lo) * (C - 1)
+        at = slice(first, last + 1, C - 1)
+        left = slice(first - 1, last, C - 1)
+        up = slice(first - C, last + 1 - C, C - 1)
+        up_left = slice(first - C - 1, last - C, C - 1)
+        flat[at] = (a * flat[up_left] + b * flat[left] - c * flat[up]) / d
+    return G[1:]
 
 
 def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
@@ -81,9 +99,9 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
             f"weight truncation {psi.order} does not match space truncation {N}"
         )
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
+    scale = np.array([falling_factorial(j, n) / broot[j] for j in range(n, N + 1)])
     M = np.zeros((N + 1, N + 1), dtype=complex)
-    for j, col in enumerate(_column_functions(psi, phi, n, N), start=n):
-        M[:, j] = col.coeffs * (falling_factorial(j, n) / broot[j]) * broot
+    M[:, n:] = _columns(psi, phi, n, N) * scale * broot[:, None]
     return M
 
 

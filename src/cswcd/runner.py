@@ -166,8 +166,11 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _number(kind, value, path: str):
-    """kind(value) for kind int or float; a ConfigError at path if that fails,
-    would drop the fractional part of a float or gives a non-finite float."""
+    """kind(value) for kind int or float; a ConfigError at path if value is a
+    boolean, or if kind(value) fails, would drop the fractional part of a
+    float or gives a non-finite float."""
+    if isinstance(value, bool):
+        raise ConfigError(path, f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(path, f"expected an integer, got {value!r}")
     try:
@@ -232,7 +235,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     if not isinstance(checks, list):
         raise ConfigError("checks", "expected a list of check names")
     for i, name in enumerate(checks):
-        if name not in CHECKS:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ConfigError(f"checks[{i}]", f"unknown check {name!r}")
         if name in PREDICATE_CHECKS and symbols["family"] not in PREDICATE_FAMILIES:
             raise ConfigError(
@@ -316,6 +319,11 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
         )
     if family == "explicit":
         raw_psi = _require(symbols, "psi", path)
+        if not isinstance(raw_psi, list):
+            raise ConfigError(f"{path}.psi", "expected a list of weight coefficients")
+        bounded = symbols.get("bounded", False)
+        if not isinstance(bounded, bool):
+            raise ConfigError(f"{path}.bounded", f"expected true or false, got {bounded!r}")
         coeffs = [
             _complex_value(v, f"{path}.psi[{i}]") for i, v in enumerate(raw_psi)
         ]
@@ -330,7 +338,7 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
             raise ConfigError(f"{path}.phi", str(exc)) from exc
         return SymbolPair(
             polynomial(coeffs, N), phi, space.n, provenance="explicit",
-            params={"bounded": bool(symbols.get("bounded", False))},
+            params={"bounded": bounded},
         )
     raise ConfigError(f"{path}.family", f"unknown family {family!r}")
 

@@ -112,10 +112,16 @@ def sup_norm_lft(phi: LinearFractionalMap) -> float:
     return abs(center) + rho
 
 
-def lft_to_series(phi: LinearFractionalMap, N: int) -> TruncatedSeries:
-    """Taylor expansion of the map; needs the pole outside the closed disk."""
+def require_pole_outside_disk(phi: LinearFractionalMap) -> None:
+    """Refuse a map whose pole lies in the closed disk: it has no Taylor
+    expansion there."""
     if abs(phi.d) <= abs(phi.c):
         raise SingularityError("pole inside or on the unit circle; no disk expansion")
+
+
+def lft_to_series(phi: LinearFractionalMap, N: int) -> TruncatedSeries:
+    """Taylor expansion of the map; needs the pole outside the closed disk."""
+    require_pole_outside_disk(phi)
     geo = binomial_series(-1.0, -phi.c / phi.d, N)
     lin = polynomial([phi.b, phi.a], N)
     return series_scale(series_mul(lin, geo), 1.0 / phi.d)

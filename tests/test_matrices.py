@@ -1,13 +1,19 @@
 """Tests for truncated operator matrices, adjoints and the kernel identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from cswcd.bergman import SpaceParams, kernel
+from cswcd.bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel
+from cswcd.conjugations import make_wc_J
 from cswcd.defaults import GUARD_BAND
-from cswcd.errors import TruncationMismatchError, UnboundedSymbolError
+from cswcd.errors import SingularityError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
     adjoint_matrix,
@@ -20,13 +26,23 @@ from cswcd.matrices import (
     export_matrix_csv,
 )
 from cswcd.rng import SplitMix64
-from cswcd.series import TruncatedSeries, monomial, one_series, polynomial, zero_series
+from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair
+from cswcd.series import (
+    TruncatedSeries,
+    monomial,
+    one_series,
+    polynomial,
+    series_mul,
+    zero_series,
+)
 from cswcd.symbols import (
     LinearFractionalMap,
     SymbolPair,
     family_j_symmetric,
     family_normal_origin,
+    family_self_adjoint,
     lft_eval,
+    lft_to_series,
     rotation_map,
     sigma_companion,
     unitary_symbols,
@@ -85,6 +101,122 @@ class TestBuildWcd:
             build_wcd_matrix(pair, SPACE)
 
 
+def reference_build(psi, phi, n, space):
+    """The per-column build: column j scales the Cauchy product psi * phi^(j-n),
+    with the power of phi grown by one truncated product per column."""
+    N = space.N
+    broot = np.sqrt(beta_sq_vector(N, space.alpha))
+    phi_series = lft_to_series(phi, N)
+    power = one_series(N)
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    for j in range(n, N + 1):
+        if j > n:
+            power = series_mul(power, phi_series)
+        M[:, j] = series_mul(psi, power).coeffs * (falling_factorial(j, n) / broot[j]) * broot
+    return M
+
+
+def oracle_build(psi, phi, n, space, dps=40):
+    """The per-column build in mpmath at dps digits, from the Taylor series
+    of phi = (a z + b) / (c z + d), rounded to double at the end."""
+    N = space.N
+    with mpmath.workdps(dps):
+        a, b, c, d = (mpmath.mpc(v.real, v.imag) for v in (phi.a, phi.b, phi.c, phi.d))
+        geo = [(-c / d) ** m for m in range(N + 1)]
+        phi_series = [b * geo[0] / d] + [(b * geo[m] + a * geo[m - 1]) / d for m in range(1, N + 1)]
+        psi_series = [mpmath.mpc(v.real, v.imag) for v in psi.coeffs]
+
+        def mul(f, g):
+            return [mpmath.fdot(f[: m + 1], g[m::-1]) for m in range(N + 1)]
+
+        beta_sq = [mpmath.mpf(1)]
+        for j in range(1, N + 1):
+            beta_sq.append(beta_sq[-1] * j / (j + 1 + mpmath.mpf(space.alpha)))
+        broot = [mpmath.sqrt(v) for v in beta_sq]
+        M = np.zeros((N + 1, N + 1), dtype=complex)
+        power = [mpmath.mpc(1)] + [mpmath.mpc(0)] * N
+        for j in range(n, N + 1):
+            if j > n:
+                power = mul(power, phi_series)
+            scale = mpmath.ff(j, n) / broot[j]
+            M[:, j] = [complex(v * scale * r) for v, r in zip(mul(psi_series, power), broot)]
+    return M
+
+
+def normwise_error(M, exact):
+    return float(np.max(np.abs(M - exact)) / np.max(np.abs(exact)))
+
+
+class TestAgainstReference:
+    """The anti-diagonal recurrence rounds differently from the per-column
+    Cauchy products, so the builds agree to a tolerance, not bit for bit."""
+
+    @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
+    def test_sweepable_family(self, family):
+        space = SpaceParams(0.5, 2, 96)
+        pair = make_pair(draw_symbols({"family": family}, SplitMix64(7)), space)
+        M = build_wcd_matrix(pair, space).entries
+        ref = reference_build(pair.psi, pair.phi, pair.n, space)
+        assert normwise_error(M, ref) <= 1e-14
+
+    def test_wc_unitary_at_extended_truncation(self):
+        p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
+        U = make_wc_J(p, lambda_u, SpaceParams(0.5, 2, 96)).unitary_part
+        pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
+        ref = reference_build(pair.psi, pair.phi, 0, U.space)
+        assert normwise_error(U.entries, ref) <= 1e-14
+
+    def test_mpmath_oracle(self):
+        # The per-case errors sit within a unit roundoff of each other and
+        # either build can be the closer one on a given case; the unitary
+        # weighted composition (order 0) is where the per-column build loses a
+        # few units. So every case is bounded, and the worst case must not
+        # exceed the reference's.
+        cases = [
+            (SpaceParams(0.5, 1, 48), family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 1, 0.5, 48)),
+            (SpaceParams(0.5, 1, 32), family_j_symmetric(1 + 0.2j, 0.3 + 0.1j, 0.2 - 0.1j, 1, 0.5, 32)),
+            (SpaceParams(1.0, 1, 32), family_normal_origin(0.5 + 0.1j, 0.3, 1, 32)),
+            (SpaceParams(0.0, 1, 64), unitary_symbols(0.55 * np.exp(0.7j), 1.0, 0.0, 64)),
+        ]
+        for family in ("general", "wc-conjugated", "rotation-conjugated"):
+            space = SpaceParams(0.0, 2, 32)
+            cases.append((space, make_pair(draw_symbols({"family": family}, SplitMix64(7)), space)))
+        worst_new = worst_ref = 0.0
+        for space, pair in cases:
+            exact = oracle_build(pair.psi, pair.phi, pair.n, space)
+            new = normwise_error(build_wcd_matrix(pair, space).entries, exact)
+            ref = normwise_error(reference_build(pair.psi, pair.phi, pair.n, space), exact)
+            assert new <= 1e-15
+            worst_new, worst_ref = max(worst_new, new), max(worst_ref, ref)
+        assert worst_new <= worst_ref
+
+
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from cswcd.bergman import SpaceParams
+from cswcd.conjugations import make_wc_J
+from cswcd.matrices import build_wcd_matrix
+from cswcd.symbols import family_self_adjoint
+
+M = build_wcd_matrix(family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 1, 0.5, 192), SpaceParams(0.5, 1, 192))
+U = make_wc_J(0.55 * np.exp(0.3j), np.exp(0.9j), SpaceParams(0.5, 2, 96)).unitary_part
+print(hashlib.sha256(M.entries.tobytes()).hexdigest(), hashlib.sha256(U.entries.tobytes()).hexdigest())
+"""
+
+
+def test_build_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestToeplitz:
     def test_constant_is_identity(self):
         M = build_toeplitz_analytic(one_series(24), SPACE).entries
@@ -117,6 +249,10 @@ class TestWeightedComposition:
     def test_identity(self):
         M = build_weighted_composition(one_series(24), rotation_map(1.0), SPACE)
         assert np.allclose(M.entries, np.eye(25))
+
+    def test_pole_in_closed_disk_refused(self):
+        with pytest.raises(SingularityError, match="pole inside or on the unit circle"):
+            build_weighted_composition(one_series(24), LinearFractionalMap(1, 0, 1, 1), SPACE)
 
     def test_rotation_diagonal(self):
         lam = np.exp(0.4j)

@@ -28,6 +28,9 @@ BASE = {
     "seed": 5,
 }
 
+# phi = (1+z)/2 has sup norm 1, so only the user's bounded flag admits the operator
+EXPLICIT_UNIT_MAP = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
+
 
 def config_with(**overrides):
     doc = json.loads(json.dumps(BASE))
@@ -435,11 +438,19 @@ class TestCli:
             ({"symbols": {**BASE["symbols"], "b": [0.3, math.nan]}}, "symbols.b"),
             ({"tolerances": {"J-symmetry": math.nan}}, "tolerances.J-symmetry"),
             ({"tolerances": {"J-symmetry": -1.0}}, "tolerances.J-symmetry"),
+            ({"symbols": {**EXPLICIT_UNIT_MAP, "bounded": "false"}}, "symbols.bounded"),
+            ({"tolerances": {"J-symmetry": True}}, "tolerances.J-symmetry"),
+            ({"seed": True}, "seed"),
+            ({"symbols": {**BASE["symbols"], "a": True}}, "symbols.a"),
+            ({"symbols": {**BASE["symbols"], "b": [0.3, False]}}, "symbols.b"),
+            ({"symbols": {**EXPLICIT_UNIT_MAP, "psi": 3}}, "symbols.psi"),
+            ({"checks": [[1]]}, "checks[0]"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
              "infinite-alpha", "nan-a", "nan-w-point", "w-points-not-a-list", "nan-imag-b",
-             "nan-tolerance", "negative-tolerance"],
+             "nan-tolerance", "negative-tolerance", "string-bounded", "boolean-tolerance",
+             "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
@@ -474,16 +485,7 @@ class TestCli:
         assert not (tmp_path / "t.json").exists()
 
     def test_explicit_bounded_flag_admits_map(self, tmp_path):
-        # phi = (1+z)/2 has sup norm 1; the user's flag admits the operator
-        doc = config_with(
-            symbols={
-                "family": "explicit",
-                "psi": [0.0, 1.0],
-                "phi": [0.5, 0.5, 0.0, 1.0],
-                "bounded": True,
-            },
-            checks=["J-symmetry"],
-        )
+        doc = config_with(symbols={**EXPLICIT_UNIT_MAP, "bounded": True}, checks=["J-symmetry"])
         assert parse_config(doc).matrix.dim == 49
         assert main(["check", self.write(tmp_path, doc)]) != 3
 
@@ -496,14 +498,7 @@ class TestCli:
         assert _exit_code(Counter(counts)) == code
 
     def test_all_unverified_exit(self, tmp_path):
-        doc = config_with(
-            symbols={
-                "family": "explicit",
-                "psi": [0.0, 1.0],
-                "phi": [0.5, 0.5, 0.0, 1.0],
-            },
-            checks=["J-symmetry"],
-        )
+        doc = config_with(symbols=EXPLICIT_UNIT_MAP, checks=["J-symmetry"])
         assert main(["check", self.write(tmp_path, doc)]) == 3
 
     def test_sweep_byte_identical(self, tmp_path):
