@@ -7,13 +7,18 @@ the disk with sum |c_j|^2 beta(j)^2 finite, where
 
 The point-evaluation kernels of derivative order m satisfy
 <f, kernel(w, m)> = f^(m)(w); their coefficients and norm series are
-implemented directly from the coefficient formulas so the rational closed
-form can be cross-checked independently.
+implemented directly from the coefficient formulas. The norm series is
+checked against an independent closed form, evaluated in mpmath at 40
+digits in the tests:
+
+    ||kernel(w, m)||^2 = m! Gamma(m+alpha+2) / Gamma(alpha+2)
+                         * 2F1(m+1, m+alpha+2; 1; |w|^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,11 +48,14 @@ class SpaceParams:
             raise DomainError(f"truncation N={self.N} must be >= n+2={self.n + 2}")
 
 
+@lru_cache(maxsize=128)
 def beta_sq_vector(N: int, alpha: float) -> np.ndarray:
-    """beta(j)^2 for j = 0..N by the stable recurrence.
+    """beta(j)^2 for j = 0..N by the stable recurrence, read-only.
 
     beta(0)^2 = 1 and beta(j)^2 = beta(j-1)^2 * j / (j + alpha + 1); no Gamma
-    ratios, so large j and non-integer alpha cannot overflow.
+    ratios, so large j and non-integer alpha cannot overflow. One draw asks
+    for the same few (N, alpha) tens of times, so the tables are cached and
+    shared; the returned array cannot be written.
     """
     if not alpha > -1:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
@@ -55,6 +63,7 @@ def beta_sq_vector(N: int, alpha: float) -> np.ndarray:
     out[0] = 1.0
     for j in range(1, N + 1):
         out[j] = out[j - 1] * j / (j + alpha + 1)
+    out.flags.writeable = False
     return out
 
 

@@ -9,6 +9,12 @@ formula, since in a basis fixed by coefficient conjugation
 Three kinds are built here: the plain coefficient conjugation (U = I), the
 rotation kind with diagonal U[j][j] = mu lam^j, and the weighted-composition
 kind whose U comes from the unitary symbol pair at a point p of the disk.
+``conjugated_adjoint`` forms the product only on the claim window, the
+leading ``claim_dim`` rows and columns that the symmetry test reads: the
+plain kind is a transpose, the rotation kind an elementwise scaling
+d_i M[j, i] conj(d_j) with no BLAS product, and the weighted-composition
+kind a product of the leading rows of U with M^T and the leading columns of
+conj(U).
 
 The weighted-composition kind needs care under truncation: composing with a
 disk automorphism spreads the coefficient mass of basis vector j across
@@ -21,7 +27,7 @@ conjugation's ``claim_dim`` keeps the claims on the requested leading block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +91,12 @@ def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearCo
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
-    """Truncation large enough that degree <= N inputs keep their image mass.
+    """Truncation large enough that degree <= N inputs keep their image mass."""
+    return SpaceParams(space.alpha, space.n, extended_order(space.N, p))
+
+
+def extended_order(N: int, p: complex) -> int:
+    """Truncation order of ``extended_space`` for order N.
 
     The automorphism at p pushes the coefficient mass of degree j to about
     j (1+|p|)/(1-|p|); EXTENSION_SLACK more terms cover the geometric tail
@@ -94,8 +105,7 @@ def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
     r = abs(p)
     if r >= 1.0:
         raise DomainError(f"|p| must be < 1, got {r:.6f}")
-    n_ext = math.ceil(space.N * (1 + r) / (1 - r)) + EXTENSION_SLACK
-    return SpaceParams(space.alpha, space.n, n_ext)
+    return math.ceil(N * (1 + r) / (1 - r)) + EXTENSION_SLACK
 
 
 def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> TruncatedSeries:
@@ -131,27 +141,37 @@ def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
 
 
 def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorMatrix:
-    """Matrix of C T* C, namely U . M^T . conj(U).
+    """Matrix of C T* C on the claim window: the leading k = C.claim_dim rows
+    and columns of U . M^T . conj(U), at truncation k - 1.
 
     Coefficient conjugation turns the conjugate transpose into the plain
-    transpose, leaving the two unitary factors.
+    transpose, leaving the two unitary factors. The rotation kind's U is
+    diagonal, so its factors scale rows and columns elementwise; the
+    weighted-composition kind multiplies only the k leading rows of U and the
+    k leading columns of conj(U), which is the leading block of the full
+    product up to rounding.
     """
     U = C.unitary_part.entries
     if U.shape != M.entries.shape:
         raise TruncationMismatchError(
             f"conjugation dimension {U.shape[0]} does not match matrix {M.entries.shape[0]}"
         )
+    k = C.claim_dim
     if C.kind == "plain-J":
         out = M.entries.T
+    elif C.kind == "rotation-J":
+        d = np.diagonal(U)
+        out = d[:, None] * M.entries.T * np.conj(d)
     else:
-        out = U @ M.entries.T @ np.conj(U)
-    return OperatorMatrix(out, M.space)
+        out = U[:k] @ M.entries.T @ np.conj(U[:, :k])
+    return OperatorMatrix(out, replace(M.space, N=k - 1))
 
 
 def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation, tol: float) -> tuple[bool, float]:
     """Frobenius-relative defect of C T* C = T, and whether it meets tol.
 
-    M must be built at ``C.space``. With U = I the entries of both sides are
+    M must be built at ``C.space``; C T* C is formed on the claim window
+    only (``conjugated_adjoint``). With U = I the entries of both sides are
     exact, so the whole matrix is compared. Otherwise the comparison is
     restricted to the leading (C.claim_dim - GUARD_BAND) block.
     """

@@ -25,6 +25,7 @@ from . import __version__
 from .bergman import SpaceParams
 from .conjugations import (
     AntilinearConjugation,
+    extended_order,
     involution_defect,
     isometry_defect,
     is_C_symmetric,
@@ -32,7 +33,7 @@ from .conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from .defaults import DEFAULT_N, GUARD_BAND, TOL_EXACT, TOL_GUARDED
+from .defaults import DEFAULT_N, GUARD_BAND, MAX_WORK_DIM, TOL_EXACT, TOL_GUARDED
 from .diagnostics import (
     GridReport,
     boundedness_ratio_grid,
@@ -263,6 +264,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         seed=_number(int, doc.get("seed", 0), "seed"),
         raw=doc,
     )
+    _check_work_budget(config, require_concrete)
     # family and conjugation preconditions surface as config errors before any check runs
     if conjugation["kind"] != "auto":
         try:
@@ -279,6 +281,42 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             "symbols.family", f"family {symbols['family']!r} cannot be swept"
         )
     return config
+
+
+def _check_work_budget(config: RunConfig, require_concrete: bool) -> None:
+    """Refuse a config whose dense matrices would exceed MAX_WORK_DIM rows,
+    before anything is built.
+
+    The operator matrix has space.N + 1 rows; a weighted-composition
+    conjugation works at ``extended_order(space.N, p)``, which grows like
+    N (1+|p|)/(1-|p|). A sweep is bounded by its largest drawable |p|.
+    """
+    space, symbols, conj = config.space, config.symbols, config.conjugation_doc
+    if space.N + 1 > MAX_WORK_DIM:
+        raise ConfigError(
+            "space.N", f"dimension {space.N + 1} exceeds the budget of {MAX_WORK_DIM}"
+        )
+    if conj["kind"] == "wc-J":
+        path = "conjugation.p"
+        p = abs(_complex_value(_require(conj, "p", "conjugation"), path))
+    elif conj["kind"] == "auto" and symbols["family"] == "wc-conjugated":
+        if not require_concrete:
+            path, p = "symbols.ranges.abs_p", _range(symbols, "abs_p")[1]
+        elif "p" in symbols:
+            path = "symbols.p"
+            p = abs(_complex_value(symbols["p"], path))
+        else:
+            return                      # make_pair reports the missing field
+    else:
+        return
+    if p >= 1.0:
+        return                          # the constructor's domain error reports it
+    dim = extended_order(space.N, p) + 1
+    if dim > MAX_WORK_DIM:
+        raise ConfigError(
+            path, f"|p| {p:.6g} needs a working dimension of {dim} at N={space.N}, "
+            f"over the budget of {MAX_WORK_DIM}"
+        )
 
 
 def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:

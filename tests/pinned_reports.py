@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+MISSING = "<missing>"
 
 CHECKS = (
     "J-symmetry", "C-symmetry", "self-adjointness", "normality", "adjoint-kernel",
@@ -110,6 +111,29 @@ def cases() -> list:
         doc = {"space": space, "symbols": symbols, "checks": checks, "seed": 5}
         out.append((f"sweep-{family}", doc, ["--draws", "8", "--seed", "17"]))
     return out
+
+
+def leaf_diffs(pinned, fresh, path: str = "$") -> list:
+    """``path: pinned -> fresh`` for every JSON leaf where two parsed reports
+    differ; a key or list entry present on one side only is a leaf too."""
+    if isinstance(pinned, dict) and isinstance(fresh, dict):
+        return [
+            line
+            for key in sorted(pinned.keys() | fresh.keys())
+            for line in leaf_diffs(pinned.get(key, MISSING), fresh.get(key, MISSING),
+                                   f"{path}.{key}")
+        ]
+    if isinstance(pinned, list) and isinstance(fresh, list):
+        pad = max(len(pinned), len(fresh))
+        pinned, fresh = (v + [MISSING] * (pad - len(v)) for v in (pinned, fresh))
+        return [
+            line
+            for i, (a, b) in enumerate(zip(pinned, fresh))
+            for line in leaf_diffs(a, b, f"{path}[{i}]")
+        ]
+    if type(pinned) is type(fresh) and pinned == fresh:
+        return []
+    return [f"{path}: {pinned!r} \u2192 {fresh!r}"]
 
 
 def blas_record() -> dict:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from cswcd.bergman import (
     reproducing_check,
     t_constant,
 )
+from cswcd.defaults import KERNEL_NORM_TOL
 from cswcd.errors import DomainError, TruncationMismatchError
 from cswcd.series import (
     TruncatedSeries,
@@ -57,6 +59,21 @@ class TestBetaSq:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_sq(2, -1.0)
+
+    def test_cached_table_matches_uncached_loop(self):
+        for N, alpha in ((0, 0.5), (96, 0.5), (431, -0.5), (64, 2.3)):
+            loop = np.empty(N + 1)
+            loop[0] = 1.0
+            for j in range(1, N + 1):
+                loop[j] = loop[j - 1] * j / (j + alpha + 1)
+            for _ in range(2):      # the first call fills the cache, the second reads it
+                assert beta_sq_vector(N, alpha).tobytes() == loop.tobytes()
+
+    def test_shared_table_is_read_only(self):
+        vec = beta_sq_vector(12, 0.7)
+        with pytest.raises(ValueError):
+            vec[3] = 0.0
+        assert beta_sq_vector(12, 0.7)[3] == pytest.approx(gamma_oracle(3, 0.7), rel=1e-14)
 
 
 class TestInnerProduct:
@@ -176,6 +193,20 @@ class TestKernelNormSq:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_norm_sq(1.0, 0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+    def test_mpmath_hypergeometric_oracle(self, alpha):
+        # ||K_w^(m)||^2 = m! Gamma(m+alpha+2)/Gamma(alpha+2) 2F1(m+1, m+alpha+2; 1; |w|^2),
+        # at 40 digits; the series may miss its tail (< tol) and round once per term
+        with mpmath.workdps(40):
+            for m in range(4):
+                scale = mpmath.factorial(m) * mpmath.gamma(m + alpha + 2) / mpmath.gamma(alpha + 2)
+                for w in (0.0, 0.3j, -0.6, 0.85, 0.85 * np.exp(1.3j)):
+                    got = kernel_norm_sq(w, m, alpha)
+                    ref = scale * mpmath.hyp2f1(m + 1, m + alpha + 2, 1, abs(w) ** 2)
+                    assert got.converged
+                    err = abs(mpmath.mpf(got.value) - ref)
+                    assert err <= KERNEL_NORM_TOL + got.terms * 2.2e-16 * ref, (m, w)
 
 
 class TestTConstant:

@@ -15,9 +15,10 @@ from cswcd.conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from cswcd.errors import DomainError
+from cswcd.errors import DomainError, TruncationMismatchError
 from cswcd.matrices import OperatorMatrix, build_wcd_matrix
 from cswcd.rng import SplitMix64
+from cswcd.runner import draw_symbols, parse_config
 from cswcd.series import TruncatedSeries, monomial, series_scale
 from cswcd.symbols import (
     SymbolPair,
@@ -139,6 +140,65 @@ class TestConjugatedAdjoint:
         C = make_rotation_J(1.0, np.exp(0.4j), SPACE)
         out = conjugated_adjoint(C, M)
         assert np.allclose(out.entries, M.entries)
+
+
+def reference_conjugated_adjoint(C, M):
+    """The full product U . M^T . conj(U) at the working truncation."""
+    U = C.unitary_part.entries
+    return U @ M.entries.T @ np.conj(U)
+
+
+def max_abs_relative(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def drawn_config(symbols, seed):
+    """A seeded draw at alpha 0.5, n 2, N 96."""
+    drawn = draw_symbols(symbols, SplitMix64(seed))
+    return parse_config({"space": {"alpha": 0.5, "n": 2, "N": 96}, "symbols": drawn,
+                         "checks": ["C-symmetry"]})
+
+
+def random_like(M, seed):
+    """A dense complex matrix at M's truncation, symmetric under no conjugation."""
+    rng = np.random.default_rng(seed)
+    shape = M.entries.shape
+    return OperatorMatrix(rng.normal(size=shape) + 1j * rng.normal(size=shape), M.space)
+
+
+class TestClaimWindow:
+    """conjugated_adjoint forms only the claim window; the full product is
+    the reference it must match, on the symmetric operator of the draw and on
+    a random matrix."""
+
+    @pytest.mark.parametrize("band", [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5),
+                                      (0.5, 0.6)])
+    def test_wc_window_is_leading_block_of_full_product(self, band):
+        for seed in (1, 2):
+            symbols = {"family": "wc-conjugated", "ranges": {"abs_p": list(band)}}
+            config = drawn_config(symbols, seed)
+            C, k = config.conjugation, config.conjugation.claim_dim
+            for M in (config.work_matrix, random_like(config.work_matrix, seed)):
+                window = conjugated_adjoint(C, M)
+                assert window.entries.shape == (k, k) and window.space == config.space
+                ref = reference_conjugated_adjoint(C, M)[:k, :k]
+                assert max_abs_relative(window.entries, ref) <= 1e-14
+
+    def test_rotation_elementwise_matches_dense_product(self):
+        config = drawn_config({"family": "self-adjoint", "ranges": {"abs_c": [0.2, 0.5]}}, 3)
+        C = config.conjugation
+        assert C.kind == "rotation-J"
+        for M in (config.work_matrix, random_like(config.work_matrix, 3)):
+            out = conjugated_adjoint(C, M)
+            assert out.space == M.space
+            ref = reference_conjugated_adjoint(C, M)
+            assert max_abs_relative(out.entries, ref) <= 1e-14
+
+    def test_mismatched_truncation_refused(self):
+        C = make_rotation_J(1.0, np.exp(0.4j), SPACE)
+        M = OperatorMatrix(np.eye(24, dtype=complex), SpaceParams(0.0, 1, 23))
+        with pytest.raises(TruncationMismatchError):
+            conjugated_adjoint(C, M)
 
 
 class TestIsCSymmetric:

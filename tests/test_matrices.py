@@ -197,11 +197,20 @@ import numpy as np
 from cswcd.bergman import SpaceParams
 from cswcd.conjugations import make_wc_J
 from cswcd.matrices import build_wcd_matrix
+from cswcd.runner import parse_config, run
 from cswcd.symbols import family_self_adjoint
 
 M = build_wcd_matrix(family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 1, 0.5, 192), SpaceParams(0.5, 1, 192))
 U = make_wc_J(0.55 * np.exp(0.3j), np.exp(0.9j), SpaceParams(0.5, 2, 96)).unitary_part
 print(hashlib.sha256(M.entries.tobytes()).hexdigest(), hashlib.sha256(U.entries.tobytes()).hexdigest())
+# C-symmetry under the auto rotation-J: an elementwise product, no BLAS
+config = parse_config({
+    "space": {"alpha": 0.5, "n": 1, "N": 192},
+    "symbols": {"family": "self-adjoint", "a": 0.8, "b": 0.3, "c": [0.2, 0.1]},
+    "checks": ["C-symmetry"],
+})
+(report,) = run(config)
+print(config.conjugation.kind, repr(report.defect))
 """
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pinned_reports import THREAD_VARS, blas_record, cases
+from pinned_reports import THREAD_VARS, blas_record, cases, leaf_diffs
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures" / "pinned"
@@ -48,4 +48,18 @@ def test_report_bytes(fresh, name):
     if blas_record()["blas"] != pinned["blas"]:
         pytest.skip(f"fixtures pin BLAS build {pinned['blas']}")
     assert manifest(fresh)["exit_codes"][name] == pinned["exit_codes"][name]
-    assert (fresh / f"{name}.json").read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
+    got, want = (fresh / f"{name}.json").read_bytes(), (FIXTURES / f"{name}.json").read_bytes()
+    assert got == want, "\n".join(
+        leaf_diffs(json.loads(want), json.loads(got)) or ["every JSON leaf is equal; bytes differ"]
+    )
+
+
+def test_leaf_diffs_name_each_differing_leaf():
+    pinned = {"reports": [{"defect": 1.786e-16, "status": "pass"}], "seed": 3}
+    fresh = {"reports": [{"defect": 1.885e-16, "status": "pass"}, {}], "seed": True}
+    assert leaf_diffs(pinned, fresh) == [
+        "$.reports[0].defect: 1.786e-16 → 1.885e-16",
+        "$.reports[1]: '<missing>' → {}",
+        "$.seed: 3 → True",
+    ]
+    assert leaf_diffs(pinned, pinned) == []

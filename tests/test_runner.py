@@ -32,6 +32,10 @@ BASE = {
 EXPLICIT_UNIT_MAP = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
 
 
+WC_SPACE = {"alpha": 0.5, "n": 2, "N": 96}
+WC_SYMBOLS = {"family": "wc-conjugated", "a": 1.0, "b": 0.3, "c": 0.15}
+
+
 def config_with(**overrides):
     doc = json.loads(json.dumps(BASE))
     doc.update(overrides)
@@ -475,6 +479,55 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["path"] == f"symbols.ranges.{key}"
+
+    @pytest.mark.parametrize(
+        "mode, overrides, path",
+        [
+            ("check", {"space": {"alpha": 0.0, "n": 1, "N": 2048}}, "space.N"),
+            ("check", {"space": WC_SPACE, "symbols": {**WC_SYMBOLS, "p": [0.0, 0.92]}},
+             "symbols.p"),
+            ("check", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": [0.92, 0.0]}},
+             "conjugation.p"),
+            ("sweep", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": -0.92},
+                       "symbols": {"family": "wc-conjugated"}}, "conjugation.p"),
+            ("sweep", {"space": WC_SPACE,
+                       "symbols": {"family": "wc-conjugated", "ranges": {"abs_p": [0.1, 0.92]}}},
+             "symbols.ranges.abs_p"),
+            ("sweep", {"space": {**WC_SPACE, "N": 500}, "symbols": {"family": "wc-conjugated"}},
+             "symbols.ranges.abs_p"),
+        ],
+        ids=["N", "auto-p", "explicit-p", "sweep-explicit-p", "sweep-range",
+             "sweep-default-range"],
+    )
+    def test_work_budget_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                 mode, overrides, path):
+        # |p| 0.92 at N 96 needs dimension 2,354 and the default |p| bound 0.6
+        # at N 500 needs 2,049, both just over MAX_WORK_DIM
+        def refuse(*args):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(runner, "make_pair", refuse)
+        monkeypatch.setattr(runner, "make_conjugation", refuse)
+        doc = config_with(checks=["C-symmetry"], **overrides)
+        extra = ["--draws", "1"] if mode == "sweep" else []
+        assert main([mode, self.write(tmp_path, doc), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["path"] == path
+        assert str(runner.MAX_WORK_DIM) in err["error"]
+
+    @pytest.mark.parametrize(
+        "overrides, require_concrete",
+        [({"space": WC_SPACE, "symbols": {**WC_SYMBOLS, "p": 0.9}}, True),
+         ({"space": {**WC_SPACE, "N": 499}, "symbols": {"family": "wc-conjugated"}}, False),
+         ({"space": {"alpha": 0.0, "n": 1, "N": 2047}}, False)],
+        ids=["auto-p", "sweep-default-range", "N"],
+    )
+    def test_work_budget_admits_configs_just_under(self, overrides, require_concrete):
+        # dimensions 1,874, 2,046 and 2,048; only parsed, nothing at that size is built
+        parse_config(config_with(checks=["C-symmetry"], **overrides),
+                     require_concrete=require_concrete)
 
     def test_sweep_has_no_timings_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,0 +1,75 @@
+"""Detection floors: how each tolerance check's defect grows with a perturbation.
+
+Each case perturbs a config for which its check holds exactly (defect at
+rounding level) by a relative or angular amount eps. Away from the rounding
+floor the defect is linear in eps, so every perturbed case must fail its
+check and the log-log slope over eps in {1e-2, 1e-4, 1e-6} must be 1. The
+checks compare a claim window (``conjugated_adjoint``) or a guarded block,
+so these cases also show that the narrowed products still see a defect.
+All cases run at alpha 0.5, n 1, N 64.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+
+from cswcd.runner import parse_config, run
+
+SPACE = {"alpha": 0.5, "n": 1, "N": 64}
+EPSILONS = (1e-2, 1e-4, 1e-6)
+P = complex(0.3, 0.1)
+LAM = 0.9                      # argument of the rotation parameter
+
+
+def as_pair(z: complex) -> list:
+    return [z.real, z.imag]
+
+
+def general(eps: float, check: str) -> dict:
+    # self-adjoint and normal exactly when b is real
+    symbols = {"family": "general", "a": 1.0, "b": [0.4, eps], "c": [0.2, 0.1]}
+    return {"space": SPACE, "symbols": symbols, "checks": [check]}
+
+
+def rotation_j(eps: float) -> dict:
+    symbols = {"family": "rotation-conjugated", "a": 1.0, "b": [0.3, 0.1], "c": [0.2, -0.1],
+               "mu": [0.6, 0.8], "lam": as_pair(cmath.exp(1j * LAM))}
+    conjugation = {"kind": "rotation-J", "mu": [0.6, 0.8],
+                   "lambda": as_pair(cmath.exp(1j * (LAM + eps)))}
+    return {"space": SPACE, "symbols": symbols, "conjugation": conjugation,
+            "checks": ["C-symmetry"]}
+
+
+def wc_j(eps: float) -> dict:
+    symbols = {"family": "wc-conjugated", "a": 1.0, "b": [0.3, 0.1], "c": [0.15, 0.0],
+               "p": as_pair(P), "lambda_u": [0.0, 1.0]}
+    conjugation = {"kind": "wc-J", "p": as_pair(P * (1 + eps)), "lambda_u": [0.0, 1.0]}
+    return {"space": SPACE, "symbols": symbols, "conjugation": conjugation,
+            "checks": ["C-symmetry"]}
+
+
+CASES = {
+    "self-adjointness, b + i eps": lambda eps: general(eps, "self-adjointness"),
+    "C-symmetry rotation-J, lambda e^(i eps)": rotation_j,
+    "C-symmetry wc-J, p (1 + eps)": wc_j,
+    "normality, b + i eps": lambda eps: general(eps, "normality"),
+}
+
+
+def report(doc: dict):
+    (out,) = run(parse_config(doc))
+    return out
+
+
+@pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+def test_unperturbed_config_passes(make):
+    assert report(make(0.0)).status == "pass"
+
+
+@pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+def test_defect_is_linear_in_the_perturbation(make):
+    reports = [report(make(eps)) for eps in EPSILONS]
+    assert [r.status for r in reports] == ["fail"] * len(EPSILONS)
+    slope = np.polyfit(np.log10(EPSILONS), np.log10([r.defect for r in reports]), 1)[0]
+    assert abs(slope - 1.0) <= 0.05
