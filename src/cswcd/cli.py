@@ -7,8 +7,9 @@ Subcommands:
     export-matrix <config.json> --out FILE    dump the operator matrix
 
 Exit codes: 0 all pass, 1 any check failure, 2 configuration error,
-3 everything unverified (boundedness gates refused every check). A sweep
-applies the same rule to its status counts summed over draws and checks.
+3 everything unverified (boundedness gates refused every check), 4 internal
+error (traceback on stderr). A sweep needs --draws >= 1 and applies the same
+rule to its status counts summed over draws and checks.
 The trailing guard band is the constant ``defaults.GUARD_BAND``.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +42,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_UNVERIFIED = 3
+EXIT_INTERNAL = 4
 
 
 def _load_config(path: str, require_concrete: bool = True) -> RunConfig:
@@ -80,6 +83,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.draws < 1:
+        raise ConfigError("--draws", f"expected at least 1 draw, got {args.draws}")
     config = _load_config(args.config, require_concrete=False)
     seed = config.seed if args.seed is None else args.seed
     aggregate = sweep(config, args.draws, seed)
@@ -158,6 +163,9 @@ def main(argv=None) -> int:
             canonical_json({"error": str(exc), "path": exc.path})
         )
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,12 +9,11 @@ formula, since in a basis fixed by coefficient conjugation
 Three kinds are built here: the plain coefficient conjugation (U = I), the
 rotation kind with diagonal U[j][j] = mu lam^j, and the weighted-composition
 kind whose U comes from the unitary symbol pair at a point p of the disk.
-``conjugated_adjoint`` forms the product only on the claim window, the
-leading ``claim_dim`` rows and columns that the symmetry test reads: the
-plain kind is a transpose, the rotation kind an elementwise scaling
-d_i M[j, i] conj(d_j) with no BLAS product, and the weighted-composition
-kind a product of the leading rows of U with M^T and the leading columns of
-conj(U).
+The first two are exact: U is diagonal, stored as its diagonal d, and C T* C
+is the elementwise d_i M[j, i] conj(d_j), equal to the infinite operator's
+entries at every truncation. The weighted-composition kind keeps a dense U,
+and ``conjugated_adjoint`` forms its product only on the claim window, the
+leading ``claim_dim`` rows and columns that the symmetry test reads.
 
 The weighted-composition kind needs care under truncation: composing with a
 disk automorphism spreads the coefficient mass of basis vector j across
@@ -45,19 +44,24 @@ EXTENSION_SLACK = 48       # terms of the extended truncation beyond the mass sp
 class AntilinearConjugation:
     """Antilinear map: conjugate coefficients, then apply the unitary part.
 
-    The truncated unitary part is exactly unitary for the identity and the
-    diagonal rotations; the weighted-composition kind is only approximately
-    unitary on a leading block of its truncation. ``claim_dim`` is the number
-    of leading coefficients on which the claims of the conjugation hold.
+    ``unitary`` is the read-only diagonal of U for the exact kinds, else the
+    weighted-composition U at the truncation ``space``, unitary only on a
+    leading block. The claims hold on the leading ``claim_dim`` coefficients.
     """
 
-    unitary_part: OperatorMatrix
+    unitary: np.ndarray | OperatorMatrix
+    space: SpaceParams
     kind: str
     claim_dim: int
 
+    def __post_init__(self):
+        if self.exact:
+            self.unitary.flags.writeable = False
+
     @property
-    def space(self) -> SpaceParams:
-        return self.unitary_part.space
+    def exact(self) -> bool:
+        """Whether U is diagonal, so that the claims hold entry by entry."""
+        return isinstance(self.unitary, np.ndarray)
 
 
 def make_J(space: SpaceParams) -> AntilinearConjugation:
@@ -66,8 +70,8 @@ def make_J(space: SpaceParams) -> AntilinearConjugation:
     The basis e_j = z^j/beta(j) has real coefficients, so this conjugation
     fixes it and the factored form is exact.
     """
-    eye = np.eye(space.N + 1, dtype=complex)
-    return AntilinearConjugation(OperatorMatrix(eye, space), "plain-J", space.N + 1)
+    ones = np.ones(space.N + 1, dtype=complex)
+    return AntilinearConjugation(ones, space, "plain-J", space.N + 1)
 
 
 def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
@@ -75,7 +79,7 @@ def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> Antilinear
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
     diag = mu * lam ** np.arange(space.N + 1)
-    return AntilinearConjugation(OperatorMatrix(np.diag(diag), space), "rotation-J", space.N + 1)
+    return AntilinearConjugation(diag, space, "rotation-J", space.N + 1)
 
 
 def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
@@ -87,7 +91,7 @@ def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearCo
     work = extended_space(space, p)
     pair = unitary_symbols(p, lambda_u, space.alpha, work.N)
     U = build_weighted_composition(pair.psi, pair.phi, work)
-    return AntilinearConjugation(U, "wc-J", space.N + 1)
+    return AntilinearConjugation(U, work, "wc-J", space.N + 1)
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
@@ -109,11 +113,14 @@ def extended_order(N: int, p: complex) -> int:
 
 
 def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> TruncatedSeries:
-    """Conjugate the coefficients of f, then apply the unitary part."""
+    """Conjugate the coefficients of f, then apply the unitary part; a
+    diagonal U scales each coefficient."""
+    if f.order != C.space.N:
+        raise TruncationMismatchError(f"series order {f.order} != conjugation order {C.space.N}")
     conj = series_conjugate_reflect(f)
-    if C.kind == "plain-J":
-        return conj
-    return apply(C.unitary_part, conj)
+    if C.exact:
+        return TruncatedSeries(C.unitary * conj.coeffs)
+    return apply(C.unitary, conj)
 
 
 def involution_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
@@ -145,24 +152,21 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
     and columns of U . M^T . conj(U), at truncation k - 1.
 
     Coefficient conjugation turns the conjugate transpose into the plain
-    transpose, leaving the two unitary factors. The rotation kind's U is
-    diagonal, so its factors scale rows and columns elementwise; the
-    weighted-composition kind multiplies only the k leading rows of U and the
-    k leading columns of conj(U), which is the leading block of the full
+    transpose, leaving the two unitary factors. An exact kind's diagonal U
+    scales rows and columns elementwise over the whole matrix; the
+    weighted-composition kind multiplies only the k leading rows of U and
+    the k leading columns of conj(U), which is the leading block of the full
     product up to rounding.
     """
-    U = C.unitary_part.entries
-    if U.shape != M.entries.shape:
+    if M.dim != C.space.N + 1:
         raise TruncationMismatchError(
-            f"conjugation dimension {U.shape[0]} does not match matrix {M.entries.shape[0]}"
+            f"conjugation dimension {C.space.N + 1} does not match matrix {M.dim}"
         )
     k = C.claim_dim
-    if C.kind == "plain-J":
-        out = M.entries.T
-    elif C.kind == "rotation-J":
-        d = np.diagonal(U)
-        out = d[:, None] * M.entries.T * np.conj(d)
+    if C.exact:
+        out = C.unitary[:, None] * M.entries.T * np.conj(C.unitary)
     else:
+        U = C.unitary.entries
         out = U[:k] @ M.entries.T @ np.conj(U[:, :k])
     return OperatorMatrix(out, replace(M.space, N=k - 1))
 
@@ -171,15 +175,12 @@ def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation, tol: float) -> t
     """Frobenius-relative defect of C T* C = T, and whether it meets tol.
 
     M must be built at ``C.space``; C T* C is formed on the claim window
-    only (``conjugated_adjoint``). With U = I the entries of both sides are
-    exact, so the whole matrix is compared. Otherwise the comparison is
-    restricted to the leading (C.claim_dim - GUARD_BAND) block.
+    only (``conjugated_adjoint``). For an exact kind the entries of both
+    sides are exact, so the whole matrix is compared. Otherwise the
+    comparison is restricted to the leading (C.claim_dim - GUARD_BAND) block.
     """
     target = conjugated_adjoint(C, M).entries
-    if C.kind == "plain-J":
-        block = slice(None)
-    else:
-        block = slice(0, max(C.claim_dim - GUARD_BAND, 1))
+    block = slice(None) if C.exact else slice(0, max(C.claim_dim - GUARD_BAND, 1))
     num = np.linalg.norm(target[block, block] - M.entries[block, block])
     den = np.linalg.norm(M.entries[block, block])
     defect = float(num / den) if den > 0 else float(num)

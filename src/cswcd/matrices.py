@@ -129,23 +129,6 @@ def build_weighted_composition(
     return OperatorMatrix(_build(psi, phi, 0, space), space)
 
 
-def build_toeplitz_analytic(h: TruncatedSeries, space: SpaceParams) -> OperatorMatrix:
-    """Multiplication by an analytic symbol h (caller asserts h bounded).
-
-    Lower triangular in the monomial grading: M[i][j] = beta(i)/beta(j) * h_{i-j}.
-    """
-    N = space.N
-    if h.order != N:
-        raise TruncationMismatchError(
-            f"symbol truncation {h.order} does not match space truncation {N}"
-        )
-    broot = np.sqrt(beta_sq_vector(N, space.alpha))
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    for j in range(N + 1):
-        M[j:, j] = (broot[j:] / broot[j]) * h.coeffs[: N + 1 - j]
-    return OperatorMatrix(M, space)
-
-
 def adjoint_matrix(M: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose; entrywise exactness is preserved because
     truncation commutes with transposition."""

@@ -74,6 +74,9 @@ DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
 BALANCE_POINTS = (0.5, 0.5j)
 PREDICATE_CHECKS = ("normality-predicate", "kernel-norm-balance")
 PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are proved
+# the fields each kind of conjugation descriptor admits besides "kind"
+CONJUGATION_FIELDS = {"auto": (), "plain-J": (), "rotation-J": ("mu", "lambda"),
+                      "wc-J": ("p", "lambda_u")}
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,8 @@ def _number(kind, value, path: str):
 
 
 def _check_ranges(symbols: dict) -> None:
-    """Sweep draw ranges are [lo, hi] with 0 <= lo <= hi, and hi < 1 for the
-    radius of a point that must lie in the open disk."""
+    """Sweep draw ranges are [lo, hi] with 0 <= lo <= hi (0 < lo outside
+    ZERO_RADII), and hi < 1 for the radius of a point in the open disk."""
     ranges = symbols.get("ranges", {})
     if not isinstance(ranges, dict):
         raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
@@ -198,6 +201,8 @@ def _check_ranges(symbols: dict) -> None:
         lo, hi = (_number(float, v, path) for v in value)
         if not 0 <= lo <= hi:
             raise ConfigError(path, f"expected 0 <= lo <= hi, got {value!r}")
+        if lo == 0 and key not in ZERO_RADII:
+            raise ConfigError(path, f"a draw of {key} needs lo > 0, got {value!r}")
         if key in DISK_RADII and not hi < 1:
             raise ConfigError(path, f"a radius in the disk needs hi < 1, got {hi!r}")
 
@@ -230,8 +235,13 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     conjugation = doc.get("conjugation", {"kind": "auto"})
     if not isinstance(conjugation, dict) or "kind" not in conjugation:
         raise ConfigError("conjugation.kind", "missing conjugation kind")
-    if conjugation["kind"] not in ("auto", "plain-J", "rotation-J", "wc-J"):
-        raise ConfigError("conjugation.kind", f"unknown kind {conjugation['kind']!r}")
+    kind = conjugation["kind"]
+    if not isinstance(kind, str) or kind not in CONJUGATION_FIELDS:
+        raise ConfigError("conjugation.kind", f"unknown kind {kind!r}")
+    for key in conjugation:
+        if key != "kind" and key not in CONJUGATION_FIELDS[kind]:
+            known = ", ".join(CONJUGATION_FIELDS[kind]) or "none"
+            raise ConfigError(f"conjugation.{key}", f"unknown field for {kind!r}; known: {known}")
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("checks", "expected a list of check names")
@@ -266,7 +276,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     )
     _check_work_budget(config, require_concrete)
     # family and conjugation preconditions surface as config errors before any check runs
-    if conjugation["kind"] != "auto":
+    if kind != "auto":
         try:
             make_conjugation(conjugation, SpaceParams(space.alpha, space.n, space.n + 2))
         except DomainError as exc:
@@ -449,7 +459,7 @@ def _j_symmetry(config: RunConfig) -> tuple:
 
 def _c_symmetry(config: RunConfig) -> tuple:
     C = config.conjugation
-    tol = TOL_EXACT if C.kind == "plain-J" else TOL_GUARDED
+    tol = TOL_EXACT if C.exact else TOL_GUARDED
     defect = is_C_symmetric(config.work_matrix, C, tol)[1]
     return defect, tol, f"conjugation-symmetry; kind={C.kind}"
 
@@ -545,8 +555,7 @@ def _conjugation_axioms(config: RunConfig) -> tuple:
         f = TruncatedSeries(coeffs)
         worst = max(worst, involution_defect(C, f))
         worst = max(worst, isometry_defect(C, f))
-    exact_kind = C.kind in ("plain-J", "rotation-J")
-    return worst, 1e-12 if exact_kind else 1e-9, f"conjugation-axioms; kind={C.kind}"
+    return worst, 1e-12 if C.exact else 1e-9, f"conjugation-axioms; kind={C.kind}"
 
 
 # grid check -> (grid function, provenance tag)
@@ -645,6 +654,7 @@ RANGE_DEFAULTS = {
     "abs_p": (0.1, 0.6),
 }
 DISK_RADII = ("abs_c", "abs_p")     # radii of points that must lie in the open disk
+ZERO_RADII = ("abs_c",)             # radii whose range may start at 0
 
 
 def _range(symbols: dict, key: str) -> tuple:

@@ -16,10 +16,10 @@ from cswcd.conjugations import (
     make_wc_J,
 )
 from cswcd.errors import DomainError, TruncationMismatchError
-from cswcd.matrices import OperatorMatrix, build_wcd_matrix
+from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
 from cswcd.rng import SplitMix64
 from cswcd.runner import draw_symbols, parse_config
-from cswcd.series import TruncatedSeries, monomial, series_scale
+from cswcd.series import TruncatedSeries, monomial, series_conjugate_reflect, series_scale
 from cswcd.symbols import (
     SymbolPair,
     family_conjugated,
@@ -64,16 +64,39 @@ class TestPlainJ:
         f = rand_poly(rng, 24, 20)
         assert isometry_defect(C, f) <= 1e-15
 
+    def test_apply_is_coefficient_conjugation(self):
+        f = rand_poly(np.random.default_rng(48), 24, 24)
+        assert np.array_equal(conjugation_apply(make_J(SPACE), f).coeffs, np.conj(f.coeffs))
+
 
 class TestRotationJ:
     def test_trivial_parameters_match_plain(self):
         C = make_rotation_J(1.0, 1.0, SPACE)
-        assert np.array_equal(C.unitary_part.entries, np.eye(25))
+        assert np.array_equal(C.unitary, make_J(SPACE).unitary)
 
     def test_diagonal_entries(self):
         mu, lam = np.exp(0.3j), np.exp(-0.7j)
         C = make_rotation_J(mu, lam, SPACE)
-        assert np.allclose(np.diag(C.unitary_part.entries), mu * lam ** np.arange(25))
+        assert np.allclose(C.unitary, mu * lam ** np.arange(25))
+
+    def test_stores_read_only_diagonal(self):
+        C = make_rotation_J(np.exp(0.3j), np.exp(-0.7j), SPACE)
+        assert C.exact and C.unitary.ndim == 1 and C.unitary.shape == (SPACE.N + 1,)
+        assert not C.unitary.flags.writeable
+        with pytest.raises(ValueError):
+            C.unitary[0] = 2.0
+
+    def test_apply_matches_dense_diagonal(self):
+        # the elementwise scaling against the basis-coordinate matvec by diag(d)
+        rng = np.random.default_rng(49)
+        space = SpaceParams(0.5, 2, 96)
+        C = make_rotation_J(np.exp(0.3j), np.exp(1.1j), space)
+        dense = OperatorMatrix(np.diag(C.unitary), space)
+        for deg in (10, 96):
+            f = rand_poly(rng, 96, deg)
+            got = conjugation_apply(C, f).coeffs
+            ref = apply(dense, series_conjugate_reflect(f)).coeffs
+            assert max_abs_relative(got, ref) <= 1e-15
 
     def test_involution(self):
         rng = np.random.default_rng(44)
@@ -117,6 +140,11 @@ class TestWcJ:
         with pytest.raises(DomainError):
             make_wc_J(0.0, 1.0, SPACE)
 
+    def test_keeps_dense_unitary(self):
+        C = make_wc_J(0.4, 1.0, SPACE)
+        assert not C.exact and isinstance(C.unitary, OperatorMatrix)
+        assert C.unitary.space == C.space and C.claim_dim == SPACE.N + 1
+
 
 class TestConjugatedAdjoint:
     def test_plain_J_gives_transpose(self):
@@ -144,7 +172,7 @@ class TestConjugatedAdjoint:
 
 def reference_conjugated_adjoint(C, M):
     """The full product U . M^T . conj(U) at the working truncation."""
-    U = C.unitary_part.entries
+    U = np.diag(C.unitary) if C.exact else C.unitary.entries
     return U @ M.entries.T @ np.conj(U)
 
 
@@ -199,6 +227,10 @@ class TestClaimWindow:
         M = OperatorMatrix(np.eye(24, dtype=complex), SpaceParams(0.0, 1, 23))
         with pytest.raises(TruncationMismatchError):
             conjugated_adjoint(C, M)
+        # a length-1 series would broadcast against the diagonal
+        for order in (0, 23):
+            with pytest.raises(TruncationMismatchError):
+                conjugation_apply(C, monomial(0, order))
 
 
 class TestIsCSymmetric:

@@ -449,12 +449,19 @@ class TestCli:
             ({"symbols": {**BASE["symbols"], "b": [0.3, False]}}, "symbols.b"),
             ({"symbols": {**EXPLICIT_UNIT_MAP, "psi": 3}}, "symbols.psi"),
             ({"checks": [[1]]}, "checks[0]"),
+            ({"conjugation": {"kind": "rotation-J", "mu": [0.6, 0.8], "lam": [0.0, 1.0]}},
+             "conjugation.lam"),
+            ({"conjugation": {"kind": "wc-J", "p": 0.3, "lambda": 1.0}}, "conjugation.lambda"),
+            ({"conjugation": {"kind": "plain-J", "mu": 1.0}}, "conjugation.mu"),
+            ({"conjugation": {"kind": "auto", "p": 0.3}}, "conjugation.p"),
+            ({"conjugation": {"kind": ["plain-J"]}}, "conjugation.kind"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
              "infinite-alpha", "nan-a", "nan-w-point", "w-points-not-a-list", "nan-imag-b",
              "nan-tolerance", "negative-tolerance", "string-bounded", "boolean-tolerance",
-             "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name"],
+             "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name",
+             "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
@@ -469,8 +476,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("abs_p", [0.5, 1.2]), ("abs_a", ["x", 1]), ("abs_b", [0.2]), ("abs_c", [0.4, 0.1]),
-         ("abs_q", [0.1, 0.2])],
-        ids=["radius-outside-disk", "not-a-number", "one-bound", "lo-above-hi", "unknown-key"],
+         ("abs_q", [0.1, 0.2]), ("abs_a", [0, 0]), ("abs_b", [0.0, 0.3]), ("abs_p", [0, 0])],
+        ids=["radius-outside-disk", "not-a-number", "one-bound", "lo-above-hi", "unknown-key",
+             "zero-a", "zero-b", "zero-p"],
     )
     def test_bad_sweep_range_exit(self, tmp_path, capsys, key, value):
         doc = config_with(symbols={"family": "wc-conjugated", "ranges": {key: value}},
@@ -479,6 +487,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["path"] == f"symbols.ranges.{key}"
+
+    def test_zero_c_range_sweeps(self, tmp_path):
+        # c = 0 is a valid draw, unlike a = 0, b = 0 or p = 0
+        doc = config_with(symbols={"family": "rotation-conjugated", "ranges": {"abs_c": [0, 0]}},
+                          checks=["C-symmetry"])
+        assert main(["sweep", self.write(tmp_path, doc), "--draws", "2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("draws", ["-3", "0"])
+    def test_draws_below_one_exit(self, tmp_path, capsys, monkeypatch, draws):
+        runs = counting(monkeypatch, "run")
+        cfg = self.write(tmp_path, config_with(symbols={"family": "j-symmetric"}))
+        assert main(["sweep", cfg, "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["path"] == "--draws"
+        assert runs == []
+
+    @pytest.mark.parametrize("mode", ["check", "sweep"])
+    def test_internal_error_exit(self, tmp_path, capsys, monkeypatch, mode):
+        # an exception other than ConfigError is exit 4, never 1 ("a check failed")
+        def fault(config):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(runner.CHECKS, "J-symmetry", fault)
+        extra = ["--draws", "1"] if mode == "sweep" else []
+        assert main([mode, self.write(tmp_path, config_with()), *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert "RuntimeError: injected fault" in captured.err
 
     @pytest.mark.parametrize(
         "mode, overrides, path",

@@ -7,6 +7,10 @@ check and the log-log slope over eps in {1e-2, 1e-4, 1e-6} must be 1. The
 checks compare a claim window (``conjugated_adjoint``) or a guarded block,
 so these cases also show that the narrowed products still see a defect.
 All cases run at alpha 0.5, n 1, N 64.
+
+The rotation kind is exact, so its ``C-symmetry`` compares the whole matrix
+and needs no guard band: at the smallest truncations, where a guarded block
+would hold one or two rows, a wrong rotation must still fail.
 """
 
 import cmath
@@ -32,12 +36,12 @@ def general(eps: float, check: str) -> dict:
     return {"space": SPACE, "symbols": symbols, "checks": [check]}
 
 
-def rotation_j(eps: float) -> dict:
+def rotation_j(eps: float, N: int = SPACE["N"]) -> dict:
     symbols = {"family": "rotation-conjugated", "a": 1.0, "b": [0.3, 0.1], "c": [0.2, -0.1],
                "mu": [0.6, 0.8], "lam": as_pair(cmath.exp(1j * LAM))}
     conjugation = {"kind": "rotation-J", "mu": [0.6, 0.8],
                    "lambda": as_pair(cmath.exp(1j * (LAM + eps)))}
-    return {"space": SPACE, "symbols": symbols, "conjugation": conjugation,
+    return {"space": {**SPACE, "N": N}, "symbols": symbols, "conjugation": conjugation,
             "checks": ["C-symmetry"]}
 
 
@@ -73,3 +77,12 @@ def test_defect_is_linear_in_the_perturbation(make):
     assert [r.status for r in reports] == ["fail"] * len(EPSILONS)
     slope = np.polyfit(np.log10(EPSILONS), np.log10([r.defect for r in reports]), 1)[0]
     assert abs(slope - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("N", [3, 6, 9])
+def test_rotation_at_small_truncation(N):
+    # the conjugation's lambda e^(2i) against the pair's e^(0.9i), then the matching one
+    wrong = report(rotation_j(2.0 - LAM, N))
+    assert wrong.status == "fail" and wrong.defect > 0.5
+    matching = report(rotation_j(0.0, N))
+    assert matching.status == "pass" and matching.defect <= 1e-15
