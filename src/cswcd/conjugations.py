@@ -171,8 +171,8 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
     return OperatorMatrix(out, replace(M.space, N=k - 1))
 
 
-def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation, tol: float) -> tuple[bool, float]:
-    """Frobenius-relative defect of C T* C = T, and whether it meets tol.
+def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
+    """Frobenius-relative defect of C T* C = T.
 
     M must be built at ``C.space``; C T* C is formed on the claim window
     only (``conjugated_adjoint``). For an exact kind the entries of both
@@ -183,5 +183,4 @@ def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation, tol: float) -> t
     block = slice(None) if C.exact else slice(0, max(C.claim_dim - GUARD_BAND, 1))
     num = np.linalg.norm(target[block, block] - M.entries[block, block])
     den = np.linalg.norm(M.entries[block, block])
-    defect = float(num / den) if den > 0 else float(num)
-    return defect <= tol, defect
+    return float(num / den) if den > 0 else float(num)

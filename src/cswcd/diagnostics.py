@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .bergman import SpaceParams, kernel_norm_sq
 from .defaults import GUARD_BAND
 from .errors import DomainError, UnboundedSymbolError
 from .matrices import OperatorMatrix, operator_gate
-from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
+from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
@@ -38,15 +38,6 @@ class GridReport:
     supremum: float
     trend: str
     radial_maxima: tuple
-    skipped: tuple = ()
-
-    @property
-    def final_max(self) -> float:
-        return self.radial_maxima[-1]
-
-    @property
-    def first_max(self) -> float:
-        return self.radial_maxima[0]
 
 
 def _classify_trend(radial_maxima) -> str:
@@ -65,7 +56,6 @@ def _classify_trend(radial_maxima) -> str:
 
 def _polar_grid_report(value_at, radii, angles) -> GridReport:
     samples = []
-    skipped = []
     radial_maxima = []
     for r in radii:
         best = math.nan
@@ -73,7 +63,6 @@ def _polar_grid_report(value_at, radii, angles) -> GridReport:
             w = r * cmath.exp(2j * math.pi * k / angles)
             v = value_at(w)
             if v is None:
-                skipped.append(w)
                 continue
             samples.append((w, v))
             best = v if math.isnan(best) else max(best, v)
@@ -85,7 +74,6 @@ def _polar_grid_report(value_at, radii, angles) -> GridReport:
         supremum=supremum,
         trend=_classify_trend(radial_maxima),
         radial_maxima=tuple(radial_maxima),
-        skipped=tuple(skipped),
     )
 
 
@@ -100,8 +88,7 @@ def boundedness_ratio_grid(
 
     For univalent phi the composition-differentiation operator of order n is
     bounded exactly when this ratio stays bounded as |w| -> 1, and compact
-    exactly when it tends to 0. Samples with |phi(w)| >= 1 are skipped and
-    flagged.
+    exactly when it tends to 0. Samples with |phi(w)| >= 1 are skipped.
     """
     def value_at(w):
         pw = lft_eval(phi, w)
@@ -151,24 +138,12 @@ def nevanlinna_bound_grid(
     return _polar_grid_report(value_at, radii, angles)
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
-    """Outcome of the four structural conditions any symmetric or normal
-    order-n pair must satisfy."""
-
-    weight_flat_at_origin: bool    # psi^(m)(0) = 0 for m < n
-    weight_order_exact: bool       # psi^(n)(0) != 0
-    weight_nonvanishing: bool      # psi has no zero on the punctured disk scan
-    map_univalent: bool            # structural for linear fractional maps
-    violations: tuple = field(default=())
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.violations
-
-
-def necessary_conditions_check(pair: SymbolPair, space: SpaceParams) -> NecessaryConditionsReport:
-    """Scan the symbol data for the four necessary conditions.
+def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
+    """Names of the structural conditions that the pair violates, among the
+    three any symmetric or normal order-n pair must satisfy: psi^(m)(0) = 0
+    for m < n (``weight_flat_at_origin``), psi^(n)(0) != 0
+    (``weight_order_exact``) and no zero of psi on the punctured disk scan
+    (``weight_nonvanishing``).
 
     The zero scan walks |z| in 0.1..0.9 with 64 angles and trips when
     |psi(z)| <= 1e-10; for the rational families the only zero is at the
@@ -176,36 +151,25 @@ def necessary_conditions_check(pair: SymbolPair, space: SpaceParams) -> Necessar
     """
     n = pair.n
     coeffs = pair.psi.coeffs
-    flat = bool(np.all(coeffs[:n] == 0)) if n > 0 else True
-    order_exact = bool(coeffs[n] != 0)
     grid = np.linspace(0.1, 0.9, 9)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
-    nonvanishing = not np.any(np.abs(np.polyval(coeffs[::-1], grid)) <= 1e-10)
-    univalent = pair.phi.det != 0
-    violations = []
-    if not flat:
-        violations.append("weight_flat_at_origin")
-    if not order_exact:
-        violations.append("weight_order_exact")
-    if not nonvanishing:
-        violations.append("weight_nonvanishing")
-    if not univalent:
-        violations.append("map_univalent")
-    return NecessaryConditionsReport(
-        flat, order_exact, nonvanishing, univalent, tuple(violations)
+    violated = (
+        ("weight_flat_at_origin", np.any(coeffs[:n] != 0)),
+        ("weight_order_exact", coeffs[n] == 0),
+        ("weight_nonvanishing", np.any(np.abs(np.polyval(coeffs[::-1], grid)) <= 1e-10)),
     )
+    return tuple(name for name, bad in violated if bad)
 
 
-def is_hermitian(M: OperatorMatrix, tol: float) -> tuple[bool, float]:
+def is_hermitian(M: OperatorMatrix) -> float:
     """Frobenius-relative defect of M = M*; entrywise exact, no guard."""
     A = M.entries
     den = np.linalg.norm(A)
     if den == 0:
-        return True, 0.0
-    defect = float(np.linalg.norm(A - A.conj().T) / den)
-    return defect <= tol, defect
+        return 0.0
+    return float(np.linalg.norm(A - A.conj().T) / den)
 
 
-def is_normal(M: OperatorMatrix, tol: float) -> tuple[bool, float]:
+def is_normal(M: OperatorMatrix) -> float:
     """Commutator defect ||M M* - M* M||_F / ||M||_F^2 on the guarded block.
 
     The products mix truncated tails, so the trailing GUARD_BAND
@@ -216,9 +180,8 @@ def is_normal(M: OperatorMatrix, tol: float) -> tuple[bool, float]:
     comm = A @ A.conj().T - A.conj().T @ A
     den = np.linalg.norm(A) ** 2
     if den == 0:
-        return True, 0.0
-    defect = float(np.linalg.norm(comm[:keep, :keep]) / den)
-    return defect <= tol, defect
+        return 0.0
+    return float(np.linalg.norm(comm[:keep, :keep]) / den)
 
 
 def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]:
@@ -229,7 +192,9 @@ def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]
     if abs(w) > 0.7:
         raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
     b, c = pair.params["b"], pair.params["c"]
-    p1 = c + np.conj(b) * w / (1 - np.conj(c) * w)
+    # p1 is the family map with conj(b) for b, evaluated as p2 is, so that
+    # |p1| = |p2| holds exactly for a real b
+    p1 = lft_eval(_family_phi(np.conj(b), np.conj(c), c), w)
     p2 = lft_eval(pair.phi, w)
     for name, point in (("p1", p1), ("p2", p2)):
         if abs(point) >= 1.0:

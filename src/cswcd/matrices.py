@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -151,12 +150,6 @@ def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(y.real / broot + 1j * (y.imag / broot))
 
 
-class AdjointKernelResult(NamedTuple):
-    via_matrix: TruncatedSeries
-    via_formula: TruncatedSeries
-    defect: float
-
-
 def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
     """Return phi(w) if |w| <= 0.7 and |phi(w)| <= 0.85, where the tails of
     both kernels are negligible at the working truncation; else refuse w."""
@@ -170,8 +163,9 @@ def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
     return phi_w
 
 
-def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> AdjointKernelResult:
-    """Adjoint identity on point-evaluation kernels, evaluated two ways.
+def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> float:
+    """Defect of the adjoint identity on point-evaluation kernels, evaluated
+    two ways.
 
     The adjoint of the bounded operator sends the kernel at w to
     conj(psi(w)) times the order-n kernel at phi(w). The left side is
@@ -189,7 +183,7 @@ def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> Adjoin
         kernel(phi_w, pair.n, space.alpha, space.N), np.conj(psi_w)
     )
     diff = series_add(via_matrix, series_scale(via_formula, -1.0))
-    return AdjointKernelResult(via_matrix, via_formula, space_norm(diff, space.alpha))
+    return space_norm(diff, space.alpha)
 
 
 def cowen_adjoint_pair(

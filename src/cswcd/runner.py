@@ -119,9 +119,8 @@ class RunConfig:
 
     @cached_property
     def commutator_defect(self) -> float:
-        """Commutator defect of ``matrix``, read by both normality checks; it
-        does not depend on the tolerance ``is_normal`` is given."""
-        return is_normal(self.matrix, TOL_GUARDED)[1]
+        """Commutator defect of ``matrix``, read by both normality checks."""
+        return is_normal(self.matrix)
 
     @cached_property
     def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -188,7 +187,8 @@ def _number(kind, value, path: str):
 
 def _check_ranges(symbols: dict) -> None:
     """Sweep draw ranges are [lo, hi] with 0 <= lo <= hi (0 < lo outside
-    ZERO_RADII), and hi < 1 for the radius of a point in the open disk."""
+    ZERO_RADII), hi < 1 for the radius of a point in the open disk, and an
+    abs_c that reaches GENERAL_MIN_ABS_C for the general family."""
     ranges = symbols.get("ranges", {})
     if not isinstance(ranges, dict):
         raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
@@ -205,6 +205,10 @@ def _check_ranges(symbols: dict) -> None:
             raise ConfigError(path, f"a draw of {key} needs lo > 0, got {value!r}")
         if key in DISK_RADII and not hi < 1:
             raise ConfigError(path, f"a radius in the disk needs hi < 1, got {hi!r}")
+        if key == "abs_c" and symbols["family"] == "general" and hi < GENERAL_MIN_ABS_C:
+            raise ConfigError(
+                path, f"a general draw of c != 0 needs hi >= {GENERAL_MIN_ABS_C}, got {hi!r}"
+            )
 
 
 def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
@@ -445,8 +449,7 @@ def _predicted_normal(symbols: dict) -> bool:
 def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
     """Pass iff the defect meets the tolerance: the config's override for
     ``name``, else the default. ``measure(config)`` returns the defect, the
-    default tolerance and the provenance; a defect does not depend on the
-    tolerance that the predicate computing it is given."""
+    default tolerance and the provenance."""
     defect, default_tol, provenance = measure(config)
     tol = config.tolerances.get(name, default_tol)
     return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, provenance)
@@ -454,18 +457,17 @@ def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
 
 def _j_symmetry(config: RunConfig) -> tuple:
     M = config.matrix
-    return is_C_symmetric(M, make_J(M.space), TOL_EXACT)[1], TOL_EXACT, "matrix-symmetry"
+    return is_C_symmetric(M, make_J(M.space)), TOL_EXACT, "matrix-symmetry"
 
 
 def _c_symmetry(config: RunConfig) -> tuple:
     C = config.conjugation
     tol = TOL_EXACT if C.exact else TOL_GUARDED
-    defect = is_C_symmetric(config.work_matrix, C, tol)[1]
-    return defect, tol, f"conjugation-symmetry; kind={C.kind}"
+    return is_C_symmetric(config.work_matrix, C), tol, f"conjugation-symmetry; kind={C.kind}"
 
 
 def _self_adjointness(config: RunConfig) -> tuple:
-    return is_hermitian(config.matrix, TOL_EXACT)[1], TOL_EXACT, "hermitian-defect"
+    return is_hermitian(config.matrix), TOL_EXACT, "hermitian-defect"
 
 
 def _normality(config: RunConfig) -> tuple:
@@ -521,7 +523,7 @@ def _adjoint_kernel(config: RunConfig) -> tuple:
     for w in _kernel_points(config.symbols):
         # a refused point is reported ahead of a refused build of the matrix
         kernel_point_gate(config.pair.phi, w)
-        worst = max(worst, adjoint_on_kernel(config.matrix, config.pair, w).defect)
+        worst = max(worst, adjoint_on_kernel(config.matrix, config.pair, w))
     return worst, TOL_GUARDED, "adjoint-kernel-identity"
 
 
@@ -533,12 +535,10 @@ def _adjoint_pair(config: RunConfig) -> tuple:
 
 
 def _check_necessary_conditions(config: RunConfig) -> CheckReport:
-    report = necessary_conditions_check(config.pair, config.space)
-    status = "pass" if report.all_pass else "fail"
-    detail = ",".join(report.violations) if report.violations else "none"
+    violations = necessary_conditions_check(config.pair)
     return CheckReport(
-        "necessary-conditions", status, None, None,
-        f"structural-necessary-conditions; violations={detail}",
+        "necessary-conditions", "fail" if violations else "pass", None, None,
+        f"structural-necessary-conditions; violations={','.join(violations) or 'none'}",
     )
 
 
@@ -558,16 +558,17 @@ def _conjugation_axioms(config: RunConfig) -> tuple:
     return worst, 1e-12 if C.exact else 1e-9, f"conjugation-axioms; kind={C.kind}"
 
 
-# grid check -> (grid function, provenance tag)
+# grid check -> provenance tag
 GRID_CHECKS = {
-    "boundedness-grid": (boundedness_ratio_grid, "boundedness-ratio-trend"),
-    "nevanlinna-grid": (nevanlinna_bound_grid, "counting-function-trend"),
+    "boundedness-grid": "boundedness-ratio-trend",
+    "nevanlinna-grid": "counting-function-trend",
 }
 
 
 def grid_report(config: RunConfig, name: str) -> GridReport:
-    """Samples of the grid check ``name`` for the config's map."""
-    grid, _ = GRID_CHECKS[name]
+    """Samples of the grid check ``name`` for the config's map; the grid
+    function is looked up by its module binding when called."""
+    grid = boundedness_ratio_grid if name == "boundedness-grid" else nevanlinna_bound_grid
     space = config.space
     return grid(config.pair.phi, space.alpha, space.n)
 
@@ -577,7 +578,7 @@ def _check_grid(name: str, config: RunConfig) -> CheckReport:
     status = "pass" if report.samples else "unverified"
     return CheckReport(
         name, status, report.supremum, None,
-        f"{GRID_CHECKS[name][1]}; trend={report.trend}",
+        f"{GRID_CHECKS[name]}; trend={report.trend}",
     )
 
 
@@ -655,6 +656,7 @@ RANGE_DEFAULTS = {
 }
 DISK_RADII = ("abs_c", "abs_p")     # radii of points that must lie in the open disk
 ZERO_RADII = ("abs_c",)             # radii whose range may start at 0
+GENERAL_MIN_ABS_C = 0.05            # smallest nonzero |c| of a general-family draw
 
 
 def _range(symbols: dict, key: str) -> tuple:
@@ -707,13 +709,13 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
                 a = rng.complex_annulus(a_lo, a_hi)
                 if branch == "b-real":
                     b = complex(rng.real_signed(b_lo, b_hi))
-                    c = rng.complex_annulus(max(c_lo, 0.05), c_hi)
+                    c = rng.complex_annulus(max(c_lo, GENERAL_MIN_ABS_C), c_hi)
                 elif branch == "c-zero":
                     b = rng.complex_annulus(b_lo, b_hi)
                     c = 0j
                 else:
                     b = rng.complex_annulus(b_lo, b_hi)
-                    c = rng.complex_annulus(max(c_lo, 0.05), c_hi)
+                    c = rng.complex_annulus(max(c_lo, GENERAL_MIN_ABS_C), c_hi)
             if not sup_norm_lft(_family_phi(b, c.conjugate(), c)) < 0.95:
                 continue
             draw.update({"a": as_pair(a), "b": as_pair(b), "c": as_pair(c)})

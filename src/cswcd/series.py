@@ -43,9 +43,6 @@ class TruncatedSeries:
         """Truncation order N."""
         return self.coeffs.size - 1
 
-    def coeff(self, j: int) -> complex:
-        return complex(self.coeffs[j])
-
 
 def polynomial(coeffs, N: int) -> TruncatedSeries:
     """Series of a polynomial, zero-padded to truncation order N."""

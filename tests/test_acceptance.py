@@ -117,7 +117,7 @@ def test_criterion_2_adjoint_on_kernels():
         pair = draw_gated_family(rng, n, alpha, N_KERNEL)
         M = build_wcd_matrix(pair, space)
         for w in KERNEL_POINTS:
-            worst = max(worst, adjoint_on_kernel(M, pair, w).defect)
+            worst = max(worst, adjoint_on_kernel(M, pair, w))
     criterion(2, "adjoint identity on kernels", worst <= 1e-8, f"worst defect {worst:.2e}")
 
 
@@ -156,13 +156,13 @@ def test_criterion_4_symmetry_characterization():
         raw = draw_symbols({"family": "j-symmetric"}, rng)
         pair = make_pair(raw, space)
         M = build_wcd_matrix(pair, space)
-        _, defect = is_C_symmetric(M, make_J(space), 1e-10)
+        defect = is_C_symmetric(M, make_J(space))
         worst_forward = max(worst_forward, defect)
         # converse probe: weight rebuilt with c + 0.1, map unchanged
         a, b, c = pair.params["a"], pair.params["b"], pair.params["c"]
         shifted = family_j_symmetric(a, b, c + 0.1, n, alpha, N_DEFAULT)
         broken = SymbolPair(shifted.psi, pair.phi, n)
-        _, bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space), 1e-10)
+        bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space))
         if bad > 1e-3:
             broken_detected += 1
     ok = worst_forward <= 1e-10 and broken_detected >= 199
@@ -184,7 +184,7 @@ def test_criterion_5_composed_conjugations():
         lam_u = complex(*raw["lambda_u"])
         C = make_wc_J(p, lam_u, space)
         M = build_wcd_matrix(make_pair(raw, C.space), C.space)
-        _, defect = is_C_symmetric(M, C, 1e-8)
+        defect = is_C_symmetric(M, C)
         worst = max(worst, defect)
     worst_rot = 0.0
     for i in range(50):
@@ -195,7 +195,7 @@ def test_criterion_5_composed_conjugations():
         pair = make_pair(raw, space)
         M = build_wcd_matrix(pair, space)
         C = make_rotation_J(complex(*raw["mu"]), complex(*raw["lam"]), space)
-        _, defect = is_C_symmetric(M, C, 1e-8)
+        defect = is_C_symmetric(M, C)
         worst_rot = max(worst_rot, defect)
     ok = worst <= 1e-8 and worst_rot <= 1e-8
     criterion(
@@ -214,7 +214,7 @@ def test_criterion_6_self_adjoint():
         raw = draw_symbols({"family": "self-adjoint"}, rng)
         pair = make_pair(raw, space)
         M = build_wcd_matrix(pair, space)
-        _, defect = is_hermitian(M, 1e-10)
+        defect = is_hermitian(M)
         worst = max(worst, defect)
     ok_hermitian = worst <= 1e-10
     broken = 0
@@ -227,7 +227,7 @@ def test_criterion_6_self_adjoint():
         )
         if not pair.bounded_hint:
             continue
-        _, defect = is_hermitian(build_wcd_matrix(pair, space), 1e-10)
+        defect = is_hermitian(build_wcd_matrix(pair, space))
         if defect > 1e-3:
             broken += 1
     ok_broken = broken >= 8
@@ -245,7 +245,7 @@ def test_criterion_6_self_adjoint():
                 break
         theta = math.atan2(c.imag, c.real)
         C = make_rotation_J(1.0, complex(math.cos(-2 * theta), math.sin(-2 * theta)), space)
-        _, defect = is_C_symmetric(build_wcd_matrix(pair, space), C, 1e-8)
+        defect = is_C_symmetric(build_wcd_matrix(pair, space), C)
         worst_rot = max(worst_rot, defect)
     ok_rot = worst_rot <= 1e-8
     criterion(
@@ -264,7 +264,7 @@ def test_criterion_7_normality():
         pair = family_normal_origin(
             rng.complex_annulus(0.5, 1.5), rng.complex_annulus(0.1, 0.9), n, N_DEFAULT
         )
-        _, defect = is_normal(build_wcd_matrix(pair, space), 1e-12)
+        defect = is_normal(build_wcd_matrix(pair, space))
         worst_origin = max(worst_origin, defect)
     ok_origin = worst_origin <= 1e-12
     doc = {
@@ -294,19 +294,15 @@ def test_criterion_8_necessary_conditions():
         n = ORDERS[i % 3]
         space = SpaceParams(alpha, n, N_DEFAULT)
         raw = draw_symbols({"family": "j-symmetric"}, rng)
-        report = necessary_conditions_check(make_pair(raw, space), space)
-        all_pass = all_pass and report.all_pass
+        all_pass = all_pass and not necessary_conditions_check(make_pair(raw, space))
     for i in range(50):
         n = ORDERS[i % 3]
-        space = SpaceParams(0.0, n, N_DEFAULT)
         pair = family_normal_origin(
             rng.complex_annulus(0.5, 1.5), rng.complex_annulus(0.1, 0.9), n, N_DEFAULT
         )
-        report = necessary_conditions_check(pair, space)
-        all_pass = all_pass and report.all_pass
+        all_pass = all_pass and not necessary_conditions_check(pair)
     planted = SymbolPair(polynomial([1.0, 1.0], N_DEFAULT), rotation_map(0.5), 1)
-    planted_report = necessary_conditions_check(planted, SpaceParams(0.0, 1, N_DEFAULT))
-    ok_planted = not planted_report.weight_flat_at_origin
+    ok_planted = "weight_flat_at_origin" in necessary_conditions_check(planted)
     criterion(
         8, "structural necessary conditions", all_pass and ok_planted,
         f"families all pass: {all_pass}, planted counterexample detected: {ok_planted}",
@@ -347,7 +343,7 @@ def test_criterion_10_diagnostics_grids():
         for n in ORDERS:
             compact = boundedness_ratio_grid(rotation_map(0.5), alpha, n)
             ok = ok and compact.trend == TREND_BOUNDED
-            ok = ok and compact.final_max < compact.first_max
+            ok = ok and compact.radial_maxima[-1] < compact.radial_maxima[0]
             diverging = boundedness_ratio_grid(
                 LinearFractionalMap(0.5, 0.5, 0.0, 1.0), alpha, n
             )

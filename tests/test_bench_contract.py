@@ -100,3 +100,22 @@ def test_sweep_calls_run_once_per_draw(monkeypatch, tmp_path):
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["aggregate"]["redraws"] == 0
     assert len(calls) == 4
+
+
+def test_tracer_sees_the_grid_checks(tracing):
+    config = runner.parse_config({
+        "space": {"alpha": 0.5, "n": 1, "N": 24},
+        "symbols": {"family": "general", "a": 1.0, "b": 0.3, "c": 0.2},
+        "checks": ["boundedness-grid", "nevanlinna-grid"],
+    })
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runner.run(config)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["diagnostics.boundedness_ratio_grid"] == 1
+    assert tracer.calls["diagnostics.nevanlinna_bound_grid"] == 1
+    samples = sum(len(runner.grid_report(config, name).samples) for name in config.checks)
+    assert samples > 0
+    assert tracer.counters["diagnostics.grid.samples"] == samples

@@ -329,9 +329,24 @@ class TestPredicates:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 3
 
-    def test_normal_prediction_in_gray_band_fails_for_both(self):
+    @pytest.mark.parametrize("c, b", [(0.9, 5e-3), (0.95, 2e-3), (0.99, 5e-5), (0.995, 2e-5),
+                                      (0.999, 5e-7)])
+    def test_kernel_balance_exact_near_the_circle(self, c, b):
+        # a real b is normal; the two kernel norms grow like
+        # (1 - |p|^2)^-(2n+alpha+2), so any rounding difference between |p1|
+        # and |p2| would exceed the tolerance at c 0.99 and 0.995
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 16},
+                          symbols={"family": "self-adjoint", "a": 1.0, "b": b, "c": c},
+                          checks=["kernel-norm-balance"])
+        (report,) = run(parse_config(doc))
+        assert (report.status, report.defect) == ("pass", 0.0)
+
+    def test_normal_prediction_in_gray_band_fails_for_both(self, monkeypatch):
         # a Hermitian matrix has a rounding-size commutator; a 1e-20
-        # tolerance puts it between the tolerance and the failure threshold
+        # tolerance puts it between the tolerance and the failure threshold.
+        # Both kernel images of a real b come from one map, so the kernel
+        # balance is exactly 0; it gets a rounding-size defect here instead
+        monkeypatch.setattr(runner, "norm_defect_kernel_test", lambda pair, w, space: 1e-17)
         doc = config_with(
             symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
             checks=["normality-predicate", "kernel-norm-balance"],
@@ -474,14 +489,17 @@ class TestCli:
         assert (config.space.n, config.space.N, config.seed) == (1, 40, 3)
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("abs_p", [0.5, 1.2]), ("abs_a", ["x", 1]), ("abs_b", [0.2]), ("abs_c", [0.4, 0.1]),
-         ("abs_q", [0.1, 0.2]), ("abs_a", [0, 0]), ("abs_b", [0.0, 0.3]), ("abs_p", [0, 0])],
+        "key, value, family",
+        [(key, value, "wc-conjugated") for key, value in (
+            ("abs_p", [0.5, 1.2]), ("abs_a", ["x", 1]), ("abs_b", [0.2]), ("abs_c", [0.4, 0.1]),
+            ("abs_q", [0.1, 0.2]), ("abs_a", [0, 0]), ("abs_b", [0.0, 0.3]), ("abs_p", [0, 0]))]
+        + [("abs_c", [0.0, 0.01], "general")],
         ids=["radius-outside-disk", "not-a-number", "one-bound", "lo-above-hi", "unknown-key",
-             "zero-a", "zero-b", "zero-p"],
+             "zero-a", "zero-b", "zero-p", "general-c-below-nonzero-draws"],
     )
-    def test_bad_sweep_range_exit(self, tmp_path, capsys, key, value):
-        doc = config_with(symbols={"family": "wc-conjugated", "ranges": {key: value}},
+    def test_bad_sweep_range_exit(self, tmp_path, capsys, key, value, family):
+        # the general family draws a nonzero c with |c| >= 0.05
+        doc = config_with(symbols={"family": family, "ranges": {key: value}},
                           checks=["C-symmetry"])
         assert main(["sweep", self.write(tmp_path, doc), "--draws", "1"]) == 2
         captured = capsys.readouterr()

@@ -36,6 +36,12 @@ def general(eps: float, check: str) -> dict:
     return {"space": SPACE, "symbols": symbols, "checks": [check]}
 
 
+def j_symmetry(eps: float) -> dict:
+    # symmetric under coefficient conjugation exactly when c is real
+    symbols = {"family": "general", "a": 1.0, "b": 0.4, "c": [0.2, eps]}
+    return {"space": SPACE, "symbols": symbols, "checks": ["J-symmetry"]}
+
+
 def rotation_j(eps: float, N: int = SPACE["N"]) -> dict:
     symbols = {"family": "rotation-conjugated", "a": 1.0, "b": [0.3, 0.1], "c": [0.2, -0.1],
                "mu": [0.6, 0.8], "lam": as_pair(cmath.exp(1j * LAM))}
@@ -58,6 +64,7 @@ CASES = {
     "C-symmetry rotation-J, lambda e^(i eps)": rotation_j,
     "C-symmetry wc-J, p (1 + eps)": wc_j,
     "normality, b + i eps": lambda eps: general(eps, "normality"),
+    "J-symmetry, c + i eps": j_symmetry,
 }
 
 
