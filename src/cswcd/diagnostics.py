@@ -9,7 +9,6 @@ entries are exact, with a guard band where matrix products are involved.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .bergman import SpaceParams, kernel_norm_sq
 from .defaults import GUARD_BAND
-from .errors import DomainError, UnboundedSymbolError
+from .errors import DomainError, SingularityError, UnboundedSymbolError
 from .matrices import OperatorMatrix, operator_gate
 from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
 
@@ -54,26 +53,23 @@ def _classify_trend(radial_maxima) -> str:
     return TREND_INCONCLUSIVE
 
 
-def _polar_grid_report(value_at, radii, angles) -> GridReport:
-    samples = []
-    radial_maxima = []
-    for r in radii:
-        best = math.nan
-        for k in range(angles):
-            w = r * cmath.exp(2j * math.pi * k / angles)
-            v = value_at(w)
-            if v is None:
-                continue
-            samples.append((w, v))
-            best = v if math.isnan(best) else max(best, v)
-        radial_maxima.append(best)
-    finite = [v for _, v in samples]
-    supremum = max(finite) if finite else math.nan
+def _polar_grid(radii, angles: int) -> np.ndarray:
+    """Points r e^(2 pi i k / angles), one row per radius r."""
+    theta = 2 * np.pi * np.arange(angles) / angles
+    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)
+
+
+def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridReport:
+    """Report of the samples ``W[keep]``, whose values are ``values`` in
+    row-major order; a radius with no kept sample has a NaN maximum."""
+    full = np.full(W.shape, -np.inf)
+    full[keep] = values
+    radial_maxima = tuple(np.where(keep.any(axis=1), full.max(axis=1), np.nan).tolist())
     return GridReport(
-        samples=tuple(samples),
-        supremum=supremum,
+        samples=tuple(zip(W[keep].tolist(), values.tolist())),
+        supremum=float(values.max()) if values.size else math.nan,
         trend=_classify_trend(radial_maxima),
-        radial_maxima=tuple(radial_maxima),
+        radial_maxima=radial_maxima,
     )
 
 
@@ -88,27 +84,32 @@ def boundedness_ratio_grid(
 
     For univalent phi the composition-differentiation operator of order n is
     bounded exactly when this ratio stays bounded as |w| -> 1, and compact
-    exactly when it tends to 0. Samples with |phi(w)| >= 1 are skipped.
+    exactly when it tends to 0. Samples with |phi(w)| >= 1 are skipped, and
+    so is a sample at the pole of phi.
     """
-    def value_at(w):
-        pw = lft_eval(phi, w)
-        if abs(pw) >= 1.0:
-            return None
-        return (1 - abs(w)) ** (alpha + 2) / (1 - abs(pw)) ** (alpha + 2 + 2 * n)
-
-    return _polar_grid_report(value_at, radii, angles)
+    W = _polar_grid(radii, angles)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # inf or NaN at the pole of phi, which the comparison below skips
+        image = np.abs((phi.a * W + phi.b) / (phi.c * W + phi.d))
+    keep = image < 1.0
+    values = (1 - np.abs(W[keep])) ** (alpha + 2) / (1 - image[keep]) ** (alpha + 2 + 2 * n)
+    return _grid_report(W, keep, values)
 
 
 def nevanlinna_univalent(phi: LinearFractionalMap, w: complex, alpha: float) -> float:
     """Counting value [ln(1/|z0|)]^(alpha+2) at the unique preimage z0 of w.
 
     Univalent maps have at most one preimage; when it falls outside the disk
-    the sum is empty and the value is 0. The point w = phi(0) is excluded.
+    (at infinity for w = phi(infinity)) the sum is empty and the value is 0.
+    The point w = phi(0) is excluded.
     """
     phi_0 = lft_eval(phi, 0.0)
     if w == phi_0:
         raise DomainError("w = phi(0) is excluded from the counting function")
-    z0 = lft_eval(lft_inverse(phi), w)
+    try:
+        z0 = lft_eval(lft_inverse(phi), w)
+    except SingularityError:
+        return 0.0
     if abs(z0) >= 1.0:
         return 0.0
     return math.log(1.0 / abs(z0)) ** (alpha + 2)
@@ -124,18 +125,20 @@ def nevanlinna_bound_grid(
     """Counting function against [ln(1/|w|)]^(alpha+2+2n) over a polar grid.
 
     Boundedness of the order-n operator is equivalent to this ratio staying
-    O(1) as |w| -> 1 (little-o for compactness).
+    O(1) as |w| -> 1 (little-o for compactness). The samples w = 0 and
+    w = phi(0) are excluded; the counting value is that of
+    ``nevanlinna_univalent``.
     """
-    phi_0 = lft_eval(phi, 0.0)
-
-    def value_at(w):
-        if w == phi_0 or w == 0:
-            return None
-        return nevanlinna_univalent(phi, w, alpha) / math.log(1.0 / abs(w)) ** (
-            alpha + 2 + 2 * n
-        )
-
-    return _polar_grid_report(value_at, radii, angles)
+    W = _polar_grid(radii, angles)
+    keep = (W != 0) & (W != phi.b / phi.d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # inf or NaN at w = phi(infinity), whose preimage is outside the disk
+        preimage = np.abs((phi.d * W - phi.b) / (phi.a - phi.c * W))
+    inside = keep & (preimage < 1.0)
+    counting = np.zeros(W.shape)
+    counting[inside] = np.log(1.0 / preimage[inside]) ** (alpha + 2)
+    values = counting[keep] / np.log(1.0 / np.abs(W[keep])) ** (alpha + 2 + 2 * n)
+    return _grid_report(W, keep, values)
 
 
 def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:

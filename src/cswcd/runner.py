@@ -65,6 +65,7 @@ from .symbols import (
     family_j_symmetric,
     family_normal_origin,
     family_self_adjoint,
+    require_pole_outside_disk,
     sup_norm_lft,
     unitary_symbols,
 )
@@ -386,6 +387,9 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
             phi = LinearFractionalMap(
                 *(_complex_value(v, f"{path}.phi[{i}]") for i, v in enumerate(raw_phi))
             )
+            # no self-map of the disk has its pole in the closed disk, so the
+            # bounded flag cannot admit one
+            require_pole_outside_disk(phi)
         except SingularityError as exc:
             raise ConfigError(f"{path}.phi", str(exc)) from exc
         return SymbolPair(

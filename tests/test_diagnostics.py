@@ -1,5 +1,6 @@
 """Tests for the boundedness grids, structural predicates and kernel-norm test."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from cswcd.bergman import SpaceParams, kernel, space_norm
 from cswcd.diagnostics import (
+    DEFAULT_ANGLES,
+    DEFAULT_RADII,
     TREND_BOUNDED,
     TREND_DIVERGING,
+    _classify_trend,
     boundedness_ratio_grid,
     export_grid_csv,
     is_hermitian,
@@ -20,6 +24,8 @@ from cswcd.diagnostics import (
 )
 from cswcd.errors import DomainError
 from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
+from cswcd.rng import SplitMix64
+from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config
 from cswcd.series import monomial, polynomial
 from cswcd.symbols import (
     LinearFractionalMap,
@@ -29,8 +35,10 @@ from cswcd.symbols import (
     family_normal_origin,
     family_self_adjoint,
     lft_eval,
+    lft_inverse,
     rotation_map,
 )
+from pinned_reports import cases
 
 SPACE = SpaceParams(0.0, 1, 32)
 
@@ -70,6 +78,13 @@ class TestBoundednessRatioGrid:
         phi = rotation_map(1.0 + 0j)
         report = boundedness_ratio_grid(phi, 0.0, 1, radii=(0.999,), angles=8)
         assert len(report.samples) == 8  # |phi(w)| = 0.999 < 1, nothing skipped
+        # z / (0.5 - z) has its pole at the sample w = 0.5 and |phi(w)| > 1 at
+        # angles +-pi/4: all three are skipped, and nothing is raised
+        pole = LinearFractionalMap(1, 0, -1, 0.5)
+        report = boundedness_ratio_grid(pole, 0.0, 1, radii=(0.5,), angles=8)
+        kept = [w for w, _ in report.samples]
+        assert kept == [0.5 * cmath.exp(1j * math.pi * k / 4) for k in range(2, 7)]
+        assert all(abs(lft_eval(pole, w)) < 1.0 for w in kept)
 
 
 class TestNevanlinna:
@@ -96,12 +111,97 @@ class TestNevanlinna:
         assert report.trend == TREND_BOUNDED
         assert report.radial_maxima[-1] == 0.0
 
+    def test_inverse_pole_counts_zero(self):
+        # phi = (0.5 z + 0.1) / (z + 3) has phi(infinity) = 0.5, a grid sample
+        # at which the inverse map has its pole: the preimage is at infinity,
+        # outside the disk, so the sample is kept with the value 0
+        phi = LinearFractionalMap(0.5, 0.1, 1, 3)
+        assert nevanlinna_univalent(phi, 0.5, 0.5) == 0.0
+        report = nevanlinna_bound_grid(phi, 0.5, 1)
+        assert len(report.samples) == len(DEFAULT_RADII) * DEFAULT_ANGLES
+        assert dict(report.samples)[0.5] == 0.0
+
     def test_grid_identity_diverges(self):
         # ratio [ln(1/r)]^(-2n) blows up as r -> 1
         report = nevanlinna_bound_grid(
             rotation_map(1.0), 0.0, 1, radii=(0.9, 0.99, 0.997, 0.999)
         )
         assert report.trend == TREND_DIVERGING
+
+
+def reference_grid(value_at):
+    """The per-point loop over the default polar grid: the (w, value, kappa)
+    of each sample that ``value_at`` keeps, and the maximum per radius."""
+    samples, radial_maxima = [], []
+    for r in DEFAULT_RADII:
+        best = math.nan
+        for k in range(DEFAULT_ANGLES):
+            w = r * cmath.exp(2j * math.pi * k / DEFAULT_ANGLES)
+            sample = value_at(w)
+            if sample is None:
+                continue
+            samples.append((w, *sample))
+            best = sample[0] if math.isnan(best) else max(best, sample[0])
+        radial_maxima.append(best)
+    return samples, radial_maxima
+
+
+def reference_ratio_grid(phi, alpha, n):
+    """Ratio samples, each with its condition number
+    kappa = 1 + (alpha+2)/(1-|w|) + (alpha+2+2n)/(1-|phi(w)|)."""
+    def value_at(w):
+        pw = lft_eval(phi, w)
+        if abs(pw) >= 1.0:
+            return None
+        value = (1 - abs(w)) ** (alpha + 2) / (1 - abs(pw)) ** (alpha + 2 + 2 * n)
+        return value, 1 + (alpha + 2) / (1 - abs(w)) + (alpha + 2 + 2 * n) / (1 - abs(pw))
+
+    return reference_grid(value_at)
+
+
+def reference_counting_grid(phi, alpha, n):
+    """Counting samples, each with its condition number
+    kappa = 1 + (alpha+2+2n)/ln(1/|w|) + (alpha+2)/ln(1/|z0|)."""
+    phi_0 = lft_eval(phi, 0.0)
+
+    def value_at(w):
+        if w == phi_0 or w == 0:
+            return None
+        log_w = math.log(1.0 / abs(w))
+        value = nevanlinna_univalent(phi, w, alpha) / log_w ** (alpha + 2 + 2 * n)
+        if value == 0.0:
+            return value, 1.0
+        log_z0 = math.log(1.0 / abs(lft_eval(lft_inverse(phi), w)))
+        return value, 1 + (alpha + 2 + 2 * n) / log_w + (alpha + 2) / log_z0
+
+    return reference_grid(value_at)
+
+
+def grid_maps(family):
+    """The maps of the pinned check configs, or 40 seeded draws of a family."""
+    if family == "pinned":
+        docs = [doc for name, doc, _ in cases() if name.startswith("check-")]
+        return list(dict.fromkeys(parse_config(doc).pair.phi for doc in docs))
+    rng = SplitMix64(SWEEPABLE_FAMILIES.index(family) + 1)
+    space = SpaceParams(0.0, 1, 16)
+    return [make_pair(draw_symbols({"family": family}, rng), space).phi for _ in range(40)]
+
+
+@pytest.mark.parametrize("family", ["pinned", *SWEEPABLE_FAMILIES])
+def test_grids_match_the_per_point_reference(family):
+    # array arithmetic rounds differently from scalar arithmetic, so each
+    # value may move by a few ulp per condition number; points, order and
+    # trend must not move
+    for phi in grid_maps(family):
+        for alpha, n in ((0.0, 1), (0.5, 2)):
+            for grid, reference in ((boundedness_ratio_grid, reference_ratio_grid),
+                                    (nevanlinna_bound_grid, reference_counting_grid)):
+                report = grid(phi, alpha, n)
+                samples, radial_maxima = reference(phi, alpha, n)
+                assert [w for w, _ in report.samples] == [w for w, _, _ in samples]
+                assert report.trend == _classify_trend(radial_maxima)
+                for (_, got), (w, want, kappa) in zip(report.samples, samples):
+                    assert abs(got - want) <= 1e-14 * kappa * abs(want), (phi, w)
 
 
 class TestNecessaryConditions:

@@ -30,6 +30,8 @@ BASE = {
 
 # phi = (1+z)/2 has sup norm 1, so only the user's bounded flag admits the operator
 EXPLICIT_UNIT_MAP = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
+# phi = z / (0.5 - z) has its pole in the disk: no self-map, whatever the bounded flag says
+EXPLICIT_POLE_IN_DISK = {"family": "explicit", "psi": [0.0, 1.0], "phi": [1.0, 0.0, -1.0, 0.5]}
 
 
 WC_SPACE = {"alpha": 0.5, "n": 2, "N": 96}
@@ -470,13 +472,16 @@ class TestCli:
             ({"conjugation": {"kind": "plain-J", "mu": 1.0}}, "conjugation.mu"),
             ({"conjugation": {"kind": "auto", "p": 0.3}}, "conjugation.p"),
             ({"conjugation": {"kind": ["plain-J"]}}, "conjugation.kind"),
+            ({"symbols": {**EXPLICIT_POLE_IN_DISK, "bounded": True}}, "symbols.phi"),
+            ({"symbols": EXPLICIT_POLE_IN_DISK, "checks": ["boundedness-grid"]}, "symbols.phi"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
              "infinite-alpha", "nan-a", "nan-w-point", "w-points-not-a-list", "nan-imag-b",
              "nan-tolerance", "negative-tolerance", "string-bounded", "boolean-tolerance",
              "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name",
-             "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind"],
+             "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind",
+             "bounded-pole-in-disk", "grid-pole-in-disk"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
