@@ -89,12 +89,19 @@ def space_norm(f: TruncatedSeries, alpha: float) -> float:
     return float(np.sqrt(inner_product(f, f, alpha).real))
 
 
-def falling_factorial(j: int, m: int) -> float:
-    """j! / (j - m)!."""
+def falling_factorial(j, m: int):
+    """j! / (j - m)!, elementwise for an integer array j, always in the
+    product order (j - m + 1)(j - m + 2)...j; 1.0 when m is 0."""
     out = 1.0
-    for i in range(j - m + 1, j + 1):
-        out *= i
+    for i in range(1, m + 1):
+        out = out * (j - m + i)
     return out
+
+
+def kernel_term_ratio(x: float, j: int, m: int, alpha: float) -> float:
+    """Ratio of term j + 1 to term j of the series of ||kernel(w, m)||^2 at
+    x = |w|^2. It decreases toward x, so it bounds every later ratio."""
+    return x * ((j + alpha + 2) / (j + 1)) * ((j + 1) / (j + 1 - m)) ** 2
 
 
 def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:
@@ -165,8 +172,7 @@ def kernel_norm_sq(
     j = m
     terms = 1
     while terms < cap:
-        # ratio of term j+1 to term j
-        ratio = x * ((j + alpha + 2) / (j + 1)) * ((j + 1) / (j + 1 - m)) ** 2
+        ratio = kernel_term_ratio(x, j, m, alpha)
         tail = term * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
         if tail < tol:
             return KernelNorm(total, tail, terms, True)

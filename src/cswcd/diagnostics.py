@@ -3,8 +3,13 @@
 The grid reports are evidence, not certificates: the underlying criteria
 are limit statements as |w| -> 1, undecidable from finitely many samples,
 so every report carries its raw samples and a heuristic trend tag. The
-structural predicates (Hermitian, normal) act on truncated matrices whose
-entries are exact, with a guard band where matrix products are involved.
+Hermitian predicate acts on a truncated matrix whose entries are exact.
+Normality is tested on reproducing kernels, with no matrix: a bounded T is
+normal iff <T K_w, T K_z> = <T* K_w, T* K_z> for all w and z, because the
+kernels K_w span a dense set. The left side comes from the Taylor series of
+T K_w, the right side from the closed form T* K_w = conj(psi(w)) K^[n]_phi(w),
+and both series grow until their tails are negligible, whatever the
+truncation of the operator matrix.
 """
 
 from __future__ import annotations
@@ -12,17 +17,29 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bergman import SpaceParams, kernel_norm_sq
-from .defaults import GUARD_BAND
+from .bergman import (
+    SpaceParams,
+    beta_sq_vector,
+    falling_factorial,
+    kernel_norm_sq,
+    kernel_term_ratio,
+    t_constant,
+)
+from .defaults import GUARD_BAND, MAX_WORK_DIM
 from .errors import DomainError, SingularityError, UnboundedSymbolError
-from .matrices import OperatorMatrix, operator_gate
+from .matrices import OperatorMatrix, kernel_point_gate, operator_gate
 from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
+
+GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
+GRAM_START = 64            # weight coefficients and kernel terms a Gram series starts with
+GRAM_TAIL = 1e-18          # a Gram series grows while its tail exceeds this share of its sum
 
 TREND_BOUNDED = "bounded-looking"
 TREND_DIVERGING = "diverging"
@@ -34,7 +51,7 @@ class GridReport:
     """Samples (w, value) over a polar grid with a supremum and a trend tag."""
 
     samples: tuple
-    supremum: float
+    supremum: float | None
     trend: str
     radial_maxima: tuple
 
@@ -61,13 +78,14 @@ def _polar_grid(radii, angles: int) -> np.ndarray:
 
 def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridReport:
     """Report of the samples ``W[keep]``, whose values are ``values`` in
-    row-major order; a radius with no kept sample has a NaN maximum."""
+    row-major order; a radius with no kept sample has a NaN maximum, and a
+    grid with no kept sample has no supremum."""
     full = np.full(W.shape, -np.inf)
     full[keep] = values
     radial_maxima = tuple(np.where(keep.any(axis=1), full.max(axis=1), np.nan).tolist())
     return GridReport(
         samples=tuple(zip(W[keep].tolist(), values.tolist())),
-        supremum=float(values.max()) if values.size else math.nan,
+        supremum=float(values.max()) if values.size else None,
         trend=_classify_trend(radial_maxima),
         radial_maxima=radial_maxima,
     )
@@ -85,14 +103,18 @@ def boundedness_ratio_grid(
     For univalent phi the composition-differentiation operator of order n is
     bounded exactly when this ratio stays bounded as |w| -> 1, and compact
     exactly when it tends to 0. Samples with |phi(w)| >= 1 are skipped, and
-    so is a sample at the pole of phi.
+    so is a sample at the pole of phi. The ratio is evaluated as
+    exp((alpha+2) ln(1-|w|) - (alpha+2+2n) ln(1-|phi(w)|)), so that neither
+    power can underflow to 0 at a large exponent.
     """
     W = _polar_grid(radii, angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at the pole of phi, which the comparison below skips
         image = np.abs((phi.a * W + phi.b) / (phi.c * W + phi.d))
     keep = image < 1.0
-    values = (1 - np.abs(W[keep])) ** (alpha + 2) / (1 - image[keep]) ** (alpha + 2 + 2 * n)
+    values = np.exp(
+        (alpha + 2) * np.log(1 - np.abs(W[keep])) - (alpha + 2 + 2 * n) * np.log(1 - image[keep])
+    )
     return _grid_report(W, keep, values)
 
 
@@ -185,6 +207,148 @@ def is_normal(M: OperatorMatrix) -> float:
     if den == 0:
         return 0.0
     return float(np.linalg.norm(comm[:keep, :keep]) / den)
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """The (len(x), count) array of x^j for j = 0..count-1, by running products."""
+    out = np.empty((x.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.multiply.accumulate(out, axis=1, out=out)
+
+
+def _cauchy_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients 0..M of f times each row of g, for a length M + 1 vector
+    f and a (p, M + 1) array g: entry (i, m) is sum_k f[m-k] g[i, k].
+
+    The lower triangular Toeplitz array of f is a view of f after M zeros:
+    entry (m, k) is f[m-k], read with strides (1, -1) from f[0]. The sums of
+    products are one unoptimized ``einsum``, which never calls the BLAS, so
+    the bytes cannot depend on a BLAS build or thread count.
+    """
+    size = f.size
+    padded = np.concatenate((np.zeros(size - 1, dtype=complex), f))
+    step = padded.itemsize
+    toeplitz = np.ndarray((size, size), complex, padded, (size - 1) * step, (step, -step))
+    return np.einsum("mk,ik->im", toeplitz, g, optimize=False)
+
+
+@lru_cache(maxsize=32)
+def _rising_over_factorial(s: float, M: int) -> np.ndarray:
+    """(s)_m / m! for m = 0..M, the coefficients of (1 - z)^-s; read-only."""
+    m = np.arange(1, M + 1)
+    out = np.multiply.accumulate(np.concatenate(([1.0], (s + m - 1) / m)))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _kernel_coefficients(n: int, alpha: float, count: int) -> np.ndarray:
+    """((j)_n)^2 / beta(j)^2 for j = n..n+count-1, the coefficients of
+    <K^[n]_u, K^[n]_v> as a power series in conj(u) v; read-only."""
+    top = n + count - 1
+    out = falling_factorial(np.arange(n, top + 1), n) ** 2 / beta_sq_vector(top, alpha)[n:]
+    out.flags.writeable = False
+    return out
+
+
+def _kernel_gram(u: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """<K^[n]_u_i, K^[n]_u_j> = sum_(j >= n) ((j)_n)^2 (conj(u_i) u_j)^(j-n) / beta(j)^2.
+
+    The series starts with GRAM_START terms and doubles while its ratio-test
+    tail at x = max |u|^2 exceeds GRAM_TAIL of its sum there, as in
+    ``kernel_norm_sq``; only the powers of the points grow with it. A tail
+    still above that share at MAX_WORK_DIM terms is refused.
+    """
+    x = float(np.abs(u).max()) ** 2
+    count = GRAM_START
+    while True:
+        coef = _kernel_coefficients(n, alpha, count)
+        terms = coef * x ** np.arange(count)
+        ratio = kernel_term_ratio(x, n + count - 1, n, alpha)
+        if ratio < 1.0 and terms[-1] * ratio / (1.0 - ratio) <= GRAM_TAIL * terms.sum():
+            break
+        if count >= MAX_WORK_DIM:
+            raise UnboundedSymbolError(
+                f"normality Gram: the adjoint kernel series has not converged at {count} terms"
+            )
+        count = min(2 * count, MAX_WORK_DIM)
+    E = _powers(u, count)
+    return np.einsum("aj,bj->ab", E.conj() * coef, E, optimize=False)
+
+
+def normality_gram(pair: SymbolPair, alpha: float, weight_at):
+    """The Gram matrices (G_T, G_T*) of T and of its adjoint at GRAM_POINTS:
+    G_T[i, j] = <T K_(w_i), T K_(w_j)> and G_T*[i, j] = <T* K_(w_i), T* K_(w_j)>.
+
+    G_T pairs the Taylor series of T K_w in the weighted inner product.
+    T K_w = (alpha+2)_n conj(w)^n psi (1 - conj(w) phi)^-s with s = alpha+n+2,
+    and for phi = (a z + b) / (c z + d),
+
+        1 - conj(w) phi = (1 - conj(w) b / d) (1 - q z) / (1 + (c/d) z),
+
+    with q = (conj(w) a - c) / (d - conj(w) b), the reciprocal of the root of
+    1 - conj(w) phi, which lies outside the closed disk. Both sides are
+    1 - conj(w) phi(0) at z = 0, so the principal powers factor too: T K_w is
+    a constant times the series psi (1 + (c/d) z)^s, the same for every
+    point, times (1 - q z)^-s. The series is taken at an order M of the
+    weight psi. M starts at min(N, GRAM_START - 1) for the pair's truncation
+    N, whose coefficients are exact, and doubles while the last quarter of
+    any ||T K_w||^2 series exceeds GRAM_TAIL of its sum; ``weight_at(M)``
+    gives the weight series at order M. A tail still above that share at
+    order MAX_WORK_DIM - 1 is refused: a pole of phi near the circle can
+    keep T K_w far from its truncation even where the points pass the gate.
+
+    G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)> from
+    ``_kernel_gram``, whose length does not depend on M. The order is the
+    pair's own. The pair must pass ``operator_gate`` and each point
+    ``kernel_point_gate``. Only elementwise products and unoptimized
+    ``einsum`` sums are used: no BLAS.
+    """
+    operator_gate(pair)
+    u = np.array([kernel_point_gate(pair.phi, w) for w in GRAM_POINTS])
+    w = np.array(GRAM_POINTS, dtype=complex)
+    k = w.size
+    phi, n = pair.phi, pair.n
+    s = alpha + n + 2
+    wbar = w.conjugate()
+    q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
+    scale = t_constant(alpha, n) * wbar**n * (1 - wbar * (phi.b / phi.d)) ** -s
+    M = min(pair.psi.order, GRAM_START - 1)
+    psi = pair.psi.coeffs[: M + 1]
+    while True:
+        m = np.arange(1, M + 1)
+        ratios = (s - m + 1) / m * (phi.c / phi.d)
+        upper = np.multiply.accumulate(np.concatenate(([1.0], ratios)))   # (1 + (c/d) z)^s
+        powers = _powers(np.concatenate((q, w)), M + 1)
+        shared = _cauchy_product(psi, upper[None, :])[0]
+        series = _cauchy_product(shared, _rising_over_factorial(s, M) * powers[:k])
+        bsq = beta_sq_vector(M, alpha)
+        energy = (series.real**2 + series.imag**2) * bsq
+        tail, total = energy[:, M + 1 - (M + 1) // 4:].sum(axis=1), energy.sum(axis=1)
+        if (tail <= GRAM_TAIL * total).all():
+            break
+        if M >= MAX_WORK_DIM - 1:
+            raise UnboundedSymbolError(
+                f"normality Gram: the series of T K_w has not converged at order {M}; "
+                f"its last quarter holds {(tail / total).max():.3g} of its sum"
+            )
+        M = min(2 * M, MAX_WORK_DIM - 1)
+        psi = weight_at(M).coeffs
+    G_T = np.einsum("am,bm->ab", series * bsq, series.conj(), optimize=False)
+    G_T *= scale[:, None] * scale.conj()
+    psi_w = np.einsum("m,im->i", psi, powers[k:], optimize=False)
+    G_star = psi_w.conj()[:, None] * psi_w * _kernel_gram(u, n, alpha)
+    return G_T, G_star
+
+
+def normality_gram_defect(pair: SymbolPair, alpha: float, weight_at) -> float:
+    """max |G_T - G_T*| / max |G_T*| over GRAM_POINTS (``normality_gram``);
+    zero exactly for a normal operator, up to rounding."""
+    G_T, G_star = normality_gram(pair, alpha, weight_at)
+    diff = float(np.abs(G_T - G_star).max())
+    scale = float(np.abs(G_star).max())
+    return diff / scale if scale > 0 else diff
 
 
 def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]:

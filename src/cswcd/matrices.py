@@ -61,46 +61,50 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _columns(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, N: int) -> np.ndarray:
-    """The (N+1) x (N-n+1) array G[m, k] = [z^m] psi * phi^k.
-
-    One vectorised step per anti-diagonal m + k = s computes it from the two
-    before it. G is stored below one zero row (row -1), C-contiguous with C
-    columns, so the anti-diagonal s is the flat slice from s + C with step
-    C - 1, and its neighbours (m, k-1), (m-1, k) and (m-1, k-1) sit 1, C and
-    C + 1 places before each of its entries.
-    """
-    require_pole_outside_disk(phi)
-    K = N - n
-    C = K + 1
-    G = np.zeros((N + 2, C), dtype=complex)
-    G[1:, 0] = psi.coeffs
-    flat = G.reshape(-1)
-    a, b, c, d = phi.a, phi.b, phi.c, phi.d
-    for s in range(1, N + K + 1):
-        lo, hi = max(0, s - K), min(N, s - 1)   # the rows with k >= 1
-        if lo > hi:                              # K == 0: the one column is psi
-            continue
-        first = C + lo * (C - 1) + s
-        last = first + (hi - lo) * (C - 1)
-        at = slice(first, last + 1, C - 1)
-        left = slice(first - 1, last, C - 1)
-        up = slice(first - C, last + 1 - C, C - 1)
-        up_left = slice(first - C - 1, last - C, C - 1)
-        flat[at] = (a * flat[up_left] + b * flat[left] - c * flat[up]) / d
-    return G[1:]
-
-
 def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
+    """The matrix, built in one buffer.
+
+    The buffer has N + 2 rows: a zero row on top (row -1 of the recurrence)
+    and then the matrix, C = N + 1 columns wide, C-contiguous. Entry
+    G[m, k] = [z^m] psi * phi^k sits in matrix column n + k, so the
+    anti-diagonal m + k = s is the flat slice from C + n + s with step
+    C - 1, and its neighbours (m, k-1), (m-1, k) and (m-1, k-1) sit 1, C and
+    C + 1 places before each of its entries. One step per anti-diagonal
+    computes it from the two before it; each ufunc of a step writes into one
+    of two contiguous scratch vectors, whose result is then copied into the
+    diagonal. Columns n..N are then scaled in place.
+    """
     N = space.N
     if psi.order != N:
         raise TruncationMismatchError(
             f"weight truncation {psi.order} does not match space truncation {N}"
         )
+    require_pole_outside_disk(phi)
+    K = N - n
+    C = N + 1
+    buf = np.zeros((N + 2, C), dtype=complex)
+    buf[1:, n] = psi.coeffs
+    flat = buf.reshape(-1)
+    x, y = np.empty(C, dtype=complex), np.empty(C, dtype=complex)
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    for s in range(1, N + K + 1):
+        lo, hi = max(0, s - K), min(N, s - 1)   # the rows with k >= 1
+        if lo > hi:                              # K == 0: the one column is psi
+            continue
+        first = C + n + s + lo * (C - 1)
+        last = first + (hi - lo) * (C - 1)
+        t, u = x[: hi - lo + 1], y[: hi - lo + 1]
+        np.multiply(a, flat[first - C - 1:last - C:C - 1], t)
+        np.multiply(b, flat[first - 1:last:C - 1], u)
+        np.add(t, u, t)
+        np.multiply(c, flat[first - C:last + 1 - C:C - 1], u)
+        np.subtract(t, u, t)
+        np.divide(t, d, t)
+        flat[first:last + 1:C - 1] = t
+    M = buf[1:]
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
-    scale = np.array([falling_factorial(j, n) / broot[j] for j in range(n, N + 1)])
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    M[:, n:] = _columns(psi, phi, n, N) * scale * broot[:, None]
+    M[:, n:] *= falling_factorial(np.arange(n, N + 1), n) / broot[n:]
+    M[:, n:] *= broot[:, None]
     return M
 
 

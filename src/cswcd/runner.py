@@ -35,14 +35,15 @@ from .conjugations import (
 )
 from .defaults import DEFAULT_N, GUARD_BAND, MAX_WORK_DIM, TOL_EXACT, TOL_GUARDED
 from .diagnostics import (
+    GRAM_POINTS,
     GridReport,
     boundedness_ratio_grid,
     is_hermitian,
-    is_normal,
     kernel_balance_gate,
     necessary_conditions_check,
     nevanlinna_bound_grid,
     norm_defect_kernel_test,
+    normality_gram_defect,
 )
 from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
 from .matrices import (
@@ -119,9 +120,16 @@ class RunConfig:
         return build_wcd_matrix(make_pair(self.symbols, space), space)
 
     @cached_property
-    def commutator_defect(self) -> float:
-        """Commutator defect of ``matrix``, read by both normality checks."""
-        return is_normal(self.matrix)
+    def gram_defect(self) -> float:
+        """Kernel Gram defect of the operator, read by both normality checks;
+        the weight series grows past the config's truncation by rebuilding
+        the pair at a higher order."""
+        alpha, n = self.space.alpha, self.space.n
+
+        def weight_at(order: int) -> TruncatedSeries:
+            return make_pair(self.symbols, SpaceParams(alpha, n, order)).psi
+
+        return normality_gram_defect(self.pair, alpha, weight_at)
 
     @cached_property
     def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -387,11 +395,14 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
             phi = LinearFractionalMap(
                 *(_complex_value(v, f"{path}.phi[{i}]") for i, v in enumerate(raw_phi))
             )
-            # no self-map of the disk has its pole in the closed disk, so the
-            # bounded flag cannot admit one
+            # no self-map of the disk has its pole in the closed disk, or
+            # leaves the closed disk, so the bounded flag cannot admit one
             require_pole_outside_disk(phi)
         except SingularityError as exc:
             raise ConfigError(f"{path}.phi", str(exc)) from exc
+        sup = sup_norm_lft(phi)
+        if sup > 1.0 + 1e-12:
+            raise ConfigError(f"{path}.phi", f"the map leaves the disk: sup|phi| = {sup:.6f}")
         return SymbolPair(
             polynomial(coeffs, N), phi, space.n, provenance="explicit",
             params={"bounded": bounded},
@@ -475,7 +486,7 @@ def _self_adjointness(config: RunConfig) -> tuple:
 
 
 def _normality(config: RunConfig) -> tuple:
-    return config.commutator_defect, TOL_GUARDED, "commutator-defect"
+    return config.gram_defect, TOL_GUARDED, "kernel-gram-defect"
 
 
 def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
@@ -586,6 +597,11 @@ def _check_grid(name: str, config: RunConfig) -> CheckReport:
     )
 
 
+def _gate_normality(config: RunConfig) -> None:
+    for w in GRAM_POINTS:
+        kernel_point_gate(config.pair.phi, w)
+
+
 def _gate_kernel_norm_balance(config: RunConfig) -> None:
     for w in BALANCE_POINTS:
         kernel_balance_gate(config.pair, w)
@@ -597,7 +613,7 @@ CHECKS = {
     "self-adjointness": partial(_check_tolerance, "self-adjointness", _self_adjointness),
     "normality": partial(_check_tolerance, "normality", _normality),
     "normality-predicate": partial(
-        _check_predicate, "normality-predicate", attrgetter("commutator_defect")
+        _check_predicate, "normality-predicate", attrgetter("gram_defect")
     ),
     "adjoint-kernel": partial(_check_tolerance, "adjoint-kernel", _adjoint_kernel),
     "adjoint-pair": partial(_check_tolerance, "adjoint-pair", _adjoint_pair),
@@ -611,6 +627,8 @@ CHECKS = {
 # checks whose point gates a sweep applies before it runs a draw
 GATES = {
     "adjoint-kernel": _gate_adjoint_kernel,
+    "normality": _gate_normality,
+    "normality-predicate": _gate_normality,
     "kernel-norm-balance": _gate_kernel_norm_balance,
 }
 
@@ -815,8 +833,9 @@ def _encode(obj):
 
 
 def canonical_json(obj) -> str:
+    """Sorted, indented JSON; a non-finite number raises, since JSON has none."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
-                      default=_encode) + "\n"
+                      default=_encode, allow_nan=False) + "\n"
 
 
 def config_hash(doc: dict) -> str:

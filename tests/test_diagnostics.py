@@ -3,16 +3,20 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from cswcd.bergman import SpaceParams, kernel, space_norm
+from cswcd.bergman import SpaceParams, inner_product, kernel, space_norm
+from cswcd.defaults import TOL_GUARDED
 from cswcd.diagnostics import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
+    GRAM_POINTS,
     TREND_BOUNDED,
     TREND_DIVERGING,
     _classify_trend,
+    _kernel_gram,
     boundedness_ratio_grid,
     export_grid_csv,
     is_hermitian,
@@ -21,8 +25,10 @@ from cswcd.diagnostics import (
     nevanlinna_bound_grid,
     nevanlinna_univalent,
     norm_defect_kernel_test,
+    normality_gram,
+    normality_gram_defect,
 )
-from cswcd.errors import DomainError
+from cswcd.errors import DomainError, UnboundedSymbolError
 from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
 from cswcd.rng import SplitMix64
 from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config
@@ -85,6 +91,16 @@ class TestBoundednessRatioGrid:
         kept = [w for w, _ in report.samples]
         assert kept == [0.5 * cmath.exp(1j * math.pi * k / 4) for k in range(2, 7)]
         assert all(abs(lft_eval(pole, w)) < 1.0 for w in kept)
+
+    def test_no_kept_sample_has_no_supremum(self):
+        # phi = z + 3 maps the disk outside itself: every sample is skipped
+        report = boundedness_ratio_grid(LinearFractionalMap(1, 3, 0, 1), 0.0, 1)
+        assert report.samples == () and report.supremum is None
+
+    def test_large_exponent_stays_finite(self):
+        # (1 - |phi(w)|)^104 underflows near the circle; in logs it does not
+        report = boundedness_ratio_grid(LinearFractionalMap(0.5, 0.5, 0, 1), 100.0, 1)
+        assert math.isfinite(report.supremum) and report.trend == TREND_DIVERGING
 
 
 class TestNevanlinna:
@@ -254,6 +270,110 @@ class TestIsNormal:
         pair = family_general(1.0, 0.4j, 0.3, 1, 0.0, 32)
         M = build_wcd_matrix(pair, SPACE)
         assert is_normal(M) > 1e-3
+
+
+def weight_at(symbols, alpha, n):
+    """The weight series of the family pair at any order, for the Gram."""
+    return lambda order: make_pair(symbols, SpaceParams(alpha, n, order)).psi
+
+
+def gram_defect(symbols, alpha, n, N):
+    pair = make_pair(symbols, SpaceParams(alpha, n, N))
+    return normality_gram_defect(pair, alpha, weight_at(symbols, alpha, n))
+
+
+# closed forms (psi, phi, order) in mpmath of three families, for the oracle
+def general_closed(a, b, c, n, alpha):
+    cbar = mpmath.conj(c)
+    return (lambda z: a * z**n / (math.factorial(n) * (1 - cbar * z) ** (n + alpha + 2)),
+            lambda z: c + b * z / (1 - cbar * z), n)
+
+
+def unitary_closed(p, lambda_u, alpha):
+    pbar = mpmath.conj(p)
+    scale = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
+    return (lambda z: scale / (1 - pbar * z) ** (alpha + 2),
+            lambda z: (pbar / p) * (p - z) / (1 - pbar * z), 0)
+
+
+GRAM_ORACLE_CASES = [
+    ({"family": "general", "a": [1.0, 0.2], "b": [0.4, 0.3], "c": [0.2, 0.1]}, 0.5, 1,
+     lambda: general_closed(mpmath.mpc(1, 0.2), mpmath.mpc(0.4, 0.3), mpmath.mpc(0.2, 0.1), 1,
+                            mpmath.mpf(0.5))),
+    ({"family": "general", "a": 0.8, "b": -0.3, "c": [-0.1, 0.25]}, 1.0, 2,
+     lambda: general_closed(mpmath.mpf(0.8), mpmath.mpf(-0.3), mpmath.mpc(-0.1, 0.25), 2,
+                            mpmath.mpf(1))),
+    ({"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}, 0.5, 1,
+     lambda: unitary_closed(mpmath.mpc(0.3, 0.1), mpmath.mpc(0, 1), mpmath.mpf(0.5))),
+]
+
+
+class TestNormalityGram:
+    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES,
+                             ids=["general-n1", "general-n2", "unitary"])
+    def test_adjoint_gram_matches_mpmath(self, symbols, alpha, n, closed):
+        # <T* K_w, T* K_z> = conj(psi(w)) psi(z) n! Gamma(n+alpha+2) / Gamma(alpha+2)
+        #                    2F1(n+1, n+alpha+2; 1; conj(phi(w)) phi(z)), at 40 digits
+        pair = make_pair(symbols, SpaceParams(alpha, n, 48))
+        _, G_star = normality_gram(pair, alpha, weight_at(symbols, alpha, n))
+        with mpmath.workdps(40):
+            psi, phi, order = closed()
+            al = mpmath.mpf(alpha)
+            const = mpmath.factorial(order) * mpmath.gamma(order + al + 2) / mpmath.gamma(al + 2)
+            points = [mpmath.mpc(w) for w in GRAM_POINTS]
+            exact = np.array([[complex(
+                mpmath.conj(psi(w)) * psi(z) * const
+                * mpmath.hyp2f1(order + 1, order + al + 2, 1, mpmath.conj(phi(w)) * phi(z))
+            ) for z in points] for w in points])
+        assert np.max(np.abs(G_star - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES,
+                             ids=["general-n1", "general-n2", "unitary"])
+    def test_operator_gram_matches_the_matrix_path(self, symbols, alpha, n, closed):
+        # <T K_w, T K_z> from the operator matrix at N 400 applied to the
+        # kernel coordinates
+        space = SpaceParams(alpha, n, 400)
+        pair = make_pair(symbols, space)
+        G_T, _ = normality_gram(make_pair(symbols, SpaceParams(alpha, n, 48)), alpha,
+                                weight_at(symbols, alpha, n))
+        M = build_wcd_matrix(pair, space)
+        images = [apply(M, kernel(w, 0, alpha, space.N)) for w in GRAM_POINTS]
+        via_matrix = np.array([[inner_product(f, g, alpha) for g in images] for f in images])
+        assert np.max(np.abs(G_T - via_matrix)) <= 1e-13 * np.max(np.abs(via_matrix))
+
+    @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
+    def test_agrees_with_the_commutator(self, family):
+        # 150 seeded draws at N 32: the same pass/fail at TOL_GUARDED as the
+        # guarded commutator, except that the commutator fails every unitary
+        # operator, which the Gram passes
+        rng = SplitMix64(SWEEPABLE_FAMILIES.index(family) + 300)
+        alpha, n, N = 0.5, 1, 32
+        space = SpaceParams(alpha, n, N)
+        for _ in range(150):
+            symbols = draw_symbols({"family": family}, rng)
+            gram = gram_defect(symbols, alpha, n, N)
+            if family == "unitary":
+                assert gram <= TOL_GUARDED, symbols
+                continue
+            commutator = is_normal(build_wcd_matrix(make_pair(symbols, space), space))
+            assert (gram <= TOL_GUARDED) == (commutator <= TOL_GUARDED), symbols
+
+    def test_independent_of_the_truncation(self):
+        symbols = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
+        defects = [gram_defect(symbols, 0.5, 1, N) for N in (3, 9, 48, 192)]
+        assert max(defects) - min(defects) <= 1e-15
+        assert defects[0] == pytest.approx(0.2673, abs=1e-4)
+
+    def test_unconverged_adjoint_series_is_refused(self):
+        # the image gate keeps |u| <= 0.85, where the series converges well
+        # inside its cap; at |u| 0.999 a large share lies past 2048 terms
+        with pytest.raises(UnboundedSymbolError, match="has not converged at 2048 terms"):
+            _kernel_gram(np.array([0.999 + 0j]), 1, 0.5)
+
+    def test_refused_point(self):
+        pair = family_j_symmetric(1.0, 0.1, 0.85j, 1, 0.5, 32)
+        with pytest.raises(UnboundedSymbolError, match="image gate"):
+            normality_gram(pair, 0.5, lambda order: None)
 
 
 class TestNormDefectKernelTest:

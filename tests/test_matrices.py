@@ -146,6 +146,66 @@ def normwise_error(M, exact):
     return float(np.max(np.abs(M - exact)) / np.max(np.abs(exact)))
 
 
+def two_array_columns(psi, phi, n, N):
+    """The anti-diagonal recurrence in its own array G, below one zero row."""
+    K = N - n
+    C = K + 1
+    G = np.zeros((N + 2, C), dtype=complex)
+    G[1:, 0] = psi.coeffs
+    flat = G.reshape(-1)
+    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    for s in range(1, N + K + 1):
+        lo, hi = max(0, s - K), min(N, s - 1)
+        if lo > hi:
+            continue
+        first = C + lo * (C - 1) + s
+        last = first + (hi - lo) * (C - 1)
+        at = slice(first, last + 1, C - 1)
+        left = slice(first - 1, last, C - 1)
+        up = slice(first - C, last + 1 - C, C - 1)
+        up_left = slice(first - C - 1, last - C, C - 1)
+        flat[at] = (a * flat[up_left] + b * flat[left] - c * flat[up]) / d
+    return G[1:]
+
+
+def two_array_build(psi, phi, n, space):
+    """The recurrence in a separate array, then scaled into a zeroed matrix
+    through full-size temporaries: the build that the one-buffer build must
+    reproduce bit for bit."""
+    N = space.N
+    broot = np.sqrt(beta_sq_vector(N, space.alpha))
+    scale = np.array([falling_factorial(j, n) / broot[j] for j in range(n, N + 1)])
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    M[:, n:] = two_array_columns(psi, phi, n, N) * scale * broot[:, None]
+    return M
+
+
+class TestOneBuffer:
+    """The build runs the recurrence in its output buffer and scales it in
+    place, with the same operations in the same operand order as the build
+    in two arrays, so every bit agrees."""
+
+    @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
+    def test_sweepable_family(self, family):
+        rng = SplitMix64(SWEEPABLE_FAMILIES.index(family) + 40)
+        for N in (3, 4, 48, 192):
+            for n in (1, 2):
+                if N < n + 2:
+                    continue
+                space = SpaceParams(0.5, n, N)
+                pair = make_pair(draw_symbols({"family": family}, rng), space)
+                M = build_wcd_matrix(pair, space).entries
+                ref = two_array_build(pair.psi, pair.phi, pair.n, space)
+                assert np.array_equal(M.view(np.float64), ref.view(np.float64)), (N, n)
+
+    def test_wc_unitary(self):
+        p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
+        U = make_wc_J(p, lambda_u, SpaceParams(0.5, 2, 96)).unitary
+        pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
+        ref = two_array_build(pair.psi, pair.phi, 0, U.space)
+        assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
+
+
 class TestAgainstReference:
     """The anti-diagonal recurrence rounds differently from the per-column
     Cauchy products, so the builds agree to a tolerance, not bit for bit."""
@@ -213,6 +273,12 @@ print(config.conjugation.kind, repr(report.defect))
 # conjugation-axioms under the same rotation: elementwise scalings, no BLAS
 (report,) = run(parse_config({**config.raw, "checks": ["conjugation-axioms"]}))
 print(repr(report.defect))
+# normality of a non-normal and of a unitary operator: the kernel Gram, no BLAS
+for symbols in ({"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]},
+                {"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}):
+    (report,) = run(parse_config({"space": {"alpha": 0.5, "n": 1, "N": 192},
+                                  "symbols": symbols, "checks": ["normality"]}))
+    print(report.status, repr(report.defect))
 """
 
 

@@ -32,6 +32,14 @@ BASE = {
 EXPLICIT_UNIT_MAP = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
 # phi = z / (0.5 - z) has its pole in the disk: no self-map, whatever the bounded flag says
 EXPLICIT_POLE_IN_DISK = {"family": "explicit", "psi": [0.0, 1.0], "phi": [1.0, 0.0, -1.0, 0.5]}
+# phi = 0.1 z + 1.5 maps the disk onto a disk with sup|phi| = 1.6: no self-map either
+EXPLICIT_LEAVES_DISK = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.1, 1.5, 0.0, 1.0]}
+# phi = 0.0009 / (1.001 - z): sup|phi| = 0.9, and |phi| is about 0.001 at the
+# Gram points, but the pole at 1.001 keeps the series of T K_w from converging
+EXPLICIT_NEAR_POLE = {"family": "explicit", "psi": [1.0], "phi": [0.0, 0.0009, -1.0, 1.001]}
+# this general pair has a non-real b and c != 0, so it is not normal
+NOT_NORMAL = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
+UNITARY = {"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}
 
 
 WC_SPACE = {"alpha": 0.5, "n": 2, "N": 96}
@@ -169,7 +177,7 @@ class TestRun:
         assert reports[0].defect > 1e-3
 
     def test_normality_predicate_ambiguous_band(self):
-        # a barely non-real b gives a commutator defect between the pass
+        # a barely non-real b gives a Gram defect between the pass
         # tolerance and the failure threshold: neither outcome is certified
         doc = config_with(
             symbols={"family": "general", "a": 1.0, "b": [0.3, 1e-6], "c": 0.3},
@@ -260,8 +268,9 @@ class TestOneBuildPerConfig:
         assert len(conjugations) == 1
 
     def test_one_commutator_per_run(self):
-        # counted by code object, so no module binding of is_normal escapes
-        code = diagnostics.is_normal.__code__
+        # one kernel Gram serves both normality checks; counted by code
+        # object, so no module binding of normality_gram_defect escapes
+        code = diagnostics.normality_gram_defect.__code__
         calls = []
 
         def profile(frame, event, arg):
@@ -344,7 +353,7 @@ class TestPredicates:
         assert (report.status, report.defect) == ("pass", 0.0)
 
     def test_normal_prediction_in_gray_band_fails_for_both(self, monkeypatch):
-        # a Hermitian matrix has a rounding-size commutator; a 1e-20
+        # a Hermitian operator has a rounding-size Gram defect; a 1e-20
         # tolerance puts it between the tolerance and the failure threshold.
         # Both kernel images of a real b come from one map, so the kernel
         # balance is exactly 0; it gets a rounding-size defect here instead
@@ -359,6 +368,61 @@ class TestPredicates:
             assert "predicted=normal" in report.provenance
             assert 1e-20 < report.defect < 1e-3
         assert [r.status for r in reports] == ["fail", "fail"]
+
+
+class TestNormality:
+    """Both normality checks read the kernel Gram defect, which does not
+    depend on the truncation N."""
+
+    @pytest.mark.parametrize("N", [3, 6, 9, 12])
+    def test_not_normal_at_every_truncation(self, N):
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": N}, symbols=NOT_NORMAL,
+                          checks=["normality", "normality-predicate"])
+        normality, predicate = run(parse_config(doc))
+        assert (normality.status, predicate.status) == ("fail", "pass")
+        assert normality.defect == predicate.defect == pytest.approx(0.2673, abs=1e-4)
+        assert "predicted=nonnormal" in predicate.provenance
+
+    @pytest.mark.parametrize("N", [32, 192])
+    def test_unitary_is_normal(self, N):
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": N}, symbols=UNITARY,
+                          checks=["normality"])
+        (report,) = run(parse_config(doc))
+        assert report.status == "pass" and report.defect <= 1e-14
+        assert report.provenance == "kernel-gram-defect"
+
+    def test_unitary_sweep_passes(self, tmp_path):
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, symbols={"family": "unitary"},
+                          checks=["normality"])
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--draws", "20", "--seed", "9", "--out", str(out)]) == 0
+        slot = json.loads(out.read_text(encoding="utf-8"))["aggregate"]["checks"]["normality"]
+        assert slot["pass"] == 20 and slot["worst_defect"] <= 1e-14
+
+    def test_refused_points_are_unverified(self):
+        # a bounded map with |phi(0.25i)| = 0.871, over the kernel point gate's 0.85
+        doc = config_with(symbols={"family": "j-symmetric", "a": 1.0, "b": 0.1, "c": [0.0, 0.85]},
+                          checks=["normality"])
+        (report,) = run(parse_config(doc))
+        assert report.status == "unverified"
+        assert "image gate" in report.provenance
+
+    def test_unconverged_series_is_unverified(self):
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, symbols=EXPLICIT_NEAR_POLE,
+                          checks=["normality"])
+        (report,) = run(parse_config(doc))
+        assert report.status == "unverified" and report.defect is None
+        assert "has not converged at order 2047" in report.provenance
+
+    def test_sweep_redraws_refused_points(self, monkeypatch):
+        runs = counting(monkeypatch, "run")
+        doc = config_with(symbols={"family": "j-symmetric", "ranges": {"abs_c": [0.8, 0.9]}},
+                          checks=["normality"])
+        aggregate = sweep(parse_config(doc, require_concrete=False), 6, seed=4)
+        assert aggregate["redraws"] >= 1
+        assert len(runs) == 6
+        assert aggregate["checks"]["normality"]["unverified"] == 0
 
 
 class TestSweep:
@@ -474,6 +538,8 @@ class TestCli:
             ({"conjugation": {"kind": ["plain-J"]}}, "conjugation.kind"),
             ({"symbols": {**EXPLICIT_POLE_IN_DISK, "bounded": True}}, "symbols.phi"),
             ({"symbols": EXPLICIT_POLE_IN_DISK, "checks": ["boundedness-grid"]}, "symbols.phi"),
+            ({"symbols": {**EXPLICIT_LEAVES_DISK, "bounded": True},
+              "checks": ["boundedness-grid", "nevanlinna-grid"]}, "symbols.phi"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
@@ -481,13 +547,29 @@ class TestCli:
              "nan-tolerance", "negative-tolerance", "string-bounded", "boolean-tolerance",
              "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name",
              "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind",
-             "bounded-pole-in-disk", "grid-pole-in-disk"],
+             "bounded-pole-in-disk", "grid-pole-in-disk", "bounded-map-leaves-disk"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["path"] == path
+
+    def test_large_alpha_grid_is_finite(self, tmp_path, capsys):
+        # (1 - |phi(w)|)^(alpha+2+2n) underflows at alpha 100; the ratio in
+        # logs stays finite, and a RuntimeWarning would be an error here
+        doc = config_with(space={"alpha": 100.0, "n": 1, "N": 24},
+                          symbols={**EXPLICIT_UNIT_MAP, "bounded": True},
+                          checks=["boundedness-grid"])
+        assert main(["check", self.write(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (report,) = json.loads(captured.out)["reports"]
+        assert math.isfinite(report["defect"]) and report["defect"] > 1e30
+
+    def test_no_non_finite_number_in_a_report(self):
+        with pytest.raises(ValueError):
+            canonical_json({"defect": math.inf})
 
     def test_integral_float_accepted(self):
         config = parse_config(config_with(space={"alpha": 0.0, "n": 1.0, "N": 40.0}, seed=3.0))

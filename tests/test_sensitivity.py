@@ -11,6 +11,11 @@ All cases run at alpha 0.5, n 1, N 64.
 The rotation kind is exact, so its ``C-symmetry`` compares the whole matrix
 and needs no guard band: at the smallest truncations, where a guarded block
 would hold one or two rows, a wrong rotation must still fail.
+
+No config can break the identities behind ``adjoint-kernel``,
+``adjoint-pair`` and ``conjugation-axioms``, so their cases scale one side of
+the identity by (1 + eps) instead, by replacing a function that the check
+reads.
 """
 
 import cmath
@@ -18,7 +23,11 @@ import cmath
 import numpy as np
 import pytest
 
+from cswcd import matrices, runner
+from cswcd.conjugations import AntilinearConjugation
+from cswcd.matrices import OperatorMatrix
 from cswcd.runner import parse_config, run
+from cswcd.symbols import SymbolPair
 
 SPACE = {"alpha": 0.5, "n": 1, "N": 64}
 EPSILONS = (1e-2, 1e-4, 1e-6)
@@ -71,6 +80,62 @@ CASES = {
 def report(doc: dict):
     (out,) = run(parse_config(doc))
     return out
+
+
+def scaled_psi_at_point(eps: float, monkeypatch) -> dict:
+    # psi(w) on the closed-form side conj(psi(w)) K^[n]_phi(w)
+    inner = matrices.series_eval
+    monkeypatch.setattr(matrices, "series_eval", lambda f, z: (1 + eps) * inner(f, z))
+    return general(0.0, "adjoint-kernel")
+
+
+def scaled_companion_weight(eps: float, monkeypatch) -> dict:
+    # the weight of pair B, whose matrix is compared with the adjoint of A's
+    inner = runner.cowen_adjoint_pair
+
+    def scaled(phi, n, space):
+        pair_a, pair_b = inner(phi, n, space)
+        psi = type(pair_b.psi)((1 + eps) * pair_b.psi.coeffs)
+        return pair_a, SymbolPair(psi, pair_b.phi, pair_b.n, pair_b.provenance, pair_b.params)
+
+    monkeypatch.setattr(runner, "cowen_adjoint_pair", scaled)
+    return general(0.0, "adjoint-pair")
+
+
+def scaled_wc_unitary(eps: float, monkeypatch) -> dict:
+    # the dense U of the weighted-composition conjugation
+    inner = runner.make_wc_J
+
+    def scaled(p, lambda_u, space):
+        C = inner(p, lambda_u, space)
+        U = OperatorMatrix((1 + eps) * C.unitary.entries, C.unitary.space)
+        return AntilinearConjugation(U, C.space, C.kind, C.claim_dim)
+
+    monkeypatch.setattr(runner, "make_wc_J", scaled)
+    return {**wc_j(0.0), "checks": ["conjugation-axioms"]}
+
+
+SCALED_CASES = {
+    "adjoint-kernel, psi(w) (1 + eps)": scaled_psi_at_point,
+    "adjoint-pair, weight of B (1 + eps)": scaled_companion_weight,
+    "conjugation-axioms wc-J, U (1 + eps)": scaled_wc_unitary,
+}
+
+
+@pytest.mark.parametrize("make", SCALED_CASES.values(), ids=SCALED_CASES.keys())
+def test_unscaled_identity_passes(make, monkeypatch):
+    assert report(make(0.0, monkeypatch)).status == "pass"
+
+
+@pytest.mark.parametrize("make", SCALED_CASES.values(), ids=SCALED_CASES.keys())
+def test_defect_is_linear_in_the_scaling(make, monkeypatch):
+    reports = []
+    for eps in EPSILONS:
+        with monkeypatch.context() as patch:
+            reports.append(report(make(eps, patch)))
+    assert [r.status for r in reports] == ["fail"] * len(EPSILONS)
+    slope = np.polyfit(np.log10(EPSILONS), np.log10([r.defect for r in reports]), 1)[0]
+    assert abs(slope - 1.0) <= 0.05
 
 
 @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
