@@ -1,67 +1,115 @@
 """Antilinear conjugations and the complex-symmetry test C T* C = T.
 
-A conjugation is stored in factored form: coefficient conjugation followed
-by a unitary linear part U. This makes the symmetry test a two-product
-formula, since in a basis fixed by coefficient conjugation
+Every conjugation here is a weighted composition after coefficient
+conjugation, C f(z) = psi_C(z) conj(f(conj(phi_C(z)))), and carries its own
+symbols: the weight psi_C(u) = k (1 - q u)^-(alpha+2), stored as the pair
+(k, q), and the map phi_C, a ``LinearFractionalMap``.
+
+- plain-J: (1, 0) and z;
+- rotation-J: (mu, 0) and lam z;
+- wc-J: (lambda_u (1-|p|^2)^((alpha+2)/2), conj(p)) and the unitary map at p.
+
+In a basis fixed by coefficient conjugation the linear part U of C is the
+matrix of f -> psi_C (f o phi_C), and
 
     matrix(C T* C) = U . M^T . conj(U).
 
-Three kinds are built here: the plain coefficient conjugation (U = I), the
-rotation kind with diagonal U[j][j] = mu lam^j, and the weighted-composition
-kind whose U comes from the unitary symbol pair at a point p of the disk.
-The first two are exact: U is diagonal, stored as its diagonal d, and C T* C
-is the elementwise d_i M[j, i] conj(d_j), equal to the infinite operator's
-entries at every truncation. The weighted-composition kind keeps a dense U,
-and ``conjugated_adjoint`` forms its product only on the claim window, the
-leading ``claim_dim`` rows and columns that the symmetry test reads.
+The first two kinds are exact: U is diagonal, stored as its diagonal d, and
+C T* C is the elementwise d_i M[j, i] conj(d_j), equal to the infinite
+operator's entries at every truncation. Their claims are checked on the
+matrix.
 
-The weighted-composition kind needs care under truncation: composing with a
-disk automorphism spreads the coefficient mass of basis vector j across
-rows up to roughly j (1+|p|)/(1-|p|), so a fixed trailing guard band cannot
-make the truncated U act like a unitary at the build size. ``make_wc_J``
-therefore builds U at an extended truncation (``extended_space``); the
-conjugation's ``claim_dim`` keeps the claims on the requested leading block.
+The weighted-composition kind is checked on reproducing kernels instead,
+with no matrix, no guard band and no truncation: C sends each kernel
+K_z(u) = (1 - conj(z) u)^-(alpha+2) to a multiple of a kernel,
+C K_z = c_z K_(v_z) with v_z = phi_C^-1(conj z) and c_z = 1 / conj(psi_C(v_z)),
+so T is C-symmetric exactly when B(w, z) = <T K_w, C K_z> =
+conj(c_z) (T K_w)(v_z) is symmetric in (w, z) (the kernel test of
+Garcia–Putinar). ``kernel_symmetry_defect`` and ``kernel_axioms_defect``
+evaluate these closed forms at KERNEL_POINTS.
+
+The kind still has a dense U for the tests and for ``conjugation_apply``,
+built only when read, at an extended truncation (``extended_space``):
+composing with a disk automorphism spreads the coefficient mass of basis
+vector j across rows up to roughly j (1+|p|)/(1-|p|), so no fixed trailing
+guard band makes the truncated U act like a unitary at the build size. The
+conjugation's ``claim_dim`` keeps the matrix claims on the requested leading
+block, and ``conjugated_adjoint`` forms its product only on that window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .bergman import SpaceParams, space_norm
-from .defaults import GUARD_BAND
-from .errors import DomainError, TruncationMismatchError
-from .matrices import OperatorMatrix, apply, build_weighted_composition
-from .series import TruncatedSeries, series_add, series_conjugate_reflect, series_scale
-from .symbols import unitary_symbols
+from .bergman import SpaceParams, space_norm, t_constant
+from .defaults import GUARD_BAND, MAX_WORK_DIM
+from .diagnostics import GRAM_TAIL
+from .errors import DomainError, TruncationMismatchError, UnboundedSymbolError
+from .matrices import OperatorMatrix, apply, build_weighted_composition, operator_gate
+from .series import (
+    TruncatedSeries,
+    expand_rational_kernel,
+    power_table,
+    series_add,
+    series_conjugate_reflect,
+    series_scale,
+)
+from .symbols import (
+    IDENTITY_MAP,
+    LinearFractionalMap,
+    SymbolPair,
+    lft_inverse,
+    rotation_map,
+    unitary_parameters,
+)
 
 EXTENSION_SLACK = 48       # terms of the extended truncation beyond the mass spread
+
+# fixed points u of the kernel forms, |u| <= 0.45
+KERNEL_POINTS = (0.45, 0.32j, -0.38 + 0.12j, 0.21 - 0.36j, -0.17 - 0.29j, 0.08 + 0.41j,
+                 -0.44, 0.27 + 0.18j)
 
 
 @dataclass(frozen=True)
 class AntilinearConjugation:
-    """Antilinear map: conjugate coefficients, then apply the unitary part.
+    """Antilinear map f -> psi_C conj(f(conj(phi_C))): conjugate the
+    coefficients, then apply the weighted composition U of (psi_C, phi_C).
 
-    ``unitary`` is the read-only diagonal of U for the exact kinds, else the
-    weighted-composition U at the truncation ``space``, unitary only on a
-    leading block. The claims hold on the leading ``claim_dim`` coefficients.
+    ``weight`` is (k, q) with psi_C(u) = k (1 - q u)^-(alpha+2) and ``phi``
+    is phi_C. ``space`` is the working truncation of U, and the matrix
+    claims hold on the leading ``claim_dim`` coefficients.
     """
 
-    unitary: np.ndarray | OperatorMatrix
+    weight: tuple[complex, complex]
+    phi: LinearFractionalMap
     space: SpaceParams
     kind: str
     claim_dim: int
 
-    def __post_init__(self):
-        if self.exact:
-            self.unitary.flags.writeable = False
-
     @property
     def exact(self) -> bool:
-        """Whether U is diagonal, so that the claims hold entry by entry."""
-        return isinstance(self.unitary, np.ndarray)
+        """Whether U is diagonal (a constant weight and a rotation), so that
+        the claims hold entry by entry."""
+        phi = self.phi
+        return self.weight[1] == 0 and phi.b == 0 and phi.c == 0
+
+    @cached_property
+    def unitary(self) -> np.ndarray | OperatorMatrix:
+        """U at ``space``, built the first time it is read: the read-only
+        diagonal k lam^j for an exact kind, else the dense weighted-composition
+        matrix, unitary only on a leading block."""
+        k, q = self.weight
+        N = self.space.N
+        if self.exact:
+            diag = k * self.phi.a ** np.arange(N + 1)
+            diag.flags.writeable = False
+            return diag
+        psi = series_scale(expand_rational_kernel(self.space.alpha + 2, q, N), k)
+        return build_weighted_composition(psi, self.phi, self.space)
 
 
 def make_J(space: SpaceParams) -> AntilinearConjugation:
@@ -70,28 +118,27 @@ def make_J(space: SpaceParams) -> AntilinearConjugation:
     The basis e_j = z^j/beta(j) has real coefficients, so this conjugation
     fixes it and the factored form is exact.
     """
-    ones = np.ones(space.N + 1, dtype=complex)
-    return AntilinearConjugation(ones, space, "plain-J", space.N + 1)
+    return AntilinearConjugation((1.0 + 0j, 0j), IDENTITY_MAP, space, "plain-J", space.N + 1)
 
 
 def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
     """Rotation kind: weight mu, composition with lam z; U = diag(mu lam^j)."""
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
-    diag = mu * lam ** np.arange(space.N + 1)
-    return AntilinearConjugation(diag, space, "rotation-J", space.N + 1)
+    return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), space, "rotation-J",
+                                 space.N + 1)
 
 
 def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
     """Weighted-composition kind at p != 0 for the truncation of ``space``.
 
-    U is built at ``extended_space(space, p)``, and the claims are asserted
-    on the leading space.N + 1 coefficients.
+    The symbols are those of ``unitary_parameters``. U, when read, is built
+    at ``extended_space(space, p)``, and the matrix claims are asserted on
+    the leading space.N + 1 coefficients.
     """
     work = extended_space(space, p)
-    pair = unitary_symbols(p, lambda_u, space.alpha, work.N)
-    U = build_weighted_composition(pair.psi, pair.phi, work)
-    return AntilinearConjugation(U, work, "wc-J", space.N + 1)
+    k, q, phi = unitary_parameters(p, lambda_u, space.alpha)
+    return AntilinearConjugation((k, q), phi, work, "wc-J", space.N + 1)
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
@@ -184,3 +231,107 @@ def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
     num = np.linalg.norm(target[block, block] - M.entries[block, block])
     den = np.linalg.norm(M.entries[block, block])
     return float(num / den) if den > 0 else float(num)
+
+
+def _lft_values(phi: LinearFractionalMap, u: np.ndarray) -> np.ndarray:
+    """phi at each point of u; the points must avoid the pole."""
+    return (phi.a * u + phi.b) / (phi.c * u + phi.d)
+
+
+def conjugation_weight(C: AntilinearConjugation, u: np.ndarray) -> np.ndarray:
+    """psi_C(u) = k (1 - q u)^-(alpha+2), from its closed form."""
+    k, q = C.weight
+    return k * (1 - q * u) ** -(C.space.alpha + 2)
+
+
+def kernel_image(C: AntilinearConjugation, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_z, v_z) with C K_z = c_z K_(v_z): v_z = phi_C^-1(conj z) and
+    c_z = 1 / conj(psi_C(v_z))."""
+    v = _lft_values(lft_inverse(C.phi), np.conj(z))
+    return 1 / np.conj(conjugation_weight(C, v)), v
+
+
+def weight_values(psi: TruncatedSeries, u: np.ndarray, weight_at) -> np.ndarray:
+    """psi(u) from the Taylor series of the weight.
+
+    The series starts at the given truncation, whose coefficients are exact,
+    and ``weight_at(M)`` gives it again at a doubled order M while the last
+    quarter of any sum |psi_m u^m| holds more than GRAM_TAIL of its total,
+    the rule of the normality Gram. A series still above that share at order
+    MAX_WORK_DIM - 1 is refused. The sum is an unoptimized ``einsum``: no
+    BLAS.
+    """
+    M = psi.order
+    while True:
+        powers = power_table(u, M + 1)
+        terms = np.abs(powers * psi.coeffs)
+        tail, total = terms[:, M + 1 - (M + 1) // 4:].sum(axis=1), terms.sum(axis=1)
+        if (tail <= GRAM_TAIL * total).all():
+            return np.einsum("m,im->i", psi.coeffs, powers, optimize=False)
+        if M >= MAX_WORK_DIM - 1:
+            raise UnboundedSymbolError(
+                f"kernel symmetry: the weight series has not converged at order {M}; "
+                f"its last quarter holds {(tail / total).max():.3g} of its sum"
+            )
+        M = min(2 * M, MAX_WORK_DIM - 1)
+        psi = weight_at(M)
+
+
+def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
+                         psi_u: np.ndarray) -> np.ndarray:
+    """B[i, j] = B(z_i, z_j) = <T K_(z_i), C K_(z_j)> at z_i = conj(phi_C(u_i))
+    for u = KERNEL_POINTS, given psi_u = psi(u).
+
+    These z have v_z = u and c_z = 1 / conj(psi_C(u)), so
+    B[i, j] = psi(u_j) (alpha+2)_n phi_C(u_i)^n
+    (1 - phi_C(u_i) phi(u_j))^-(alpha+n+2) / psi_C(u_j), with n the pair's
+    order: every factor is a closed form or a weight value at |u| <= 0.45.
+    """
+    u = np.array(KERNEL_POINTS, dtype=complex)
+    alpha, n = C.space.alpha, pair.n
+    phi_C_u = _lft_values(C.phi, u)[:, None]
+    ratio = psi_u / conjugation_weight(C, u)
+    return (t_constant(alpha, n) * phi_C_u**n * ratio
+            * (1 - phi_C_u * _lft_values(pair.phi, u)) ** -(alpha + n + 2))
+
+
+def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation, weight_at) -> float:
+    """max |B - B^T| / max |B| for the bilinear form of ``kernel_symmetry_form``;
+    zero exactly when T is C-symmetric on these kernels, up to rounding.
+
+    The pair must pass ``operator_gate``; its weight is evaluated by
+    ``weight_values``. No operator matrix, no truncation of T and no BLAS.
+    """
+    operator_gate(pair)
+    u = np.array(KERNEL_POINTS, dtype=complex)
+    B = kernel_symmetry_form(pair, C, weight_values(pair.psi, u, weight_at))
+    return float(np.abs(B - B.T).max() / np.abs(B).max())
+
+
+def kernel_axioms_defect(C: AntilinearConjugation) -> float:
+    """Worst relative defect of the conjugation identities on kernels, at the
+    points z_i = conj(phi_C(u_i)) for u = KERNEL_POINTS, from closed forms:
+
+    - involution: v_(v_z) = z and conj(c_z) c_(v_z) = 1;
+    - isometry: |c_z|^2 (1 - |v_z|^2)^-(alpha+2) = (1 - |z|^2)^-(alpha+2);
+    - the kernel image itself: psi_C(u) (1 - z phi_C(u))^-(alpha+2), which is
+      C K_z at u, equals c_z K_(v_z)(u) at every point u_j.
+
+    The last identity is checked pointwise, so the others do not assume
+    that U is unitary.
+    """
+    u = np.array(KERNEL_POINTS, dtype=complex)
+    s = C.space.alpha + 2
+    phi_C_u = _lft_values(C.phi, u)
+    z = np.conj(phi_C_u)
+    c, v = kernel_image(C, z)
+    c_twice, v_twice = kernel_image(C, v)
+    image = conjugation_weight(C, u) * (1 - z[:, None] * phi_C_u) ** -s
+    expected = c[:, None] * (1 - np.conj(v)[:, None] * u) ** -s
+    defects = (
+        np.abs(v_twice - z),
+        np.abs(np.conj(c) * c_twice - 1),
+        np.abs(np.abs(c) ** 2 * ((1 - np.abs(z) ** 2) / (1 - np.abs(v) ** 2)) ** s - 1),
+        np.abs(image - expected) / np.abs(expected),
+    )
+    return float(max(d.max() for d in defects))

@@ -29,9 +29,10 @@ from .bergman import (
     kernel_term_ratio,
     t_constant,
 )
-from .defaults import GUARD_BAND, MAX_WORK_DIM
+from .defaults import GUARD_BAND, MAX_WORK_DIM, TOL_GUARDED
 from .errors import DomainError, SingularityError, UnboundedSymbolError
 from .matrices import OperatorMatrix, kernel_point_gate, operator_gate
+from .series import power_table
 from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
@@ -40,6 +41,7 @@ DEFAULT_ANGLES = 64
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
 GRAM_START = 64            # weight coefficients and kernel terms a Gram series starts with
 GRAM_TAIL = 1e-18          # a Gram series grows while its tail exceeds this share of its sum
+GRAM_ROUNDING = TOL_GUARDED   # largest rounding bound of a Gram defect that is reported
 
 TREND_BOUNDED = "bounded-looking"
 TREND_DIVERGING = "diverging"
@@ -209,14 +211,6 @@ def is_normal(M: OperatorMatrix) -> float:
     return float(np.linalg.norm(comm[:keep, :keep]) / den)
 
 
-def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """The (len(x), count) array of x^j for j = 0..count-1, by running products."""
-    out = np.empty((x.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    return np.multiply.accumulate(out, axis=1, out=out)
-
-
 def _cauchy_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Coefficients 0..M of f times each row of g, for a length M + 1 vector
     f and a (p, M + 1) array g: entry (i, m) is sum_k f[m-k] g[i, k].
@@ -227,9 +221,9 @@ def _cauchy_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     the bytes cannot depend on a BLAS build or thread count.
     """
     size = f.size
-    padded = np.concatenate((np.zeros(size - 1, dtype=complex), f))
+    padded = np.concatenate((np.zeros(size - 1, dtype=f.dtype), f))
     step = padded.itemsize
-    toeplitz = np.ndarray((size, size), complex, padded, (size - 1) * step, (step, -step))
+    toeplitz = np.ndarray((size, size), f.dtype, padded, (size - 1) * step, (step, -step))
     return np.einsum("mk,ik->im", toeplitz, g, optimize=False)
 
 
@@ -273,7 +267,7 @@ def _kernel_gram(u: np.ndarray, n: int, alpha: float) -> np.ndarray:
                 f"normality Gram: the adjoint kernel series has not converged at {count} terms"
             )
         count = min(2 * count, MAX_WORK_DIM)
-    E = _powers(u, count)
+    E = power_table(u, count)
     return np.einsum("aj,bj->ab", E.conj() * coef, E, optimize=False)
 
 
@@ -299,6 +293,15 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
     order MAX_WORK_DIM - 1 is refused: a pole of phi near the circle can
     keep T K_w far from its truncation even where the points pass the gate.
 
+    The Cauchy products can cancel: on the unitary family psi (1 + (c/d) z)^s
+    is a constant summed from terms that grow like (alpha+2)_m |p|^m / m!.
+    The same two products over absolute coefficients bound each series
+    coefficient's rounding error by u a_m (u the unit roundoff), so the
+    error of G_T[i, j] is at most |sc_i sc_j| (u sum_m (a_i |S_j| + |S_i| a_j)
+    beta_m^2 + u^2 sum_m a_i a_j beta_m^2) for the series S and scale factors
+    sc. A bound above GRAM_ROUNDING of max |G_T*|, the default tolerance of
+    both checks that read the Gram, is refused.
+
     G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)> from
     ``_kernel_gram``, whose length does not depend on M. The order is the
     pair's own. The pair must pass ``operator_gate`` and each point
@@ -320,7 +323,7 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
         m = np.arange(1, M + 1)
         ratios = (s - m + 1) / m * (phi.c / phi.d)
         upper = np.multiply.accumulate(np.concatenate(([1.0], ratios)))   # (1 + (c/d) z)^s
-        powers = _powers(np.concatenate((q, w)), M + 1)
+        powers = power_table(np.concatenate((q, w)), M + 1)
         shared = _cauchy_product(psi, upper[None, :])[0]
         series = _cauchy_product(shared, _rising_over_factorial(s, M) * powers[:k])
         bsq = beta_sq_vector(M, alpha)
@@ -339,6 +342,20 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
     G_T *= scale[:, None] * scale.conj()
     psi_w = np.einsum("m,im->i", psi, powers[k:], optimize=False)
     G_star = psi_w.conj()[:, None] * psi_w * _kernel_gram(u, n, alpha)
+    bound = _cauchy_product(
+        _cauchy_product(np.abs(psi), np.abs(upper)[None, :])[0],
+        _rising_over_factorial(s, M) * np.abs(powers[:k]),
+    )
+    roundoff = np.finfo(float).eps / 2
+    cross = np.einsum("am,bm->ab", bound * bsq, np.abs(series), optimize=False)
+    square = np.einsum("am,bm->ab", bound * bsq, bound, optimize=False)
+    err = roundoff * (cross + cross.T) + roundoff**2 * square
+    rounding = float((err * np.abs(scale[:, None] * scale)).max() / np.abs(G_star).max())
+    if rounding > GRAM_ROUNDING:
+        raise UnboundedSymbolError(
+            f"normality Gram: the weight products cancel; the rounding bound "
+            f"{rounding:.3g} of the defect exceeds {GRAM_ROUNDING:g}"
+        )
     return G_T, G_star
 
 

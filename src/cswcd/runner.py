@@ -29,6 +29,8 @@ from .conjugations import (
     involution_defect,
     isometry_defect,
     is_C_symmetric,
+    kernel_axioms_defect,
+    kernel_symmetry_defect,
     make_J,
     make_rotation_J,
     make_wc_J,
@@ -86,10 +88,9 @@ class RunConfig:
     """A validated configuration and what its checks share, each built the
     first time asked.
 
-    ``conjugation`` is made for the config's space from ``conjugation_doc``
-    and chooses its own working truncation (the weighted-composition kind
-    works at an extended one); ``work_matrix`` is the operator at that
-    truncation.
+    ``conjugation`` is made for the config's space from ``conjugation_doc``.
+    ``weight_at(order)`` rebuilds the pair's weight at another truncation, for
+    the kernel forms whose weight series grow past the config's own.
     """
 
     space: SpaceParams
@@ -112,24 +113,13 @@ class RunConfig:
     def conjugation(self) -> AntilinearConjugation:
         return make_conjugation(resolve_conjugation_kind(self), self.space)
 
-    @cached_property
-    def work_matrix(self) -> OperatorMatrix:
-        space = self.conjugation.space
-        if space == self.space:
-            return self.matrix
-        return build_wcd_matrix(make_pair(self.symbols, space), space)
+    def weight_at(self, order: int) -> TruncatedSeries:
+        return make_pair(self.symbols, SpaceParams(self.space.alpha, self.space.n, order)).psi
 
     @cached_property
     def gram_defect(self) -> float:
-        """Kernel Gram defect of the operator, read by both normality checks;
-        the weight series grows past the config's truncation by rebuilding
-        the pair at a higher order."""
-        alpha, n = self.space.alpha, self.space.n
-
-        def weight_at(order: int) -> TruncatedSeries:
-            return make_pair(self.symbols, SpaceParams(alpha, n, order)).psi
-
-        return normality_gram_defect(self.pair, alpha, weight_at)
+        """Kernel Gram defect of the operator, read by both normality checks."""
+        return normality_gram_defect(self.pair, self.space.alpha, self.weight_at)
 
     @cached_property
     def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -476,9 +466,13 @@ def _j_symmetry(config: RunConfig) -> tuple:
 
 
 def _c_symmetry(config: RunConfig) -> tuple:
+    """An exact kind compares matrix entries; the weighted-composition kind
+    compares the kernel bilinear form with its transpose."""
     C = config.conjugation
-    tol = TOL_EXACT if C.exact else TOL_GUARDED
-    return is_C_symmetric(config.work_matrix, C), tol, f"conjugation-symmetry; kind={C.kind}"
+    if C.exact:
+        return is_C_symmetric(config.matrix, C), TOL_EXACT, f"conjugation-symmetry; kind={C.kind}"
+    defect = kernel_symmetry_defect(config.pair, C, config.weight_at)
+    return defect, TOL_EXACT, f"kernel-symmetry; kind={C.kind}"
 
 
 def _self_adjointness(config: RunConfig) -> tuple:
@@ -558,7 +552,11 @@ def _check_necessary_conditions(config: RunConfig) -> CheckReport:
 
 
 def _conjugation_axioms(config: RunConfig) -> tuple:
+    """An exact kind applies C to five seeded polynomials; the
+    weighted-composition kind checks the identities on kernels."""
     C = config.conjugation
+    if not C.exact:
+        return kernel_axioms_defect(C), 1e-9, f"kernel-conjugation-axioms; kind={C.kind}"
     rng = SplitMix64(config.seed ^ 0xA5A5)
     deg = config.space.N - GUARD_BAND
     worst = 0.0
@@ -570,7 +568,7 @@ def _conjugation_axioms(config: RunConfig) -> tuple:
         f = TruncatedSeries(coeffs)
         worst = max(worst, involution_defect(C, f))
         worst = max(worst, isometry_defect(C, f))
-    return worst, 1e-12 if C.exact else 1e-9, f"conjugation-axioms; kind={C.kind}"
+    return worst, 1e-12, f"conjugation-axioms; kind={C.kind}"
 
 
 # grid check -> provenance tag

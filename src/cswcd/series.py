@@ -142,6 +142,14 @@ def eval_tail_bound(f: TruncatedSeries, z: complex) -> float:
     return top * r ** (f.order + 1) / (1.0 - r)
 
 
+def power_table(x: np.ndarray, count: int) -> np.ndarray:
+    """The (len(x), count) array of x^j for j = 0..count-1, by running products."""
+    out = np.empty((x.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.multiply.accumulate(out, axis=1, out=out)
+
+
 def series_power(phi: TruncatedSeries, k: int) -> TruncatedSeries:
     """phi^k by repeated Cauchy product; exact in every retained coefficient."""
     if k < 0:

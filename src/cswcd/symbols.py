@@ -301,16 +301,13 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
     )
 
 
-def unitary_symbols(
-    p: complex, lambda_u: complex, alpha: float, N: int
-) -> SymbolPair:
-    """Symbols of the unitary, coefficient-conjugation-symmetric weighted
-    composition operator:
-
-        psi(z) = lambda_u (1 - |p|^2)^((alpha+2)/2) / (1 - conj(p) z)^(alpha+2),
-        phi(z) = (conj(p)/p) (p - z) / (1 - conj(p) z),
-
-    for p in the punctured disk and unimodular lambda_u. The order is 0.
+def unitary_parameters(
+    p: complex, lambda_u: complex, alpha: float
+) -> tuple[complex, complex, LinearFractionalMap]:
+    """(k, q, phi) of the unitary symbols at p: the weight is
+    psi(z) = k (1 - q z)^-(alpha+2) with k = lambda_u (1 - |p|^2)^((alpha+2)/2)
+    and q = conj(p), and the map is phi(z) = (conj(p)/p) (p - z) / (1 - conj(p) z),
+    for p in the punctured disk and unimodular lambda_u.
     """
     if p == 0:
         raise DomainError("p must be nonzero; use a rotation for p = 0")
@@ -319,9 +316,19 @@ def unitary_symbols(
     if abs(abs(lambda_u) - 1.0) > 1e-12:
         raise DomainError(f"lambda_u must be unimodular, got |lambda_u| = {abs(lambda_u):.6f}")
     pbar = np.conj(p)
-    scale = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
-    psi = series_scale(expand_rational_kernel(alpha + 2, pbar, N), scale)
-    phi = LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
+    k = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
+    return k, pbar, LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
+
+
+def unitary_symbols(
+    p: complex, lambda_u: complex, alpha: float, N: int
+) -> SymbolPair:
+    """Symbols of the unitary, coefficient-conjugation-symmetric weighted
+    composition operator (``unitary_parameters``), the weight truncated at
+    N. The order is 0.
+    """
+    k, q, phi = unitary_parameters(p, lambda_u, alpha)
+    psi = series_scale(expand_rational_kernel(alpha + 2, q, N), k)
     return SymbolPair(
         psi,
         phi,

@@ -1,24 +1,39 @@
 """Tests for the antilinear conjugations and the symmetry test C T* C = T."""
 
+import cmath
+import math
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cswcd.bergman import SpaceParams
+from cswcd import conjugations
+from cswcd.bergman import SpaceParams, kernel
 from cswcd.conjugations import (
-    AntilinearConjugation,
+    KERNEL_POINTS,
     conjugated_adjoint,
     conjugation_apply,
+    extended_space,
     involution_defect,
     is_C_symmetric,
     isometry_defect,
+    kernel_axioms_defect,
+    kernel_image,
+    kernel_symmetry_defect,
+    kernel_symmetry_form,
     make_J,
     make_rotation_J,
     make_wc_J,
+    weight_values,
 )
-from cswcd.errors import DomainError, TruncationMismatchError
+from cswcd.defaults import TOL_EXACT, TOL_GUARDED
+from cswcd.errors import DomainError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
 from cswcd.rng import SplitMix64
-from cswcd.runner import draw_symbols, parse_config
+from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config
 from cswcd.series import TruncatedSeries, monomial, series_conjugate_reflect, series_scale
 from cswcd.symbols import (
     SymbolPair,
@@ -26,6 +41,7 @@ from cswcd.symbols import (
     family_general,
     family_j_symmetric,
     family_self_adjoint,
+    unitary_symbols,
 )
 
 SPACE = SpaceParams(0.0, 1, 24)
@@ -145,6 +161,201 @@ class TestWcJ:
         assert not C.exact and isinstance(C.unitary, OperatorMatrix)
         assert C.unitary.space == C.space and C.claim_dim == SPACE.N + 1
 
+    def test_unitary_is_built_when_read(self, monkeypatch):
+        builds = []
+        inner = conjugations.build_weighted_composition
+
+        def counted(*args):
+            builds.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(conjugations, "build_weighted_composition", counted)
+        C = make_wc_J(0.4 * np.exp(1.2j), np.exp(0.5j), SPACE)
+        assert builds == []
+        U = C.unitary
+        assert C.unitary is U and len(builds) == 1
+        pair = unitary_symbols(0.4 * np.exp(1.2j), np.exp(0.5j), SPACE.alpha, C.space.N)
+        assert np.array_equal(builds[0][0].coeffs, pair.psi.coeffs)
+
+
+class TestSymbols:
+    """Each conjugation carries its weight psi_C(u) = k (1 - q u)^-(alpha+2),
+    as (k, q), and its map phi_C."""
+
+    def test_plain_and_rotation(self):
+        C = make_J(SPACE)
+        assert C.weight == (1, 0) and (C.phi.a, C.phi.b, C.phi.c, C.phi.d) == (1, 0, 0, 1)
+        mu, lam = np.exp(0.3j), np.exp(-0.7j)
+        C = make_rotation_J(mu, lam, SPACE)
+        assert C.weight == (mu, 0) and (C.phi.a, C.phi.b, C.phi.c, C.phi.d) == (lam, 0, 0, 1)
+        assert C.exact
+
+    def test_weighted_composition(self):
+        p, lam_u = 0.4 * np.exp(1.2j), np.exp(0.5j)
+        C = make_wc_J(p, lam_u, SPACE)
+        pair = unitary_symbols(p, lam_u, SPACE.alpha, SPACE.N)
+        k, q = C.weight
+        assert k == pytest.approx(lam_u * (1 - abs(p) ** 2) ** ((SPACE.alpha + 2) / 2))
+        assert q == np.conj(p) and C.phi == pair.phi and not C.exact
+        assert C.space == extended_space(SPACE, p)
+        u = np.array(KERNEL_POINTS)
+        expect = [complex(np.polyval(pair.psi.coeffs[::-1], x)) for x in u]
+        assert np.allclose(conjugations.conjugation_weight(C, u), expect, rtol=1e-12)
+
+
+def wc_closed(a, b, c, n, alpha, p, lambda_u):
+    """psi, phi and the conjugation's (psi_C, phi_C) of a wc-conjugated pair
+    in mpmath: psi = psi_p (psi_base o phi_p) and phi = phi_base o phi_p."""
+    pbar = mpmath.conj(p)
+    k = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
+
+    def psi_C(z):
+        return k / (1 - pbar * z) ** (alpha + 2)
+
+    def phi_C(z):
+        return (pbar / p) * (p - z) / (1 - pbar * z)
+
+    def psi(z):
+        w = phi_C(z)
+        return psi_C(z) * a * w**n / (math.factorial(n) * (1 - c * w) ** (n + alpha + 2))
+
+    def phi(z):
+        w = phi_C(z)
+        return c + b * w / (1 - c * w)
+
+    return psi, phi, psi_C, phi_C
+
+
+def weight_at(symbols, alpha, n):
+    return lambda order: make_pair(symbols, SpaceParams(alpha, n, order)).psi
+
+
+class TestKernelForms:
+    """C-symmetry and the conjugation axioms on reproducing kernels."""
+
+    def test_kernel_image_matches_dense_unitary(self):
+        # C K_z through the dense U at the working truncation against
+        # c_z K_(v_z), on the leading claim window
+        alpha = 0.5
+        space = SpaceParams(alpha, 1, 48)
+        C = make_wc_J(0.45 * np.exp(0.8j), np.exp(0.3j), space)
+        for z in (0.3 - 0.2j, -0.5j, 0.6):
+            (c,), (v,) = kernel_image(C, np.array([z]))
+            got = conjugation_apply(C, kernel(z, 0, alpha, C.space.N)).coeffs[: C.claim_dim]
+            want = c * kernel(v, 0, alpha, space.N).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_bilinear_form_matches_mpmath(self):
+        # B[i, j] at 40 digits from the closed forms of psi, phi, psi_C and phi_C
+        alpha, n = 0.5, 2
+        a, b, c = 1 + 0.4j, 0.3 + 0.1j, 0.15 - 0.1j
+        p, lam_u = 0.55 * cmath.exp(0.7j), cmath.exp(0.9j)
+        symbols = {"family": "wc-conjugated", "a": [a.real, a.imag], "b": [b.real, b.imag],
+                   "c": [c.real, c.imag], "p": [p.real, p.imag],
+                   "lambda_u": [lam_u.real, lam_u.imag]}
+        space = SpaceParams(alpha, n, 96)
+        pair = make_pair(symbols, space)
+        C = make_wc_J(p, lam_u, space)
+        u = np.array(KERNEL_POINTS)
+        B = kernel_symmetry_form(pair, C, weight_values(pair.psi, u, weight_at(symbols, alpha, n)))
+        with mpmath.workdps(40):
+            al = mpmath.mpf(alpha)
+            psi, phi, psi_C, phi_C = wc_closed(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c), n, al,
+                                               mpmath.mpc(p), mpmath.mpc(lam_u))
+            points = [mpmath.mpc(x) for x in KERNEL_POINTS]
+            rising = mpmath.rf(al + 2, n)
+            exact = [[psi(uj) * rising * phi_C(ui) ** n
+                      * (1 - phi_C(ui) * phi(uj)) ** -(al + n + 2) / psi_C(uj)
+                      for uj in points] for ui in points]
+            asymmetry = max(abs(exact[i][j] - exact[j][i]) for i in range(8) for j in range(8))
+            exact = np.array([[complex(x) for x in row] for row in exact])
+        top = np.max(np.abs(exact))
+        assert asymmetry <= 1e-35 * top
+        assert np.max(np.abs(B - exact)) <= 1e-14 * top
+
+    def test_weight_series_that_never_converges_is_refused(self):
+        # at |u| = 1 every term of sum u^m is 1, so the last quarter never shrinks
+        ones = lambda order: TruncatedSeries(np.ones(order + 1))  # noqa: E731
+        with pytest.raises(UnboundedSymbolError, match="not converged at order 2047"):
+            weight_values(ones(63), np.array([1.0 + 0j]), ones)
+
+    def test_weight_series_grows_past_a_small_truncation(self):
+        symbols = {"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": [0.2, 0.1]}
+        small = make_pair(symbols, SpaceParams(0.5, 1, 3))
+        large = make_pair(symbols, SpaceParams(0.5, 1, 200))
+        u = np.array(KERNEL_POINTS)
+        got = weight_values(small.psi, u, weight_at(symbols, 0.5, 1))
+        want = weight_values(large.psi, u, weight_at(symbols, 0.5, 1))
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p", [0.3 + 0.1j, 0.6, 0.9 * np.exp(2j), 0.99j])
+    def test_axioms_hold_for_every_p(self, p):
+        C = make_wc_J(p, np.exp(0.9j), SpaceParams(0.5, 2, 8))
+        assert kernel_axioms_defect(C) <= 1e-13
+
+    def test_axioms_hold_for_the_exact_kinds(self):
+        space = SpaceParams(0.5, 2, 24)
+        for C in (make_J(space), make_rotation_J(np.exp(0.3j), np.exp(-0.7j), space)):
+            assert kernel_axioms_defect(C) <= 1e-15
+
+    def test_axioms_see_a_scaled_weight(self):
+        C = make_wc_J(0.3 + 0.1j, 1j, SpaceParams(0.5, 1, 32))
+        k, q = C.weight
+        defect = kernel_axioms_defect(replace(C, weight=(1.001 * k, q)))
+        assert defect == pytest.approx(2e-3, rel=1e-2)
+
+    def test_symmetry_refuses_an_unbounded_pair(self):
+        # sup|phi| = 1 and no boundedness flag: the operator gate refuses
+        symbols = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
+        space = SpaceParams(0.5, 1, 16)
+        with pytest.raises(UnboundedSymbolError):
+            kernel_symmetry_defect(make_pair(symbols, space), make_wc_J(0.3, 1.0, space),
+                                   weight_at(symbols, 0.5, 1))
+
+
+def with_angle(z: complex, angle: float) -> list:
+    w = complex(z) * cmath.exp(1j * angle)
+    return [w.real, w.imag]
+
+
+def controls(family: str, symbols: dict) -> dict:
+    """Conjugation descriptors to compare under: the family's own, plain-J,
+    and for the conjugated families the off-by-a-little ones."""
+    out = {"auto": {"kind": "auto"}, "plain-J": {"kind": "plain-J"}}
+    if family == "wc-conjugated":
+        p = complex(*symbols["p"])
+        out["p 1 % off"] = {"kind": "wc-J", "p": [1.01 * p.real, 1.01 * p.imag],
+                            "lambda_u": symbols["lambda_u"]}
+        # a unimodular factor of C cancels in C T* C, so this one stays symmetric
+        out["lambda_u 0.01 rad off"] = {
+            "kind": "wc-J", "p": symbols["p"],
+            "lambda_u": with_angle(complex(*symbols["lambda_u"]), 0.01)}
+    if family == "rotation-conjugated":
+        out["lambda 0.01 rad off"] = {"kind": "rotation-J", "mu": symbols["mu"],
+                                      "lambda": with_angle(complex(*symbols["lam"]), 0.01)}
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(SWEEPABLE_FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_kernel_form_agrees_with_the_matrix_path(family, seed):
+    """On pass/fail at alpha 0.5, n 2, N 32: the kernel form at TOL_EXACT
+    against C T* C = T on the matrix (TOL_EXACT for an exact kind, the
+    guarded block at TOL_GUARDED for wc-J), for the family's own conjugation
+    and the controls; the kernel form is applied to every kind here."""
+    symbols = draw_symbols({"family": family}, SplitMix64(seed))
+    space = {"alpha": 0.5, "n": 2, "N": 32}
+    for name, conjugation in controls(family, symbols).items():
+        config = parse_config({"space": space, "symbols": symbols, "conjugation": conjugation,
+                               "checks": ["C-symmetry"]})
+        C = config.conjugation
+        M = build_wcd_matrix(make_pair(symbols, C.space), C.space)
+        by_matrix = is_C_symmetric(M, C) <= (TOL_EXACT if C.exact else TOL_GUARDED)
+        by_kernel = kernel_symmetry_defect(config.pair, C, config.weight_at) <= TOL_EXACT
+        assert by_kernel == by_matrix, name
+        if name in ("p 1 % off", "lambda 0.01 rad off"):
+            assert not by_kernel, name
+
 
 class TestConjugatedAdjoint:
     def test_plain_J_gives_transpose(self):
@@ -187,6 +398,12 @@ def drawn_config(symbols, seed):
                          "checks": ["C-symmetry"]})
 
 
+def work_matrix(config):
+    """The operator at the conjugation's working truncation."""
+    space = config.conjugation.space
+    return build_wcd_matrix(make_pair(config.symbols, space), space)
+
+
 def random_like(M, seed):
     """A dense complex matrix at M's truncation, symmetric under no conjugation."""
     rng = np.random.default_rng(seed)
@@ -206,7 +423,8 @@ class TestClaimWindow:
             symbols = {"family": "wc-conjugated", "ranges": {"abs_p": list(band)}}
             config = drawn_config(symbols, seed)
             C, k = config.conjugation, config.conjugation.claim_dim
-            for M in (config.work_matrix, random_like(config.work_matrix, seed)):
+            M = work_matrix(config)
+            for M in (M, random_like(M, seed)):
                 window = conjugated_adjoint(C, M)
                 assert window.entries.shape == (k, k) and window.space == config.space
                 ref = reference_conjugated_adjoint(C, M)[:k, :k]
@@ -216,7 +434,7 @@ class TestClaimWindow:
         config = drawn_config({"family": "self-adjoint", "ranges": {"abs_c": [0.2, 0.5]}}, 3)
         C = config.conjugation
         assert C.kind == "rotation-J"
-        for M in (config.work_matrix, random_like(config.work_matrix, 3)):
+        for M in (config.matrix, random_like(config.matrix, 3)):
             out = conjugated_adjoint(C, M)
             assert out.space == M.space
             ref = reference_conjugated_adjoint(C, M)

@@ -9,6 +9,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cswcd.bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel
 from cswcd.conjugations import make_wc_J
@@ -44,6 +46,7 @@ from cswcd.symbols import (
     lft_to_series,
     rotation_map,
     sigma_companion,
+    sup_norm_lft,
     unitary_symbols,
 )
 
@@ -452,6 +455,27 @@ class TestCowenAdjointPair:
         space = SpaceParams(0.0, 1, 16)
         with pytest.raises(UnboundedSymbolError):
             cowen_adjoint_pair(LinearFractionalMap(0.5, 0.5, 0, 1), 1, space)
+
+
+def disk_point(min_radius, max_radius):
+    return st.builds(lambda r, t: r * np.exp(1j * t),
+                     st.floats(min_radius, max_radius), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(b=disk_point(0.01, 0.9), c_den=disk_point(0.0, 0.9), c_const=disk_point(0.0, 0.9),
+       n=st.integers(1, 3), alpha=st.floats(-0.9, 3.0), extra=st.integers(0, 46))
+def test_adjoint_pair_identity_on_admissible_pairs(b, c_den, c_const, n, alpha, extra):
+    """adjoint(matrix(A)) = matrix(B) entrywise for the companion pair of any
+    map c_const + b z / (1 - c_den z) with sup|phi| < 0.95, at every
+    truncation; the check's tolerance is 1e-9, the identity holds to 1e-12."""
+    phi = LinearFractionalMap(b - c_const * c_den, c_const, -c_den, 1.0)
+    assume(sup_norm_lft(phi) < 0.95)
+    space = SpaceParams(alpha, n, n + 2 + extra)
+    pair_a, pair_b = cowen_adjoint_pair(phi, n, space)
+    MA = build_wcd_matrix(pair_a, space).entries
+    MB = build_wcd_matrix(pair_b, space).entries
+    assert np.max(np.abs(MA.conj().T - MB)) <= 1e-12 * np.max(np.abs(MB))
 
 
 class TestCsvExport:

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from cswcd import diagnostics, runner
+from cswcd import diagnostics, matrices, runner
 from cswcd.cli import _exit_code, main
 from cswcd.errors import ConfigError
 from cswcd.rng import SplitMix64
@@ -267,6 +270,18 @@ class TestOneBuildPerConfig:
         assert [r.status for r in reports] == ["pass", "pass"]
         assert len(conjugations) == 1
 
+    def test_wc_checks_build_no_matrix(self, monkeypatch):
+        builds = []
+        inner = matrices._build
+        monkeypatch.setattr(matrices, "_build", lambda *args: builds.append(args) or inner(*args))
+        doc = config_with(space=WC_SPACE, symbols={**WC_SYMBOLS, "p": [0.5, 0.3]},
+                          checks=["C-symmetry", "conjugation-axioms"])
+        reports = run(parse_config(doc))
+        assert [(r.status, r.tolerance) for r in reports] == [("pass", 1e-10), ("pass", 1e-9)]
+        assert [r.provenance for r in reports] == ["kernel-symmetry; kind=wc-J",
+                                                   "kernel-conjugation-axioms; kind=wc-J"]
+        assert builds == []
+
     def test_one_commutator_per_run(self):
         # one kernel Gram serves both normality checks; counted by code
         # object, so no module binding of normality_gram_defect escapes
@@ -407,6 +422,20 @@ class TestNormality:
         (report,) = run(parse_config(doc))
         assert report.status == "unverified"
         assert "image gate" in report.provenance
+
+    @pytest.mark.parametrize("alpha, status", [(50.0, "pass"), (100.0, "unverified"),
+                                               (200.0, "unverified")])
+    def test_cancelling_weight_product_is_unverified(self, alpha, status):
+        # on the normal unitary pair psi (1 + (c/d) z)^s is a constant summed
+        # from terms near 1e33 at alpha 100; the Gram defect was 0.23 there
+        doc = config_with(space={"alpha": alpha, "n": 1, "N": 48}, symbols=UNITARY,
+                          checks=["normality"])
+        (report,) = run(parse_config(doc))
+        assert report.status == status
+        if status == "unverified":
+            assert "the weight products cancel" in report.provenance
+        else:
+            assert report.defect <= 1e-10
 
     def test_unconverged_series_is_unverified(self):
         doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, symbols=EXPLICIT_NEAR_POLE,
@@ -738,3 +767,41 @@ class TestCli:
         assert main(["check", self.write(tmp_path, config_with())]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["header"]["guard"] == 8
+
+
+# one sweep per conjugation kind, as (space, symbols, checks); each report
+# must have the same bytes at one and at two BLAS threads
+THREAD_SWEEPS = {
+    "wc-J": ({"alpha": 0.5, "n": 2, "N": 96}, {"family": "wc-conjugated"},
+             ["C-symmetry", "conjugation-axioms"]),
+    "plain-J": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "j-symmetric"},
+                ["J-symmetry", "C-symmetry", "conjugation-axioms"]),
+    "rotation-J": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "rotation-conjugated"},
+                   ["C-symmetry", "conjugation-axioms"]),
+}
+SWEEP_SCRIPT = "import sys; from cswcd.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("kind", [
+    "wc-J",
+    "plain-J",
+    # the Frobenius norms of is_C_symmetric come from np.linalg.norm, whose
+    # sums of squares are BLAS dot products
+    pytest.param("rotation-J", marks=pytest.mark.xfail(
+        strict=True, reason="np.linalg.norm sums with a BLAS dot product")),
+])
+def test_sweep_bytes_do_not_depend_on_blas_threads(kind, tmp_path):
+    space, symbols, checks = THREAD_SWEEPS[kind]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"space": space, "symbols": symbols, "checks": checks}),
+                   encoding="utf-8")
+    src = str(Path(__file__).parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, "sweep", str(cfg), "--draws", "10",
+                        "--seed", "3", "--out", str(out)], env=env, check=True, timeout=120)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -4,9 +4,10 @@ Each case perturbs a config for which its check holds exactly (defect at
 rounding level) by a relative or angular amount eps. Away from the rounding
 floor the defect is linear in eps, so every perturbed case must fail its
 check and the log-log slope over eps in {1e-2, 1e-4, 1e-6} must be 1. The
-checks compare a claim window (``conjugated_adjoint``) or a guarded block,
-so these cases also show that the narrowed products still see a defect.
-All cases run at alpha 0.5, n 1, N 64.
+wc-J cases run through the kernel forms, which compare closed forms at
+fixed points of the disk instead of matrix entries, so these cases also
+show that eight points still see a defect. All cases run at alpha 0.5, n 1,
+N 64.
 
 The rotation kind is exact, so its ``C-symmetry`` compares the whole matrix
 and needs no guard band: at the smallest truncations, where a guarded block
@@ -15,17 +16,17 @@ would hold one or two rows, a wrong rotation must still fail.
 No config can break the identities behind ``adjoint-kernel``,
 ``adjoint-pair`` and ``conjugation-axioms``, so their cases scale one side of
 the identity by (1 + eps) instead, by replacing a function that the check
-reads.
+reads; for ``conjugation-axioms`` that is the weight constant k of the wc-J
+conjugation.
 """
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cswcd import matrices, runner
-from cswcd.conjugations import AntilinearConjugation
-from cswcd.matrices import OperatorMatrix
 from cswcd.runner import parse_config, run
 from cswcd.symbols import SymbolPair
 
@@ -102,14 +103,14 @@ def scaled_companion_weight(eps: float, monkeypatch) -> dict:
     return general(0.0, "adjoint-pair")
 
 
-def scaled_wc_unitary(eps: float, monkeypatch) -> dict:
-    # the dense U of the weighted-composition conjugation
+def scaled_wc_weight(eps: float, monkeypatch) -> dict:
+    # the constant k of the weight psi_C(u) = k (1 - q u)^-(alpha+2)
     inner = runner.make_wc_J
 
     def scaled(p, lambda_u, space):
         C = inner(p, lambda_u, space)
-        U = OperatorMatrix((1 + eps) * C.unitary.entries, C.unitary.space)
-        return AntilinearConjugation(U, C.space, C.kind, C.claim_dim)
+        k, q = C.weight
+        return replace(C, weight=((1 + eps) * k, q))
 
     monkeypatch.setattr(runner, "make_wc_J", scaled)
     return {**wc_j(0.0), "checks": ["conjugation-axioms"]}
@@ -118,7 +119,7 @@ def scaled_wc_unitary(eps: float, monkeypatch) -> dict:
 SCALED_CASES = {
     "adjoint-kernel, psi(w) (1 + eps)": scaled_psi_at_point,
     "adjoint-pair, weight of B (1 + eps)": scaled_companion_weight,
-    "conjugation-axioms wc-J, U (1 + eps)": scaled_wc_unitary,
+    "conjugation-axioms wc-J, k (1 + eps)": scaled_wc_weight,
 }
 
 
