@@ -10,7 +10,6 @@ Exit codes: 0 all pass, 1 any check failure, 2 configuration error,
 3 everything unverified (boundedness gates refused every check), 4 internal
 error (traceback on stderr). A sweep needs --draws >= 1 and applies the same
 rule to its status counts summed over draws and checks.
-The trailing guard band is the constant ``defaults.GUARD_BAND``.
 """
 
 from __future__ import annotations

@@ -29,27 +29,32 @@ Garcia–Putinar). ``kernel_symmetry_defect`` and ``kernel_axioms_defect``
 evaluate these closed forms at KERNEL_POINTS.
 
 The kind still has a dense U for the tests and for ``conjugation_apply``,
-built only when read, at an extended truncation (``extended_space``):
-composing with a disk automorphism spreads the coefficient mass of basis
-vector j across rows up to roughly j (1+|p|)/(1-|p|), so no fixed trailing
-guard band makes the truncated U act like a unitary at the build size. The
-conjugation's ``claim_dim`` keeps the matrix claims on the requested leading
-block, and ``conjugated_adjoint`` forms its product only on that window.
+built only when read, at the conjugation's own truncation. Composing with a
+disk automorphism spreads the coefficient mass of basis vector j across rows
+up to roughly j (1+|p|)/(1-|p|), so the truncated U is not unitary there;
+the tests build their dense reference at ``extended_space``, a truncation
+that holds that spread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bergman import SpaceParams, space_norm, t_constant
-from .defaults import GUARD_BAND, MAX_WORK_DIM
+from .defaults import MAX_WORK_DIM
 from .diagnostics import GRAM_TAIL
 from .errors import DomainError, TruncationMismatchError, UnboundedSymbolError
-from .matrices import OperatorMatrix, apply, build_weighted_composition, operator_gate
+from .matrices import (
+    OperatorMatrix,
+    apply,
+    build_weighted_composition,
+    frobenius_norm,
+    operator_gate,
+)
 from .series import (
     TruncatedSeries,
     expand_rational_kernel,
@@ -80,15 +85,13 @@ class AntilinearConjugation:
     coefficients, then apply the weighted composition U of (psi_C, phi_C).
 
     ``weight`` is (k, q) with psi_C(u) = k (1 - q u)^-(alpha+2) and ``phi``
-    is phi_C. ``space`` is the working truncation of U, and the matrix
-    claims hold on the leading ``claim_dim`` coefficients.
+    is phi_C. ``space`` is the truncation of U.
     """
 
     weight: tuple[complex, complex]
     phi: LinearFractionalMap
     space: SpaceParams
     kind: str
-    claim_dim: int
 
     @property
     def exact(self) -> bool:
@@ -101,7 +104,7 @@ class AntilinearConjugation:
     def unitary(self) -> np.ndarray | OperatorMatrix:
         """U at ``space``, built the first time it is read: the read-only
         diagonal k lam^j for an exact kind, else the dense weighted-composition
-        matrix, unitary only on a leading block."""
+        matrix."""
         k, q = self.weight
         N = self.space.N
         if self.exact:
@@ -118,45 +121,34 @@ def make_J(space: SpaceParams) -> AntilinearConjugation:
     The basis e_j = z^j/beta(j) has real coefficients, so this conjugation
     fixes it and the factored form is exact.
     """
-    return AntilinearConjugation((1.0 + 0j, 0j), IDENTITY_MAP, space, "plain-J", space.N + 1)
+    return AntilinearConjugation((1.0 + 0j, 0j), IDENTITY_MAP, space, "plain-J")
 
 
 def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
     """Rotation kind: weight mu, composition with lam z; U = diag(mu lam^j)."""
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
-    return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), space, "rotation-J",
-                                 space.N + 1)
+    return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), space, "rotation-J")
 
 
 def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
-    """Weighted-composition kind at p != 0 for the truncation of ``space``.
-
-    The symbols are those of ``unitary_parameters``. U, when read, is built
-    at ``extended_space(space, p)``, and the matrix claims are asserted on
-    the leading space.N + 1 coefficients.
-    """
-    work = extended_space(space, p)
+    """Weighted-composition kind at p != 0, with the symbols of
+    ``unitary_parameters``, at the truncation of ``space``."""
     k, q, phi = unitary_parameters(p, lambda_u, space.alpha)
-    return AntilinearConjugation((k, q), phi, work, "wc-J", space.N + 1)
+    return AntilinearConjugation((k, q), phi, space, "wc-J")
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
-    """Truncation large enough that degree <= N inputs keep their image mass."""
-    return SpaceParams(space.alpha, space.n, extended_order(space.N, p))
-
-
-def extended_order(N: int, p: complex) -> int:
-    """Truncation order of ``extended_space`` for order N.
-
-    The automorphism at p pushes the coefficient mass of degree j to about
-    j (1+|p|)/(1-|p|); EXTENSION_SLACK more terms cover the geometric tail
-    beyond that.
+    """A truncation at which the dense U of the wc-J kind at p keeps the image
+    mass of degree <= N inputs: the automorphism at p pushes the mass of
+    degree j to about j (1+|p|)/(1-|p|), and EXTENSION_SLACK more terms cover
+    the geometric tail beyond that. The tests build their dense reference here.
     """
     r = abs(p)
     if r >= 1.0:
         raise DomainError(f"|p| must be < 1, got {r:.6f}")
-    return math.ceil(N * (1 + r) / (1 - r)) + EXTENSION_SLACK
+    return SpaceParams(space.alpha, space.n,
+                       math.ceil(space.N * (1 + r) / (1 - r)) + EXTENSION_SLACK)
 
 
 def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> TruncatedSeries:
@@ -171,20 +163,10 @@ def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> Truncated
 
 
 def involution_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
-    """Relative space-norm defect of C(C(f)) = f on the leading C.claim_dim
-    coefficients.
-
-    For the weighted-composition kind, applying C twice at a finite
-    truncation leaves dust at indices far beyond the input degree; the
-    window makes the measurement reflect the identity, not the truncation.
-    """
+    """Relative space-norm defect of C(C(f)) = f."""
+    alpha = C.space.alpha
     twice = conjugation_apply(C, conjugation_apply(C, f))
-    alpha, keep = C.space.alpha, C.claim_dim
-    diff = series_add(twice, series_scale(f, -1.0))
-    return (
-        space_norm(TruncatedSeries(diff.coeffs[:keep]), alpha)
-        / space_norm(TruncatedSeries(f.coeffs[:keep]), alpha)
-    )
+    return space_norm(series_add(twice, series_scale(f, -1.0)), alpha) / space_norm(f, alpha)
 
 
 def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
@@ -195,42 +177,31 @@ def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
 
 
 def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorMatrix:
-    """Matrix of C T* C on the claim window: the leading k = C.claim_dim rows
-    and columns of U . M^T . conj(U), at truncation k - 1.
+    """Matrix of C T* C: U . M^T . conj(U), at M's truncation.
 
     Coefficient conjugation turns the conjugate transpose into the plain
     transpose, leaving the two unitary factors. An exact kind's diagonal U
-    scales rows and columns elementwise over the whole matrix; the
-    weighted-composition kind multiplies only the k leading rows of U and
-    the k leading columns of conj(U), which is the leading block of the full
-    product up to rounding.
+    scales rows and columns elementwise.
     """
     if M.dim != C.space.N + 1:
         raise TruncationMismatchError(
             f"conjugation dimension {C.space.N + 1} does not match matrix {M.dim}"
         )
-    k = C.claim_dim
     if C.exact:
         out = C.unitary[:, None] * M.entries.T * np.conj(C.unitary)
     else:
         U = C.unitary.entries
-        out = U[:k] @ M.entries.T @ np.conj(U[:, :k])
-    return OperatorMatrix(out, replace(M.space, N=k - 1))
+        out = U @ M.entries.T @ np.conj(U)
+    return OperatorMatrix(out, M.space)
 
 
 def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
-    """Frobenius-relative defect of C T* C = T.
-
-    M must be built at ``C.space``; C T* C is formed on the claim window
-    only (``conjugated_adjoint``). For an exact kind the entries of both
-    sides are exact, so the whole matrix is compared. Otherwise the
-    comparison is restricted to the leading (C.claim_dim - GUARD_BAND) block.
-    """
-    target = conjugated_adjoint(C, M).entries
-    block = slice(None) if C.exact else slice(0, max(C.claim_dim - GUARD_BAND, 1))
-    num = np.linalg.norm(target[block, block] - M.entries[block, block])
-    den = np.linalg.norm(M.entries[block, block])
-    return float(num / den) if den > 0 else float(num)
+    """Frobenius-relative defect of C T* C = T over the whole matrix, which
+    must be built at ``C.space``. For an exact kind the entries of both
+    sides are exact."""
+    num = frobenius_norm(conjugated_adjoint(C, M).entries - M.entries)
+    den = frobenius_norm(M.entries)
+    return num / den if den > 0 else num
 
 
 def _lft_values(phi: LinearFractionalMap, u: np.ndarray) -> np.ndarray:

@@ -1,18 +1,17 @@
 """Run-wide numeric constants.
 
-Tolerances follow the two-tier scheme used throughout: entrywise-exact
-claims (every retained matrix entry equals the infinite operator's entry up
-to rounding) are asserted at TOL_EXACT; claims that involve products of
-truncated matrices are asserted at TOL_GUARDED on a leading block that
-excludes the trailing GUARD_BAND rows and columns.
+Every claim is checked at the config's own truncation, on the whole matrix
+or at points of the disk; there is no guarded block. The symmetry and
+self-adjointness claims, whose compared quantities are exact up to rounding,
+default to TOL_EXACT. TOL_GUARDED is the looser default of the checks whose
+defect also carries the tail or the rounding of a summed series: the
+normality Gram, ``adjoint-kernel`` and the two predicate checks.
 """
 
 DEFAULT_N = 64
 
 TOL_EXACT = 1e-10
 TOL_GUARDED = 1e-8
-
-GUARD_BAND = 8             # trailing rows/columns dropped from truncated-product assertions
 
 MAX_WORK_DIM = 2048        # largest dense dimension built; 2049^2 complex is about 64 MiB
 

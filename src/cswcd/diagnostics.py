@@ -29,9 +29,9 @@ from .bergman import (
     kernel_term_ratio,
     t_constant,
 )
-from .defaults import GUARD_BAND, MAX_WORK_DIM, TOL_GUARDED
+from .defaults import MAX_WORK_DIM, TOL_GUARDED
 from .errors import DomainError, SingularityError, UnboundedSymbolError
-from .matrices import OperatorMatrix, kernel_point_gate, operator_gate
+from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
 from .series import power_table
 from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
 
@@ -42,6 +42,7 @@ GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
 GRAM_START = 64            # weight coefficients and kernel terms a Gram series starts with
 GRAM_TAIL = 1e-18          # a Gram series grows while its tail exceeds this share of its sum
 GRAM_ROUNDING = TOL_GUARDED   # largest rounding bound of a Gram defect that is reported
+_COMMUTATOR_BAND = 8       # trailing rows/columns of is_normal's products left out
 
 TREND_BOUNDED = "bounded-looking"
 TREND_DIVERGING = "diverging"
@@ -188,22 +189,23 @@ def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
 
 
 def is_hermitian(M: OperatorMatrix) -> float:
-    """Frobenius-relative defect of M = M*; entrywise exact, no guard."""
+    """Frobenius-relative defect of M = M* over the whole matrix, whose
+    entries are exact."""
     A = M.entries
-    den = np.linalg.norm(A)
+    den = frobenius_norm(A)
     if den == 0:
         return 0.0
-    return float(np.linalg.norm(A - A.conj().T) / den)
+    return frobenius_norm(A - A.conj().T) / den
 
 
 def is_normal(M: OperatorMatrix) -> float:
-    """Commutator defect ||M M* - M* M||_F / ||M||_F^2 on the guarded block.
+    """Commutator defect ||M M* - M* M||_F / ||M||_F^2 on a leading block.
 
-    The products mix truncated tails, so the trailing GUARD_BAND
+    The products mix truncated tails, so the trailing _COMMUTATOR_BAND
     rows/columns are excluded from the comparison.
     """
     A = M.entries
-    keep = max(M.dim - GUARD_BAND, 1)
+    keep = max(M.dim - _COMMUTATOR_BAND, 1)
     comm = A @ A.conj().T - A.conj().T @ A
     den = np.linalg.norm(A) ** 2
     if den == 0:

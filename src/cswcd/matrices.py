@@ -138,6 +138,14 @@ def adjoint_matrix(M: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(M.entries.conj().T, M.space)
 
 
+def frobenius_norm(A: np.ndarray) -> float:
+    """sqrt of the sum of |A_ij|^2, summed over the contiguous float view by
+    an unoptimized ``einsum``, which never calls the BLAS, so the bytes cannot
+    depend on a BLAS build or thread count."""
+    x = np.ascontiguousarray(A).view(np.float64).reshape(-1)
+    return float(np.sqrt(np.einsum("i,i->", x, x, optimize=False)))
+
+
 def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
     """Apply the truncated operator to a series.
 

@@ -25,7 +25,6 @@ from . import __version__
 from .bergman import SpaceParams
 from .conjugations import (
     AntilinearConjugation,
-    extended_order,
     involution_defect,
     isometry_defect,
     is_C_symmetric,
@@ -35,7 +34,7 @@ from .conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from .defaults import DEFAULT_N, GUARD_BAND, MAX_WORK_DIM, TOL_EXACT, TOL_GUARDED
+from .defaults import DEFAULT_N, MAX_WORK_DIM, TOL_EXACT, TOL_GUARDED
 from .diagnostics import (
     GRAM_POINTS,
     GridReport,
@@ -144,7 +143,6 @@ class CheckReport:
             "status": self.status,
             "defect": self.defect,
             "tolerance": self.tolerance,
-            "guard": GUARD_BAND,
             "provenance": self.provenance,
         }
 
@@ -230,6 +228,11 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         )
     except DomainError as exc:
         raise ConfigError("space", str(exc)) from exc
+    # the operator matrix has N + 1 rows; refused before anything is built
+    if space.N + 1 > MAX_WORK_DIM:
+        raise ConfigError(
+            "space.N", f"dimension {space.N + 1} exceeds the budget of {MAX_WORK_DIM}"
+        )
     symbols = _require(doc, "symbols", "$")
     if not isinstance(symbols, dict) or "family" not in symbols:
         raise ConfigError("symbols.family", "missing family name")
@@ -277,7 +280,6 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         seed=_number(int, doc.get("seed", 0), "seed"),
         raw=doc,
     )
-    _check_work_budget(config, require_concrete)
     # family and conjugation preconditions surface as config errors before any check runs
     if kind != "auto":
         try:
@@ -294,42 +296,6 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             "symbols.family", f"family {symbols['family']!r} cannot be swept"
         )
     return config
-
-
-def _check_work_budget(config: RunConfig, require_concrete: bool) -> None:
-    """Refuse a config whose dense matrices would exceed MAX_WORK_DIM rows,
-    before anything is built.
-
-    The operator matrix has space.N + 1 rows; a weighted-composition
-    conjugation works at ``extended_order(space.N, p)``, which grows like
-    N (1+|p|)/(1-|p|). A sweep is bounded by its largest drawable |p|.
-    """
-    space, symbols, conj = config.space, config.symbols, config.conjugation_doc
-    if space.N + 1 > MAX_WORK_DIM:
-        raise ConfigError(
-            "space.N", f"dimension {space.N + 1} exceeds the budget of {MAX_WORK_DIM}"
-        )
-    if conj["kind"] == "wc-J":
-        path = "conjugation.p"
-        p = abs(_complex_value(_require(conj, "p", "conjugation"), path))
-    elif conj["kind"] == "auto" and symbols["family"] == "wc-conjugated":
-        if not require_concrete:
-            path, p = "symbols.ranges.abs_p", _range(symbols, "abs_p")[1]
-        elif "p" in symbols:
-            path = "symbols.p"
-            p = abs(_complex_value(symbols["p"], path))
-        else:
-            return                      # make_pair reports the missing field
-    else:
-        return
-    if p >= 1.0:
-        return                          # the constructor's domain error reports it
-    dim = extended_order(space.N, p) + 1
-    if dim > MAX_WORK_DIM:
-        raise ConfigError(
-            path, f"|p| {p:.6g} needs a working dimension of {dim} at N={space.N}, "
-            f"over the budget of {MAX_WORK_DIM}"
-        )
 
 
 def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
@@ -558,16 +524,11 @@ def _conjugation_axioms(config: RunConfig) -> tuple:
     if not C.exact:
         return kernel_axioms_defect(C), 1e-9, f"kernel-conjugation-axioms; kind={C.kind}"
     rng = SplitMix64(config.seed ^ 0xA5A5)
-    deg = config.space.N - GUARD_BAND
     worst = 0.0
     for _ in range(5):
-        coeffs = np.zeros(C.space.N + 1, dtype=complex)
-        coeffs[: deg + 1] = [
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)
-        ]
-        f = TruncatedSeries(coeffs)
-        worst = max(worst, involution_defect(C, f))
-        worst = max(worst, isometry_defect(C, f))
+        f = TruncatedSeries(np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                      for _ in range(config.space.N + 1)]))
+        worst = max(worst, involution_defect(C, f), isometry_defect(C, f))
     return worst, 1e-12, f"conjugation-axioms; kind={C.kind}"
 
 
@@ -847,7 +808,6 @@ def report_header(config: RunConfig, mode: str, **extra) -> dict:
         "mode": mode,
         "config_sha256": config_hash(config.raw),
         "seed": config.seed,
-        "guard": GUARD_BAND,
     }
     header.update(extra)
     return header

@@ -4,8 +4,9 @@
 
 runs every case through ``cswcd.cli.main`` in one process. It writes the
 report of each case to ``OUT_DIR/<case>.json`` and the exit codes, the BLAS
-build and the thread settings to ``OUT_DIR/manifest.json``. Reports are
-byte-stable only at a fixed BLAS thread count, so pin both variables.
+build and the thread settings to ``OUT_DIR/manifest.json``. The reports must
+not depend on the BLAS thread count; the tests run this script at one and at
+two threads and compare both runs with the fixtures.
 
 ``test_pinned_reports.py`` compares a fresh run against ``fixtures/pinned``,
 which holds the output of this script for the commit that the fixtures pin.

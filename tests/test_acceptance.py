@@ -2,12 +2,14 @@
 
 Defaults across criteria: alpha in {-0.5, 0, 1}, order n in {1, 2, 3},
 truncation N = 64 (96 for kernel checks), double precision. Tolerances are
-pinned in each criterion and match the guarded/exact scheme used by the
-library. Run with `pytest tests/test_acceptance.py -v -s`.
+pinned in each criterion. The dense wc-J references are built at the
+extended truncation of ``wc_reference``. Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from cswcd.symbols import (
     rotation_map,
     sup_norm_lft,
 )
+from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
 
 ALPHAS = (-0.5, 0.0, 1.0)
 ORDERS = (1, 2, 3)
@@ -183,8 +186,7 @@ def test_criterion_5_composed_conjugations():
         p = complex(*raw["p"])
         lam_u = complex(*raw["lambda_u"])
         C = make_wc_J(p, lam_u, space)
-        M = build_wcd_matrix(make_pair(raw, C.space), C.space)
-        defect = is_C_symmetric(M, C)
+        defect = wc_symmetry_defect(C, partial(make_pair, raw))
         worst = max(worst, defect)
     worst_rot = 0.0
     for i in range(50):
@@ -325,10 +327,10 @@ def test_criterion_9_conjugation_axioms():
         alpha = ALPHAS[i % 3]
         space = SpaceParams(alpha, 1, N_DEFAULT)
         p = rng.complex_annulus(0.1, 0.6) if i else 0.6
-        C = make_wc_J(p, rng.unimodular(), space)
+        C = extended(make_wc_J(p, rng.unimodular(), space))
         for _ in range(3):
             f = random_polynomial(rng, C.space.N, N_DEFAULT - 8)
-            worst_wc = max(worst_wc, involution_defect(C, f))
+            worst_wc = max(worst_wc, wc_involution_defect(C, f, N_DEFAULT))
             worst_wc = max(worst_wc, isometry_defect(C, f))
     ok_wc = worst_wc <= 1e-9
     criterion(

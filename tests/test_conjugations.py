@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -16,7 +17,6 @@ from cswcd.conjugations import (
     KERNEL_POINTS,
     conjugated_adjoint,
     conjugation_apply,
-    extended_space,
     involution_defect,
     is_C_symmetric,
     isometry_defect,
@@ -43,6 +43,7 @@ from cswcd.symbols import (
     family_self_adjoint,
     unitary_symbols,
 )
+from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
 
 SPACE = SpaceParams(0.0, 1, 24)
 
@@ -128,15 +129,15 @@ class TestRotationJ:
 
 class TestWcJ:
     def test_involution_and_isometry_guarded(self):
-        # inputs of degree <= N - 8 at the extended working truncation,
-        # involution compared on the original leading block
+        # inputs of degree <= N - 8 at the extended truncation, involution
+        # compared on the leading N + 1 coefficients
         rng = np.random.default_rng(45)
         N = 64
         for p in (0.6, 0.4 * np.exp(1.2j)):
             space = SpaceParams(0.0, 1, N)
-            C = make_wc_J(p, np.exp(0.5j), space)
+            C = extended(make_wc_J(p, np.exp(0.5j), space))
             f = rand_poly(rng, C.space.N, N - 8)
-            assert involution_defect(C, f) <= 1e-9
+            assert wc_involution_defect(C, f, N) <= 1e-9
             assert isometry_defect(C, f) <= 1e-9
 
     def test_kernel_maps_to_constant_for_real_p(self):
@@ -146,7 +147,7 @@ class TestWcJ:
 
         alpha, p, lam_u = 0.5, 0.45, np.exp(0.9j)
         space = SpaceParams(alpha, 1, 64)
-        C = make_wc_J(p, lam_u, space)
+        C = extended(make_wc_J(p, lam_u, space))
         out = conjugation_apply(C, kernel(p, 0, alpha, C.space.N))
         expect = lam_u * (1 - p**2) ** (-(alpha + 2) / 2)
         assert out.coeffs[0] == pytest.approx(expect, abs=1e-10)
@@ -159,7 +160,7 @@ class TestWcJ:
     def test_keeps_dense_unitary(self):
         C = make_wc_J(0.4, 1.0, SPACE)
         assert not C.exact and isinstance(C.unitary, OperatorMatrix)
-        assert C.unitary.space == C.space and C.claim_dim == SPACE.N + 1
+        assert C.unitary.space == C.space == SPACE
 
     def test_unitary_is_built_when_read(self, monkeypatch):
         builds = []
@@ -197,7 +198,7 @@ class TestSymbols:
         k, q = C.weight
         assert k == pytest.approx(lam_u * (1 - abs(p) ** 2) ** ((SPACE.alpha + 2) / 2))
         assert q == np.conj(p) and C.phi == pair.phi and not C.exact
-        assert C.space == extended_space(SPACE, p)
+        assert C.space == SPACE
         u = np.array(KERNEL_POINTS)
         expect = [complex(np.polyval(pair.psi.coeffs[::-1], x)) for x in u]
         assert np.allclose(conjugations.conjugation_weight(C, u), expect, rtol=1e-12)
@@ -234,14 +235,14 @@ class TestKernelForms:
     """C-symmetry and the conjugation axioms on reproducing kernels."""
 
     def test_kernel_image_matches_dense_unitary(self):
-        # C K_z through the dense U at the working truncation against
-        # c_z K_(v_z), on the leading claim window
+        # C K_z through the dense U at the extended truncation against
+        # c_z K_(v_z), on the leading N + 1 coefficients
         alpha = 0.5
         space = SpaceParams(alpha, 1, 48)
-        C = make_wc_J(0.45 * np.exp(0.8j), np.exp(0.3j), space)
+        C = extended(make_wc_J(0.45 * np.exp(0.8j), np.exp(0.3j), space))
         for z in (0.3 - 0.2j, -0.5j, 0.6):
             (c,), (v,) = kernel_image(C, np.array([z]))
-            got = conjugation_apply(C, kernel(z, 0, alpha, C.space.N)).coeffs[: C.claim_dim]
+            got = conjugation_apply(C, kernel(z, 0, alpha, C.space.N)).coeffs[: space.N + 1]
             want = c * kernel(v, 0, alpha, space.N).coeffs
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -340,17 +341,20 @@ def controls(family: str, symbols: dict) -> dict:
 @given(family=st.sampled_from(SWEEPABLE_FAMILIES), seed=st.integers(0, 2**32 - 1))
 def test_kernel_form_agrees_with_the_matrix_path(family, seed):
     """On pass/fail at alpha 0.5, n 2, N 32: the kernel form at TOL_EXACT
-    against C T* C = T on the matrix (TOL_EXACT for an exact kind, the
-    guarded block at TOL_GUARDED for wc-J), for the family's own conjugation
-    and the controls; the kernel form is applied to every kind here."""
+    against C T* C = T on the matrix (TOL_EXACT for an exact kind, the dense
+    reference of ``wc_reference`` at TOL_GUARDED for wc-J), for the family's
+    own conjugation and the controls; the kernel form is applied to every
+    kind here."""
     symbols = draw_symbols({"family": family}, SplitMix64(seed))
     space = {"alpha": 0.5, "n": 2, "N": 32}
     for name, conjugation in controls(family, symbols).items():
         config = parse_config({"space": space, "symbols": symbols, "conjugation": conjugation,
                                "checks": ["C-symmetry"]})
         C = config.conjugation
-        M = build_wcd_matrix(make_pair(symbols, C.space), C.space)
-        by_matrix = is_C_symmetric(M, C) <= (TOL_EXACT if C.exact else TOL_GUARDED)
+        if C.exact:
+            by_matrix = is_C_symmetric(config.matrix, C) <= TOL_EXACT
+        else:
+            by_matrix = wc_symmetry_defect(C, partial(make_pair, symbols)) <= TOL_GUARDED
         by_kernel = kernel_symmetry_defect(config.pair, C, config.weight_at) <= TOL_EXACT
         assert by_kernel == by_matrix, name
         if name in ("p 1 % off", "lambda 0.01 rad off"):
@@ -398,12 +402,6 @@ def drawn_config(symbols, seed):
                          "checks": ["C-symmetry"]})
 
 
-def work_matrix(config):
-    """The operator at the conjugation's working truncation."""
-    space = config.conjugation.space
-    return build_wcd_matrix(make_pair(config.symbols, space), space)
-
-
 def random_like(M, seed):
     """A dense complex matrix at M's truncation, symmetric under no conjugation."""
     rng = np.random.default_rng(seed)
@@ -412,23 +410,9 @@ def random_like(M, seed):
 
 
 class TestClaimWindow:
-    """conjugated_adjoint forms only the claim window; the full product is
-    the reference it must match, on the symmetric operator of the draw and on
-    a random matrix."""
-
-    @pytest.mark.parametrize("band", [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5),
-                                      (0.5, 0.6)])
-    def test_wc_window_is_leading_block_of_full_product(self, band):
-        for seed in (1, 2):
-            symbols = {"family": "wc-conjugated", "ranges": {"abs_p": list(band)}}
-            config = drawn_config(symbols, seed)
-            C, k = config.conjugation, config.conjugation.claim_dim
-            M = work_matrix(config)
-            for M in (M, random_like(M, seed)):
-                window = conjugated_adjoint(C, M)
-                assert window.entries.shape == (k, k) and window.space == config.space
-                ref = reference_conjugated_adjoint(C, M)[:k, :k]
-                assert max_abs_relative(window.entries, ref) <= 1e-14
+    """conjugated_adjoint forms the whole product at the matrix's own
+    truncation; for a diagonal U it is elementwise, and the dense product is
+    the reference it must match."""
 
     def test_rotation_elementwise_matches_dense_product(self):
         config = drawn_config({"family": "self-adjoint", "ranges": {"abs_c": [0.2, 0.5]}}, 3)
@@ -475,11 +459,9 @@ class TestIsCSymmetric:
             p = rng.complex_annulus(0.2, 0.6)
             lam_u = rng.unimodular()
             C = make_wc_J(p, lam_u, space)
-            pair = family_conjugated(
-                1.0 + 0.4j, 0.3, 0.15 - 0.1j, 2, alpha, C.space.N, p=p, lambda_u=lam_u
-            )
-            M = build_wcd_matrix(pair, C.space)
-            defect = is_C_symmetric(M, C)
+            defect = wc_symmetry_defect(C, lambda work: family_conjugated(
+                1.0 + 0.4j, 0.3, 0.15 - 0.1j, 2, alpha, work.N, p=p, lambda_u=lam_u
+            ))
             assert defect <= 1e-8, f"defect {defect:.3e} at p={p}"
 
     def test_rotation_conjugated_family(self):

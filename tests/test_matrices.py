@@ -13,8 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cswcd.bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel
-from cswcd.conjugations import make_wc_J
-from cswcd.defaults import GUARD_BAND
+from cswcd.conjugations import extended_space, make_wc_J
 from cswcd.errors import SingularityError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
@@ -49,6 +48,7 @@ from cswcd.symbols import (
     sup_norm_lft,
     unitary_symbols,
 )
+from wc_reference import GUARD
 
 SPACE = SpaceParams(0.0, 1, 24)
 
@@ -203,7 +203,7 @@ class TestOneBuffer:
 
     def test_wc_unitary(self):
         p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
-        U = make_wc_J(p, lambda_u, SpaceParams(0.5, 2, 96)).unitary
+        U = make_wc_J(p, lambda_u, extended_space(SpaceParams(0.5, 2, 96), p)).unitary
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = two_array_build(pair.psi, pair.phi, 0, U.space)
         assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
@@ -223,7 +223,7 @@ class TestAgainstReference:
 
     def test_wc_unitary_at_extended_truncation(self):
         p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
-        U = make_wc_J(p, lambda_u, SpaceParams(0.5, 2, 96)).unitary
+        U = make_wc_J(p, lambda_u, extended_space(SpaceParams(0.5, 2, 96), p)).unitary
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = reference_build(pair.psi, pair.phi, 0, U.space)
         assert normwise_error(U.entries, ref) <= 1e-14
@@ -257,13 +257,14 @@ THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 from cswcd.bergman import SpaceParams
-from cswcd.conjugations import make_wc_J
+from cswcd.conjugations import extended_space, make_wc_J
 from cswcd.matrices import build_wcd_matrix
 from cswcd.runner import parse_config, run
 from cswcd.symbols import family_self_adjoint
 
 M = build_wcd_matrix(family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 1, 0.5, 192), SpaceParams(0.5, 1, 192))
-U = make_wc_J(0.55 * np.exp(0.3j), np.exp(0.9j), SpaceParams(0.5, 2, 96)).unitary
+p = 0.55 * np.exp(0.3j)
+U = make_wc_J(p, np.exp(0.9j), extended_space(SpaceParams(0.5, 2, 96), p)).unitary
 print(hashlib.sha256(M.entries.tobytes()).hexdigest(), hashlib.sha256(U.entries.tobytes()).hexdigest())
 # C-symmetry under the auto rotation-J: an elementwise product, no BLAS
 config = parse_config({
@@ -317,7 +318,7 @@ class TestToeplitz:
             M_full = build_wcd_matrix(explicit_pair(psi, phi, 1), space).entries
             M_comp = build_wcd_matrix(explicit_pair(one_series(64), phi, 1), space).entries
             T = multiplication_matrix(psi, space)
-            keep = 65 - GUARD_BAND
+            keep = 65 - GUARD
             prod = (T @ M_comp)[:keep, :keep]
             scale = np.max(np.abs(M_full[:keep, :keep]))
             assert np.max(np.abs(prod - M_full[:keep, :keep])) <= 1e-9 * scale
@@ -347,7 +348,7 @@ class TestWeightedComposition:
             U = build_weighted_composition(
                 pair.psi, pair.phi, SpaceParams(alpha, 1, n_ext)
             ).entries
-            keep = N + 1 - GUARD_BAND
+            keep = N + 1 - GUARD
             gram = (U.conj().T @ U)[:keep, :keep]
             assert np.max(np.abs(gram - np.eye(keep))) <= 1e-8
 

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of check and sweep reports against pinned fixtures.
 
-The reports are made in a subprocess with one BLAS thread: at two threads
-some products sum in another order and the last digits of defects move.
-The fixtures are valid for the BLAS build recorded in their manifest.
+The reports are made in a subprocess at one and at two BLAS threads, and
+both runs must give the fixtures' bytes: no report may depend on the BLAS
+thread count. The fixtures are valid for the BLAS build recorded in their
+manifest.
 """
 
 import json
@@ -21,14 +22,17 @@ FIXTURES = HERE / "fixtures" / "pinned"
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pinned")
-    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    """BLAS thread count -> a directory of fresh reports made at that count."""
     src = str(HERE.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    subprocess.run(
-        [sys.executable, str(HERE / "pinned_reports.py"), str(out)],
-        env=env, check=True, timeout=300,
-    )
+    out = {}
+    for threads in ("1", "2"):
+        out[threads] = tmp_path_factory.mktemp(f"pinned-{threads}")
+        env = dict(os.environ, **dict.fromkeys(THREAD_VARS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, str(HERE / "pinned_reports.py"), str(out[threads])],
+            env=env, check=True, timeout=300,
+        )
     return out
 
 
@@ -47,11 +51,14 @@ def test_report_bytes(fresh, name):
     pinned = manifest(FIXTURES)
     if blas_record()["blas"] != pinned["blas"]:
         pytest.skip(f"fixtures pin BLAS build {pinned['blas']}")
-    assert manifest(fresh)["exit_codes"][name] == pinned["exit_codes"][name]
-    got, want = (fresh / f"{name}.json").read_bytes(), (FIXTURES / f"{name}.json").read_bytes()
-    assert got == want, "\n".join(
-        leaf_diffs(json.loads(want), json.loads(got)) or ["every JSON leaf is equal; bytes differ"]
-    )
+    want = (FIXTURES / f"{name}.json").read_bytes()
+    for threads, directory in fresh.items():
+        assert manifest(directory)["exit_codes"][name] == pinned["exit_codes"][name], threads
+        got = (directory / f"{name}.json").read_bytes()
+        assert got == want, "\n".join([f"at {threads} BLAS threads:"] + (
+            leaf_diffs(json.loads(want), json.loads(got))
+            or ["every JSON leaf is equal; bytes differ"]
+        ))
 
 
 def test_leaf_diffs_name_each_differing_leaf():

@@ -274,12 +274,14 @@ class TestOneBuildPerConfig:
         builds = []
         inner = matrices._build
         monkeypatch.setattr(matrices, "_build", lambda *args: builds.append(args) or inner(*args))
-        doc = config_with(space=WC_SPACE, symbols={**WC_SYMBOLS, "p": [0.5, 0.3]},
-                          checks=["C-symmetry", "conjugation-axioms"])
-        reports = run(parse_config(doc))
-        assert [(r.status, r.tolerance) for r in reports] == [("pass", 1e-10), ("pass", 1e-9)]
-        assert [r.provenance for r in reports] == ["kernel-symmetry; kind=wc-J",
-                                                   "kernel-conjugation-axioms; kind=wc-J"]
+        for p in ([0.5, 0.3], [0.0, 0.92]):
+            doc = config_with(space=WC_SPACE, symbols={**WC_SYMBOLS, "p": p},
+                              checks=["C-symmetry", "conjugation-axioms"])
+            reports = run(parse_config(doc))
+            assert [(r.status, r.tolerance) for r in reports] == [("pass", 1e-10),
+                                                                  ("pass", 1e-9)], p
+            assert [r.provenance for r in reports] == ["kernel-symmetry; kind=wc-J",
+                                                       "kernel-conjugation-axioms; kind=wc-J"]
         assert builds == []
 
     def test_one_commutator_per_run(self):
@@ -505,6 +507,8 @@ class TestReportDocument:
         doc = check_report_document(config, reports)
         assert "wall_time" not in json.dumps(doc)
         assert doc["header"]["artifact"] == "cswcd"
+        assert set(doc["header"]) == {"artifact", "version", "mode", "config_sha256", "seed"}
+        assert set(doc["reports"][0]) == {"name", "status", "defect", "tolerance", "provenance"}
 
 
 class TestCli:
@@ -655,27 +659,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "mode, overrides, path",
-        [
-            ("check", {"space": {"alpha": 0.0, "n": 1, "N": 2048}}, "space.N"),
-            ("check", {"space": WC_SPACE, "symbols": {**WC_SYMBOLS, "p": [0.0, 0.92]}},
-             "symbols.p"),
-            ("check", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": [0.92, 0.0]}},
-             "conjugation.p"),
-            ("sweep", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": -0.92},
-                       "symbols": {"family": "wc-conjugated"}}, "conjugation.p"),
-            ("sweep", {"space": WC_SPACE,
-                       "symbols": {"family": "wc-conjugated", "ranges": {"abs_p": [0.1, 0.92]}}},
-             "symbols.ranges.abs_p"),
-            ("sweep", {"space": {**WC_SPACE, "N": 500}, "symbols": {"family": "wc-conjugated"}},
-             "symbols.ranges.abs_p"),
-        ],
-        ids=["N", "auto-p", "explicit-p", "sweep-explicit-p", "sweep-range",
-             "sweep-default-range"],
+        [("check", {"space": {"alpha": 0.0, "n": 1, "N": 2048}}, "space.N")],
+        ids=["N"],
     )
     def test_work_budget_refused_before_building(self, tmp_path, capsys, monkeypatch,
                                                  mode, overrides, path):
-        # |p| 0.92 at N 96 needs dimension 2,354 and the default |p| bound 0.6
-        # at N 500 needs 2,049, both just over MAX_WORK_DIM
+        # dimension 2,049, just over MAX_WORK_DIM
         def refuse(*args):
             raise AssertionError("built before the budget check")
 
@@ -691,6 +680,38 @@ class TestCli:
         assert str(runner.MAX_WORK_DIM) in err["error"]
 
     @pytest.mark.parametrize(
+        "mode, overrides, code",
+        [
+            ("check", {"space": WC_SPACE, "symbols": {**WC_SYMBOLS, "p": [0.0, 0.92]}}, 0),
+            # the j-symmetric pair of BASE is not symmetric under this wc-J
+            ("check", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": [0.92, 0.0]}},
+             1),
+            ("sweep", {"space": WC_SPACE, "conjugation": {"kind": "wc-J", "p": -0.92},
+                       "symbols": {"family": "wc-conjugated"}}, 1),
+            ("sweep", {"space": WC_SPACE,
+                       "symbols": {"family": "wc-conjugated", "ranges": {"abs_p": [0.1, 0.92]}}},
+             0),
+            ("sweep", {"space": {**WC_SPACE, "N": 500}, "symbols": {"family": "wc-conjugated"}},
+             0),
+        ],
+        ids=["auto-p", "explicit-p", "sweep-explicit-p", "sweep-range", "sweep-default-range"],
+    )
+    def test_wc_budget_does_not_depend_on_p(self, tmp_path, capsys, mode, overrides, code):
+        # a wc-J conjugation is checked on kernels at the config's own
+        # truncation, so |p| 0.92 at N 96 and |p| 0.6 at N 500 are in budget
+        doc = config_with(checks=["C-symmetry", "conjugation-axioms"], **overrides)
+        extra = ["--draws", "3", "--seed", "1"] if mode == "sweep" else []
+        assert main([mode, self.write(tmp_path, doc), *extra]) == code
+        out = json.loads(capsys.readouterr().out)
+        if mode == "check":
+            statuses = {r["name"]: r["status"] for r in out["reports"]}
+        else:
+            statuses = {name: "fail" if counts["fail"] else "pass"
+                        for name, counts in out["aggregate"]["checks"].items()}
+        assert statuses["conjugation-axioms"] == "pass"
+        assert statuses["C-symmetry"] == ("pass" if code == 0 else "fail")
+
+    @pytest.mark.parametrize(
         "overrides, require_concrete",
         [({"space": WC_SPACE, "symbols": {**WC_SYMBOLS, "p": 0.9}}, True),
          ({"space": {**WC_SPACE, "N": 499}, "symbols": {"family": "wc-conjugated"}}, False),
@@ -698,7 +719,8 @@ class TestCli:
         ids=["auto-p", "sweep-default-range", "N"],
     )
     def test_work_budget_admits_configs_just_under(self, overrides, require_concrete):
-        # dimensions 1,874, 2,046 and 2,048; only parsed, nothing at that size is built
+        # dimension 2,048 at N 2047, and N + 1 rows for the wc-J configs at
+        # any |p|; only parsed, nothing at that size is built
         parse_config(config_with(checks=["C-symmetry"], **overrides),
                      require_concrete=require_concrete)
 
@@ -762,12 +784,6 @@ class TestCli:
         assert "J-symmetry" in sidecar
         assert sidecar["J-symmetry"] >= 0
 
-    def test_guard_band_ignores_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CSWCD_GUARD", "abc")
-        assert main(["check", self.write(tmp_path, config_with())]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["header"]["guard"] == 8
-
 
 # one sweep per conjugation kind, as (space, symbols, checks); each report
 # must have the same bytes at one and at two BLAS threads
@@ -782,14 +798,7 @@ THREAD_SWEEPS = {
 SWEEP_SCRIPT = "import sys; from cswcd.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("kind", [
-    "wc-J",
-    "plain-J",
-    # the Frobenius norms of is_C_symmetric come from np.linalg.norm, whose
-    # sums of squares are BLAS dot products
-    pytest.param("rotation-J", marks=pytest.mark.xfail(
-        strict=True, reason="np.linalg.norm sums with a BLAS dot product")),
-])
+@pytest.mark.parametrize("kind", ["wc-J", "plain-J", "rotation-J"])
 def test_sweep_bytes_do_not_depend_on_blas_threads(kind, tmp_path):
     space, symbols, checks = THREAD_SWEEPS[kind]
     cfg = tmp_path / "config.json"
