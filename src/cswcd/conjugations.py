@@ -16,24 +16,30 @@ matrix of f -> psi_C (f o phi_C), and
 
 The first two kinds are exact: U is diagonal, stored as its diagonal d, and
 C T* C is the elementwise d_i M[j, i] conj(d_j), equal to the infinite
-operator's entries at every truncation. Their claims are checked on the
-matrix.
+operator's entries at every truncation.
 
-The weighted-composition kind is checked on reproducing kernels instead,
-with no matrix, no guard band and no truncation: C sends each kernel
+C-symmetry under every kind, and self-adjointness, are checked on
+reproducing kernels, with no operator matrix and no truncation: C sends each
+kernel
 K_z(u) = (1 - conj(z) u)^-(alpha+2) to a multiple of a kernel,
 C K_z = c_z K_(v_z) with v_z = phi_C^-1(conj z) and c_z = 1 / conj(psi_C(v_z)),
 so T is C-symmetric exactly when B(w, z) = <T K_w, C K_z> =
 conj(c_z) (T K_w)(v_z) is symmetric in (w, z) (the kernel test of
-Garcia–Putinar). ``kernel_symmetry_defect`` and ``kernel_axioms_defect``
-evaluate these closed forms at KERNEL_POINTS.
+Garcia–Putinar), and self-adjoint exactly when A(w, z) = <T K_w, K_z> is
+Hermitian. ``kernel_symmetry_defect`` and ``kernel_hermitian_defect``
+evaluate these closed forms at KERNEL_POINTS, and ``kernel_axioms_defect``
+the wc-J conjugation identities there. ``conjugated_adjoint`` and
+``is_C_symmetric`` are the tests' matrix reference; the exact kinds' axioms
+apply C to seeded polynomials (``involution_defect``, ``isometry_defect``).
 
-The kind still has a dense U for the tests and for ``conjugation_apply``,
-built only when read, at the conjugation's own truncation. Composing with a
-disk automorphism spreads the coefficient mass of basis vector j across rows
-up to roughly j (1+|p|)/(1-|p|), so the truncated U is not unitary there;
-the tests build their dense reference at ``extended_space``, a truncation
-that holds that spread.
+The weighted-composition kind has a dense U, built only when read, at the
+conjugation's own truncation. Composing with a disk automorphism spreads
+the coefficient mass of basis vector j across rows up to roughly
+j (1+|p|)/(1-|p|), so the truncated U is not unitary there, and a matrix
+function given a wc-J conjugation measures that truncation as well as the
+identity. The tests build their dense reference at ``extended_space``, a
+truncation that holds that spread, and compare a leading block
+(``tests/wc_reference.py``).
 """
 
 from __future__ import annotations
@@ -153,7 +159,12 @@ def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
 
 def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> TruncatedSeries:
     """Conjugate the coefficients of f, then apply the unitary part; a
-    diagonal U scales each coefficient."""
+    diagonal U scales each coefficient.
+
+    For wc-J the dense U is truncated, so C f is exact only on coefficients
+    that the spread of the automorphism keeps inside ``C.space``: build C at
+    ``extended_space`` and read a leading block.
+    """
     if f.order != C.space.N:
         raise TruncationMismatchError(f"series order {f.order} != conjugation order {C.space.N}")
     conj = series_conjugate_reflect(f)
@@ -163,14 +174,23 @@ def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> Truncated
 
 
 def involution_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
-    """Relative space-norm defect of C(C(f)) = f."""
+    """Relative space-norm defect of C(C(f)) = f.
+
+    Exact for plain-J and rotation-J. For wc-J it measures the truncation of
+    the dense U as well as the identity, unless C is built at
+    ``extended_space`` and the leading coefficients are compared.
+    """
     alpha = C.space.alpha
     twice = conjugation_apply(C, conjugation_apply(C, f))
     return space_norm(series_add(twice, series_scale(f, -1.0)), alpha) / space_norm(f, alpha)
 
 
 def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
-    """Relative defect of ||C f|| = ||f||."""
+    """Relative defect of ||C f|| = ||f||.
+
+    Exact for plain-J and rotation-J; for wc-J it also measures the
+    truncation of the dense U (see ``involution_defect``).
+    """
     alpha = C.space.alpha
     nf = space_norm(f, alpha)
     return abs(space_norm(conjugation_apply(C, f), alpha) - nf) / nf
@@ -198,7 +218,11 @@ def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorM
 def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
     """Frobenius-relative defect of C T* C = T over the whole matrix, which
     must be built at ``C.space``. For an exact kind the entries of both
-    sides are exact."""
+    sides are exact. For wc-J the truncated U makes the far rows and columns
+    wrong, so the defect measures the truncation unless C and T are built at
+    ``extended_space`` and a leading block is compared. The checks use
+    ``kernel_symmetry_defect`` instead; this is the tests' matrix reference.
+    """
     num = frobenius_norm(conjugated_adjoint(C, M).entries - M.entries)
     den = frobenius_norm(M.entries)
     return num / den if den > 0 else num
@@ -248,6 +272,30 @@ def weight_values(psi: TruncatedSeries, u: np.ndarray, weight_at) -> np.ndarray:
         psi = weight_at(M)
 
 
+def kernel_weight_values(pair: SymbolPair, weight_at) -> np.ndarray:
+    """psi(u) at u = KERNEL_POINTS, by ``weight_values``, for a pair that
+    passes ``operator_gate``: the weight values every kernel form reads."""
+    operator_gate(pair)
+    return weight_values(pair.psi, np.array(KERNEL_POINTS, dtype=complex), weight_at)
+
+
+def _operator_on_kernels(pair: SymbolPair, alpha: float, w_bar: np.ndarray,
+                         psi_u: np.ndarray) -> np.ndarray:
+    """(T K_(w_i))(u_j) = psi(u_j) (alpha+2)_n conj(w_i)^n
+    (1 - conj(w_i) phi(u_j))^-(alpha+n+2) for u = KERNEL_POINTS, given
+    w_bar = conj(w) and psi_u = psi(u)."""
+    u = np.array(KERNEL_POINTS, dtype=complex)
+    n, w_bar = pair.n, w_bar[:, None]
+    return (t_constant(alpha, n) * w_bar**n * psi_u
+            * (1 - w_bar * _lft_values(pair.phi, u)) ** -(alpha + n + 2))
+
+
+def _relative_asymmetry(A: np.ndarray, A_swapped: np.ndarray) -> float:
+    """max |A - A_swapped| / max |A|; the absolute defect when A is zero."""
+    num, den = float(np.abs(A - A_swapped).max()), float(np.abs(A).max())
+    return num / den if den > 0 else num
+
+
 def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
                          psi_u: np.ndarray) -> np.ndarray:
     """B[i, j] = B(z_i, z_j) = <T K_(z_i), C K_(z_j)> at z_i = conj(phi_C(u_i))
@@ -259,24 +307,40 @@ def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
     order: every factor is a closed form or a weight value at |u| <= 0.45.
     """
     u = np.array(KERNEL_POINTS, dtype=complex)
-    alpha, n = C.space.alpha, pair.n
-    phi_C_u = _lft_values(C.phi, u)[:, None]
     ratio = psi_u / conjugation_weight(C, u)
-    return (t_constant(alpha, n) * phi_C_u**n * ratio
-            * (1 - phi_C_u * _lft_values(pair.phi, u)) ** -(alpha + n + 2))
+    return _operator_on_kernels(pair, C.space.alpha, _lft_values(C.phi, u), ratio)
 
 
-def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation, weight_at) -> float:
+def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation,
+                           psi_u: np.ndarray) -> float:
     """max |B - B^T| / max |B| for the bilinear form of ``kernel_symmetry_form``;
     zero exactly when T is C-symmetric on these kernels, up to rounding.
 
-    The pair must pass ``operator_gate``; its weight is evaluated by
-    ``weight_values``. No operator matrix, no truncation of T and no BLAS.
+    psi_u comes from ``kernel_weight_values``, which gates the pair. No
+    operator matrix, no truncation of T and no BLAS.
     """
-    operator_gate(pair)
+    B = kernel_symmetry_form(pair, C, psi_u)
+    return _relative_asymmetry(B, B.T)
+
+
+def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> np.ndarray:
+    """A[i, j] = <T K_(u_i), K_(u_j)> = (T K_(u_i))(u_j) =
+    psi(u_j) (alpha+2)_n conj(u_i)^n (1 - conj(u_i) phi(u_j))^-(alpha+n+2)
+    for u = KERNEL_POINTS, given psi_u = psi(u)."""
     u = np.array(KERNEL_POINTS, dtype=complex)
-    B = kernel_symmetry_form(pair, C, weight_values(pair.psi, u, weight_at))
-    return float(np.abs(B - B.T).max() / np.abs(B).max())
+    return _operator_on_kernels(pair, alpha, np.conj(u), psi_u)
+
+
+def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> float:
+    """max |A - A^H| / max |A| for the form of ``kernel_hermitian_form``;
+    zero exactly when <T K_w, K_z> = <K_w, T K_z> at these kernels, that is
+    when T is self-adjoint on them, up to rounding.
+
+    psi_u comes from ``kernel_weight_values``, which gates the pair. No
+    operator matrix, no truncation of T and no BLAS.
+    """
+    A = kernel_hermitian_form(pair, alpha, psi_u)
+    return _relative_asymmetry(A, A.conj().T)
 
 
 def kernel_axioms_defect(C: AntilinearConjugation) -> float:

@@ -150,14 +150,16 @@ def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
     """Apply the truncated operator to a series.
 
     Taylor coefficients are converted to basis coordinates (x_j = c_j beta(j)),
-    multiplied through, and converted back.
+    multiplied through, and converted back. The matvec is an unoptimized
+    ``einsum``, which sums each row in a fixed order and never calls the BLAS,
+    so the bytes cannot depend on a BLAS build or thread count.
     """
     if f.order + 1 != M.dim:
         raise TruncationMismatchError(
             f"series truncation {f.order} does not match matrix dimension {M.dim - 1}"
         )
     broot = np.sqrt(beta_sq_vector(M.space.N, M.space.alpha))
-    y = M.entries @ (f.coeffs * broot)
+    y = np.einsum("ij,j->i", M.entries, f.coeffs * broot, optimize=False)
     # componentwise float division; complex/float promotion would round x/x
     return TruncatedSeries(y.real / broot + 1j * (y.imag / broot))
 

@@ -27,9 +27,10 @@ from .conjugations import (
     AntilinearConjugation,
     involution_defect,
     isometry_defect,
-    is_C_symmetric,
     kernel_axioms_defect,
+    kernel_hermitian_defect,
     kernel_symmetry_defect,
+    kernel_weight_values,
     make_J,
     make_rotation_J,
     make_wc_J,
@@ -39,7 +40,6 @@ from .diagnostics import (
     GRAM_POINTS,
     GridReport,
     boundedness_ratio_grid,
-    is_hermitian,
     kernel_balance_gate,
     necessary_conditions_check,
     nevanlinna_bound_grid,
@@ -114,6 +114,11 @@ class RunConfig:
 
     def weight_at(self, order: int) -> TruncatedSeries:
         return make_pair(self.symbols, SpaceParams(self.space.alpha, self.space.n, order)).psi
+
+    @cached_property
+    def kernel_weights(self) -> np.ndarray:
+        """The weight at KERNEL_POINTS, read by the three kernel symmetry checks."""
+        return kernel_weight_values(self.pair, self.weight_at)
 
     @cached_property
     def gram_defect(self) -> float:
@@ -426,23 +431,22 @@ def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
     return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, provenance)
 
 
-def _j_symmetry(config: RunConfig) -> tuple:
-    M = config.matrix
-    return is_C_symmetric(M, make_J(M.space)), TOL_EXACT, "matrix-symmetry"
-
-
-def _c_symmetry(config: RunConfig) -> tuple:
-    """An exact kind compares matrix entries; the weighted-composition kind
-    compares the kernel bilinear form with its transpose."""
-    C = config.conjugation
-    if C.exact:
-        return is_C_symmetric(config.matrix, C), TOL_EXACT, f"conjugation-symmetry; kind={C.kind}"
-    defect = kernel_symmetry_defect(config.pair, C, config.weight_at)
+def _kernel_symmetry(config: RunConfig, C: AntilinearConjugation) -> tuple:
+    defect = kernel_symmetry_defect(config.pair, C, config.kernel_weights)
     return defect, TOL_EXACT, f"kernel-symmetry; kind={C.kind}"
 
 
+def _j_symmetry(config: RunConfig) -> tuple:
+    return _kernel_symmetry(config, make_J(config.space))
+
+
+def _c_symmetry(config: RunConfig) -> tuple:
+    return _kernel_symmetry(config, config.conjugation)
+
+
 def _self_adjointness(config: RunConfig) -> tuple:
-    return is_hermitian(config.matrix), TOL_EXACT, "hermitian-defect"
+    defect = kernel_hermitian_defect(config.pair, config.space.alpha, config.kernel_weights)
+    return defect, TOL_EXACT, "kernel-hermitian"
 
 
 def _normality(config: RunConfig) -> tuple:

@@ -22,18 +22,21 @@ from cswcd.conjugations import (
     isometry_defect,
     kernel_axioms_defect,
     kernel_image,
+    kernel_hermitian_form,
     kernel_symmetry_defect,
     kernel_symmetry_form,
+    kernel_weight_values,
     make_J,
     make_rotation_J,
     make_wc_J,
     weight_values,
 )
 from cswcd.defaults import TOL_EXACT, TOL_GUARDED
+from cswcd.diagnostics import is_hermitian
 from cswcd.errors import DomainError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
 from cswcd.rng import SplitMix64
-from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config
+from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config, run
 from cswcd.series import TruncatedSeries, monomial, series_conjugate_reflect, series_scale
 from cswcd.symbols import (
     SymbolPair,
@@ -274,6 +277,32 @@ class TestKernelForms:
         assert asymmetry <= 1e-35 * top
         assert np.max(np.abs(B - exact)) <= 1e-14 * top
 
+    @pytest.mark.parametrize("b, hermitian", [(0.25, True), (0.25 + 0.1j, False)])
+    def test_hermitian_form_matches_mpmath(self, b, hermitian):
+        # A[i, j] = (T K_(u_i))(u_j) at 40 digits from the closed forms of the
+        # general family, psi = a z^n / (n! (1 - conj(c) z)^(n+alpha+2)) and
+        # phi = c + b z / (1 - conj(c) z): self-adjoint exactly when b is real
+        alpha, n, a, b, c = 0.5, 2, 0.9, complex(b), 0.2 + 0.2j
+        symbols = {"family": "general", "a": a, "b": [b.real, b.imag], "c": [c.real, c.imag]}
+        pair = make_pair(symbols, SpaceParams(alpha, n, 96))
+        psi_u = kernel_weight_values(pair, weight_at(symbols, alpha, n))
+        A = kernel_hermitian_form(pair, alpha, psi_u)
+        with mpmath.workdps(40):
+            al, cbar = mpmath.mpf(alpha), mpmath.conj(mpmath.mpc(c))
+            points = [mpmath.mpc(x) for x in KERNEL_POINTS]
+            psi = [a * x**n / (math.factorial(n) * (1 - cbar * x) ** (n + al + 2)) for x in points]
+            phi = [c + mpmath.mpc(b) * x / (1 - cbar * x) for x in points]
+            rising = mpmath.rf(al + 2, n)
+            exact = [[psi[j] * rising * mpmath.conj(ui) ** n
+                      * (1 - mpmath.conj(ui) * phi[j]) ** -(al + n + 2)
+                      for j in range(8)] for ui in points]
+            asymmetry = max(abs(exact[i][j] - mpmath.conj(exact[j][i]))
+                            for i in range(8) for j in range(8))
+            exact = np.array([[complex(x) for x in row] for row in exact])
+        top = np.max(np.abs(exact))
+        assert (asymmetry <= 1e-35 * top) is hermitian
+        assert np.max(np.abs(A - exact)) <= 1e-14 * top
+
     def test_weight_series_that_never_converges_is_refused(self):
         # at |u| = 1 every term of sum u^m is 1, so the last quarter never shrinks
         ones = lambda order: TruncatedSeries(np.ones(order + 1))  # noqa: E731
@@ -309,9 +338,8 @@ class TestKernelForms:
         # sup|phi| = 1 and no boundedness flag: the operator gate refuses
         symbols = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
         space = SpaceParams(0.5, 1, 16)
-        with pytest.raises(UnboundedSymbolError):
-            kernel_symmetry_defect(make_pair(symbols, space), make_wc_J(0.3, 1.0, space),
-                                   weight_at(symbols, 0.5, 1))
+        with pytest.raises(UnboundedSymbolError, match="no boundedness gate"):
+            kernel_weight_values(make_pair(symbols, space), weight_at(symbols, 0.5, 1))
 
 
 def with_angle(z: complex, angle: float) -> list:
@@ -340,11 +368,12 @@ def controls(family: str, symbols: dict) -> dict:
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(family=st.sampled_from(SWEEPABLE_FAMILIES), seed=st.integers(0, 2**32 - 1))
 def test_kernel_form_agrees_with_the_matrix_path(family, seed):
-    """On pass/fail at alpha 0.5, n 2, N 32: the kernel form at TOL_EXACT
-    against C T* C = T on the matrix (TOL_EXACT for an exact kind, the dense
-    reference of ``wc_reference`` at TOL_GUARDED for wc-J), for the family's
-    own conjugation and the controls; the kernel form is applied to every
-    kind here."""
+    """On pass/fail at alpha 0.5, n 2, N 32: the kernel forms at TOL_EXACT
+    against the matrix path. ``C-symmetry`` is compared with C T* C = T
+    (TOL_EXACT for an exact kind, the dense reference of ``wc_reference`` at
+    TOL_GUARDED for wc-J) for the family's own conjugation and the controls;
+    the runner's ``J-symmetry`` and ``self-adjointness`` with
+    ``is_C_symmetric`` under plain-J and ``is_hermitian`` on the matrix."""
     symbols = draw_symbols({"family": family}, SplitMix64(seed))
     space = {"alpha": 0.5, "n": 2, "N": 32}
     for name, conjugation in controls(family, symbols).items():
@@ -355,10 +384,15 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
             by_matrix = is_C_symmetric(config.matrix, C) <= TOL_EXACT
         else:
             by_matrix = wc_symmetry_defect(C, partial(make_pair, symbols)) <= TOL_GUARDED
-        by_kernel = kernel_symmetry_defect(config.pair, C, config.weight_at) <= TOL_EXACT
+        by_kernel = kernel_symmetry_defect(config.pair, C, config.kernel_weights) <= TOL_EXACT
         assert by_kernel == by_matrix, name
         if name in ("p 1 % off", "lambda 0.01 rad off"):
             assert not by_kernel, name
+    config = parse_config({"space": space, "symbols": symbols,
+                           "checks": ["J-symmetry", "self-adjointness"]})
+    M = config.matrix
+    by_matrix = [is_C_symmetric(M, make_J(M.space)) <= TOL_EXACT, is_hermitian(M) <= TOL_EXACT]
+    assert [r.status == "pass" for r in run(config)] == by_matrix
 
 
 class TestConjugatedAdjoint:

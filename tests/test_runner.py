@@ -249,6 +249,7 @@ class TestOneBuildPerConfig:
         assert len(pairs) == 6
 
     def test_one_matrix_build_per_run(self, monkeypatch):
+        # the large-check shape: every check reads kernels, none builds a matrix
         builds = counting(monkeypatch, "build_wcd_matrix")
         doc = config_with(
             symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
@@ -256,7 +257,7 @@ class TestOneBuildPerConfig:
         )
         reports = run(parse_config(doc))
         assert [r.status for r in reports] == ["pass"] * 4
-        assert len(builds) == 1
+        assert len(builds) == 0
 
     def test_one_wc_conjugation_per_run(self, monkeypatch):
         conjugations = counting(monkeypatch, "make_wc_J")
@@ -785,8 +786,10 @@ class TestCli:
         assert sidecar["J-symmetry"] >= 0
 
 
-# one sweep per conjugation kind, as (space, symbols, checks); each report
-# must have the same bytes at one and at two BLAS threads
+# one sweep per conjugation kind, one of adjoint-kernel at a size where the
+# BLAS splits a matvec at two threads, and one of the large-check shape, as
+# (space, symbols, checks); each report must have the same bytes at one and
+# at two BLAS threads
 THREAD_SWEEPS = {
     "wc-J": ({"alpha": 0.5, "n": 2, "N": 96}, {"family": "wc-conjugated"},
              ["C-symmetry", "conjugation-axioms"]),
@@ -794,13 +797,17 @@ THREAD_SWEEPS = {
                 ["J-symmetry", "C-symmetry", "conjugation-axioms"]),
     "rotation-J": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "rotation-conjugated"},
                    ["C-symmetry", "conjugation-axioms"]),
+    "adjoint-kernel": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "general"},
+                       ["adjoint-kernel"]),
+    "large-check": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "self-adjoint"},
+                    ["C-symmetry", "self-adjointness", "normality"]),
 }
 SWEEP_SCRIPT = "import sys; from cswcd.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("kind", ["wc-J", "plain-J", "rotation-J"])
-def test_sweep_bytes_do_not_depend_on_blas_threads(kind, tmp_path):
-    space, symbols, checks = THREAD_SWEEPS[kind]
+@pytest.mark.parametrize("name", THREAD_SWEEPS)
+def test_sweep_bytes_do_not_depend_on_blas_threads(name, tmp_path):
+    space, symbols, checks = THREAD_SWEEPS[name]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"space": space, "symbols": symbols, "checks": checks}),
                    encoding="utf-8")

@@ -4,14 +4,14 @@ Each case perturbs a config for which its check holds exactly (defect at
 rounding level) by a relative or angular amount eps. Away from the rounding
 floor the defect is linear in eps, so every perturbed case must fail its
 check and the log-log slope over eps in {1e-2, 1e-4, 1e-6} must be 1. The
-wc-J cases run through the kernel forms, which compare closed forms at
-fixed points of the disk instead of matrix entries, so these cases also
-show that eight points still see a defect. All cases run at alpha 0.5, n 1,
-N 64.
+symmetry, self-adjointness and normality cases run through the kernel
+forms, which compare closed forms at fixed points of the disk instead of
+matrix entries, so these cases also show that a few points still see a
+defect. All cases run at alpha 0.5, n 1, N 64.
 
-The rotation kind is exact, so its ``C-symmetry`` compares the whole matrix
-and needs no guard band: at the smallest truncations, where a guarded block
-would hold one or two rows, a wrong rotation must still fail.
+The kernel forms read no truncation of T, so at the smallest truncations,
+where a guarded matrix block would hold one or two rows, a wrong rotation
+must still fail ``C-symmetry``.
 
 No config can break the identities behind ``adjoint-kernel``,
 ``adjoint-pair`` and ``conjugation-axioms``, so their cases scale one side of
