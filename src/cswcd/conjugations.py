@@ -27,10 +27,12 @@ so T is C-symmetric exactly when B(w, z) = <T K_w, C K_z> =
 conj(c_z) (T K_w)(v_z) is symmetric in (w, z) (the kernel test of
 Garcia–Putinar), and self-adjoint exactly when A(w, z) = <T K_w, K_z> is
 Hermitian. ``kernel_symmetry_defect`` and ``kernel_hermitian_defect``
-evaluate these closed forms at KERNEL_POINTS, and ``kernel_axioms_defect``
-the wc-J conjugation identities there. ``conjugated_adjoint`` and
-``is_C_symmetric`` are the tests' matrix reference; the exact kinds' axioms
-apply C to seeded polynomials (``involution_defect``, ``isometry_defect``).
+evaluate these closed forms at KERNEL_POINTS, ``kernel_axioms_defect`` the
+wc-J conjugation identities there, and ``kernel_companion_defect`` Cowen's
+companion identity T_A* = T_B, whose weights are kernels too.
+``conjugated_adjoint`` and ``is_C_symmetric`` are the tests' matrix
+reference; the exact kinds' axioms apply C to seeded polynomials
+(``involution_defect``, ``isometry_defect``).
 
 The weighted-composition kind has a dense U, built only when read, at the
 conjugation's own truncation. Composing with a disk automorphism spreads
@@ -58,6 +60,7 @@ from .matrices import (
     OperatorMatrix,
     apply,
     build_weighted_composition,
+    companion_gate,
     frobenius_norm,
     operator_gate,
 )
@@ -73,8 +76,10 @@ from .symbols import (
     IDENTITY_MAP,
     LinearFractionalMap,
     SymbolPair,
+    lft_eval,
     lft_inverse,
     rotation_map,
+    sigma_companion,
     unitary_parameters,
 )
 
@@ -279,15 +284,15 @@ def kernel_weight_values(pair: SymbolPair, weight_at) -> np.ndarray:
     return weight_values(pair.psi, np.array(KERNEL_POINTS, dtype=complex), weight_at)
 
 
-def _operator_on_kernels(pair: SymbolPair, alpha: float, w_bar: np.ndarray,
+def _operator_on_kernels(phi: LinearFractionalMap, n: int, alpha: float, w_bar: np.ndarray,
                          psi_u: np.ndarray) -> np.ndarray:
     """(T K_(w_i))(u_j) = psi(u_j) (alpha+2)_n conj(w_i)^n
-    (1 - conj(w_i) phi(u_j))^-(alpha+n+2) for u = KERNEL_POINTS, given
-    w_bar = conj(w) and psi_u = psi(u)."""
+    (1 - conj(w_i) phi(u_j))^-(alpha+n+2) for u = KERNEL_POINTS and T the
+    order-n operator of (psi, phi), given w_bar = conj(w) and psi_u = psi(u)."""
     u = np.array(KERNEL_POINTS, dtype=complex)
-    n, w_bar = pair.n, w_bar[:, None]
+    w_bar = w_bar[:, None]
     return (t_constant(alpha, n) * w_bar**n * psi_u
-            * (1 - w_bar * _lft_values(pair.phi, u)) ** -(alpha + n + 2))
+            * (1 - w_bar * _lft_values(phi, u)) ** -(alpha + n + 2))
 
 
 def _relative_asymmetry(A: np.ndarray, A_swapped: np.ndarray) -> float:
@@ -308,7 +313,7 @@ def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
     """
     u = np.array(KERNEL_POINTS, dtype=complex)
     ratio = psi_u / conjugation_weight(C, u)
-    return _operator_on_kernels(pair, C.space.alpha, _lft_values(C.phi, u), ratio)
+    return _operator_on_kernels(pair.phi, pair.n, C.space.alpha, _lft_values(C.phi, u), ratio)
 
 
 def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation,
@@ -328,7 +333,7 @@ def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> 
     psi(u_j) (alpha+2)_n conj(u_i)^n (1 - conj(u_i) phi(u_j))^-(alpha+n+2)
     for u = KERNEL_POINTS, given psi_u = psi(u)."""
     u = np.array(KERNEL_POINTS, dtype=complex)
-    return _operator_on_kernels(pair, alpha, np.conj(u), psi_u)
+    return _operator_on_kernels(pair.phi, pair.n, alpha, np.conj(u), psi_u)
 
 
 def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> float:
@@ -341,6 +346,46 @@ def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -
     """
     A = kernel_hermitian_form(pair, alpha, psi_u)
     return _relative_asymmetry(A, A.conj().T)
+
+
+def companion_weights(phi: LinearFractionalMap, n: int, alpha: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(psi_A(u), psi_B(u)) at u = KERNEL_POINTS for Cowen's companion pair
+    of phi (``cowen_adjoint_pair``), from their closed forms: the order-n
+    kernels at sigma(0) and at phi(0),
+    psi(u) = (alpha+2)_n u^n (1 - conj(w) u)^-(alpha+n+2)."""
+    u = np.array(KERNEL_POINTS, dtype=complex)
+    w_bar = np.conj([lft_eval(sigma_companion(phi), 0.0), lft_eval(phi, 0.0)])[:, None]
+    psi_a, psi_b = t_constant(alpha, n) * u**n * (1 - w_bar * u) ** -(alpha + n + 2)
+    return psi_a, psi_b
+
+
+def kernel_companion_forms(phi: LinearFractionalMap, n: int, alpha: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) with A[i, j] = (T_A K_(u_i))(u_j) and B[i, j] = (T_B K_(u_i))(u_j)
+    for u = KERNEL_POINTS, where T_A is the order-n operator of (psi_A, phi)
+    and T_B that of (psi_B, sigma), with the weights of ``companion_weights``.
+
+    T_A* = T_B on these kernels exactly when
+    <T_A K_(u_i), K_(u_j)> = <K_(u_i), T_B K_(u_j)>, that is A = B^H.
+    """
+    psi_a, psi_b = companion_weights(phi, n, alpha)
+    u_bar = np.conj(np.array(KERNEL_POINTS, dtype=complex))
+    return (_operator_on_kernels(phi, n, alpha, u_bar, psi_a),
+            _operator_on_kernels(sigma_companion(phi), n, alpha, u_bar, psi_b))
+
+
+def kernel_companion_defect(phi: LinearFractionalMap, n: int, alpha: float) -> float:
+    """max |A - B^H| / max |B| for the forms of ``kernel_companion_forms``;
+    zero exactly when Cowen's companion identity T_A* = T_B holds on these
+    kernels, up to rounding.
+
+    Gated by ``companion_gate``. Both weights and both maps are closed
+    forms: no operator matrix, no truncation and no BLAS.
+    """
+    companion_gate(phi)
+    A, B = kernel_companion_forms(phi, n, alpha)
+    return _relative_asymmetry(B.conj().T, A)
 
 
 def kernel_axioms_defect(C: AntilinearConjugation) -> float:

@@ -200,22 +200,32 @@ def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> float:
     return space_norm(diff, space.alpha)
 
 
+def companion_gate(phi: LinearFractionalMap) -> None:
+    """Refuse phi unless sup |phi| < 1, where Cowen's companion pair is
+    defined; both forms of the companion adjoint identity are gated here."""
+    norm = sup_norm_lft(phi)
+    if not norm < 1.0:
+        raise UnboundedSymbolError(
+            f"companion pair needs sup|phi| < 1, got {norm:.6f}"
+        )
+
+
 def cowen_adjoint_pair(
     phi: LinearFractionalMap, n: int, space: SpaceParams
 ) -> tuple[SymbolPair, SymbolPair]:
-    """Adjoint pair induced by the companion map sigma.
+    """Adjoint pair induced by the companion map sigma: the matrix reference
+    of the companion adjoint identity.
 
     For a linear fractional self-map phi with sup |phi| < 1, the adjoint of
     the operator weighted by the order-n kernel at sigma(0) along phi is the
     operator weighted by the order-n kernel at phi(0) along sigma. Returns
     (pairA, pairB) with adjoint(matrix(pairA)) = matrix(pairB) entrywise;
     sigma maps the disk into itself, so both pairs pass ``operator_gate``.
+    The ``adjoint-pair`` check compares the two operators on kernels instead
+    (``conjugations.kernel_companion_defect``); the tests compare it with
+    these matrices.
     """
-    norm = sup_norm_lft(phi)
-    if not norm < 1.0:
-        raise UnboundedSymbolError(
-            f"companion pair needs sup|phi| < 1, got {norm:.6f}"
-        )
+    companion_gate(phi)
     sigma = sigma_companion(phi)
     phi_0 = lft_eval(phi, 0.0)
     sigma_0 = lft_eval(sigma, 0.0)

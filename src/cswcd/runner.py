@@ -28,6 +28,7 @@ from .conjugations import (
     involution_defect,
     isometry_defect,
     kernel_axioms_defect,
+    kernel_companion_defect,
     kernel_hermitian_defect,
     kernel_symmetry_defect,
     kernel_weight_values,
@@ -47,14 +48,7 @@ from .diagnostics import (
     normality_gram_defect,
 )
 from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
-from .matrices import (
-    OperatorMatrix,
-    adjoint_matrix,
-    adjoint_on_kernel,
-    build_wcd_matrix,
-    cowen_adjoint_pair,
-    kernel_point_gate,
-)
+from .matrices import OperatorMatrix, adjoint_on_kernel, build_wcd_matrix, kernel_point_gate
 from .rng import SplitMix64
 from .series import TruncatedSeries, polynomial
 from .symbols import (
@@ -124,12 +118,6 @@ class RunConfig:
     def gram_defect(self) -> float:
         """Kernel Gram defect of the operator, read by both normality checks."""
         return normality_gram_defect(self.pair, self.space.alpha, self.weight_at)
-
-    @cached_property
-    def companion_matrices(self) -> tuple[OperatorMatrix, OperatorMatrix]:
-        """Matrices of the companion adjoint pair induced by the map."""
-        pair_a, pair_b = cowen_adjoint_pair(self.pair.phi, self.space.n, self.space)
-        return build_wcd_matrix(pair_a, self.space), build_wcd_matrix(pair_b, self.space)
 
 
 @dataclass
@@ -507,10 +495,9 @@ def _adjoint_kernel(config: RunConfig) -> tuple:
 
 
 def _adjoint_pair(config: RunConfig) -> tuple:
-    MA, MB = config.companion_matrices
-    scale = float(np.max(np.abs(MB.entries)))
-    defect = float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries)))
-    return (defect / scale if scale > 0 else defect), 1e-9, "companion-adjoint-identity"
+    space = config.space
+    defect = kernel_companion_defect(config.pair.phi, space.n, space.alpha)
+    return defect, 1e-9, "kernel-companion-adjoint"
 
 
 def _check_necessary_conditions(config: RunConfig) -> CheckReport:

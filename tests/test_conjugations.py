@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -21,6 +22,8 @@ from cswcd.conjugations import (
     is_C_symmetric,
     isometry_defect,
     kernel_axioms_defect,
+    kernel_companion_defect,
+    kernel_companion_forms,
     kernel_image,
     kernel_hermitian_form,
     kernel_symmetry_defect,
@@ -34,16 +37,24 @@ from cswcd.conjugations import (
 from cswcd.defaults import TOL_EXACT, TOL_GUARDED
 from cswcd.diagnostics import is_hermitian
 from cswcd.errors import DomainError, TruncationMismatchError, UnboundedSymbolError
-from cswcd.matrices import OperatorMatrix, apply, build_wcd_matrix
+from cswcd.matrices import (
+    OperatorMatrix,
+    adjoint_matrix,
+    apply,
+    build_wcd_matrix,
+    cowen_adjoint_pair,
+)
 from cswcd.rng import SplitMix64
 from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config, run
 from cswcd.series import TruncatedSeries, monomial, series_conjugate_reflect, series_scale
 from cswcd.symbols import (
+    LinearFractionalMap,
     SymbolPair,
     family_conjugated,
     family_general,
     family_j_symmetric,
     family_self_adjoint,
+    sigma_companion,
     unitary_symbols,
 )
 from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
@@ -393,6 +404,108 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
     M = config.matrix
     by_matrix = [is_C_symmetric(M, make_J(M.space)) <= TOL_EXACT, is_hermitian(M) <= TOL_EXACT]
     assert [r.status == "pass" for r in run(config)] == by_matrix
+
+
+def general_phi(b: complex, c: complex):
+    """The map of the general family, c + b z / (1 - conj(c) z)."""
+    return LinearFractionalMap(b - abs(c) ** 2, c, -np.conj(c), 1.0)
+
+
+def defect_with_phi_in_b(phi, n, alpha):
+    """The companion defect max |A - B^H| / max |B| with phi in place of
+    sigma as T_B's map; T_B keeps its weight, the kernel at phi(0)."""
+    psi_a, psi_b = conjugations.companion_weights(phi, n, alpha)
+    u_bar = np.conj(np.array(KERNEL_POINTS))
+    A = conjugations._operator_on_kernels(phi, n, alpha, u_bar, psi_a)
+    B = conjugations._operator_on_kernels(phi, n, alpha, u_bar, psi_b)
+    return float(np.abs(A - B.conj().T).max() / np.abs(B).max())
+
+
+def companion_matrix_defect(pair_a, pair_b, space):
+    """The matrix path: max |adjoint(M_A) - M_B| / max |M_B|."""
+    MA, MB = build_wcd_matrix(pair_a, space), build_wcd_matrix(pair_b, space)
+    return float(np.max(np.abs(adjoint_matrix(MA).entries - MB.entries))
+                 / np.max(np.abs(MB.entries)))
+
+
+class TestCompanionKernelForm:
+    """Cowen's companion identity T_A* = T_B on reproducing kernels."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 10.0, 50.0])
+    def test_forms_match_mpmath(self, alpha):
+        # A and B at 40 digits from the maps' coefficients: psi_A, psi_B are
+        # the order-n kernels at sigma(0) and phi(0), and A = B^H exactly
+        n, b, c = 2, 0.4 + 0.3j, 0.2 + 0.1j
+        phi = general_phi(b, c)
+        A, B = kernel_companion_forms(phi, n, alpha)
+        with mpmath.workdps(40):
+            al, b, c = mpmath.mpf(alpha), mpmath.mpc(b), mpmath.mpc(c)
+            pa, pb, pc, pd = b - abs(c) ** 2, c, -mpmath.conj(c), mpmath.mpf(1)
+            points = [mpmath.mpc(x) for x in KERNEL_POINTS]
+            rising = mpmath.rf(al + 2, n)
+
+            def phi_at(z):
+                return (pa * z + pb) / (pc * z + pd)
+
+            def sigma_at(z):
+                return (mpmath.conj(pa) * z - mpmath.conj(pc)) / (
+                    -mpmath.conj(pb) * z + mpmath.conj(pd))
+
+            def form(w0, lft):
+                # (T K_(u_i))(u_j) with psi the order-n kernel at w0
+                return [[rising * uj**n * (1 - mpmath.conj(w0) * uj) ** -(al + n + 2)
+                         * rising * mpmath.conj(ui) ** n
+                         * (1 - mpmath.conj(ui) * lft(uj)) ** -(al + n + 2)
+                         for uj in points] for ui in points]
+
+            exact_a, exact_b = form(sigma_at(0), phi_at), form(phi_at(0), sigma_at)
+            identity = max(abs(exact_a[i][j] - mpmath.conj(exact_b[j][i]))
+                           for i in range(8) for j in range(8))
+            exact_a, exact_b = (np.array([[complex(x) for x in row] for row in m])
+                                for m in (exact_a, exact_b))
+        top = np.max(np.abs(exact_b))
+        assert identity <= 1e-35 * top
+        assert np.max(np.abs(A - exact_a)) <= 1e-14 * top
+        assert np.max(np.abs(B - exact_b)) <= 1e-14 * top
+        assert kernel_companion_defect(phi, n, alpha) <= 1e-14
+
+    def test_phi_in_place_of_sigma_fails(self):
+        # for a non-real b, sigma != phi, and T_B along phi is not T_A*
+        phi = general_phi(0.4 + 0.3j, 0.2 + 0.1j)
+        assert defect_with_phi_in_b(phi, 1, 0.5) == pytest.approx(0.559, abs=1e-3)
+        # for a real b, sigma = phi, so the swap changes nothing
+        assert defect_with_phi_in_b(general_phi(0.4, 0.2 + 0.1j), 1, 0.5) <= 1e-15
+
+    def test_refuses_a_map_that_reaches_the_circle(self):
+        phi = LinearFractionalMap(0.5, 0.5, 0, 1)
+        with pytest.raises(UnboundedSymbolError, match="companion pair needs sup"):
+            kernel_companion_defect(phi, 1, 0.5)
+
+
+@pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
+def test_companion_form_agrees_with_the_matrix_path(family):
+    """On pass/fail at tolerance 1e-9 over 1,000 seeded draws at alpha 0.5,
+    n 1 to 3, N n + 2: ``kernel_companion_defect`` against the matrix path
+    (``cowen_adjoint_pair``, ``build_wcd_matrix``, ``adjoint_matrix``), and
+    both with phi in place of sigma in T_B, which must fail wherever
+    sigma != phi. Both refuse the same maps, with the same message."""
+    rng, tol = SplitMix64(2024), 1e-9
+    for i in range(1000):
+        n = 1 + i % 3
+        space = SpaceParams(0.5, n, n + 2)
+        phi = make_pair(draw_symbols({"family": family}, rng), space).phi
+        try:
+            pair_a, pair_b = cowen_adjoint_pair(phi, n, space)
+        except UnboundedSymbolError as exc:
+            with pytest.raises(UnboundedSymbolError, match=re.escape(str(exc))):
+                kernel_companion_defect(phi, n, 0.5)
+            continue
+        by_matrix = companion_matrix_defect(pair_a, pair_b, space) <= tol
+        assert by_matrix and kernel_companion_defect(phi, n, 0.5) <= tol, i
+        swapped = SymbolPair(pair_b.psi, phi, n)
+        by_matrix = companion_matrix_defect(pair_a, swapped, space) <= tol
+        assert (defect_with_phi_in_b(phi, n, 0.5) <= tol) == by_matrix, i
+        assert by_matrix == (sigma_companion(phi) == phi), i
 
 
 class TestConjugatedAdjoint:

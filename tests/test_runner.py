@@ -787,9 +787,9 @@ class TestCli:
 
 
 # one sweep per conjugation kind, one of adjoint-kernel at a size where the
-# BLAS splits a matvec at two threads, and one of the large-check shape, as
-# (space, symbols, checks); each report must have the same bytes at one and
-# at two BLAS threads
+# BLAS splits a matvec at two threads, one of the large-check shape and one
+# of the scalar-sweep shape, as (space, symbols, checks); each report must
+# have the same bytes at one and at two BLAS threads
 THREAD_SWEEPS = {
     "wc-J": ({"alpha": 0.5, "n": 2, "N": 96}, {"family": "wc-conjugated"},
              ["C-symmetry", "conjugation-axioms"]),
@@ -801,6 +801,10 @@ THREAD_SWEEPS = {
                        ["adjoint-kernel"]),
     "large-check": ({"alpha": 0.5, "n": 1, "N": 192}, {"family": "self-adjoint"},
                     ["C-symmetry", "self-adjointness", "normality"]),
+    "scalar-sweep": ({"alpha": 0.0, "n": 1, "N": 48}, {"family": "general"},
+                     ["adjoint-kernel", "adjoint-pair", "necessary-conditions",
+                      "boundedness-grid", "nevanlinna-grid", "normality-predicate",
+                      "kernel-norm-balance"]),
 }
 SWEEP_SCRIPT = "import sys; from cswcd.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -16,8 +16,8 @@ must still fail ``C-symmetry``.
 No config can break the identities behind ``adjoint-kernel``,
 ``adjoint-pair`` and ``conjugation-axioms``, so their cases scale one side of
 the identity by (1 + eps) instead, by replacing a function that the check
-reads; for ``conjugation-axioms`` that is the weight constant k of the wc-J
-conjugation.
+reads; for ``adjoint-pair`` that is the closed-form weight of T_B, and for
+``conjugation-axioms`` the weight constant k of the wc-J conjugation.
 """
 
 import cmath
@@ -26,9 +26,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cswcd import matrices, runner
+from cswcd import conjugations, matrices, runner
 from cswcd.runner import parse_config, run
-from cswcd.symbols import SymbolPair
 
 SPACE = {"alpha": 0.5, "n": 1, "N": 64}
 EPSILONS = (1e-2, 1e-4, 1e-6)
@@ -91,15 +90,15 @@ def scaled_psi_at_point(eps: float, monkeypatch) -> dict:
 
 
 def scaled_companion_weight(eps: float, monkeypatch) -> dict:
-    # the weight of pair B, whose matrix is compared with the adjoint of A's
-    inner = runner.cowen_adjoint_pair
+    # the closed-form weight of T_B, whose form on kernels is compared with
+    # the adjoint of T_A's
+    inner = conjugations.companion_weights
 
-    def scaled(phi, n, space):
-        pair_a, pair_b = inner(phi, n, space)
-        psi = type(pair_b.psi)((1 + eps) * pair_b.psi.coeffs)
-        return pair_a, SymbolPair(psi, pair_b.phi, pair_b.n, pair_b.provenance, pair_b.params)
+    def scaled(phi, n, alpha):
+        psi_a, psi_b = inner(phi, n, alpha)
+        return psi_a, (1 + eps) * psi_b
 
-    monkeypatch.setattr(runner, "cowen_adjoint_pair", scaled)
+    monkeypatch.setattr(conjugations, "companion_weights", scaled)
     return general(0.0, "adjoint-pair")
 
 
