@@ -53,9 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .bergman import SpaceParams, space_norm, t_constant
-from .defaults import MAX_WORK_DIM
-from .diagnostics import GRAM_TAIL
-from .errors import DomainError, TruncationMismatchError, UnboundedSymbolError
+from .errors import DomainError, TruncationMismatchError
 from .matrices import (
     OperatorMatrix,
     apply,
@@ -67,7 +65,6 @@ from .matrices import (
 from .series import (
     TruncatedSeries,
     expand_rational_kernel,
-    power_table,
     series_add,
     series_conjugate_reflect,
     series_scale,
@@ -251,37 +248,12 @@ def kernel_image(C: AntilinearConjugation, z: np.ndarray) -> tuple[np.ndarray, n
     return 1 / np.conj(conjugation_weight(C, v)), v
 
 
-def weight_values(psi: TruncatedSeries, u: np.ndarray, weight_at) -> np.ndarray:
-    """psi(u) from the Taylor series of the weight.
-
-    The series starts at the given truncation, whose coefficients are exact,
-    and ``weight_at(M)`` gives it again at a doubled order M while the last
-    quarter of any sum |psi_m u^m| holds more than GRAM_TAIL of its total,
-    the rule of the normality Gram. A series still above that share at order
-    MAX_WORK_DIM - 1 is refused. The sum is an unoptimized ``einsum``: no
-    BLAS.
-    """
-    M = psi.order
-    while True:
-        powers = power_table(u, M + 1)
-        terms = np.abs(powers * psi.coeffs)
-        tail, total = terms[:, M + 1 - (M + 1) // 4:].sum(axis=1), terms.sum(axis=1)
-        if (tail <= GRAM_TAIL * total).all():
-            return np.einsum("m,im->i", psi.coeffs, powers, optimize=False)
-        if M >= MAX_WORK_DIM - 1:
-            raise UnboundedSymbolError(
-                f"kernel symmetry: the weight series has not converged at order {M}; "
-                f"its last quarter holds {(tail / total).max():.3g} of its sum"
-            )
-        M = min(2 * M, MAX_WORK_DIM - 1)
-        psi = weight_at(M)
-
-
-def kernel_weight_values(pair: SymbolPair, weight_at) -> np.ndarray:
-    """psi(u) at u = KERNEL_POINTS, by ``weight_values``, for a pair that
-    passes ``operator_gate``: the weight values every kernel form reads."""
+def kernel_weight_values(pair: SymbolPair) -> np.ndarray:
+    """psi(u) at u = KERNEL_POINTS from the pair's closed-form weight, for a
+    pair that passes ``operator_gate``: the weight values every kernel form
+    reads. No series is built."""
     operator_gate(pair)
-    return weight_values(pair.psi, np.array(KERNEL_POINTS, dtype=complex), weight_at)
+    return pair.weight.values(np.array(KERNEL_POINTS, dtype=complex))
 
 
 def _operator_on_kernels(phi: LinearFractionalMap, n: int, alpha: float, w_bar: np.ndarray,

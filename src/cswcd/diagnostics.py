@@ -273,7 +273,7 @@ def _kernel_gram(u: np.ndarray, n: int, alpha: float) -> np.ndarray:
     return np.einsum("aj,bj->ab", E.conj() * coef, E, optimize=False)
 
 
-def normality_gram(pair: SymbolPair, alpha: float, weight_at):
+def normality_gram(pair: SymbolPair, alpha: float):
     """The Gram matrices (G_T, G_T*) of T and of its adjoint at GRAM_POINTS:
     G_T[i, j] = <T K_(w_i), T K_(w_j)> and G_T*[i, j] = <T* K_(w_i), T* K_(w_j)>.
 
@@ -289,11 +289,12 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
     a constant times the series psi (1 + (c/d) z)^s, the same for every
     point, times (1 - q z)^-s. The series is taken at an order M of the
     weight psi. M starts at min(N, GRAM_START - 1) for the pair's truncation
-    N, whose coefficients are exact, and doubles while the last quarter of
-    any ||T K_w||^2 series exceeds GRAM_TAIL of its sum; ``weight_at(M)``
-    gives the weight series at order M. A tail still above that share at
-    order MAX_WORK_DIM - 1 is refused: a pole of phi near the circle can
-    keep T K_w far from its truncation even where the points pass the gate.
+    N and doubles while the last quarter of any ||T K_w||^2 series exceeds
+    GRAM_TAIL of its sum; ``SymbolPair.weight_series(M)`` gives the weight's
+    coefficients at order M from its closed form, without rebuilding the
+    pair. A tail still above that share at order MAX_WORK_DIM - 1 is
+    refused: a pole of phi near the circle can keep T K_w far from its
+    truncation even where the points pass the gate.
 
     The Cauchy products can cancel: on the unitary family psi (1 + (c/d) z)^s
     is a constant summed from terms that grow like (alpha+2)_m |p|^m / m!.
@@ -319,8 +320,8 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
     wbar = w.conjugate()
     q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
     scale = t_constant(alpha, n) * wbar**n * (1 - wbar * (phi.b / phi.d)) ** -s
-    M = min(pair.psi.order, GRAM_START - 1)
-    psi = pair.psi.coeffs[: M + 1]
+    M = min(pair.order, GRAM_START - 1)
+    psi = pair.weight_series(M)
     while True:
         m = np.arange(1, M + 1)
         ratios = (s - m + 1) / m * (phi.c / phi.d)
@@ -339,7 +340,7 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
                 f"its last quarter holds {(tail / total).max():.3g} of its sum"
             )
         M = min(2 * M, MAX_WORK_DIM - 1)
-        psi = weight_at(M).coeffs
+        psi = pair.weight_series(M)
     G_T = np.einsum("am,bm->ab", series * bsq, series.conj(), optimize=False)
     G_T *= scale[:, None] * scale.conj()
     psi_w = np.einsum("m,im->i", psi, powers[k:], optimize=False)
@@ -361,10 +362,10 @@ def normality_gram(pair: SymbolPair, alpha: float, weight_at):
     return G_T, G_star
 
 
-def normality_gram_defect(pair: SymbolPair, alpha: float, weight_at) -> float:
+def normality_gram_defect(pair: SymbolPair, alpha: float) -> float:
     """max |G_T - G_T*| / max |G_T*| over GRAM_POINTS (``normality_gram``);
     zero exactly for a normal operator, up to rounding."""
-    G_T, G_star = normality_gram(pair, alpha, weight_at)
+    G_T, G_star = normality_gram(pair, alpha)
     diff = float(np.abs(G_T - G_star).max())
     scale = float(np.abs(G_star).max())
     return diff / scale if scale > 0 else diff

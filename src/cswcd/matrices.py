@@ -38,6 +38,10 @@ from .symbols import (
     sup_norm_lft,
 )
 
+# units of rounding of sup_norm_lft, times its conditioning, within which
+# the companion gate counts sup|phi| as 1
+COMPANION_ROUNDING = 64
+
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -201,10 +205,20 @@ def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> float:
 
 
 def companion_gate(phi: LinearFractionalMap) -> None:
-    """Refuse phi unless sup |phi| < 1, where Cowen's companion pair is
-    defined; both forms of the companion adjoint identity are gated here."""
+    """Refuse phi unless sup |phi| < 1 by more than the rounding of
+    ``sup_norm_lft``, where Cowen's companion pair is defined; both forms of
+    the companion adjoint identity are gated here.
+
+    A disk automorphism has sup |phi| = 1 exactly, and ``sup_norm_lft``
+    returns it within a few units of rounding of 1 on either side; that
+    rounding grows like 1 / (1 - |c/d|^2). The margin, COMPANION_ROUNDING
+    such units scaled by that factor, refuses every automorphism, whatever
+    the last bit of its computed norm.
+    """
     norm = sup_norm_lft(phi)
-    if not norm < 1.0:
+    # a finite norm puts the pole outside the closed disk, so |c/d| < 1
+    if not (norm < 1.0 and 1.0 - norm
+            > COMPANION_ROUNDING * np.finfo(float).eps / (1 - abs(phi.c / phi.d) ** 2)):
         raise UnboundedSymbolError(
             f"companion pair needs sup|phi| < 1, got {norm:.6f}"
         )
@@ -229,10 +243,10 @@ def cowen_adjoint_pair(
     sigma = sigma_companion(phi)
     phi_0 = lft_eval(phi, 0.0)
     sigma_0 = lft_eval(sigma, 0.0)
-    pair_a = SymbolPair(
+    pair_a = SymbolPair.from_series(
         kernel(sigma_0, n, space.alpha, space.N), phi, n, provenance="companion-adjoint-A"
     )
-    pair_b = SymbolPair(
+    pair_b = SymbolPair.from_series(
         kernel(phi_0, n, space.alpha, space.N), sigma, n, provenance="companion-adjoint-B"
     )
     return pair_a, pair_b

@@ -82,8 +82,8 @@ class RunConfig:
     first time asked.
 
     ``conjugation`` is made for the config's space from ``conjugation_doc``.
-    ``weight_at(order)`` rebuilds the pair's weight at another truncation, for
-    the kernel forms whose weight series grow past the config's own.
+    The pair carries its weight in closed form; its Taylor series is built
+    only if a check reads it.
     """
 
     space: SpaceParams
@@ -106,18 +106,15 @@ class RunConfig:
     def conjugation(self) -> AntilinearConjugation:
         return make_conjugation(resolve_conjugation_kind(self), self.space)
 
-    def weight_at(self, order: int) -> TruncatedSeries:
-        return make_pair(self.symbols, SpaceParams(self.space.alpha, self.space.n, order)).psi
-
     @cached_property
     def kernel_weights(self) -> np.ndarray:
         """The weight at KERNEL_POINTS, read by the three kernel symmetry checks."""
-        return kernel_weight_values(self.pair, self.weight_at)
+        return kernel_weight_values(self.pair)
 
     @cached_property
     def gram_defect(self) -> float:
         """Kernel Gram defect of the operator, read by both normality checks."""
-        return normality_gram_defect(self.pair, self.space.alpha, self.weight_at)
+        return normality_gram_defect(self.pair, self.space.alpha)
 
 
 @dataclass
@@ -352,7 +349,7 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
         sup = sup_norm_lft(phi)
         if sup > 1.0 + 1e-12:
             raise ConfigError(f"{path}.phi", f"the map leaves the disk: sup|phi| = {sup:.6f}")
-        return SymbolPair(
+        return SymbolPair.from_series(
             polynomial(coeffs, N), phi, space.n, provenance="explicit",
             params={"bounded": bounded},
         )

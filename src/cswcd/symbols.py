@@ -1,16 +1,28 @@
 """Linear fractional self-maps of the disk and the closed-form symbol families.
 
 Every weight/composition pair handled here is rational: the composition
-symbol phi is an exact linear fractional map and the weight psi is a
-truncated expansion of a function of the shape scale * z^n / (1 - c z)^s.
+symbol phi is an exact linear fractional map, and the weight psi is carried
+in closed form as a ``RationalWeight``,
+
+    psi(z) = exp(g) P(z) (1 - rho z)^(-e),
+
+a polynomial P times one affine power, with a constant gain exp(g) kept as
+its logarithm g. Each closed-form family, and each transport of one by a
+rotation or by a disk automorphism, has this shape with P of degree at most
+n; an explicit weight is its own P, with e = 0. The kernel forms evaluate
+psi at points from this closed form. The Taylor series of psi is built
+only when a reader asks for it (``SymbolPair.psi``): P times one
+``expand_rational_kernel``, with no factor of positive power.
 Family constructors validate the standing assumptions (psi not identically
 zero, phi nonconstant, parameters inside the disk) before any computation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +31,8 @@ from .series import (
     TruncatedSeries,
     binomial_series,
     expand_rational_kernel,
-    monomial,
     polynomial,
+    power_table,
     series_mul,
     series_power,
     series_scale,
@@ -128,25 +140,112 @@ def lft_to_series(phi: LinearFractionalMap, N: int) -> TruncatedSeries:
 
 
 @dataclass(frozen=True)
+class RationalWeight:
+    """psi(z) = exp(log_gain) P(z) (1 - rho z)^(-exponent), in closed form.
+
+    ``poly`` holds the coefficients of P, lowest degree first, read-only.
+    The exponent is >= 0, and |rho| < 1 when it is positive, so psi is
+    analytic on the closed disk. The gain is kept as its logarithm, so that
+    a large power of a constant need not be formed on its own.
+    """
+
+    poly: np.ndarray
+    rho: complex = 0j
+    exponent: float = 0.0
+    log_gain: complex = 0j
+
+    def __post_init__(self):
+        arr = np.array(self.poly, dtype=complex)
+        if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
+            raise DomainError("a weight polynomial needs finite coefficients")
+        arr.flags.writeable = False
+        object.__setattr__(self, "poly", arr)
+        if self.exponent < 0:
+            raise DomainError(f"weight exponent must be >= 0, got {self.exponent}")
+        if self.exponent > 0 and abs(self.rho) >= 1.0:
+            raise DomainError(f"weight pole inside or on the unit circle: |rho| = {abs(self.rho):.6f}")
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """psi at each point of u, |u| < 1: P by an unoptimized ``einsum``
+        (no BLAS), and the power and the gain together as one exponential
+        of logarithms, so that neither overflows or underflows on its own."""
+        p_u = np.einsum("m,im->i", self.poly, power_table(u, self.poly.size), optimize=False)
+        return p_u * np.exp(self.log_gain - self.exponent * np.log(1 - self.rho * u))
+
+    def series(self, N: int) -> TruncatedSeries:
+        """Taylor coefficients 0..N: P, scaled by the gain, times the series
+        of (1 - rho z)^(-exponent). Coefficient m reads only coefficients
+        0..m of both factors, so the first M + 1 coefficients do not depend
+        on N >= M."""
+        poly = self.poly[: N + 1]
+        if self.log_gain != 0:
+            poly = poly * cmath.exp(self.log_gain)
+        if self.rho == 0 or self.exponent == 0:
+            return polynomial(poly, N)
+        base = expand_rational_kernel(self.exponent, self.rho, N).coeffs
+        out = np.zeros(N + 1, dtype=complex)
+        first = True
+        for k, pk in enumerate(poly.tolist()):
+            if pk == 0:
+                continue
+            if first:   # assigned, so a zero keeps the sign the product gives it
+                out[k:], first = pk * base[: N + 1 - k], False
+            else:
+                out[k:] += pk * base[: N + 1 - k]
+        return TruncatedSeries(out)
+
+
+def _monomial_weight(coeff: complex, n: int, rho: complex, exponent: float) -> RationalWeight:
+    """coeff z^n (1 - rho z)^(-exponent)."""
+    poly = np.zeros(n + 1, dtype=complex)
+    poly[n] = coeff
+    return RationalWeight(poly, rho, exponent)
+
+
+@dataclass(frozen=True)
 class SymbolPair:
-    """Weight series psi, composition map phi and differentiation order n.
+    """Closed-form weight psi, composition map phi, differentiation order n
+    and the truncation order N of the weight's Taylor series.
 
     ``provenance`` records which family built the pair; ``params`` keeps the
     closed-form parameters for exact cross-checks downstream and, for an
     explicit pair, the user's ``bounded`` flag.
     """
 
-    psi: TruncatedSeries
+    weight: RationalWeight
     phi: LinearFractionalMap
     n: int
+    order: int
     provenance: str = "explicit"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("order n must be nonnegative")
-        if not np.any(self.psi.coeffs):
+        if not np.any(self.weight.poly[: self.order + 1]):
             raise DomainError("weight symbol psi is identically zero")
+
+    @classmethod
+    def from_series(cls, psi: TruncatedSeries, phi: LinearFractionalMap, n: int,
+                    **kwargs) -> "SymbolPair":
+        """A pair whose weight is the polynomial psi, at psi's truncation."""
+        return cls(RationalWeight(psi.coeffs), phi, n, psi.order, **kwargs)
+
+    @cached_property
+    def psi(self) -> TruncatedSeries:
+        """The weight's Taylor series at the pair's truncation, built the
+        first time it is read: by the matrix build, ``adjoint-kernel``,
+        ``export-matrix`` and the necessary-conditions scan."""
+        return self.weight.series(self.order)
+
+    def weight_series(self, order: int) -> np.ndarray:
+        """Coefficients 0..order of psi: a slice of ``psi`` when it is built
+        and long enough, else the closed form's series at that order. Both
+        give the same bytes."""
+        built = self.__dict__.get("psi")
+        if built is not None and built.order >= order:
+            return built.coeffs[: order + 1]
+        return self.weight.series(order).coeffs
 
     @property
     def bounded_hint(self) -> bool:
@@ -171,16 +270,6 @@ def bounded_sufficient(b: complex, c: complex) -> bool:
     return 2 * abs(c + np.conj(c) * w) < 1 - abs(w) ** 2
 
 
-def _kernel_shape_series(
-    scale: complex, n: int, c: complex, s: float, N: int
-) -> TruncatedSeries:
-    """scale * z^n / (1 - c z)^s as a truncated series."""
-    base = expand_rational_kernel(s, c, N) if c != 0 else polynomial([1.0], N)
-    out = np.zeros(N + 1, dtype=complex)
-    out[n:] = scale * base.coeffs[: N + 1 - n]
-    return TruncatedSeries(out)
-
-
 def rational_symbol_series(
     scale: complex,
     n: int,
@@ -189,7 +278,9 @@ def rational_symbol_series(
     inner: LinearFractionalMap,
     N: int,
 ) -> TruncatedSeries:
-    """Expansion of scale * L(z)^n / (1 - c L(z))^s for an LFT self-map L.
+    """Expansion of scale * L(z)^n / (1 - c L(z))^s for an LFT self-map L,
+    as a product of truncated series: the families' old series path, kept
+    as the tests' reference for the closed forms.
 
     Substituting L = (u z + v)/(w z + x) turns the function into
 
@@ -232,11 +323,11 @@ def family_j_symmetric(
         raise DomainError("a and b must be nonzero")
     if abs(c) >= 1.0:
         raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
-    psi = _kernel_shape_series(a / math.factorial(n), n, c, n + alpha + 2, N)
     return SymbolPair(
-        psi,
+        _monomial_weight(a / math.factorial(n), n, c, n + alpha + 2),
         _family_phi(b, c, c),
         n,
+        N,
         provenance="j-symmetric",
         params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
     )
@@ -250,11 +341,11 @@ def _family_conj_denominator(
     if abs(c) >= 1.0:
         raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
     cbar = np.conj(c)
-    psi = _kernel_shape_series(a / math.factorial(n), n, cbar, n + alpha + 2, N)
     return SymbolPair(
-        psi,
+        _monomial_weight(a / math.factorial(n), n, cbar, n + alpha + 2),
         _family_phi(b, cbar, c),
         n,
+        N,
         provenance=provenance,
         params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
     )
@@ -293,9 +384,10 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
     if b == 0 or abs(b) >= 1.0:
         raise DomainError(f"b must satisfy 0 < |b| < 1, got {abs(b):.6f}")
     return SymbolPair(
-        monomial(n, N, a),
+        _monomial_weight(a, n, 0j, 0.0),
         rotation_map(b),
         n,
+        N,
         provenance="normal-origin",
         params={"a": complex(a), "b": complex(b)},
     )
@@ -324,18 +416,48 @@ def unitary_symbols(
     p: complex, lambda_u: complex, alpha: float, N: int
 ) -> SymbolPair:
     """Symbols of the unitary, coefficient-conjugation-symmetric weighted
-    composition operator (``unitary_parameters``), the weight truncated at
-    N. The order is 0.
+    composition operator (``unitary_parameters``), the weight's series
+    truncated at N. The order is 0.
     """
     k, q, phi = unitary_parameters(p, lambda_u, alpha)
-    psi = series_scale(expand_rational_kernel(alpha + 2, q, N), k)
     return SymbolPair(
-        psi,
+        RationalWeight([k], q, alpha + 2),
         phi,
         0,
+        N,
         provenance="unitary-wc",
         params={"p": complex(p), "lambda_u": complex(lambda_u), "alpha": alpha},
     )
+
+
+def transported_weight(
+    scale: complex, n: int, c: complex, alpha: float, p: complex, lambda_u: complex
+) -> RationalWeight:
+    """psi_p (psi_base o L) in closed form, for the unitary symbols (psi_p, L)
+    at p and psi_base = scale z^n (1 - c z)^-s with s = n + alpha + 2.
+
+    With psi_p = k (1 - q z)^-(alpha+2) and L = (u z + v)/(w z + x), where
+    x = 1 and w = -q, substituting L gives
+
+        k scale (u z + v)^n (w z + x)^(s-n) / ((w - c u) z + den0)^s
+
+    with den0 = x - c v, and (w z + x)^(s-n) = (1 - q z)^(alpha+2) cancels
+    psi_p's power symbolically, so no power of positive exponent is formed:
+    P = lambda_u scale (u z + v)^n, rho = -(w - c u) / den0, and the gain
+    |k| den0^-s = (1 - |p|^2)^((alpha+2)/2) den0^-s is kept as its
+    logarithm, since either factor alone can leave the double range at
+    large alpha. |rho| < 1 because L maps the closed disk onto itself and
+    |c| < 1.
+    """
+    _, _, inner = unitary_parameters(p, lambda_u, alpha)
+    u, v, w, x = inner.a, inner.b, inner.c, inner.d
+    s = n + alpha + 2
+    den0 = x - c * v
+    if den0 == 0 or abs((w - c * u) / den0) >= 1.0:
+        raise DomainError("1 - c L(z) vanishes on the closed disk")
+    poly = [lambda_u * scale * math.comb(n, j) * v ** (n - j) * u**j for j in range(n + 1)]
+    log_gain = (alpha + 2) / 2 * math.log1p(-abs(p) ** 2) - s * cmath.log(den0)
+    return RationalWeight(poly, -(w - c * u) / den0, s, log_gain)
 
 
 def family_conjugated(
@@ -355,21 +477,19 @@ def family_conjugated(
 
     (a, b, c) describe a base pair from family_j_symmetric. With p nonzero,
     the base pair is transported by the unitary symbols at p:
-    phi = phi_base o phi_p and psi = psi_p * (psi_base o phi_p), the
-    composition expanded symbolically through the rational closed form. With
-    unimodular (mu, lam) instead, psi(z) = mu psi_base(lam z) and
-    phi(z) = phi_base(lam z).
+    phi = phi_base o phi_p and psi = psi_p * (psi_base o phi_p), in closed
+    form by ``transported_weight``. With unimodular (mu, lam) instead,
+    psi(z) = mu psi_base(lam z) = mu (a/n!) lam^n z^n (1 - c lam z)^-(n+alpha+2)
+    and phi(z) = phi_base(lam z).
     """
     base = family_j_symmetric(a, b, c, n, alpha, N)
     if (p is None) == (mu is None and lam is None):
         raise DomainError("provide exactly one of p or (mu, lam)")
+    scale = a / math.factorial(n)
     if p is not None:
-        wc = unitary_symbols(p, lambda_u, alpha, N)
-        phi = lft_compose(base.phi, wc.phi)
-        inner_psi = rational_symbol_series(
-            a / math.factorial(n), n, c, n + alpha + 2, wc.phi, N
-        )
-        psi = series_mul(wc.psi, inner_psi)
+        _, _, phi_p = unitary_parameters(p, lambda_u, alpha)
+        phi = lft_compose(base.phi, phi_p)
+        weight = transported_weight(scale, n, c, alpha, p, lambda_u)
         provenance = "wc-conjugated"
         extra = {"p": complex(p), "lambda_u": complex(lambda_u)}
     else:
@@ -377,11 +497,9 @@ def family_conjugated(
             raise DomainError("rotation case needs both mu and lam")
         if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
             raise DomainError("mu and lam must be unimodular")
-        rot = rotation_map(lam)
-        phi = lft_compose(base.phi, rot)
-        powers = lam ** np.arange(N + 1)
-        psi = TruncatedSeries(mu * base.psi.coeffs * powers)
+        phi = lft_compose(base.phi, rotation_map(lam))
+        weight = _monomial_weight(mu * scale * lam**n, n, c * lam, n + alpha + 2)
         provenance = "rotation-conjugated"
         extra = {"mu": complex(mu), "lam": complex(lam)}
     params = {"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha, **extra}
-    return SymbolPair(psi, phi, n, provenance=provenance, params=params)
+    return SymbolPair(weight, phi, n, N, provenance=provenance, params=params)

@@ -1,0 +1,42 @@
+"""The families' old weight series: products of truncated series.
+
+Before the weights were carried in closed form, each family built its
+weight as a Taylor series at the truncation N; the weighted-composition
+transport multiplied the series of (1 - conj(p) z)^-(alpha+2) by that of
+(1 - conj(p) z)^(alpha+2) in floating point. ``reference_weight_series``
+rebuilds that series from a pair's parameters with
+``symbols.rational_symbol_series``, for the tests that compare the closed
+form with it.
+"""
+
+import math
+
+import numpy as np
+
+from cswcd.series import expand_rational_kernel, monomial, series_mul, series_scale
+from cswcd.symbols import IDENTITY_MAP, rational_symbol_series, rotation_map, unitary_parameters
+
+
+def reference_weight_series(pair, N):
+    """The weight series at order N of a family pair, built as a product of
+    binomial series, as the families built it before the closed form."""
+    params, n = pair.params, pair.n
+    if pair.provenance == "normal-origin":
+        return monomial(n, N, params["a"])
+    if pair.provenance == "unitary-wc":
+        k, q, _ = unitary_parameters(params["p"], params["lambda_u"], params["alpha"])
+        return series_scale(expand_rational_kernel(params["alpha"] + 2, q, N), k)
+    a, c, alpha = params["a"], params["c"], params["alpha"]
+    scale, s = a / math.factorial(n), n + alpha + 2
+    if pair.provenance in ("general", "self-adjoint"):
+        return rational_symbol_series(scale, n, np.conj(c), s, IDENTITY_MAP, N)
+    if pair.provenance == "j-symmetric":
+        return rational_symbol_series(scale, n, c, s, IDENTITY_MAP, N)
+    if pair.provenance == "rotation-conjugated":
+        return rational_symbol_series(params["mu"] * scale, n, c, s,
+                                      rotation_map(params["lam"]), N)
+    if pair.provenance == "wc-conjugated":
+        k, q, phi_p = unitary_parameters(params["p"], params["lambda_u"], alpha)
+        return series_mul(series_scale(expand_rational_kernel(alpha + 2, q, N), k),
+                          rational_symbol_series(scale, n, c, s, phi_p, N))
+    raise ValueError(f"no reference series for provenance {pair.provenance!r}")

@@ -164,7 +164,7 @@ def test_criterion_4_symmetry_characterization():
         # converse probe: weight rebuilt with c + 0.1, map unchanged
         a, b, c = pair.params["a"], pair.params["b"], pair.params["c"]
         shifted = family_j_symmetric(a, b, c + 0.1, n, alpha, N_DEFAULT)
-        broken = SymbolPair(shifted.psi, pair.phi, n)
+        broken = SymbolPair(shifted.weight, pair.phi, n, shifted.order)
         bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space))
         if bad > 1e-3:
             broken_detected += 1
@@ -303,7 +303,7 @@ def test_criterion_8_necessary_conditions():
             rng.complex_annulus(0.5, 1.5), rng.complex_annulus(0.1, 0.9), n, N_DEFAULT
         )
         all_pass = all_pass and not necessary_conditions_check(pair)
-    planted = SymbolPair(polynomial([1.0, 1.0], N_DEFAULT), rotation_map(0.5), 1)
+    planted = SymbolPair.from_series(polynomial([1.0, 1.0], N_DEFAULT), rotation_map(0.5), 1)
     ok_planted = "weight_flat_at_origin" in necessary_conditions_check(planted)
     criterion(
         8, "structural necessary conditions", all_pass and ok_planted,

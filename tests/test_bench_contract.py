@@ -9,6 +9,7 @@ traced mode wraps every ``TRACED`` function at each module binding and every
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from cswcd import cli, runner
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +122,26 @@ def test_tracer_sees_the_grid_checks(tracing):
     samples = sum(len(runner.grid_report(config, name).samples) for name in config.checks)
     assert samples > 0
     assert tracer.counters["diagnostics.grid.samples"] == samples
+
+
+def test_traced_wc_sweep_round_builds_no_series(tracing, tmp_path, monkeypatch):
+    # one round of the wc-sweep workload under the tracer: every draw builds
+    # its pair once, and no series product is taken, so a change that builds
+    # the weight's Taylor series again shows here
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look themselves up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["wc-sweep"](1, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        results = [workload.execute(call, tracer) for call in workload.round(0)]
+    finally:
+        tracer.uninstall()
+    ops = sum(len(result.ops) for result in results)
+    assert ops == len(workload.round(0)) and not any(result.failures for result in results)
+    metrics = tracer.per_layer(ops, [workload.checks], 1.0, 0.0)
+    assert metrics["series.mul.calls"]["value"] == 0
+    assert metrics["runner.make_pair.calls"]["value"] == 1

@@ -24,6 +24,7 @@ from cswcd.conjugations import (
     kernel_axioms_defect,
     kernel_companion_defect,
     kernel_companion_forms,
+    kernel_hermitian_defect,
     kernel_image,
     kernel_hermitian_form,
     kernel_symmetry_defect,
@@ -32,10 +33,9 @@ from cswcd.conjugations import (
     make_J,
     make_rotation_J,
     make_wc_J,
-    weight_values,
 )
 from cswcd.defaults import TOL_EXACT, TOL_GUARDED
-from cswcd.diagnostics import is_hermitian
+from cswcd.diagnostics import GRAM_TAIL, is_hermitian
 from cswcd.errors import DomainError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
@@ -46,7 +46,13 @@ from cswcd.matrices import (
 )
 from cswcd.rng import SplitMix64
 from cswcd.runner import SWEEPABLE_FAMILIES, draw_symbols, make_pair, parse_config, run
-from cswcd.series import TruncatedSeries, monomial, series_conjugate_reflect, series_scale
+from cswcd.series import (
+    TruncatedSeries,
+    monomial,
+    power_table,
+    series_conjugate_reflect,
+    series_scale,
+)
 from cswcd.symbols import (
     LinearFractionalMap,
     SymbolPair,
@@ -57,6 +63,7 @@ from cswcd.symbols import (
     sigma_companion,
     unitary_symbols,
 )
+from series_reference import reference_weight_series
 from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
 
 SPACE = SpaceParams(0.0, 1, 24)
@@ -241,10 +248,6 @@ def wc_closed(a, b, c, n, alpha, p, lambda_u):
     return psi, phi, psi_C, phi_C
 
 
-def weight_at(symbols, alpha, n):
-    return lambda order: make_pair(symbols, SpaceParams(alpha, n, order)).psi
-
-
 class TestKernelForms:
     """C-symmetry and the conjugation axioms on reproducing kernels."""
 
@@ -271,8 +274,7 @@ class TestKernelForms:
         space = SpaceParams(alpha, n, 96)
         pair = make_pair(symbols, space)
         C = make_wc_J(p, lam_u, space)
-        u = np.array(KERNEL_POINTS)
-        B = kernel_symmetry_form(pair, C, weight_values(pair.psi, u, weight_at(symbols, alpha, n)))
+        B = kernel_symmetry_form(pair, C, kernel_weight_values(pair))
         with mpmath.workdps(40):
             al = mpmath.mpf(alpha)
             psi, phi, psi_C, phi_C = wc_closed(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c), n, al,
@@ -296,7 +298,7 @@ class TestKernelForms:
         alpha, n, a, b, c = 0.5, 2, 0.9, complex(b), 0.2 + 0.2j
         symbols = {"family": "general", "a": a, "b": [b.real, b.imag], "c": [c.real, c.imag]}
         pair = make_pair(symbols, SpaceParams(alpha, n, 96))
-        psi_u = kernel_weight_values(pair, weight_at(symbols, alpha, n))
+        psi_u = kernel_weight_values(pair)
         A = kernel_hermitian_form(pair, alpha, psi_u)
         with mpmath.workdps(40):
             al, cbar = mpmath.mpf(alpha), mpmath.conj(mpmath.mpc(c))
@@ -314,20 +316,13 @@ class TestKernelForms:
         assert (asymmetry <= 1e-35 * top) is hermitian
         assert np.max(np.abs(A - exact)) <= 1e-14 * top
 
-    def test_weight_series_that_never_converges_is_refused(self):
-        # at |u| = 1 every term of sum u^m is 1, so the last quarter never shrinks
-        ones = lambda order: TruncatedSeries(np.ones(order + 1))  # noqa: E731
-        with pytest.raises(UnboundedSymbolError, match="not converged at order 2047"):
-            weight_values(ones(63), np.array([1.0 + 0j]), ones)
-
-    def test_weight_series_grows_past_a_small_truncation(self):
+    def test_weight_values_do_not_depend_on_the_truncation(self):
+        # the closed form reads no series, so N 3 and N 200 give the same bytes
         symbols = {"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": [0.2, 0.1]}
         small = make_pair(symbols, SpaceParams(0.5, 1, 3))
         large = make_pair(symbols, SpaceParams(0.5, 1, 200))
-        u = np.array(KERNEL_POINTS)
-        got = weight_values(small.psi, u, weight_at(symbols, 0.5, 1))
-        want = weight_values(large.psi, u, weight_at(symbols, 0.5, 1))
-        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.array_equal(kernel_weight_values(small), kernel_weight_values(large))
+        assert "psi" not in small.__dict__ and "psi" not in large.__dict__
 
     @pytest.mark.parametrize("p", [0.3 + 0.1j, 0.6, 0.9 * np.exp(2j), 0.99j])
     def test_axioms_hold_for_every_p(self, p):
@@ -350,7 +345,7 @@ class TestKernelForms:
         symbols = {"family": "explicit", "psi": [0.0, 1.0], "phi": [0.5, 0.5, 0.0, 1.0]}
         space = SpaceParams(0.5, 1, 16)
         with pytest.raises(UnboundedSymbolError, match="no boundedness gate"):
-            kernel_weight_values(make_pair(symbols, space), weight_at(symbols, 0.5, 1))
+            kernel_weight_values(make_pair(symbols, space))
 
 
 def with_angle(z: complex, angle: float) -> list:
@@ -502,7 +497,7 @@ def test_companion_form_agrees_with_the_matrix_path(family):
             continue
         by_matrix = companion_matrix_defect(pair_a, pair_b, space) <= tol
         assert by_matrix and kernel_companion_defect(phi, n, 0.5) <= tol, i
-        swapped = SymbolPair(pair_b.psi, phi, n)
+        swapped = SymbolPair(pair_b.weight, phi, n, pair_b.order)
         by_matrix = companion_matrix_defect(pair_a, swapped, space) <= tol
         assert (defect_with_phi_in_b(phi, n, 0.5) <= tol) == by_matrix, i
         assert by_matrix == (sigma_companion(phi) == phi), i
@@ -593,7 +588,7 @@ class TestIsCSymmetric:
         # rebuild the weight with c shifted by 0.1 while phi keeps c
         pair = family_j_symmetric(1.0, 0.3, 0.2, 1, 0.0, 24)
         shifted = family_j_symmetric(1.0, 0.3, 0.3, 1, 0.0, 24)
-        broken = SymbolPair(shifted.psi, pair.phi, 1)
+        broken = SymbolPair(shifted.weight, pair.phi, 1, shifted.order)
         M = build_wcd_matrix(broken, SPACE)
         defect = is_C_symmetric(M, make_J(SPACE))
         assert defect > 1e-3
@@ -637,3 +632,39 @@ class TestIsCSymmetric:
         M = build_wcd_matrix(pair, SPACE)
         defect = is_C_symmetric(M, make_J(SPACE))
         assert defect > 1e-3
+
+
+def series_weight_values(pair, u, N=64):
+    """psi(u) summed from the old product-of-series weight, as the kernel
+    forms read it before the closed form: the order N doubles while the last
+    quarter of any sum holds more than GRAM_TAIL of it."""
+    while True:
+        coeffs = reference_weight_series(pair, N).coeffs
+        powers = power_table(u, N + 1)
+        terms = np.abs(powers * coeffs)
+        if (terms[:, N + 1 - (N + 1) // 4:].sum(axis=1) <= GRAM_TAIL * terms.sum(axis=1)).all():
+            return np.einsum("m,im->i", coeffs, powers, optimize=False)
+        N *= 2
+
+
+@pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
+def test_closed_form_weight_keeps_the_series_verdicts(family):
+    """On pass/fail at TOL_EXACT over 1,000 seeded draws at alpha 0.5, n 1 to
+    3: J-symmetry, C-symmetry under the family's own conjugation and
+    self-adjointness, with psi at KERNEL_POINTS from the closed form and from
+    the old product-of-series weight."""
+    rng, u = SplitMix64(4242), np.array(KERNEL_POINTS)
+    for i in range(1000):
+        n = 1 + i % 3
+        doc = {"space": {"alpha": 0.5, "n": n, "N": 64},
+               "symbols": draw_symbols({"family": family}, rng), "checks": []}
+        config = parse_config(doc)
+        pair, space = config.pair, config.space
+        verdicts = []
+        for psi_u in (kernel_weight_values(pair), series_weight_values(pair, u)):
+            verdicts.append((
+                kernel_symmetry_defect(pair, make_J(space), psi_u) <= TOL_EXACT,
+                kernel_symmetry_defect(pair, config.conjugation, psi_u) <= TOL_EXACT,
+                kernel_hermitian_defect(pair, space.alpha, psi_u) <= TOL_EXACT,
+            ))
+        assert verdicts[0] == verdicts[1], (i, doc)

@@ -226,16 +226,16 @@ class TestNecessaryConditions:
         assert necessary_conditions_check(pair) == ()
 
     def test_constant_plus_z_fails_flatness(self):
-        pair = SymbolPair(polynomial([1, 1], 32), rotation_map(0.5), 1)
+        pair = SymbolPair.from_series(polynomial([1, 1], 32), rotation_map(0.5), 1)
         assert "weight_flat_at_origin" in necessary_conditions_check(pair)
 
     def test_planted_zero_fails_scan(self):
         # psi = z (z - 0.5) vanishes at 0.5
-        pair = SymbolPair(polynomial([0, -0.5, 1], 32), rotation_map(0.5), 1)
+        pair = SymbolPair.from_series(polynomial([0, -0.5, 1], 32), rotation_map(0.5), 1)
         assert "weight_nonvanishing" in necessary_conditions_check(pair)
 
     def test_missing_order_coefficient(self):
-        pair = SymbolPair(monomial(3, 32), rotation_map(0.5), 2)
+        pair = SymbolPair.from_series(monomial(3, 32), rotation_map(0.5), 2)
         assert "weight_order_exact" in necessary_conditions_check(pair)
 
 
@@ -272,14 +272,9 @@ class TestIsNormal:
         assert is_normal(M) > 1e-3
 
 
-def weight_at(symbols, alpha, n):
-    """The weight series of the family pair at any order, for the Gram."""
-    return lambda order: make_pair(symbols, SpaceParams(alpha, n, order)).psi
-
-
 def gram_defect(symbols, alpha, n, N):
     pair = make_pair(symbols, SpaceParams(alpha, n, N))
-    return normality_gram_defect(pair, alpha, weight_at(symbols, alpha, n))
+    return normality_gram_defect(pair, alpha)
 
 
 # closed forms (psi, phi, order) in mpmath of three families, for the oracle
@@ -315,7 +310,7 @@ class TestNormalityGram:
         # <T* K_w, T* K_z> = conj(psi(w)) psi(z) n! Gamma(n+alpha+2) / Gamma(alpha+2)
         #                    2F1(n+1, n+alpha+2; 1; conj(phi(w)) phi(z)), at 40 digits
         pair = make_pair(symbols, SpaceParams(alpha, n, 48))
-        _, G_star = normality_gram(pair, alpha, weight_at(symbols, alpha, n))
+        _, G_star = normality_gram(pair, alpha)
         with mpmath.workdps(40):
             psi, phi, order = closed()
             al = mpmath.mpf(alpha)
@@ -334,8 +329,7 @@ class TestNormalityGram:
         # kernel coordinates
         space = SpaceParams(alpha, n, 400)
         pair = make_pair(symbols, space)
-        G_T, _ = normality_gram(make_pair(symbols, SpaceParams(alpha, n, 48)), alpha,
-                                weight_at(symbols, alpha, n))
+        G_T, _ = normality_gram(make_pair(symbols, SpaceParams(alpha, n, 48)), alpha)
         M = build_wcd_matrix(pair, space)
         images = [apply(M, kernel(w, 0, alpha, space.N)) for w in GRAM_POINTS]
         via_matrix = np.array([[inner_product(f, g, alpha) for g in images] for f in images])
@@ -373,7 +367,7 @@ class TestNormalityGram:
     def test_refused_point(self):
         pair = family_j_symmetric(1.0, 0.1, 0.85j, 1, 0.5, 32)
         with pytest.raises(UnboundedSymbolError, match="image gate"):
-            normality_gram(pair, 0.5, lambda order: None)
+            normality_gram(pair, 0.5)
 
 
 class TestNormDefectKernelTest:
@@ -466,3 +460,15 @@ class TestGridCsv:
         cells = lines[1].split(",")
         assert len(cells) == 3
         float(cells[0]), float(cells[1]), float(cells[2])
+
+
+def test_gram_reads_a_long_explicit_weight_at_its_own_order():
+    # the Gram starts at order 63 < N: the weight's series there is the
+    # leading block of the explicit polynomial, with or without the series
+    # at N built first
+    psi = polynomial([0.5**j for j in range(100)], 150)
+    fresh = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
+    built = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
+    assert np.array_equal(built.psi.coeffs, psi.coeffs)
+    assert normality_gram_defect(fresh, 0.5) == normality_gram_defect(built, 0.5)
+    assert "psi" not in fresh.__dict__

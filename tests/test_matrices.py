@@ -54,7 +54,7 @@ SPACE = SpaceParams(0.0, 1, 24)
 
 
 def explicit_pair(psi, phi, n, bounded=True):
-    return SymbolPair(psi, phi, n, params={"bounded": bounded})
+    return SymbolPair.from_series(psi, phi, n, params={"bounded": bounded})
 
 
 def draw_contractive_lft(rng, sup_cap=0.7):

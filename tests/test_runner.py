@@ -8,11 +8,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cswcd import diagnostics, matrices, runner
+from cswcd import diagnostics, matrices, runner, series
+from cswcd import symbols as symbols_module
+from cswcd.bergman import SpaceParams
 from cswcd.cli import _exit_code, main
-from cswcd.errors import ConfigError
+from cswcd.errors import ConfigError, UnboundedSymbolError
 from cswcd.rng import SplitMix64
 from cswcd.runner import (
     canonical_json,
@@ -23,6 +26,7 @@ from cswcd.runner import (
     run,
     sweep,
 )
+from cswcd.series import TruncatedSeries
 
 BASE = {
     "space": {"alpha": 0.0, "n": 1, "N": 48},
@@ -285,6 +289,30 @@ class TestOneBuildPerConfig:
                                                        "kernel-conjugation-axioms; kind=wc-J"]
         assert builds == []
 
+    @pytest.mark.parametrize("space, symbols, checks", [
+        (WC_SPACE, {**WC_SYMBOLS, "p": [0.5, 0.3]}, ["C-symmetry", "conjugation-axioms"]),
+        ({"alpha": 0.5, "n": 1, "N": 192},
+         {"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
+         ["C-symmetry", "self-adjointness", "normality", "normality-predicate"]),
+    ], ids=["wc-conjugated", "large-check"])
+    def test_kernel_checks_build_no_weight_series_at_N(self, monkeypatch, space, symbols,
+                                                        checks):
+        # the kernel forms read the closed-form weight; only the Gram takes a
+        # series, at its own order
+        orders, products = [], []
+        init = TruncatedSeries.__post_init__
+        monkeypatch.setattr(TruncatedSeries, "__post_init__",
+                            lambda self: orders.append(np.size(self.coeffs) - 1) or init(self))
+        for module in (series, symbols_module):
+            inner = module.series_mul
+            monkeypatch.setattr(module, "series_mul",
+                                lambda *args, inner=inner: products.append(args) or inner(*args))
+        config = parse_config(config_with(space=space, symbols=symbols, checks=checks))
+        reports = run(config)
+        assert [r.status for r in reports] == ["pass"] * len(checks)
+        assert space["N"] not in orders and products == []
+        assert "psi" not in config.pair.__dict__
+
     def test_one_commutator_per_run(self):
         # one kernel Gram serves both normality checks; counted by code
         # object, so no module binding of normality_gram_defect escapes
@@ -517,6 +545,47 @@ class TestCli:
         path = tmp_path / name
         path.write_text(json.dumps(doc), encoding="utf-8")
         return str(path)
+
+    def test_parser_serves_many_calls_in_one_process(self, tmp_path):
+        # check, sweep, an invalid argv and check again in one process give
+        # the exit codes and report bytes of four fresh processes
+        check_cfg = self.write(tmp_path, config_with(), "check.json")
+        sweep_cfg = self.write(tmp_path, config_with(
+            symbols={"family": "general"}, checks=["normality-predicate", "adjoint-pair"]),
+            "sweep.json")
+        argvs = [["check", check_cfg], ["sweep", sweep_cfg, "--draws", "3", "--seed", "4"],
+                 ["sweep", sweep_cfg, "--seed", "4"], ["check", check_cfg]]
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        for i, argv in enumerate(argvs):
+            out, fresh_out = tmp_path / f"in-{i}.json", tmp_path / f"fresh-{i}.json"
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            fresh = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, *argv,
+                                    "--out", str(fresh_out)],
+                                   env=env, capture_output=True, timeout=120)
+            assert code == fresh.returncode == (2 if i == 2 else 0), (argv, code)
+            if i != 2:
+                assert out.read_bytes() == fresh_out.read_bytes(), argv
+
+    def test_unitary_companion_pair_is_refused(self, tmp_path):
+        # the map of a unitary pair is a disk automorphism, sup|phi| = 1: the
+        # companion gate refuses every draw, whatever the rounding of sup|phi|
+        doc = config_with(space={"alpha": 0.0, "n": 1, "N": 32},
+                          symbols={"family": "unitary"}, checks=["adjoint-pair"], seed=5)
+        out = tmp_path / "report.json"
+        assert main(["sweep", self.write(tmp_path, doc), "--draws", "20", "--out",
+                     str(out)]) == 3
+        slot = json.loads(out.read_text(encoding="utf-8"))["aggregate"]["checks"]["adjoint-pair"]
+        assert (slot["pass"], slot["fail"], slot["unverified"]) == (0, 0, 20)
+        rng = SplitMix64(2024)
+        for _ in range(1000):
+            phi = make_pair(draw_symbols({"family": "unitary"}, rng), SpaceParams(0.0, 1, 8)).phi
+            with pytest.raises(UnboundedSymbolError, match="companion pair needs sup"):
+                matrices.companion_gate(phi)
 
     def test_check_pass_exit(self, tmp_path, capsys):
         code = main(["check", self.write(tmp_path, config_with())])

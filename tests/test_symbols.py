@@ -1,17 +1,22 @@
 """Tests for linear fractional maps and the closed-form symbol families."""
 
+import cmath
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
 from cswcd.bergman import kernel, t_constant
+from cswcd.conjugations import KERNEL_POINTS
 from cswcd.errors import DomainError, SingularityError
 from cswcd.rng import SplitMix64
-from cswcd.series import series_eval, zero_series
+from cswcd.series import polynomial, series_eval, zero_series
 from cswcd.symbols import (
     IDENTITY_MAP,
     LinearFractionalMap,
+    RationalWeight,
     SymbolPair,
     bounded_sufficient,
     family_conjugated,
@@ -28,6 +33,7 @@ from cswcd.symbols import (
     sup_norm_lft,
     unitary_symbols,
 )
+from series_reference import reference_weight_series
 
 DISK_POINTS = (0.2 + 0.1j, -0.4j, 0.55, -0.3 + 0.35j, 0.1 - 0.6j)
 
@@ -322,4 +328,117 @@ class TestBoundedSufficient:
 class TestSymbolPairInvariants:
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError):
-            SymbolPair(psi=zero_series(8), phi=IDENTITY_MAP, n=1)
+            SymbolPair.from_series(zero_series(8), IDENTITY_MAP, 1)
+
+
+# parameters of the pairs of the closed-form oracle
+ORACLE_BASE = {"a": 1 + 0.4j, "b": 0.3 + 0.1j, "c": 0.25 - 0.15j}
+ORACLE_P, ORACLE_LAMBDA_U = 0.55 * cmath.exp(0.7j), cmath.exp(0.9j)
+ORACLE_MU, ORACLE_LAM = cmath.exp(0.4j), cmath.exp(-1.1j)
+ORACLE_EXPLICIT = [0.3, -0.2 + 0.1j, 0.5j, 0.1]
+ORACLE_FAMILIES = ("j-symmetric", "general", "self-adjoint", "normal-origin", "unitary",
+                   "wc-conjugated", "rotation-conjugated", "explicit")
+
+
+def oracle_pair(family, n, alpha, N=32):
+    """The family's pair and its weight psi as an mpmath function of z,
+    written from the family's definition, with no shared factor cancelled."""
+    a, b, c = ORACLE_BASE["a"], ORACLE_BASE["b"], ORACLE_BASE["c"]
+    al = mpmath.mpf(alpha)
+    ma, mc = mpmath.mpc(a), mpmath.mpc(c)
+
+    def base(z, cc=mc, aa=ma):
+        return aa * z**n / (math.factorial(n) * (1 - cc * z) ** (n + al + 2))
+
+    if family == "j-symmetric":
+        return family_j_symmetric(a, b, c, n, alpha, N), base
+    if family == "general":
+        return family_general(a, b, c, n, alpha, N), partial(base, cc=mpmath.conj(mc))
+    if family == "self-adjoint":
+        return (family_self_adjoint(-0.7, 0.35, c, n, alpha, N),
+                partial(base, cc=mpmath.conj(mc), aa=mpmath.mpf(-0.7)))
+    if family == "normal-origin":
+        return family_normal_origin(a, 0.5j, n, N), lambda z: ma * z**n
+    if family == "explicit":
+        pair = SymbolPair.from_series(polynomial(ORACLE_EXPLICIT, N), rotation_map(0.5), n)
+        return pair, lambda z: mpmath.polyval([mpmath.mpc(x) for x in ORACLE_EXPLICIT[::-1]], z)
+    p, lam_u = mpmath.mpc(ORACLE_P), mpmath.mpc(ORACLE_LAMBDA_U)
+    pbar = mpmath.conj(p)
+    k = lam_u * (1 - abs(p) ** 2) ** ((al + 2) / 2)
+
+    def psi_p(z):
+        return k / (1 - pbar * z) ** (al + 2)
+
+    def phi_p(z):
+        return (pbar / p) * (p - z) / (1 - pbar * z)
+
+    if family == "unitary":
+        return unitary_symbols(ORACLE_P, ORACLE_LAMBDA_U, alpha, N), psi_p
+    if family == "wc-conjugated":
+        pair = family_conjugated(a, b, c, n, alpha, N, p=ORACLE_P, lambda_u=ORACLE_LAMBDA_U)
+        return pair, lambda z: psi_p(z) * base(phi_p(z))
+    pair = family_conjugated(a, b, c, n, alpha, N, mu=ORACLE_MU, lam=ORACLE_LAM)
+    return pair, lambda z: mpmath.mpc(ORACLE_MU) * base(mpmath.mpc(ORACLE_LAM) * z)
+
+
+class TestClosedFormWeight:
+    """Each family carries psi = exp(g) P (1 - rho z)^-e; the series is built
+    only when read."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 10, 50, 100, 400])
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_values_match_mpmath(self, family, alpha):
+        # psi at KERNEL_POINTS against its definition at 40 digits, pointwise
+        # relative, for n 0 to 3
+        u = np.array(KERNEL_POINTS)
+        for n in range(4):
+            pair, psi = oracle_pair(family, n, alpha)
+            got = pair.weight.values(u)
+            with mpmath.workdps(40):
+                exact = np.array([complex(psi(mpmath.mpc(x))) for x in KERNEL_POINTS])
+            assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact)), (n, got, exact)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES[:-1])
+    def test_series_matches_the_product_of_series(self, family):
+        # the closed form's series against the old construction, a product of
+        # binomial series (series_reference), at alpha 0.5 and N 96
+        for n in range(4):
+            pair, _ = oracle_pair(family, n, 0.5, N=96)
+            assert "psi" not in pair.__dict__
+            got, want = pair.psi.coeffs, reference_weight_series(pair, 96).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+    def test_weight_series_slices_a_built_series(self):
+        pair = family_general(0.8, 0.3 + 0.2j, 0.2 + 0.25j, 2, 0.5, 96)
+        fresh = pair.weight_series(40)
+        assert "psi" not in pair.__dict__ and fresh.size == 41
+        built = pair.psi.coeffs
+        sliced = pair.weight_series(40)
+        assert np.shares_memory(sliced, built)
+        assert np.array_equal(sliced, fresh)
+        assert np.array_equal(pair.weight_series(120), pair.weight.series(120).coeffs)
+
+    def test_wc_gain_is_kept_in_logs(self):
+        # den0^-(n+alpha+2) = (1 - c p)^-403 is about 1e407 here: alone it
+        # leaves the double range, with (1 - p^2)^201 it is about 1e204
+        a, b, c, n, alpha = 1.0, 0.05, 0.95, 1, 400.0
+        p = 0.95
+        pair = family_conjugated(a, b, c, n, alpha, 32, p=p)
+        assert mpmath.mpf(1 - c * p) ** -(n + alpha + 2) > mpmath.mpf("1e400")
+        got = pair.weight.values(np.array(KERNEL_POINTS))
+        with mpmath.workdps(40):
+            z = [mpmath.mpc(x) for x in KERNEL_POINTS]
+            pm, cm = mpmath.mpf(p), mpmath.mpf(c)
+            k = (1 - pm**2) ** ((alpha + 2) / 2)
+            phi_p = [(pm - x) / (1 - pm * x) for x in z]
+            exact = np.array([complex(k / (1 - pm * x) ** (alpha + 2) * a * w**n
+                                      / (1 - cm * w) ** (n + alpha + 2))
+                              for x, w in zip(z, phi_p)])
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact))
+
+    def test_rejects_a_pole_in_the_disk(self):
+        with pytest.raises(DomainError, match="weight pole"):
+            RationalWeight([1.0], 1.0, 2.5)
+        with pytest.raises(DomainError, match="finite"):
+            RationalWeight([math.inf])

@@ -1,17 +1,18 @@
-"""Known wrong verdicts at large alpha and at small N, recorded as strict xfails.
+"""Verdicts at large alpha and at small N, one cell per config and check.
 
 Every config below is a member of the family that its check is proved for,
 so the predicted verdict is ``pass``; ``unverified`` (a gate refusal) is
-also accepted, since it claims nothing. Today each case gives ``fail``
-(exit 1), and the ``wc-conjugated`` ``C-symmetry`` case at alpha 400
-crashes (exit 4). The causes:
+also accepted, since it claims nothing. The cells of the open rows still
+give ``fail`` (exit 1) and are recorded as strict xfails. Their cause:
+``adjoint-kernel`` compares a truncation with an absolute space norm, so the
+kernel tail beyond N and the rounding floor of large kernel norms enter its
+defect.
 
-- the kernel forms sum psi from its Taylor series, which loses digits as
-  alpha grows (for ``wc-conjugated`` an exact cancellation of
-  (1 - conj(p) z)^(+-(alpha+2)) is done in floating point);
-- ``adjoint-kernel`` compares a truncation with an absolute space norm, so
-  the kernel tail beyond N and the rounding floor of large kernel norms
-  enter its defect.
+The mended rows used to fail because the kernel forms summed psi from its
+Taylor series, which loses digits as alpha grows (for ``wc-conjugated`` an
+exact cancellation of (1 - conj(p) z)^(+-(alpha+2)) was done in floating
+point, and alpha 400 crashed with exit 4). The kernel forms now evaluate
+psi in closed form, and these cells pass.
 
 The marks are ``xfail(strict=True)``: a case that starts to pass fails the
 suite, so whoever mends it removes its mark.
@@ -30,33 +31,38 @@ SELF_ADJOINT = {"family": "self-adjoint", "a": 1.0, "b": 0.4, "c": [0.3, 0.2]}
 GENERAL = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
 J_SYMMETRIC = {"family": "j-symmetric", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
 
-# (symbols, check, [(alpha, N), ...]) per row of the table; n is 1 throughout.
-# The comments give the verdict and defect these cells gave when recorded.
+# (symbols, check, [(alpha, N), ...], open) per row of the table; n is 1
+# throughout. An open row's cells are strict xfails. The comments give the
+# verdict and defect the cells give, and for a mended row what they gave
+# when they were recorded.
 ROWS = (
-    # fail 2.6e-10, 7.7e-6 and 1.0; alpha 400: ValueError, exit 4
-    (WC, "C-symmetry", [(30, 32), (50, 32), (100, 32), (400, 32)]),
+    # pass 2.7e-15, 2.0e-15, 3.5e-16 and 3.2e-20; were fail 2.6e-10, 7.7e-6
+    # and 1.0, and at alpha 400 ValueError, exit 4
+    (WC, "C-symmetry", [(30, 32), (50, 32), (100, 32), (400, 32)], False),
     # fail 6.7e-6 and 79
-    (WC, "adjoint-kernel", [(20, 32), (50, 32)]),
-    # fail 1.1e-8 and 1.0 for both checks
-    (UNITARY, "C-symmetry", [(100, 48), (200, 48)]),
-    (UNITARY, "J-symmetry", [(100, 48), (200, 48)]),
-    # fail 3.6e-10 and 3.0e-7
-    (SELF_ADJOINT, "self-adjointness", [(400, 32)]),
-    (SELF_ADJOINT, "C-symmetry", [(400, 32)]),
-    # fail 4.4e-8 at N 48 (a pass at N 96); alpha 100: 1.9e-5 at every N from 96 to 400
-    (GENERAL, "adjoint-kernel", [(30, 48), (100, 96), (100, 400)]),
+    (WC, "adjoint-kernel", [(20, 32), (50, 32)], True),
+    # pass 1.7e-16 and 4.8e-18 for both checks; were fail 1.1e-8 and 1.0
+    (UNITARY, "C-symmetry", [(100, 48), (200, 48)], False),
+    (UNITARY, "J-symmetry", [(100, 48), (200, 48)], False),
+    # pass 2.9e-14 and 2.2e-14; were fail 3.6e-10 and 3.0e-7
+    (SELF_ADJOINT, "self-adjointness", [(400, 32)], False),
+    (SELF_ADJOINT, "C-symmetry", [(400, 32)], False),
+    # fail 4.4e-8 at N 48 (a pass at N 96); alpha 100: 2.0e-5 at N 96, 1.9e-5 at N 400
+    (GENERAL, "adjoint-kernel", [(30, 48), (100, 96), (100, 400)], True),
     # fail 6.3e-2, 2.5e-3 and 1.5e-6; a pass from N 24 on
-    (J_SYMMETRIC, "adjoint-kernel", [(0.5, 4), (0.5, 8), (0.5, 16)]),
+    (J_SYMMETRIC, "adjoint-kernel", [(0.5, 4), (0.5, 8), (0.5, 16)], True),
 )
+
+OPEN = pytest.mark.xfail(strict=True, raises=AssertionError,
+                         reason="wrong verdict at large alpha or small N")
 
 CELLS = [
     pytest.param(
         symbols, check, alpha, N,
         id=f"{symbols['family']}-{check}-alpha{alpha:g}-N{N}",
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                reason="wrong verdict at large alpha or small N"),
+        marks=[OPEN] if open_row else [],
     )
-    for symbols, check, cells in ROWS
+    for symbols, check, cells, open_row in ROWS
     for alpha, N in cells
 ]
 
