@@ -1,26 +1,17 @@
 """Antilinear conjugations and the complex-symmetry test C T* C = T.
 
 Every conjugation here is a weighted composition after coefficient
-conjugation, C f(z) = psi_C(z) conj(f(conj(phi_C(z)))), and carries its own
-symbols: the weight psi_C(u) = k (1 - q u)^-(alpha+2), stored as the pair
-(k, q), and the map phi_C, a ``LinearFractionalMap``.
+conjugation, C f(z) = psi_C(z) conj(f(conj(phi_C(z)))), on the space A^2_alpha.
+It carries alpha and its own symbols: the weight
+psi_C(u) = k (1 - q u)^-(alpha+2), stored as the pair (k, q), and the map
+phi_C, a ``LinearFractionalMap``. It carries no truncation.
 
 - plain-J: (1, 0) and z;
 - rotation-J: (mu, 0) and lam z;
 - wc-J: (lambda_u (1-|p|^2)^((alpha+2)/2), conj(p)) and the unitary map at p.
 
-In a basis fixed by coefficient conjugation the linear part U of C is the
-matrix of f -> psi_C (f o phi_C), and
-
-    matrix(C T* C) = U . M^T . conj(U).
-
-The first two kinds are exact: U is diagonal, stored as its diagonal d, and
-C T* C is the elementwise d_i M[j, i] conj(d_j), equal to the infinite
-operator's entries at every truncation.
-
-C-symmetry under every kind, and self-adjointness, are checked on
-reproducing kernels, with no operator matrix and no truncation: C sends each
-kernel
+Every check reads a conjugation on reproducing kernels, with no operator
+matrix and no truncation: C sends each kernel
 K_z(u) = (1 - conj(z) u)^-(alpha+2) to a multiple of a kernel,
 C K_z = c_z K_(v_z) with v_z = phi_C^-1(conj z) and c_z = 1 / conj(psi_C(v_z)),
 so T is C-symmetric exactly when B(w, z) = <T K_w, C K_z> =
@@ -28,32 +19,37 @@ conj(c_z) (T K_w)(v_z) is symmetric in (w, z) (the kernel test of
 Garcia–Putinar), and self-adjoint exactly when A(w, z) = <T K_w, K_z> is
 Hermitian. ``kernel_symmetry_defect`` and ``kernel_hermitian_defect``
 evaluate these closed forms at KERNEL_POINTS, ``kernel_axioms_defect`` the
-wc-J conjugation identities there, and ``kernel_companion_defect`` Cowen's
-companion identity T_A* = T_B, whose weights are kernels too.
-``conjugated_adjoint`` and ``is_C_symmetric`` are the tests' matrix
-reference; the exact kinds' axioms apply C to seeded polynomials
-(``involution_defect``, ``isometry_defect``).
+conjugation identities there for every kind, and ``kernel_companion_defect``
+Cowen's companion identity T_A* = T_B, whose weights are kernels too.
 
-The weighted-composition kind has a dense U, built only when read, at the
-conjugation's own truncation. Composing with a disk automorphism spreads
-the coefficient mass of basis vector j across rows up to roughly
-j (1+|p|)/(1-|p|), so the truncated U is not unitary there, and a matrix
-function given a wc-J conjugation measures that truncation as well as the
-identity. The tests build their dense reference at ``extended_space``, a
-truncation that holds that spread, and compare a leading block
-(``tests/wc_reference.py``).
+``conjugation_apply``, ``involution_defect``, ``isometry_defect``,
+``conjugated_adjoint`` and ``is_C_symmetric`` are the tests' matrix
+reference. In a basis fixed by coefficient conjugation the linear part U of
+C is the matrix of f -> psi_C (f o phi_C), and
+
+    matrix(C T* C) = U . M^T . conj(U).
+
+They build U at the truncation of their input (``unitary_part``). For
+plain-J and rotation-J, the exact kinds, U is diagonal, stored as its
+diagonal d, and C T* C is the elementwise d_i M[j, i] conj(d_j), equal to
+the infinite operator's entries at every truncation. For wc-J, U is dense.
+Composing with a disk automorphism spreads the coefficient mass of basis
+vector j across rows up to roughly j (1+|p|)/(1-|p|), so the truncated U is
+not unitary there, and a reference given a wc-J conjugation measures that
+truncation as well as the identity. The tests build their dense reference
+at ``extended_space``, a truncation that holds that spread, and compare a
+leading block (``tests/wc_reference.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .bergman import SpaceParams, space_norm, t_constant
-from .errors import DomainError, TruncationMismatchError
+from .errors import DomainError
 from .matrices import (
     OperatorMatrix,
     apply,
@@ -89,61 +85,59 @@ KERNEL_POINTS = (0.45, 0.32j, -0.38 + 0.12j, 0.21 - 0.36j, -0.17 - 0.29j, 0.08 +
 
 @dataclass(frozen=True)
 class AntilinearConjugation:
-    """Antilinear map f -> psi_C conj(f(conj(phi_C))): conjugate the
-    coefficients, then apply the weighted composition U of (psi_C, phi_C).
+    """Antilinear map f -> psi_C conj(f(conj(phi_C))) on A^2_alpha: conjugate
+    the coefficients, then apply the weighted composition U of (psi_C, phi_C).
 
     ``weight`` is (k, q) with psi_C(u) = k (1 - q u)^-(alpha+2) and ``phi``
-    is phi_C. ``space`` is the truncation of U.
+    is phi_C.
     """
 
     weight: tuple[complex, complex]
     phi: LinearFractionalMap
-    space: SpaceParams
+    alpha: float
     kind: str
 
     @property
     def exact(self) -> bool:
         """Whether U is diagonal (a constant weight and a rotation), so that
-        the claims hold entry by entry."""
+        the matrix references scale coefficients instead of building U."""
         phi = self.phi
         return self.weight[1] == 0 and phi.b == 0 and phi.c == 0
 
-    @cached_property
-    def unitary(self) -> np.ndarray | OperatorMatrix:
-        """U at ``space``, built the first time it is read: the read-only
-        diagonal k lam^j for an exact kind, else the dense weighted-composition
-        matrix."""
-        k, q = self.weight
-        N = self.space.N
-        if self.exact:
-            diag = k * self.phi.a ** np.arange(N + 1)
-            diag.flags.writeable = False
-            return diag
-        psi = series_scale(expand_rational_kernel(self.space.alpha + 2, q, N), k)
-        return build_weighted_composition(psi, self.phi, self.space)
 
-
-def make_J(space: SpaceParams) -> AntilinearConjugation:
+def make_J(alpha: float) -> AntilinearConjugation:
     """Coefficient conjugation f(z) -> conj(f(conj z)); unitary part I.
 
     The basis e_j = z^j/beta(j) has real coefficients, so this conjugation
     fixes it and the factored form is exact.
     """
-    return AntilinearConjugation((1.0 + 0j, 0j), IDENTITY_MAP, space, "plain-J")
+    return AntilinearConjugation((1.0 + 0j, 0j), IDENTITY_MAP, alpha, "plain-J")
 
 
-def make_rotation_J(mu: complex, lam: complex, space: SpaceParams) -> AntilinearConjugation:
+def make_rotation_J(mu: complex, lam: complex, alpha: float) -> AntilinearConjugation:
     """Rotation kind: weight mu, composition with lam z; U = diag(mu lam^j)."""
     if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError("mu and lam must be unimodular")
-    return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), space, "rotation-J")
+    return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), alpha, "rotation-J")
 
 
-def make_wc_J(p: complex, lambda_u: complex, space: SpaceParams) -> AntilinearConjugation:
+def make_wc_J(p: complex, lambda_u: complex, alpha: float) -> AntilinearConjugation:
     """Weighted-composition kind at p != 0, with the symbols of
-    ``unitary_parameters``, at the truncation of ``space``."""
-    k, q, phi = unitary_parameters(p, lambda_u, space.alpha)
-    return AntilinearConjugation((k, q), phi, space, "wc-J")
+    ``unitary_parameters``."""
+    k, q, phi = unitary_parameters(p, lambda_u, alpha)
+    return AntilinearConjugation((k, q), phi, alpha, "wc-J")
+
+
+def unitary_part(C: AntilinearConjugation, N: int) -> np.ndarray | OperatorMatrix:
+    """U at truncation N, built on each call: the diagonal k lam^j for an
+    exact kind, else the dense weighted-composition matrix, for N >= 3."""
+    k, q = C.weight
+    if C.exact:
+        return k * C.phi.a ** np.arange(N + 1)
+    # an order-0 build reads only alpha and N of its space
+    space = SpaceParams(C.alpha, 1, N)
+    psi = series_scale(expand_rational_kernel(C.alpha + 2, q, N), k)
+    return build_weighted_composition(psi, C.phi, space)
 
 
 def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
@@ -160,29 +154,28 @@ def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
 
 
 def conjugation_apply(C: AntilinearConjugation, f: TruncatedSeries) -> TruncatedSeries:
-    """Conjugate the coefficients of f, then apply the unitary part; a
+    """Conjugate the coefficients of f, then apply U at the order of f; a
     diagonal U scales each coefficient.
 
     For wc-J the dense U is truncated, so C f is exact only on coefficients
-    that the spread of the automorphism keeps inside ``C.space``: build C at
-    ``extended_space`` and read a leading block.
+    that the spread of the automorphism keeps inside the order of f: give f
+    the order of ``extended_space`` and read a leading block.
     """
-    if f.order != C.space.N:
-        raise TruncationMismatchError(f"series order {f.order} != conjugation order {C.space.N}")
     conj = series_conjugate_reflect(f)
+    U = unitary_part(C, f.order)
     if C.exact:
-        return TruncatedSeries(C.unitary * conj.coeffs)
-    return apply(C.unitary, conj)
+        return TruncatedSeries(U * conj.coeffs)
+    return apply(U, conj)
 
 
 def involution_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
     """Relative space-norm defect of C(C(f)) = f.
 
     Exact for plain-J and rotation-J. For wc-J it measures the truncation of
-    the dense U as well as the identity, unless C is built at
+    the dense U as well as the identity, unless f has the order of
     ``extended_space`` and the leading coefficients are compared.
     """
-    alpha = C.space.alpha
+    alpha = C.alpha
     twice = conjugation_apply(C, conjugation_apply(C, f))
     return space_norm(series_add(twice, series_scale(f, -1.0)), alpha) / space_norm(f, alpha)
 
@@ -193,37 +186,33 @@ def isometry_defect(C: AntilinearConjugation, f: TruncatedSeries) -> float:
     Exact for plain-J and rotation-J; for wc-J it also measures the
     truncation of the dense U (see ``involution_defect``).
     """
-    alpha = C.space.alpha
+    alpha = C.alpha
     nf = space_norm(f, alpha)
     return abs(space_norm(conjugation_apply(C, f), alpha) - nf) / nf
 
 
 def conjugated_adjoint(C: AntilinearConjugation, M: OperatorMatrix) -> OperatorMatrix:
-    """Matrix of C T* C: U . M^T . conj(U), at M's truncation.
+    """Matrix of C T* C: U . M^T . conj(U), with U at M's truncation.
 
     Coefficient conjugation turns the conjugate transpose into the plain
     transpose, leaving the two unitary factors. An exact kind's diagonal U
     scales rows and columns elementwise.
     """
-    if M.dim != C.space.N + 1:
-        raise TruncationMismatchError(
-            f"conjugation dimension {C.space.N + 1} does not match matrix {M.dim}"
-        )
+    U = unitary_part(C, M.space.N)
     if C.exact:
-        out = C.unitary[:, None] * M.entries.T * np.conj(C.unitary)
+        out = U[:, None] * M.entries.T * np.conj(U)
     else:
-        U = C.unitary.entries
-        out = U @ M.entries.T @ np.conj(U)
+        out = U.entries @ M.entries.T @ np.conj(U.entries)
     return OperatorMatrix(out, M.space)
 
 
 def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
-    """Frobenius-relative defect of C T* C = T over the whole matrix, which
-    must be built at ``C.space``. For an exact kind the entries of both
-    sides are exact. For wc-J the truncated U makes the far rows and columns
-    wrong, so the defect measures the truncation unless C and T are built at
-    ``extended_space`` and a leading block is compared. The checks use
-    ``kernel_symmetry_defect`` instead; this is the tests' matrix reference.
+    """Frobenius-relative defect of C T* C = T over the whole matrix. For an
+    exact kind the entries of both sides are exact. For wc-J the truncated U
+    makes the far rows and columns wrong, so the defect measures the
+    truncation unless T is built at ``extended_space`` and a leading block is
+    compared. The checks use ``kernel_symmetry_defect`` instead; this is the
+    tests' matrix reference.
     """
     num = frobenius_norm(conjugated_adjoint(C, M).entries - M.entries)
     den = frobenius_norm(M.entries)
@@ -238,7 +227,7 @@ def _lft_values(phi: LinearFractionalMap, u: np.ndarray) -> np.ndarray:
 def conjugation_weight(C: AntilinearConjugation, u: np.ndarray) -> np.ndarray:
     """psi_C(u) = k (1 - q u)^-(alpha+2), from its closed form."""
     k, q = C.weight
-    return k * (1 - q * u) ** -(C.space.alpha + 2)
+    return k * (1 - q * u) ** -(C.alpha + 2)
 
 
 def kernel_image(C: AntilinearConjugation, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +274,7 @@ def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
     """
     u = np.array(KERNEL_POINTS, dtype=complex)
     ratio = psi_u / conjugation_weight(C, u)
-    return _operator_on_kernels(pair.phi, pair.n, C.space.alpha, _lft_values(C.phi, u), ratio)
+    return _operator_on_kernels(pair.phi, pair.n, C.alpha, _lft_values(C.phi, u), ratio)
 
 
 def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation,
@@ -370,10 +359,11 @@ def kernel_axioms_defect(C: AntilinearConjugation) -> float:
       C K_z at u, equals c_z K_(v_z)(u) at every point u_j.
 
     The last identity is checked pointwise, so the others do not assume
-    that U is unitary.
+    that U is unitary. The same closed forms serve every kind; for plain-J
+    and rotation-J, v_z is a rotation of z and c_z a unimodular constant.
     """
     u = np.array(KERNEL_POINTS, dtype=complex)
-    s = C.space.alpha + 2
+    s = C.alpha + 2
     phi_C_u = _lft_values(C.phi, u)
     z = np.conj(phi_C_u)
     c, v = kernel_image(C, z)
@@ -386,4 +376,6 @@ def kernel_axioms_defect(C: AntilinearConjugation) -> float:
         np.abs(np.abs(c) ** 2 * ((1 - np.abs(z) ** 2) / (1 - np.abs(v) ** 2)) ** s - 1),
         np.abs(image - expected) / np.abs(expected),
     )
-    return float(max(d.max() for d in defects))
+    # np.max, unlike max, keeps a NaN identity: an underflowed weight must
+    # not leave only the finite ones
+    return float(np.max([d.max() for d in defects]))

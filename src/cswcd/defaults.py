@@ -6,12 +6,15 @@ self-adjointness claims, whose compared quantities are exact up to rounding,
 default to TOL_EXACT. TOL_GUARDED is the looser default of the checks whose
 defect also carries the tail or the rounding of a summed series: the
 normality Gram, ``adjoint-kernel`` and the two predicate checks.
+TOL_AXIOMS is the default of ``conjugation-axioms``, whose identities on
+kernels compare closed forms that carry powers of exponent alpha + 2.
 """
 
 DEFAULT_N = 64
 
 TOL_EXACT = 1e-10
 TOL_GUARDED = 1e-8
+TOL_AXIOMS = 1e-9
 
 MAX_WORK_DIM = 2048        # largest dense dimension built; 2049^2 complex is about 64 MiB
 

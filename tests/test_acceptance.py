@@ -53,7 +53,7 @@ from cswcd.symbols import (
     rotation_map,
     sup_norm_lft,
 )
-from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
+from wc_reference import extended_order, wc_involution_defect, wc_symmetry_defect
 
 ALPHAS = (-0.5, 0.0, 1.0)
 ORDERS = (1, 2, 3)
@@ -159,13 +159,13 @@ def test_criterion_4_symmetry_characterization():
         raw = draw_symbols({"family": "j-symmetric"}, rng)
         pair = make_pair(raw, space)
         M = build_wcd_matrix(pair, space)
-        defect = is_C_symmetric(M, make_J(space))
+        defect = is_C_symmetric(M, make_J(space.alpha))
         worst_forward = max(worst_forward, defect)
         # converse probe: weight rebuilt with c + 0.1, map unchanged
         a, b, c = pair.params["a"], pair.params["b"], pair.params["c"]
         shifted = family_j_symmetric(a, b, c + 0.1, n, alpha, N_DEFAULT)
         broken = SymbolPair(shifted.weight, pair.phi, n, shifted.order)
-        bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space))
+        bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space.alpha))
         if bad > 1e-3:
             broken_detected += 1
     ok = worst_forward <= 1e-10 and broken_detected >= 199
@@ -185,8 +185,8 @@ def test_criterion_5_composed_conjugations():
         raw = draw_symbols({"family": "wc-conjugated"}, rng)
         p = complex(*raw["p"])
         lam_u = complex(*raw["lambda_u"])
-        C = make_wc_J(p, lam_u, space)
-        defect = wc_symmetry_defect(C, partial(make_pair, raw))
+        C = make_wc_J(p, lam_u, space.alpha)
+        defect = wc_symmetry_defect(C, space, partial(make_pair, raw))
         worst = max(worst, defect)
     worst_rot = 0.0
     for i in range(50):
@@ -196,7 +196,7 @@ def test_criterion_5_composed_conjugations():
         raw = draw_symbols({"family": "rotation-conjugated"}, rng)
         pair = make_pair(raw, space)
         M = build_wcd_matrix(pair, space)
-        C = make_rotation_J(complex(*raw["mu"]), complex(*raw["lam"]), space)
+        C = make_rotation_J(complex(*raw["mu"]), complex(*raw["lam"]), space.alpha)
         defect = is_C_symmetric(M, C)
         worst_rot = max(worst_rot, defect)
     ok = worst <= 1e-8 and worst_rot <= 1e-8
@@ -246,7 +246,8 @@ def test_criterion_6_self_adjoint():
             if pair.bounded_hint:
                 break
         theta = math.atan2(c.imag, c.real)
-        C = make_rotation_J(1.0, complex(math.cos(-2 * theta), math.sin(-2 * theta)), space)
+        lam = complex(math.cos(-2 * theta), math.sin(-2 * theta))
+        C = make_rotation_J(1.0, lam, space.alpha)
         defect = is_C_symmetric(build_wcd_matrix(pair, space), C)
         worst_rot = max(worst_rot, defect)
     ok_rot = worst_rot <= 1e-8
@@ -315,8 +316,7 @@ def test_criterion_9_conjugation_axioms():
     rng = SplitMix64(909)
     worst_exact = 0.0
     for alpha in ALPHAS:
-        space = SpaceParams(alpha, 1, N_DEFAULT)
-        for C in (make_J(space), make_rotation_J(rng.unimodular(), rng.unimodular(), space)):
+        for C in (make_J(alpha), make_rotation_J(rng.unimodular(), rng.unimodular(), alpha)):
             for _ in range(5):
                 f = random_polynomial(rng, N_DEFAULT, N_DEFAULT)
                 worst_exact = max(worst_exact, involution_defect(C, f))
@@ -325,11 +325,10 @@ def test_criterion_9_conjugation_axioms():
     worst_wc = 0.0
     for i in range(10):
         alpha = ALPHAS[i % 3]
-        space = SpaceParams(alpha, 1, N_DEFAULT)
         p = rng.complex_annulus(0.1, 0.6) if i else 0.6
-        C = extended(make_wc_J(p, rng.unimodular(), space))
+        C = make_wc_J(p, rng.unimodular(), alpha)
         for _ in range(3):
-            f = random_polynomial(rng, C.space.N, N_DEFAULT - 8)
+            f = random_polynomial(rng, extended_order(C, N_DEFAULT), N_DEFAULT - 8)
             worst_wc = max(worst_wc, wc_involution_defect(C, f, N_DEFAULT))
             worst_wc = max(worst_wc, isometry_defect(C, f))
     ok_wc = worst_wc <= 1e-9

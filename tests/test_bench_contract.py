@@ -72,8 +72,8 @@ def test_uninstall_restores_bindings_and_checks(tracing, tmp_path):
                          str(tmp_path / "report.json")]) == 0
     finally:
         tracer.uninstall()
-    # the counter behind make_wc_J.calls sees the one conjugation; it is made at
-    # the config's own truncation, so wc_dim_mean's extended_space is never called
+    # the counter behind make_wc_J.calls sees the one conjugation; it carries
+    # no truncation, so wc_dim_mean's extended_space is never called
     assert tracer.calls["conjugations.make_wc_J"] == 1
     assert tracer.calls["conjugations.extended_space"] == 0
     assert tracer.calls["runner.check.C-symmetry"] == 1
@@ -124,24 +124,40 @@ def test_tracer_sees_the_grid_checks(tracing):
     assert tracer.counters["diagnostics.grid.samples"] == samples
 
 
-def test_traced_wc_sweep_round_builds_no_series(tracing, tmp_path, monkeypatch):
-    # one round of the wc-sweep workload under the tracer: every draw builds
-    # its pair once, and no series product is taken, so a change that builds
-    # the weight's Taylor series again shows here
+def traced_round(tracing, tmp_path, monkeypatch, name):
+    """The per-layer metrics of round 0 of workload ``name`` (seed 1) under
+    the tracer; every op of the round must run and none may fail."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # the module's dataclasses look themselves up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS["wc-sweep"](1, tmp_path)
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    calls = workload.round(0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        results = [workload.execute(call, tracer) for call in workload.round(0)]
+        results = [workload.execute(call, tracer) for call in calls]
     finally:
         tracer.uninstall()
     ops = sum(len(result.ops) for result in results)
-    assert ops == len(workload.round(0)) and not any(result.failures for result in results)
-    metrics = tracer.per_layer(ops, [workload.checks], 1.0, 0.0)
+    assert ops == sum(call.draws for call in calls)
+    assert not any(result.failures for result in results)
+    return tracer.per_layer(ops, [workload.checks], 1.0, 0.0)
+
+
+def test_traced_wc_sweep_round_builds_no_series(tracing, tmp_path, monkeypatch):
+    # every draw builds its pair once, and no series product is taken, so a
+    # change that builds the weight's Taylor series again shows here
+    metrics = traced_round(tracing, tmp_path, monkeypatch, "wc-sweep")
     assert metrics["series.mul.calls"]["value"] == 0
+    assert metrics["runner.make_pair.calls"]["value"] == 1
+
+
+def test_traced_scalar_sweep_round_builds_one_matrix(tracing, tmp_path, monkeypatch):
+    # the one workload whose ops build an operator matrix (for adjoint-kernel),
+    # so the build hook, which reads the pair's series, its map, n and the
+    # space, runs here
+    metrics = traced_round(tracing, tmp_path, monkeypatch, "scalar-sweep")
+    assert metrics["matrices.build.calls"]["value"] == 1
     assert metrics["runner.make_pair.calls"]["value"] == 1

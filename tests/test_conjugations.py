@@ -33,15 +33,17 @@ from cswcd.conjugations import (
     make_J,
     make_rotation_J,
     make_wc_J,
+    unitary_part,
 )
 from cswcd.defaults import TOL_EXACT, TOL_GUARDED
 from cswcd.diagnostics import GRAM_TAIL, is_hermitian
-from cswcd.errors import DomainError, TruncationMismatchError, UnboundedSymbolError
+from cswcd.errors import DomainError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
     adjoint_matrix,
     apply,
     build_wcd_matrix,
+    build_weighted_composition,
     cowen_adjoint_pair,
 )
 from cswcd.rng import SplitMix64
@@ -64,7 +66,7 @@ from cswcd.symbols import (
     unitary_symbols,
 )
 from series_reference import reference_weight_series
-from wc_reference import extended, wc_involution_defect, wc_symmetry_defect
+from wc_reference import extended_order, wc_involution_defect, wc_symmetry_defect
 
 SPACE = SpaceParams(0.0, 1, 24)
 
@@ -77,14 +79,14 @@ def rand_poly(rng, N, deg):
 
 class TestPlainJ:
     def test_fixes_monomials(self):
-        C = make_J(SPACE)
+        C = make_J(SPACE.alpha)
         for j in (0, 2, 5):
             out = conjugation_apply(C, monomial(j, 24))
             assert np.array_equal(out.coeffs, monomial(j, 24).coeffs)
 
     def test_antilinear(self):
         rng = np.random.default_rng(41)
-        C = make_J(SPACE)
+        C = make_J(SPACE.alpha)
         f = rand_poly(rng, 24, 10)
         lhs = conjugation_apply(C, series_scale(f, 1j))
         rhs = series_scale(conjugation_apply(C, f), -1j)
@@ -92,44 +94,40 @@ class TestPlainJ:
 
     def test_involution_exact(self):
         rng = np.random.default_rng(42)
-        C = make_J(SPACE)
+        C = make_J(SPACE.alpha)
         f = rand_poly(rng, 24, 20)
         assert involution_defect(C, f) == 0.0
 
     def test_isometry_exact(self):
         rng = np.random.default_rng(43)
-        C = make_J(SPACE)
+        C = make_J(SPACE.alpha)
         f = rand_poly(rng, 24, 20)
         assert isometry_defect(C, f) <= 1e-15
 
     def test_apply_is_coefficient_conjugation(self):
         f = rand_poly(np.random.default_rng(48), 24, 24)
-        assert np.array_equal(conjugation_apply(make_J(SPACE), f).coeffs, np.conj(f.coeffs))
+        assert np.array_equal(conjugation_apply(make_J(SPACE.alpha), f).coeffs, np.conj(f.coeffs))
 
 
 class TestRotationJ:
     def test_trivial_parameters_match_plain(self):
-        C = make_rotation_J(1.0, 1.0, SPACE)
-        assert np.array_equal(C.unitary, make_J(SPACE).unitary)
+        C = make_rotation_J(1.0, 1.0, SPACE.alpha)
+        assert np.array_equal(unitary_part(C, 24), unitary_part(make_J(SPACE.alpha), 24))
 
     def test_diagonal_entries(self):
+        # U is the diagonal at the requested truncation, not a matrix
         mu, lam = np.exp(0.3j), np.exp(-0.7j)
-        C = make_rotation_J(mu, lam, SPACE)
-        assert np.allclose(C.unitary, mu * lam ** np.arange(25))
-
-    def test_stores_read_only_diagonal(self):
-        C = make_rotation_J(np.exp(0.3j), np.exp(-0.7j), SPACE)
-        assert C.exact and C.unitary.ndim == 1 and C.unitary.shape == (SPACE.N + 1,)
-        assert not C.unitary.flags.writeable
-        with pytest.raises(ValueError):
-            C.unitary[0] = 2.0
+        C = make_rotation_J(mu, lam, SPACE.alpha)
+        assert C.exact
+        for N in (0, 24):
+            assert np.allclose(unitary_part(C, N), mu * lam ** np.arange(N + 1))
 
     def test_apply_matches_dense_diagonal(self):
         # the elementwise scaling against the basis-coordinate matvec by diag(d)
         rng = np.random.default_rng(49)
         space = SpaceParams(0.5, 2, 96)
-        C = make_rotation_J(np.exp(0.3j), np.exp(1.1j), space)
-        dense = OperatorMatrix(np.diag(C.unitary), space)
+        C = make_rotation_J(np.exp(0.3j), np.exp(1.1j), space.alpha)
+        dense = OperatorMatrix(np.diag(unitary_part(C, 96)), space)
         for deg in (10, 96):
             f = rand_poly(rng, 96, deg)
             got = conjugation_apply(C, f).coeffs
@@ -138,14 +136,14 @@ class TestRotationJ:
 
     def test_involution(self):
         rng = np.random.default_rng(44)
-        C = make_rotation_J(np.exp(0.3j), np.exp(1.1j), SPACE)
+        C = make_rotation_J(np.exp(0.3j), np.exp(1.1j), SPACE.alpha)
         f = rand_poly(rng, 24, 24)
         assert involution_defect(C, f) <= 1e-12
         assert isometry_defect(C, f) <= 1e-12
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(DomainError):
-            make_rotation_J(0.9, 1.0, SPACE)
+            make_rotation_J(0.9, 1.0, SPACE.alpha)
 
 
 class TestWcJ:
@@ -156,8 +154,8 @@ class TestWcJ:
         N = 64
         for p in (0.6, 0.4 * np.exp(1.2j)):
             space = SpaceParams(0.0, 1, N)
-            C = extended(make_wc_J(p, np.exp(0.5j), space))
-            f = rand_poly(rng, C.space.N, N - 8)
+            C = make_wc_J(p, np.exp(0.5j), space.alpha)
+            f = rand_poly(rng, extended_order(C, N), N - 8)
             assert wc_involution_defect(C, f, N) <= 1e-9
             assert isometry_defect(C, f) <= 1e-9
 
@@ -168,36 +166,26 @@ class TestWcJ:
 
         alpha, p, lam_u = 0.5, 0.45, np.exp(0.9j)
         space = SpaceParams(alpha, 1, 64)
-        C = extended(make_wc_J(p, lam_u, space))
-        out = conjugation_apply(C, kernel(p, 0, alpha, C.space.N))
+        C = make_wc_J(p, lam_u, space.alpha)
+        out = conjugation_apply(C, kernel(p, 0, alpha, extended_order(C, space.N)))
         expect = lam_u * (1 - p**2) ** (-(alpha + 2) / 2)
         assert out.coeffs[0] == pytest.approx(expect, abs=1e-10)
         assert np.max(np.abs(out.coeffs[1 : space.N])) <= 1e-10
 
     def test_rejects_origin(self):
         with pytest.raises(DomainError):
-            make_wc_J(0.0, 1.0, SPACE)
+            make_wc_J(0.0, 1.0, SPACE.alpha)
 
     def test_keeps_dense_unitary(self):
-        C = make_wc_J(0.4, 1.0, SPACE)
-        assert not C.exact and isinstance(C.unitary, OperatorMatrix)
-        assert C.unitary.space == C.space == SPACE
-
-    def test_unitary_is_built_when_read(self, monkeypatch):
-        builds = []
-        inner = conjugations.build_weighted_composition
-
-        def counted(*args):
-            builds.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(conjugations, "build_weighted_composition", counted)
-        C = make_wc_J(0.4 * np.exp(1.2j), np.exp(0.5j), SPACE)
-        assert builds == []
-        U = C.unitary
-        assert C.unitary is U and len(builds) == 1
-        pair = unitary_symbols(0.4 * np.exp(1.2j), np.exp(0.5j), SPACE.alpha, C.space.N)
-        assert np.array_equal(builds[0][0].coeffs, pair.psi.coeffs)
+        # U is the weighted-composition matrix of the unitary pair at p
+        p, lam_u = 0.4 * np.exp(1.2j), np.exp(0.5j)
+        C = make_wc_J(p, lam_u, SPACE.alpha)
+        U = unitary_part(C, SPACE.N)
+        assert not C.exact and isinstance(U, OperatorMatrix)
+        assert (U.space.alpha, U.space.N) == (SPACE.alpha, SPACE.N)
+        pair = unitary_symbols(p, lam_u, SPACE.alpha, SPACE.N)
+        ref = build_weighted_composition(pair.psi, pair.phi, U.space)
+        assert max_abs_relative(U.entries, ref.entries) <= 1e-14
 
 
 class TestSymbols:
@@ -205,21 +193,21 @@ class TestSymbols:
     as (k, q), and its map phi_C."""
 
     def test_plain_and_rotation(self):
-        C = make_J(SPACE)
+        C = make_J(SPACE.alpha)
         assert C.weight == (1, 0) and (C.phi.a, C.phi.b, C.phi.c, C.phi.d) == (1, 0, 0, 1)
         mu, lam = np.exp(0.3j), np.exp(-0.7j)
-        C = make_rotation_J(mu, lam, SPACE)
+        C = make_rotation_J(mu, lam, SPACE.alpha)
         assert C.weight == (mu, 0) and (C.phi.a, C.phi.b, C.phi.c, C.phi.d) == (lam, 0, 0, 1)
         assert C.exact
 
     def test_weighted_composition(self):
         p, lam_u = 0.4 * np.exp(1.2j), np.exp(0.5j)
-        C = make_wc_J(p, lam_u, SPACE)
+        C = make_wc_J(p, lam_u, SPACE.alpha)
         pair = unitary_symbols(p, lam_u, SPACE.alpha, SPACE.N)
         k, q = C.weight
         assert k == pytest.approx(lam_u * (1 - abs(p) ** 2) ** ((SPACE.alpha + 2) / 2))
         assert q == np.conj(p) and C.phi == pair.phi and not C.exact
-        assert C.space == SPACE
+        assert C.alpha == SPACE.alpha
         u = np.array(KERNEL_POINTS)
         expect = [complex(np.polyval(pair.psi.coeffs[::-1], x)) for x in u]
         assert np.allclose(conjugations.conjugation_weight(C, u), expect, rtol=1e-12)
@@ -256,10 +244,11 @@ class TestKernelForms:
         # c_z K_(v_z), on the leading N + 1 coefficients
         alpha = 0.5
         space = SpaceParams(alpha, 1, 48)
-        C = extended(make_wc_J(0.45 * np.exp(0.8j), np.exp(0.3j), space))
+        C = make_wc_J(0.45 * np.exp(0.8j), np.exp(0.3j), space.alpha)
         for z in (0.3 - 0.2j, -0.5j, 0.6):
             (c,), (v,) = kernel_image(C, np.array([z]))
-            got = conjugation_apply(C, kernel(z, 0, alpha, C.space.N)).coeffs[: space.N + 1]
+            f = kernel(z, 0, alpha, extended_order(C, space.N))
+            got = conjugation_apply(C, f).coeffs[: space.N + 1]
             want = c * kernel(v, 0, alpha, space.N).coeffs
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -273,7 +262,7 @@ class TestKernelForms:
                    "lambda_u": [lam_u.real, lam_u.imag]}
         space = SpaceParams(alpha, n, 96)
         pair = make_pair(symbols, space)
-        C = make_wc_J(p, lam_u, space)
+        C = make_wc_J(p, lam_u, space.alpha)
         B = kernel_symmetry_form(pair, C, kernel_weight_values(pair))
         with mpmath.workdps(40):
             al = mpmath.mpf(alpha)
@@ -326,16 +315,15 @@ class TestKernelForms:
 
     @pytest.mark.parametrize("p", [0.3 + 0.1j, 0.6, 0.9 * np.exp(2j), 0.99j])
     def test_axioms_hold_for_every_p(self, p):
-        C = make_wc_J(p, np.exp(0.9j), SpaceParams(0.5, 2, 8))
+        C = make_wc_J(p, np.exp(0.9j), 0.5)
         assert kernel_axioms_defect(C) <= 1e-13
 
     def test_axioms_hold_for_the_exact_kinds(self):
-        space = SpaceParams(0.5, 2, 24)
-        for C in (make_J(space), make_rotation_J(np.exp(0.3j), np.exp(-0.7j), space)):
+        for C in (make_J(0.5), make_rotation_J(np.exp(0.3j), np.exp(-0.7j), 0.5)):
             assert kernel_axioms_defect(C) <= 1e-15
 
     def test_axioms_see_a_scaled_weight(self):
-        C = make_wc_J(0.3 + 0.1j, 1j, SpaceParams(0.5, 1, 32))
+        C = make_wc_J(0.3 + 0.1j, 1j, 0.5)
         k, q = C.weight
         defect = kernel_axioms_defect(replace(C, weight=(1.001 * k, q)))
         assert defect == pytest.approx(2e-3, rel=1e-2)
@@ -389,7 +377,8 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
         if C.exact:
             by_matrix = is_C_symmetric(config.matrix, C) <= TOL_EXACT
         else:
-            by_matrix = wc_symmetry_defect(C, partial(make_pair, symbols)) <= TOL_GUARDED
+            by_matrix = (wc_symmetry_defect(C, config.space, partial(make_pair, symbols))
+                         <= TOL_GUARDED)
         by_kernel = kernel_symmetry_defect(config.pair, C, config.kernel_weights) <= TOL_EXACT
         assert by_kernel == by_matrix, name
         if name in ("p 1 % off", "lambda 0.01 rad off"):
@@ -397,7 +386,8 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
     config = parse_config({"space": space, "symbols": symbols,
                            "checks": ["J-symmetry", "self-adjointness"]})
     M = config.matrix
-    by_matrix = [is_C_symmetric(M, make_J(M.space)) <= TOL_EXACT, is_hermitian(M) <= TOL_EXACT]
+    by_matrix = [is_C_symmetric(M, make_J(M.space.alpha)) <= TOL_EXACT,
+                 is_hermitian(M) <= TOL_EXACT]
     assert [r.status == "pass" for r in run(config)] == by_matrix
 
 
@@ -508,7 +498,7 @@ class TestConjugatedAdjoint:
         rng = np.random.default_rng(46)
         A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
         M = OperatorMatrix(A, SPACE)
-        out = conjugated_adjoint(make_J(SPACE), M)
+        out = conjugated_adjoint(make_J(SPACE.alpha), M)
         assert np.array_equal(out.entries, A.T)
 
     def test_symmetric_matrix_fixed(self):
@@ -516,20 +506,21 @@ class TestConjugatedAdjoint:
         A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
         A = A + A.T
         M = OperatorMatrix(A, SPACE)
-        out = conjugated_adjoint(make_J(SPACE), M)
+        out = conjugated_adjoint(make_J(SPACE.alpha), M)
         assert np.array_equal(out.entries, A)
 
     def test_diagonal_commutes_with_rotation(self):
         d = np.arange(1, 26) * (1 + 0.5j)
         M = OperatorMatrix(np.diag(d), SPACE)
-        C = make_rotation_J(1.0, np.exp(0.4j), SPACE)
+        C = make_rotation_J(1.0, np.exp(0.4j), SPACE.alpha)
         out = conjugated_adjoint(C, M)
         assert np.allclose(out.entries, M.entries)
 
 
 def reference_conjugated_adjoint(C, M):
     """The full product U . M^T . conj(U) at the working truncation."""
-    U = np.diag(C.unitary) if C.exact else C.unitary.entries
+    U = unitary_part(C, M.space.N)
+    U = np.diag(U) if C.exact else U.entries
     return U @ M.entries.T @ np.conj(U)
 
 
@@ -566,22 +557,22 @@ class TestClaimWindow:
             ref = reference_conjugated_adjoint(C, M)
             assert max_abs_relative(out.entries, ref) <= 1e-14
 
-    def test_mismatched_truncation_refused(self):
-        C = make_rotation_J(1.0, np.exp(0.4j), SPACE)
+    def test_unitary_follows_the_input_truncation(self):
+        # the conjugation carries no truncation: U is built at the input's
+        lam = np.exp(0.4j)
+        C = make_rotation_J(1.0, lam, SPACE.alpha)
         M = OperatorMatrix(np.eye(24, dtype=complex), SpaceParams(0.0, 1, 23))
-        with pytest.raises(TruncationMismatchError):
-            conjugated_adjoint(C, M)
-        # a length-1 series would broadcast against the diagonal
+        assert np.allclose(conjugated_adjoint(C, M).entries, np.eye(24))
         for order in (0, 23):
-            with pytest.raises(TruncationMismatchError):
-                conjugation_apply(C, monomial(0, order))
+            out = conjugation_apply(C, monomial(order, order))
+            assert out.order == order and out.coeffs[order] == pytest.approx(lam**order)
 
 
 class TestIsCSymmetric:
     def test_plain_family_symmetric(self):
         pair = family_j_symmetric(1.0, 0.3, 0.2, 1, 0.0, 24)
         M = build_wcd_matrix(pair, SPACE)
-        defect = is_C_symmetric(M, make_J(SPACE))
+        defect = is_C_symmetric(M, make_J(SPACE.alpha))
         assert defect <= 1e-10
 
     def test_mismatched_weight_detected(self):
@@ -590,7 +581,7 @@ class TestIsCSymmetric:
         shifted = family_j_symmetric(1.0, 0.3, 0.3, 1, 0.0, 24)
         broken = SymbolPair(shifted.weight, pair.phi, 1, shifted.order)
         M = build_wcd_matrix(broken, SPACE)
-        defect = is_C_symmetric(M, make_J(SPACE))
+        defect = is_C_symmetric(M, make_J(SPACE.alpha))
         assert defect > 1e-3
 
     def test_wc_conjugated_family(self):
@@ -600,8 +591,8 @@ class TestIsCSymmetric:
             space = SpaceParams(alpha, 2, N)
             p = rng.complex_annulus(0.2, 0.6)
             lam_u = rng.unimodular()
-            C = make_wc_J(p, lam_u, space)
-            defect = wc_symmetry_defect(C, lambda work: family_conjugated(
+            C = make_wc_J(p, lam_u, space.alpha)
+            defect = wc_symmetry_defect(C, space, lambda work: family_conjugated(
                 1.0 + 0.4j, 0.3, 0.15 - 0.1j, 2, alpha, work.N, p=p, lambda_u=lam_u
             ))
             assert defect <= 1e-8, f"defect {defect:.3e} at p={p}"
@@ -611,7 +602,7 @@ class TestIsCSymmetric:
         mu, lam = np.exp(0.4j), np.exp(-1.3j)
         pair = family_conjugated(1.0, 0.3, 0.2, 1, 0.0, 32, mu=mu, lam=lam)
         M = build_wcd_matrix(pair, space)
-        C = make_rotation_J(mu, lam, space)
+        C = make_rotation_J(mu, lam, space.alpha)
         defect = is_C_symmetric(M, C)
         assert defect <= 1e-8, f"defect {defect:.3e}"
 
@@ -622,7 +613,7 @@ class TestIsCSymmetric:
         pair = family_self_adjoint(0.9, 0.25, c, 1, 0.5, 32)
         M = build_wcd_matrix(pair, space)
         theta = np.angle(c)
-        C = make_rotation_J(1.0, np.exp(-2j * theta), space)
+        C = make_rotation_J(1.0, np.exp(-2j * theta), space.alpha)
         defect = is_C_symmetric(M, C)
         assert defect <= 1e-8, f"defect {defect:.3e}"
 
@@ -630,7 +621,7 @@ class TestIsCSymmetric:
         # conjugated denominator with complex c is not plain-symmetric
         pair = family_general(1.0, 0.3, 0.25j, 1, 0.0, 24)
         M = build_wcd_matrix(pair, SPACE)
-        defect = is_C_symmetric(M, make_J(SPACE))
+        defect = is_C_symmetric(M, make_J(SPACE.alpha))
         assert defect > 1e-3
 
 
@@ -663,7 +654,7 @@ def test_closed_form_weight_keeps_the_series_verdicts(family):
         verdicts = []
         for psi_u in (kernel_weight_values(pair), series_weight_values(pair, u)):
             verdicts.append((
-                kernel_symmetry_defect(pair, make_J(space), psi_u) <= TOL_EXACT,
+                kernel_symmetry_defect(pair, make_J(space.alpha), psi_u) <= TOL_EXACT,
                 kernel_symmetry_defect(pair, config.conjugation, psi_u) <= TOL_EXACT,
                 kernel_hermitian_defect(pair, space.alpha, psi_u) <= TOL_EXACT,
             ))

@@ -440,11 +440,11 @@ class TestContainmentChain:
             M = build_wcd_matrix(pair, space)
             assert is_hermitian(M) <= 1e-10 and is_normal(M) <= 1e-8
             if c == 0:
-                C = make_J(space)
+                C = make_J(alpha)
             else:
                 theta = math.atan2(c.imag, c.real)
                 lam = complex(math.cos(-2 * theta), math.sin(-2 * theta))
-                C = make_rotation_J(1.0, lam, space)
+                C = make_rotation_J(1.0, lam, alpha)
             assert is_C_symmetric(M, C) <= 1e-8
             checked += 1
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cswcd.bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel
-from cswcd.conjugations import extended_space, make_wc_J
+from cswcd.conjugations import extended_space, make_wc_J, unitary_part
 from cswcd.errors import SingularityError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
@@ -203,7 +203,7 @@ class TestOneBuffer:
 
     def test_wc_unitary(self):
         p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
-        U = make_wc_J(p, lambda_u, extended_space(SpaceParams(0.5, 2, 96), p)).unitary
+        U = unitary_part(make_wc_J(p, lambda_u, 0.5), extended_space(SpaceParams(0.5, 2, 96), p).N)
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = two_array_build(pair.psi, pair.phi, 0, U.space)
         assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
@@ -223,7 +223,7 @@ class TestAgainstReference:
 
     def test_wc_unitary_at_extended_truncation(self):
         p, lambda_u = 0.55 * np.exp(0.3j), np.exp(0.9j)
-        U = make_wc_J(p, lambda_u, extended_space(SpaceParams(0.5, 2, 96), p)).unitary
+        U = unitary_part(make_wc_J(p, lambda_u, 0.5), extended_space(SpaceParams(0.5, 2, 96), p).N)
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = reference_build(pair.psi, pair.phi, 0, U.space)
         assert normwise_error(U.entries, ref) <= 1e-14
@@ -257,14 +257,14 @@ THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 from cswcd.bergman import SpaceParams
-from cswcd.conjugations import extended_space, make_wc_J
+from cswcd.conjugations import extended_space, make_wc_J, unitary_part
 from cswcd.matrices import build_wcd_matrix
 from cswcd.runner import parse_config, run
 from cswcd.symbols import family_self_adjoint
 
 M = build_wcd_matrix(family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 1, 0.5, 192), SpaceParams(0.5, 1, 192))
 p = 0.55 * np.exp(0.3j)
-U = make_wc_J(p, np.exp(0.9j), extended_space(SpaceParams(0.5, 2, 96), p)).unitary
+U = unitary_part(make_wc_J(p, np.exp(0.9j), 0.5), extended_space(SpaceParams(0.5, 2, 96), p).N)
 print(hashlib.sha256(M.entries.tobytes()).hexdigest(), hashlib.sha256(U.entries.tobytes()).hexdigest())
 # C-symmetry under the auto rotation-J: an elementwise product, no BLAS
 config = parse_config({

@@ -27,6 +27,7 @@ from cswcd.runner import (
     sweep,
 )
 from cswcd.series import TruncatedSeries
+from pinned_reports import CHECKS, KIND_CONFIGS
 
 BASE = {
     "space": {"alpha": 0.0, "n": 1, "N": 48},
@@ -112,6 +113,19 @@ class TestParseConfig:
         pair = make_pair(parse_config(doc).symbols, parse_config(doc).space)
         assert pair.params["c"] == 0.3j
 
+    def test_explicit_conjugation_is_made_for_alpha(self, monkeypatch):
+        # a conjugation carries alpha and no truncation, so none is made up
+        made = []
+        inner = runner.make_conjugation
+
+        def record(descriptor, alpha):
+            made.append(alpha)
+            return inner(descriptor, alpha)
+
+        monkeypatch.setattr(runner, "make_conjugation", record)
+        parse_config(config_with(conjugation={"kind": "wc-J", "p": 0.3}))
+        assert made == [0.0]
+
     def test_sweep_config_without_parameters(self):
         doc = config_with(symbols={"family": "general"}, checks=["normality-predicate"])
         config = parse_config(doc, require_concrete=False)
@@ -119,6 +133,14 @@ class TestParseConfig:
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind", KIND_CONFIGS)
+    def test_reports_do_not_depend_on_the_seed(self, kind):
+        # no check reads the seed, the exact kinds' conjugation axioms included
+        doc = {**KIND_CONFIGS[kind], "checks": list(CHECKS)}
+        reports = [canonical_json([r.payload() for r in run(parse_config({**doc, "seed": s}))])
+                   for s in (3, 11)]
+        assert reports[0] == reports[1]
+
     def test_j_symmetric_family_passes(self):
         reports = run(parse_config(config_with()))
         assert [r.status for r in reports] == ["pass"]

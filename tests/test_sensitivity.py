@@ -17,7 +17,9 @@ No config can break the identities behind ``adjoint-kernel``,
 ``adjoint-pair`` and ``conjugation-axioms``, so their cases scale one side of
 the identity by (1 + eps) instead, by replacing a function that the check
 reads; for ``adjoint-pair`` that is the closed-form weight of T_B, and for
-``conjugation-axioms`` the weight constant k of the wc-J conjugation.
+``conjugation-axioms`` the weight constant of the conjugation (k of wc-J,
+mu of rotation-J, 1 of plain-J) or the rotation lam of rotation-J. Every
+kind's axioms run through the same kernel identities.
 """
 
 import cmath
@@ -102,23 +104,52 @@ def scaled_companion_weight(eps: float, monkeypatch) -> dict:
     return general(0.0, "adjoint-pair")
 
 
-def scaled_wc_weight(eps: float, monkeypatch) -> dict:
+def scaled_weight(C, eps: float):
     # the constant k of the weight psi_C(u) = k (1 - q u)^-(alpha+2)
+    k, q = C.weight
+    return replace(C, weight=((1 + eps) * k, q))
+
+
+def scaled_wc_weight(eps: float, monkeypatch) -> dict:
     inner = runner.make_wc_J
-
-    def scaled(p, lambda_u, space):
-        C = inner(p, lambda_u, space)
-        k, q = C.weight
-        return replace(C, weight=((1 + eps) * k, q))
-
-    monkeypatch.setattr(runner, "make_wc_J", scaled)
+    monkeypatch.setattr(runner, "make_wc_J",
+                        lambda p, lambda_u, alpha: scaled_weight(inner(p, lambda_u, alpha), eps))
     return {**wc_j(0.0), "checks": ["conjugation-axioms"]}
+
+
+def scaled_rotation_mu(eps: float, monkeypatch) -> dict:
+    inner = runner.make_rotation_J
+    monkeypatch.setattr(runner, "make_rotation_J",
+                        lambda mu, lam, alpha: scaled_weight(inner(mu, lam, alpha), eps))
+    return {**rotation_j(0.0), "checks": ["conjugation-axioms"]}
+
+
+def scaled_rotation_lam(eps: float, monkeypatch) -> dict:
+    # phi_C = lam z with |lam| = 1 + eps
+    inner = runner.make_rotation_J
+
+    def scaled(mu, lam, alpha):
+        C = inner(mu, lam, alpha)
+        return replace(C, phi=replace(C.phi, a=(1 + eps) * C.phi.a))
+
+    monkeypatch.setattr(runner, "make_rotation_J", scaled)
+    return {**rotation_j(0.0), "checks": ["conjugation-axioms"]}
+
+
+def scaled_plain_weight(eps: float, monkeypatch) -> dict:
+    inner = runner.make_J
+    monkeypatch.setattr(runner, "make_J", lambda alpha: scaled_weight(inner(alpha), eps))
+    return {**j_symmetry(0.0), "conjugation": {"kind": "plain-J"},
+            "checks": ["conjugation-axioms"]}
 
 
 SCALED_CASES = {
     "adjoint-kernel, psi(w) (1 + eps)": scaled_psi_at_point,
     "adjoint-pair, weight of B (1 + eps)": scaled_companion_weight,
     "conjugation-axioms wc-J, k (1 + eps)": scaled_wc_weight,
+    "conjugation-axioms rotation-J, mu (1 + eps)": scaled_rotation_mu,
+    "conjugation-axioms rotation-J, lam (1 + eps)": scaled_rotation_lam,
+    "conjugation-axioms plain-J, k (1 + eps)": scaled_plain_weight,
 }
 
 
