@@ -104,22 +104,32 @@ def kernel_term_ratio(x: float, j: int, m: int, alpha: float) -> float:
     return x * ((j + alpha + 2) / (j + 1)) * ((j + 1) / (j + 1 - m)) ** 2
 
 
-def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:
-    """Point-evaluation kernel of derivative order m at w, truncated at N.
+def kernel_table(points, m: int, alpha: float, N: int) -> np.ndarray:
+    """Coefficients of the order-m kernels at ``points``, truncated at N, one
+    row per point.
 
     Coefficient j is (j!/(j-m)!) conj(w)^(j-m) / beta(j)^2 for j >= m and 0
     below; this is the coefficient form of t_m z^m / (1 - conj(w) z)^(m+alpha+2).
+    Every power is a complex integer power taken by ``np.power``, so a row does
+    not depend on which other points share the table.
     """
     if m < 0:
         raise DomainError("derivative order m must be nonnegative")
-    if abs(w) >= 1.0:
-        raise DomainError(f"kernel point must satisfy |w| < 1, got {abs(w):.6f}")
-    bsq = beta_sq_vector(N, alpha)
-    coeffs = np.zeros(N + 1, dtype=complex)
-    wbar = np.conj(w)
-    for j in range(m, N + 1):
-        coeffs[j] = falling_factorial(j, m) * wbar ** (j - m) / bsq[j]
-    return TruncatedSeries(coeffs)
+    w = np.asarray(points, dtype=complex).reshape(-1)
+    outside = np.abs(w) >= 1.0
+    if outside.any():
+        raise DomainError(f"kernel point must satisfy |w| < 1, got {abs(w[outside][0]):.6f}")
+    j = np.arange(m, N + 1)
+    out = np.zeros((w.size, N + 1), dtype=complex)
+    out[:, m:] = (falling_factorial(j, m) * np.power(np.conj(w)[:, None], j - m)
+                  / beta_sq_vector(N, alpha)[m:])
+    return out
+
+
+def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:
+    """Point-evaluation kernel of derivative order m at w, truncated at N:
+    the one row of ``kernel_table``."""
+    return TruncatedSeries(kernel_table(w, m, alpha, N)[0])
 
 
 def reproducing_check(f: TruncatedSeries, w: complex, m: int, alpha: float) -> float:

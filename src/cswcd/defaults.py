@@ -1,19 +1,30 @@
 """Run-wide numeric constants.
 
 Every claim is checked at the config's own truncation, on the whole matrix
-or at points of the disk; there is no guarded block. The symmetry and
-self-adjointness claims, whose compared quantities are exact up to rounding,
-default to TOL_EXACT. TOL_GUARDED is the looser default of the checks whose
-defect also carries the tail or the rounding of a summed series: the
-normality Gram, ``adjoint-kernel`` and the two predicate checks.
-TOL_AXIOMS is the default of ``conjugation-axioms``, whose identities on
-kernels compare closed forms that carry powers of exponent alpha + 2.
+or at points of the disk; there is no guarded block. Each check has its own
+named default tolerance:
+
+- TOL_EXACT, for the symmetry and self-adjointness claims, whose compared
+  quantities are exact up to rounding;
+- TOL_ADJOINT_KERNEL, for ``adjoint-kernel``, whose defect also carries the
+  kernel tails beyond the truncation and the rounding of summed series;
+- TOL_ADJOINT_PAIR, for ``adjoint-pair``, which compares two closed forms of
+  the companion operators on kernels;
+- TOL_NORMALITY, for ``normality``, whose kernel Gram sums truncated series
+  (its rounding bound is held to the same figure);
+- TOL_PREDICATE, for the two predicate checks, at which a normal
+  prediction passes and a non-normal one fails;
+- TOL_AXIOMS, for ``conjugation-axioms``, whose identities on kernels
+  compare closed forms that carry powers of exponent alpha + 2.
 """
 
 DEFAULT_N = 64
 
 TOL_EXACT = 1e-10
-TOL_GUARDED = 1e-8
+TOL_ADJOINT_KERNEL = 1e-8
+TOL_ADJOINT_PAIR = 1e-9
+TOL_NORMALITY = 1e-8
+TOL_PREDICATE = 1e-8
 TOL_AXIOMS = 1e-9
 
 MAX_WORK_DIM = 2048        # largest dense dimension built; 2049^2 complex is about 64 MiB

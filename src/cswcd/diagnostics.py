@@ -29,7 +29,7 @@ from .bergman import (
     kernel_term_ratio,
     t_constant,
 )
-from .defaults import MAX_WORK_DIM, TOL_GUARDED
+from .defaults import MAX_WORK_DIM, TOL_NORMALITY
 from .errors import DomainError, SingularityError, UnboundedSymbolError
 from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
 from .series import power_table
@@ -38,10 +38,13 @@ from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
 
+SCAN_RADII = np.linspace(0.1, 0.9, 9)   # the zero scan of necessary_conditions_check
+SCAN_ANGLES = 64
+
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
 GRAM_START = 64            # weight coefficients and kernel terms a Gram series starts with
 GRAM_TAIL = 1e-18          # a Gram series grows while its tail exceeds this share of its sum
-GRAM_ROUNDING = TOL_GUARDED   # largest rounding bound of a Gram defect that is reported
+GRAM_ROUNDING = TOL_NORMALITY  # largest rounding bound of a Gram defect that is reported
 _COMMUTATOR_BAND = 8       # trailing rows/columns of is_normal's products left out
 
 TREND_BOUNDED = "bounded-looking"
@@ -166,6 +169,22 @@ def nevanlinna_bound_grid(
     return _grid_report(W, keep, values)
 
 
+def _circle_values(coeffs: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients at r e^(2 pi i k / SCAN_ANGLES),
+    one row per radius r of SCAN_RADII.
+
+    On one circle these values are SCAN_ANGLES times the inverse discrete
+    Fourier transform of the coefficients c_j r^j, once the terms whose
+    degrees agree modulo SCAN_ANGLES are summed; one FFT per radius, with no
+    Horner loop and no BLAS.
+    """
+    blocks = -(-coeffs.size // SCAN_ANGLES)
+    terms = np.zeros((SCAN_RADII.size, blocks * SCAN_ANGLES), dtype=complex)
+    terms[:, :coeffs.size] = coeffs * SCAN_RADII[:, None] ** np.arange(coeffs.size)
+    folded = terms.reshape(SCAN_RADII.size, blocks, SCAN_ANGLES).sum(axis=1)
+    return np.fft.ifft(folded, axis=1) * SCAN_ANGLES
+
+
 def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
     """Names of the structural conditions that the pair violates, among the
     three any symmetric or normal order-n pair must satisfy: psi^(m)(0) = 0
@@ -179,11 +198,10 @@ def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
     """
     n = pair.n
     coeffs = pair.psi.coeffs
-    grid = np.linspace(0.1, 0.9, 9)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
     violated = (
         ("weight_flat_at_origin", np.any(coeffs[:n] != 0)),
         ("weight_order_exact", coeffs[n] == 0),
-        ("weight_nonvanishing", np.any(np.abs(np.polyval(coeffs[::-1], grid)) <= 1e-10)),
+        ("weight_nonvanishing", np.any(np.abs(_circle_values(coeffs)) <= 1e-10)),
     )
     return tuple(name for name, bad in violated if bad)
 
@@ -303,7 +321,7 @@ def normality_gram(pair: SymbolPair, alpha: float):
     error of G_T[i, j] is at most |sc_i sc_j| (u sum_m (a_i |S_j| + |S_i| a_j)
     beta_m^2 + u^2 sum_m a_i a_j beta_m^2) for the series S and scale factors
     sc. A bound above GRAM_ROUNDING of max |G_T*|, the default tolerance of
-    both checks that read the Gram, is refused.
+    ``normality`` (``normality-predicate``'s is the same figure), is refused.
 
     G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)> from
     ``_kernel_gram``, whose length does not depend on M. The order is the

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, space_norm
+from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, kernel_table
 from .errors import TruncationMismatchError, UnboundedSymbolError
-from .series import TruncatedSeries, series_add, series_eval, series_scale
+from .series import TruncatedSeries, series_values
 from .symbols import (
     LinearFractionalMap,
     SymbolPair,
@@ -169,8 +170,16 @@ def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
 
 
 def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
-    """Return phi(w) if |w| <= 0.7 and |phi(w)| <= 0.85, where the tails of
-    both kernels are negligible at the working truncation; else refuse w."""
+    """Return phi(w) if |w| <= 0.7 and |phi(w)| <= 0.85; else refuse w.
+
+    The bounds make the coefficients of both kernels decay geometrically,
+    with ratios tending to |w| <= 0.7 and |phi(w)| <= 0.85, so the tails
+    beyond a truncation N shrink like 0.85^N times a power of N. They do
+    not make the tails negligible at every working truncation: at small N,
+    or at large alpha, where the coefficients of the kernel at w peak near
+    degree alpha |w| / (1 - |w|), the tails enter the defect of
+    ``adjoint_on_kernels``.
+    """
     if abs(w) > 0.7:
         raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
     phi_w = lft_eval(phi, w)
@@ -181,27 +190,52 @@ def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
     return phi_w
 
 
-def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> float:
-    """Defect of the adjoint identity on point-evaluation kernels, evaluated
-    two ways.
+@lru_cache(maxsize=32)
+def kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
+    """Basis coordinates k_w beta(j) of the kernels at ``points``, one row
+    per point, read-only.
+
+    They depend only on the points, alpha and N, which stay the same for
+    every draw of a sweep, so the tables are cached and shared, as
+    ``beta_sq_vector`` is; the returned array cannot be written.
+    """
+    coords = kernel_table(points, 0, alpha, N) * np.sqrt(beta_sq_vector(N, alpha))
+    coords.flags.writeable = False
+    return coords
+
+
+def adjoint_on_kernels(M: OperatorMatrix, pair: SymbolPair, points) -> np.ndarray:
+    """Defects of the adjoint identity on point-evaluation kernels, one per
+    point, evaluated two ways in one pass.
 
     The adjoint of the bounded operator sends the kernel at w to
-    conj(psi(w)) times the order-n kernel at phi(w). The left side is
-    computed by applying the conjugate transpose of M, the truncated matrix
-    of the pair, to the kernel coefficients, the right side from the closed
-    form; the defect is the space norm of the difference. The point must
-    pass ``kernel_point_gate``.
+    conj(psi(w)) times the order-n kernel at phi(w). The left side applies
+    the conjugate transpose of M, the truncated matrix of the pair, to the
+    coordinates of every kernel at once, by one unoptimized ``einsum``: it
+    sums each entry in a fixed order and never calls the BLAS, so the bytes
+    cannot depend on a BLAS build or thread count. The right side is the
+    closed form, with psi(w) summed from the pair's series. Each defect is
+    the space norm of the difference. Every point must pass
+    ``kernel_point_gate``; they are gated in order before anything is
+    computed.
     """
-    phi_w = kernel_point_gate(pair.phi, w)
+    points = tuple(points)
+    phi_w = [kernel_point_gate(pair.phi, w) for w in points]
     space = M.space
-    k_w = kernel(w, 0, space.alpha, space.N)
-    via_matrix = apply(adjoint_matrix(M), k_w)
-    psi_w = series_eval(pair.psi, w)
-    via_formula = series_scale(
-        kernel(phi_w, pair.n, space.alpha, space.N), np.conj(psi_w)
-    )
-    diff = series_add(via_matrix, series_scale(via_formula, -1.0))
-    return space_norm(diff, space.alpha)
+    bsq = beta_sq_vector(space.N, space.alpha)
+    broot = np.sqrt(bsq)
+    y = np.einsum("ij,pi->pj", np.conj(M.entries),
+                  kernel_coordinates(points, space.alpha, space.N), optimize=False)
+    psi_w = series_values(pair.psi, points)
+    via_formula = kernel_table(phi_w, pair.n, space.alpha, space.N) * np.conj(psi_w)[:, None]
+    # componentwise float division; complex/float promotion would round x/x
+    diff = y.real / broot + 1j * (y.imag / broot) - via_formula
+    return np.sqrt(np.sum(diff * np.conj(diff) * bsq, axis=1).real)
+
+
+def adjoint_on_kernel(M: OperatorMatrix, pair: SymbolPair, w: complex) -> float:
+    """The defect of ``adjoint_on_kernels`` at the one point w."""
+    return float(adjoint_on_kernels(M, pair, (w,))[0])
 
 
 def companion_gate(phi: LinearFractionalMap) -> None:

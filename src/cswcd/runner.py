@@ -34,7 +34,16 @@ from .conjugations import (
     make_rotation_J,
     make_wc_J,
 )
-from .defaults import DEFAULT_N, MAX_WORK_DIM, TOL_AXIOMS, TOL_EXACT, TOL_GUARDED
+from .defaults import (
+    DEFAULT_N,
+    MAX_WORK_DIM,
+    TOL_ADJOINT_KERNEL,
+    TOL_ADJOINT_PAIR,
+    TOL_AXIOMS,
+    TOL_EXACT,
+    TOL_NORMALITY,
+    TOL_PREDICATE,
+)
 from .diagnostics import (
     GRAM_POINTS,
     GridReport,
@@ -46,7 +55,7 @@ from .diagnostics import (
     normality_gram_defect,
 )
 from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
-from .matrices import OperatorMatrix, adjoint_on_kernel, build_wcd_matrix, kernel_point_gate
+from .matrices import OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, kernel_point_gate
 from .rng import SplitMix64
 from .series import polynomial
 from .symbols import (
@@ -439,7 +448,7 @@ def _self_adjointness(config: RunConfig) -> tuple:
 
 
 def _normality(config: RunConfig) -> tuple:
-    return config.gram_defect, TOL_GUARDED, "kernel-gram-defect"
+    return config.gram_defect, TOL_NORMALITY, "kernel-gram-defect"
 
 
 def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
@@ -449,7 +458,7 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     passes once the defect reaches FAIL_THRESHOLD, fails when it meets tol,
     and is 'unverified' in the band between; sweeps redraw such parameters.
     """
-    tol = config.tolerances.get(name, TOL_GUARDED)
+    tol = config.tolerances.get(name, TOL_PREDICATE)
     defect = defect_of(config)
     predicted = _predicted_normal(config.symbols)
     if predicted:
@@ -473,8 +482,8 @@ def _kernel_norm_defect(config: RunConfig) -> float:
 def _kernel_points(symbols: dict) -> list:
     if "w_points" not in symbols:
         return list(DEFAULT_KERNEL_POINTS)
-    if not isinstance(symbols["w_points"], list):
-        raise ConfigError("symbols.w_points", "expected a list of points")
+    if not isinstance(symbols["w_points"], list) or not symbols["w_points"]:
+        raise ConfigError("symbols.w_points", "expected a non-empty list of points")
     return [
         _complex_value(v, f"symbols.w_points[{i}]")
         for i, v in enumerate(symbols["w_points"])
@@ -487,18 +496,18 @@ def _gate_adjoint_kernel(config: RunConfig) -> None:
 
 
 def _adjoint_kernel(config: RunConfig) -> tuple:
-    worst = 0.0
-    for w in _kernel_points(config.symbols):
-        # a refused point is reported ahead of a refused build of the matrix
-        kernel_point_gate(config.pair.phi, w)
-        worst = max(worst, adjoint_on_kernel(config.matrix, config.pair, w))
-    return worst, TOL_GUARDED, "adjoint-kernel-identity"
+    points = _kernel_points(config.symbols)
+    # a refused first point is reported ahead of a refused build of the
+    # matrix, and that ahead of a refused later point
+    kernel_point_gate(config.pair.phi, points[0])
+    defects = adjoint_on_kernels(config.matrix, config.pair, points)
+    return float(defects.max()), TOL_ADJOINT_KERNEL, "adjoint-kernel-identity"
 
 
 def _adjoint_pair(config: RunConfig) -> tuple:
     space = config.space
     defect = kernel_companion_defect(config.pair.phi, space.n, space.alpha)
-    return defect, 1e-9, "kernel-companion-adjoint"
+    return defect, TOL_ADJOINT_PAIR, "kernel-companion-adjoint"
 
 
 def _check_necessary_conditions(config: RunConfig) -> CheckReport:
@@ -530,7 +539,15 @@ def grid_report(config: RunConfig, name: str) -> GridReport:
 
 
 def _check_grid(name: str, config: RunConfig) -> CheckReport:
-    report = grid_report(config, name)
+    """Pass with the supremum as the defect if the grid kept a sample;
+    'unverified' if it kept none, or if the supremum is not finite, where a
+    power of exponent alpha + 2 + 2n overflowed or underflowed, as in
+    ``_check_tolerance``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        report = grid_report(config, name)
+    if report.supremum is not None and not math.isfinite(report.supremum):
+        return CheckReport(name, "unverified", None, None,
+                           f"non-finite-defect; {GRID_CHECKS[name]}")
     status = "pass" if report.samples else "unverified"
     return CheckReport(
         name, status, report.supremum, None,

@@ -150,6 +150,14 @@ def power_table(x: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(out, axis=1, out=out)
 
 
+def series_values(f: TruncatedSeries, points) -> np.ndarray:
+    """The truncated polynomial at each of ``points``: its coefficients
+    summed against ``power_table`` by an unoptimized ``einsum``, with no
+    Horner loop and no BLAS."""
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    return np.einsum("pj,j->p", power_table(z, f.order + 1), f.coeffs, optimize=False)
+
+
 def series_power(phi: TruncatedSeries, k: int) -> TruncatedSeries:
     """phi^k by repeated Cauchy product; exact in every retained coefficient."""
     if k < 0:

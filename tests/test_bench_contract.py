@@ -157,7 +157,9 @@ def test_traced_wc_sweep_round_builds_no_series(tracing, tmp_path, monkeypatch):
 def test_traced_scalar_sweep_round_builds_one_matrix(tracing, tmp_path, monkeypatch):
     # the one workload whose ops build an operator matrix (for adjoint-kernel),
     # so the build hook, which reads the pair's series, its map, n and the
-    # space, runs here
+    # space, runs here; the kernel points go through one product with it,
+    # not through per-point applications
     metrics = traced_round(tracing, tmp_path, monkeypatch, "scalar-sweep")
     assert metrics["matrices.build.calls"]["value"] == 1
+    assert metrics["matrices.apply.calls"]["value"] == 0
     assert metrics["runner.make_pair.calls"]["value"] == 1

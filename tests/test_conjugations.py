@@ -35,7 +35,7 @@ from cswcd.conjugations import (
     make_wc_J,
     unitary_part,
 )
-from cswcd.defaults import TOL_EXACT, TOL_GUARDED
+from cswcd.defaults import TOL_EXACT
 from cswcd.diagnostics import GRAM_TAIL, is_hermitian
 from cswcd.errors import DomainError, UnboundedSymbolError
 from cswcd.matrices import (
@@ -66,7 +66,7 @@ from cswcd.symbols import (
     unitary_symbols,
 )
 from series_reference import reference_weight_series
-from wc_reference import extended_order, wc_involution_defect, wc_symmetry_defect
+from wc_reference import TOL_REFERENCE, extended_order, wc_involution_defect, wc_symmetry_defect
 
 SPACE = SpaceParams(0.0, 1, 24)
 
@@ -365,7 +365,7 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
     """On pass/fail at alpha 0.5, n 2, N 32: the kernel forms at TOL_EXACT
     against the matrix path. ``C-symmetry`` is compared with C T* C = T
     (TOL_EXACT for an exact kind, the dense reference of ``wc_reference`` at
-    TOL_GUARDED for wc-J) for the family's own conjugation and the controls;
+    TOL_REFERENCE for wc-J) for the family's own conjugation and the controls;
     the runner's ``J-symmetry`` and ``self-adjointness`` with
     ``is_C_symmetric`` under plain-J and ``is_hermitian`` on the matrix."""
     symbols = draw_symbols({"family": family}, SplitMix64(seed))
@@ -378,7 +378,7 @@ def test_kernel_form_agrees_with_the_matrix_path(family, seed):
             by_matrix = is_C_symmetric(config.matrix, C) <= TOL_EXACT
         else:
             by_matrix = (wc_symmetry_defect(C, config.space, partial(make_pair, symbols))
-                         <= TOL_GUARDED)
+                         <= TOL_REFERENCE)
         by_kernel = kernel_symmetry_defect(config.pair, C, config.kernel_weights) <= TOL_EXACT
         assert by_kernel == by_matrix, name
         if name in ("p 1 % off", "lambda 0.01 rad off"):

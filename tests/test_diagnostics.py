@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cswcd.bergman import SpaceParams, inner_product, kernel, space_norm
-from cswcd.defaults import TOL_GUARDED
+from cswcd.defaults import TOL_NORMALITY
 from cswcd.diagnostics import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
@@ -337,7 +337,7 @@ class TestNormalityGram:
 
     @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
     def test_agrees_with_the_commutator(self, family):
-        # 150 seeded draws at N 32: the same pass/fail at TOL_GUARDED as the
+        # 150 seeded draws at N 32: the same pass/fail at TOL_NORMALITY as the
         # guarded commutator, except that the commutator fails every unitary
         # operator, which the Gram passes
         rng = SplitMix64(SWEEPABLE_FAMILIES.index(family) + 300)
@@ -347,10 +347,10 @@ class TestNormalityGram:
             symbols = draw_symbols({"family": family}, rng)
             gram = gram_defect(symbols, alpha, n, N)
             if family == "unitary":
-                assert gram <= TOL_GUARDED, symbols
+                assert gram <= TOL_NORMALITY, symbols
                 continue
             commutator = is_normal(build_wcd_matrix(make_pair(symbols, space), space))
-            assert (gram <= TOL_GUARDED) == (commutator <= TOL_GUARDED), symbols
+            assert (gram <= TOL_NORMALITY) == (commutator <= TOL_NORMALITY), symbols
 
     def test_independent_of_the_truncation(self):
         symbols = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}

@@ -86,8 +86,8 @@ def report(doc: dict):
 
 def scaled_psi_at_point(eps: float, monkeypatch) -> dict:
     # psi(w) on the closed-form side conj(psi(w)) K^[n]_phi(w)
-    inner = matrices.series_eval
-    monkeypatch.setattr(matrices, "series_eval", lambda f, z: (1 + eps) * inner(f, z))
+    inner = matrices.series_values
+    monkeypatch.setattr(matrices, "series_values", lambda f, z: (1 + eps) * inner(f, z))
     return general(0.0, "adjoint-kernel")
 
 

@@ -30,6 +30,7 @@ import json
 import pytest
 
 from cswcd.cli import main
+from cswcd.runner import GRID_CHECKS
 
 WC = {"family": "wc-conjugated", "a": 1.0, "b": [0.4, 0.2], "c": [0.2, -0.1],
       "p": [0.6, 0.3]}
@@ -104,3 +105,40 @@ def test_underflowed_weight_is_unverified(check, tmp_path):
     assert code == 3
     assert report["status"] == "unverified" and report["defect"] is None
     assert report["provenance"].startswith("non-finite-defect; kernel-")
+
+
+# The grids at large alpha: a supremum that overflowed to inf, or a NaN
+# from a power of exponent alpha + 2 + 2n that underflowed, is 'unverified'
+# with a null defect (exit 3); it used to be written into the report, which
+# JSON refuses (exit 4). N is 32.
+ROTATION = {"family": "rotation-conjugated", "a": 1.0, "b": 0.3, "c": 0.15, "mu": 1.0,
+            "lam": [0.0, 1.0]}
+UNITARY_EDGE = {"family": "unitary", "p": 0.99}
+GRID_ROWS = (
+    (GENERAL, "nevanlinna-grid"),
+    (SELF_ADJOINT, "nevanlinna-grid"),
+    (UNDERFLOW, "nevanlinna-grid"),
+    (ROTATION, "nevanlinna-grid"),
+    (UNITARY_EDGE, "boundedness-grid"),
+)
+# the unitary weight constant k = lambda_u (1 - |p|^2)^((alpha+2)/2) is 0
+# there, and the pair is refused as malformed (exit 2) before any check runs
+K_UNDERFLOW = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason="the unitary weight constant underflows: exit 2")
+GRID_CELLS = [
+    pytest.param(
+        symbols, check, alpha,
+        id=f"{symbols['family']}-{check}-alpha{alpha}",
+        marks=[K_UNDERFLOW] if symbols is UNITARY_EDGE and alpha > 200 else [],
+    )
+    for symbols, check in GRID_ROWS
+    for alpha in (200, 400, 600)
+]
+
+
+@pytest.mark.parametrize("symbols, check, alpha", GRID_CELLS)
+def test_non_finite_grid_supremum_is_unverified(symbols, check, alpha, tmp_path):
+    code, report = check_cell(symbols, check, alpha, 32, tmp_path)
+    assert code == 3, f"exit {code}"
+    assert report["status"] == "unverified" and report["defect"] is None
+    assert report["provenance"] == f"non-finite-defect; {GRID_CHECKS[check]}"

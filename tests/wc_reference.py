@@ -17,6 +17,9 @@ from cswcd.matrices import build_wcd_matrix
 from cswcd.series import TruncatedSeries
 
 GUARD = 8   # trailing rows and columns of the requested truncation left out of C T* C = T
+# the tolerance of wc_symmetry_defect: its block still carries the rounding
+# of the products at the extended truncation
+TOL_REFERENCE = 1e-8
 
 
 def extended_order(C, N: int) -> int:
