@@ -22,6 +22,8 @@ import traceback
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import export_grid_csv
 from .errors import ConfigError, UnboundedSymbolError
 from .matrices import export_matrix_csv
@@ -102,9 +104,16 @@ def _cmd_grid(args) -> int:
         raise ConfigError("checks", "no grid checks configured")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    counts = Counter()
     for name in grid_checks:
-        export_grid_csv(grid_report(config, name), out_dir / f"{name}.csv")
-    return EXIT_PASS
+        report = grid_report(config, name)
+        if not np.all(np.isfinite(report.values)):
+            sys.stderr.write(f"unverified: {name}: non-finite samples\n")
+            counts["unverified"] += 1
+            continue
+        export_grid_csv(report, out_dir / f"{name}.csv")
+        counts["pass"] += 1
+    return _exit_code(counts)
 
 
 def _cmd_export_matrix(args) -> int:

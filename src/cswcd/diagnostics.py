@@ -52,14 +52,22 @@ TREND_DIVERGING = "diverging"
 TREND_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridReport:
-    """Samples (w, value) over a polar grid with a supremum and a trend tag."""
+    """The kept points w of a polar grid and their values, in row-major
+    order, read-only, with a supremum and a trend tag."""
 
-    samples: tuple
+    points: np.ndarray
+    values: np.ndarray
     supremum: float | None
     trend: str
     radial_maxima: tuple
+
+    @property
+    def samples(self) -> tuple:
+        """Pairs (w, value), built on each read; the checks read only the
+        arrays."""
+        return tuple(zip(self.points.tolist(), self.values.tolist()))
 
 
 def _classify_trend(radial_maxima) -> str:
@@ -76,10 +84,17 @@ def _classify_trend(radial_maxima) -> str:
     return TREND_INCONCLUSIVE
 
 
-def _polar_grid(radii, angles: int) -> np.ndarray:
-    """Points r e^(2 pi i k / angles), one row per radius r."""
+@lru_cache(maxsize=8)
+def _polar_grid(radii: tuple, angles: int) -> np.ndarray:
+    """Points r e^(2 pi i k / angles), one row per radius r, read-only.
+
+    Every draw of a sweep uses the same grid, so it is cached and shared, as
+    ``matrices.kernel_coordinates`` is.
+    """
     theta = 2 * np.pi * np.arange(angles) / angles
-    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)
+    W = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)
+    W.flags.writeable = False
+    return W
 
 
 def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridReport:
@@ -89,8 +104,12 @@ def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridRep
     full = np.full(W.shape, -np.inf)
     full[keep] = values
     radial_maxima = tuple(np.where(keep.any(axis=1), full.max(axis=1), np.nan).tolist())
+    points = W[keep]
+    points.flags.writeable = False
+    values.flags.writeable = False
     return GridReport(
-        samples=tuple(zip(W[keep].tolist(), values.tolist())),
+        points=points,
+        values=values,
         supremum=float(values.max()) if values.size else None,
         trend=_classify_trend(radial_maxima),
         radial_maxima=radial_maxima,
@@ -113,7 +132,7 @@ def boundedness_ratio_grid(
     exp((alpha+2) ln(1-|w|) - (alpha+2+2n) ln(1-|phi(w)|)), so that neither
     power can underflow to 0 at a large exponent.
     """
-    W = _polar_grid(radii, angles)
+    W = _polar_grid(tuple(radii), angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at the pole of phi, which the comparison below skips
         image = np.abs((phi.a * W + phi.b) / (phi.c * W + phi.d))
@@ -157,7 +176,7 @@ def nevanlinna_bound_grid(
     w = phi(0) are excluded; the counting value is that of
     ``nevanlinna_univalent``.
     """
-    W = _polar_grid(radii, angles)
+    W = _polar_grid(tuple(radii), angles)
     keep = (W != 0) & (W != phi.b / phi.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at w = phi(infinity), whose preimage is outside the disk
@@ -167,6 +186,15 @@ def nevanlinna_bound_grid(
     counting[inside] = np.log(1.0 / preimage[inside]) ** (alpha + 2)
     values = counting[keep] / np.log(1.0 / np.abs(W[keep])) ** (alpha + 2 + 2 * n)
     return _grid_report(W, keep, values)
+
+
+@lru_cache(maxsize=8)
+def _scan_powers(size: int) -> np.ndarray:
+    """r^j for j = 0..size-1, one row per radius r of SCAN_RADII, read-only;
+    cached, since a sweep scans weights of one length."""
+    powers = SCAN_RADII[:, None] ** np.arange(size)
+    powers.flags.writeable = False
+    return powers
 
 
 def _circle_values(coeffs: np.ndarray) -> np.ndarray:
@@ -180,7 +208,7 @@ def _circle_values(coeffs: np.ndarray) -> np.ndarray:
     """
     blocks = -(-coeffs.size // SCAN_ANGLES)
     terms = np.zeros((SCAN_RADII.size, blocks * SCAN_ANGLES), dtype=complex)
-    terms[:, :coeffs.size] = coeffs * SCAN_RADII[:, None] ** np.arange(coeffs.size)
+    terms[:, :coeffs.size] = coeffs * _scan_powers(coeffs.size)
     folded = terms.reshape(SCAN_RADII.size, blocks, SCAN_ANGLES).sum(axis=1)
     return np.fft.ifft(folded, axis=1) * SCAN_ANGLES
 

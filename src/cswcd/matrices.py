@@ -75,9 +75,10 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     anti-diagonal m + k = s is the flat slice from C + n + s with step
     C - 1, and its neighbours (m, k-1), (m-1, k) and (m-1, k-1) sit 1, C and
     C + 1 places before each of its entries. One step per anti-diagonal
-    computes it from the two before it; each ufunc of a step writes into one
-    of two contiguous scratch vectors, whose result is then copied into the
-    diagonal. Columns n..N are then scaled in place.
+    computes it from the two before it: the three products and their sum go
+    through two contiguous scratch vectors, and the quotient by d is written
+    straight into the diagonal. The coefficients are 0-d arrays, so no ufunc
+    call converts a Python complex. Columns n..N are then scaled in place.
     """
     N = space.N
     if psi.order != N:
@@ -87,25 +88,24 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     require_pole_outside_disk(phi)
     K = N - n
     C = N + 1
+    step = C - 1
     buf = np.zeros((N + 2, C), dtype=complex)
     buf[1:, n] = psi.coeffs
     flat = buf.reshape(-1)
     x, y = np.empty(C, dtype=complex), np.empty(C, dtype=complex)
-    a, b, c, d = phi.a, phi.b, phi.c, phi.d
+    a, b, c, d = (np.array(v, dtype=complex) for v in (phi.a, phi.b, phi.c, phi.d))
     for s in range(1, N + K + 1):
-        lo, hi = max(0, s - K), min(N, s - 1)   # the rows with k >= 1
-        if lo > hi:                              # K == 0: the one column is psi
-            continue
-        first = C + n + s + lo * (C - 1)
-        last = first + (hi - lo) * (C - 1)
+        lo = s - K if s > K else 0       # the rows with k >= 1
+        hi = s - 1 if s <= N else N
+        first = C + n + s + lo * step
+        last = first + (hi - lo) * step
         t, u = x[: hi - lo + 1], y[: hi - lo + 1]
-        np.multiply(a, flat[first - C - 1:last - C:C - 1], t)
-        np.multiply(b, flat[first - 1:last:C - 1], u)
+        np.multiply(a, flat[first - C - 1:last - C:step], t)
+        np.multiply(b, flat[first - 1:last:step], u)
         np.add(t, u, t)
-        np.multiply(c, flat[first - C:last + 1 - C:C - 1], u)
+        np.multiply(c, flat[first - C:last + 1 - C:step], u)
         np.subtract(t, u, t)
-        np.divide(t, d, t)
-        flat[first:last + 1:C - 1] = t
+        np.divide(t, d, flat[first:last + 1:step])
     M = buf[1:]
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
     M[:, n:] *= falling_factorial(np.arange(n, N + 1), n) / broot[n:]

@@ -532,23 +532,26 @@ GRID_CHECKS = {
 
 def grid_report(config: RunConfig, name: str) -> GridReport:
     """Samples of the grid check ``name`` for the config's map; the grid
-    function is looked up by its module binding when called."""
+    function is looked up by its module binding when called.
+
+    The grid's floating-point warnings are silenced, as in
+    ``_check_tolerance``: where a power of exponent alpha + 2 + 2n overflows
+    or underflows, a sample is not finite, and the caller refuses the grid.
+    """
     grid = boundedness_ratio_grid if name == "boundedness-grid" else nevanlinna_bound_grid
     space = config.space
-    return grid(config.pair.phi, space.alpha, space.n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return grid(config.pair.phi, space.alpha, space.n)
 
 
 def _check_grid(name: str, config: RunConfig) -> CheckReport:
     """Pass with the supremum as the defect if the grid kept a sample;
-    'unverified' if it kept none, or if the supremum is not finite, where a
-    power of exponent alpha + 2 + 2n overflowed or underflowed, as in
-    ``_check_tolerance``."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        report = grid_report(config, name)
+    'unverified' if it kept none, or if the supremum is not finite."""
+    report = grid_report(config, name)
     if report.supremum is not None and not math.isfinite(report.supremum):
         return CheckReport(name, "unverified", None, None,
                            f"non-finite-defect; {GRID_CHECKS[name]}")
-    status = "pass" if report.samples else "unverified"
+    status = "pass" if report.values.size else "unverified"
     return CheckReport(
         name, status, report.supremum, None,
         f"{GRID_CHECKS[name]}; trend={report.trend}",

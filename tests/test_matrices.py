@@ -38,6 +38,7 @@ from cswcd.series import (
 from cswcd.symbols import (
     LinearFractionalMap,
     SymbolPair,
+    family_general,
     family_j_symmetric,
     family_normal_origin,
     family_self_adjoint,
@@ -207,6 +208,30 @@ class TestOneBuffer:
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = two_array_build(pair.psi, pair.phi, 0, U.space)
         assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
+
+    # the three parameter branches of a general draw, at the scalar-sweep
+    # shape; with c = 0 the map's c coefficient is a signed zero
+    @pytest.mark.parametrize(
+        "b, c",
+        [(0.4, 0.2 + 0.1j), (0.4 + 0.3j, 0j), (0.4 + 0.3j, 0.2 + 0.1j)],
+        ids=["b-real", "c-zero", "free"],
+    )
+    def test_general_branch_at_sweep_shape(self, b, c):
+        space = SpaceParams(0.0, 1, 48)
+        pair = family_general(1.0 - 0.5j, b, c, 1, 0.0, 48)
+        M = build_wcd_matrix(pair, space).entries
+        ref = two_array_build(pair.psi, pair.phi, pair.n, space)
+        assert np.array_equal(M.view(np.float64), ref.view(np.float64))
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_explicit_fixing_origin_at_smallest_truncation(self, n):
+        space = SpaceParams(0.5, n, n + 2)
+        psi = polynomial([0.0] * n + [0.7 + 0.2j, -0.3j], n + 2)
+        phi = LinearFractionalMap(0.5 + 0.1j, 0.0, 0.2 - 0.1j, 1.0)
+        assert lft_eval(phi, 0.0) == 0
+        M = build_wcd_matrix(explicit_pair(psi, phi, n), space).entries
+        ref = two_array_build(psi, phi, n, space)
+        assert np.array_equal(M.view(np.float64), ref.view(np.float64))
 
 
 class TestAgainstReference:

@@ -857,6 +857,26 @@ class TestCli:
         assert csv_path.exists()
         assert csv_path.read_text().startswith("re_w,im_w,value")
 
+    # at alpha 200 both powers of the Nevanlinna ratio underflow: 0/0 is NaN
+    NAN_GRID = {"space": {"alpha": 200, "n": 1, "N": 32},
+                "symbols": {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}}
+
+    def test_grid_refuses_non_finite_samples(self, tmp_path, capsys):
+        doc = dict(self.NAN_GRID, checks=["nevanlinna-grid"])
+        out_dir = tmp_path / "grids"
+        assert main(["grid", self.write(tmp_path, doc), "--out", str(out_dir)]) == 3
+        assert not (out_dir / "nevanlinna-grid.csv").exists()
+        assert capsys.readouterr().err == "unverified: nevanlinna-grid: non-finite samples\n"
+
+    def test_grid_writes_the_finite_grid_beside_a_refused_one(self, tmp_path):
+        doc = dict(self.NAN_GRID, checks=["nevanlinna-grid", "boundedness-grid"])
+        out_dir = tmp_path / "grids"
+        assert main(["grid", self.write(tmp_path, doc), "--out", str(out_dir)]) == 0
+        assert not (out_dir / "nevanlinna-grid.csv").exists()
+        rows = (out_dir / "boundedness-grid.csv").read_text().splitlines()
+        assert rows[0] == "re_w,im_w,value" and len(rows) > 1
+        assert "nan" not in "".join(rows[1:])
+
     def test_export_matrix(self, tmp_path):
         out = tmp_path / "matrix.csv"
         assert main(["export-matrix", self.write(tmp_path, config_with()), "--out", str(out)]) == 0
