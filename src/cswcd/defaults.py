@@ -10,8 +10,9 @@ named default tolerance:
   kernel tails beyond the truncation and the rounding of summed series;
 - TOL_ADJOINT_PAIR, for ``adjoint-pair``, which compares two closed forms of
   the companion operators on kernels;
-- TOL_NORMALITY, for ``normality``, whose kernel Gram sums truncated series
-  (its rounding bound is held to the same figure);
+- TOL_NORMALITY, for ``normality``, whose kernel Grams are finite closed
+  forms (an explicit pair's G_T sums a series, whose rounding bound is held
+  to the same figure);
 - TOL_PREDICATE, for the two predicate checks, at which a normal
   prediction passes and a non-normal one fails;
 - TOL_AXIOMS, for ``conjugation-axioms``, whose identities on kernels

@@ -6,10 +6,10 @@ so every report carries its raw samples and a heuristic trend tag. The
 Hermitian predicate acts on a truncated matrix whose entries are exact.
 Normality is tested on reproducing kernels, with no matrix: a bounded T is
 normal iff <T K_w, T K_z> = <T* K_w, T* K_z> for all w and z, because the
-kernels K_w span a dense set. The left side comes from the Taylor series of
-T K_w, the right side from the closed form T* K_w = conj(psi(w)) K^[n]_phi(w),
-and both series grow until their tails are negligible, whatever the
-truncation of the operator matrix.
+kernels K_w span a dense set. Both T K_w and T* K_w = conj(psi(w)) K^[n]_phi(w)
+are finite sums of derivative kernels for every family but ``explicit``, so
+both sides are finite closed forms, whatever the truncation of the operator
+matrix; only an explicit pair's T K_w is summed from a Taylor series.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bergman import (
-    SpaceParams,
-    beta_sq_vector,
-    falling_factorial,
-    kernel_norm_sq,
-    kernel_term_ratio,
-    t_constant,
-)
+from .bergman import SpaceParams, beta_sq_vector, kernel_norm_sq, t_constant
 from .defaults import MAX_WORK_DIM, TOL_NORMALITY
 from .errors import DomainError, SingularityError, UnboundedSymbolError
 from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
@@ -42,9 +35,10 @@ SCAN_RADII = np.linspace(0.1, 0.9, 9)   # the zero scan of necessary_conditions_
 SCAN_ANGLES = 64
 
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
-GRAM_START = 64            # weight coefficients and kernel terms a Gram series starts with
-GRAM_TAIL = 1e-18          # a Gram series grows while its tail exceeds this share of its sum
-GRAM_ROUNDING = TOL_NORMALITY  # largest rounding bound of a Gram defect that is reported
+# the Taylor series of T K_w for an explicit pair, the only Gram with a series:
+GRAM_START = 64            # weight coefficients the series starts with
+GRAM_TAIL = 1e-18          # the series grows while its tail exceeds this share of its sum
+GRAM_ROUNDING = TOL_NORMALITY  # largest rounding bound of its defect that is reported
 _COMMUTATOR_BAND = 8       # trailing rows/columns of is_normal's products left out
 
 TREND_BOUNDED = "bounded-looking"
@@ -285,82 +279,141 @@ def _rising_over_factorial(s: float, M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _kernel_coefficients(n: int, alpha: float, count: int) -> np.ndarray:
-    """((j)_n)^2 / beta(j)^2 for j = n..n+count-1, the coefficients of
-    <K^[n]_u, K^[n]_v> as a power series in conj(u) v; read-only."""
-    top = n + count - 1
-    out = falling_factorial(np.arange(n, top + 1), n) ** 2 / beta_sq_vector(top, alpha)[n:]
-    out.flags.writeable = False
+def _leibniz_terms(n: int, alpha: float) -> tuple:
+    """The terms of the inner products <k_i(A), k_j(B)> for i, j <= n, where
+    k_i(A) = z^i (1 - conj(A) z)^-(alpha+2+i) = K^[i]_A / (alpha+2)_i.
+
+    Since <f, K^[j]_B> = f^(j)(B), the Leibniz rule gives
+
+        <k_i(A), k_j(B)> = sum_(k <= min(i, j)) const B^(i-k) conj(A)^(j-k)
+                           (1 - conj(A) B)^-(alpha+2+i+j-k),
+        const = C(j, k) i!/(i-k)! (alpha+2+i)_(j-k) / (alpha+2)_j.
+
+    Returns one read-only array per quantity, one entry per term (i, j, k):
+    i, j, the powers j - k and i - k, the exponent and the constant. A draw
+    asks for the same (n, alpha) each time, so the terms are cached, as
+    ``_rising_over_factorial`` is.
+    """
+    rows = []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(min(i, j) + 1):
+                const = math.comb(j, k) * math.perm(i, k)
+                for m in range(j - k):
+                    const *= alpha + 2 + i + m
+                for m in range(j):
+                    const /= alpha + 2 + m
+                rows.append((i, j, j - k, i - k, alpha + 2 + i + j - k, const))
+    out = tuple(np.array(col) for col in zip(*rows))
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
-def _kernel_gram(u: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    """<K^[n]_u_i, K^[n]_u_j> = sum_(j >= n) ((j)_n)^2 (conj(u_i) u_j)^(j-n) / beta(j)^2.
+def _kernel_sum_grams(abar: np.ndarray, coeffs: np.ndarray, log_scale: np.ndarray,
+                      n: int, alpha: float) -> np.ndarray:
+    """Gram matrices of kernel sums, one per leading index x: of the functions
+    f_(x,a) = exp(log_scale[x, a]) sum_(i <= n) coeffs[x, a, i] k_i(A_(x,a)),
+    with conj(A_(x,a)) = abar[x, a] inside the disk and k_i as in
+    ``_leibniz_terms``, whose finite sums give every inner product.
 
-    The series starts with GRAM_START terms and doubles while its ratio-test
-    tail at x = max |u|^2 exceeds GRAM_TAIL of its sum there, as in
-    ``kernel_norm_sq``; only the powers of the points grow with it. A tail
-    still above that share at MAX_WORK_DIM terms is refused.
+    The two scales and each power (1 - conj(A) B)^-e are one exponential of
+    logarithms, so that no factor leaves the double range on its own. Only
+    elementwise products and one unoptimized ``einsum`` are used: no BLAS.
     """
-    x = float(np.abs(u).max()) ** 2
-    count = GRAM_START
-    while True:
-        coef = _kernel_coefficients(n, alpha, count)
-        terms = coef * x ** np.arange(count)
-        ratio = kernel_term_ratio(x, n + count - 1, n, alpha)
-        if ratio < 1.0 and terms[-1] * ratio / (1.0 - ratio) <= GRAM_TAIL * terms.sum():
-            break
-        if count >= MAX_WORK_DIM:
-            raise UnboundedSymbolError(
-                f"normality Gram: the adjoint kernel series has not converged at {count} terms"
-            )
-        count = min(2 * count, MAX_WORK_DIM)
-    E = power_table(u, count)
-    return np.einsum("aj,bj->ab", E.conj() * coef, E, optimize=False)
+    i, j, left_power, right_power, exponent, const = _leibniz_terms(n, alpha)
+    powers = power_table(abar.ravel(), n + 1).reshape(abar.shape + (n + 1,))
+    left = coeffs[..., i] * powers[..., left_power] * const
+    right = (coeffs[..., j] * powers[..., right_power]).conj()
+    log_x = np.log(1 - abar[..., :, None] * abar[..., None, :].conj())
+    log_scales = log_scale[..., :, None] + log_scale[..., None, :].conj()
+    kern = np.exp(log_scales[..., None] - exponent * log_x[..., None])
+    return np.einsum("...at,...bt,...abt->...ab", left, right, kern, optimize=False)
 
 
-def normality_gram(pair: SymbolPair, alpha: float):
-    """The Gram matrices (G_T, G_T*) of T and of its adjoint at GRAM_POINTS:
-    G_T[i, j] = <T K_(w_i), T K_(w_j)> and G_T*[i, j] = <T* K_(w_i), T* K_(w_j)>.
+@lru_cache(maxsize=32)
+def _basis_change(n: int) -> tuple:
+    """C(n-m, i-m) at [m, i], zero for i < m, and the power max(i - m, 0) at
+    [m, i], both read-only:
+    z^m = sum_(i >= m) C(n-m, i-m) q^(i-m) z^i (1 - q z)^(n-i)."""
+    binom = np.array([[math.comb(n - m, i - m) if i >= m else 0 for i in range(n + 1)]
+                      for m in range(n + 1)], dtype=float)
+    degree = np.arange(n + 1)
+    power = np.maximum(degree - degree[:, None], 0)
+    binom.flags.writeable = power.flags.writeable = False
+    return binom, power
 
-    G_T pairs the Taylor series of T K_w in the weighted inner product.
+
+def _operator_kernel_sums(pair: SymbolPair, alpha: float, w: np.ndarray) -> tuple:
+    """(q, coefficients, log scales) of T K_w as a kernel sum
+    (``_kernel_sum_grams``), for every family but ``explicit``.
+
     T K_w = (alpha+2)_n conj(w)^n psi (1 - conj(w) phi)^-s with s = alpha+n+2,
     and for phi = (a z + b) / (c z + d),
 
         1 - conj(w) phi = (1 - conj(w) b / d) (1 - q z) / (1 + (c/d) z),
 
     with q = (conj(w) a - c) / (d - conj(w) b), the reciprocal of the root of
-    1 - conj(w) phi, which lies outside the closed disk. Both sides are
-    1 - conj(w) phi(0) at z = 0, so the principal powers factor too: T K_w is
-    a constant times the series psi (1 + (c/d) z)^s, the same for every
-    point, times (1 - q z)^-s. The series is taken at an order M of the
-    weight psi. M starts at min(N, GRAM_START - 1) for the pair's truncation
-    N and doubles while the last quarter of any ||T K_w||^2 series exceeds
-    GRAM_TAIL of its sum; ``SymbolPair.weight_series(M)`` gives the weight's
-    coefficients at order M from its closed form, without rebuilding the
-    pair. A tail still above that share at order MAX_WORK_DIM - 1 is
+    1 - conj(w) phi; both sides are 1 - conj(w) phi(0) at z = 0, so the
+    principal powers factor too. Each such family has a weight
+    exp(g) P (1 - rho z)^-e whose power cancels the map's, rho = -c/d and
+    e = s, or a map and a weight with no pole (c = 0, rho = 0), so that
+    psi (1 + (c/d) z)^s = exp(g) P with P of degree <= n. Written in the
+    basis z^i (1 - q z)^(n-i), P gives
+
+        T K_w = scale_w sum_i C_(w,i) k_i(conj(q)),
+        C_(w,i) = sum_(m <= i) P_m C(n-m, i-m) q^(i-m),
+
+    with log scale_w = g + log (alpha+2)_n + n log conj(w) - s log(1 - conj(w) b/d).
+    A point with |q| >= 1 is refused.
+    """
+    weight, phi, n = pair.weight, pair.phi, pair.n
+    s = alpha + n + 2
+    sigma = -phi.c / phi.d
+    cancels = (weight.rho == sigma and weight.exponent == s) or (
+        sigma == 0 and (weight.rho == 0 or weight.exponent == 0))
+    if not cancels or weight.poly.size != n + 1:
+        raise DomainError(
+            f"normality Gram: psi (1 + (c/d) z)^s is not a polynomial of degree <= {n} "
+            f"for provenance {pair.provenance!r}"
+        )
+    wbar = w.conjugate()
+    q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
+    if (np.abs(q) >= 1.0).any():
+        raise UnboundedSymbolError(
+            f"normality Gram: 1 - conj(w) phi vanishes in the closed disk, |q| = {np.abs(q).max():.6f}"
+        )
+    binom, power = _basis_change(n)
+    coeffs = np.einsum("m,ami->ai", weight.poly, binom * power_table(q, n + 1)[:, power],
+                       optimize=False)
+    log_scale = (weight.log_gain + math.log(t_constant(alpha, n)) + n * np.log(wbar)
+                 - s * np.log(1 - wbar * (phi.b / phi.d)))
+    return q, coeffs, log_scale
+
+
+def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
+                          G_star: np.ndarray) -> np.ndarray:
+    """G_T for an ``explicit`` pair, whose psi (1 + (c/d) z)^s is in general
+    no polynomial, from the Taylor series of T K_w paired in the weighted
+    inner product.
+
+    With q and the scale as in ``_operator_kernel_sums``, T K_w is the scale
+    times the series psi (1 + (c/d) z)^s, the same for every point, times
+    (1 - q z)^-s. The series is taken at an order M of the weight psi. M
+    starts at min(N, GRAM_START - 1) for the pair's truncation N and doubles
+    while the last quarter of any ||T K_w||^2 series exceeds GRAM_TAIL of its
+    sum; ``SymbolPair.weight_series(M)`` gives the weight's coefficients at
+    order M. A tail still above that share at order MAX_WORK_DIM - 1 is
     refused: a pole of phi near the circle can keep T K_w far from its
     truncation even where the points pass the gate.
 
-    The Cauchy products can cancel: on the unitary family psi (1 + (c/d) z)^s
-    is a constant summed from terms that grow like (alpha+2)_m |p|^m / m!.
-    The same two products over absolute coefficients bound each series
-    coefficient's rounding error by u a_m (u the unit roundoff), so the
-    error of G_T[i, j] is at most |sc_i sc_j| (u sum_m (a_i |S_j| + |S_i| a_j)
-    beta_m^2 + u^2 sum_m a_i a_j beta_m^2) for the series S and scale factors
-    sc. A bound above GRAM_ROUNDING of max |G_T*|, the default tolerance of
-    ``normality`` (``normality-predicate``'s is the same figure), is refused.
-
-    G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)> from
-    ``_kernel_gram``, whose length does not depend on M. The order is the
-    pair's own. The pair must pass ``operator_gate`` and each point
-    ``kernel_point_gate``. Only elementwise products and unoptimized
-    ``einsum`` sums are used: no BLAS.
+    The Cauchy products can cancel. The same two products over absolute
+    coefficients bound each series coefficient's rounding error by u a_m
+    (u the unit roundoff), so the error of G_T[i, j] is at most
+    |sc_i sc_j| (u sum_m (a_i |S_j| + |S_i| a_j) beta_m^2 + u^2 sum_m a_i a_j
+    beta_m^2) for the series S and scale factors sc. A bound above
+    GRAM_ROUNDING of max |G_T*| is refused.
     """
-    operator_gate(pair)
-    u = np.array([kernel_point_gate(pair.phi, w) for w in GRAM_POINTS])
-    w = np.array(GRAM_POINTS, dtype=complex)
-    k = w.size
     phi, n = pair.phi, pair.n
     s = alpha + n + 2
     wbar = w.conjugate()
@@ -372,9 +425,9 @@ def normality_gram(pair: SymbolPair, alpha: float):
         m = np.arange(1, M + 1)
         ratios = (s - m + 1) / m * (phi.c / phi.d)
         upper = np.multiply.accumulate(np.concatenate(([1.0], ratios)))   # (1 + (c/d) z)^s
-        powers = power_table(np.concatenate((q, w)), M + 1)
+        powers = power_table(q, M + 1)
         shared = _cauchy_product(psi, upper[None, :])[0]
-        series = _cauchy_product(shared, _rising_over_factorial(s, M) * powers[:k])
+        series = _cauchy_product(shared, _rising_over_factorial(s, M) * powers)
         bsq = beta_sq_vector(M, alpha)
         energy = (series.real**2 + series.imag**2) * bsq
         tail, total = energy[:, M + 1 - (M + 1) // 4:].sum(axis=1), energy.sum(axis=1)
@@ -389,11 +442,9 @@ def normality_gram(pair: SymbolPair, alpha: float):
         psi = pair.weight_series(M)
     G_T = np.einsum("am,bm->ab", series * bsq, series.conj(), optimize=False)
     G_T *= scale[:, None] * scale.conj()
-    psi_w = np.einsum("m,im->i", psi, powers[k:], optimize=False)
-    G_star = psi_w.conj()[:, None] * psi_w * _kernel_gram(u, n, alpha)
     bound = _cauchy_product(
         _cauchy_product(np.abs(psi), np.abs(upper)[None, :])[0],
-        _rising_over_factorial(s, M) * np.abs(powers[:k]),
+        _rising_over_factorial(s, M) * np.abs(powers),
     )
     roundoff = np.finfo(float).eps / 2
     cross = np.einsum("am,bm->ab", bound * bsq, np.abs(series), optimize=False)
@@ -405,6 +456,38 @@ def normality_gram(pair: SymbolPair, alpha: float):
             f"normality Gram: the weight products cancel; the rounding bound "
             f"{rounding:.3g} of the defect exceeds {GRAM_ROUNDING:g}"
         )
+    return G_T
+
+
+def normality_gram(pair: SymbolPair, alpha: float):
+    """The Gram matrices (G_T, G_T*) of T and of its adjoint at GRAM_POINTS:
+    G_T[i, j] = <T K_(w_i), T K_(w_j)> and G_T*[i, j] = <T* K_(w_i), T* K_(w_j)>.
+
+    Both are finite sums of derivative kernels (``_kernel_sum_grams``), with
+    no series and no truncation. T* K_w = conj(psi(w)) K^[n]_phi(w) for every
+    pair, with psi(w) from ``RationalWeight.values``, so
+    G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)>. T K_w is
+    a kernel sum for every family but ``explicit`` (``_operator_kernel_sums``).
+    An ``explicit`` weight need not cancel the map's pole, so its G_T comes
+    from the Taylor series of ``_series_operator_gram``; only that path grows
+    a series (GRAM_TAIL) and bounds its rounding (GRAM_ROUNDING).
+
+    The pair must pass ``operator_gate`` and each point ``kernel_point_gate``.
+    Only elementwise products and unoptimized ``einsum`` sums are used: no
+    BLAS.
+    """
+    operator_gate(pair)
+    u = np.array([kernel_point_gate(pair.phi, w) for w in GRAM_POINTS])
+    w = np.array(GRAM_POINTS, dtype=complex)
+    n = pair.n
+    adjoint = np.zeros((w.size, n + 1), dtype=complex)   # T* K_w = conj(psi(w)) (alpha+2)_n k_n
+    adjoint[:, n] = pair.weight.values(w).conj() * t_constant(alpha, n)
+    if pair.provenance == "explicit":
+        G_star = _kernel_sum_grams(u.conj(), adjoint, np.zeros(w.size), n, alpha)
+        return _series_operator_gram(pair, alpha, w, G_star), G_star
+    q, coeffs, log_scale = _operator_kernel_sums(pair, alpha, w)
+    G_T, G_star = _kernel_sum_grams(np.stack((q, u.conj())), np.stack((coeffs, adjoint)),
+                                    np.stack((log_scale, np.zeros(w.size))), n, alpha)
     return G_T, G_star
 
 

@@ -457,10 +457,15 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     A normal prediction passes iff the defect meets tol. A non-normal one
     passes once the defect reaches FAIL_THRESHOLD, fails when it meets tol,
     and is 'unverified' in the band between; sweeps redraw such parameters.
+    A defect that is not finite is 'unverified', as in ``_check_tolerance``.
     """
     tol = config.tolerances.get(name, TOL_PREDICATE)
-    defect = defect_of(config)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        defect = defect_of(config)
     predicted = _predicted_normal(config.symbols)
+    provenance = f"{name}; predicted={'normal' if predicted else 'nonnormal'}"
+    if not math.isfinite(defect):
+        return CheckReport(name, "unverified", None, tol, f"non-finite-defect; {provenance}")
     if predicted:
         status = "pass" if defect <= tol else "fail"
     elif defect >= FAIL_THRESHOLD:
@@ -469,10 +474,7 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
         status = "fail"
     else:
         status = "unverified"
-    return CheckReport(
-        name, status, defect, tol,
-        f"{name}; predicted={'normal' if predicted else 'nonnormal'}",
-    )
+    return CheckReport(name, status, defect, tol, provenance)
 
 
 def _kernel_norm_defect(config: RunConfig) -> float:

@@ -75,6 +75,15 @@ NEAR_BALANCE_BOUND = {
     "seed": 3,
 }
 
+# the one family whose normality Gram G_T still sums a Taylor series
+EXPLICIT_NORMALITY = {
+    "space": {"alpha": 0.5, "n": 1, "N": 32},
+    "symbols": {"family": "explicit", "psi": [0.0, 1.0, [0.2, 0.1]],
+                "phi": [[0.5, 0.1], 0.1, -0.2, 1.0], "bounded": True},
+    "checks": ["normality"],
+    "seed": 3,
+}
+
 # wide |c| ranges make the kernel-point gate reject some draws
 WIDE_C = {"abs_c": [0.6, 0.9]}
 SWEEPS = {
@@ -107,6 +116,7 @@ def cases() -> list:
         out.append((f"check-{label}-all",
                     {**base, "checks": ["normality", *PREDICATES, "C-symmetry"], "seed": 3}, []))
     out.append(("check-near-balance-bound", NEAR_BALANCE_BOUND, []))
+    out.append(("check-explicit-normality", EXPLICIT_NORMALITY, []))
     for family, (space, ranges, checks) in SWEEPS.items():
         symbols = {"family": family, **({"ranges": ranges} if ranges else {})}
         doc = {"space": space, "symbols": symbols, "checks": checks, "seed": 5}

@@ -16,7 +16,6 @@ from cswcd.diagnostics import (
     TREND_BOUNDED,
     TREND_DIVERGING,
     _classify_trend,
-    _kernel_gram,
     boundedness_ratio_grid,
     export_grid_csv,
     is_hermitian,
@@ -277,53 +276,205 @@ def gram_defect(symbols, alpha, n, N):
     return normality_gram_defect(pair, alpha)
 
 
-# closed forms (psi, phi, order) in mpmath of three families, for the oracle
+# closed forms (psi, map coefficients (a, b, c, d), order) of the seven
+# sweepable families in mpmath, written from the paper's formulas, not from
+# the package's closed-form weights
+def j_symmetric_closed(a, b, c, n, alpha):
+    s = n + alpha + 2
+    return (lambda z: a * z**n / (math.factorial(n) * (1 - c * z) ** s),
+            (b - c * c, c, -c, 1), n)
+
+
 def general_closed(a, b, c, n, alpha):
     cbar = mpmath.conj(c)
     return (lambda z: a * z**n / (math.factorial(n) * (1 - cbar * z) ** (n + alpha + 2)),
-            lambda z: c + b * z / (1 - cbar * z), n)
+            (b - c * cbar, c, -cbar, 1), n)
+
+
+def normal_origin_closed(a, b, n):
+    return (lambda z: a * z**n, (b, 0, 0, 1), n)
 
 
 def unitary_closed(p, lambda_u, alpha):
     pbar = mpmath.conj(p)
     scale = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
-    return (lambda z: scale / (1 - pbar * z) ** (alpha + 2),
-            lambda z: (pbar / p) * (p - z) / (1 - pbar * z), 0)
+    return (lambda z: scale / (1 - pbar * z) ** (alpha + 2), (-pbar / p, pbar, -pbar, 1), 0)
 
 
-GRAM_ORACLE_CASES = [
-    ({"family": "general", "a": [1.0, 0.2], "b": [0.4, 0.3], "c": [0.2, 0.1]}, 0.5, 1,
-     lambda: general_closed(mpmath.mpc(1, 0.2), mpmath.mpc(0.4, 0.3), mpmath.mpc(0.2, 0.1), 1,
-                            mpmath.mpf(0.5))),
-    ({"family": "general", "a": 0.8, "b": -0.3, "c": [-0.1, 0.25]}, 1.0, 2,
-     lambda: general_closed(mpmath.mpf(0.8), mpmath.mpf(-0.3), mpmath.mpc(-0.1, 0.25), 2,
-                            mpmath.mpf(1))),
-    ({"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}, 0.5, 1,
-     lambda: unitary_closed(mpmath.mpc(0.3, 0.1), mpmath.mpc(0, 1), mpmath.mpf(0.5))),
+def compose(outer, inner):
+    (a, b, c, d), (e, f, g, h) = outer, inner
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def wc_conjugated_closed(a, b, c, p, lambda_u, n, alpha):
+    # psi = psi_p (psi_base o phi_p) and phi = phi_base o phi_p
+    psi_p, phi_p, _ = unitary_closed(p, lambda_u, alpha)
+    psi_base, phi_base, _ = j_symmetric_closed(a, b, c, n, alpha)
+    return (lambda z: psi_p(z) * psi_base(mp_map(phi_p)(z)), compose(phi_base, phi_p), n)
+
+
+def rotation_conjugated_closed(a, b, c, mu, lam, n, alpha):
+    # psi = mu psi_base(lam z) and phi = phi_base(lam z)
+    psi_base, phi_base, _ = j_symmetric_closed(a, b, c, n, alpha)
+    return (lambda z: mu * psi_base(lam * z), compose(phi_base, (lam, 0, 0, 1)), n)
+
+
+def mp_map(coeffs):
+    a, b, c, d = coeffs
+    return lambda z: (a * z + b) / (c * z + d)
+
+
+def closed_form(symbols, n, alpha):
+    """(psi, map coefficients, order) of a family config at the working precision."""
+    v = {key: mpmath.mpc(*value) if isinstance(value, list) else mpmath.mpf(value)
+         for key, value in symbols.items() if key != "family"}
+    family = symbols["family"]
+    if family in ("general", "self-adjoint"):
+        return general_closed(v["a"], v["b"], v["c"], n, alpha)
+    if family == "j-symmetric":
+        return j_symmetric_closed(v["a"], v["b"], v["c"], n, alpha)
+    if family == "normal-origin":
+        return normal_origin_closed(v["a"], v["b"], n)
+    if family == "unitary":
+        return unitary_closed(v["p"], v["lambda_u"], alpha)
+    if family == "wc-conjugated":
+        return wc_conjugated_closed(v["a"], v["b"], v["c"], v["p"], v["lambda_u"], n, alpha)
+    return rotation_conjugated_closed(v["a"], v["b"], v["c"], v["mu"], v["lam"], n, alpha)
+
+
+def oracle_case(symbols, alpha, n):
+    return symbols, alpha, n, lambda: closed_form(symbols, n, mpmath.mpf(alpha))
+
+
+# one config per sweepable family
+GRAM_FAMILIES = {
+    "general": {"a": [1.0, 0.2], "b": [0.4, 0.3], "c": [0.2, 0.1]},
+    "self-adjoint": {"a": 0.8, "b": -0.3, "c": [-0.1, 0.25]},
+    "j-symmetric": {"a": [1.0, 0.2], "b": [0.3, 0.1], "c": [0.2, -0.1]},
+    "normal-origin": {"a": [0.7, -0.4], "b": [0.5, 0.2]},
+    "unitary": {"p": [0.3, 0.1], "lambda_u": [0.0, 1.0]},
+    "wc-conjugated": {"a": 1.0, "b": [0.3, 0.1], "c": 0.15, "p": [0.3, 0.1],
+                      "lambda_u": [0.0, 1.0]},
+    "rotation-conjugated": {"a": 0.9, "b": [0.25, -0.1], "c": [0.15, 0.1], "mu": [0.6, 0.8],
+                            "lam": [0.0, 1.0]},
+}
+
+# three small-alpha cases, which the matrix path also checks, then every
+# sweepable family at alpha 0.5 to 400 and n 1 and 3 (unitary is of order 0)
+MATRIX_PATH_CASES = [
+    oracle_case({"family": "general", "a": [1.0, 0.2], "b": [0.4, 0.3], "c": [0.2, 0.1]}, 0.5, 1),
+    oracle_case({"family": "general", "a": 0.8, "b": -0.3, "c": [-0.1, 0.25]}, 1.0, 2),
+    oracle_case({"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}, 0.5, 1),
+]
+MATRIX_PATH_IDS = ["general-n1", "general-n2", "unitary"]
+GRAM_ORACLE_CASES = MATRIX_PATH_CASES + [
+    oracle_case({"family": family, **GRAM_FAMILIES[family]}, alpha, n)
+    for family in SWEEPABLE_FAMILIES
+    for alpha in (0.5, 10.0, 50.0, 150.0, 400.0)
+    for n in ((1,) if family == "unitary" else (1, 3))
+]
+GRAM_ORACLE_IDS = MATRIX_PATH_IDS + [
+    f"{symbols['family']}-alpha{alpha:g}-n{n}" for symbols, alpha, n, _ in GRAM_ORACLE_CASES[3:]
 ]
 
 
-class TestNormalityGram:
-    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES,
-                             ids=["general-n1", "general-n2", "unitary"])
-    def test_adjoint_gram_matches_mpmath(self, symbols, alpha, n, closed):
-        # <T* K_w, T* K_z> = conj(psi(w)) psi(z) n! Gamma(n+alpha+2) / Gamma(alpha+2)
-        #                    2F1(n+1, n+alpha+2; 1; conj(phi(w)) phi(z)), at 40 digits
-        pair = make_pair(symbols, SpaceParams(alpha, n, 48))
-        _, G_star = normality_gram(pair, alpha)
-        with mpmath.workdps(40):
-            psi, phi, order = closed()
-            al = mpmath.mpf(alpha)
-            const = mpmath.factorial(order) * mpmath.gamma(order + al + 2) / mpmath.gamma(al + 2)
-            points = [mpmath.mpc(w) for w in GRAM_POINTS]
-            exact = np.array([[complex(
-                mpmath.conj(psi(w)) * psi(z) * const
-                * mpmath.hyp2f1(order + 1, order + al + 2, 1, mpmath.conj(phi(w)) * phi(z))
-            ) for z in points] for w in points])
-        assert np.max(np.abs(G_star - exact)) <= 1e-14 * np.max(np.abs(exact))
+def adjoint_gram_oracle(psi, coeffs, order, alpha, points):
+    """<T* K_w, T* K_z> = conj(psi(w)) psi(z) n! Gamma(n+alpha+2) / Gamma(alpha+2)
+    2F1(n+1, n+alpha+2; 1; conj(phi(w)) phi(z)), in the working precision."""
+    phi = mp_map(coeffs)
+    const = mpmath.factorial(order) * mpmath.gamma(order + alpha + 2) / mpmath.gamma(alpha + 2)
+    return [[mpmath.conj(psi(w)) * psi(z) * const
+             * mpmath.hyp2f1(order + 1, order + alpha + 2, 1, mpmath.conj(phi(w)) * phi(z))
+             for z in points] for w in points]
 
-    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES,
-                             ids=["general-n1", "general-n2", "unitary"])
+
+def operator_gram_oracle(psi, coeffs, order, alpha, points):
+    """<T K_w, T K_z> in the working precision, from the Taylor series of
+    T K_w = (alpha+2)_n conj(w)^n psi(z) (1 - conj(w) phi(z))^-s, s = alpha+n+2,
+    summed in the weighted inner product until its terms are negligible.
+
+    1 - conj(w) phi = ((d - conj(w) b) / d) (1 - q z) / (1 + (c/d) z), and
+    psi (1 + (c/d) z)^s is a polynomial Q of degree <= n, whose Taylor
+    coefficients come from psi by mpmath.taylor; so the coefficient m of
+    T K_w is a sum of n + 1 terms Q_i (s)_(m-i) q^(m-i) / (m-i)!. The series
+    is checked against T K_w at one point.
+    """
+    a, b, c, d = coeffs
+    n, s = order, alpha + order + 2
+    Q = mpmath.taylor(lambda z: psi(z) * (1 + c / d * z) ** s, 0, n + 2)
+    assert max(abs(x) for x in Q[n + 1:]) <= mpmath.mpf(10) ** -30 * max(abs(x) for x in Q)
+    wbars = [mpmath.conj(w) for w in points]
+    qs = [(wb * a - c) / (d - wb * b) for wb in wbars]
+    consts = [mpmath.rf(alpha + 2, n) * wb**n * ((d - wb * b) / d) ** -s for wb in wbars]
+    series = [[] for _ in points]          # f_m beta(m), f_m the coefficients of T K_w
+    powers = [[mpmath.mpf(1)] for _ in points]   # (s)_j q^j / j!
+    last, total = [None] * len(points), [0] * len(points)   # f_m^2 beta(m)^2 and its sum
+    beta_sq, m, small = mpmath.mpf(1), 0, mpmath.mpf(10) ** -45
+    while True:
+        if m:
+            beta_sq *= mpmath.mpf(m) / (m + alpha + 1)
+        done = m > n + 1
+        for k, q in enumerate(qs):
+            if m:
+                powers[k].append(powers[k][-1] * (s + m - 1) / m * q)
+            f = consts[k] * mpmath.fsum(Q[i] * powers[k][m - i] for i in range(min(n, m) + 1))
+            series[k].append(f * mpmath.sqrt(beta_sq))
+            term = abs(f) ** 2 * beta_sq
+            total[k] += term
+            done = done and term < last[k] and term <= small * total[k]
+            last[k] = term
+        if done:
+            break
+        m += 1
+    z0 = mpmath.mpf(0.3)
+    for k, wb in enumerate(wbars):
+        direct = mpmath.rf(alpha + 2, n) * wb**n * psi(z0) * (1 - wb * mp_map(coeffs)(z0)) ** -s
+        summed = consts[k] * mpmath.polyval(Q[n::-1], z0) * (1 - qs[k] * z0) ** -s
+        assert abs(summed - direct) <= mpmath.mpf(10) ** -30 * abs(direct)
+    return [[mpmath.fdot(fa, [mpmath.conj(x) for x in fb]) for fb in series] for fa in series]
+
+
+GRAM_MP_POINTS = [mpmath.mpc(w) for w in GRAM_POINTS]
+
+
+def relative_error(G, exact):
+    """max |G - exact| / max |exact|, in the working precision, so that an
+    exact Gram beyond the double range still compares."""
+    diff = max(abs(mpmath.mpc(complex(g)) - e) for row_g, row_e in zip(G, exact)
+               for g, e in zip(row_g, row_e))
+    return diff / max(abs(e) for row in exact for e in row)
+
+
+def oracle_bound(alpha, order):
+    """Bound of both Grams' relative error against the oracles. Rounding the
+    inputs to doubles moves the powers of exponent up to alpha + 2 + 2n by
+    about that many units in the last place; the measured error over
+    GRAM_ORACLE_CASES is at most 1.74 eps (alpha + 2 + 2n) (unitary, alpha
+    0.5), and up to 7.5e-14 at alpha 400, so this bound has at least 11x
+    headroom in every case."""
+    return 20 * np.finfo(float).eps * (alpha + 2 + 2 * order)
+
+
+class TestNormalityGram:
+    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES, ids=GRAM_ORACLE_IDS)
+    def test_adjoint_gram_matches_mpmath(self, symbols, alpha, n, closed):
+        # <T* K_w, T* K_z> from 2F1 at 40 digits (adjoint_gram_oracle)
+        G_star = normality_gram(make_pair(symbols, SpaceParams(alpha, n, 48)), alpha)[1]
+        with mpmath.workdps(40):
+            psi, coeffs, order = closed()
+            exact = adjoint_gram_oracle(psi, coeffs, order, mpmath.mpf(alpha), GRAM_MP_POINTS)
+            assert relative_error(G_star, exact) <= oracle_bound(alpha, order)
+
+    @pytest.mark.parametrize("symbols, alpha, n, closed", GRAM_ORACLE_CASES, ids=GRAM_ORACLE_IDS)
+    def test_operator_gram_matches_mpmath(self, symbols, alpha, n, closed):
+        # <T K_w, T K_z> from Taylor series at 40 digits (operator_gram_oracle)
+        G_T = normality_gram(make_pair(symbols, SpaceParams(alpha, n, 48)), alpha)[0]
+        with mpmath.workdps(40):
+            psi, coeffs, order = closed()
+            exact = operator_gram_oracle(psi, coeffs, order, mpmath.mpf(alpha), GRAM_MP_POINTS)
+            assert relative_error(G_T, exact) <= oracle_bound(alpha, order)
+
+    @pytest.mark.parametrize("symbols, alpha, n, closed", MATRIX_PATH_CASES, ids=MATRIX_PATH_IDS)
     def test_operator_gram_matches_the_matrix_path(self, symbols, alpha, n, closed):
         # <T K_w, T K_z> from the operator matrix at N 400 applied to the
         # kernel coordinates
@@ -358,11 +509,16 @@ class TestNormalityGram:
         assert max(defects) - min(defects) <= 1e-15
         assert defects[0] == pytest.approx(0.2673, abs=1e-4)
 
-    def test_unconverged_adjoint_series_is_refused(self):
-        # the image gate keeps |u| <= 0.85, where the series converges well
-        # inside its cap; at |u| 0.999 a large share lies past 2048 terms
-        with pytest.raises(UnboundedSymbolError, match="has not converged at 2048 terms"):
-            _kernel_gram(np.array([0.999 + 0j]), 1, 0.5)
+    def test_only_an_explicit_pair_may_keep_the_pole_of_phi(self):
+        # psi (1 + (c/d) z)^s is no polynomial for a polynomial psi and c != 0:
+        # the kernel sums refuse such a pair unless it is explicit, whose G_T
+        # sums a series
+        psi, phi = polynomial([0.0, 1.0], 32), LinearFractionalMap(0.5, 0.1, -0.2, 1.0)
+        pair = SymbolPair.from_series(psi, phi, 1, provenance="general")
+        with pytest.raises(DomainError, match="not a polynomial of degree <= 1"):
+            normality_gram(pair, 0.5)
+        explicit = SymbolPair.from_series(psi, phi, 1, provenance="explicit")
+        assert normality_gram_defect(explicit, 0.5) > 1e-3
 
     def test_refused_point(self):
         pair = family_j_symmetric(1.0, 0.1, 0.85j, 1, 0.5, 32)

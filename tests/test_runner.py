@@ -476,19 +476,17 @@ class TestNormality:
         assert report.status == "unverified"
         assert "image gate" in report.provenance
 
-    @pytest.mark.parametrize("alpha, status", [(50.0, "pass"), (100.0, "unverified"),
-                                               (200.0, "unverified")])
+    @pytest.mark.parametrize("alpha, status", [(50.0, "pass"), (100.0, "pass"), (200.0, "pass")])
     def test_cancelling_weight_product_is_unverified(self, alpha, status):
-        # on the normal unitary pair psi (1 + (c/d) z)^s is a constant summed
-        # from terms near 1e33 at alpha 100; the Gram defect was 0.23 there
+        # on the normal unitary pair psi (1 + (c/d) z)^s is the constant k; the
+        # weight's Taylor series sums it from terms near 1e33 at alpha 100, so
+        # the series Gram refused this pair there, while the kernel sums form
+        # no series
         doc = config_with(space={"alpha": alpha, "n": 1, "N": 48}, symbols=UNITARY,
                           checks=["normality"])
         (report,) = run(parse_config(doc))
         assert report.status == status
-        if status == "unverified":
-            assert "the weight products cancel" in report.provenance
-        else:
-            assert report.defect <= 1e-10
+        assert report.defect <= 1e-10
 
     def test_unconverged_series_is_unverified(self):
         doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, symbols=EXPLICIT_NEAR_POLE,
@@ -496,6 +494,53 @@ class TestNormality:
         (report,) = run(parse_config(doc))
         assert report.status == "unverified" and report.defect is None
         assert "has not converged at order 2047" in report.provenance
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, check, alpha", [
+        ("general", "kernel-norm-balance", 1500.0),   # the kernel norm series overflows
+        ("self-adjoint", "normality-predicate", 3000.0),   # psi(w) overflows
+    ])
+    def test_non_finite_predicate_defect_is_unverified(self, tmp_path, family, check, alpha):
+        doc = config_with(space={"alpha": alpha, "n": 1, "N": 32},
+                          symbols={"family": family, "a": 1.0, "b": 0.4, "c": [0.3, 0.2]},
+                          checks=[check])
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(cfg), "--out", str(out)]) == 3
+        (report,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+        assert (report["status"], report["defect"]) == ("unverified", None)
+        assert report["provenance"] == f"non-finite-defect; {check}; predicted=normal"
+
+    @pytest.mark.parametrize("alpha", [0.5, 10.0, 50.0, 150.0, 400.0])
+    @pytest.mark.parametrize("family", runner.SWEEPABLE_FAMILIES)
+    def test_kernel_grams_always_give_a_verdict(self, family, alpha):
+        # four seeded draws inside the gates at each n 1 to 3: no Gram refusal
+        # and no non-finite defect, and every pair that is normal passes
+        rng = SplitMix64(int(alpha * 10) + runner.SWEEPABLE_FAMILIES.index(family))
+        checks = ["normality"]
+        if family in runner.PREDICATE_FAMILIES:
+            checks.append("normality-predicate")
+        for n in (1, 2, 3):
+            checked = 0
+            while checked < 4:
+                doc = config_with(space={"alpha": alpha, "n": n, "N": 32},
+                                  symbols=draw_symbols({"family": family}, rng), checks=checks)
+                config = parse_config(doc)
+                try:
+                    runner.GATES["normality"](config)
+                except UnboundedSymbolError:
+                    continue
+                reports = run(config)
+                normal = family in ("self-adjoint", "normal-origin", "unitary") or (
+                    family == "general" and runner._predicted_normal(config.symbols))
+                for report in reports:
+                    assert report.defect is not None and math.isfinite(report.defect), report
+                    assert report.status in ("pass", "fail") or (
+                        report.name == "normality-predicate"
+                        and runner.TOL_PREDICATE < report.defect < runner.FAIL_THRESHOLD), report
+                    if normal:
+                        assert report.status == "pass", report
+                checked += 1
 
     def test_sweep_redraws_refused_points(self, monkeypatch):
         runs = counting(monkeypatch, "run")
