@@ -9,7 +9,9 @@ normal iff <T K_w, T K_z> = <T* K_w, T* K_z> for all w and z, because the
 kernels K_w span a dense set. Both T K_w and T* K_w = conj(psi(w)) K^[n]_phi(w)
 are finite sums of derivative kernels for every family but ``explicit``, so
 both sides are finite closed forms, whatever the truncation of the operator
-matrix; only an explicit pair's T K_w is summed from a Taylor series.
+matrix; only an explicit pair's T K_w is summed from a Taylor series. The
+kernel-norm balance ||T K_w|| = ||T* K_w|| reads the diagonals of the same
+two Grams.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bergman import SpaceParams, beta_sq_vector, kernel_norm_sq, t_constant
+from .bergman import beta_sq_vector, t_constant
 from .defaults import MAX_WORK_DIM, TOL_NORMALITY
 from .errors import DomainError, SingularityError, UnboundedSymbolError
 from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
 from .series import power_table
-from .symbols import LinearFractionalMap, SymbolPair, _family_phi, lft_eval, lft_inverse
+from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
@@ -491,66 +493,25 @@ def normality_gram(pair: SymbolPair, alpha: float):
     return G_T, G_star
 
 
-def normality_gram_defect(pair: SymbolPair, alpha: float) -> float:
-    """max |G_T - G_T*| / max |G_T*| over GRAM_POINTS (``normality_gram``);
+def normality_gram_defect(G_T: np.ndarray, G_star: np.ndarray) -> float:
+    """max |G_T - G_T*| / max |G_T*| for the Grams of ``normality_gram``;
     zero exactly for a normal operator, up to rounding."""
-    G_T, G_star = normality_gram(pair, alpha)
     diff = float(np.abs(G_T - G_star).max())
     scale = float(np.abs(G_star).max())
     return diff / scale if scale > 0 else diff
 
 
-def kernel_balance_gate(pair: SymbolPair, w: complex) -> tuple[complex, complex]:
-    """Return the kernel images (p1, p2) of ``norm_defect_kernel_test`` if
-    |w| <= 0.7, |p1| < 1, |p2| < 1 and the pair passes ``operator_gate``;
-    else refuse. Outside the disk the kernel norms are undefined, and the
-    normality they test is a claim about bounded operators."""
-    if abs(w) > 0.7:
-        raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
-    b, c = pair.params["b"], pair.params["c"]
-    # p1 is the family map with conj(b) for b, evaluated as p2 is, so that
-    # |p1| = |p2| holds exactly for a real b
-    p1 = lft_eval(_family_phi(np.conj(b), np.conj(c), c), w)
-    p2 = lft_eval(pair.phi, w)
-    for name, point in (("p1", p1), ("p2", p2)):
-        if abs(point) >= 1.0:
-            raise UnboundedSymbolError(
-                f"kernel image {name} left the disk: |{name}| = {abs(point):.6f}"
-            )
-    operator_gate(pair)
-    return p1, p2
+def norm_defect_kernel_test(G_T: np.ndarray, G_star: np.ndarray) -> float:
+    """max over GRAM_POINTS of | ||T K_w||^2 / ||T* K_w||^2 - 1 |, read from
+    the diagonals of the Grams of ``normality_gram``.
 
-
-def norm_defect_kernel_test(pair: SymbolPair, w: complex, space: SpaceParams) -> float:
-    """| ||D K_w||^2 - ||D* K_w||^2 | from the two rational closed forms.
-
-    For the conjugated-denominator family with parameters (a, b, c), the
-    operator maps the kernel at w to a multiple of the order-n kernel at
-
-        p1 = c + conj(b) w / (1 - conj(c) w),
-
-    while its adjoint maps it to a multiple of the order-n kernel at
-    p2 = phi(w); the shared prefactor has modulus
-    |a| |w|^n / (n! |1 - conj(c) w|^(n+alpha+2)). Equality of the two norms
-    for every w is a consequence of normality, and |p1| != |p2| certifies
-    its failure. The point must pass ``kernel_balance_gate``.
+    A normal T has ||T K_w|| = ||T* K_w|| at every w, so the defect is zero
+    up to rounding; a macroscopic defect certifies that T is not normal. The
+    two norms come from different closed forms, T K_w from the weight's
+    polynomial part and T* K_w from its values, so each side tests the other.
     """
-    if pair.provenance not in ("general", "self-adjoint"):
-        raise DomainError(
-            "kernel-norm test applies to the conjugated-denominator family, "
-            f"got provenance {pair.provenance!r}"
-        )
-    p1, p2 = kernel_balance_gate(pair, w)
-    a, c = pair.params["a"], pair.params["c"]
-    n, alpha = pair.n, space.alpha
-    pref = (
-        abs(a) ** 2
-        * abs(w) ** (2 * n)
-        / (math.factorial(n) ** 2 * abs(1 - np.conj(c) * w) ** (2 * (n + alpha + 2)))
-    )
-    lhs = pref * kernel_norm_sq(p1, n, alpha).value
-    rhs = pref * kernel_norm_sq(p2, n, alpha).value
-    return abs(lhs - rhs)
+    ratio = np.diagonal(G_T).real / np.diagonal(G_star).real
+    return float(np.abs(ratio - 1).max())
 
 
 def export_grid_csv(report: GridReport, path) -> None:

@@ -17,7 +17,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -48,10 +47,10 @@ from .diagnostics import (
     GRAM_POINTS,
     GridReport,
     boundedness_ratio_grid,
-    kernel_balance_gate,
     necessary_conditions_check,
     nevanlinna_bound_grid,
     norm_defect_kernel_test,
+    normality_gram,
     normality_gram_defect,
 )
 from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
@@ -75,7 +74,6 @@ from .symbols import (
 
 FAIL_THRESHOLD = 1e-3           # macroscopic defect certifying a structural failure
 DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
-BALANCE_POINTS = (0.5, 0.5j)
 PREDICATE_CHECKS = ("normality-predicate", "kernel-norm-balance")
 PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are proved
 # the fields each kind of conjugation descriptor admits besides "kind"
@@ -120,9 +118,10 @@ class RunConfig:
         return kernel_weight_values(self.pair)
 
     @cached_property
-    def gram_defect(self) -> float:
-        """Kernel Gram defect of the operator, read by both normality checks."""
-        return normality_gram_defect(self.pair, self.space.alpha)
+    def gram(self) -> tuple:
+        """The kernel Grams (G_T, G_T*) at GRAM_POINTS, read by both normality
+        checks and by ``kernel-norm-balance``."""
+        return normality_gram(self.pair, self.space.alpha)
 
 
 @dataclass
@@ -447,8 +446,16 @@ def _self_adjointness(config: RunConfig) -> tuple:
     return defect, TOL_EXACT, "kernel-hermitian"
 
 
+def _gram_defect(config: RunConfig) -> float:
+    return normality_gram_defect(*config.gram)
+
+
+def _kernel_norm_defect(config: RunConfig) -> float:
+    return norm_defect_kernel_test(*config.gram)
+
+
 def _normality(config: RunConfig) -> tuple:
-    return config.gram_defect, TOL_NORMALITY, "kernel-gram-defect"
+    return _gram_defect(config), TOL_NORMALITY, "kernel-gram-defect"
 
 
 def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
@@ -475,10 +482,6 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     else:
         status = "unverified"
     return CheckReport(name, status, defect, tol, provenance)
-
-
-def _kernel_norm_defect(config: RunConfig) -> float:
-    return max(norm_defect_kernel_test(config.pair, w, config.space) for w in BALANCE_POINTS)
 
 
 def _kernel_points(symbols: dict) -> list:
@@ -565,19 +568,12 @@ def _gate_normality(config: RunConfig) -> None:
         kernel_point_gate(config.pair.phi, w)
 
 
-def _gate_kernel_norm_balance(config: RunConfig) -> None:
-    for w in BALANCE_POINTS:
-        kernel_balance_gate(config.pair, w)
-
-
 CHECKS = {
     "J-symmetry": partial(_check_tolerance, "J-symmetry", _j_symmetry),
     "C-symmetry": partial(_check_tolerance, "C-symmetry", _c_symmetry),
     "self-adjointness": partial(_check_tolerance, "self-adjointness", _self_adjointness),
     "normality": partial(_check_tolerance, "normality", _normality),
-    "normality-predicate": partial(
-        _check_predicate, "normality-predicate", attrgetter("gram_defect")
-    ),
+    "normality-predicate": partial(_check_predicate, "normality-predicate", _gram_defect),
     "adjoint-kernel": partial(_check_tolerance, "adjoint-kernel", _adjoint_kernel),
     "adjoint-pair": partial(_check_tolerance, "adjoint-pair", _adjoint_pair),
     "necessary-conditions": _check_necessary_conditions,
@@ -592,7 +588,7 @@ GATES = {
     "adjoint-kernel": _gate_adjoint_kernel,
     "normality": _gate_normality,
     "normality-predicate": _gate_normality,
-    "kernel-norm-balance": _gate_kernel_norm_balance,
+    "kernel-norm-balance": _gate_normality,
 }
 
 

@@ -11,7 +11,9 @@ two threads and compare both runs with the fixtures.
 ``test_pinned_reports.py`` compares a fresh run against ``fixtures/pinned``,
 which holds the output of this script for the commit that the fixtures pin.
 Every case is in scope for its checks, and all but one are inside their
-gates: ``check-near-balance-bound`` pins the operator gate's refusal.
+gates: ``check-near-balance-bound`` pins the operator gate's refusal, which
+``kernel-norm-balance`` asks before the kernel point gate of the normality
+Grams. The case keeps the name it had when the balance had a gate of its own.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ PREDICATE_CONFIGS = {
     },
 }
 
-# |p1| = 0.964 at w = 0.5 passes the balance gate's point bound |p1| < 1,
-# but sup|phi| = 1.883, so the operator gate refuses: unverified, exit 3
+# sup|phi| = 1.883, so the operator gate refuses before the Gram points are
+# gated: unverified, exit 3
 NEAR_BALANCE_BOUND = {
     "space": {"alpha": 0.0, "n": 1, "N": 40},
     "symbols": {"family": "general", "a": 1.0, "b": 0.6, "c": 0.55},

@@ -31,6 +31,7 @@ from cswcd.diagnostics import (
     is_normal,
     necessary_conditions_check,
     norm_defect_kernel_test,
+    normality_gram,
 )
 from cswcd.matrices import (
     adjoint_matrix,
@@ -278,9 +279,8 @@ def test_criterion_7_normality():
     }
     aggregate = sweep(parse_config(doc, require_concrete=False), 200, seed=7070)
     ok_predicate = aggregate["mismatches"] == 0 and aggregate["draws"] == 200
-    space = SpaceParams(0.0, 1, N_DEFAULT)
     counter = family_general(1.0, 0.4j, 0.3, 1, 0.0, N_DEFAULT)
-    counter_defect = norm_defect_kernel_test(counter, 0.5j, space)
+    counter_defect = norm_defect_kernel_test(*normality_gram(counter, 0.0))
     ok_counter = counter_defect > 1e-3
     criterion(
         7, "normality characterizations", ok_origin and ok_predicate and ok_counter,

@@ -158,8 +158,10 @@ def test_traced_scalar_sweep_round_builds_one_matrix(tracing, tmp_path, monkeypa
     # the one workload whose ops build an operator matrix (for adjoint-kernel),
     # so the build hook, which reads the pair's series, its map, n and the
     # space, runs here; the kernel points go through one product with it,
-    # not through per-point applications
+    # not through per-point applications, and the kernel-norm balance reads
+    # the normality Grams, not the adaptive kernel-norm series
     metrics = traced_round(tracing, tmp_path, monkeypatch, "scalar-sweep")
     assert metrics["matrices.build.calls"]["value"] == 1
     assert metrics["matrices.apply.calls"]["value"] == 0
+    assert metrics["bergman.kernel_norm_sq.terms"]["value"] == 0
     assert metrics["runner.make_pair.calls"]["value"] == 1

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cswcd.bergman import SpaceParams, inner_product, kernel, space_norm
+from cswcd.bergman import SpaceParams, inner_product, kernel, kernel_norm_sq, space_norm
 from cswcd.defaults import TOL_NORMALITY
 from cswcd.diagnostics import (
     DEFAULT_ANGLES,
@@ -273,7 +273,7 @@ class TestIsNormal:
 
 def gram_defect(symbols, alpha, n, N):
     pair = make_pair(symbols, SpaceParams(alpha, n, N))
-    return normality_gram_defect(pair, alpha)
+    return normality_gram_defect(*normality_gram(pair, alpha))
 
 
 # closed forms (psi, map coefficients (a, b, c, d), order) of the seven
@@ -518,7 +518,7 @@ class TestNormalityGram:
         with pytest.raises(DomainError, match="not a polynomial of degree <= 1"):
             normality_gram(pair, 0.5)
         explicit = SymbolPair.from_series(psi, phi, 1, provenance="explicit")
-        assert normality_gram_defect(explicit, 0.5) > 1e-3
+        assert normality_gram_defect(*normality_gram(explicit, 0.5)) > 1e-3
 
     def test_refused_point(self):
         pair = family_j_symmetric(1.0, 0.1, 0.85j, 1, 0.5, 32)
@@ -526,52 +526,64 @@ class TestNormalityGram:
             normality_gram(pair, 0.5)
 
 
-class TestNormDefectKernelTest:
+# (family, a, b, c, n, alpha) of conjugated-denominator pairs for the
+# kernel-norm balance: normal with b real or c = 0, not normal otherwise
+BALANCE_CASES = {
+    "general-b-real": (family_general, 1.0 + 0.3j, 0.25, 0.3 - 0.2j, 1, 0.0),
+    "general-c-zero": (family_general, 0.8, 0.3j, 0.0, 2, 0.5),
+    "general-b-imaginary": (family_general, 1.0, 0.4j, 0.3, 1, 0.0),
+    "general-both-complex": (family_general, 1.0, 0.3 + 0.2j, 0.2 + 0.2j, 1, 0.0),
+    "self-adjoint": (family_self_adjoint, 0.9, 0.25, 0.2 + 0.2j, 1, 0.5),
+    "self-adjoint-n2": (family_self_adjoint, -0.7, 0.35, -0.1 + 0.25j, 2, 1.0),
+}
+
+
+def balance_grams(family, a, b, c, n, alpha):
+    return normality_gram(family(a, b, c, n, alpha, 64), alpha)
+
+
+class TestKernelNormBalance:
+    """``norm_defect_kernel_test`` compares the diagonals of the two normality
+    Grams, ||T K_w||^2 and ||T* K_w||^2; each diagonal agrees with an oracle
+    that does not go through the Gram."""
+
+    @pytest.mark.parametrize("case", BALANCE_CASES.values(), ids=BALANCE_CASES)
+    def test_adjoint_diagonal_is_the_kernel_norm(self, case):
+        # ||T* K_w||^2 = |psi(w)|^2 ||K^[n]_phi(w)||^2, with psi and phi from
+        # the family's formulas and the kernel norm from its adaptive series
+        _, a, b, c, n, alpha = case
+        _, G_star = balance_grams(*case)
+        for i, w in enumerate(GRAM_POINTS):
+            den = 1 - np.conj(c) * w
+            psi = a * w**n / (math.factorial(n) * den ** (n + alpha + 2))
+            phi = c + b * w / den
+            expected = abs(psi) ** 2 * kernel_norm_sq(phi, n, alpha).value
+            assert G_star[i, i].real == pytest.approx(expected, rel=1e-8), w
+
+    @pytest.mark.parametrize("case", BALANCE_CASES.values(), ids=BALANCE_CASES)
+    def test_operator_diagonal_matches_the_matrix_path(self, case):
+        # ||T K_w||^2 from the operator matrix at N 96 applied to K_w
+        family, a, b, c, n, alpha = case
+        N = 96
+        G_T, _ = balance_grams(*case)
+        M = build_wcd_matrix(family(a, b, c, n, alpha, N), SpaceParams(alpha, n, N))
+        for i, w in enumerate(GRAM_POINTS):
+            matrix_norm_sq = space_norm(apply(M, kernel(w, 0, alpha, N)), alpha) ** 2
+            assert G_T[i, i].real == pytest.approx(matrix_norm_sq, rel=1e-8), w
+
     def test_real_b_balances(self):
-        space = SpaceParams(0.0, 1, 64)
-        pair = family_general(1.0 + 0.3j, 0.25, 0.3 - 0.2j, 1, 0.0, 64)
-        for w in (0.5, 0.5j):
-            assert norm_defect_kernel_test(pair, w, space) <= 1e-8
+        assert norm_defect_kernel_test(*balance_grams(*BALANCE_CASES["general-b-real"])) <= 1e-8
 
     def test_zero_c_balances(self):
-        space = SpaceParams(0.5, 2, 64)
-        pair = family_general(0.8, 0.3j, 0.0, 2, 0.5, 64)
-        for w in (0.5, 0.5j):
-            assert norm_defect_kernel_test(pair, w, space) <= 1e-8
+        assert norm_defect_kernel_test(*balance_grams(*BALANCE_CASES["general-c-zero"])) <= 1e-8
 
     def test_counterexample_real_c_complex_b(self):
-        space = SpaceParams(0.0, 1, 64)
-        pair = family_general(1.0, 0.4j, 0.3, 1, 0.0, 64)
-        assert norm_defect_kernel_test(pair, 0.5j, space) > 1e-3
+        grams = balance_grams(*BALANCE_CASES["general-b-imaginary"])
+        assert norm_defect_kernel_test(*grams) > 1e-3
 
     def test_both_complex_unbalanced(self):
-        space = SpaceParams(0.0, 1, 64)
-        pair = family_general(1.0, 0.3 + 0.2j, 0.2 + 0.2j, 1, 0.0, 64)
-        assert norm_defect_kernel_test(pair, 0.5, space) > 0
-
-    def test_matrix_route_cross_check(self):
-        # ||D K_w|| from the truncated matrix agrees with the closed form
-        alpha, n, N = 0.0, 1, 96
-        space = SpaceParams(alpha, n, N)
-        a, b, c = 1.0, 0.25, 0.3 - 0.2j
-        pair = family_general(a, b, c, n, alpha, N)
-        w = 0.5
-        M = build_wcd_matrix(pair, space)
-        image = apply(M, kernel(w, 0, alpha, N))
-        matrix_norm_sq = space_norm(image, alpha) ** 2
-        from cswcd.bergman import kernel_norm_sq
-
-        p1 = c + np.conj(b) * w / (1 - np.conj(c) * w)
-        pref = abs(a) ** 2 * abs(w) ** (2 * n) / (
-            math.factorial(n) ** 2 * abs(1 - np.conj(c) * w) ** (2 * (n + alpha + 2))
-        )
-        closed = pref * kernel_norm_sq(p1, n, alpha).value
-        assert matrix_norm_sq == pytest.approx(closed, rel=1e-8)
-
-    def test_wrong_family_rejected(self):
-        pair = family_j_symmetric(1.0, 0.3, 0.2, 1, 0.0, 32)
-        with pytest.raises(DomainError):
-            norm_defect_kernel_test(pair, 0.5, SPACE)
+        grams = balance_grams(*BALANCE_CASES["general-both-complex"])
+        assert norm_defect_kernel_test(*grams) > 0
 
 
 class TestContainmentChain:
@@ -626,5 +638,6 @@ def test_gram_reads_a_long_explicit_weight_at_its_own_order():
     fresh = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
     built = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
     assert np.array_equal(built.psi.coeffs, psi.coeffs)
-    assert normality_gram_defect(fresh, 0.5) == normality_gram_defect(built, 0.5)
+    assert normality_gram_defect(*normality_gram(fresh, 0.5)) == normality_gram_defect(
+        *normality_gram(built, 0.5))
     assert "psi" not in fresh.__dict__

@@ -316,11 +316,12 @@ class TestOneBuildPerConfig:
         ({"alpha": 0.5, "n": 1, "N": 192},
          {"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
          ["C-symmetry", "self-adjointness", "normality", "normality-predicate"]),
-    ], ids=["wc-conjugated", "large-check"])
+        (BASE["space"], NOT_NORMAL, ["normality-predicate", "kernel-norm-balance"]),
+    ], ids=["wc-conjugated", "large-check", "general"])
     def test_kernel_checks_build_no_weight_series_at_N(self, monkeypatch, space, symbols,
                                                         checks):
-        # the kernel forms read the closed-form weight; only the Gram takes a
-        # series, at its own order
+        # the kernel forms and both normality Grams read the closed-form
+        # weight, so no series is built at all, at N or at any other order
         orders, products = [], []
         init = TruncatedSeries.__post_init__
         monkeypatch.setattr(TruncatedSeries, "__post_init__",
@@ -332,13 +333,14 @@ class TestOneBuildPerConfig:
         config = parse_config(config_with(space=space, symbols=symbols, checks=checks))
         reports = run(config)
         assert [r.status for r in reports] == ["pass"] * len(checks)
-        assert space["N"] not in orders and products == []
+        assert orders == [] and products == []
         assert "psi" not in config.pair.__dict__
 
-    def test_one_commutator_per_run(self):
-        # one kernel Gram serves both normality checks; counted by code
-        # object, so no module binding of normality_gram_defect escapes
-        code = diagnostics.normality_gram_defect.__code__
+    def test_one_gram_per_config(self):
+        # one pair of kernel Grams serves both normality checks and the
+        # kernel-norm balance; counted by code object, so no module binding
+        # of normality_gram escapes
+        code = diagnostics.normality_gram.__code__
         calls = []
 
         def profile(frame, event, arg):
@@ -347,7 +349,7 @@ class TestOneBuildPerConfig:
 
         doc = config_with(
             symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
-            checks=["normality", "normality-predicate"],
+            checks=["normality", "normality-predicate", "kernel-norm-balance"],
         )
         config = parse_config(doc)
         sys.setprofile(profile)
@@ -355,7 +357,7 @@ class TestOneBuildPerConfig:
             reports = run(config)
         finally:
             sys.setprofile(None)
-        assert [r.status for r in reports] == ["pass", "pass"]
+        assert [r.status for r in reports] == ["pass"] * 3
         assert reports[0].defect == reports[1].defect
         assert len(calls) == 1
 
@@ -380,21 +382,22 @@ class TestPredicates:
         assert err.value.path == "checks[0]"
 
     def test_kernel_image_outside_disk_is_unverified(self, tmp_path):
-        # |p1| = 1.03 at w = 0.5: the balance gate refuses the point
+        # a bounded map with |phi(0.3)| = 0.902 at a Gram point, over the
+        # kernel point gate's 0.85: the gate refuses the point
         doc = config_with(
-            symbols={"family": "general", "a": 1.0, "b": 0.6, "c": 0.6},
+            symbols={"family": "general", "a": 1.0, "b": 5e-3, "c": 0.9},
             checks=["kernel-norm-balance"],
         )
         reports = run(parse_config(doc))
         assert reports[0].status == "unverified"
-        assert "p1 left the disk" in reports[0].provenance
+        assert "image gate |phi(w)| <= 0.85 violated: 0.902055" in reports[0].provenance
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 3
 
     def test_unbounded_operator_is_unverified(self, tmp_path):
-        # the kernel images stay in the disk (|p1| = |p2| = 0.964 at w = 0.5),
-        # but sup|phi| = 1.883, so the operator gate refuses
+        # sup|phi| = 1.883, so the operator gate refuses before any point
+        # gate is asked
         doc = config_with(
             symbols={"family": "general", "a": 1.0, "b": 0.6, "c": 0.55},
             checks=["kernel-norm-balance"],
@@ -411,21 +414,25 @@ class TestPredicates:
     @pytest.mark.parametrize("c, b", [(0.9, 5e-3), (0.95, 2e-3), (0.99, 5e-5), (0.995, 2e-5),
                                       (0.999, 5e-7)])
     def test_kernel_balance_exact_near_the_circle(self, c, b):
-        # a real b is normal; the two kernel norms grow like
-        # (1 - |p|^2)^-(2n+alpha+2), so any rounding difference between |p1|
-        # and |p2| would exceed the tolerance at c 0.99 and 0.995
-        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 16},
-                          symbols={"family": "self-adjoint", "a": 1.0, "b": b, "c": c},
-                          checks=["kernel-norm-balance"])
-        (report,) = run(parse_config(doc))
-        assert (report.status, report.defect) == ("pass", 0.0)
+        # a real b is normal; near the circle phi(0.3) leaves the kernel
+        # point gate's 0.85, so both predicates refuse the config. At the
+        # largest c (to 1e-3) that the gate admits for each b, both still
+        # read a rounding-level defect
+        def reports(c):
+            doc = config_with(space={"alpha": 0.5, "n": 1, "N": 16},
+                              symbols={"family": "self-adjoint", "a": 1.0, "b": b, "c": c},
+                              checks=["normality-predicate", "kernel-norm-balance"])
+            return run(parse_config(doc))
 
-    def test_normal_prediction_in_gray_band_fails_for_both(self, monkeypatch):
-        # a Hermitian operator has a rounding-size Gram defect; a 1e-20
-        # tolerance puts it between the tolerance and the failure threshold.
-        # Both kernel images of a real b come from one map, so the kernel
-        # balance is exactly 0; it gets a rounding-size defect here instead
-        monkeypatch.setattr(runner, "norm_defect_kernel_test", lambda pair, w, space: 1e-17)
+        for report in reports(c):
+            assert report.status == "unverified" and "image gate" in report.provenance
+        for report in reports(0.847 if b == 5e-3 else 0.849):
+            assert report.status == "pass" and report.defect <= 100 * np.finfo(float).eps
+
+    def test_normal_prediction_in_gray_band_fails_for_both(self):
+        # a Hermitian operator has rounding-size Gram and balance defects; a
+        # 1e-20 tolerance puts them between the tolerance and the failure
+        # threshold
         doc = config_with(
             symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
             checks=["normality-predicate", "kernel-norm-balance"],
@@ -436,6 +443,21 @@ class TestPredicates:
             assert "predicted=normal" in report.provenance
             assert 1e-20 < report.defect < 1e-3
         assert [r.status for r in reports] == ["fail", "fail"]
+
+    def test_balance_sees_the_weight_values(self, monkeypatch):
+        # only G_T* reads psi(w) from RationalWeight.values; scaled by
+        # 1 + 1e-6 there, a pair predicted normal loses its balance by
+        # |1 + 1e-6|^2 - 1, about 2e-6, and both predicates fail it
+        values = symbols_module.RationalWeight.values
+        monkeypatch.setattr(symbols_module.RationalWeight, "values",
+                            lambda self, u: values(self, u) * (1 + 1e-6))
+        doc = config_with(
+            symbols={"family": "self-adjoint", "a": 0.9, "b": 0.25, "c": [0.2, 0.2]},
+            checks=["normality-predicate", "kernel-norm-balance"],
+        )
+        reports = run(parse_config(doc))
+        assert [r.status for r in reports] == ["fail", "fail"]
+        assert reports[1].defect == pytest.approx(2e-6, rel=1e-3)
 
 
 class TestNormality:
@@ -497,7 +519,7 @@ class TestNormality:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family, check, alpha", [
-        ("general", "kernel-norm-balance", 1500.0),   # the kernel norm series overflows
+        ("general", "kernel-norm-balance", 3000.0),   # psi(w) overflows
         ("self-adjoint", "normality-predicate", 3000.0),   # psi(w) overflows
     ])
     def test_non_finite_predicate_defect_is_unverified(self, tmp_path, family, check, alpha):
