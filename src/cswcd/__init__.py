@@ -1,142 +1,8 @@
 """Numerical laboratory for weighted composition-differentiation operators
 on weighted Bergman spaces: truncated series, exact operator matrices,
-conjugations, and executable symmetry/normality checks."""
+conjugations, and executable symmetry/normality checks.
+
+The package exports nothing but ``__version__``; import the submodules
+(``cswcd.runner``, ``cswcd.symbols``, ...) for their names."""
 
 __version__ = "0.1.0"
-
-from .bergman import (
-    SpaceParams,
-    beta_sq,
-    inner_product,
-    kernel,
-    kernel_norm_sq,
-    reproducing_check,
-    t_constant,
-)
-from .conjugations import (
-    AntilinearConjugation,
-    conjugated_adjoint,
-    conjugation_apply,
-    extended_space,
-    is_C_symmetric,
-    kernel_axioms_defect,
-    kernel_companion_defect,
-    kernel_hermitian_defect,
-    kernel_symmetry_defect,
-    kernel_weight_values,
-    make_J,
-    make_rotation_J,
-    make_wc_J,
-)
-from .diagnostics import (
-    GridReport,
-    boundedness_ratio_grid,
-    is_hermitian,
-    is_normal,
-    necessary_conditions_check,
-    nevanlinna_bound_grid,
-    nevanlinna_univalent,
-    norm_defect_kernel_test,
-    normality_gram_defect,
-)
-from .matrices import (
-    OperatorMatrix,
-    adjoint_matrix,
-    adjoint_on_kernel,
-    apply,
-    build_wcd_matrix,
-    build_weighted_composition,
-    cowen_adjoint_pair,
-    export_matrix_csv,
-)
-from .series import (
-    TruncatedSeries,
-    expand_rational_kernel,
-    series_add,
-    series_conjugate_reflect,
-    series_derivative,
-    series_eval,
-    series_mul,
-    series_power,
-)
-from .symbols import (
-    LinearFractionalMap,
-    RationalWeight,
-    SymbolPair,
-    bounded_sufficient,
-    family_conjugated,
-    family_general,
-    family_j_symmetric,
-    family_normal_origin,
-    family_self_adjoint,
-    lft_compose,
-    lft_eval,
-    lft_inverse,
-    sigma_companion,
-    sup_norm_lft,
-    unitary_symbols,
-)
-
-__all__ = [
-    "__version__",
-    "SpaceParams",
-    "beta_sq",
-    "inner_product",
-    "kernel",
-    "kernel_norm_sq",
-    "reproducing_check",
-    "t_constant",
-    "AntilinearConjugation",
-    "conjugated_adjoint",
-    "conjugation_apply",
-    "extended_space",
-    "is_C_symmetric",
-    "kernel_axioms_defect",
-    "kernel_companion_defect",
-    "kernel_hermitian_defect",
-    "kernel_symmetry_defect",
-    "kernel_weight_values",
-    "make_J",
-    "make_rotation_J",
-    "make_wc_J",
-    "GridReport",
-    "boundedness_ratio_grid",
-    "is_hermitian",
-    "is_normal",
-    "normality_gram_defect",
-    "necessary_conditions_check",
-    "nevanlinna_bound_grid",
-    "nevanlinna_univalent",
-    "norm_defect_kernel_test",
-    "OperatorMatrix",
-    "adjoint_matrix",
-    "adjoint_on_kernel",
-    "apply",
-    "build_wcd_matrix",
-    "build_weighted_composition",
-    "cowen_adjoint_pair",
-    "export_matrix_csv",
-    "TruncatedSeries",
-    "expand_rational_kernel",
-    "series_add",
-    "series_conjugate_reflect",
-    "series_derivative",
-    "series_eval",
-    "series_mul",
-    "series_power",
-    "LinearFractionalMap",
-    "RationalWeight",
-    "SymbolPair",
-    "bounded_sufficient",
-    "family_conjugated",
-    "family_general",
-    "family_j_symmetric",
-    "family_normal_origin",
-    "family_self_adjoint",
-    "lft_compose",
-    "lft_eval",
-    "lft_inverse",
-    "sigma_companion",
-    "sup_norm_lft",
-    "unitary_symbols",
-]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .defaults import KERNEL_NORM_CAP, KERNEL_NORM_TOL
 from .errors import DomainError, TruncationMismatchError
-from .series import TruncatedSeries, series_derivative, series_eval
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ def beta_sq_vector(N: int, alpha: float) -> np.ndarray:
         out[j] = out[j - 1] * j / (j + alpha + 1)
     out.flags.writeable = False
     return out
-
-
-def beta_sq(j: int, alpha: float) -> float:
-    """Squared norm of z^j."""
-    if j < 0:
-        raise DomainError("index must be nonnegative")
-    return float(beta_sq_vector(j, alpha)[j])
 
 
 def inner_product(f: TruncatedSeries, g: TruncatedSeries, alpha: float) -> complex:
@@ -130,18 +123,6 @@ def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:
     """Point-evaluation kernel of derivative order m at w, truncated at N:
     the one row of ``kernel_table``."""
     return TruncatedSeries(kernel_table(w, m, alpha, N)[0])
-
-
-def reproducing_check(f: TruncatedSeries, w: complex, m: int, alpha: float) -> float:
-    """|<f, kernel(w, m)> - f^(m)(w)|, the defect of the reproducing identity.
-
-    Gated to |w| <= 0.7 so truncation tails stay controlled.
-    """
-    if abs(w) > 0.7:
-        raise DomainError(f"reproducing check gate |w| <= 0.7 violated: {abs(w):.6f}")
-    ip = inner_product(f, kernel(w, m, alpha, f.order), alpha)
-    direct = series_eval(series_derivative(f, m), w)
-    return abs(ip - direct)
 
 
 class KernelNorm(NamedTuple):

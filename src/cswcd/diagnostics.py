@@ -25,10 +25,10 @@ import numpy as np
 
 from .bergman import beta_sq_vector, t_constant
 from .defaults import MAX_WORK_DIM, TOL_NORMALITY
-from .errors import DomainError, SingularityError, UnboundedSymbolError
+from .errors import DomainError, UnboundedSymbolError
 from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
 from .series import power_table
-from .symbols import LinearFractionalMap, SymbolPair, lft_eval, lft_inverse
+from .symbols import LinearFractionalMap, SymbolPair
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
@@ -139,25 +139,6 @@ def boundedness_ratio_grid(
     return _grid_report(W, keep, values)
 
 
-def nevanlinna_univalent(phi: LinearFractionalMap, w: complex, alpha: float) -> float:
-    """Counting value [ln(1/|z0|)]^(alpha+2) at the unique preimage z0 of w.
-
-    Univalent maps have at most one preimage; when it falls outside the disk
-    (at infinity for w = phi(infinity)) the sum is empty and the value is 0.
-    The point w = phi(0) is excluded.
-    """
-    phi_0 = lft_eval(phi, 0.0)
-    if w == phi_0:
-        raise DomainError("w = phi(0) is excluded from the counting function")
-    try:
-        z0 = lft_eval(lft_inverse(phi), w)
-    except SingularityError:
-        return 0.0
-    if abs(z0) >= 1.0:
-        return 0.0
-    return math.log(1.0 / abs(z0)) ** (alpha + 2)
-
-
 def nevanlinna_bound_grid(
     phi: LinearFractionalMap,
     alpha: float,
@@ -169,8 +150,9 @@ def nevanlinna_bound_grid(
 
     Boundedness of the order-n operator is equivalent to this ratio staying
     O(1) as |w| -> 1 (little-o for compactness). The samples w = 0 and
-    w = phi(0) are excluded; the counting value is that of
-    ``nevanlinna_univalent``.
+    w = phi(0) are excluded. A univalent map has at most one preimage z0 of
+    w, so the counting value is [ln(1/|z0|)]^(alpha+2), or 0 when z0 lies
+    outside the disk (at infinity for w = phi(infinity)).
     """
     W = _polar_grid(tuple(radii), angles)
     keep = (W != 0) & (W != phi.b / phi.d)
@@ -402,12 +384,13 @@ def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
     With q and the scale as in ``_operator_kernel_sums``, T K_w is the scale
     times the series psi (1 + (c/d) z)^s, the same for every point, times
     (1 - q z)^-s. The series is taken at an order M of the weight psi. M
-    starts at min(N, GRAM_START - 1) for the pair's truncation N and doubles
-    while the last quarter of any ||T K_w||^2 series exceeds GRAM_TAIL of its
-    sum; ``SymbolPair.weight_series(M)`` gives the weight's coefficients at
-    order M. A tail still above that share at order MAX_WORK_DIM - 1 is
-    refused: a pole of phi near the circle can keep T K_w far from its
-    truncation even where the points pass the gate.
+    starts at min(N, GRAM_START - 1) for the pair's truncation N, or at the
+    degree of the weight polynomial if that is higher, so that no weight
+    coefficient is dropped, and doubles while the last quarter of any
+    ||T K_w||^2 series exceeds GRAM_TAIL of its sum. A tail still above that
+    share at order MAX_WORK_DIM - 1 is refused: a pole of phi near the
+    circle can keep T K_w far from its truncation even where the points
+    pass the gate.
 
     The Cauchy products can cancel. The same two products over absolute
     coefficients bound each series coefficient's rounding error by u a_m
@@ -421,8 +404,8 @@ def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
     wbar = w.conjugate()
     q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
     scale = t_constant(alpha, n) * wbar**n * (1 - wbar * (phi.b / phi.d)) ** -s
-    M = min(pair.order, GRAM_START - 1)
-    psi = pair.weight_series(M)
+    M = max(min(pair.order, GRAM_START - 1), int(np.flatnonzero(pair.weight.poly)[-1]))
+    psi = pair.weight.series(M).coeffs
     while True:
         m = np.arange(1, M + 1)
         ratios = (s - m + 1) / m * (phi.c / phi.d)
@@ -441,7 +424,7 @@ def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
                 f"its last quarter holds {(tail / total).max():.3g} of its sum"
             )
         M = min(2 * M, MAX_WORK_DIM - 1)
-        psi = pair.weight_series(M)
+        psi = pair.weight.series(M).coeffs
     G_T = np.einsum("am,bm->ab", series * bsq, series.conj(), optimize=False)
     G_T *= scale[:, None] * scale.conj()
     bound = _cauchy_product(

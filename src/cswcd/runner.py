@@ -79,6 +79,18 @@ PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are pr
 # the fields each kind of conjugation descriptor admits besides "kind"
 CONJUGATION_FIELDS = {"auto": (), "plain-J": (), "rotation-J": ("mu", "lambda"),
                       "wc-J": ("p", "lambda_u")}
+# the fields each family's symbols admit besides SHARED_SYMBOL_FIELDS
+SYMBOL_FIELDS = {
+    "j-symmetric": ("a", "b", "c"),
+    "general": ("a", "b", "c"),
+    "self-adjoint": ("a", "b", "c"),
+    "normal-origin": ("a", "b"),
+    "unitary": ("p", "lambda_u"),
+    "wc-conjugated": ("a", "b", "c", "p", "lambda_u"),
+    "rotation-conjugated": ("a", "b", "c", "mu", "lam"),
+    "explicit": ("psi", "phi", "bounded"),
+}
+SHARED_SYMBOL_FIELDS = ("family", "ranges", "w_points")
 
 
 @dataclass(frozen=True)
@@ -233,6 +245,13 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     symbols = _require(doc, "symbols", "$")
     if not isinstance(symbols, dict) or "family" not in symbols:
         raise ConfigError("symbols.family", "missing family name")
+    family = symbols["family"]
+    # an unknown family is refused where the pair is made, or as unsweepable
+    fields = SYMBOL_FIELDS.get(family, ()) if isinstance(family, str) else ()
+    for key in symbols:
+        if fields and key not in fields and key not in SHARED_SYMBOL_FIELDS:
+            raise ConfigError(f"symbols.{key}",
+                              f"unknown field for {family!r}; known: {', '.join(fields)}")
     _check_ranges(symbols)
     _kernel_points(symbols)
     conjugation = doc.get("conjugation", {"kind": "auto"})
@@ -510,8 +529,8 @@ def _adjoint_kernel(config: RunConfig) -> tuple:
 
 
 def _adjoint_pair(config: RunConfig) -> tuple:
-    space = config.space
-    defect = kernel_companion_defect(config.pair.phi, space.n, space.alpha)
+    pair = config.pair
+    defect = kernel_companion_defect(pair.phi, pair.n, config.space.alpha)
     return defect, TOL_ADJOINT_PAIR, "kernel-companion-adjoint"
 
 
@@ -537,16 +556,17 @@ GRID_CHECKS = {
 
 def grid_report(config: RunConfig, name: str) -> GridReport:
     """Samples of the grid check ``name`` for the config's map; the grid
-    function is looked up by its module binding when called.
+    function is looked up by its module binding when called. The order is
+    the pair's, which is 0 for ``unitary``, not the space's n.
 
     The grid's floating-point warnings are silenced, as in
     ``_check_tolerance``: where a power of exponent alpha + 2 + 2n overflows
     or underflows, a sample is not finite, and the caller refuses the grid.
     """
     grid = boundedness_ratio_grid if name == "boundedness-grid" else nevanlinna_bound_grid
-    space = config.space
+    pair = config.pair
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return grid(config.pair.phi, space.alpha, space.n)
+        return grid(pair.phi, config.space.alpha, pair.n)
 
 
 def _check_grid(name: str, config: RunConfig) -> CheckReport:
@@ -785,16 +805,10 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _encode(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not serializable: {type(obj)!r}")
-
-
 def canonical_json(obj) -> str:
     """Sorted, indented JSON; a non-finite number raises, since JSON has none."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
-                      default=_encode, allow_nan=False) + "\n"
+                      allow_nan=False) + "\n"
 
 
 def config_hash(doc: dict) -> str:

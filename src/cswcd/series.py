@@ -4,8 +4,7 @@ A series is the coefficient vector c_0..c_N of an analytic function at 0.
 All arithmetic keeps the shared truncation order N. Sums, Cauchy products
 and powers are coefficient-exact: coefficient m of a product depends only
 on coefficients 0..m of the factors, so every retained coefficient equals
-the infinite function's coefficient up to rounding. Differentiation is the
-one lossy operation; it zeroes its top k coefficients.
+the infinite function's coefficient up to rounding.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ def polynomial(coeffs, N: int) -> TruncatedSeries:
     return TruncatedSeries(arr)
 
 
-def zero_series(N: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(N + 1, dtype=complex))
-
-
 def one_series(N: int) -> TruncatedSeries:
     return monomial(0, N)
 
@@ -99,26 +94,6 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(prod)
 
 
-def series_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th derivative; coefficient j becomes (j+k)!/j! * c_{j+k}.
-
-    The top k coefficients of the result have no source data; they are set
-    to zero.
-    """
-    if k < 0:
-        raise DomainError("derivative order must be nonnegative")
-    if k == 0:
-        return f
-    N = f.order
-    out = np.zeros(N + 1, dtype=complex)
-    j = np.arange(0, N + 1 - k)
-    fall = np.ones_like(j, dtype=float)
-    for i in range(k):
-        fall = fall * (j + k - i)
-    out[: N + 1 - k] = fall * f.coeffs[k:]
-    return TruncatedSeries(out)
-
-
 def series_eval(f: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncated polynomial at z, |z| <= 1 - EVAL_EDGE."""
     if abs(z) > 1.0 - EVAL_EDGE:
@@ -127,19 +102,6 @@ def series_eval(f: TruncatedSeries, z: complex) -> complex:
     for c in f.coeffs[::-1]:
         acc = acc * z + c
     return complex(acc)
-
-
-def eval_tail_bound(f: TruncatedSeries, z: complex) -> float:
-    """Geometric bound max|c_j| * |z|^(N+1) / (1 - |z|) on the truncation error.
-
-    Valid when the dropped coefficients of the represented function are
-    bounded by max|c_j| (true for all rational symbols used here).
-    """
-    r = abs(z)
-    if r >= 1.0:
-        raise DomainError("tail bound requires |z| < 1")
-    top = float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 0.0
-    return top * r ** (f.order + 1) / (1.0 - r)
 
 
 def power_table(x: np.ndarray, count: int) -> np.ndarray:

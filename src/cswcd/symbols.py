@@ -238,15 +238,6 @@ class SymbolPair:
         ``export-matrix`` and the necessary-conditions scan."""
         return self.weight.series(self.order)
 
-    def weight_series(self, order: int) -> np.ndarray:
-        """Coefficients 0..order of psi: a slice of ``psi`` when it is built
-        and long enough, else the closed form's series at that order. Both
-        give the same bytes."""
-        built = self.__dict__.get("psi")
-        if built is not None and built.order >= order:
-            return built.coeffs[: order + 1]
-        return self.weight.series(order).coeffs
-
     @property
     def bounded_hint(self) -> bool:
         """Whether the operator is known to be bounded: order 0 (a weighted

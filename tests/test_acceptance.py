@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from cswcd.bergman import SpaceParams, kernel_norm_sq, reproducing_check
+from cswcd.bergman import SpaceParams, kernel_norm_sq
 from cswcd.cli import main as cli_main
 from cswcd.conjugations import (
     involution_defect,
@@ -54,6 +54,7 @@ from cswcd.symbols import (
     rotation_map,
     sup_norm_lft,
 )
+from reproducing_reference import reproducing_check
 from wc_reference import extended_order, wc_involution_defect, wc_symmetry_defect
 
 ALPHAS = (-0.5, 0.0, 1.0)

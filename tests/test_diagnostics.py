@@ -22,7 +22,6 @@ from cswcd.diagnostics import (
     is_normal,
     necessary_conditions_check,
     nevanlinna_bound_grid,
-    nevanlinna_univalent,
     norm_defect_kernel_test,
     normality_gram,
     normality_gram_defect,
@@ -43,6 +42,7 @@ from cswcd.symbols import (
     lft_inverse,
     rotation_map,
 )
+from nevanlinna_reference import nevanlinna_univalent
 from pinned_reports import cases
 
 SPACE = SpaceParams(0.0, 1, 32)

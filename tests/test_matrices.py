@@ -33,7 +33,6 @@ from cswcd.series import (
     one_series,
     polynomial,
     series_mul,
-    zero_series,
 )
 from cswcd.symbols import (
     LinearFractionalMap,
@@ -412,7 +411,7 @@ class TestApply:
     def test_zero(self):
         pair = explicit_pair(monomial(1, 24), rotation_map(0.5), 1)
         M = build_wcd_matrix(pair, SPACE)
-        assert np.max(np.abs(apply(M, zero_series(24)).coeffs)) == 0
+        assert np.max(np.abs(apply(M, TruncatedSeries(np.zeros(25, dtype=complex))).coeffs)) == 0
 
     def test_linear(self):
         rng = np.random.default_rng(32)
@@ -428,7 +427,7 @@ class TestApply:
     def test_dimension_mismatch(self):
         M = OperatorMatrix(np.eye(25), SPACE)
         with pytest.raises(TruncationMismatchError):
-            apply(M, zero_series(30))
+            apply(M, TruncatedSeries(np.zeros(31, dtype=complex)))
 
 
 class TestAdjointOnKernel:

@@ -223,6 +223,32 @@ class TestRun:
         assert reports[0].defect <= 1e-8
         assert reports[1].defect <= 1e-9
 
+    def test_unitary_grids_use_the_pair_order(self):
+        # a unitary pair is a weighted composition, of order 0 whatever the
+        # space's n; at n 1 both grids read diverging (sup 1.4e7 and 3.7e6)
+        doc = config_with(space={"alpha": 0.0, "n": 1, "N": 32}, symbols=UNITARY,
+                          checks=["boundedness-grid", "nevanlinna-grid"])
+        ratio, counting_ = run(parse_config(doc))
+        assert (ratio.status, counting_.status) == ("pass", "pass")
+        assert ratio.provenance == "boundedness-ratio-trend; trend=bounded-looking"
+        assert counting_.provenance == "counting-function-trend; trend=bounded-looking"
+        assert ratio.defect == pytest.approx(3.7027, rel=1e-4)
+        assert counting_.defect == pytest.approx(4.8107, rel=1e-4)
+
+    def test_adjoint_pair_uses_the_pair_order(self, monkeypatch):
+        orders = []
+        inner = runner.kernel_companion_defect
+
+        def record(phi, n, alpha):
+            orders.append(n)
+            return inner(phi, n, alpha)
+
+        monkeypatch.setattr(runner, "kernel_companion_defect", record)
+        doc = config_with(space={"alpha": 0.0, "n": 2, "N": 32}, symbols=UNITARY,
+                          checks=["adjoint-pair"])
+        (report,) = run(parse_config(doc))
+        assert report.status == "unverified" and orders == [0]
+
     def test_conjugation_axioms_check_wc(self):
         doc = config_with(
             symbols={
@@ -510,6 +536,23 @@ class TestNormality:
         assert report.status == status
         assert report.defect <= 1e-10
 
+    def test_explicit_weight_above_the_start_order(self, monkeypatch):
+        # a weight coefficient of degree 100 is above GRAM_START - 1 = 63, but
+        # G_T starts its series at the weight's degree, not below it
+        def defect(psi):
+            doc = config_with(space={"alpha": 0.5, "n": 1, "N": 128}, checks=["normality"],
+                              symbols={"family": "explicit", "psi": psi,
+                                       "phi": [0.5, 0.1, 0.0, 1.0], "bounded": True})
+            (report,) = run(parse_config(doc))
+            return report.defect
+
+        high = [0.0, 1.0] + [0.0] * 98 + [0.5]
+        got = defect(high)
+        assert got != pytest.approx(defect([0.0, 1.0]), rel=1e-3)
+        monkeypatch.setattr(diagnostics, "GRAM_START", 129)   # the series at full order
+        assert got == pytest.approx(defect(high), rel=1e-12)
+        assert got == pytest.approx(0.0645002, rel=1e-6)
+
     def test_unconverged_series_is_unverified(self):
         doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, symbols=EXPLICIT_NEAR_POLE,
                           checks=["normality"])
@@ -732,6 +775,10 @@ class TestCli:
             ({"symbols": EXPLICIT_POLE_IN_DISK, "checks": ["boundedness-grid"]}, "symbols.phi"),
             ({"symbols": {**EXPLICIT_LEAVES_DISK, "bounded": True},
               "checks": ["boundedness-grid", "nevanlinna-grid"]}, "symbols.phi"),
+            # a misspelt lambda_u would leave lambda_u at its default of 1
+            ({"symbols": {**WC_SYMBOLS, "p": 0.3, "lamda_u": [0.0, 1.0]}}, "symbols.lamda_u"),
+            ({"symbols": {**BASE["symbols"], "p": 0.3}}, "symbols.p"),
+            ({"symbols": {**EXPLICIT_UNIT_MAP, "lambda_u": 1.0}}, "symbols.lambda_u"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
@@ -739,7 +786,8 @@ class TestCli:
              "nan-tolerance", "negative-tolerance", "string-bounded", "boolean-tolerance",
              "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name",
              "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind",
-             "bounded-pole-in-disk", "grid-pole-in-disk", "bounded-map-leaves-disk"],
+             "bounded-pole-in-disk", "grid-pole-in-disk", "bounded-map-leaves-disk",
+             "symbols-typo", "symbols-field-of-another-family", "explicit-extra-field"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2

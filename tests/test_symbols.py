@@ -12,7 +12,7 @@ from cswcd.bergman import kernel, t_constant
 from cswcd.conjugations import KERNEL_POINTS
 from cswcd.errors import DomainError, SingularityError
 from cswcd.rng import SplitMix64
-from cswcd.series import polynomial, series_eval, zero_series
+from cswcd.series import TruncatedSeries, polynomial, series_eval
 from cswcd.symbols import (
     IDENTITY_MAP,
     LinearFractionalMap,
@@ -328,7 +328,7 @@ class TestBoundedSufficient:
 class TestSymbolPairInvariants:
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError):
-            SymbolPair.from_series(zero_series(8), IDENTITY_MAP, 1)
+            SymbolPair.from_series(TruncatedSeries(np.zeros(9, dtype=complex)), IDENTITY_MAP, 1)
 
 
 # parameters of the pairs of the closed-form oracle
@@ -407,16 +407,6 @@ class TestClosedFormWeight:
             assert "psi" not in pair.__dict__
             got, want = pair.psi.coeffs, reference_weight_series(pair, 96).coeffs
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
-
-    def test_weight_series_slices_a_built_series(self):
-        pair = family_general(0.8, 0.3 + 0.2j, 0.2 + 0.25j, 2, 0.5, 96)
-        fresh = pair.weight_series(40)
-        assert "psi" not in pair.__dict__ and fresh.size == 41
-        built = pair.psi.coeffs
-        sliced = pair.weight_series(40)
-        assert np.shares_memory(sliced, built)
-        assert np.array_equal(sliced, fresh)
-        assert np.array_equal(pair.weight_series(120), pair.weight.series(120).coeffs)
 
     def test_wc_gain_is_kept_in_logs(self):
         # den0^-(n+alpha+2) = (1 - c p)^-403 is about 1e407 here: alone it
