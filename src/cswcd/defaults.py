@@ -29,6 +29,9 @@ TOL_PREDICATE = 1e-8
 TOL_AXIOMS = 1e-9
 
 MAX_WORK_DIM = 2048        # largest dense dimension built; 2049^2 complex is about 64 MiB
+# most terms of the normality Gram's term table; its kernel array holds
+# 2 |GRAM_POINTS|^2 = 32 complex values per term, 64 MiB at the budget (n <= 71)
+MAX_GRAM_TERMS = 131072
 
 EVAL_EDGE = 1e-6           # refuse series evaluation for |z| > 1 - EVAL_EDGE
 KERNEL_NORM_TOL = 1e-12    # adaptive cutoff for kernel norm series

@@ -262,6 +262,12 @@ def _rising_over_factorial(s: float, M: int) -> np.ndarray:
     return out
 
 
+def leibniz_term_count(n: int) -> int:
+    """The number of terms (i, j, k) of ``_leibniz_terms`` at order n:
+    the sum over i, j <= n of min(i, j) + 1."""
+    return (n + 1) * (n + 2) * (2 * n + 3) // 6
+
+
 @lru_cache(maxsize=32)
 def _leibniz_terms(n: int, alpha: float) -> tuple:
     """The terms of the inner products <k_i(A), k_j(B)> for i, j <= n, where
@@ -276,7 +282,8 @@ def _leibniz_terms(n: int, alpha: float) -> tuple:
     Returns one read-only array per quantity, one entry per term (i, j, k):
     i, j, the powers j - k and i - k, the exponent and the constant. A draw
     asks for the same (n, alpha) each time, so the terms are cached, as
-    ``_rising_over_factorial`` is.
+    ``_rising_over_factorial`` is. There are ``leibniz_term_count(n)`` of
+    them, about n^3 / 3; ``parse_config`` holds that count to MAX_GRAM_TERMS.
     """
     rows = []
     for i in range(n + 1):

@@ -17,6 +17,11 @@ rows <= m, so every retained entry equals the corresponding entry of the
 infinite matrix up to rounding. In this basis beta(j) is real, so symmetry
 of the matrix is exactly symmetry of the operator under coefficient
 conjugation.
+
+The recurrence runs one anti-diagonal at a time in a work buffer whose
+per-step views are made once per (N, n) and kept for the next build at that
+shape (``_workspace``); each build scales and returns a fresh copy of the
+matrix rows, so no built matrix shares memory with the buffer.
 """
 
 from __future__ import annotations
@@ -66,19 +71,53 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
-    """The matrix, built in one buffer.
+@lru_cache(maxsize=1)
+def _workspace(N: int, n: int) -> tuple:
+    """The work buffer of ``_build`` at (N, n) and the views of each of its
+    anti-diagonal steps, made once and reused by every build at that shape.
 
     The buffer has N + 2 rows: a zero row on top (row -1 of the recurrence)
     and then the matrix, C = N + 1 columns wide, C-contiguous. Entry
     G[m, k] = [z^m] psi * phi^k sits in matrix column n + k, so the
     anti-diagonal m + k = s is the flat slice from C + n + s with step
     C - 1, and its neighbours (m, k-1), (m-1, k) and (m-1, k-1) sit 1, C and
-    C + 1 places before each of its entries. One step per anti-diagonal
-    computes it from the two before it: the three products and their sum go
-    through two contiguous scratch vectors, and the quotient by d is written
-    straight into the diagonal. The coefficients are 0-d arrays, so no ufunc
-    call converts a Python complex. Columns n..N are then scaled in place.
+    C + 1 places before each of its entries. Step s gets the views
+    (up_left, left, up, at) of those four slices and the views (t, u) of two
+    contiguous scratch vectors of the diagonal's length.
+
+    A build writes psi into column n and then every cell of columns n + 1..N
+    below the zero row before it reads it; the zero row and the columns
+    before n are never written. So the buffer needs no reset between builds.
+    One shape is kept: (N + 2)(N + 1) complex values, about 64 MiB at
+    MAX_WORK_DIM, plus 2N - n view tuples.
+    """
+    K = N - n
+    C = N + 1
+    step = C - 1
+    buf = np.zeros((N + 2, C), dtype=complex)
+    flat = buf.reshape(-1)
+    x, y = np.empty(C, dtype=complex), np.empty(C, dtype=complex)
+    steps = []
+    for s in range(1, N + K + 1):
+        lo = s - K if s > K else 0       # the rows with k >= 1
+        hi = s - 1 if s <= N else N
+        first = C + n + s + lo * step
+        last = first + (hi - lo) * step
+        steps.append((flat[first - C - 1:last - C:step], flat[first - 1:last:step],
+                      flat[first - C:last + 1 - C:step], flat[first:last + 1:step],
+                      x[: hi - lo + 1], y[: hi - lo + 1]))
+    return buf, tuple(steps)
+
+
+def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
+    """The matrix, built in the work buffer of ``_workspace``.
+
+    One step per anti-diagonal computes it from the two before it: the three
+    products and their sum go through the two scratch vectors, and the
+    quotient by d is written straight into the diagonal. The coefficients
+    are 0-d arrays, so no ufunc call converts a Python complex. A fresh copy
+    of the matrix rows is then scaled, columns n..N, and returned; the
+    buffer stays with the cache.
     """
     N = space.N
     if psi.order != N:
@@ -86,27 +125,17 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
             f"weight truncation {psi.order} does not match space truncation {N}"
         )
     require_pole_outside_disk(phi)
-    K = N - n
-    C = N + 1
-    step = C - 1
-    buf = np.zeros((N + 2, C), dtype=complex)
+    buf, steps = _workspace(N, n)
     buf[1:, n] = psi.coeffs
-    flat = buf.reshape(-1)
-    x, y = np.empty(C, dtype=complex), np.empty(C, dtype=complex)
     a, b, c, d = (np.array(v, dtype=complex) for v in (phi.a, phi.b, phi.c, phi.d))
-    for s in range(1, N + K + 1):
-        lo = s - K if s > K else 0       # the rows with k >= 1
-        hi = s - 1 if s <= N else N
-        first = C + n + s + lo * step
-        last = first + (hi - lo) * step
-        t, u = x[: hi - lo + 1], y[: hi - lo + 1]
-        np.multiply(a, flat[first - C - 1:last - C:step], t)
-        np.multiply(b, flat[first - 1:last:step], u)
+    for up_left, left, up, at, t, u in steps:
+        np.multiply(a, up_left, t)
+        np.multiply(b, left, u)
         np.add(t, u, t)
-        np.multiply(c, flat[first - C:last + 1 - C:step], u)
+        np.multiply(c, up, u)
         np.subtract(t, u, t)
-        np.divide(t, d, flat[first:last + 1:step])
-    M = buf[1:]
+        np.divide(t, d, at)
+    M = buf[1:].copy()
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
     M[:, n:] *= falling_factorial(np.arange(n, N + 1), n) / broot[n:]
     M[:, n:] *= broot[:, None]

@@ -35,6 +35,7 @@ from .conjugations import (
 )
 from .defaults import (
     DEFAULT_N,
+    MAX_GRAM_TERMS,
     MAX_WORK_DIM,
     TOL_ADJOINT_KERNEL,
     TOL_ADJOINT_PAIR,
@@ -47,6 +48,7 @@ from .diagnostics import (
     GRAM_POINTS,
     GridReport,
     boundedness_ratio_grid,
+    leibniz_term_count,
     necessary_conditions_check,
     nevanlinna_bound_grid,
     norm_defect_kernel_test,
@@ -75,6 +77,7 @@ from .symbols import (
 FAIL_THRESHOLD = 1e-3           # macroscopic defect certifying a structural failure
 DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
 PREDICATE_CHECKS = ("normality-predicate", "kernel-norm-balance")
+GRAM_CHECKS = ("normality", *PREDICATE_CHECKS)      # the checks that read the normality Grams
 PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are proved
 # the fields each kind of conjugation descriptor admits besides "kind"
 CONJUGATION_FIELDS = {"auto": (), "plain-J": (), "rotation-J": ("mu", "lambda"),
@@ -229,6 +232,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
     space_doc = _require(doc, "space", "$")
+    if not isinstance(space_doc, dict):
+        raise ConfigError("space", "expected an object with alpha, n and N")
     try:
         space = SpaceParams(
             alpha=_number(float, _require(space_doc, "alpha", "space"), "space.alpha"),
@@ -276,6 +281,13 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
                 f"{name} applies to the families {', '.join(PREDICATE_FAMILIES)}, "
                 f"not {symbols['family']!r}",
             )
+    # the normality Grams' term table grows like n^3; refused before it is made
+    terms = leibniz_term_count(space.n)
+    if terms > MAX_GRAM_TERMS and any(name in GRAM_CHECKS for name in checks):
+        raise ConfigError(
+            "space.n", f"order {space.n} gives {terms} normality Gram terms, "
+            f"over the budget of {MAX_GRAM_TERMS}"
+        )
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances", "expected an object of check -> tolerance")

@@ -17,6 +17,8 @@ from cswcd.conjugations import extended_space, make_wc_J, unitary_part
 from cswcd.errors import SingularityError, TruncationMismatchError, UnboundedSymbolError
 from cswcd.matrices import (
     OperatorMatrix,
+    _build,
+    _workspace,
     adjoint_matrix,
     adjoint_on_kernel,
     apply,
@@ -183,10 +185,49 @@ def two_array_build(psi, phi, n, space):
     return M
 
 
+# the three parameter branches of a general draw, at the scalar-sweep shape;
+# with c = 0 the map's c coefficient is a signed zero
+GENERAL_BRANCHES = [(0.4, 0.2 + 0.1j), (0.4 + 0.3j, 0j), (0.4 + 0.3j, 0.2 + 0.1j)]
+
+
+def assert_bit_equal(M, ref):
+    assert np.array_equal(M.view(np.float64), ref.view(np.float64))
+
+
 class TestOneBuffer:
-    """The build runs the recurrence in its output buffer and scales it in
-    place, with the same operations in the same operand order as the build
-    in two arrays, so every bit agrees."""
+    """The build runs the recurrence in a work buffer kept per (N, n) and
+    scales a fresh copy of it, with the same operations in the same operand
+    order as the build in two arrays, so every bit agrees."""
+
+    def test_builds_back_to_back_reuse_the_buffer_safely(self):
+        # every cell a build reads is rewritten first, so no build sees what
+        # the build before it left in the buffer, at its shape or another
+        space = SpaceParams(0.0, 1, 48)
+        pairs = [family_general(1.0 - 0.5j, b, c, 1, 0.0, 48) for b, c in GENERAL_BRANCHES]
+        for pair in pairs:
+            ref = two_array_build(pair.psi, pair.phi, pair.n, space)
+            assert_bit_equal(build_wcd_matrix(pair, space).entries, ref)
+        other_space = SpaceParams(0.5, 2, 40)
+        other = family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, 2, 0.5, 40)
+        ref = two_array_build(other.psi, other.phi, 2, other_space)
+        assert_bit_equal(build_wcd_matrix(other, other_space).entries, ref)
+        first = pairs[0]
+        ref = two_array_build(first.psi, first.phi, 0, space)
+        assert_bit_equal(build_weighted_composition(first.psi, first.phi, space).entries, ref)
+        ref = two_array_build(first.psi, first.phi, 1, space)
+        M = build_wcd_matrix(first, space)
+        assert_bit_equal(M.entries, ref)
+        workspace, _ = _workspace(48, 1)
+        assert not np.shares_memory(M.entries, workspace)
+        assert not np.shares_memory(_build(first.psi, first.phi, 1, space), workspace)
+
+    def test_one_workspace_is_kept(self):
+        for N, n in ((48, 1), (40, 2)):
+            pair = family_self_adjoint(0.8, 0.3, 0.2 + 0.1j, n, 0.5, N)
+            build_wcd_matrix(pair, SpaceParams(0.5, n, N))
+        assert _workspace.cache_info().currsize == 1
+        workspace, steps = _workspace(40, 2)
+        assert workspace.shape == (42, 41) and len(steps) == 2 * 40 - 2
 
     @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)
     def test_sweepable_family(self, family):
@@ -208,13 +249,7 @@ class TestOneBuffer:
         ref = two_array_build(pair.psi, pair.phi, 0, U.space)
         assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
 
-    # the three parameter branches of a general draw, at the scalar-sweep
-    # shape; with c = 0 the map's c coefficient is a signed zero
-    @pytest.mark.parametrize(
-        "b, c",
-        [(0.4, 0.2 + 0.1j), (0.4 + 0.3j, 0j), (0.4 + 0.3j, 0.2 + 0.1j)],
-        ids=["b-real", "c-zero", "free"],
-    )
+    @pytest.mark.parametrize("b, c", GENERAL_BRANCHES, ids=["b-real", "c-zero", "free"])
     def test_general_branch_at_sweep_shape(self, b, c):
         space = SpaceParams(0.0, 1, 48)
         pair = family_general(1.0 - 0.5j, b, c, 1, 0.0, 48)

@@ -54,6 +54,11 @@ WC_SPACE = {"alpha": 0.5, "n": 2, "N": 96}
 WC_SYMBOLS = {"family": "wc-conjugated", "a": 1.0, "b": 0.3, "c": 0.15}
 
 
+# order 72 on a truncation that admits it
+GRAM_OVER_BUDGET = {"alpha": 0.5, "n": 72, "N": 80}
+GENERAL_SYMBOLS = {"family": "general", "a": 1.0, "b": 0.3, "c": 0.2}
+
+
 def config_with(**overrides):
     doc = json.loads(json.dumps(BASE))
     doc.update(overrides)
@@ -779,6 +784,8 @@ class TestCli:
             ({"symbols": {**WC_SYMBOLS, "p": 0.3, "lamda_u": [0.0, 1.0]}}, "symbols.lamda_u"),
             ({"symbols": {**BASE["symbols"], "p": 0.3}}, "symbols.p"),
             ({"symbols": {**EXPLICIT_UNIT_MAP, "lambda_u": 1.0}}, "symbols.lambda_u"),
+            ({"space": 5}, "space"),
+            ({"space": "alpha"}, "space"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
@@ -787,7 +794,8 @@ class TestCli:
              "boolean-seed", "boolean-a", "boolean-imag-b", "scalar-psi", "list-check-name",
              "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind",
              "bounded-pole-in-disk", "grid-pole-in-disk", "bounded-map-leaves-disk",
-             "symbols-typo", "symbols-field-of-another-family", "explicit-extra-field"],
+             "symbols-typo", "symbols-field-of-another-family", "explicit-extra-field",
+             "space-number", "space-string"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
@@ -865,26 +873,41 @@ class TestCli:
         assert "RuntimeError: injected fault" in captured.err
 
     @pytest.mark.parametrize(
-        "mode, overrides, path",
-        [("check", {"space": {"alpha": 0.0, "n": 1, "N": 2048}}, "space.N")],
-        ids=["N"],
+        "mode, overrides, path, budget",
+        [("check", {"space": {"alpha": 0.0, "n": 1, "N": 2048}}, "space.N", "MAX_WORK_DIM"),
+         ("check", {"space": GRAM_OVER_BUDGET, "checks": ["normality"]}, "space.n",
+          "MAX_GRAM_TERMS"),
+         ("check", {"space": GRAM_OVER_BUDGET, "symbols": GENERAL_SYMBOLS,
+                    "checks": ["normality-predicate"]}, "space.n", "MAX_GRAM_TERMS"),
+         ("sweep", {"space": GRAM_OVER_BUDGET, "symbols": {"family": "general"},
+                    "checks": ["kernel-norm-balance"]}, "space.n", "MAX_GRAM_TERMS")],
+        ids=["N", "gram-normality", "gram-normality-predicate", "gram-kernel-norm-balance"],
     )
     def test_work_budget_refused_before_building(self, tmp_path, capsys, monkeypatch,
-                                                 mode, overrides, path):
-        # dimension 2,049, just over MAX_WORK_DIM
+                                                 mode, overrides, path, budget):
+        # dimension 2,049, just over MAX_WORK_DIM; order 72, whose 132,349
+        # normality Gram terms are just over MAX_GRAM_TERMS
         def refuse(*args):
             raise AssertionError("built before the budget check")
 
         monkeypatch.setattr(runner, "make_pair", refuse)
         monkeypatch.setattr(runner, "make_conjugation", refuse)
-        doc = config_with(checks=["C-symmetry"], **overrides)
+        monkeypatch.setattr(diagnostics, "_leibniz_terms", refuse)
+        doc = config_with(**{"checks": ["C-symmetry"], **overrides})
         extra = ["--draws", "1"] if mode == "sweep" else []
         assert main([mode, self.write(tmp_path, doc), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["path"] == path
-        assert str(runner.MAX_WORK_DIM) in err["error"]
+        assert str(getattr(runner, budget)) in err["error"]
+
+    def test_gram_term_budget_bounds_only_the_gram_checks(self):
+        assert diagnostics.leibniz_term_count(71) <= runner.MAX_GRAM_TERMS
+        space = {**GRAM_OVER_BUDGET, "n": 71}
+        parse_config(config_with(space=space, checks=["normality"]), require_concrete=False)
+        parse_config(config_with(space=GRAM_OVER_BUDGET, checks=["J-symmetry"]),
+                     require_concrete=False)
 
     @pytest.mark.parametrize(
         "mode, overrides, code",
