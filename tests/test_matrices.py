@@ -247,7 +247,7 @@ class TestOneBuffer:
         U = unitary_part(make_wc_J(p, lambda_u, 0.5), extended_space(SpaceParams(0.5, 2, 96), p).N)
         pair = unitary_symbols(p, lambda_u, 0.5, U.space.N)
         ref = two_array_build(pair.psi, pair.phi, 0, U.space)
-        assert np.array_equal(U.entries.view(np.float64), ref.view(np.float64))
+        assert_bit_equal(U.entries, ref)
 
     @pytest.mark.parametrize("b, c", GENERAL_BRANCHES, ids=["b-real", "c-zero", "free"])
     def test_general_branch_at_sweep_shape(self, b, c):
@@ -255,7 +255,7 @@ class TestOneBuffer:
         pair = family_general(1.0 - 0.5j, b, c, 1, 0.0, 48)
         M = build_wcd_matrix(pair, space).entries
         ref = two_array_build(pair.psi, pair.phi, pair.n, space)
-        assert np.array_equal(M.view(np.float64), ref.view(np.float64))
+        assert_bit_equal(M, ref)
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_explicit_fixing_origin_at_smallest_truncation(self, n):
@@ -265,7 +265,7 @@ class TestOneBuffer:
         assert lft_eval(phi, 0.0) == 0
         M = build_wcd_matrix(explicit_pair(psi, phi, n), space).entries
         ref = two_array_build(psi, phi, n, space)
-        assert np.array_equal(M.view(np.float64), ref.view(np.float64))
+        assert_bit_equal(M, ref)
 
 
 class TestAgainstReference:
