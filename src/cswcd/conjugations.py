@@ -123,9 +123,9 @@ def make_rotation_J(mu: complex, lam: complex, alpha: float) -> AntilinearConjug
 
 def make_wc_J(p: complex, lambda_u: complex, alpha: float) -> AntilinearConjugation:
     """Weighted-composition kind at p != 0, with the symbols of
-    ``unitary_parameters``."""
-    k, q, phi = unitary_parameters(p, lambda_u, alpha)
-    return AntilinearConjugation((k, q), phi, alpha, "wc-J")
+    ``unitary_parameters``: k = lambda_u exp(g)."""
+    g, q, phi = unitary_parameters(p, lambda_u, alpha)
+    return AntilinearConjugation((lambda_u * math.exp(g), q), phi, alpha, "wc-J")
 
 
 def unitary_part(C: AntilinearConjugation, N: int) -> np.ndarray | OperatorMatrix:

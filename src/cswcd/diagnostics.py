@@ -198,15 +198,18 @@ def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
     (``weight_order_exact``) and no zero of psi on the punctured disk scan
     (``weight_nonvanishing``).
 
-    The zero scan walks |z| in 0.1..0.9 with 64 angles and trips when
-    |psi(z)| <= 1e-10; for the rational families the only zero is at the
-    origin, so this is a regression tripwire rather than a proof.
+    All three read the polynomial P of psi = exp(g) P (1 - rho z)^-e, whose
+    other factor has no zero in the disk, so psi and P vanish at the same
+    points to the same orders; a P shorter than n + 1 has P_n = 0. No series
+    is summed, so a large alpha cannot round the scan to a false zero. The
+    zero scan walks |z| in 0.1..0.9 with 64 angles and trips when
+    |P(z)| <= 1e-10; it is a regression tripwire rather than a proof.
     """
     n = pair.n
-    coeffs = pair.psi.coeffs
+    coeffs = pair.weight.poly
     violated = (
         ("weight_flat_at_origin", np.any(coeffs[:n] != 0)),
-        ("weight_order_exact", coeffs[n] == 0),
+        ("weight_order_exact", coeffs.size <= n or coeffs[n] == 0),
         ("weight_nonvanishing", np.any(np.abs(_circle_values(coeffs)) <= 1e-10)),
     )
     return tuple(name for name, bad in violated if bad)

@@ -226,8 +226,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     Sweep base configurations carry a family plus draw ranges rather than
     concrete parameters; pass require_concrete=False to skip building the
     probe pair. The probe is the config's own ``pair``, which ``run`` then
-    reuses. An explicit conjugation descriptor is made for the config's
-    alpha, so its constructor's preconditions surface here too.
+    reuses. An explicit conjugation descriptor is made as the config's own
+    ``conjugation``, so its constructor's preconditions surface here too.
     """
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
@@ -311,7 +311,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     # family and conjugation preconditions surface as config errors before any check runs
     if kind != "auto":
         try:
-            make_conjugation(conjugation, space.alpha)
+            config.conjugation
         except DomainError as exc:
             raise ConfigError("conjugation", str(exc)) from exc
     if require_concrete:

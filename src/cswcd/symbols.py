@@ -99,29 +99,19 @@ def sigma_companion(phi: LinearFractionalMap) -> LinearFractionalMap:
     )
 
 
-def image_disk(phi: LinearFractionalMap) -> tuple[complex, float]:
-    """Center and radius of the image of the unit circle.
-
-    Requires the pole strictly outside the closed disk (|d| > |c|); the image
-    of the closed disk is then the closed disk bounded by this circle.
-    """
-    if abs(phi.d) <= abs(phi.c):
-        raise SingularityError("pole inside or on the unit circle")
-    denom = abs(phi.d) ** 2 - abs(phi.c) ** 2
-    center = (np.conj(phi.d) * phi.b - phi.a * np.conj(phi.c)) / denom
-    rho_sq = abs(center) ** 2 - (abs(phi.b) ** 2 - abs(phi.a) ** 2) / denom
-    return complex(center), math.sqrt(max(rho_sq, 0.0))
-
-
 def sup_norm_lft(phi: LinearFractionalMap) -> float:
-    """Exact supremum of |phi| over the closed disk via image-circle geometry.
+    """Exact supremum of |phi| over the closed disk via image-circle geometry:
+    with the pole outside the closed disk, the image of the disk is the disk
+    bounded by the image of the unit circle.
 
     Returns inf when the pole lies in the closed disk (unbounded signal).
     """
     if abs(phi.d) <= abs(phi.c):
         return math.inf
-    center, rho = image_disk(phi)
-    return abs(center) + rho
+    denom = abs(phi.d) ** 2 - abs(phi.c) ** 2
+    center = (np.conj(phi.d) * phi.b - phi.a * np.conj(phi.c)) / denom
+    rho_sq = abs(center) ** 2 - (abs(phi.b) ** 2 - abs(phi.a) ** 2) / denom
+    return abs(complex(center)) + math.sqrt(max(rho_sq, 0.0))
 
 
 def require_pole_outside_disk(phi: LinearFractionalMap) -> None:
@@ -234,11 +224,11 @@ class SymbolPair:
     @cached_property
     def psi(self) -> TruncatedSeries:
         """The weight's Taylor series at the pair's truncation, built the
-        first time it is read: by the matrix build, ``adjoint-kernel``,
-        ``export-matrix`` and the necessary-conditions scan."""
+        first time it is read: by the matrix build, ``adjoint-kernel`` and
+        ``export-matrix``."""
         return self.weight.series(self.order)
 
-    @property
+    @cached_property
     def bounded_hint(self) -> bool:
         """Whether the operator is known to be bounded: order 0 (a weighted
         composition), sup |phi| < 1 over the closed disk, or the user's flag."""
@@ -300,6 +290,30 @@ def _family_phi(b: complex, c_den: complex, c_const: complex) -> LinearFractiona
     return LinearFractionalMap(b - c_const * c_den, c_const, -c_den, 1.0)
 
 
+def _check_family_params(a: complex, b: complex, c: complex) -> None:
+    if a == 0 or b == 0:
+        raise DomainError("a and b must be nonzero")
+    if abs(c) >= 1.0:
+        raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
+
+
+def _rational_family(
+    a: complex, b: complex, c: complex, c_den: complex, n: int, alpha: float, N: int,
+    provenance: str,
+) -> SymbolPair:
+    """psi(z) = (a/n!) z^n (1 - c_den z)^-(n+alpha+2) and
+    phi(z) = c + b z / (1 - c_den z), for nonzero a, b and |c| < 1."""
+    _check_family_params(a, b, c)
+    return SymbolPair(
+        _monomial_weight(a / math.factorial(n), n, c_den, n + alpha + 2),
+        _family_phi(b, c_den, c),
+        n,
+        N,
+        provenance=provenance,
+        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
+    )
+
+
 def family_j_symmetric(
     a: complex, b: complex, c: complex, n: int, alpha: float, N: int
 ) -> SymbolPair:
@@ -310,36 +324,7 @@ def family_j_symmetric(
 
     with nonzero complex a, b and |c| < 1.
     """
-    if a == 0 or b == 0:
-        raise DomainError("a and b must be nonzero")
-    if abs(c) >= 1.0:
-        raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
-    return SymbolPair(
-        _monomial_weight(a / math.factorial(n), n, c, n + alpha + 2),
-        _family_phi(b, c, c),
-        n,
-        N,
-        provenance="j-symmetric",
-        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
-    )
-
-
-def _family_conj_denominator(
-    a: complex, b: complex, c: complex, n: int, alpha: float, N: int, provenance: str
-) -> SymbolPair:
-    if a == 0 or b == 0:
-        raise DomainError("a and b must be nonzero")
-    if abs(c) >= 1.0:
-        raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
-    cbar = np.conj(c)
-    return SymbolPair(
-        _monomial_weight(a / math.factorial(n), n, cbar, n + alpha + 2),
-        _family_phi(b, cbar, c),
-        n,
-        N,
-        provenance=provenance,
-        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
-    )
+    return _rational_family(a, b, c, c, n, alpha, N, "j-symmetric")
 
 
 def family_general(
@@ -353,7 +338,7 @@ def family_general(
     Self-adjoint exactly when a and b are real; normal exactly when b is
     real or c = 0.
     """
-    return _family_conj_denominator(a, b, c, n, alpha, N, "general")
+    return _rational_family(a, b, c, np.conj(c), n, alpha, N, "general")
 
 
 def family_self_adjoint(
@@ -363,9 +348,8 @@ def family_self_adjoint(
     for name, val in (("a", a), ("b", b)):
         if complex(val).imag != 0:
             raise DomainError(f"{name} must be real for the self-adjoint family")
-    return _family_conj_denominator(
-        complex(a).real, complex(b).real, c, n, alpha, N, "self-adjoint"
-    )
+    return _rational_family(complex(a).real, complex(b).real, c, np.conj(c), n, alpha, N,
+                            "self-adjoint")
 
 
 def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
@@ -386,11 +370,13 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
 
 def unitary_parameters(
     p: complex, lambda_u: complex, alpha: float
-) -> tuple[complex, complex, LinearFractionalMap]:
-    """(k, q, phi) of the unitary symbols at p: the weight is
-    psi(z) = k (1 - q z)^-(alpha+2) with k = lambda_u (1 - |p|^2)^((alpha+2)/2)
-    and q = conj(p), and the map is phi(z) = (conj(p)/p) (p - z) / (1 - conj(p) z),
-    for p in the punctured disk and unimodular lambda_u.
+) -> tuple[float, complex, LinearFractionalMap]:
+    """(g, q, phi) of the unitary symbols at p: the weight is
+    psi(z) = lambda_u exp(g) (1 - q z)^-(alpha+2) with the log gain
+    g = ((alpha+2)/2) log(1 - |p|^2) and q = conj(p), and the map is
+    phi(z) = (conj(p)/p) (p - z) / (1 - conj(p) z), for p in the punctured
+    disk and unimodular lambda_u. exp(g) underflows at large alpha and |p|
+    near 1, so the weights of the pairs keep g as their log gain.
     """
     if p == 0:
         raise DomainError("p must be nonzero; use a rotation for p = 0")
@@ -399,8 +385,8 @@ def unitary_parameters(
     if abs(abs(lambda_u) - 1.0) > 1e-12:
         raise DomainError(f"lambda_u must be unimodular, got |lambda_u| = {abs(lambda_u):.6f}")
     pbar = np.conj(p)
-    k = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
-    return k, pbar, LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
+    g = (alpha + 2) / 2 * math.log1p(-abs(p) ** 2)
+    return g, pbar, LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
 
 
 def unitary_symbols(
@@ -410,9 +396,9 @@ def unitary_symbols(
     composition operator (``unitary_parameters``), the weight's series
     truncated at N. The order is 0.
     """
-    k, q, phi = unitary_parameters(p, lambda_u, alpha)
+    g, q, phi = unitary_parameters(p, lambda_u, alpha)
     return SymbolPair(
-        RationalWeight([k], q, alpha + 2),
+        RationalWeight([lambda_u], q, alpha + 2, g),
         phi,
         0,
         N,
@@ -422,33 +408,32 @@ def unitary_symbols(
 
 
 def transported_weight(
-    scale: complex, n: int, c: complex, alpha: float, p: complex, lambda_u: complex
+    scale: complex, n: int, c: complex, alpha: float, lambda_u: complex, g: float,
+    inner: LinearFractionalMap,
 ) -> RationalWeight:
     """psi_p (psi_base o L) in closed form, for the unitary symbols (psi_p, L)
-    at p and psi_base = scale z^n (1 - c z)^-s with s = n + alpha + 2.
+    with log gain g (``unitary_parameters``) and psi_base = scale z^n (1 - c z)^-s
+    with s = n + alpha + 2.
 
-    With psi_p = k (1 - q z)^-(alpha+2) and L = (u z + v)/(w z + x), where
-    x = 1 and w = -q, substituting L gives
+    With psi_p = lambda_u exp(g) (1 - q z)^-(alpha+2) and L = (u z + v)/(w z + x),
+    where x = 1 and w = -q, substituting L gives
 
-        k scale (u z + v)^n (w z + x)^(s-n) / ((w - c u) z + den0)^s
+        lambda_u exp(g) scale (u z + v)^n (w z + x)^(s-n) / ((w - c u) z + den0)^s
 
     with den0 = x - c v, and (w z + x)^(s-n) = (1 - q z)^(alpha+2) cancels
     psi_p's power symbolically, so no power of positive exponent is formed:
     P = lambda_u scale (u z + v)^n, rho = -(w - c u) / den0, and the gain
-    |k| den0^-s = (1 - |p|^2)^((alpha+2)/2) den0^-s is kept as its
-    logarithm, since either factor alone can leave the double range at
-    large alpha. |rho| < 1 because L maps the closed disk onto itself and
-    |c| < 1.
+    exp(g) den0^-s is kept as its logarithm, since either factor alone can
+    leave the double range at large alpha. |rho| < 1 because L maps the
+    closed disk onto itself and |c| < 1.
     """
-    _, _, inner = unitary_parameters(p, lambda_u, alpha)
     u, v, w, x = inner.a, inner.b, inner.c, inner.d
     s = n + alpha + 2
     den0 = x - c * v
     if den0 == 0 or abs((w - c * u) / den0) >= 1.0:
         raise DomainError("1 - c L(z) vanishes on the closed disk")
     poly = [lambda_u * scale * math.comb(n, j) * v ** (n - j) * u**j for j in range(n + 1)]
-    log_gain = (alpha + 2) / 2 * math.log1p(-abs(p) ** 2) - s * cmath.log(den0)
-    return RationalWeight(poly, -(w - c * u) / den0, s, log_gain)
+    return RationalWeight(poly, -(w - c * u) / den0, s, g - s * cmath.log(den0))
 
 
 def family_conjugated(
@@ -473,14 +458,15 @@ def family_conjugated(
     psi(z) = mu psi_base(lam z) = mu (a/n!) lam^n z^n (1 - c lam z)^-(n+alpha+2)
     and phi(z) = phi_base(lam z).
     """
-    base = family_j_symmetric(a, b, c, n, alpha, N)
+    _check_family_params(a, b, c)
+    base_phi = _family_phi(b, c, c)
     if (p is None) == (mu is None and lam is None):
         raise DomainError("provide exactly one of p or (mu, lam)")
     scale = a / math.factorial(n)
     if p is not None:
-        _, _, phi_p = unitary_parameters(p, lambda_u, alpha)
-        phi = lft_compose(base.phi, phi_p)
-        weight = transported_weight(scale, n, c, alpha, p, lambda_u)
+        g, _, phi_p = unitary_parameters(p, lambda_u, alpha)
+        phi = lft_compose(base_phi, phi_p)
+        weight = transported_weight(scale, n, c, alpha, lambda_u, g, phi_p)
         provenance = "wc-conjugated"
         extra = {"p": complex(p), "lambda_u": complex(lambda_u)}
     else:
@@ -488,7 +474,7 @@ def family_conjugated(
             raise DomainError("rotation case needs both mu and lam")
         if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
             raise DomainError("mu and lam must be unimodular")
-        phi = lft_compose(base.phi, rotation_map(lam))
+        phi = lft_compose(base_phi, rotation_map(lam))
         weight = _monomial_weight(mu * scale * lam**n, n, c * lam, n + alpha + 2)
         provenance = "rotation-conjugated"
         extra = {"mu": complex(mu), "lam": complex(lam)}

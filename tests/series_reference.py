@@ -6,7 +6,9 @@ transport multiplied the series of (1 - conj(p) z)^-(alpha+2) by that of
 (1 - conj(p) z)^(alpha+2) in floating point. ``reference_weight_series``
 rebuilds that series from a pair's parameters with
 ``symbols.rational_symbol_series``, for the tests that compare the closed
-form with it.
+form with it. It forms the unitary weight constant
+k = lambda_u (1 - |p|^2)^((alpha+2)/2) itself, so that it stays independent
+of ``symbols.unitary_parameters``.
 """
 
 import math
@@ -14,7 +16,13 @@ import math
 import numpy as np
 
 from cswcd.series import expand_rational_kernel, monomial, series_mul, series_scale
-from cswcd.symbols import IDENTITY_MAP, rational_symbol_series, rotation_map, unitary_parameters
+from cswcd.symbols import IDENTITY_MAP, LinearFractionalMap, rational_symbol_series, rotation_map
+
+
+def unitary_weight_series(p, lambda_u, alpha, N):
+    """k (1 - conj(p) z)^-(alpha+2) at order N, with k formed directly."""
+    k = lambda_u * (1 - abs(p) ** 2) ** ((alpha + 2) / 2)
+    return series_scale(expand_rational_kernel(alpha + 2, np.conj(p), N), k)
 
 
 def reference_weight_series(pair, N):
@@ -24,8 +32,7 @@ def reference_weight_series(pair, N):
     if pair.provenance == "normal-origin":
         return monomial(n, N, params["a"])
     if pair.provenance == "unitary-wc":
-        k, q, _ = unitary_parameters(params["p"], params["lambda_u"], params["alpha"])
-        return series_scale(expand_rational_kernel(params["alpha"] + 2, q, N), k)
+        return unitary_weight_series(params["p"], params["lambda_u"], params["alpha"], N)
     a, c, alpha = params["a"], params["c"], params["alpha"]
     scale, s = a / math.factorial(n), n + alpha + 2
     if pair.provenance in ("general", "self-adjoint"):
@@ -36,7 +43,8 @@ def reference_weight_series(pair, N):
         return rational_symbol_series(params["mu"] * scale, n, c, s,
                                       rotation_map(params["lam"]), N)
     if pair.provenance == "wc-conjugated":
-        k, q, phi_p = unitary_parameters(params["p"], params["lambda_u"], alpha)
-        return series_mul(series_scale(expand_rational_kernel(alpha + 2, q, N), k),
+        p, pbar = params["p"], np.conj(params["p"])
+        phi_p = LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
+        return series_mul(unitary_weight_series(p, params["lambda_u"], alpha, N),
                           rational_symbol_series(scale, n, c, s, phi_p, N))
     raise ValueError(f"no reference series for provenance {pair.provenance!r}")

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cswcd import symbols
 from cswcd.bergman import kernel, t_constant
 from cswcd.conjugations import KERNEL_POINTS
 from cswcd.errors import DomainError, SingularityError
@@ -247,6 +248,14 @@ class TestUnitarySymbols:
     def test_order_is_zero(self):
         assert unitary_symbols(0.2j, 1.0, 1.0, 8).n == 0
 
+    def test_gain_is_kept_in_logs(self):
+        # (1 - 0.99^2)^201 is about 1e-342, below the double range: the
+        # weight keeps P = lambda_u and the gain's logarithm instead
+        pair = unitary_symbols(0.99, 1j, 400.0, 32)
+        assert pair.weight.poly.tolist() == [1j]
+        assert pair.weight.log_gain == pytest.approx(201 * math.log(1 - 0.99**2))
+        assert math.exp(pair.weight.log_gain) == 0.0
+
     def test_rejections(self):
         with pytest.raises(DomainError):
             unitary_symbols(0.0, 1.0, 0.0, 8)
@@ -293,6 +302,22 @@ class TestFamilyConjugated:
         assert np.allclose(pair.psi.coeffs, base.psi.coeffs * signs)
         for z in DISK_POINTS:
             assert lft_eval(pair.phi, z) == pytest.approx(lft_eval(base.phi, -z))
+
+    def test_transport_makes_one_pair_and_one_unitary_call(self, monkeypatch):
+        made, calls = [], []
+
+        def counted(real, log):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(symbols, "SymbolPair", counted(SymbolPair, made))
+        monkeypatch.setattr(symbols, "unitary_parameters",
+                            counted(symbols.unitary_parameters, calls))
+        pair = family_conjugated(1.0, 0.3, 0.2 + 0.1j, 2, 0.5, 16, p=0.3 - 0.2j)
+        assert pair.provenance == "wc-conjugated"
+        assert len(made) == 1 and len(calls) == 1
 
     def test_mode_selection(self):
         with pytest.raises(DomainError):

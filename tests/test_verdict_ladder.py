@@ -18,11 +18,19 @@ The marks are ``xfail(strict=True)``: a case that starts to pass fails the
 suite, so whoever mends it removes its mark.
 
 Where a closed form underflows, the check claims nothing: at alpha 400 and
-p 0.99 the wc-J weight constant k = lambda_u (1 - |p|^2)^((alpha+2)/2) is 0,
-so the kernel forms give NaN, and the report is ``unverified`` with a null
-defect (exit 3). Those cells used to pass on the one finite identity
-(``conjugation-axioms``) or crash with exit 4 (``C-symmetry``). Forms scaled
-so that they do not underflow would make them pass.
+p 0.99 the wc-J conjugation's weight constant
+k = lambda_u (1 - |p|^2)^((alpha+2)/2) is 0, so the kernel forms give NaN,
+and the report is ``unverified`` with a null defect (exit 3). Those cells
+used to pass on the one finite identity (``conjugation-axioms``) or crash
+with exit 4 (``C-symmetry``). Forms scaled so that they do not underflow
+would make them pass. The ``unitary`` pair at the same p and alpha keeps
+that constant as a logarithmic gain, so it is no longer refused as
+identically zero (exit 2); its checks run on values close to the double
+underflow threshold.
+
+``necessary-conditions`` reads the weight's closed form, so at large alpha
+it no longer sees a false zero in a summed Taylor series of psi (``fail``,
+exit 1) or a series that overflowed (exit 4).
 """
 
 import json
@@ -38,6 +46,9 @@ UNITARY = {"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}
 SELF_ADJOINT = {"family": "self-adjoint", "a": 1.0, "b": 0.4, "c": [0.3, 0.2]}
 GENERAL = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
 J_SYMMETRIC = {"family": "j-symmetric", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
+J_SYMMETRIC_FLAT = {"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": 0.3}
+J_SYMMETRIC_STEEP = {"family": "j-symmetric", "a": 1.0, "b": 0.1, "c": 0.45}
+UNITARY_EDGE = {"family": "unitary", "p": 0.99}
 
 # (symbols, check, [(alpha, N), ...], open) per row of the table; n is 1
 # throughout. An open row's cells are strict xfails. The comments give the
@@ -59,6 +70,14 @@ ROWS = (
     (GENERAL, "adjoint-kernel", [(30, 48), (100, 96), (100, 400)], True),
     # fail 6.3e-2, 2.5e-3 and 1.5e-6; a pass from N 24 on
     (J_SYMMETRIC, "adjoint-kernel", [(0.5, 4), (0.5, 8), (0.5, 16)], True),
+    # pass 1.8e-66 for both checks, on values near the underflow threshold;
+    # were exit 2, the weight refused as identically zero
+    (UNITARY_EDGE, "J-symmetry", [(400, 32)], False),
+    (UNITARY_EDGE, "C-symmetry", [(400, 32)], False),
+    # pass; were fail with weight_nonvanishing, and at alpha 1500, N 1000
+    # ValueError, exit 4
+    (J_SYMMETRIC_FLAT, "necessary-conditions", [(100, 192), (400, 1000)], False),
+    (J_SYMMETRIC_STEEP, "necessary-conditions", [(1500, 400), (1500, 1000)], False),
 )
 
 OPEN = pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -113,7 +132,6 @@ def test_underflowed_weight_is_unverified(check, tmp_path):
 # JSON refuses (exit 4). N is 32.
 ROTATION = {"family": "rotation-conjugated", "a": 1.0, "b": 0.3, "c": 0.15, "mu": 1.0,
             "lam": [0.0, 1.0]}
-UNITARY_EDGE = {"family": "unitary", "p": 0.99}
 GRID_ROWS = (
     (GENERAL, "nevanlinna-grid"),
     (SELF_ADJOINT, "nevanlinna-grid"),
@@ -121,16 +139,8 @@ GRID_ROWS = (
     (ROTATION, "nevanlinna-grid"),
     (UNITARY_EDGE, "boundedness-grid"),
 )
-# the unitary weight constant k = lambda_u (1 - |p|^2)^((alpha+2)/2) is 0
-# there, and the pair is refused as malformed (exit 2) before any check runs
-K_UNDERFLOW = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                reason="the unitary weight constant underflows: exit 2")
 GRID_CELLS = [
-    pytest.param(
-        symbols, check, alpha,
-        id=f"{symbols['family']}-{check}-alpha{alpha}",
-        marks=[K_UNDERFLOW] if symbols is UNITARY_EDGE and alpha > 200 else [],
-    )
+    pytest.param(symbols, check, alpha, id=f"{symbols['family']}-{check}-alpha{alpha}")
     for symbols, check in GRID_ROWS
     for alpha in (200, 400, 600)
 ]
