@@ -6,15 +6,19 @@ Subcommands:
     grid <config.json> --out DIR              write grid CSVs per check
     export-matrix <config.json> --out FILE    dump the operator matrix
 
-Exit codes: 0 all pass, 1 any check failure, 2 configuration error,
-3 everything unverified (boundedness gates refused every check), 4 internal
-error (traceback on stderr). A sweep needs --draws >= 1 and applies the same
-rule to its status counts summed over draws and checks.
+Exit codes: 0 all pass, 1 any check failure, 2 configuration error
+(``{error, path}`` on stderr: an invalid argument or config, a non-finite
+number anywhere in the config, a config that cannot be read or is not UTF-8
+at ``$``, and a report, sidecar, grid or matrix that cannot be written at
+its flag), 3 everything unverified (boundedness gates refused every check),
+4 internal error (traceback on stderr). A sweep needs --draws >= 1 and
+applies the same rule to its status counts summed over draws and checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -52,14 +56,28 @@ def _load_config(path: str, require_concrete: bool = True) -> RunConfig:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("$", f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError("$", f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("$", f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}")
     return parse_config(doc, require_concrete=require_concrete)
 
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _writing(flag: str, path):
+    """A failed write of the file or directory that flag names is a ConfigError there."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, out: str | None, flag: str = "--out"):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(flag, out):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -78,9 +96,7 @@ def _cmd_check(args) -> int:
     reports = run(config)
     _emit(canonical_json(check_report_document(config, reports)), args.out)
     if args.timings:
-        Path(args.timings).write_text(
-            canonical_json(timing_sidecar(reports)), encoding="utf-8"
-        )
+        _emit(canonical_json(timing_sidecar(reports)), args.timings, "--timings")
     return _exit_code(Counter(r.status for r in reports))
 
 
@@ -103,7 +119,8 @@ def _cmd_grid(args) -> int:
     if not grid_checks:
         raise ConfigError("checks", "no grid checks configured")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing("--out", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     counts = Counter()
     for name in grid_checks:
         report = grid_report(config, name)
@@ -111,7 +128,8 @@ def _cmd_grid(args) -> int:
             sys.stderr.write(f"unverified: {name}: non-finite samples\n")
             counts["unverified"] += 1
             continue
-        export_grid_csv(report, out_dir / f"{name}.csv")
+        with _writing("--out", out_dir):
+            export_grid_csv(report, out_dir / f"{name}.csv")
         counts["pass"] += 1
     return _exit_code(counts)
 
@@ -123,11 +141,14 @@ def _cmd_export_matrix(args) -> int:
     except UnboundedSymbolError as exc:
         sys.stderr.write(f"unverified: {exc}\n")
         return EXIT_UNVERIFIED
-    export_matrix_csv(matrix, args.out)
+    with _writing("--out", args.out):
+        export_matrix_csv(matrix, args.out)
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The top-level parser; ``commands``, if given, receives each
+    subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="cswcd",
         description="Checks for weighted composition-differentiation operators "
@@ -159,18 +180,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", required=True, help="output CSV path")
     p_export.set_defaults(func=_cmd_export_matrix)
 
+    if commands is not None:
+        commands.update({"check": p_check, "sweep": p_sweep, "grid": p_grid,
+                         "export-matrix": p_export})
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and kept for the process:
-    building it costs more than most checks."""
-    return build_parser()
+def _parsers() -> tuple:
+    """The parser and its subcommands' parsers by name, built on the first
+    ``main`` call and kept for the process: building them costs more than
+    most checks."""
+    commands = {}
+    return build_parser(commands), commands
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass where it can.
+
+    The top-level parser would parse the arguments twice: once itself and
+    once in the subcommand's parser, which its subparsers action calls. So
+    the named subcommand's parser reads them alone, into a namespace that
+    already holds ``command``. When ``argv[0]`` names no subcommand, or the
+    subcommand leaves arguments it does not know, the top-level parser runs
+    instead, so every usage line, error text and exit code is its own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, unknown = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not unknown:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -51,7 +51,12 @@ COMPANION_ROUNDING = 64
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Entries M[i][j] = <T e_j, e_i> of a truncated operator matrix."""
+    """Entries M[i][j] = <T e_j, e_i> of a truncated operator matrix.
+
+    The entries are a read-only complex array that no caller can write: a
+    complex array that owns its data and is read-only already (as ``_build``
+    returns) is kept as it is, and anything else is copied.
+    """
 
     entries: np.ndarray
     space: SpaceParams
@@ -62,8 +67,9 @@ class OperatorMatrix:
             raise ValueError("entries must be a square matrix")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -116,8 +122,9 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     products and their sum go through the two scratch vectors, and the
     quotient by d is written straight into the diagonal. The coefficients
     are 0-d arrays, so no ufunc call converts a Python complex. A fresh copy
-    of the matrix rows is then scaled, columns n..N, and returned; the
-    buffer stays with the cache.
+    of the matrix rows is then scaled, columns n..N, and returned read-only,
+    so ``OperatorMatrix`` keeps it without a second copy; the buffer stays
+    with the cache.
     """
     N = space.N
     if psi.order != N:
@@ -139,6 +146,7 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     broot = np.sqrt(beta_sq_vector(N, space.alpha))
     M[:, n:] *= falling_factorial(np.arange(n, N + 1), n) / broot[n:]
     M[:, n:] *= broot[:, None]
+    M.flags.writeable = False
     return M
 
 

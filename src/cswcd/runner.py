@@ -116,6 +116,11 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     @cached_property
+    def sha256(self) -> str:
+        """The report header's hash of ``raw``, made in ``parse_config``."""
+        return config_hash(self.raw)
+
+    @cached_property
     def pair(self) -> SymbolPair:
         return make_pair(self.symbols, self.space)
 
@@ -228,6 +233,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     probe pair. The probe is the config's own ``pair``, which ``run`` then
     reuses. An explicit conjugation descriptor is made as the config's own
     ``conjugation``, so its constructor's preconditions surface here too.
+    The report header's hash (``sha256``) is made last, so a non-finite
+    number in a field that no check reads is a ConfigError at its path.
     """
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
@@ -323,6 +330,13 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         raise ConfigError(
             "symbols.family", f"family {symbols['family']!r} cannot be swept"
         )
+    # a non-finite number in a field that nothing reads would otherwise
+    # refuse the hash only in the report header, after every check had run
+    try:
+        config.sha256
+    except ValueError as exc:
+        raise ConfigError(_non_finite_path(doc, "") or "$",
+                          "expected a finite number; JSON has no NaN or infinity") from exc
     return config
 
 
@@ -817,14 +831,83 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(obj) -> str:
-    """Sorted, indented JSON; a non-finite number raises, since JSON has none."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
-                      allow_nan=False) + "\n"
+    """Sorted JSON indented by two spaces and ending in a newline: byte for
+    byte the text of ``json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": "), allow_nan=False) + "\\n"``. Like that call, it
+    raises ValueError on a non-finite number, since JSON has none, and
+    TypeError on a type that JSON has no form for.
+
+    It does not call ``json.dumps``: with an indent, ``json`` skips its C
+    encoder and runs its pure-Python generator, which yields each value,
+    separator and indent as its own string; on the pinned reports that takes
+    about 1.5 times as long as this writer. Every call encodes two documents,
+    its config for the hash and its report.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The canonical text of obj whose enclosing lines start with newline."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
+            + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = _json_text(key, inner)
+            items.append(_escape(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def _non_finite_path(obj, path: str) -> str | None:
+    """The path, as ConfigError spells it, of the first non-finite number in
+    obj in canonical key order; None if every number is finite."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}" if path else str(key), value)
+                    for key, value in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for child_path, value in children:
+        found = _non_finite_path(value, child_path)
+        if found is not None:
+            return found
+    return None
 
 
 def report_header(config: RunConfig, mode: str, **extra) -> dict:
@@ -832,7 +915,7 @@ def report_header(config: RunConfig, mode: str, **extra) -> dict:
         "artifact": "cswcd",
         "version": __version__,
         "mode": mode,
-        "config_sha256": config_hash(config.raw),
+        "config_sha256": config.sha256,
         "seed": config.seed,
     }
     header.update(extra)

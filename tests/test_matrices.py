@@ -412,6 +412,41 @@ class TestWeightedComposition:
             assert np.max(np.abs(gram - np.eye(keep))) <= 1e-8
 
 
+class TestEntriesOwnership:
+    """``OperatorMatrix`` keeps a build's read-only array without a second
+    copy and copies every array that a caller could still write."""
+
+    def test_build_is_kept_read_only_and_apart_from_the_workspace(self):
+        space = SpaceParams(0.5, 1, 48)
+        pair = family_general(1.0 - 0.5j, 0.3 + 0.2j, 0.2 - 0.1j, 1, 0.5, 48)
+        built = _build(pair.psi, pair.phi, 1, space)
+        assert not built.flags.writeable and built.flags.owndata
+        workspace, _ = _workspace(48, 1)
+        assert not np.shares_memory(built, workspace)
+        assert OperatorMatrix(built, space).entries is built
+        M = build_wcd_matrix(pair, space)
+        assert not np.shares_memory(M.entries, workspace)
+        assert_bit_equal(M.entries, built)
+
+    def test_a_writeable_array_is_copied(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+        kept = A.copy()
+        M = OperatorMatrix(A, SPACE)
+        A[3, 4] = 99.0
+        A[:] *= 2
+        assert np.array_equal(M.entries, kept) and not M.entries.flags.writeable
+
+    def test_a_read_only_view_is_copied(self):
+        # a view does not own its data: its base stays writeable for the caller
+        base = np.eye(26, dtype=complex)
+        view = base[:25, :25]
+        view.flags.writeable = False
+        M = OperatorMatrix(view, SPACE)
+        base[0, 0] = 5.0
+        assert M.entries[0, 0] == 1.0
+
+
 class TestAdjoint:
     def test_hermitian_fixed(self):
         H = np.eye(25) * 2.0

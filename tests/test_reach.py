@@ -2,9 +2,10 @@
 UNREACHED.
 
 A fresh interpreter runs every pinned case (``pinned_reports.cases()``), one
-``grid``, one ``export-matrix``, one ``check --timings`` and one config
-error through ``cswcd.cli.main``, with ``sys.setprofile`` recording each
-function of ``src/cswcd`` that is called. A fresh process keeps the
+``grid``, one ``export-matrix``, one ``check --timings`` and two config
+errors (an unknown check, a non-finite number) through ``cswcd.cli.main``,
+with ``sys.setprofile`` recording each function of ``src/cswcd`` that is
+called. A fresh process keeps the
 ``lru_cache`` tables that other tests have filled from hiding a call. The
 functions that an ``ast`` walk of the package defines and that were never
 called must be exactly UNREACHED: the references that
@@ -65,6 +66,7 @@ EXTRA_RUNS = (
     ("check", {**J_SYMMETRIC, "checks": ["J-symmetry"]},
      ["--out", "{tmp}/report.json", "--timings", "{tmp}/timings.json"], 0),
     ("check", {**J_SYMMETRIC, "checks": ["no-such-check"]}, [], 2),
+    ("check", {**J_SYMMETRIC, "checks": ["J-symmetry"], "note": float("nan")}, [], 2),
 )
 
 

@@ -1,5 +1,6 @@
 """Tests for config parsing, the check registry, sweeps and the CLI."""
 
+import argparse
 import json
 import math
 import os
@@ -11,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cswcd import diagnostics, matrices, runner, series
+from cswcd import cli, diagnostics, matrices, runner, series
 from cswcd import symbols as symbols_module
 from cswcd.bergman import SpaceParams
-from cswcd.cli import _exit_code, main
+from cswcd.cli import _exit_code, build_parser, main
 from cswcd.errors import ConfigError, UnboundedSymbolError
 from cswcd.rng import SplitMix64
 from cswcd.runner import (
@@ -1074,3 +1075,170 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(name, tmp_path):
                         "--seed", "3", "--out", str(out)], env=env, check=True, timeout=120)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def outcome(call, capsys):
+    """(exit code, stdout, stderr) of call(), whether it returns or exits."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    """``main`` parses with the named subcommand's parser alone, and falls back
+    to the top-level parser for everything that parser would say itself."""
+
+    ARGVS = ([], ["-h"], ["frob"], ["check"], ["check", "-h"], ["check", "{cfg}", "--bogus"],
+             ["sweep", "{cfg}"], ["sweep", "{cfg}", "--draws", "x"],
+             ["sweep", "{cfg}", "--draws", "1", "--timings", "t"])
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_exit_and_output_as_the_full_parser(self, argv, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with())
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        ours = outcome(lambda: main(argv), capsys)
+        theirs = outcome(lambda: build_parser().parse_args(argv), capsys)
+        assert ours == theirs
+        assert ours[0] == (0 if "-h" in argv else 2)
+
+    def test_unknown_argument_prints_the_top_level_usage(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with())
+        code, _, err = outcome(lambda: main(["check", cfg, "--bogus"]), capsys)
+        assert code == 2
+        assert err.startswith("usage: cswcd [-h]")
+        assert "unrecognized arguments: --bogus" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "c.json"], ["check", "c.json", "--out", "r.json", "--timings", "t.json"],
+        ["sweep", "c.json", "--draws", "3"], ["sweep", "--seed", "7", "c.json", "--draws=2"],
+        ["grid", "c.json", "--out", "d"], ["export-matrix", "c.json", "--out", "m.csv"],
+    ])
+    def test_same_namespace_as_the_full_parser(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_one_argparse_pass_per_call(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, config_with())
+        main(["check", cfg, "--out", str(tmp_path / "warm.json")])
+        passes = []
+        inner = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return inner(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert main(["check", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert passes == ["cswcd check"]
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+class TestNonFiniteConfig:
+    """A non-finite number anywhere in a config is a configuration error at its
+    path, before any check or draw runs."""
+
+    def write(self, tmp_path, doc, literal):
+        # json.dumps cannot spell 1e400, so the number goes in as text
+        text = json.dumps(doc).replace('"@"', literal)
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(runner, "run", refuse)
+        monkeypatch.setattr(cli, "run", refuse)
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    @pytest.mark.parametrize("where, path", [("space", "space.note"), ("top", "note")])
+    def test_check(self, tmp_path, capsys, no_run, literal, where, path):
+        doc = config_with()
+        (doc["space"] if where == "space" else doc)["note"] = "@"
+        code, out, err = outcome(lambda: main(["check", self.write(tmp_path, doc, literal)]),
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == path
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_sweep(self, tmp_path, capsys, no_run, literal):
+        doc = config_with(space={"alpha": 0.0, "n": 1, "N": 32, "note": "@"},
+                          symbols={"family": "general"}, checks=["normality-predicate"])
+        argv = ["sweep", self.write(tmp_path, doc, literal), "--draws", "2000"]
+        code, out, err = outcome(lambda: main(argv), capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["path"] == "space.note"
+
+    def test_first_non_finite_in_key_order_is_named(self):
+        doc = config_with(zeta=math.nan, notes=[1.0, {"x": [0.5, -math.inf]}, math.nan])
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == "notes[1].x[1]"
+
+    def test_header_reads_the_hash_made_at_parse(self):
+        config = parse_config(config_with())
+        assert config.sha256 == runner.config_hash(config.raw)
+        header = check_report_document(config, [])["header"]
+        assert header["config_sha256"] == config.sha256
+
+
+class TestFileErrors:
+    """A config that cannot be read, and an output that cannot be written, are
+    configuration errors at ``$`` or at the output's flag: exit 2 with
+    ``{error, path}``, never a traceback."""
+
+    def run_main(self, argv, capsys):
+        code, out, err = outcome(lambda: main(argv), capsys)
+        assert code == 2, err
+        error = json.loads(err)
+        assert set(error) == {"error", "path"}
+        return out, error["path"]
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert self.run_main(["check", str(tmp_path)], capsys) == ("", "$")
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"note": "\xff\xfe"}')
+        assert self.run_main(["check", str(path)], capsys) == ("", "$")
+        assert self.run_main(["sweep", str(path), "--draws", "1"], capsys) == ("", "$")
+
+    def test_check_out_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with())
+        out = str(tmp_path / "missing" / "report.json")
+        assert self.run_main(["check", cfg, "--out", out], capsys) == ("", "--out")
+
+    def test_check_timings_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with())
+        argv = ["check", cfg, "--out", str(tmp_path / "report.json"),
+                "--timings", str(tmp_path / "missing" / "timings.json")]
+        assert self.run_main(argv, capsys) == ("", "--timings")
+
+    def test_sweep_out_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with(symbols={"family": "j-symmetric"}))
+        argv = ["sweep", cfg, "--draws", "1", "--out", str(tmp_path / "missing" / "r.json")]
+        assert self.run_main(argv, capsys) == ("", "--out")
+
+    def test_grid_out_under_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with(checks=["boundedness-grid"]))
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["grid", cfg, "--out", str(blocker / "grids")]
+        assert self.run_main(argv, capsys) == ("", "--out")
+
+    def test_export_matrix_out_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with(checks=[]))
+        argv = ["export-matrix", cfg, "--out", str(tmp_path / "missing" / "m.csv")]
+        assert self.run_main(argv, capsys) == ("", "--out")
