@@ -52,8 +52,11 @@ EXIT_INTERNAL = 4
 
 
 def _load_config(path: str, require_concrete: bool = True) -> RunConfig:
+    # the config is read, and reports are written, as bytes: pathlib and the
+    # text layer cost each call about as much as the file operations
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         raise ConfigError("$", f"config file not found: {path}")
     except OSError as exc:
@@ -76,8 +79,8 @@ def _writing(flag: str, path):
 
 def _emit(text: str, out: str | None, flag: str = "--out"):
     if out:
-        with _writing(flag, out):
-            Path(out).write_text(text, encoding="utf-8")
+        with _writing(flag, out), open(out, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

@@ -117,8 +117,9 @@ class RunConfig:
 
     @cached_property
     def sha256(self) -> str:
-        """The report header's hash of ``raw``, made in ``parse_config``."""
-        return config_hash(self.raw)
+        """The report header's hash of ``canonical_json(raw)``, made in
+        ``parse_config``."""
+        return hashlib.sha256(canonical_json(self.raw).encode("utf-8")).hexdigest()
 
     @cached_property
     def pair(self) -> SymbolPair:
@@ -885,10 +886,6 @@ def _json_text(obj, newline: str) -> str:
             items.append(_escape(key) + ": " + _json_text(value, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def config_hash(doc: dict) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
 def _non_finite_path(obj, path: str) -> str | None:

@@ -1,6 +1,7 @@
 """Tests for config parsing, the check registry, sweeps and the CLI."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -1189,7 +1190,7 @@ class TestNonFiniteConfig:
 
     def test_header_reads_the_hash_made_at_parse(self):
         config = parse_config(config_with())
-        assert config.sha256 == runner.config_hash(config.raw)
+        assert config.sha256 == hashlib.sha256(canonical_json(config.raw).encode()).hexdigest()
         header = check_report_document(config, [])["header"]
         assert header["config_sha256"] == config.sha256
 
