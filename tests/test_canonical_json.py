@@ -44,7 +44,8 @@ SWEEP_DOC = {
 
 def documents():
     """Every pinned fixture, a check and a sweep document, and a ConfigError's."""
-    docs = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.json"))]
+    docs = [json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(FIXTURES.glob("*.json"))]
     config = parse_config(CHECK_DOC)
     docs.append(check_report_document(config, run(config)))
     config = parse_config(SWEEP_DOC, require_concrete=False)
@@ -86,7 +87,7 @@ VALUES = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(VALUES)
 def test_matches_json_dumps(value):
     assert canonical_json(value) == reference(value)
