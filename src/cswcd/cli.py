@@ -10,8 +10,9 @@ Exit codes: 0 all pass, 1 any check failure, 2 configuration error
 (``{error, path}`` on stderr: an invalid argument or config, a non-finite
 number anywhere in the config, a config that cannot be read or is not UTF-8
 at ``$``, and a report, sidecar, grid or matrix that cannot be written at
-its flag), 3 everything unverified (boundedness gates refused every check),
-4 internal error (traceback on stderr). A sweep needs --draws >= 1 and
+its flag), 3 everything unverified (boundedness gates refused every check,
+or a closed form, series or matrix overflowed; ``export-matrix`` writes
+``unverified: ...`` on stderr), 4 internal error (traceback on stderr). A sweep needs --draws >= 1 and
 applies the same rule to its status counts summed over draws and checks.
 """
 
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import export_grid_csv
-from .errors import ConfigError, UnboundedSymbolError
+from .errors import ConfigError, NonFiniteError, UnboundedSymbolError
 from .matrices import export_matrix_csv
 from .runner import (
     GRID_CHECKS,
@@ -140,8 +141,10 @@ def _cmd_grid(args) -> int:
 def _cmd_export_matrix(args) -> int:
     config = _load_config(args.config)
     try:
-        matrix = config.matrix
-    except UnboundedSymbolError as exc:
+        # an overflow is refused as a matrix that is not finite, not warned about
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            matrix = config.matrix
+    except (UnboundedSymbolError, NonFiniteError) as exc:
         sys.stderr.write(f"unverified: {exc}\n")
         return EXIT_UNVERIFIED
     with _writing("--out", args.out):

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,8 @@ EXTENSION_SLACK = 48       # terms of the extended truncation beyond the mass sp
 # fixed points u of the kernel forms, |u| <= 0.45
 KERNEL_POINTS = (0.45, 0.32j, -0.38 + 0.12j, 0.21 - 0.36j, -0.17 - 0.29j, 0.08 + 0.41j,
                  -0.44, 0.27 + 0.18j)
+_U = np.array(KERNEL_POINTS, dtype=complex)     # the same points, read-only, made once
+_U.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,10 @@ class AntilinearConjugation:
     the coefficients, then apply the weighted composition U of (psi_C, phi_C).
 
     ``weight`` is (k, q) with psi_C(u) = k (1 - q u)^-(alpha+2) and ``phi``
-    is phi_C.
+    is phi_C. What the kernel forms read of it, phi_C and psi_C at
+    KERNEL_POINTS and the inverse map, is made the first time it is asked
+    for and kept with the conjugation; ``dataclasses.replace`` gives a new
+    conjugation that makes its own.
     """
 
     weight: tuple[complex, complex]
@@ -103,6 +109,26 @@ class AntilinearConjugation:
         the matrix references scale coefficients instead of building U."""
         phi = self.phi
         return self.weight[1] == 0 and phi.b == 0 and phi.c == 0
+
+    @cached_property
+    def inverse(self) -> LinearFractionalMap:
+        """phi_C^-1, read by ``kernel_image``."""
+        return lft_inverse(self.phi)
+
+    @cached_property
+    def phi_u(self) -> np.ndarray:
+        """phi_C(u) at u = KERNEL_POINTS, read-only."""
+        return _read_only(_lft_values(self.phi, _U))
+
+    @cached_property
+    def weight_u(self) -> np.ndarray:
+        """psi_C(u) at u = KERNEL_POINTS, read-only."""
+        return _read_only(conjugation_weight(self, _U))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def make_J(alpha: float) -> AntilinearConjugation:
@@ -233,7 +259,7 @@ def conjugation_weight(C: AntilinearConjugation, u: np.ndarray) -> np.ndarray:
 def kernel_image(C: AntilinearConjugation, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_z, v_z) with C K_z = c_z K_(v_z): v_z = phi_C^-1(conj z) and
     c_z = 1 / conj(psi_C(v_z))."""
-    v = _lft_values(lft_inverse(C.phi), np.conj(z))
+    v = _lft_values(C.inverse, np.conj(z))
     return 1 / np.conj(conjugation_weight(C, v)), v
 
 
@@ -242,7 +268,7 @@ def kernel_weight_values(pair: SymbolPair) -> np.ndarray:
     pair that passes ``operator_gate``: the weight values every kernel form
     reads. No series is built."""
     operator_gate(pair)
-    return pair.weight.values(np.array(KERNEL_POINTS, dtype=complex))
+    return pair.weight.values(_U)
 
 
 def _operator_on_kernels(phi: LinearFractionalMap, n: int, alpha: float, w_bar: np.ndarray,
@@ -250,10 +276,9 @@ def _operator_on_kernels(phi: LinearFractionalMap, n: int, alpha: float, w_bar: 
     """(T K_(w_i))(u_j) = psi(u_j) (alpha+2)_n conj(w_i)^n
     (1 - conj(w_i) phi(u_j))^-(alpha+n+2) for u = KERNEL_POINTS and T the
     order-n operator of (psi, phi), given w_bar = conj(w) and psi_u = psi(u)."""
-    u = np.array(KERNEL_POINTS, dtype=complex)
     w_bar = w_bar[:, None]
     return (t_constant(alpha, n) * w_bar**n * psi_u
-            * (1 - w_bar * _lft_values(phi, u)) ** -(alpha + n + 2))
+            * (1 - w_bar * _lft_values(phi, _U)) ** -(alpha + n + 2))
 
 
 def _relative_asymmetry(A: np.ndarray, A_swapped: np.ndarray) -> float:
@@ -272,9 +297,7 @@ def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
     (1 - phi_C(u_i) phi(u_j))^-(alpha+n+2) / psi_C(u_j), with n the pair's
     order: every factor is a closed form or a weight value at |u| <= 0.45.
     """
-    u = np.array(KERNEL_POINTS, dtype=complex)
-    ratio = psi_u / conjugation_weight(C, u)
-    return _operator_on_kernels(pair.phi, pair.n, C.alpha, _lft_values(C.phi, u), ratio)
+    return _operator_on_kernels(pair.phi, pair.n, C.alpha, C.phi_u, psi_u / C.weight_u)
 
 
 def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation,
@@ -293,8 +316,7 @@ def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> 
     """A[i, j] = <T K_(u_i), K_(u_j)> = (T K_(u_i))(u_j) =
     psi(u_j) (alpha+2)_n conj(u_i)^n (1 - conj(u_i) phi(u_j))^-(alpha+n+2)
     for u = KERNEL_POINTS, given psi_u = psi(u)."""
-    u = np.array(KERNEL_POINTS, dtype=complex)
-    return _operator_on_kernels(pair.phi, pair.n, alpha, np.conj(u), psi_u)
+    return _operator_on_kernels(pair.phi, pair.n, alpha, np.conj(_U), psi_u)
 
 
 def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> float:
@@ -315,9 +337,8 @@ def companion_weights(phi: LinearFractionalMap, n: int, alpha: float
     of phi (``cowen_adjoint_pair``), from their closed forms: the order-n
     kernels at sigma(0) and at phi(0),
     psi(u) = (alpha+2)_n u^n (1 - conj(w) u)^-(alpha+n+2)."""
-    u = np.array(KERNEL_POINTS, dtype=complex)
     w_bar = np.conj([lft_eval(sigma_companion(phi), 0.0), lft_eval(phi, 0.0)])[:, None]
-    psi_a, psi_b = t_constant(alpha, n) * u**n * (1 - w_bar * u) ** -(alpha + n + 2)
+    psi_a, psi_b = t_constant(alpha, n) * _U**n * (1 - w_bar * _U) ** -(alpha + n + 2)
     return psi_a, psi_b
 
 
@@ -331,7 +352,7 @@ def kernel_companion_forms(phi: LinearFractionalMap, n: int, alpha: float
     <T_A K_(u_i), K_(u_j)> = <K_(u_i), T_B K_(u_j)>, that is A = B^H.
     """
     psi_a, psi_b = companion_weights(phi, n, alpha)
-    u_bar = np.conj(np.array(KERNEL_POINTS, dtype=complex))
+    u_bar = np.conj(_U)
     return (_operator_on_kernels(phi, n, alpha, u_bar, psi_a),
             _operator_on_kernels(sigma_companion(phi), n, alpha, u_bar, psi_b))
 
@@ -361,21 +382,22 @@ def kernel_axioms_defect(C: AntilinearConjugation) -> float:
     The last identity is checked pointwise, so the others do not assume
     that U is unitary. The same closed forms serve every kind; for plain-J
     and rotation-J, v_z is a rotation of z and c_z a unimodular constant.
+    The defects of all four identities go into one buffer, whose maximum,
+    unlike the builtin max, keeps a NaN: an underflowed weight must not
+    leave only the finite identities.
     """
-    u = np.array(KERNEL_POINTS, dtype=complex)
     s = C.alpha + 2
-    phi_C_u = _lft_values(C.phi, u)
+    phi_C_u = C.phi_u
     z = np.conj(phi_C_u)
     c, v = kernel_image(C, z)
     c_twice, v_twice = kernel_image(C, v)
-    image = conjugation_weight(C, u) * (1 - z[:, None] * phi_C_u) ** -s
-    expected = c[:, None] * (1 - np.conj(v)[:, None] * u) ** -s
-    defects = (
-        np.abs(v_twice - z),
-        np.abs(np.conj(c) * c_twice - 1),
-        np.abs(np.abs(c) ** 2 * ((1 - np.abs(z) ** 2) / (1 - np.abs(v) ** 2)) ** s - 1),
-        np.abs(image - expected) / np.abs(expected),
-    )
-    # np.max, unlike max, keeps a NaN identity: an underflowed weight must
-    # not leave only the finite ones
-    return float(np.max([d.max() for d in defects]))
+    image = C.weight_u * (1 - z[:, None] * phi_C_u) ** -s
+    expected = c[:, None] * (1 - np.conj(v)[:, None] * _U) ** -s
+    k = _U.size
+    defects = np.empty(3 * k + k * k)
+    np.abs(v_twice - z, out=defects[:k])
+    np.abs(np.conj(c) * c_twice - 1, out=defects[k:2 * k])
+    np.abs(np.abs(c) ** 2 * ((1 - np.abs(z) ** 2) / (1 - np.abs(v) ** 2)) ** s - 1,
+           out=defects[2 * k:3 * k])
+    np.divide(np.abs(image - expected), np.abs(expected), out=defects[3 * k:].reshape(k, k))
+    return float(defects.max())

@@ -17,6 +17,11 @@ class UnboundedSymbolError(ValueError):
     """A matrix build was refused because no boundedness gate admitted the symbols."""
 
 
+class NonFiniteError(ValueError):
+    """A series or a matrix came out with a value that is not finite: a closed
+    form overflowed, from inputs that are finite."""
+
+
 class ConfigError(ValueError):
     """A run configuration failed validation.
 

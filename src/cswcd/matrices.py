@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, kernel_table
-from .errors import TruncationMismatchError, UnboundedSymbolError
+from .errors import NonFiniteError, TruncationMismatchError, UnboundedSymbolError
 from .series import TruncatedSeries, series_values
 from .symbols import (
     LinearFractionalMap,
@@ -55,7 +55,8 @@ class OperatorMatrix:
 
     The entries are a read-only complex array that no caller can write: a
     complex array that owns its data and is read-only already (as ``_build``
-    returns) is kept as it is, and anything else is copied.
+    returns) is kept as it is, and anything else is copied. A non-finite
+    entry is a ``NonFiniteError``.
     """
 
     entries: np.ndarray
@@ -66,7 +67,7 @@ class OperatorMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must be a square matrix")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+            raise NonFiniteError("matrix entries must be finite")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()
             arr.flags.writeable = False

@@ -55,7 +55,13 @@ from .diagnostics import (
     normality_gram,
     normality_gram_defect,
 )
-from .errors import ConfigError, DomainError, SingularityError, UnboundedSymbolError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NonFiniteError,
+    SingularityError,
+    UnboundedSymbolError,
+)
 from .matrices import OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, kernel_point_gate
 from .rng import SplitMix64
 from .series import polynomial
@@ -166,6 +172,13 @@ class CheckReport:
 
 
 def _complex_value(value, path: str) -> complex:
+    # the common case, a [re, im] pair of finite floats, read without a
+    # generator; anything else takes the checked path below
+    if type(value) is list and len(value) == 2:
+        re, im = value
+        if type(re) is float and type(im) is float and math.isfinite(re) \
+                and math.isfinite(im):
+            return complex(re, im)
     if isinstance(value, (int, float)):
         value = [value, 0.0]
     if not (
@@ -465,9 +478,8 @@ def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
     ``name``, else the default. ``measure(config)`` returns the defect, the
     default tolerance and the provenance. A defect that is not finite, where
     a closed form overflowed or underflowed, is 'unverified': it claims
-    nothing either way."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        defect, default_tol, provenance = measure(config)
+    nothing either way. Its floating-point warnings are silenced by ``run``."""
+    defect, default_tol, provenance = measure(config)
     tol = config.tolerances.get(name, default_tol)
     if not math.isfinite(defect):
         return CheckReport(name, "unverified", None, tol, f"non-finite-defect; {provenance}")
@@ -513,8 +525,7 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     A defect that is not finite is 'unverified', as in ``_check_tolerance``.
     """
     tol = config.tolerances.get(name, TOL_PREDICATE)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        defect = defect_of(config)
+    defect = defect_of(config)
     predicted = _predicted_normal(config.symbols)
     provenance = f"{name}; predicted={'normal' if predicted else 'nonnormal'}"
     if not math.isfinite(defect):
@@ -586,9 +597,10 @@ def grid_report(config: RunConfig, name: str) -> GridReport:
     function is looked up by its module binding when called. The order is
     the pair's, which is 0 for ``unitary``, not the space's n.
 
-    The grid's floating-point warnings are silenced, as in
-    ``_check_tolerance``: where a power of exponent alpha + 2 + 2n overflows
-    or underflows, a sample is not finite, and the caller refuses the grid.
+    The grid's floating-point warnings are silenced here, as ``run``
+    silences those of every check, since ``cswcd grid`` calls this outside
+    ``run``: where a power of exponent alpha + 2 + 2n overflows or
+    underflows, a sample is not finite, and the caller refuses the grid.
     """
     grid = boundedness_ratio_grid if name == "boundedness-grid" else nevanlinna_bound_grid
     pair = config.pair
@@ -644,17 +656,24 @@ def run(config: RunConfig) -> list[CheckReport]:
     config builds.
 
     Boundedness-gate refusals become 'unverified' reports; they signal that
-    the parameters left the certified region, not that a claim failed.
+    the parameters left the certified region, not that a claim failed. The
+    checks' floating-point warnings are silenced: where a closed form
+    overflows or underflows, its defect is not finite, and the check says
+    'unverified', as it does when a series or a matrix that it reads is not
+    finite (``NonFiniteError``).
     """
     reports = []
-    for name in config.checks:
-        start = time.perf_counter()
-        try:
-            report = CHECKS[name](config)
-        except UnboundedSymbolError as exc:
-            report = CheckReport(name, "unverified", None, None, f"gate-refusal; {exc}")
-        report.wall_time = time.perf_counter() - start
-        reports.append(report)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for name in config.checks:
+            start = time.perf_counter()
+            try:
+                report = CHECKS[name](config)
+            except UnboundedSymbolError as exc:
+                report = CheckReport(name, "unverified", None, None, f"gate-refusal; {exc}")
+            except NonFiniteError as exc:
+                report = CheckReport(name, "unverified", None, None, f"non-finite-defect; {exc}")
+            report.wall_time = time.perf_counter() - start
+            reports.append(report)
     return reports
 
 

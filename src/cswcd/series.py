@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import EVAL_EDGE
-from .errors import DomainError, TruncationMismatchError
+from .errors import DomainError, NonFiniteError, TruncationMismatchError
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class TruncatedSeries:
     """Coefficients c_0..c_N of an analytic function, truncated at order N.
 
     The invariant length == N+1 with finite entries is checked at
-    construction.
+    construction; a non-finite entry is a ``NonFiniteError``.
     """
 
     coeffs: np.ndarray
@@ -32,7 +32,7 @@ class TruncatedSeries:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite")
+            raise NonFiniteError("series coefficients must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)

@@ -20,6 +20,7 @@ import mpmath
 import pytest
 
 from cswcd.conjugations import KERNEL_POINTS
+from cswcd.diagnostics import GRAM_POINTS
 from pinned_reports import KIND_CONFIGS, THREAD_VARS, blas_record, cases, leaf_diffs
 
 HERE = Path(__file__).parent
@@ -146,3 +147,137 @@ def test_pinned_defect_matches_the_mpmath_oracle(name, kind, point, partner):
     with mpmath.workdps(40):
         exact = max_ratio_defect(oracle_form(kind, point), partner)
         assert abs(report["defect"] - exact) <= 1e-12 * exact, (name, report["defect"], exact)
+
+
+# The two defects of the normality Grams, from Taylor series in mpmath: the
+# coefficients of T K_w = psi (alpha+2)_n conj(w)^n (1 - conj(w) phi)^-(alpha+n+2)
+# come from series products of the family definitions, and those of
+# T* K_w = conj(psi(w)) K^[n]_phi(w) from the series of the derivative
+# kernel, sum_m m!/(m-n)! conj(u)^(m-n) z^m / beta_m^2; each inner product
+# pairs coefficients with beta_m^2 and is summed until its tail is below
+# SERIES_TAIL of the sum.
+SERIES_TAIL = mpmath.mpf("1e-45")
+
+
+def series_mul(f, g):
+    return [mpmath.fsum(f[k] * g[m - k] for k in range(m + 1)) for m in range(len(f))]
+
+
+def series_power(g, p):
+    """g^p for a series g with g[0] != 0, by the recurrence of J. C. P. Miller."""
+    h = [g[0] ** p]
+    for m in range(1, len(g)):
+        h.append(mpmath.fsum(((p + 1) * k - m) * g[k] * h[m - k] for k in range(1, m + 1))
+                 / (m * g[0]))
+    return h
+
+
+def series_quotient(num, den):
+    """num / den for den[0] != 0, by long division."""
+    out = []
+    for m in range(len(num)):
+        out.append((num[m] - mpmath.fsum(out[k] * den[m - k] for k in range(m))) / den[0])
+    return out
+
+
+def padded(coeffs, size):
+    return [mpmath.mpc(x) for x in coeffs[:size]] + [mpmath.mpc(0)] * (size - len(coeffs))
+
+
+def beta_sq(alpha, size):
+    out = [mpmath.mpf(1)]
+    for m in range(1, size):
+        out.append(out[-1] * m / (m + alpha + 1))
+    return out
+
+
+def gram_family(doc):
+    """(psi series of a size, phi series of a size, psi, phi, n, alpha) for a
+    general or explicit config, from the family definitions."""
+    n, alpha = doc["space"]["n"], mpmath.mpf(doc["space"]["alpha"])
+    symbols = doc["symbols"]
+    if symbols["family"] == "general":
+        # psi = a z^n / (n! (1 - conj(c) z)^(n+alpha+2)), phi = c + b z / (1 - conj(c) z)
+        a, b, c = (mp_complex(symbols[key]) for key in "abc")
+        s = n + alpha + 2
+
+        def psi_series(size):
+            power = series_power(padded([1, -mpmath.conj(c)], size), -s)
+            return [mpmath.mpc(0)] * n + [a / mpmath.factorial(n) * x for x in power[:size - n]]
+
+        def phi_series(size):
+            out = series_quotient(padded([0, b], size), padded([1, -mpmath.conj(c)], size))
+            return [out[0] + c] + out[1:]
+
+        return (psi_series, phi_series,
+                lambda z: a * z**n / (mpmath.factorial(n) * (1 - mpmath.conj(c) * z) ** s),
+                lambda z: c + b * z / (1 - mpmath.conj(c) * z), n, alpha)
+    psi_coeffs = [mp_complex(x) for x in symbols["psi"]]
+    pa, pb, pc, pd = (mp_complex(x) for x in symbols["phi"])
+    return (lambda size: padded(psi_coeffs, size),
+            lambda size: series_quotient(padded([pb, pa], size), padded([pd, pc], size)),
+            lambda z: mpmath.fsum(x * z**m for m, x in enumerate(psi_coeffs)),
+            lambda z: (pa * z + pb) / (pc * z + pd), n, alpha)
+
+
+def operator_on_kernel(family, w, size):
+    """The first size Taylor coefficients of T K_w."""
+    psi_series, phi_series, _, _, n, alpha = family
+    inner = [-mpmath.conj(w) * x for x in phi_series(size)]
+    inner[0] += 1
+    power = series_power(inner, -(alpha + n + 2))
+    scale = mpmath.rf(alpha + 2, n) * mpmath.conj(w) ** n
+    return [scale * x for x in series_mul(psi_series(size), power)]
+
+
+def adjoint_on_kernel(family, w, size):
+    """The first size Taylor coefficients of T* K_w = conj(psi(w)) K^[n]_phi(w)."""
+    _, _, psi, phi, n, alpha = family
+    u_bar, bsq = mpmath.conj(phi(w)), beta_sq(alpha, size)
+    return [mpmath.mpc(0)] * n + [
+        mpmath.conj(psi(w)) * mpmath.factorial(m) / mpmath.factorial(m - n)
+        * u_bar ** (m - n) / bsq[m] for m in range(n, size)]
+
+
+def oracle_grams(doc):
+    """(G_T, G_T*) at GRAM_POINTS, G[i][j] = <X K_(w_i), X K_(w_j)>, each
+    sum grown until its last quarter of terms is below SERIES_TAIL of it."""
+    family = gram_family(doc)
+    alpha = family[-1]
+    w = [mpmath.mpc(complex(z)) for z in GRAM_POINTS]
+    size = 64
+    while True:
+        bsq = beta_sq(alpha, size)
+        grams = []
+        for side in (operator_on_kernel, adjoint_on_kernel):
+            rows = [side(family, wi, size) for wi in w]
+            grams.append([[mpmath.fsum(x * mpmath.conj(y) * b for x, y, b in zip(f, g, bsq))
+                           for g in rows] for f in rows])
+            tail = max(mpmath.fsum(abs(x) ** 2 * b for x, b in zip(f[3 * size // 4:],
+                                                                   bsq[3 * size // 4:]))
+                       / mpmath.fsum(abs(x) ** 2 * b for x, b in zip(f, bsq)) for f in rows)
+            if tail > SERIES_TAIL:
+                break
+        else:
+            return grams
+        size *= 2
+
+
+def test_pinned_balance_and_normality_match_the_mpmath_oracle():
+    cases_by_name = {name: doc for name, doc, _ in cases()}
+    checks = {
+        # max over w of | ||T K_w||^2 / ||T* K_w||^2 - 1 |
+        "check-rotation-J-general-kernel-norm-balance":
+            lambda G_T, G_star: max(abs(G_T[i][i].real / G_star[i][i].real - 1)
+                                    for i in range(len(G_T))),
+        # max |G_T - G_T*| / max |G_T*|
+        "check-explicit-normality":
+            lambda G_T, G_star: max(abs(x - y) for r, s in zip(G_T, G_star)
+                                    for x, y in zip(r, s))
+            / max(abs(y) for s in G_star for y in s),
+    }
+    for name, defect in checks.items():
+        (report,) = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["reports"]
+        with mpmath.workdps(40):
+            exact = defect(*oracle_grams(cases_by_name[name]))
+            assert abs(report["defect"] - exact) <= 1e-12 * exact, (name, report["defect"], exact)
