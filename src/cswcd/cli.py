@@ -12,8 +12,9 @@ number anywhere in the config, a config that cannot be read or is not UTF-8
 at ``$``, and a report, sidecar, grid or matrix that cannot be written at
 its flag), 3 everything unverified (boundedness gates refused every check,
 or a closed form, series or matrix overflowed; ``export-matrix`` writes
-``unverified: ...`` on stderr), 4 internal error (traceback on stderr). A sweep needs --draws >= 1 and
-applies the same rule to its status counts summed over draws and checks.
+``unverified: ...`` on stderr), 4 internal error (traceback on stderr).
+A sweep needs --draws >= 1 and applies the same rule to its status counts
+summed over draws and checks.
 """
 
 from __future__ import annotations
