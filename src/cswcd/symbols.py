@@ -106,27 +106,29 @@ def sup_norm_lft(phi: LinearFractionalMap) -> float:
 
     Returns inf when the pole lies in the closed disk (unbounded signal).
 
-    A square of a coefficient past about 1.3e154, or of the center, can
-    overflow; the float power raises then, and numpy is told to raise. The
-    norm is then taken from a/d, b/d, c/d and 1, as the center plus the
-    radius |a/d - (b/d)(c/d)| / (1 - |c/d|^2), so that no two overflowed
-    squares are subtracted; what still overflows is inf, and so is a norm
-    that a/d or b/d, past the double range, leaves NaN.
+    A square of a coefficient or of the center past about 1.3e154
+    overflows, and so the float power raises; the squares of the
+    coefficients are taken before the center, so that no numpy product of
+    theirs overflows first. A denominator whose squares underflow to 0
+    raises too. The norm is then taken from a/d, b/d, c/d and 1, as the
+    center plus the radius |a/d - (b/d)(c/d)| / (1 - |c/d|^2), so that no
+    two overflowed squares are subtracted; what still overflows is inf, and
+    so is a norm that a/d or b/d, past the double range, leaves NaN.
     """
     if abs(phi.d) <= abs(phi.c):
         return math.inf
     try:
-        with np.errstate(over="raise"):
-            denom = abs(phi.d) ** 2 - abs(phi.c) ** 2
-            center = (np.conj(phi.d) * phi.b - phi.a * np.conj(phi.c)) / denom
-            rho_sq = abs(center) ** 2 - (abs(phi.b) ** 2 - abs(phi.a) ** 2) / denom
-    except (OverflowError, FloatingPointError):
+        denom = abs(phi.d) ** 2 - abs(phi.c) ** 2
+        spread = (abs(phi.b) ** 2 - abs(phi.a) ** 2) / denom
+        center = abs(complex((np.conj(phi.d) * phi.b - phi.a * np.conj(phi.c)) / denom))
+        rho_sq = center ** 2 - spread
+    except (OverflowError, ZeroDivisionError):
         a, b, c = (np.complex128(x / phi.d) for x in (phi.a, phi.b, phi.c))
         with np.errstate(over="ignore", invalid="ignore"):
             denom = 1.0 - abs(c) ** 2
             norm = float(abs((b - a * np.conj(c)) / denom) + abs(a - b * c) / denom)
         return math.inf if math.isnan(norm) else norm
-    return abs(complex(center)) + math.sqrt(max(rho_sq, 0.0))
+    return center + math.sqrt(max(rho_sq, 0.0))
 
 
 def require_pole_outside_disk(phi: LinearFractionalMap) -> None:
