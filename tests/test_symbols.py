@@ -124,6 +124,43 @@ class TestSupNorm:
     def test_pole_inside_disk_signals_inf(self):
         assert sup_norm_lft(LinearFractionalMap(1, 0, 1, 0.5)) == math.inf
 
+    @staticmethod
+    def image_circle_norm(phi):
+        """The norm's arithmetic before it caught overflows: the draw test
+        and the companion gate read its last bits."""
+        denom = abs(phi.d) ** 2 - abs(phi.c) ** 2
+        center = (np.conj(phi.d) * phi.b - phi.a * np.conj(phi.c)) / denom
+        rho_sq = abs(center) ** 2 - (abs(phi.b) ** 2 - abs(phi.a) ** 2) / denom
+        return abs(complex(center)) + math.sqrt(max(rho_sq, 0.0))
+
+    def test_finite_norms_keep_their_bits(self):
+        rng = np.random.default_rng(27)
+        for i in range(20000):
+            scale = 10.0 ** rng.uniform(-30, 30, 4) if i % 2 else np.ones(4)
+            phi = LinearFractionalMap(*((rng.normal(size=4) + 1j * rng.normal(size=4)) * scale))
+            if abs(phi.d) > abs(phi.c):
+                assert sup_norm_lft(phi).hex() == self.image_circle_norm(phi).hex()
+
+    @pytest.mark.parametrize("coeffs", [
+        (1e300, [0.2, 0.1], [-0.2, 0.1], 1.0),          # general with b 1e300
+        ([0.3, 1e300], [1e300, 0.1], [0.1, 0.02], 1.0),  # |a|^2 - |b|^2 overflows
+        (0.3, -1.0, 0.1, 1e300),                         # about 1e-300 on the disk
+        (1.0, 0.0, 0.0, 1e-300),                         # 1e300 z: d's square underflows
+        ([1e308, 1e308], 0.0, 0.0, 1e-300),              # past the double range
+    ])
+    def test_large_coefficients_match_mpmath(self, coeffs):
+        phi = LinearFractionalMap(*(complex(*x) if isinstance(x, list) else x for x in coeffs))
+        # the former arithmetic raises, or warns of an overflow or a 0 / 0
+        with pytest.raises((OverflowError, RuntimeWarning)):
+            self.image_circle_norm(phi)
+        with mpmath.workdps(40):
+            a, b, c, d = (mpmath.mpc(x) for x in (phi.a, phi.b, phi.c, phi.d))
+            denom = abs(d) ** 2 - abs(c) ** 2
+            exact = abs(mpmath.conj(d) * b - a * mpmath.conj(c)) / denom \
+                + abs(a * d - b * c) / denom
+            exact = float(exact) if exact < 1.7976931348623157e308 else math.inf
+        assert sup_norm_lft(phi) == pytest.approx(exact, rel=1e-12)
+
 
 class TestLftToSeries:
     def test_matches_pointwise(self):
