@@ -58,6 +58,7 @@ from .matrices import (
     companion_gate,
     frobenius_norm,
     operator_gate,
+    relative_defect,
 )
 from .series import (
     TruncatedSeries,
@@ -72,6 +73,7 @@ from .symbols import (
     SymbolPair,
     lft_eval,
     lft_inverse,
+    lft_values,
     rotation_map,
     sigma_companion,
     unitary_parameters,
@@ -118,7 +120,7 @@ class AntilinearConjugation:
     @cached_property
     def phi_u(self) -> np.ndarray:
         """phi_C(u) at u = KERNEL_POINTS, read-only."""
-        return _read_only(_lft_values(self.phi, _U))
+        return _read_only(lft_values(self.phi, _U))
 
     @cached_property
     def weight_u(self) -> np.ndarray:
@@ -245,11 +247,6 @@ def is_C_symmetric(M: OperatorMatrix, C: AntilinearConjugation) -> float:
     return num / den if den > 0 else num
 
 
-def _lft_values(phi: LinearFractionalMap, u: np.ndarray) -> np.ndarray:
-    """phi at each point of u; the points must avoid the pole."""
-    return (phi.a * u + phi.b) / (phi.c * u + phi.d)
-
-
 def conjugation_weight(C: AntilinearConjugation, u: np.ndarray) -> np.ndarray:
     """psi_C(u) = k (1 - q u)^-(alpha+2), from its closed form."""
     k, q = C.weight
@@ -259,7 +256,7 @@ def conjugation_weight(C: AntilinearConjugation, u: np.ndarray) -> np.ndarray:
 def kernel_image(C: AntilinearConjugation, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_z, v_z) with C K_z = c_z K_(v_z): v_z = phi_C^-1(conj z) and
     c_z = 1 / conj(psi_C(v_z))."""
-    v = _lft_values(C.inverse, np.conj(z))
+    v = lft_values(C.inverse, np.conj(z))
     return 1 / np.conj(conjugation_weight(C, v)), v
 
 
@@ -278,13 +275,7 @@ def _operator_on_kernels(phi: LinearFractionalMap, n: int, alpha: float, w_bar: 
     order-n operator of (psi, phi), given w_bar = conj(w) and psi_u = psi(u)."""
     w_bar = w_bar[:, None]
     return (t_constant(alpha, n) * w_bar**n * psi_u
-            * (1 - w_bar * _lft_values(phi, _U)) ** -(alpha + n + 2))
-
-
-def _relative_asymmetry(A: np.ndarray, A_swapped: np.ndarray) -> float:
-    """max |A - A_swapped| / max |A|; the absolute defect when A is zero."""
-    num, den = float(np.abs(A - A_swapped).max()), float(np.abs(A).max())
-    return num / den if den > 0 else num
+            * (1 - w_bar * lft_values(phi, _U)) ** -(alpha + n + 2))
 
 
 def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
@@ -302,14 +293,14 @@ def kernel_symmetry_form(pair: SymbolPair, C: AntilinearConjugation,
 
 def kernel_symmetry_defect(pair: SymbolPair, C: AntilinearConjugation,
                            psi_u: np.ndarray) -> float:
-    """max |B - B^T| / max |B| for the bilinear form of ``kernel_symmetry_form``;
+    """``relative_defect`` of B and B^T, B the form of ``kernel_symmetry_form``;
     zero exactly when T is C-symmetric on these kernels, up to rounding.
 
     psi_u comes from ``kernel_weight_values``, which gates the pair. No
     operator matrix, no truncation of T and no BLAS.
     """
     B = kernel_symmetry_form(pair, C, psi_u)
-    return _relative_asymmetry(B, B.T)
+    return relative_defect(B, B.T)
 
 
 def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> np.ndarray:
@@ -320,7 +311,7 @@ def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> 
 
 
 def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> float:
-    """max |A - A^H| / max |A| for the form of ``kernel_hermitian_form``;
+    """``relative_defect`` of A and A^H, A the form of ``kernel_hermitian_form``;
     zero exactly when <T K_w, K_z> = <K_w, T K_z> at these kernels, that is
     when T is self-adjoint on them, up to rounding.
 
@@ -328,7 +319,7 @@ def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -
     operator matrix, no truncation of T and no BLAS.
     """
     A = kernel_hermitian_form(pair, alpha, psi_u)
-    return _relative_asymmetry(A, A.conj().T)
+    return relative_defect(A, A.conj().T)
 
 
 def companion_weights(phi: LinearFractionalMap, n: int, alpha: float
@@ -358,7 +349,7 @@ def kernel_companion_forms(phi: LinearFractionalMap, n: int, alpha: float
 
 
 def kernel_companion_defect(phi: LinearFractionalMap, n: int, alpha: float) -> float:
-    """max |A - B^H| / max |B| for the forms of ``kernel_companion_forms``;
+    """``relative_defect`` of B^H and A for the forms of ``kernel_companion_forms``;
     zero exactly when Cowen's companion identity T_A* = T_B holds on these
     kernels, up to rounding.
 
@@ -367,7 +358,7 @@ def kernel_companion_defect(phi: LinearFractionalMap, n: int, alpha: float) -> f
     """
     companion_gate(phi)
     A, B = kernel_companion_forms(phi, n, alpha)
-    return _relative_asymmetry(B.conj().T, A)
+    return relative_defect(B.conj().T, A)
 
 
 def kernel_axioms_defect(C: AntilinearConjugation) -> float:

@@ -6,12 +6,12 @@ so every report carries its raw samples and a heuristic trend tag. The
 Hermitian predicate acts on a truncated matrix whose entries are exact.
 Normality is tested on reproducing kernels, with no matrix: a bounded T is
 normal iff <T K_w, T K_z> = <T* K_w, T* K_z> for all w and z, because the
-kernels K_w span a dense set. Both T K_w and T* K_w = conj(psi(w)) K^[n]_phi(w)
-are finite sums of derivative kernels for every family but ``explicit``, so
-both sides are finite closed forms, whatever the truncation of the operator
-matrix; only an explicit pair's T K_w is summed from a Taylor series. The
-kernel-norm balance ||T K_w|| = ||T* K_w|| reads the diagonals of the same
-two Grams.
+kernels K_w span a dense set. T* K_w = conj(psi(w)) K^[n]_phi(w) is a finite
+sum of derivative kernels, and so is T K_w whenever psi (1 + (c/d) z)^s is a
+polynomial of degree <= n, as it is for every family but ``explicit``: both
+sides are then finite closed forms, whatever the truncation of the operator
+matrix. Otherwise T K_w is summed from a Taylor series. The kernel-norm
+balance ||T K_w|| = ||T* K_w|| reads the diagonals of the same two Grams.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import numpy as np
 
 from .bergman import beta_sq_vector, t_constant
 from .defaults import MAX_WORK_DIM, TOL_NORMALITY
-from .errors import DomainError, UnboundedSymbolError
-from .matrices import OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate
+from .errors import UnboundedSymbolError
+from .matrices import (OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate,
+                       relative_defect)
 from .series import power_table
-from .symbols import LinearFractionalMap, SymbolPair
+from .symbols import LinearFractionalMap, SymbolPair, lft_inverse, lft_values
 
 DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
 DEFAULT_ANGLES = 64
@@ -37,7 +38,7 @@ SCAN_RADII = np.linspace(0.1, 0.9, 9)   # the zero scan of necessary_conditions_
 SCAN_ANGLES = 64
 
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
-# the Taylor series of T K_w for an explicit pair, the only Gram with a series:
+# the Taylor series of T K_w where it is no kernel sum, the only Gram with a series:
 GRAM_START = 64            # weight coefficients the series starts with
 GRAM_TAIL = 1e-18          # the series grows while its tail exceeds this share of its sum
 GRAM_ROUNDING = TOL_NORMALITY  # largest rounding bound of its defect that is reported
@@ -131,7 +132,7 @@ def boundedness_ratio_grid(
     W = _polar_grid(tuple(radii), angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at the pole of phi, which the comparison below skips
-        image = np.abs((phi.a * W + phi.b) / (phi.c * W + phi.d))
+        image = np.abs(lft_values(phi, W))
     keep = image < 1.0
     values = np.exp(
         (alpha + 2) * np.log(1 - np.abs(W[keep])) - (alpha + 2 + 2 * n) * np.log(1 - image[keep])
@@ -158,7 +159,7 @@ def nevanlinna_bound_grid(
     keep = (W != 0) & (W != phi.b / phi.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at w = phi(infinity), whose preimage is outside the disk
-        preimage = np.abs((phi.d * W - phi.b) / (phi.a - phi.c * W))
+        preimage = np.abs(lft_values(lft_inverse(phi), W))
     inside = keep & (preimage < 1.0)
     counting = np.zeros(W.shape)
     counting[inside] = np.log(1.0 / preimage[inside]) ** (alpha + 2)
@@ -338,9 +339,10 @@ def _basis_change(n: int) -> tuple:
     return binom, power
 
 
-def _operator_kernel_sums(pair: SymbolPair, alpha: float, w: np.ndarray) -> tuple:
-    """(q, coefficients, log scales) of T K_w as a kernel sum
-    (``_kernel_sum_grams``), for every family but ``explicit``.
+def _operator_kernel_sums(pair: SymbolPair, alpha: float, wbar: np.ndarray,
+                          q: np.ndarray) -> tuple:
+    """(coefficients, log scales) of T K_w as a kernel sum
+    (``_kernel_sum_grams``), given wbar = conj(w) and q as below.
 
     T K_w = (alpha+2)_n conj(w)^n psi (1 - conj(w) phi)^-s with s = alpha+n+2,
     and for phi = (a z + b) / (c z + d),
@@ -349,9 +351,7 @@ def _operator_kernel_sums(pair: SymbolPair, alpha: float, w: np.ndarray) -> tupl
 
     with q = (conj(w) a - c) / (d - conj(w) b), the reciprocal of the root of
     1 - conj(w) phi; both sides are 1 - conj(w) phi(0) at z = 0, so the
-    principal powers factor too. Each such family has a weight
-    exp(g) P (1 - rho z)^-e whose power cancels the map's, rho = -c/d and
-    e = s, or a map and a weight with no pole (c = 0, rho = 0), so that
+    principal powers factor too. The weight's shape makes
     psi (1 + (c/d) z)^s = exp(g) P with P of degree <= n. Written in the
     basis z^i (1 - q z)^(n-i), P gives
 
@@ -363,16 +363,6 @@ def _operator_kernel_sums(pair: SymbolPair, alpha: float, w: np.ndarray) -> tupl
     """
     weight, phi, n = pair.weight, pair.phi, pair.n
     s = alpha + n + 2
-    sigma = -phi.c / phi.d
-    cancels = (weight.rho == sigma and weight.exponent == s) or (
-        sigma == 0 and (weight.rho == 0 or weight.exponent == 0))
-    if not cancels or weight.poly.size != n + 1:
-        raise DomainError(
-            f"normality Gram: psi (1 + (c/d) z)^s is not a polynomial of degree <= {n} "
-            f"for provenance {pair.provenance!r}"
-        )
-    wbar = w.conjugate()
-    q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
     if (np.abs(q) >= 1.0).any():
         raise UnboundedSymbolError(
             f"normality Gram: 1 - conj(w) phi vanishes in the closed disk, |q| = {np.abs(q).max():.6f}"
@@ -382,14 +372,14 @@ def _operator_kernel_sums(pair: SymbolPair, alpha: float, w: np.ndarray) -> tupl
                        optimize=False)
     log_scale = (weight.log_gain + math.log(t_constant(alpha, n)) + n * np.log(wbar)
                  - s * np.log(1 - wbar * (phi.b / phi.d)))
-    return q, coeffs, log_scale
+    return coeffs, log_scale
 
 
-def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
+def _series_operator_gram(pair: SymbolPair, alpha: float, wbar: np.ndarray, q: np.ndarray,
                           G_star: np.ndarray) -> np.ndarray:
-    """G_T for an ``explicit`` pair, whose psi (1 + (c/d) z)^s is in general
-    no polynomial, from the Taylor series of T K_w paired in the weighted
-    inner product.
+    """G_T for a pair whose psi (1 + (c/d) z)^s is no polynomial of degree
+    <= n, such as an ``explicit`` pair, from the Taylor series of T K_w
+    paired in the weighted inner product.
 
     With q and the scale as in ``_operator_kernel_sums``, T K_w is the scale
     times the series psi (1 + (c/d) z)^s, the same for every point, times
@@ -411,8 +401,6 @@ def _series_operator_gram(pair: SymbolPair, alpha: float, w: np.ndarray,
     """
     phi, n = pair.phi, pair.n
     s = alpha + n + 2
-    wbar = w.conjugate()
-    q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
     scale = t_constant(alpha, n) * wbar**n * (1 - wbar * (phi.b / phi.d)) ** -s
     M = max(min(pair.order, GRAM_START - 1), int(np.flatnonzero(pair.weight.poly)[-1]))
     psi = pair.weight.series(M).coeffs
@@ -462,10 +450,14 @@ def normality_gram(pair: SymbolPair, alpha: float):
     no series and no truncation. T* K_w = conj(psi(w)) K^[n]_phi(w) for every
     pair, with psi(w) from ``RationalWeight.values``, so
     G_T* = conj(psi(w_i)) psi(w_j) <K^[n]_phi(w_i), K^[n]_phi(w_j)>. T K_w is
-    a kernel sum for every family but ``explicit`` (``_operator_kernel_sums``).
-    An ``explicit`` weight need not cancel the map's pole, so its G_T comes
-    from the Taylor series of ``_series_operator_gram``; only that path grows
-    a series (GRAM_TAIL) and bounds its rounding (GRAM_ROUNDING).
+    a kernel sum (``_operator_kernel_sums``) when psi (1 + (c/d) z)^s is a
+    polynomial of degree <= n: the weight exp(g) P (1 - rho z)^-e has n + 1
+    coefficients in P, and its power cancels the map's (rho = -c/d and
+    e = alpha+n+2) or neither has a pole (c = 0, and rho = 0 or e = 0), as
+    for every family but ``explicit``. Otherwise G_T comes from the Taylor
+    series of ``_series_operator_gram``; only that path grows a series
+    (GRAM_TAIL) and bounds its rounding (GRAM_ROUNDING). Both paths read
+    conj(w) and q = (conj(w) a - c) / (d - conj(w) b), made here.
 
     The pair must pass ``operator_gate`` and each point ``kernel_point_gate``.
     Only elementwise products and unoptimized ``einsum`` sums are used: no
@@ -474,24 +466,27 @@ def normality_gram(pair: SymbolPair, alpha: float):
     operator_gate(pair)
     u = np.array([kernel_point_gate(pair.phi, w) for w in GRAM_POINTS])
     w = np.array(GRAM_POINTS, dtype=complex)
-    n = pair.n
+    weight, phi, n = pair.weight, pair.phi, pair.n
     adjoint = np.zeros((w.size, n + 1), dtype=complex)   # T* K_w = conj(psi(w)) (alpha+2)_n k_n
-    adjoint[:, n] = pair.weight.values(w).conj() * t_constant(alpha, n)
-    if pair.provenance == "explicit":
+    adjoint[:, n] = weight.values(w).conj() * t_constant(alpha, n)
+    wbar = w.conjugate()
+    q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
+    sigma = -phi.c / phi.d
+    if weight.poly.size != n + 1 or not (
+            (weight.rho == sigma and weight.exponent == alpha + n + 2)
+            or (sigma == 0 and (weight.rho == 0 or weight.exponent == 0))):
         G_star = _kernel_sum_grams(u.conj(), adjoint, np.zeros(w.size), n, alpha)
-        return _series_operator_gram(pair, alpha, w, G_star), G_star
-    q, coeffs, log_scale = _operator_kernel_sums(pair, alpha, w)
+        return _series_operator_gram(pair, alpha, wbar, q, G_star), G_star
+    coeffs, log_scale = _operator_kernel_sums(pair, alpha, wbar, q)
     G_T, G_star = _kernel_sum_grams(np.stack((q, u.conj())), np.stack((coeffs, adjoint)),
                                     np.stack((log_scale, np.zeros(w.size))), n, alpha)
     return G_T, G_star
 
 
 def normality_gram_defect(G_T: np.ndarray, G_star: np.ndarray) -> float:
-    """max |G_T - G_T*| / max |G_T*| for the Grams of ``normality_gram``;
+    """``relative_defect`` of G_T* and G_T, the Grams of ``normality_gram``;
     zero exactly for a normal operator, up to rounding."""
-    diff = float(np.abs(G_T - G_star).max())
-    scale = float(np.abs(G_star).max())
-    return diff / scale if scale > 0 else diff
+    return relative_defect(G_star, G_T)
 
 
 def norm_defect_kernel_test(G_T: np.ndarray, G_star: np.ndarray) -> float:

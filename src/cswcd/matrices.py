@@ -189,6 +189,14 @@ def frobenius_norm(A: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", x, x, optimize=False)))
 
 
+def relative_defect(A: np.ndarray, B: np.ndarray) -> float:
+    """max |A - B| / max |A|, the defect of every kernel form and normality
+    Gram B against its reference A; NaN, which a check reports 'unverified',
+    when A is all zero: an underflowed reference carries no evidence."""
+    num, den = float(np.abs(A - B).max()), float(np.abs(A).max())
+    return num / den if den > 0 else np.nan
+
+
 def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
     """Apply the truncated operator to a series.
 

@@ -801,9 +801,10 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
     """Run the configured checks across random family draws.
 
     Draws that a check's gate refuses are never run. Those and ambiguous
-    predicate outcomes (defects between the pass tolerance and the failure
-    threshold) are re-drawn and counted rather than recorded, so boolean
-    aggregates are never decided inside the gray band.
+    predicate outcomes (finite defects between the pass tolerance and the
+    failure threshold) are re-drawn and counted rather than recorded, so
+    boolean aggregates are never decided inside the gray band; a predicate
+    whose defect is not finite is recorded as 'unverified'.
     """
     rng = SplitMix64(seed)
     per_check = {
@@ -823,9 +824,8 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
             seed=seed,
         )
         reports = run(draw_config) if _draw_passes_gates(draw_config) else None
-        if reports is None or any(
-            r.status == "unverified" and r.name in PREDICATE_CHECKS for r in reports
-        ):
+        if reports is None or any(r.status == "unverified" and r.defect is not None
+                                  and r.name in PREDICATE_CHECKS for r in reports):
             redraws += 1
             if redraws > MAX_REJECTIONS:
                 raise ConfigError("symbols", "gates or the ambiguous band rejected too many draws")

@@ -74,6 +74,11 @@ def lft_eval(phi: LinearFractionalMap, z: complex) -> complex:
     return (phi.a * z + phi.b) / den
 
 
+def lft_values(phi: LinearFractionalMap, u: np.ndarray) -> np.ndarray:
+    """phi at each point of the array u; a point at the pole gives inf or NaN."""
+    return (phi.a * u + phi.b) / (phi.c * u + phi.d)
+
+
 def lft_inverse(phi: LinearFractionalMap) -> LinearFractionalMap:
     """Inverse map, up to projective scaling of the coefficients."""
     return LinearFractionalMap(phi.d, -phi.b, -phi.c, phi.a)

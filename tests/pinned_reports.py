@@ -52,6 +52,23 @@ KIND_CONFIGS = {
     },
 }
 
+# the descriptor that 'auto' resolves to for each of KIND_CONFIGS, written
+# out; each report must equal its 'auto' twin
+EXPLICIT_KINDS = {
+    "plain-J": {"kind": "plain-J"},
+    "rotation-J": {"kind": "rotation-J", "mu": [0.6, 0.8], "lambda": [0.0, 1.0]},
+    "wc-J": {"kind": "wc-J", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]},
+}
+
+# the j-symmetric pair under a rotation-J with lambda = i, which it is not
+# symmetric for: C-symmetry fails, and the conjugation axioms pass
+J_SYMMETRIC_ROTATED = {
+    **KIND_CONFIGS["plain-J"],
+    "conjugation": {"kind": "rotation-J", "mu": 1.0, "lambda": [0.0, 1.0]},
+    "checks": ["C-symmetry", "conjugation-axioms"],
+    "seed": 3,
+}
+
 # the predicate checks accept the conjugated-denominator families only
 PREDICATE_CONFIGS = {
     "plain-J-general": {
@@ -112,6 +129,9 @@ def cases() -> list:
         for check in CHECKS:
             out.append((f"check-{kind}-{check}", {**base, "checks": [check], "seed": 3}, []))
         out.append((f"check-{kind}-all", {**base, "checks": list(CHECKS), "seed": 3}, []))
+        out.append((f"check-{kind}-explicit-all", {**base, "conjugation": EXPLICIT_KINDS[kind],
+                                                   "checks": list(CHECKS), "seed": 3}, []))
+    out.append(("check-j-symmetric-rotation-J", J_SYMMETRIC_ROTATED, []))
     for label, base in PREDICATE_CONFIGS.items():
         for check in PREDICATES:
             out.append((f"check-{label}-{check}", {**base, "checks": [check], "seed": 3}, []))

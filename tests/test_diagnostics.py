@@ -16,6 +16,7 @@ from cswcd.diagnostics import (
     TREND_BOUNDED,
     TREND_DIVERGING,
     _classify_trend,
+    _polar_grid,
     boundedness_ratio_grid,
     export_grid_csv,
     is_hermitian,
@@ -40,6 +41,7 @@ from cswcd.symbols import (
     family_self_adjoint,
     lft_eval,
     lft_inverse,
+    lft_values,
     rotation_map,
 )
 from nevanlinna_reference import nevanlinna_univalent
@@ -217,6 +219,21 @@ def test_grids_match_the_per_point_reference(family):
                 assert report.trend == _classify_trend(radial_maxima)
                 for (_, got), (w, want, kappa) in zip(report.samples, samples):
                     assert abs(got - want) <= 1e-14 * kappa * abs(want), (phi, w)
+
+
+def test_grid_maps_keep_the_bits_of_the_written_out_forms():
+    # both grids evaluate their map by lft_values: phi, and phi^-1 for the
+    # Nevanlinna preimage, whose former form was (d w - b) / (a - c w)
+    W = _polar_grid(DEFAULT_RADII, DEFAULT_ANGLES)
+    rng = np.random.default_rng(28)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2000):
+            a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            phi = LinearFractionalMap(a, b, c, d)
+            image = (phi.a * W + phi.b) / (phi.c * W + phi.d)
+            preimage = (phi.d * W - phi.b) / (phi.a - phi.c * W)
+            assert lft_values(phi, W).tobytes() == image.tobytes()
+            assert lft_values(lft_inverse(phi), W).tobytes() == preimage.tobytes()
 
 
 class TestNecessaryConditions:
@@ -511,13 +528,14 @@ class TestNormalityGram:
 
     def test_only_an_explicit_pair_may_keep_the_pole_of_phi(self):
         # psi (1 + (c/d) z)^s is no polynomial for a polynomial psi and c != 0:
-        # the kernel sums refuse such a pair unless it is explicit, whose G_T
-        # sums a series
+        # the Gram follows the weight's shape, not the provenance, so a pair
+        # of this shape under a family's name sums the same series as an
+        # explicit one
         psi, phi = polynomial([0.0, 1.0], 32), LinearFractionalMap(0.5, 0.1, -0.2, 1.0)
         pair = SymbolPair.from_series(psi, phi, 1, provenance="general")
-        with pytest.raises(DomainError, match="not a polynomial of degree <= 1"):
-            normality_gram(pair, 0.5)
         explicit = SymbolPair.from_series(psi, phi, 1, provenance="explicit")
+        for got, want in zip(normality_gram(pair, 0.5), normality_gram(explicit, 0.5)):
+            assert got.tobytes() == want.tobytes()
         assert normality_gram_defect(*normality_gram(explicit, 0.5)) > 1e-3
 
     def test_refused_point(self):

@@ -30,6 +30,7 @@ from cswcd.conjugations import (
     make_wc_J,
 )
 from cswcd.errors import ConfigError, UnboundedSymbolError
+from cswcd.matrices import relative_defect
 from cswcd.rng import SplitMix64
 from cswcd.runner import SWEEPABLE_FAMILIES, RunConfig, draw_symbols, parse_config, run
 from cswcd.symbols import lft_inverse
@@ -166,3 +167,14 @@ def test_complex_value_matches_the_checked_path(value):
         return ("value", type(z), bits(z.real), bits(z.imag))
 
     assert outcome(runner._complex_value) == outcome(old_complex_value)
+
+
+def test_relative_defect_of_an_all_zero_reference_is_nan():
+    # an all-zero reference, where every weight value underflowed, carries
+    # no evidence; a nonzero one gives max |A - B| / max |A|
+    zero = np.zeros((8, 8), dtype=complex)
+    assert math.isnan(relative_defect(zero, zero))
+    assert math.isnan(relative_defect(zero, np.ones((8, 8))))
+    A = np.array([[1.0, 2.0 + 1.0j], [3.0, -4.0j]])
+    assert relative_defect(A, A.T) == abs(1.0 - 1.0j) / 4.0
+    assert relative_defect(A, A.T) == ref.relative_asymmetry(A, A.T)

@@ -21,7 +21,14 @@ import pytest
 
 from cswcd.conjugations import KERNEL_POINTS
 from cswcd.diagnostics import GRAM_POINTS
-from pinned_reports import KIND_CONFIGS, THREAD_VARS, blas_record, cases, leaf_diffs
+from pinned_reports import (
+    EXPLICIT_KINDS,
+    KIND_CONFIGS,
+    THREAD_VARS,
+    blas_record,
+    cases,
+    leaf_diffs,
+)
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures" / "pinned"
@@ -66,6 +73,21 @@ def test_report_bytes(fresh, name):
             leaf_diffs(json.loads(want), json.loads(got))
             or ["every JSON leaf is equal; bytes differ"]
         ))
+
+
+def report(directory, name):
+    return json.loads((directory / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("kind", EXPLICIT_KINDS)
+def test_written_out_descriptor_reports_equal_auto(fresh, kind):
+    # the same checks of the same pair under the descriptor that 'auto'
+    # resolves to; only the config hash in the header differs
+    for directory in (FIXTURES, *fresh.values()):
+        auto = report(directory, f"check-{kind}-all")
+        written = report(directory, f"check-{kind}-explicit-all")
+        assert written["reports"] == auto["reports"]
+        assert written["header"]["config_sha256"] != auto["header"]["config_sha256"]
 
 
 def test_leaf_diffs_name_each_differing_leaf():

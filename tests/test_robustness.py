@@ -30,9 +30,9 @@ MODES = ("check", "grid", "export-matrix", "sweep")
 EXTREMES = (0, 1, -1, 1e-300, 1e300, -1e300, 1.0000001, 5000, -0.999999,
             [0, 0], [1, 1], [0, 1e308])
 MAX_N = 16
-# redraws a sweep may make before it is refused: a draw whose predicate
-# check is never finite is redrawn until this runs out, which at the
-# default of 1e5 takes minutes
+# redraws a sweep may make before it is refused: a mutated sweep whose
+# gates or ambiguous band refuse every draw would spend minutes on the
+# default of 1e5
 MAX_REJECTIONS = 50
 
 

@@ -657,6 +657,21 @@ class TestSweep:
         a2 = sweep(config, 8, seed=12)
         assert canonical_json(a1) == canonical_json(a2)
 
+    def test_non_finite_predicate_is_recorded_not_redrawn(self, monkeypatch, tmp_path):
+        # at alpha 1e300 the normality Gram of every draw overflows, so a
+        # redraw cannot leave the band: each draw is recorded 'unverified'
+        monkeypatch.setattr(runner, "MAX_REJECTIONS", 5)
+        runs = counting(monkeypatch, "run")
+        doc = config_with(space={"alpha": 1e300, "n": 1, "N": 16},
+                          symbols={"family": "general"}, checks=["normality-predicate"])
+        aggregate = sweep(parse_config(doc, require_concrete=False), 3, seed=1)
+        assert aggregate["redraws"] == 0 and len(runs) == 3
+        assert aggregate["checks"]["normality-predicate"] == {
+            "pass": 0, "fail": 0, "unverified": 3, "worst_defect": 0.0}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--draws", "1", "--out", str(tmp_path / "out.json")]) == 3
+
     def test_draws_respect_gates(self):
         rng = SplitMix64(8)
         for _ in range(50):

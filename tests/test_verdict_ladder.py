@@ -22,8 +22,9 @@ p 0.99 the wc-J conjugation's weight constant
 k = lambda_u (1 - |p|^2)^((alpha+2)/2) is 0, so the kernel forms give NaN,
 and the report is ``unverified`` with a null defect (exit 3). Those cells
 used to pass on the one finite identity (``conjugation-axioms``) or crash
-with exit 4 (``C-symmetry``). Forms scaled so that they do not underflow
-would make them pass. The ``unitary`` pair at the same p and alpha keeps
+with exit 4 (``C-symmetry``). A form whose reference is all zero, where
+every weight value underflowed, is ``unverified`` the same way. Forms
+scaled so that they do not underflow would make them pass. The ``unitary`` pair at the same p and alpha keeps
 that constant as a logarithmic gain, so it is no longer refused as
 identically zero (exit 2); its checks run on values close to the double
 underflow threshold.
@@ -124,6 +125,30 @@ def test_underflowed_weight_is_unverified(check, tmp_path):
     assert code == 3
     assert report["status"] == "unverified" and report["defect"] is None
     assert report["provenance"].startswith("non-finite-defect; kernel-")
+
+
+# The unitary pair at p 0.99 with lambda_u i is not self-adjoint: it fails
+# with defect 2.0 at alpha 50 and 400. From alpha 600 on, every weight value
+# at KERNEL_POINTS underflows to 0, so each kernel form is all zero and
+# carries no evidence: 'unverified' with a null defect (exit 3). The three
+# checks below used to pass on the zero form with defect 0.0 (exit 0).
+UNITARY_ZERO = {"family": "unitary", "p": 0.99, "lambda_u": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("alpha", [600, 1000])
+@pytest.mark.parametrize("check", ["self-adjointness", "J-symmetry", "C-symmetry"])
+def test_all_zero_kernel_form_is_unverified(check, alpha, tmp_path):
+    code, report = check_cell(UNITARY_ZERO, check, alpha, 32, tmp_path)
+    assert code == 3
+    assert report["status"] == "unverified" and report["defect"] is None
+    assert report["provenance"].startswith("non-finite-defect; kernel-")
+
+
+@pytest.mark.parametrize("alpha", [50, 400])
+def test_the_all_zero_pair_is_not_self_adjoint(alpha, tmp_path):
+    code, report = check_cell(UNITARY_ZERO, "self-adjointness", alpha, 32, tmp_path)
+    assert code == 1
+    assert report["status"] == "fail" and report["defect"] == pytest.approx(2.0, rel=1e-12)
 
 
 # The grids at large alpha: a supremum that overflowed to inf, or a NaN
