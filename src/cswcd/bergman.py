@@ -67,6 +67,16 @@ def beta_sq_vector(N: int, alpha: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=128)
+def beta_root_vector(N: int, alpha: float) -> np.ndarray:
+    """beta(j) = sqrt(beta(j)^2) for j = 0..N, read-only; cached with the
+    squares, which the build, the kernel coordinates and the adjoint on
+    kernels all scale by."""
+    out = np.sqrt(beta_sq_vector(N, alpha))
+    out.flags.writeable = False
+    return out
+
+
 def inner_product(f: TruncatedSeries, g: TruncatedSeries, alpha: float) -> complex:
     """sum_j c_j conj(d_j) beta(j)^2, truncated at the shared order."""
     if f.order != g.order:
@@ -112,11 +122,23 @@ def kernel_table(points, m: int, alpha: float, N: int) -> np.ndarray:
     outside = np.abs(w) >= 1.0
     if outside.any():
         raise DomainError(f"kernel point must satisfy |w| < 1, got {abs(w[outside][0]):.6f}")
-    j = np.arange(m, N + 1)
+    falling, exponents = _kernel_exponents(m, N)
     out = np.zeros((w.size, N + 1), dtype=complex)
-    out[:, m:] = (falling_factorial(j, m) * np.power(np.conj(w)[:, None], j - m)
+    out[:, m:] = (falling * np.power(np.conj(w)[:, None], exponents)
                   / beta_sq_vector(N, alpha)[m:])
     return out
+
+
+@lru_cache(maxsize=32)
+def _kernel_exponents(m: int, N: int) -> tuple:
+    """j!/(j-m)! and j - m for j = m..N, both read-only: the factor and the
+    power of conj(w) of each coefficient of ``kernel_table``, the same for
+    every point and every draw at (m, N)."""
+    j = np.arange(m, N + 1)
+    # a 0-d array of 1.0 when m is 0, the empty product
+    falling, exponents = np.asarray(falling_factorial(j, m)), j - m
+    falling.flags.writeable = exponents.flags.writeable = False
+    return falling, exponents
 
 
 def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:

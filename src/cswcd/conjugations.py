@@ -85,7 +85,8 @@ EXTENSION_SLACK = 48       # terms of the extended truncation beyond the mass sp
 KERNEL_POINTS = (0.45, 0.32j, -0.38 + 0.12j, 0.21 - 0.36j, -0.17 - 0.29j, 0.08 + 0.41j,
                  -0.44, 0.27 + 0.18j)
 _U = np.array(KERNEL_POINTS, dtype=complex)     # the same points, read-only, made once
-_U.flags.writeable = False
+_U_BAR = np.conj(_U)                            # and their conjugates
+_U.flags.writeable = _U_BAR.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def kernel_hermitian_form(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> 
     """A[i, j] = <T K_(u_i), K_(u_j)> = (T K_(u_i))(u_j) =
     psi(u_j) (alpha+2)_n conj(u_i)^n (1 - conj(u_i) phi(u_j))^-(alpha+n+2)
     for u = KERNEL_POINTS, given psi_u = psi(u)."""
-    return _operator_on_kernels(pair.phi, pair.n, alpha, np.conj(_U), psi_u)
+    return _operator_on_kernels(pair.phi, pair.n, alpha, _U_BAR, psi_u)
 
 
 def kernel_hermitian_defect(pair: SymbolPair, alpha: float, psi_u: np.ndarray) -> float:
@@ -343,9 +344,8 @@ def kernel_companion_forms(phi: LinearFractionalMap, n: int, alpha: float
     <T_A K_(u_i), K_(u_j)> = <K_(u_i), T_B K_(u_j)>, that is A = B^H.
     """
     psi_a, psi_b = companion_weights(phi, n, alpha)
-    u_bar = np.conj(_U)
-    return (_operator_on_kernels(phi, n, alpha, u_bar, psi_a),
-            _operator_on_kernels(sigma_companion(phi), n, alpha, u_bar, psi_b))
+    return (_operator_on_kernels(phi, n, alpha, _U_BAR, psi_a),
+            _operator_on_kernels(sigma_companion(phi), n, alpha, _U_BAR, psi_b))
 
 
 def kernel_companion_defect(phi: LinearFractionalMap, n: int, alpha: float) -> float:
@@ -374,8 +374,8 @@ def kernel_axioms_defect(C: AntilinearConjugation) -> float:
     that U is unitary. The same closed forms serve every kind; for plain-J
     and rotation-J, v_z is a rotation of z and c_z a unimodular constant.
     The defects of all four identities go into one buffer, whose maximum,
-    unlike the builtin max, keeps a NaN: an underflowed weight must not
-    leave only the finite identities.
+    a ufunc reduction unlike the builtin max, keeps a NaN: an underflowed
+    weight must not leave only the finite identities.
     """
     s = C.alpha + 2
     phi_C_u = C.phi_u
@@ -391,4 +391,4 @@ def kernel_axioms_defect(C: AntilinearConjugation) -> float:
     np.abs(np.abs(c) ** 2 * ((1 - np.abs(z) ** 2) / (1 - np.abs(v) ** 2)) ** s - 1,
            out=defects[2 * k:3 * k])
     np.divide(np.abs(image - expected), np.abs(expected), out=defects[3 * k:].reshape(k, k))
-    return float(defects.max())
+    return float(np.maximum.reduce(defects))

@@ -38,6 +38,13 @@ SCAN_RADII = np.linspace(0.1, 0.9, 9)   # the zero scan of necessary_conditions_
 SCAN_ANGLES = 64
 
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
+# the points w, conj(w) and log conj(w), and the zero log scale of G_T*, read-only
+_GRAM_W = np.array(GRAM_POINTS, dtype=complex)
+_GRAM_WBAR = _GRAM_W.conjugate()
+_GRAM_LOG_WBAR = np.log(_GRAM_WBAR)
+_GRAM_ZERO_SCALE = np.zeros(_GRAM_W.size)
+for _arr in (_GRAM_W, _GRAM_WBAR, _GRAM_LOG_WBAR, _GRAM_ZERO_SCALE):
+    _arr.flags.writeable = False
 # the Taylor series of T K_w where it is no kernel sum, the only Gram with a series:
 GRAM_START = 64            # weight coefficients the series starts with
 GRAM_TAIL = 1e-18          # the series grows while its tail exceeds this share of its sum
@@ -94,6 +101,20 @@ def _polar_grid(radii: tuple, angles: int) -> np.ndarray:
     return W
 
 
+@lru_cache(maxsize=8)
+def _grid_logs(radii: tuple, angles: int) -> tuple:
+    """log(1 - |w|) and log(1 / |w|) at each point w of ``_polar_grid``,
+    read-only and cached with it: the grids' powers of |w| are these logs
+    times an exponent. A point at 0 has log(1 / |w|) = inf, and the
+    Nevanlinna grid leaves it out."""
+    radius = np.abs(_polar_grid(radii, angles))
+    with np.errstate(divide="ignore"):
+        logs = np.log(1 - radius), np.log(1.0 / radius)
+    for arr in logs:
+        arr.flags.writeable = False
+    return logs
+
+
 def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridReport:
     """Report of the samples ``W[keep]``, whose values are ``values`` in
     row-major order; a radius with no kept sample has a NaN maximum, and a
@@ -129,13 +150,15 @@ def boundedness_ratio_grid(
     exp((alpha+2) ln(1-|w|) - (alpha+2+2n) ln(1-|phi(w)|)), so that neither
     power can underflow to 0 at a large exponent.
     """
-    W = _polar_grid(tuple(radii), angles)
+    radii = tuple(radii)
+    W = _polar_grid(radii, angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at the pole of phi, which the comparison below skips
         image = np.abs(lft_values(phi, W))
     keep = image < 1.0
     values = np.exp(
-        (alpha + 2) * np.log(1 - np.abs(W[keep])) - (alpha + 2 + 2 * n) * np.log(1 - image[keep])
+        (alpha + 2) * _grid_logs(radii, angles)[0][keep]
+        - (alpha + 2 + 2 * n) * np.log(1 - image[keep])
     )
     return _grid_report(W, keep, values)
 
@@ -155,7 +178,8 @@ def nevanlinna_bound_grid(
     w, so the counting value is [ln(1/|z0|)]^(alpha+2), or 0 when z0 lies
     outside the disk (at infinity for w = phi(infinity)).
     """
-    W = _polar_grid(tuple(radii), angles)
+    radii = tuple(radii)
+    W = _polar_grid(radii, angles)
     keep = (W != 0) & (W != phi.b / phi.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at w = phi(infinity), whose preimage is outside the disk
@@ -163,33 +187,30 @@ def nevanlinna_bound_grid(
     inside = keep & (preimage < 1.0)
     counting = np.zeros(W.shape)
     counting[inside] = np.log(1.0 / preimage[inside]) ** (alpha + 2)
-    values = counting[keep] / np.log(1.0 / np.abs(W[keep])) ** (alpha + 2 + 2 * n)
+    values = counting[keep] / _grid_logs(radii, angles)[1][keep] ** (alpha + 2 + 2 * n)
     return _grid_report(W, keep, values)
 
 
-@lru_cache(maxsize=8)
-def _scan_powers(size: int) -> np.ndarray:
-    """r^j for j = 0..size-1, one row per radius r of SCAN_RADII, read-only;
-    cached, since a sweep scans weights of one length."""
-    powers = SCAN_RADII[:, None] ** np.arange(size)
-    powers.flags.writeable = False
-    return powers
+# the points r e^(2 pi i k / SCAN_ANGLES) of the zero scan, one row per radius r
+_SCAN_POINTS = _polar_grid(tuple(SCAN_RADII.tolist()), SCAN_ANGLES)
 
 
 def _circle_values(coeffs: np.ndarray) -> np.ndarray:
-    """The polynomial with these coefficients at r e^(2 pi i k / SCAN_ANGLES),
-    one row per radius r of SCAN_RADII.
+    """The polynomial with these coefficients at the scan points, one row per
+    radius r of SCAN_RADII.
 
-    On one circle these values are SCAN_ANGLES times the inverse discrete
-    Fourier transform of the coefficients c_j r^j, once the terms whose
-    degrees agree modulo SCAN_ANGLES are summed; one FFT per radius, with no
-    Horner loop and no BLAS.
+    Horner's rule runs from the last nonzero coefficient down, two in-place
+    ufunc calls per coefficient on the 576 points: P has degree <= n for
+    every family but ``explicit``, so a scan costs a few calls, with no FFT
+    and no BLAS.
     """
-    blocks = -(-coeffs.size // SCAN_ANGLES)
-    terms = np.zeros((SCAN_RADII.size, blocks * SCAN_ANGLES), dtype=complex)
-    terms[:, :coeffs.size] = coeffs * _scan_powers(coeffs.size)
-    folded = terms.reshape(SCAN_RADII.size, blocks, SCAN_ANGLES).sum(axis=1)
-    return np.fft.ifft(folded, axis=1) * SCAN_ANGLES
+    nonzero = np.flatnonzero(coeffs)
+    top = int(nonzero[-1]) if nonzero.size else 0
+    values = np.full(_SCAN_POINTS.shape, coeffs[top])
+    for c in coeffs[:top][::-1].tolist():
+        np.multiply(values, _SCAN_POINTS, out=values)
+        np.add(values, c, out=values)
+    return values
 
 
 def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
@@ -209,9 +230,9 @@ def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
     n = pair.n
     coeffs = pair.weight.poly
     violated = (
-        ("weight_flat_at_origin", np.any(coeffs[:n] != 0)),
+        ("weight_flat_at_origin", (coeffs[:n] != 0).any()),
         ("weight_order_exact", coeffs.size <= n or coeffs[n] == 0),
-        ("weight_nonvanishing", np.any(np.abs(_circle_values(coeffs)) <= 1e-10)),
+        ("weight_nonvanishing", (np.abs(_circle_values(coeffs)) <= 1e-10).any()),
     )
     return tuple(name for name, bad in violated if bad)
 
@@ -340,9 +361,10 @@ def _basis_change(n: int) -> tuple:
 
 
 def _operator_kernel_sums(pair: SymbolPair, alpha: float, wbar: np.ndarray,
-                          q: np.ndarray) -> tuple:
+                          log_wbar: np.ndarray, q: np.ndarray) -> tuple:
     """(coefficients, log scales) of T K_w as a kernel sum
-    (``_kernel_sum_grams``), given wbar = conj(w) and q as below.
+    (``_kernel_sum_grams``), given wbar = conj(w), its logarithm and q as
+    below.
 
     T K_w = (alpha+2)_n conj(w)^n psi (1 - conj(w) phi)^-s with s = alpha+n+2,
     and for phi = (a z + b) / (c z + d),
@@ -370,7 +392,7 @@ def _operator_kernel_sums(pair: SymbolPair, alpha: float, wbar: np.ndarray,
     binom, power = _basis_change(n)
     coeffs = np.einsum("m,ami->ai", weight.poly, binom * power_table(q, n + 1)[:, power],
                        optimize=False)
-    log_scale = (weight.log_gain + math.log(t_constant(alpha, n)) + n * np.log(wbar)
+    log_scale = (weight.log_gain + math.log(t_constant(alpha, n)) + n * log_wbar
                  - s * np.log(1 - wbar * (phi.b / phi.d)))
     return coeffs, log_scale
 
@@ -457,7 +479,8 @@ def normality_gram(pair: SymbolPair, alpha: float):
     for every family but ``explicit``. Otherwise G_T comes from the Taylor
     series of ``_series_operator_gram``; only that path grows a series
     (GRAM_TAIL) and bounds its rounding (GRAM_ROUNDING). Both paths read
-    conj(w) and q = (conj(w) a - c) / (d - conj(w) b), made here.
+    conj(w), made with its logarithm at import, and
+    q = (conj(w) a - c) / (d - conj(w) b), made here.
 
     The pair must pass ``operator_gate`` and each point ``kernel_point_gate``.
     Only elementwise products and unoptimized ``einsum`` sums are used: no
@@ -465,21 +488,20 @@ def normality_gram(pair: SymbolPair, alpha: float):
     """
     operator_gate(pair)
     u = np.array([kernel_point_gate(pair.phi, w) for w in GRAM_POINTS])
-    w = np.array(GRAM_POINTS, dtype=complex)
+    w, wbar = _GRAM_W, _GRAM_WBAR
     weight, phi, n = pair.weight, pair.phi, pair.n
     adjoint = np.zeros((w.size, n + 1), dtype=complex)   # T* K_w = conj(psi(w)) (alpha+2)_n k_n
     adjoint[:, n] = weight.values(w).conj() * t_constant(alpha, n)
-    wbar = w.conjugate()
     q = (wbar * phi.a - phi.c) / (phi.d - wbar * phi.b)
     sigma = -phi.c / phi.d
     if weight.poly.size != n + 1 or not (
             (weight.rho == sigma and weight.exponent == alpha + n + 2)
             or (sigma == 0 and (weight.rho == 0 or weight.exponent == 0))):
-        G_star = _kernel_sum_grams(u.conj(), adjoint, np.zeros(w.size), n, alpha)
+        G_star = _kernel_sum_grams(u.conj(), adjoint, _GRAM_ZERO_SCALE, n, alpha)
         return _series_operator_gram(pair, alpha, wbar, q, G_star), G_star
-    coeffs, log_scale = _operator_kernel_sums(pair, alpha, wbar, q)
-    G_T, G_star = _kernel_sum_grams(np.stack((q, u.conj())), np.stack((coeffs, adjoint)),
-                                    np.stack((log_scale, np.zeros(w.size))), n, alpha)
+    coeffs, log_scale = _operator_kernel_sums(pair, alpha, wbar, _GRAM_LOG_WBAR, q)
+    G_T, G_star = _kernel_sum_grams(np.array((q, u.conj())), np.array((coeffs, adjoint)),
+                                    np.array((log_scale, _GRAM_ZERO_SCALE)), n, alpha)
     return G_T, G_star
 
 

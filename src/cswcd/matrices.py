@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bergman import SpaceParams, beta_sq_vector, falling_factorial, kernel, kernel_table
+from .bergman import (SpaceParams, beta_root_vector, beta_sq_vector, falling_factorial, kernel,
+                      kernel_table)
 from .errors import NonFiniteError, TruncationMismatchError, UnboundedSymbolError
 from .series import TruncatedSeries, series_values
 from .symbols import (
@@ -47,6 +48,7 @@ from .symbols import (
 # units of rounding of sup_norm_lft, times its conditioning, within which
 # the companion gate counts sup|phi| as 1
 COMPANION_ROUNDING = 64
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class OperatorMatrix:
         arr = np.asarray(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("matrix entries must be finite")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()
@@ -116,6 +118,18 @@ def _workspace(N: int, n: int) -> tuple:
     return buf, tuple(steps)
 
 
+@lru_cache(maxsize=8)
+def _scale_factors(N: int, n: int, alpha: float) -> tuple:
+    """The column factor (j)_n / beta(j) for j = n..N and the row factor
+    beta(m) as a column, both read-only: ``_build`` scales G[m, j - n] by
+    both, in that order, and they depend only on (N, n, alpha)."""
+    broot = beta_root_vector(N, alpha)
+    column = falling_factorial(np.arange(n, N + 1), n) / broot[n:]
+    row = broot[:, None]
+    column.flags.writeable = False
+    return column, row
+
+
 def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceParams) -> np.ndarray:
     """The matrix, built in the work buffer of ``_workspace``.
 
@@ -125,7 +139,7 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     are 0-d arrays, so no ufunc call converts a Python complex. A fresh copy
     of the matrix rows is then scaled, columns n..N, and returned read-only,
     so ``OperatorMatrix`` keeps it without a second copy; the buffer stays
-    with the cache.
+    with the cache, and so do the scale factors (``_scale_factors``).
     """
     N = space.N
     if psi.order != N:
@@ -136,19 +150,27 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     buf, steps = _workspace(N, n)
     buf[1:, n] = psi.coeffs
     a, b, c, d = (np.array(v, dtype=complex) for v in (phi.a, phi.b, phi.c, phi.d))
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
     for up_left, left, up, at, t, u in steps:
-        np.multiply(a, up_left, t)
-        np.multiply(b, left, u)
-        np.add(t, u, t)
-        np.multiply(c, up, u)
-        np.subtract(t, u, t)
-        np.divide(t, d, at)
+        multiply(a, up_left, t)
+        multiply(b, left, u)
+        add(t, u, t)
+        multiply(c, up, u)
+        subtract(t, u, t)
+        divide(t, d, at)
     M = buf[1:].copy()
-    broot = np.sqrt(beta_sq_vector(N, space.alpha))
-    M[:, n:] *= falling_factorial(np.arange(n, N + 1), n) / broot[n:]
-    M[:, n:] *= broot[:, None]
+    column, row = _scale_factors(N, n, space.alpha)
+    M[:, n:] *= column
+    M[:, n:] *= row
     M.flags.writeable = False
     return M
+
+
+def format_magnitude(value: float) -> str:
+    """A gate's magnitude in its refusal message: six decimals below 1e6,
+    and six significant digits in ``e`` form from there on, so that 1e300
+    takes 13 characters, not 308."""
+    return f"{value:.6f}" if value < 1e6 else f"{value:.6e}"
 
 
 def operator_gate(pair: SymbolPair) -> None:
@@ -156,7 +178,8 @@ def operator_gate(pair: SymbolPair) -> None:
     operator is bounded; every boundedness decision on a pair is made here."""
     if not pair.bounded_hint:
         raise UnboundedSymbolError(
-            f"no boundedness gate admits the symbols: sup|phi| = {sup_norm_lft(pair.phi):.6f} "
+            "no boundedness gate admits the symbols: "
+            f"sup|phi| = {format_magnitude(sup_norm_lft(pair.phi))} "
             "and the pair carries no boundedness flag"
         )
 
@@ -193,7 +216,9 @@ def relative_defect(A: np.ndarray, B: np.ndarray) -> float:
     """max |A - B| / max |A|, the defect of every kernel form and normality
     Gram B against its reference A; NaN, which a check reports 'unverified',
     when A is all zero: an underflowed reference carries no evidence."""
-    num, den = float(np.abs(A - B).max()), float(np.abs(A).max())
+    # ufunc reductions, without ndarray.max's Python wrapper; a NaN propagates
+    num = float(np.maximum.reduce(np.abs(A - B), axis=None))
+    den = float(np.maximum.reduce(np.abs(A), axis=None))
     return num / den if den > 0 else np.nan
 
 
@@ -209,7 +234,7 @@ def apply(M: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
         raise TruncationMismatchError(
             f"series truncation {f.order} does not match matrix dimension {M.dim - 1}"
         )
-    broot = np.sqrt(beta_sq_vector(M.space.N, M.space.alpha))
+    broot = beta_root_vector(M.space.N, M.space.alpha)
     y = np.einsum("ij,j->i", M.entries, f.coeffs * broot, optimize=False)
     # componentwise float division; complex/float promotion would round x/x
     return TruncatedSeries(y.real / broot + 1j * (y.imag / broot))
@@ -227,11 +252,12 @@ def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
     ``adjoint_on_kernels``.
     """
     if abs(w) > 0.7:
-        raise UnboundedSymbolError(f"kernel point gate |w| <= 0.7 violated: {abs(w):.6f}")
+        raise UnboundedSymbolError(
+            f"kernel point gate |w| <= 0.7 violated: {format_magnitude(abs(w))}")
     phi_w = lft_eval(phi, w)
     if abs(phi_w) > 0.85:
         raise UnboundedSymbolError(
-            f"image gate |phi(w)| <= 0.85 violated: {abs(phi_w):.6f}"
+            f"image gate |phi(w)| <= 0.85 violated: {format_magnitude(abs(phi_w))}"
         )
     return phi_w
 
@@ -245,7 +271,15 @@ def kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
     every draw of a sweep, so the tables are cached and shared, as
     ``beta_sq_vector`` is; the returned array cannot be written.
     """
-    coords = kernel_table(points, 0, alpha, N) * np.sqrt(beta_sq_vector(N, alpha))
+    coords = kernel_table(points, 0, alpha, N) * beta_root_vector(N, alpha)
+    coords.flags.writeable = False
+    return coords
+
+
+@lru_cache(maxsize=32)
+def _conj_kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
+    """The conjugates of ``kernel_coordinates``, read-only, cached with them."""
+    coords = np.conj(kernel_coordinates(points, alpha, N))
     coords.flags.writeable = False
     return coords
 
@@ -264,14 +298,19 @@ def adjoint_on_kernels(M: OperatorMatrix, pair: SymbolPair, points) -> np.ndarra
     the space norm of the difference. Every point must pass
     ``kernel_point_gate``; they are gated in order before anything is
     computed.
+
+    The sums run on M itself against the conjugated coordinates, and their
+    (points, N + 1) result is conjugated: conjugation is exact, so these are
+    the bits of the sums on the conjugated matrix, without conjugating its
+    (N + 1)^2 entries.
     """
     points = tuple(points)
     phi_w = [kernel_point_gate(pair.phi, w) for w in points]
     space = M.space
     bsq = beta_sq_vector(space.N, space.alpha)
-    broot = np.sqrt(bsq)
-    y = np.einsum("ij,pi->pj", np.conj(M.entries),
-                  kernel_coordinates(points, space.alpha, space.N), optimize=False)
+    broot = beta_root_vector(space.N, space.alpha)
+    y = np.einsum("ij,pi->pj", M.entries,
+                  _conj_kernel_coordinates(points, space.alpha, space.N), optimize=False).conj()
     psi_w = series_values(pair.psi, points)
     via_formula = kernel_table(phi_w, pair.n, space.alpha, space.N) * np.conj(psi_w)[:, None]
     # componentwise float division; complex/float promotion would round x/x
@@ -298,9 +337,9 @@ def companion_gate(phi: LinearFractionalMap) -> None:
     norm = sup_norm_lft(phi)
     # a finite norm puts the pole outside the closed disk, so |c/d| < 1
     if not (norm < 1.0 and 1.0 - norm
-            > COMPANION_ROUNDING * np.finfo(float).eps / (1 - abs(phi.c / phi.d) ** 2)):
+            > COMPANION_ROUNDING * _EPS / (1 - abs(phi.c / phi.d) ** 2)):
         raise UnboundedSymbolError(
-            f"companion pair needs sup|phi| < 1, got {norm:.6f}"
+            f"companion pair needs sup|phi| < 1, got {format_magnitude(norm)}"
         )
 
 

@@ -62,7 +62,8 @@ from .errors import (
     SingularityError,
     UnboundedSymbolError,
 )
-from .matrices import OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, kernel_point_gate
+from .matrices import (OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, format_magnitude,
+                       kernel_point_gate)
 from .rng import SplitMix64
 from .series import polynomial
 from .symbols import (
@@ -414,7 +415,8 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
             raise ConfigError(f"{path}.phi", str(exc)) from exc
         sup = sup_norm_lft(phi)
         if sup > 1.0 + 1e-12:
-            raise ConfigError(f"{path}.phi", f"the map leaves the disk: sup|phi| = {sup:.6f}")
+            raise ConfigError(f"{path}.phi",
+                              f"the map leaves the disk: sup|phi| = {format_magnitude(sup)}")
         return SymbolPair.from_series(
             polynomial(coeffs, N), phi, space.n, provenance="explicit",
             params={"bounded": bounded},
@@ -783,15 +785,16 @@ def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
         else:
             raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
         return draw
-    raise ConfigError("symbols", "admissible region looks empty after 1e5 rejections")
+    raise ConfigError("symbols",
+                      f"admissible region looks empty after {MAX_REJECTIONS} rejections")
 
 
 def _draw_passes_gates(config: RunConfig) -> bool:
-    """Whether the gates of the configured checks admit the drawn config."""
+    """Whether the gates of the configured checks admit the drawn config;
+    a gate that several checks share runs once."""
     try:
-        for name in config.checks:
-            if name in GATES:
-                GATES[name](config)
+        for gate in dict.fromkeys(GATES[name] for name in config.checks if name in GATES):
+            gate(config)
     except UnboundedSymbolError:
         return False
     return True

@@ -31,7 +31,7 @@ class TruncatedSeries:
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("series coefficients must be finite")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -50,7 +50,9 @@ class LinearFractionalMap:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not complex:  # numpy's complex128 is a subclass
+                object.__setattr__(self, name, complex(value))
         if self.det == 0:
             raise SingularityError("degenerate map: a d - b c = 0")
 
@@ -97,10 +99,11 @@ def lft_compose(outer: LinearFractionalMap, inner: LinearFractionalMap) -> Linea
 def sigma_companion(phi: LinearFractionalMap) -> LinearFractionalMap:
     """Companion self-map sigma(z) = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)).
 
-    Maps the disk into itself whenever phi does.
+    Maps the disk into itself whenever phi does. ``complex.conjugate`` is
+    exact, as ``np.conj`` is, and keeps the coefficients Python complex.
     """
     return LinearFractionalMap(
-        np.conj(phi.a), -np.conj(phi.c), -np.conj(phi.b), np.conj(phi.d)
+        phi.a.conjugate(), -phi.c.conjugate(), -phi.b.conjugate(), phi.d.conjugate()
     )
 
 
@@ -234,7 +237,7 @@ class SymbolPair:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("order n must be nonnegative")
-        if not np.any(self.weight.poly[: self.order + 1]):
+        if not self.weight.poly[: self.order + 1].any():
             raise DomainError("weight symbol psi is identically zero")
 
     @classmethod

@@ -17,6 +17,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -163,3 +164,38 @@ def test_extreme_leaves_do_not_crash(work, few_rejections, case):
     mode, doc = case
     code, _, err = run_cli(work, mode, doc)
     assert_no_crash(code, err)
+
+
+HUGE_B_GATES = {**GENERAL_HUGE_B, "checks": ["adjoint-pair", "J-symmetry", "normality"]}
+NUMBER = re.compile(r"[0-9][0-9.e+-]*")
+
+
+def test_gate_refusals_print_huge_magnitudes_in_e_form(work):
+    # sup|phi| is about 1.29e300 here: printed with six decimals it took 308
+    # characters in each of the three provenances
+    code, out, err = run_cli(work, "check", HUGE_B_GATES)
+    assert code == 3, err
+    reports = json.loads(out)["reports"]
+    assert [r["status"] for r in reports] == ["unverified"] * 3
+    for report in reports:
+        assert "1.288007e+300" in report["provenance"], report
+        assert max(map(len, NUMBER.findall(report["provenance"]))) <= 20, report
+    leaves_disk = {**GENERAL_HUGE_B, "symbols": {"family": "explicit", "psi": [0, 1],
+                                                 "phi": [1e300, 0, 0, 1]}}
+    code, _, err = run_cli(work, "check", leaves_disk)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "symbols.phi: the map leaves the disk: sup|phi| = 1.000000e+300",
+        "path": "symbols.phi"}
+
+
+def test_an_empty_region_names_the_rejections_it_made(work, few_rejections):
+    # |b| >= 0.99 puts sup|phi| above the 0.95 that every general draw needs
+    doc = {"space": {"alpha": 0, "n": 1, "N": 8},
+           "symbols": {"family": "general", "ranges": {"abs_b": [0.99, 0.995]}},
+           "checks": ["adjoint-pair"]}
+    code, _, err = run_cli(work, "sweep", doc)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": f"symbols: admissible region looks empty after {MAX_REJECTIONS} rejections",
+        "path": "symbols"}
