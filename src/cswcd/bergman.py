@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import KERNEL_NORM_CAP, KERNEL_NORM_TOL
-from .errors import DomainError, TruncationMismatchError
+from .errors import DomainError, TruncationMismatchError, format_magnitude
 from .series import TruncatedSeries
 
 
@@ -121,7 +121,8 @@ def kernel_table(points, m: int, alpha: float, N: int) -> np.ndarray:
     w = np.asarray(points, dtype=complex).reshape(-1)
     outside = np.abs(w) >= 1.0
     if outside.any():
-        raise DomainError(f"kernel point must satisfy |w| < 1, got {abs(w[outside][0]):.6f}")
+        raise DomainError("kernel point must satisfy |w| < 1, "
+                          f"got {format_magnitude(abs(w[outside][0]))}")
     falling, exponents = _kernel_exponents(m, N)
     out = np.zeros((w.size, N + 1), dtype=complex)
     out[:, m:] = (falling * np.power(np.conj(w)[:, None], exponents)
@@ -169,7 +170,7 @@ def kernel_norm_sq(
     valid geometric tail bound. Exceeding the term cap returns converged=False.
     """
     if abs(w) >= 1.0:
-        raise DomainError(f"kernel norm requires |w| < 1, got {abs(w):.6f}")
+        raise DomainError(f"kernel norm requires |w| < 1, got {format_magnitude(abs(w))}")
     if tol <= 0:
         raise DomainError("tol must be positive")
     x = abs(w) ** 2

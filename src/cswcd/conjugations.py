@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .bergman import SpaceParams, space_norm, t_constant
-from .errors import DomainError
+from .errors import DomainError, format_magnitude
 from .matrices import (
     OperatorMatrix,
     apply,
@@ -71,6 +71,7 @@ from .symbols import (
     IDENTITY_MAP,
     LinearFractionalMap,
     SymbolPair,
+    is_unimodular,
     lft_eval,
     lft_inverse,
     lft_values,
@@ -145,7 +146,7 @@ def make_J(alpha: float) -> AntilinearConjugation:
 
 def make_rotation_J(mu: complex, lam: complex, alpha: float) -> AntilinearConjugation:
     """Rotation kind: weight mu, composition with lam z; U = diag(mu lam^j)."""
-    if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
+    if not (is_unimodular(mu) and is_unimodular(lam)):
         raise DomainError("mu and lam must be unimodular")
     return AntilinearConjugation((complex(mu), 0j), rotation_map(lam), alpha, "rotation-J")
 
@@ -177,7 +178,7 @@ def extended_space(space: SpaceParams, p: complex) -> SpaceParams:
     """
     r = abs(p)
     if r >= 1.0:
-        raise DomainError(f"|p| must be < 1, got {r:.6f}")
+        raise DomainError(f"|p| must be < 1, got {format_magnitude(r)}")
     return SpaceParams(space.alpha, space.n,
                        math.ceil(space.N * (1 + r) / (1 - r)) + EXTENSION_SLACK)
 

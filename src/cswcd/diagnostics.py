@@ -25,7 +25,7 @@ import numpy as np
 
 from .bergman import beta_sq_vector, t_constant
 from .defaults import MAX_WORK_DIM, TOL_NORMALITY
-from .errors import UnboundedSymbolError
+from .errors import UnboundedSymbolError, format_magnitude
 from .matrices import (OperatorMatrix, frobenius_norm, kernel_point_gate, operator_gate,
                        relative_defect)
 from .series import power_table
@@ -387,7 +387,8 @@ def _operator_kernel_sums(pair: SymbolPair, alpha: float, wbar: np.ndarray,
     s = alpha + n + 2
     if (np.abs(q) >= 1.0).any():
         raise UnboundedSymbolError(
-            f"normality Gram: 1 - conj(w) phi vanishes in the closed disk, |q| = {np.abs(q).max():.6f}"
+            "normality Gram: 1 - conj(w) phi vanishes in the closed disk, "
+            f"|q| = {format_magnitude(np.abs(q).max())}"
         )
     binom, power = _basis_change(n)
     coeffs = np.einsum("m,ami->ai", weight.poly, binom * power_table(q, n + 1)[:, power],

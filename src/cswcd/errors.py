@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one format of a
+magnitude in their messages."""
+
+
+def format_magnitude(value: float) -> str:
+    """A magnitude in a refusal message: six decimals below 1e6, and six
+    significant digits in ``e`` form from there on, so that 1e300 takes 13
+    characters, not 308."""
+    return f"{value:.6f}" if value < 1e6 else f"{value:.6e}"
 
 
 class DomainError(ValueError):

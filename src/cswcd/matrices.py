@@ -34,7 +34,7 @@ import numpy as np
 
 from .bergman import (SpaceParams, beta_root_vector, beta_sq_vector, falling_factorial, kernel,
                       kernel_table)
-from .errors import NonFiniteError, TruncationMismatchError, UnboundedSymbolError
+from .errors import NonFiniteError, TruncationMismatchError, UnboundedSymbolError, format_magnitude
 from .series import TruncatedSeries, series_values
 from .symbols import (
     LinearFractionalMap,
@@ -164,13 +164,6 @@ def _build(psi: TruncatedSeries, phi: LinearFractionalMap, n: int, space: SpaceP
     M[:, n:] *= row
     M.flags.writeable = False
     return M
-
-
-def format_magnitude(value: float) -> str:
-    """A gate's magnitude in its refusal message: six decimals below 1e6,
-    and six significant digits in ``e`` form from there on, so that 1e300
-    takes 13 characters, not 308."""
-    return f"{value:.6f}" if value < 1e6 else f"{value:.6e}"
 
 
 def operator_gate(pair: SymbolPair) -> None:

@@ -61,9 +61,9 @@ from .errors import (
     NonFiniteError,
     SingularityError,
     UnboundedSymbolError,
+    format_magnitude,
 )
-from .matrices import (OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, format_magnitude,
-                       kernel_point_gate)
+from .matrices import OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, kernel_point_gate
 from .rng import SplitMix64
 from .series import polynomial
 from .symbols import (
@@ -150,6 +150,18 @@ class RunConfig:
         """The kernel Grams (G_T, G_T*) at GRAM_POINTS, read by both normality
         checks and by ``kernel-norm-balance``."""
         return normality_gram(self.pair, self.space.alpha)
+
+    @cached_property
+    def kernel_points(self) -> tuple:
+        """The points of ``adjoint-kernel``, read by its gate and by the check."""
+        return tuple(_kernel_points(self.symbols))
+
+    @cached_property
+    def predicted_normal(self) -> bool:
+        """The paper's normality prediction, read by both predicate checks."""
+        b = _complex_value(self.symbols.get("b", 0.0), "symbols.b")
+        c = _complex_value(self.symbols.get("c", 0.0), "symbols.c")
+        return (b.imag == 0 and b.real != 0) or c == 0
 
 
 @dataclass
@@ -297,6 +309,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     for i, name in enumerate(checks):
         if not isinstance(name, str) or name not in CHECKS:
             raise ConfigError(f"checks[{i}]", f"unknown check {name!r}")
+        if name in checks[:i]:
+            raise ConfigError(f"checks[{i}]", f"check {name!r} is listed twice")
         if name in PREDICATE_CHECKS and symbols["family"] not in PREDICATE_FAMILIES:
             raise ConfigError(
                 f"checks[{i}]",
@@ -464,12 +478,6 @@ def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
     raise ConfigError("conjugation.kind", f"unknown kind {kind!r}")
 
 
-def _predicted_normal(symbols: dict) -> bool:
-    b = _complex_value(symbols.get("b", 0.0), "symbols.b")
-    c = _complex_value(symbols.get("c", 0.0), "symbols.c")
-    return (b.imag == 0 and b.real != 0) or c == 0
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -528,7 +536,7 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     """
     tol = config.tolerances.get(name, TOL_PREDICATE)
     defect = defect_of(config)
-    predicted = _predicted_normal(config.symbols)
+    predicted = config.predicted_normal
     provenance = f"{name}; predicted={'normal' if predicted else 'nonnormal'}"
     if not math.isfinite(defect):
         return CheckReport(name, "unverified", None, tol, f"non-finite-defect; {provenance}")
@@ -555,12 +563,12 @@ def _kernel_points(symbols: dict) -> list:
 
 
 def _gate_adjoint_kernel(config: RunConfig) -> None:
-    for w in _kernel_points(config.symbols):
+    for w in config.kernel_points:
         kernel_point_gate(config.pair.phi, w)
 
 
 def _adjoint_kernel(config: RunConfig) -> tuple:
-    points = _kernel_points(config.symbols)
+    points = config.kernel_points
     # a refused first point is reported ahead of a refused build of the
     # matrix, and that ahead of a refused later point
     kernel_point_gate(config.pair.phi, points[0])
@@ -645,12 +653,7 @@ CHECKS = {
 }
 
 # checks whose point gates a sweep applies before it runs a draw
-GATES = {
-    "adjoint-kernel": _gate_adjoint_kernel,
-    "normality": _gate_normality,
-    "normality-predicate": _gate_normality,
-    "kernel-norm-balance": _gate_normality,
-}
+GATES = {"adjoint-kernel": _gate_adjoint_kernel, **dict.fromkeys(GRAM_CHECKS, _gate_normality)}
 
 
 def run(config: RunConfig) -> list[CheckReport]:

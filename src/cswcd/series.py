@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import EVAL_EDGE
-from .errors import DomainError, NonFiniteError, TruncationMismatchError
+from .errors import DomainError, NonFiniteError, TruncationMismatchError, format_magnitude
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def series_eval(f: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncated polynomial at z, |z| <= 1 - EVAL_EDGE."""
     if abs(z) > 1.0 - EVAL_EDGE:
-        raise DomainError(f"|z| = {abs(z):.6f} too close to the unit circle")
+        raise DomainError(f"|z| = {format_magnitude(abs(z))} too close to the unit circle")
     acc = 0.0 + 0.0j
     for c in f.coeffs[::-1]:
         acc = acc * z + c
@@ -136,7 +136,7 @@ def binomial_series(t: float, c: complex, N: int) -> TruncatedSeries:
     Recurrence u_0 = 1, u_j = u_{j-1} * c * (j - 1 - t) / j.
     """
     if abs(c) >= 1.0:
-        raise DomainError(f"binomial series requires |c| < 1, got {abs(c):.6f}")
+        raise DomainError(f"binomial series requires |c| < 1, got {format_magnitude(abs(c))}")
     u = np.zeros(N + 1, dtype=complex)
     u[0] = 1.0
     for j in range(1, N + 1):

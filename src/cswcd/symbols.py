@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, format_magnitude
 from .series import (
     TruncatedSeries,
     binomial_series,
@@ -67,6 +67,11 @@ IDENTITY_MAP = LinearFractionalMap(1, 0, 0, 1)
 def rotation_map(lam: complex) -> LinearFractionalMap:
     """z -> lam z."""
     return LinearFractionalMap(lam, 0, 0, 1)
+
+
+def is_unimodular(z: complex) -> bool:
+    """Whether |z| = 1 to within 1e-12: the one unit-circle test."""
+    return abs(abs(z) - 1.0) <= 1e-12
 
 
 def lft_eval(phi: LinearFractionalMap, z: complex) -> complex:
@@ -178,7 +183,8 @@ class RationalWeight:
         if self.exponent < 0:
             raise DomainError(f"weight exponent must be >= 0, got {self.exponent}")
         if self.exponent > 0 and abs(self.rho) >= 1.0:
-            raise DomainError(f"weight pole inside or on the unit circle: |rho| = {abs(self.rho):.6f}")
+            raise DomainError("weight pole inside or on the unit circle: "
+                              f"|rho| = {format_magnitude(abs(self.rho))}")
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """psi at each point of u, |u| < 1: P by an unoptimized ``einsum``
@@ -319,7 +325,7 @@ def _check_family_params(a: complex, b: complex, c: complex) -> None:
     if a == 0 or b == 0:
         raise DomainError("a and b must be nonzero")
     if abs(c) >= 1.0:
-        raise DomainError(f"|c| must be < 1, got {abs(c):.6f}")
+        raise DomainError(f"|c| must be < 1, got {format_magnitude(abs(c))}")
 
 
 def _rational_family(
@@ -382,7 +388,7 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
     if a == 0:
         raise DomainError("a must be nonzero")
     if b == 0 or abs(b) >= 1.0:
-        raise DomainError(f"b must satisfy 0 < |b| < 1, got {abs(b):.6f}")
+        raise DomainError(f"b must satisfy 0 < |b| < 1, got {format_magnitude(abs(b))}")
     return SymbolPair(
         _monomial_weight(a, n, 0j, 0.0),
         rotation_map(b),
@@ -406,9 +412,10 @@ def unitary_parameters(
     if p == 0:
         raise DomainError("p must be nonzero; use a rotation for p = 0")
     if abs(p) >= 1.0:
-        raise DomainError(f"|p| must be < 1, got {abs(p):.6f}")
-    if abs(abs(lambda_u) - 1.0) > 1e-12:
-        raise DomainError(f"lambda_u must be unimodular, got |lambda_u| = {abs(lambda_u):.6f}")
+        raise DomainError(f"|p| must be < 1, got {format_magnitude(abs(p))}")
+    if not is_unimodular(lambda_u):
+        raise DomainError("lambda_u must be unimodular, "
+                          f"got |lambda_u| = {format_magnitude(abs(lambda_u))}")
     pbar = np.conj(p)
     g = (alpha + 2) / 2 * math.log1p(-abs(p) ** 2)
     return g, pbar, LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
@@ -497,7 +504,7 @@ def family_conjugated(
     else:
         if mu is None or lam is None:
             raise DomainError("rotation case needs both mu and lam")
-        if abs(abs(mu) - 1.0) > 1e-12 or abs(abs(lam) - 1.0) > 1e-12:
+        if not (is_unimodular(mu) and is_unimodular(lam)):
             raise DomainError("mu and lam must be unimodular")
         phi = lft_compose(base_phi, rotation_map(lam))
         weight = _monomial_weight(mu * scale * lam**n, n, c * lam, n + alpha + 2)

@@ -145,6 +145,14 @@ class TestRotationJ:
         with pytest.raises(DomainError):
             make_rotation_J(0.9, 1.0, SPACE.alpha)
 
+    @pytest.mark.parametrize("make", [partial(make_rotation_J, math.nan, 1.0),
+                                      partial(make_rotation_J, 1.0, complex(0, math.nan)),
+                                      partial(make_wc_J, 0.3, math.nan)])
+    def test_a_nan_is_not_unimodular(self, make):
+        # a NaN fails |abs(z) - 1| <= 1e-12, so it never reaches the weight
+        with pytest.raises(DomainError, match="must be unimodular"):
+            make(SPACE.alpha)
+
 
 class TestWcJ:
     def test_involution_and_isometry_guarded(self):

@@ -187,6 +187,21 @@ def test_gate_refusals_print_huge_magnitudes_in_e_form(work):
     assert json.loads(err) == {
         "error": "symbols.phi: the map leaves the disk: sup|phi| = 1.000000e+300",
         "path": "symbols.phi"}
+    # the family constructors' domain refusals print through the same format
+    huge = [1e300, 0]
+    for symbols in ({**GENERAL_HUGE_B["symbols"], "b": 0.3, "c": huge},
+                    {"family": "unitary", "p": [0.3, 0.1], "lambda_u": huge},
+                    {"family": "normal-origin", "a": 1, "b": huge},
+                    {"family": "wc-conjugated", "a": 1, "b": 0.3, "c": 0.2, "p": huge}):
+        code, _, err = run_cli(work, "check", {**GENERAL_HUGE_B, "symbols": symbols})
+        assert code == 2, err
+        assert "1.000000e+300" in err, err
+        assert max(map(len, NUMBER.findall(err))) <= 20, err
+    small_c = {**GENERAL_HUGE_B["symbols"], "b": 0.3, "c": [1.5, 0]}
+    code, _, err = run_cli(work, "check", {**GENERAL_HUGE_B, "symbols": small_c})
+    assert code == 2
+    assert json.loads(err) == {"error": "symbols: |c| must be < 1, got 1.500000",
+                               "path": "symbols"}
 
 
 def test_an_empty_region_names_the_rejections_it_made(work, few_rejections):

@@ -107,6 +107,21 @@ class TestParseConfig:
             parse_config(config_with(checks=["no-such-check"]))
         assert err.value.path == "checks[0]"
 
+    @pytest.mark.parametrize("checks, index", [(["J-symmetry", "J-symmetry"], 1),
+                                               (["J-symmetry", "adjoint-pair", "J-symmetry"], 2)])
+    def test_rejects_a_check_listed_twice(self, tmp_path, capsys, checks, index):
+        # a repeated check would count twice per sweep draw, appear twice in
+        # a check report and keep one of its two times in the sidecar
+        for concrete in (True, False):
+            with pytest.raises(ConfigError) as err:
+                parse_config(config_with(checks=checks), require_concrete=concrete)
+            assert (err.value.path, str(err.value)) == (
+                f"checks[{index}]", f"checks[{index}]: check 'J-symmetry' is listed twice")
+        cfg = write_config(tmp_path, config_with(checks=checks))
+        for argv in (["check", cfg], ["sweep", cfg, "--draws", "3"]):
+            code, out, err = outcome(lambda: main(argv), capsys)
+            assert (code, out, json.loads(err)["path"]) == (2, "", f"checks[{index}]")
+
     def test_rejects_bad_space(self):
         doc = config_with(space={"alpha": -2.0, "n": 1, "N": 48})
         with pytest.raises(ConfigError) as err:
@@ -306,6 +321,22 @@ class TestOneBuildPerConfig:
         aggregate = json.loads(out.read_text(encoding="utf-8"))["aggregate"]
         assert aggregate["redraws"] == 0
         assert len(pairs) == 6
+
+    def test_inputs_parsed_once_per_sweep_draw(self, monkeypatch):
+        # the checks of the scalar-sweep benchmark: the sweep's gate and
+        # adjoint-kernel share the kernel points, both predicates share the
+        # prediction, so a draw reads w_points once and a, b, c, b, c
+        doc = config_with(symbols={"family": "general"},
+                          checks=["adjoint-kernel", "adjoint-pair", "necessary-conditions",
+                                  "boundedness-grid", "nevanlinna-grid", "normality-predicate",
+                                  "kernel-norm-balance"])
+        config = parse_config(doc, require_concrete=False)
+        points = counting(monkeypatch, "_kernel_points")
+        values = counting(monkeypatch, "_complex_value")
+        aggregate = sweep(config, 5, seed=3)
+        assert aggregate["redraws"] == 0
+        assert {c["pass"] for c in aggregate["checks"].values()} == {5}
+        assert (len(points), len(values)) == (5, 25)
 
     def test_one_matrix_build_per_run(self, monkeypatch):
         # the large-check shape: every check reads kernels, none builds a matrix
@@ -604,7 +635,7 @@ class TestNormality:
                     continue
                 reports = run(config)
                 normal = family in ("self-adjoint", "normal-origin", "unitary") or (
-                    family == "general" and runner._predicted_normal(config.symbols))
+                    family == "general" and config.predicted_normal)
                 for report in reports:
                     assert report.defect is not None and math.isfinite(report.defect), report
                     assert report.status in ("pass", "fail") or (
