@@ -34,8 +34,9 @@ from .diagnostics import export_grid_csv
 from .errors import ConfigError, NonFiniteError, UnboundedSymbolError
 from .matrices import export_matrix_csv
 from .runner import (
-    GRID_CHECKS,
+    CHECK_RECORDS,
     RunConfig,
+    _check_grid,
     canonical_json,
     check_report_document,
     grid_report,
@@ -120,7 +121,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args.config)
-    grid_checks = [name for name in config.checks if name in GRID_CHECKS]
+    grid_checks = [name for name in config.checks if CHECK_RECORDS[name].rule is _check_grid]
     if not grid_checks:
         raise ConfigError("checks", "no grid checks configured")
     out_dir = Path(args.out)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -83,24 +84,33 @@ from .symbols import (
 
 FAIL_THRESHOLD = 1e-3           # macroscopic defect certifying a structural failure
 DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
-PREDICATE_CHECKS = ("normality-predicate", "kernel-norm-balance")
-GRAM_CHECKS = ("normality", *PREDICATE_CHECKS)      # the checks that read the normality Grams
-PREDICATE_FAMILIES = ("general", "self-adjoint")   # where the predicates are proved
 # the fields each kind of conjugation descriptor admits besides "kind"
 CONJUGATION_FIELDS = {"auto": (), "plain-J": (), "rotation-J": ("mu", "lambda"),
                       "wc-J": ("p", "lambda_u")}
-# the fields each family's symbols admit besides SHARED_SYMBOL_FIELDS
-SYMBOL_FIELDS = {
-    "j-symmetric": ("a", "b", "c"),
-    "general": ("a", "b", "c"),
-    "self-adjoint": ("a", "b", "c"),
-    "normal-origin": ("a", "b"),
-    "unitary": ("p", "lambda_u"),
-    "wc-conjugated": ("a", "b", "c", "p", "lambda_u"),
-    "rotation-conjugated": ("a", "b", "c", "mu", "lam"),
-    "explicit": ("psi", "phi", "bounded"),
+SHARED_FIELDS = ("family", "ranges", "w_points")    # the symbol fields of every family
+
+
+@dataclass(frozen=True)
+class Family:
+    """A symbol family: the fields its symbols admit besides SHARED_FIELDS,
+    and the ranges that ``draw_symbols`` draws (None: it cannot be swept)."""
+
+    fields: tuple
+    ranges: tuple | None = None
+
+
+FAMILIES = {
+    "j-symmetric": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
+    "general": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
+    "self-adjoint": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
+    "normal-origin": Family(("a", "b"), ("abs_a",)),        # |b| in a fixed [0.1, 0.9]
+    "unitary": Family(("p", "lambda_u"), ("abs_p",)),
+    "wc-conjugated": Family(("a", "b", "c", "p", "lambda_u"),
+                            ("abs_a", "abs_b", "abs_c", "abs_p")),
+    "rotation-conjugated": Family(("a", "b", "c", "mu", "lam"), ("abs_a", "abs_b", "abs_c")),
+    "explicit": Family(("psi", "phi", "bounded")),
 }
-SHARED_SYMBOL_FIELDS = ("family", "ranges", "w_points")
+SWEEPABLE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.ranges)
 
 
 @dataclass(frozen=True)
@@ -226,17 +236,19 @@ def _number(kind, value, path: str):
     return number
 
 
-def _check_ranges(symbols: dict) -> None:
-    """Sweep draw ranges are [lo, hi] with 0 <= lo <= hi (0 < lo outside
-    ZERO_RADII), hi < 1 for the radius of a point in the open disk, and an
-    abs_c that reaches GENERAL_MIN_ABS_C for the general family."""
+def _check_ranges(symbols: dict, record: Family | None) -> None:
+    """Sweep draw ranges are ranges the family draws (any of RANGE_DEFAULTS
+    without a record), [lo, hi] with 0 <= lo <= hi (0 < lo outside ZERO_RADII),
+    hi < 1 for a radius in the disk, and hi >= GENERAL_MIN_ABS_C for general's abs_c."""
     ranges = symbols.get("ranges", {})
     if not isinstance(ranges, dict):
         raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
+    known = tuple(RANGE_DEFAULTS) if record is None else record.ranges or ()
     for key, value in ranges.items():
         path = f"symbols.ranges.{key}"
-        if key not in RANGE_DEFAULTS:
-            raise ConfigError(path, f"unknown range; known: {', '.join(RANGE_DEFAULTS)}")
+        if key not in known:
+            raise ConfigError(path, f"unknown range for family {symbols['family']!r}; "
+                              f"known: {', '.join(known) or 'none'}")
         if not (isinstance(value, list) and len(value) == 2):
             raise ConfigError(path, "expected two numbers [lo, hi]")
         lo, hi = (_number(float, v, path) for v in value)
@@ -286,12 +298,12 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         raise ConfigError("symbols.family", "missing family name")
     family = symbols["family"]
     # an unknown family is refused where the pair is made, or as unsweepable
-    fields = SYMBOL_FIELDS.get(family, ()) if isinstance(family, str) else ()
+    record = FAMILIES.get(family) if isinstance(family, str) else None
     for key in symbols:
-        if fields and key not in fields and key not in SHARED_SYMBOL_FIELDS:
-            raise ConfigError(f"symbols.{key}",
-                              f"unknown field for {family!r}; known: {', '.join(fields)}")
-    _check_ranges(symbols)
+        if record and key not in record.fields and key not in SHARED_FIELDS:
+            raise ConfigError(f"symbols.{key}", f"unknown field for {family!r}; "
+                              f"known: {', '.join(record.fields)}")
+    _check_ranges(symbols, record)
     _kernel_points(symbols)
     conjugation = doc.get("conjugation", {"kind": "auto"})
     if not isinstance(conjugation, dict) or "kind" not in conjugation:
@@ -311,15 +323,13 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             raise ConfigError(f"checks[{i}]", f"unknown check {name!r}")
         if name in checks[:i]:
             raise ConfigError(f"checks[{i}]", f"check {name!r} is listed twice")
-        if name in PREDICATE_CHECKS and symbols["family"] not in PREDICATE_FAMILIES:
-            raise ConfigError(
-                f"checks[{i}]",
-                f"{name} applies to the families {', '.join(PREDICATE_FAMILIES)}, "
-                f"not {symbols['family']!r}",
-            )
+        families = CHECK_RECORDS[name].families
+        if families is not None and family not in families:
+            raise ConfigError(f"checks[{i}]", f"{name} applies to the families "
+                              f"{', '.join(families)}, not {family!r}")
     # the normality Grams' term table grows like n^3; refused before it is made
     terms = leibniz_term_count(space.n)
-    if terms > MAX_GRAM_TERMS and any(name in GRAM_CHECKS for name in checks):
+    if terms > MAX_GRAM_TERMS and _gate_gram in {CHECK_RECORDS[name].gate for name in checks}:
         raise ConfigError(
             "space.n", f"order {space.n} gives {terms} normality Gram terms, "
             f"over the budget of {MAX_GRAM_TERMS}"
@@ -355,10 +365,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             config.pair
         except (DomainError, SingularityError) as exc:
             raise ConfigError("symbols", str(exc)) from exc
-    elif symbols["family"] not in SWEEPABLE_FAMILIES:
-        raise ConfigError(
-            "symbols.family", f"family {symbols['family']!r} cannot be swept"
-        )
+    elif family not in SWEEPABLE_FAMILIES:
+        raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
     # a non-finite number in a field that nothing reads would otherwise
     # refuse the hash only in the report header, after every check had run
     try:
@@ -389,7 +397,8 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
     if family == "self-adjoint":
         a, b = cval("a"), cval("b")
         if a.imag != 0 or b.imag != 0:
-            raise ConfigError(f"{path}.a", "self-adjoint family needs real a and b")
+            raise ConfigError(f"{path}.{'a' if a.imag else 'b'}",
+                              "self-adjoint family needs real a and b")
         return family_self_adjoint(a.real, b.real, cval("c"), space.n, space.alpha, N)
     if family == "normal-origin":
         return family_normal_origin(cval("a"), cval("b"), space.n, N)
@@ -483,14 +492,31 @@ def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
 # ---------------------------------------------------------------------------
 
 
-def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
+@dataclass(frozen=True)
+class Check:
+    """One check: ``rule(check, config)`` makes its report from ``measure``;
+    ``tol`` is the default tolerance, ``gate`` the point gate that a sweep
+    applies to each draw, ``families`` those whose prediction the check
+    tests (None: every family), ``tag`` a grid's or the conditions' provenance."""
+
+    name: str
+    rule: Callable
+    measure: Callable
+    tol: float | None = None
+    gate: Callable | None = None
+    families: tuple | None = None
+    tag: str | None = None
+
+
+def _check_tolerance(check: Check, config: RunConfig) -> CheckReport:
     """Pass iff the defect meets the tolerance: the config's override for
-    ``name``, else the default. ``measure(config)`` returns the defect, the
-    default tolerance and the provenance. A defect that is not finite, where
-    a closed form overflowed or underflowed, is 'unverified': it claims
-    nothing either way. Its floating-point warnings are silenced by ``run``."""
-    defect, default_tol, provenance = measure(config)
-    tol = config.tolerances.get(name, default_tol)
+    the check, else the default. ``measure(config)`` returns the defect and
+    the provenance. A defect that is not finite, where a closed form
+    overflowed or underflowed, is 'unverified': it claims nothing either
+    way. Its floating-point warnings are silenced by ``run``."""
+    name = check.name
+    defect, provenance = check.measure(config)
+    tol = config.tolerances.get(name, check.tol)
     if not math.isfinite(defect):
         return CheckReport(name, "unverified", None, tol, f"non-finite-defect; {provenance}")
     return CheckReport(name, "pass" if defect <= tol else "fail", defect, tol, provenance)
@@ -498,35 +524,19 @@ def _check_tolerance(name: str, measure, config: RunConfig) -> CheckReport:
 
 def _kernel_symmetry(config: RunConfig, C: AntilinearConjugation) -> tuple:
     defect = kernel_symmetry_defect(config.pair, C, config.kernel_weights)
-    return defect, TOL_EXACT, f"kernel-symmetry; kind={C.kind}"
-
-
-def _j_symmetry(config: RunConfig) -> tuple:
-    return _kernel_symmetry(config, make_J(config.space.alpha))
-
-
-def _c_symmetry(config: RunConfig) -> tuple:
-    return _kernel_symmetry(config, config.conjugation)
+    return defect, f"kernel-symmetry; kind={C.kind}"
 
 
 def _self_adjointness(config: RunConfig) -> tuple:
     defect = kernel_hermitian_defect(config.pair, config.space.alpha, config.kernel_weights)
-    return defect, TOL_EXACT, "kernel-hermitian"
+    return defect, "kernel-hermitian"
 
 
 def _gram_defect(config: RunConfig) -> float:
     return normality_gram_defect(*config.gram)
 
 
-def _kernel_norm_defect(config: RunConfig) -> float:
-    return norm_defect_kernel_test(*config.gram)
-
-
-def _normality(config: RunConfig) -> tuple:
-    return _gram_defect(config), TOL_NORMALITY, "kernel-gram-defect"
-
-
-def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
+def _check_predicate(check: Check, config: RunConfig) -> CheckReport:
     """Compare a normality defect with the paper's prediction for the family.
 
     A normal prediction passes iff the defect meets tol. A non-normal one
@@ -534,8 +544,9 @@ def _check_predicate(name: str, defect_of, config: RunConfig) -> CheckReport:
     and is 'unverified' in the band between; sweeps redraw such parameters.
     A defect that is not finite is 'unverified', as in ``_check_tolerance``.
     """
-    tol = config.tolerances.get(name, TOL_PREDICATE)
-    defect = defect_of(config)
+    name = check.name
+    tol = config.tolerances.get(name, check.tol)
+    defect = check.measure(config)
     predicted = config.predicted_normal
     provenance = f"{name}; predicted={'normal' if predicted else 'nonnormal'}"
     if not math.isfinite(defect):
@@ -573,87 +584,83 @@ def _adjoint_kernel(config: RunConfig) -> tuple:
     # matrix, and that ahead of a refused later point
     kernel_point_gate(config.pair.phi, points[0])
     defects = adjoint_on_kernels(config.matrix, config.pair, points)
-    return float(defects.max()), TOL_ADJOINT_KERNEL, "adjoint-kernel-identity"
+    return float(defects.max()), "adjoint-kernel-identity"
 
 
 def _adjoint_pair(config: RunConfig) -> tuple:
     pair = config.pair
     defect = kernel_companion_defect(pair.phi, pair.n, config.space.alpha)
-    return defect, TOL_ADJOINT_PAIR, "kernel-companion-adjoint"
+    return defect, "kernel-companion-adjoint"
 
 
-def _check_necessary_conditions(config: RunConfig) -> CheckReport:
-    violations = necessary_conditions_check(config.pair)
-    return CheckReport(
-        "necessary-conditions", "fail" if violations else "pass", None, None,
-        f"structural-necessary-conditions; violations={','.join(violations) or 'none'}",
-    )
+def _check_conditions(check: Check, config: RunConfig) -> CheckReport:
+    violations = check.measure(config.pair)
+    return CheckReport(check.name, "fail" if violations else "pass", None, None,
+                       f"{check.tag}; violations={','.join(violations) or 'none'}")
 
 
 def _conjugation_axioms(config: RunConfig) -> tuple:
     C = config.conjugation
-    return kernel_axioms_defect(C), TOL_AXIOMS, f"kernel-conjugation-axioms; kind={C.kind}"
-
-
-# grid check -> provenance tag
-GRID_CHECKS = {
-    "boundedness-grid": "boundedness-ratio-trend",
-    "nevanlinna-grid": "counting-function-trend",
-}
+    return kernel_axioms_defect(C), f"kernel-conjugation-axioms; kind={C.kind}"
 
 
 def grid_report(config: RunConfig, name: str) -> GridReport:
-    """Samples of the grid check ``name`` for the config's map; the grid
-    function is looked up by its module binding when called. The order is
-    the pair's, which is 0 for ``unitary``, not the space's n.
-
-    The grid's floating-point warnings are silenced here, as ``run``
-    silences those of every check, since ``cswcd grid`` calls this outside
-    ``run``: where a power of exponent alpha + 2 + 2n overflows or
-    underflows, a sample is not finite, and the caller refuses the grid.
-    """
-    grid = boundedness_ratio_grid if name == "boundedness-grid" else nevanlinna_bound_grid
+    """Samples of the grid check ``name`` for the config's map, at the
+    pair's order (0 for ``unitary``), not the space's n. Floating-point
+    warnings are silenced here as ``run`` silences every check's, since
+    ``cswcd grid`` calls this outside ``run``: where a power of exponent
+    alpha + 2 + 2n overflows or underflows, a sample is not finite, and the
+    caller refuses the grid."""
     pair = config.pair
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return grid(pair.phi, config.space.alpha, pair.n)
+        return CHECK_RECORDS[name].measure(pair.phi, config.space.alpha, pair.n)
 
 
-def _check_grid(name: str, config: RunConfig) -> CheckReport:
+def _check_grid(check: Check, config: RunConfig) -> CheckReport:
     """Pass with the supremum as the defect if the grid kept a sample;
     'unverified' if it kept none, or if the supremum is not finite."""
-    report = grid_report(config, name)
+    report = grid_report(config, check.name)
     if report.supremum is not None and not math.isfinite(report.supremum):
-        return CheckReport(name, "unverified", None, None,
-                           f"non-finite-defect; {GRID_CHECKS[name]}")
+        return CheckReport(check.name, "unverified", None, None,
+                           f"non-finite-defect; {check.tag}")
     status = "pass" if report.values.size else "unverified"
-    return CheckReport(
-        name, status, report.supremum, None,
-        f"{GRID_CHECKS[name]}; trend={report.trend}",
-    )
+    return CheckReport(check.name, status, report.supremum, None,
+                       f"{check.tag}; trend={report.trend}")
 
 
-def _gate_normality(config: RunConfig) -> None:
+def _gate_gram(config: RunConfig) -> None:
     for w in GRAM_POINTS:
         kernel_point_gate(config.pair.phi, w)
 
 
-CHECKS = {
-    "J-symmetry": partial(_check_tolerance, "J-symmetry", _j_symmetry),
-    "C-symmetry": partial(_check_tolerance, "C-symmetry", _c_symmetry),
-    "self-adjointness": partial(_check_tolerance, "self-adjointness", _self_adjointness),
-    "normality": partial(_check_tolerance, "normality", _normality),
-    "normality-predicate": partial(_check_predicate, "normality-predicate", _gram_defect),
-    "adjoint-kernel": partial(_check_tolerance, "adjoint-kernel", _adjoint_kernel),
-    "adjoint-pair": partial(_check_tolerance, "adjoint-pair", _adjoint_pair),
-    "necessary-conditions": _check_necessary_conditions,
-    "conjugation-axioms": partial(_check_tolerance, "conjugation-axioms", _conjugation_axioms),
-    "boundedness-grid": partial(_check_grid, "boundedness-grid"),
-    "nevanlinna-grid": partial(_check_grid, "nevanlinna-grid"),
-    "kernel-norm-balance": partial(_check_predicate, "kernel-norm-balance", _kernel_norm_defect),
-}
-
-# checks whose point gates a sweep applies before it runs a draw
-GATES = {"adjoint-kernel": _gate_adjoint_kernel, **dict.fromkeys(GRAM_CHECKS, _gate_normality)}
+# no record holds a function that a tracer may patch: a lambda's body reads
+# each module binding that it names when it is called
+CHECK_RECORDS = {check.name: check for check in (
+    Check("J-symmetry", _check_tolerance,
+          lambda config: _kernel_symmetry(config, make_J(config.space.alpha)), TOL_EXACT),
+    Check("C-symmetry", _check_tolerance,
+          lambda config: _kernel_symmetry(config, config.conjugation), TOL_EXACT),
+    Check("self-adjointness", _check_tolerance, _self_adjointness, TOL_EXACT),
+    Check("normality", _check_tolerance,
+          lambda config: (_gram_defect(config), "kernel-gram-defect"), TOL_NORMALITY, _gate_gram),
+    Check("normality-predicate", _check_predicate, _gram_defect, TOL_PREDICATE, _gate_gram,
+          ("general", "self-adjoint")),
+    Check("adjoint-kernel", _check_tolerance, _adjoint_kernel, TOL_ADJOINT_KERNEL,
+          _gate_adjoint_kernel),
+    Check("adjoint-pair", _check_tolerance, _adjoint_pair, TOL_ADJOINT_PAIR),
+    Check("necessary-conditions", _check_conditions,
+          lambda pair: necessary_conditions_check(pair), tag="structural-necessary-conditions"),
+    Check("conjugation-axioms", _check_tolerance, _conjugation_axioms, TOL_AXIOMS),
+    Check("boundedness-grid", _check_grid, lambda *args: boundedness_ratio_grid(*args),
+          tag="boundedness-ratio-trend"),
+    Check("nevanlinna-grid", _check_grid, lambda *args: nevanlinna_bound_grid(*args),
+          tag="counting-function-trend"),
+    Check("kernel-norm-balance", _check_predicate,
+          lambda config: norm_defect_kernel_test(*config.gram), TOL_PREDICATE, _gate_gram,
+          ("general", "self-adjoint")),
+)}
+# name -> its check, as ``run`` calls it
+CHECKS = {name: partial(check.rule, check) for name, check in CHECK_RECORDS.items()}
 
 
 def run(config: RunConfig) -> list[CheckReport]:
@@ -688,18 +695,8 @@ def run(config: RunConfig) -> list[CheckReport]:
 
 MAX_REJECTIONS = 10**5
 
-SWEEPABLE_FAMILIES = (
-    "j-symmetric",
-    "general",
-    "self-adjoint",
-    "normal-origin",
-    "unitary",
-    "wc-conjugated",
-    "rotation-conjugated",
-)
 
-
-# default draw range per radius; parse_config admits only these keys
+# default draw range per radius; parse_config admits those that the family draws
 RANGE_DEFAULTS = {
     "abs_a": (0.5, 1.5),
     "abs_b": (0.1, 0.6),
@@ -796,7 +793,8 @@ def _draw_passes_gates(config: RunConfig) -> bool:
     """Whether the gates of the configured checks admit the drawn config;
     a gate that several checks share runs once."""
     try:
-        for gate in dict.fromkeys(GATES[name] for name in config.checks if name in GATES):
+        for gate in filter(None, dict.fromkeys(CHECK_RECORDS[name].gate
+                                               for name in config.checks)):
             gate(config)
     except UnboundedSymbolError:
         return False
@@ -830,8 +828,9 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
             seed=seed,
         )
         reports = run(draw_config) if _draw_passes_gates(draw_config) else None
+        # only a predicate is 'unverified' with a finite defect: in its ambiguous band
         if reports is None or any(r.status == "unverified" and r.defect is not None
-                                  and r.name in PREDICATE_CHECKS for r in reports):
+                                  for r in reports):
             redraws += 1
             if redraws > MAX_REJECTIONS:
                 raise ConfigError("symbols", "gates or the ambiguous band rejected too many draws")
@@ -842,7 +841,7 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
             slot[report.status] += 1
             if report.defect is not None:
                 slot["worst_defect"] = max(slot["worst_defect"], report.defect)
-            if report.status == "fail" and report.name in PREDICATE_CHECKS:
+            if report.status == "fail" and CHECK_RECORDS[report.name].rule is _check_predicate:
                 mismatches += 1
     return {
         "draws": draws,

@@ -10,7 +10,6 @@ as a series. The tests compare the two.
 import numpy as np
 
 from cswcd.bergman import kernel, space_norm
-from cswcd.defaults import TOL_ADJOINT_KERNEL
 from cswcd.matrices import OperatorMatrix, adjoint_matrix, apply, kernel_point_gate
 from cswcd.runner import _kernel_points
 from cswcd.series import TruncatedSeries, series_add, series_eval, series_scale
@@ -49,4 +48,4 @@ def adjoint_kernel_measure(config) -> tuple:
     for w in _kernel_points(config.symbols):
         kernel_point_gate(config.pair.phi, w)
         worst = max(worst, adjoint_on_kernel_reference(config.matrix, config.pair, w))
-    return worst, TOL_ADJOINT_KERNEL, "adjoint-kernel-identity"
+    return worst, "adjoint-kernel-identity"

@@ -10,6 +10,7 @@ terms that the matrix side sums. The verdicts and refusals are the same.
 """
 
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -130,8 +131,8 @@ def test_refusals_match_the_per_point_path(symbols, points, provenance, monkeypa
     doc = {"space": {"alpha": ALPHA, "n": 1, "N": 32},
            "symbols": {**symbols, "w_points": points}, "checks": ["adjoint-kernel"]}
     (report,) = run(parse_config(doc))
-    monkeypatch.setitem(runner.CHECKS, "adjoint-kernel", partial(
-        runner._check_tolerance, "adjoint-kernel", adjoint_kernel_measure))
+    monkeypatch.setitem(runner.CHECKS, "adjoint-kernel", partial(runner._check_tolerance, replace(
+        runner.CHECK_RECORDS["adjoint-kernel"], measure=adjoint_kernel_measure)))
     (reference,) = run(parse_config(doc))
     assert report.payload() == reference.payload()
     assert (report.status, report.defect, report.provenance) == ("unverified", None, provenance)

@@ -124,6 +124,32 @@ def test_tracer_sees_the_grid_checks(tracing):
     assert tracer.counters["diagnostics.grid.samples"] == samples
 
 
+def test_tracer_reaches_every_check_through_the_records(tracing, tmp_path):
+    # a record that held a traced function itself would call it unwrapped;
+    # with c != 0 the config's conjugation is rotation-J, so make_J is J-symmetry's
+    doc = {
+        "space": {"alpha": 0.5, "n": 1, "N": 24},
+        "symbols": {"family": "general", "a": 1.0, "b": 0.3, "c": 0.2},
+        "checks": list(runner.CHECKS),
+    }
+    config = write_config(tmp_path, doc)
+    expected = cli.main(["check", config, "--out", str(tmp_path / "plain.json")])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["check", config, "--out", str(tmp_path / "traced.json")])
+    finally:
+        tracer.uninstall()
+    assert code == expected
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert {name: tracer.calls[f"runner.check.{name}"] for name in runner.CHECKS} == \
+        dict.fromkeys(runner.CHECKS, 1)
+    traced = ("conjugations.make_J", "diagnostics.necessary_conditions_check",
+              "diagnostics.norm_defect_kernel_test", "diagnostics.boundedness_ratio_grid",
+              "diagnostics.nevanlinna_bound_grid")
+    assert {name: tracer.calls[name] for name in traced} == dict.fromkeys(traced, 1)
+
+
 def traced_round(tracing, tmp_path, monkeypatch, name):
     """The per-layer metrics of round 0 of workload ``name`` (seed 1) under
     the tracer; every op of the round must run and none may fail."""

@@ -148,6 +148,27 @@ class TestParseConfig:
         parse_config(config_with(conjugation={"kind": "wc-J", "p": 0.3}))
         assert made == [0.0]
 
+    @pytest.mark.parametrize("family, key, known", [
+        ("normal-origin", "abs_b", "abs_a"), ("unitary", "abs_a", "abs_p"),
+        ("j-symmetric", "abs_p", "abs_a, abs_b, abs_c"), ("explicit", "abs_a", "none"),
+    ])
+    def test_a_range_that_the_family_never_draws_names_those_it_draws(self, family, key, known):
+        # normal-origin draws |b| in a fixed [0.1, 0.9], whatever abs_b says
+        doc = config_with(symbols={"family": family, "ranges": {key: [0.2, 0.21]}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, require_concrete=False)
+        path = f"symbols.ranges.{key}"
+        assert (err.value.path, str(err.value)) == (
+            path, f"{path}: unknown range for family {family!r}; known: {known}")
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_self_adjoint_refuses_a_complex_field_at_its_path(self, key):
+        symbols = {"family": "self-adjoint", "a": 1.0, "b": 0.3, key: [0.3, 0.1]}
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_with(symbols=symbols))
+        assert (err.value.path, str(err.value)) == (
+            f"symbols.{key}", f"symbols.{key}: self-adjoint family needs real a and b")
+
     def test_sweep_config_without_parameters(self):
         doc = config_with(symbols={"family": "general"}, checks=["normality-predicate"])
         config = parse_config(doc, require_concrete=False)
@@ -621,7 +642,7 @@ class TestNormality:
         # and no non-finite defect, and every pair that is normal passes
         rng = SplitMix64(int(alpha * 10) + runner.SWEEPABLE_FAMILIES.index(family))
         checks = ["normality"]
-        if family in runner.PREDICATE_FAMILIES:
+        if family in runner.CHECK_RECORDS["normality-predicate"].families:
             checks.append("normality-predicate")
         for n in (1, 2, 3):
             checked = 0
@@ -630,7 +651,7 @@ class TestNormality:
                                   symbols=draw_symbols({"family": family}, rng), checks=checks)
                 config = parse_config(doc)
                 try:
-                    runner.GATES["normality"](config)
+                    runner.CHECK_RECORDS["normality"].gate(config)
                 except UnboundedSymbolError:
                     continue
                 reports = run(config)
@@ -876,9 +897,13 @@ class TestCli:
         [(key, value, "wc-conjugated") for key, value in (
             ("abs_p", [0.5, 1.2]), ("abs_a", ["x", 1]), ("abs_b", [0.2]), ("abs_c", [0.4, 0.1]),
             ("abs_q", [0.1, 0.2]), ("abs_a", [0, 0]), ("abs_b", [0.0, 0.3]), ("abs_p", [0, 0]))]
-        + [("abs_c", [0.0, 0.01], "general")],
+        + [("abs_c", [0.0, 0.01], "general")]
+        # ranges that the family never draws
+        + [("abs_b", [0.2, 0.21], "normal-origin"), ("abs_a", [0.5, 1.0], "unitary"),
+           ("abs_c", [0.1, 0.2], "unitary"), ("abs_p", [0.1, 0.2], "j-symmetric")],
         ids=["radius-outside-disk", "not-a-number", "one-bound", "lo-above-hi", "unknown-key",
-             "zero-a", "zero-b", "zero-p", "general-c-below-nonzero-draws"],
+             "zero-a", "zero-b", "zero-p", "general-c-below-nonzero-draws",
+             "normal-origin-b", "unitary-a", "unitary-c", "j-symmetric-p"],
     )
     def test_bad_sweep_range_exit(self, tmp_path, capsys, key, value, family):
         # the general family draws a nonzero c with |c| >= 0.05

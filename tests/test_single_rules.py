@@ -1,4 +1,5 @@
-"""Two input rules of the package each have one definition.
+"""Two input rules and every check name of the package each have one
+definition.
 
 A refusal prints a magnitude through ``errors.format_magnitude``, which
 keeps six decimals below 1e6 and turns to ``e`` form above, and every
@@ -6,12 +7,19 @@ unit-circle test is ``symbols.is_unimodular``. A hand-written copy of
 either drifts: a ``:.6f`` prints 1e300 as 308 digits, and a copied circle
 test can take another tolerance. So an ``ast`` walk of ``src/cswcd`` finds
 no six-decimal format spec and no ``abs(abs(...))`` outside its one home.
+
+Likewise a check name is written once, as the first argument of its
+``Check(...)`` record in ``runner``: a second copy, say a ``name ==
+"boundedness-grid"`` test, would decide something about the check outside
+its record. Docstrings and other bare strings do not count.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from cswcd.runner import CHECKS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cswcd"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -60,13 +68,18 @@ def _owners(tree) -> dict:
     return owners
 
 
+def _bare_strings(tree) -> set:
+    """ids of the docstrings and other strings that stand as a statement."""
+    return {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+
+
 def rule_sites(source: str) -> list:
     """(line, rule, owner) for every node of the source that writes a rule,
     with ``owner`` the enclosing function (None at module level)."""
     tree = ast.parse(source)
     owners = _owners(tree)
-    bare = {id(node.value) for node in ast.walk(tree)
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    bare = _bare_strings(tree)
     return [(node.lineno, rule, owners[id(node)])
             for node in ast.walk(tree) if node is not tree
             for rule, (matches, _, _) in RULES.items() if matches(node, bare)]
@@ -117,3 +130,52 @@ def test_each_rule_is_defined_once(rule):
 ])
 def test_the_walk_finds_copies(source, module, count):
     assert len(rule_copies(source, module)) == count
+
+
+def check_name_sites(source: str) -> list:
+    """(line, name, in_record) for every string of the source that is a
+    check name, bare strings excluded; ``in_record`` when it is the first
+    argument of a ``Check(...)`` call."""
+    tree = ast.parse(source)
+    bare = _bare_strings(tree)
+    records = {id(node.args[0]) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "Check" and node.args}
+    return sorted((node.lineno, node.value, id(node) in records) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in CHECKS and id(node) not in bare)
+
+
+def check_name_copies(source: str) -> list:
+    """(line, name) for every site of a check name but its first record."""
+    recorded, copies = set(), []
+    for line, name, in_record in check_name_sites(source):
+        if in_record and name not in recorded:
+            recorded.add(name)
+        else:
+            copies.append((line, name))
+    return copies
+
+
+def test_each_check_name_is_written_once_in_its_record():
+    sites = {path.stem: check_name_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {stem: found for stem, found in sites.items() if found and stem != "runner"} == {}
+    assert check_name_copies((PACKAGE / "runner.py").read_text(encoding="utf-8")) == []
+    assert sorted(name for _, name, _ in sites["runner"]) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("source, count", [
+    ('Check("normality", rule)\n', 0),
+    ('Check("normality", rule, tag="normality-trend")\n', 0),
+    ('def f():\n    """normality"""\n    return 1\n', 0),
+    ('"normality"\n', 0),
+    ('x = f"{name}; normality"\n', 0),
+    ('x = "normality"\n', 1),
+    ('Check("normality", rule)\nCheck("normality", other)\n', 1),
+    ('def f(name):\n    return name == "boundedness-grid"\n', 1),
+    ('Check(tag="kernel-norm-balance")\n', 1),
+    ('GATES = {"adjoint-kernel": g, "normality": h}\n', 2),
+    ('Check("J-symmetry", rule)\nx = ("J-symmetry", "C-symmetry")\n', 2),
+])
+def test_the_walk_finds_check_name_copies(source, count):
+    assert len(check_name_copies(source)) == count

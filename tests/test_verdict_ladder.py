@@ -39,7 +39,7 @@ import json
 import pytest
 
 from cswcd.cli import main
-from cswcd.runner import GRID_CHECKS
+from cswcd.runner import CHECK_RECORDS
 
 WC = {"family": "wc-conjugated", "a": 1.0, "b": [0.4, 0.2], "c": [0.2, -0.1],
       "p": [0.6, 0.3]}
@@ -176,4 +176,4 @@ def test_non_finite_grid_supremum_is_unverified(symbols, check, alpha, tmp_path)
     code, report = check_cell(symbols, check, alpha, 32, tmp_path)
     assert code == 3, f"exit {code}"
     assert report["status"] == "unverified" and report["defect"] is None
-    assert report["provenance"] == f"non-finite-defect; {GRID_CHECKS[check]}"
+    assert report["provenance"] == f"non-finite-defect; {CHECK_RECORDS[check].tag}"
