@@ -93,24 +93,15 @@ SHARED_FIELDS = ("family", "ranges", "w_points")    # the symbol fields of every
 @dataclass(frozen=True)
 class Family:
     """A symbol family: the fields its symbols admit besides SHARED_FIELDS,
-    and the ranges that ``draw_symbols`` draws (None: it cannot be swept)."""
+    how its pair is made, how a sweep draws it and what the paper predicts."""
 
     fields: tuple
-    ranges: tuple | None = None
-
-
-FAMILIES = {
-    "j-symmetric": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
-    "general": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
-    "self-adjoint": Family(("a", "b", "c"), ("abs_a", "abs_b", "abs_c")),
-    "normal-origin": Family(("a", "b"), ("abs_a",)),        # |b| in a fixed [0.1, 0.9]
-    "unitary": Family(("p", "lambda_u"), ("abs_p",)),
-    "wc-conjugated": Family(("a", "b", "c", "p", "lambda_u"),
-                            ("abs_a", "abs_b", "abs_c", "abs_p")),
-    "rotation-conjugated": Family(("a", "b", "c", "mu", "lam"), ("abs_a", "abs_b", "abs_c")),
-    "explicit": Family(("psi", "phi", "bounded")),
-}
-SWEEPABLE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.ranges)
+    make: Callable                  # (symbols, space) -> its pair
+    ranges: tuple = ()              # the radii that draw reads
+    draw: Callable | None = None    # (rng, ranges) -> its fields, None if rejected (None: no sweep)
+    min_abs_c: float = 0.0          # smallest nonzero |c| of a draw
+    auto: Callable | None = None    # symbols -> conjugation 'auto' (None, or it gives None: plain-J)
+    normal: Callable | None = None  # symbols -> normality predicted (None: no prediction)
 
 
 @dataclass(frozen=True)
@@ -169,9 +160,7 @@ class RunConfig:
     @cached_property
     def predicted_normal(self) -> bool:
         """The paper's normality prediction, read by both predicate checks."""
-        b = _complex_value(self.symbols.get("b", 0.0), "symbols.b")
-        c = _complex_value(self.symbols.get("c", 0.0), "symbols.c")
-        return (b.imag == 0 and b.real != 0) or c == 0
+        return FAMILIES[self.symbols["family"]].normal(self.symbols)
 
 
 @dataclass
@@ -239,7 +228,7 @@ def _number(kind, value, path: str):
 def _check_ranges(symbols: dict, record: Family | None) -> None:
     """Sweep draw ranges are ranges the family draws (any of RANGE_DEFAULTS
     without a record), [lo, hi] with 0 <= lo <= hi (0 < lo outside ZERO_RADII),
-    hi < 1 for a radius in the disk, and hi >= GENERAL_MIN_ABS_C for general's abs_c."""
+    hi < 1 for a radius in the disk, and hi >= the family's min_abs_c for abs_c."""
     ranges = symbols.get("ranges", {})
     if not isinstance(ranges, dict):
         raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
@@ -258,10 +247,9 @@ def _check_ranges(symbols: dict, record: Family | None) -> None:
             raise ConfigError(path, f"a draw of {key} needs lo > 0, got {value!r}")
         if key in DISK_RADII and not hi < 1:
             raise ConfigError(path, f"a radius in the disk needs hi < 1, got {hi!r}")
-        if key == "abs_c" and symbols["family"] == "general" and hi < GENERAL_MIN_ABS_C:
-            raise ConfigError(
-                path, f"a general draw of c != 0 needs hi >= {GENERAL_MIN_ABS_C}, got {hi!r}"
-            )
+        if key == "abs_c" and record and hi < record.min_abs_c:
+            raise ConfigError(path, f"a {symbols['family']} draw of c != 0 needs "
+                              f"hi >= {record.min_abs_c}, got {hi!r}")
 
 
 def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
@@ -298,7 +286,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         raise ConfigError("symbols.family", "missing family name")
     family = symbols["family"]
     # an unknown family is refused where the pair is made, or as unsweepable
-    record = FAMILIES.get(family) if isinstance(family, str) else None
+    record = _family_record(family)
     for key in symbols:
         if record and key not in record.fields and key not in SHARED_FIELDS:
             raise ConfigError(f"symbols.{key}", f"unknown field for {family!r}; "
@@ -377,95 +365,169 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     return config
 
 
+def _field(symbols: dict, key: str) -> complex:
+    return _complex_value(_require(symbols, key, "symbols"), f"symbols.{key}")
+
+
+def _abc(symbols: dict) -> tuple:
+    return _field(symbols, "a"), _field(symbols, "b"), _field(symbols, "c")
+
+
+def _lambda_u(symbols: dict) -> complex:
+    return _complex_value(symbols.get("lambda_u", 1.0), "symbols.lambda_u")
+
+
+def _make_self_adjoint(symbols: dict, space: SpaceParams) -> SymbolPair:
+    a, b = _field(symbols, "a"), _field(symbols, "b")
+    if a.imag != 0 or b.imag != 0:
+        raise ConfigError(f"symbols.{'a' if a.imag else 'b'}",
+                          "self-adjoint family needs real a and b")
+    return family_self_adjoint(a.real, b.real, _field(symbols, "c"), space.n, space.alpha,
+                               space.N)
+
+
+def _make_explicit(symbols: dict, space: SpaceParams) -> SymbolPair:
+    raw_psi = _require(symbols, "psi", "symbols")
+    if not isinstance(raw_psi, list):
+        raise ConfigError("symbols.psi", "expected a list of weight coefficients")
+    bounded = symbols.get("bounded", False)
+    if not isinstance(bounded, bool):
+        raise ConfigError("symbols.bounded", f"expected true or false, got {bounded!r}")
+    coeffs = [_complex_value(v, f"symbols.psi[{i}]") for i, v in enumerate(raw_psi)]
+    raw_phi = _require(symbols, "phi", "symbols")
+    if not isinstance(raw_phi, list) or len(raw_phi) != 4:
+        raise ConfigError("symbols.phi", "expected four map coefficients [a, b, c, d]")
+    try:
+        phi = LinearFractionalMap(*(_complex_value(v, f"symbols.phi[{i}]")
+                                    for i, v in enumerate(raw_phi)))
+        # no self-map of the disk has its pole in the closed disk, or
+        # leaves the closed disk, so the bounded flag cannot admit one
+        require_pole_outside_disk(phi)
+    except SingularityError as exc:
+        raise ConfigError("symbols.phi", str(exc)) from exc
+    sup = sup_norm_lft(phi)
+    if sup > 1.0 + 1e-12:
+        raise ConfigError("symbols.phi",
+                          f"the map leaves the disk: sup|phi| = {format_magnitude(sup)}")
+    return SymbolPair.from_series(polynomial(coeffs, space.N), phi, space.n,
+                                  provenance="explicit", params={"bounded": bounded})
+
+
+def _draw_plain_denominator(rng: SplitMix64, ranges: dict, then=None) -> dict | None:
+    """a, b and c in their annuli, if they meet the sufficient boundedness
+    inequality, followed by the fields that ``then(rng, ranges)`` draws."""
+    a, b, c = (rng.complex_annulus(*ranges[key]) for key in ABC_RANGES)
+    if not bounded_sufficient(b, c):
+        return None
+    return {"a": a, "b": b, "c": c, **(then(rng, ranges) if then else {})}
+
+
+def _draw_unitary(rng: SplitMix64, ranges: dict) -> dict:
+    return {"p": rng.complex_annulus(*ranges["abs_p"]), "lambda_u": rng.unimodular()}
+
+
+def _conjugated_denominator(a: complex, b: complex, c: complex) -> dict | None:
+    """The fields a, b and c, if sup |phi| < 0.95 for phi = c + b z / (1 - conj(c) z)."""
+    if not sup_norm_lft(_family_phi(b, c.conjugate(), c)) < 0.95:
+        return None
+    return {"a": a, "b": b, "c": c}
+
+
+def _draw_general(rng: SplitMix64, ranges: dict) -> dict | None:
+    """One of three branches, uniformly (b real, c = 0, both complex), so
+    that both sides of the normality prediction are drawn."""
+    branch = rng.choice(("b-real", "c-zero", "free"))
+    a, b_range = rng.complex_annulus(*ranges["abs_a"]), ranges["abs_b"]
+    b = complex(rng.real_signed(*b_range)) if branch == "b-real" else rng.complex_annulus(*b_range)
+    c = 0j if branch == "c-zero" else rng.complex_annulus(*ranges["abs_c"])
+    return _conjugated_denominator(a, b, c)
+
+
+def _rotation_by_c(symbols: dict) -> dict | None:
+    """rotation-J with mu 1 and lambda = exp(-2i arg c); None for c = 0."""
+    c = _complex_value(symbols.get("c", 0.0), "symbols.c")
+    if c == 0:
+        return None
+    theta = math.atan2(c.imag, c.real)
+    lam = complex(math.cos(-2 * theta), math.sin(-2 * theta))
+    return {"kind": "rotation-J", "mu": [1.0, 0.0], "lambda": [lam.real, lam.imag]}
+
+
+def _normal_prediction(symbols: dict) -> bool:
+    """Normal iff b is real and nonzero, or c = 0."""
+    b = _complex_value(symbols.get("b", 0.0), "symbols.b")
+    c = _complex_value(symbols.get("c", 0.0), "symbols.c")
+    return (b.imag == 0 and b.real != 0) or c == 0
+
+
+GENERAL_MIN_ABS_C = 0.05            # smallest nonzero |c| of a general-family draw
+ABC_FIELDS, ABC_RANGES = ("a", "b", "c"), ("abs_a", "abs_b", "abs_c")
+
+# no record holds a function that a tracer may patch: a lambda's body reads
+# each module binding that it names when it is called
+FAMILIES = {
+    "j-symmetric": Family(
+        ABC_FIELDS, lambda s, space: family_j_symmetric(*_abc(s), space.n, space.alpha, space.N),
+        ABC_RANGES, _draw_plain_denominator),
+    "general": Family(
+        ABC_FIELDS, lambda s, space: family_general(*_abc(s), space.n, space.alpha, space.N),
+        ABC_RANGES, _draw_general, GENERAL_MIN_ABS_C, _rotation_by_c, _normal_prediction),
+    "self-adjoint": Family(
+        ABC_FIELDS, _make_self_adjoint, ABC_RANGES,
+        lambda rng, r: _conjugated_denominator(complex(rng.real_signed(*r["abs_a"])),
+                                               complex(rng.real_signed(*r["abs_b"])),
+                                               rng.complex_annulus(*r["abs_c"])),
+        auto=_rotation_by_c, normal=_normal_prediction),
+    "normal-origin": Family(                                # |b| in a fixed [0.1, 0.9]
+        ("a", "b"),
+        lambda s, space: family_normal_origin(_field(s, "a"), _field(s, "b"), space.n, space.N),
+        ("abs_a",), lambda rng, r: {"a": rng.complex_annulus(*r["abs_a"]),
+                                    "b": rng.complex_annulus(0.1, 0.9)}),
+    "unitary": Family(
+        ("p", "lambda_u"),
+        lambda s, space: unitary_symbols(_field(s, "p"), _lambda_u(s), space.alpha, space.N),
+        ("abs_p",), _draw_unitary),
+    # the j-symmetric pair transported by the unitary symbols at p, or by a rotation
+    "wc-conjugated": Family(
+        (*ABC_FIELDS, "p", "lambda_u"),
+        lambda s, space: family_conjugated(*_abc(s), space.n, space.alpha, space.N,
+                                           p=_field(s, "p"), lambda_u=_lambda_u(s)),
+        (*ABC_RANGES, "abs_p"), partial(_draw_plain_denominator, then=_draw_unitary),
+        auto=lambda s: {"kind": "wc-J", "p": s["p"], "lambda_u": s.get("lambda_u", 1.0)}),
+    "rotation-conjugated": Family(
+        (*ABC_FIELDS, "mu", "lam"),
+        lambda s, space: family_conjugated(*_abc(s), space.n, space.alpha, space.N,
+                                           mu=_field(s, "mu"), lam=_field(s, "lam")),
+        ABC_RANGES, partial(_draw_plain_denominator, then=lambda rng, r: {
+            "mu": rng.unimodular(), "lam": rng.unimodular()}),
+        auto=lambda s: {"kind": "rotation-J", "mu": s["mu"], "lambda": s["lam"]}),
+    "explicit": Family(("psi", "phi", "bounded"), _make_explicit),
+}
+SWEEPABLE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.draw)
+# the families whose normality the paper predicts, which the predicate checks test
+PREDICTED_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.normal)
+
+
+def _family_record(family) -> Family | None:
+    """The record of a family name; None for any other value."""
+    return FAMILIES.get(family) if isinstance(family, str) else None
+
+
 def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
     """Build the symbol pair described by the config at the truncation of space."""
-    N = space.N
-    family = symbols["family"]
-    path = "symbols"
-
-    def cval(key, default=None):
-        if key not in symbols:
-            if default is not None:
-                return default
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return _complex_value(symbols[key], f"{path}.{key}")
-
-    if family == "j-symmetric":
-        return family_j_symmetric(cval("a"), cval("b"), cval("c"), space.n, space.alpha, N)
-    if family == "general":
-        return family_general(cval("a"), cval("b"), cval("c"), space.n, space.alpha, N)
-    if family == "self-adjoint":
-        a, b = cval("a"), cval("b")
-        if a.imag != 0 or b.imag != 0:
-            raise ConfigError(f"{path}.{'a' if a.imag else 'b'}",
-                              "self-adjoint family needs real a and b")
-        return family_self_adjoint(a.real, b.real, cval("c"), space.n, space.alpha, N)
-    if family == "normal-origin":
-        return family_normal_origin(cval("a"), cval("b"), space.n, N)
-    if family == "unitary":
-        return unitary_symbols(cval("p"), cval("lambda_u", 1.0 + 0j), space.alpha, N)
-    if family == "wc-conjugated":
-        return family_conjugated(
-            cval("a"), cval("b"), cval("c"), space.n, space.alpha, N,
-            p=cval("p"), lambda_u=cval("lambda_u", 1.0 + 0j),
-        )
-    if family == "rotation-conjugated":
-        return family_conjugated(
-            cval("a"), cval("b"), cval("c"), space.n, space.alpha, N,
-            mu=cval("mu"), lam=cval("lam"),
-        )
-    if family == "explicit":
-        raw_psi = _require(symbols, "psi", path)
-        if not isinstance(raw_psi, list):
-            raise ConfigError(f"{path}.psi", "expected a list of weight coefficients")
-        bounded = symbols.get("bounded", False)
-        if not isinstance(bounded, bool):
-            raise ConfigError(f"{path}.bounded", f"expected true or false, got {bounded!r}")
-        coeffs = [
-            _complex_value(v, f"{path}.psi[{i}]") for i, v in enumerate(raw_psi)
-        ]
-        raw_phi = _require(symbols, "phi", path)
-        if not isinstance(raw_phi, list) or len(raw_phi) != 4:
-            raise ConfigError(f"{path}.phi", "expected four map coefficients [a, b, c, d]")
-        try:
-            phi = LinearFractionalMap(
-                *(_complex_value(v, f"{path}.phi[{i}]") for i, v in enumerate(raw_phi))
-            )
-            # no self-map of the disk has its pole in the closed disk, or
-            # leaves the closed disk, so the bounded flag cannot admit one
-            require_pole_outside_disk(phi)
-        except SingularityError as exc:
-            raise ConfigError(f"{path}.phi", str(exc)) from exc
-        sup = sup_norm_lft(phi)
-        if sup > 1.0 + 1e-12:
-            raise ConfigError(f"{path}.phi",
-                              f"the map leaves the disk: sup|phi| = {format_magnitude(sup)}")
-        return SymbolPair.from_series(
-            polynomial(coeffs, N), phi, space.n, provenance="explicit",
-            params={"bounded": bounded},
-        )
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    record = _family_record(symbols["family"])
+    if record is None:
+        raise ConfigError("symbols.family", f"unknown family {symbols['family']!r}")
+    return record.make(symbols, space)
 
 
 def resolve_conjugation_kind(config: RunConfig) -> dict:
-    """Replace kind 'auto' with the descriptor matching the family."""
+    """Replace kind 'auto' with the descriptor of the family's record."""
     conj = dict(config.conjugation_doc)
     if conj.get("kind") != "auto":
         return conj
-    symbols = config.symbols
-    family = symbols["family"]
-    if family == "wc-conjugated":
-        return {"kind": "wc-J", "p": symbols["p"],
-                "lambda_u": symbols.get("lambda_u", 1.0)}
-    if family == "rotation-conjugated":
-        return {"kind": "rotation-J", "mu": symbols["mu"], "lambda": symbols["lam"]}
-    if family in ("self-adjoint", "general"):
-        c = _complex_value(symbols.get("c", 0.0), "symbols.c")
-        if c != 0:
-            theta = math.atan2(c.imag, c.real)
-            lam = complex(math.cos(-2 * theta), math.sin(-2 * theta))
-            return {"kind": "rotation-J", "mu": [1.0, 0.0], "lambda": [lam.real, lam.imag]}
-    return {"kind": "plain-J"}
+    auto = FAMILIES[config.symbols["family"]].auto
+    return (auto and auto(config.symbols)) or {"kind": "plain-J"}
 
 
 def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
@@ -644,7 +706,7 @@ CHECK_RECORDS = {check.name: check for check in (
     Check("normality", _check_tolerance,
           lambda config: (_gram_defect(config), "kernel-gram-defect"), TOL_NORMALITY, _gate_gram),
     Check("normality-predicate", _check_predicate, _gram_defect, TOL_PREDICATE, _gate_gram,
-          ("general", "self-adjoint")),
+          PREDICTED_FAMILIES),
     Check("adjoint-kernel", _check_tolerance, _adjoint_kernel, TOL_ADJOINT_KERNEL,
           _gate_adjoint_kernel),
     Check("adjoint-pair", _check_tolerance, _adjoint_pair, TOL_ADJOINT_PAIR),
@@ -657,7 +719,7 @@ CHECK_RECORDS = {check.name: check for check in (
           tag="counting-function-trend"),
     Check("kernel-norm-balance", _check_predicate,
           lambda config: norm_defect_kernel_test(*config.gram), TOL_PREDICATE, _gate_gram,
-          ("general", "self-adjoint")),
+          PREDICTED_FAMILIES),
 )}
 # name -> its check, as ``run`` calls it
 CHECKS = {name: partial(check.rule, check) for name, check in CHECK_RECORDS.items()}
@@ -705,86 +767,24 @@ RANGE_DEFAULTS = {
 }
 DISK_RADII = ("abs_c", "abs_p")     # radii of points that must lie in the open disk
 ZERO_RADII = ("abs_c",)             # radii whose range may start at 0
-GENERAL_MIN_ABS_C = 0.05            # smallest nonzero |c| of a general-family draw
-
-
-def _range(symbols: dict, key: str) -> tuple:
-    value = symbols.get("ranges", {}).get(key)
-    if value is None:
-        return RANGE_DEFAULTS[key]
-    return float(value[0]), float(value[1])
 
 
 def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
-    """Draw concrete family parameters inside the admissible region.
-
-    Rejection-samples against the sufficient boundedness inequality for the
-    plain-denominator families and against sup |phi| < 0.95 for the
-    conjugated-denominator families. The draw for the general family picks
-    uniformly among its three parameter branches (b real, c = 0, both
-    complex) so both sides of the normality predicate get exercised.
-    """
+    """Draw concrete family parameters inside the admissible region by the
+    family's ``draw``, which is None for a draw outside it."""
     family = symbols["family"]
-    a_lo, a_hi = _range(symbols, "abs_a")
-    b_lo, b_hi = _range(symbols, "abs_b")
-    c_lo, c_hi = _range(symbols, "abs_c")
-    p_lo, p_hi = _range(symbols, "abs_p")
-
-    def as_pair(z: complex):
-        return [z.real, z.imag]
-
+    record = _family_record(family)
+    if record is None or record.draw is None:
+        raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
+    given = symbols.get("ranges", {})
+    ranges = {key: tuple(map(float, given[key])) if key in given else RANGE_DEFAULTS[key]
+              for key in record.ranges}
+    if record.min_abs_c:            # a nonzero |c| is drawn from the family's smallest up
+        ranges["abs_c"] = (max(ranges["abs_c"][0], record.min_abs_c), ranges["abs_c"][1])
     for _ in range(MAX_REJECTIONS):
-        draw = dict(symbols)
-        if family in ("j-symmetric", "wc-conjugated", "rotation-conjugated"):
-            a = rng.complex_annulus(a_lo, a_hi)
-            b = rng.complex_annulus(b_lo, b_hi)
-            c = rng.complex_annulus(c_lo, c_hi)
-            if not bounded_sufficient(b, c):
-                continue
-            draw.update({"a": as_pair(a), "b": as_pair(b), "c": as_pair(c)})
-            if family == "wc-conjugated":
-                draw["p"] = as_pair(rng.complex_annulus(p_lo, p_hi))
-                draw["lambda_u"] = as_pair(rng.unimodular())
-            if family == "rotation-conjugated":
-                draw["mu"] = as_pair(rng.unimodular())
-                draw["lam"] = as_pair(rng.unimodular())
-        elif family in ("self-adjoint", "general"):
-            if family == "self-adjoint":
-                a = complex(rng.real_signed(a_lo, a_hi))
-                b = complex(rng.real_signed(b_lo, b_hi))
-                c = rng.complex_annulus(c_lo, c_hi)
-            else:
-                branch = rng.choice(("b-real", "c-zero", "free"))
-                a = rng.complex_annulus(a_lo, a_hi)
-                if branch == "b-real":
-                    b = complex(rng.real_signed(b_lo, b_hi))
-                    c = rng.complex_annulus(max(c_lo, GENERAL_MIN_ABS_C), c_hi)
-                elif branch == "c-zero":
-                    b = rng.complex_annulus(b_lo, b_hi)
-                    c = 0j
-                else:
-                    b = rng.complex_annulus(b_lo, b_hi)
-                    c = rng.complex_annulus(max(c_lo, GENERAL_MIN_ABS_C), c_hi)
-            if not sup_norm_lft(_family_phi(b, c.conjugate(), c)) < 0.95:
-                continue
-            draw.update({"a": as_pair(a), "b": as_pair(b), "c": as_pair(c)})
-        elif family == "normal-origin":
-            draw.update(
-                {
-                    "a": as_pair(rng.complex_annulus(a_lo, a_hi)),
-                    "b": as_pair(rng.complex_annulus(0.1, 0.9)),
-                }
-            )
-        elif family == "unitary":
-            draw.update(
-                {
-                    "p": as_pair(rng.complex_annulus(p_lo, p_hi)),
-                    "lambda_u": as_pair(rng.unimodular()),
-                }
-            )
-        else:
-            raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
-        return draw
+        fields = record.draw(rng, ranges)
+        if fields is not None:
+            return {**symbols, **{key: [z.real, z.imag] for key, z in fields.items()}}
     raise ConfigError("symbols",
                       f"admissible region looks empty after {MAX_REJECTIONS} rejections")
 
