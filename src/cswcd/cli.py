@@ -13,7 +13,8 @@ at ``$``, and a report, sidecar, grid or matrix that cannot be written at
 its flag), 3 everything unverified (boundedness gates refused every check,
 or a closed form, series or matrix overflowed; ``export-matrix`` writes
 ``unverified: ...`` on stderr), 4 internal error (traceback on stderr).
-A sweep needs --draws >= 1 and applies the same rule to its status counts
+``check`` and ``sweep`` need at least one check. A sweep needs --draws >= 1
+and a seed in 0..2^64 - 1, and applies the same rule to its status counts
 summed over draws and checks.
 """
 
@@ -41,6 +42,7 @@ from .runner import (
     check_report_document,
     grid_report,
     parse_config,
+    parse_seed,
     run,
     sweep,
     sweep_report_document,
@@ -97,8 +99,15 @@ def _exit_code(counts: Counter) -> int:
     return EXIT_PASS
 
 
+def _require_checks(config: RunConfig) -> RunConfig:
+    """``check`` and ``sweep`` run at least one check; ``export-matrix`` needs none."""
+    if not config.checks:
+        raise ConfigError("checks", "no checks configured")
+    return config
+
+
 def _cmd_check(args) -> int:
-    config = _load_config(args.config)
+    config = _require_checks(_load_config(args.config))
     reports = run(config)
     _emit(canonical_json(check_report_document(config, reports)), args.out)
     if args.timings:
@@ -109,8 +118,8 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.draws < 1:
         raise ConfigError("--draws", f"expected at least 1 draw, got {args.draws}")
-    config = _load_config(args.config, require_concrete=False)
-    seed = config.seed if args.seed is None else args.seed
+    config = _require_checks(_load_config(args.config, require_concrete=False))
+    seed = config.seed if args.seed is None else parse_seed(args.seed, "--seed")
     aggregate = sweep(config, args.draws, seed)
     _emit(canonical_json(sweep_report_document(config, aggregate, args.draws, seed)), args.out)
     counts = Counter()

@@ -88,6 +88,7 @@ DEFAULT_KERNEL_POINTS = (0.4, 0.3j, -0.25)
 CONJUGATION_FIELDS = {"auto": (), "plain-J": (), "rotation-J": ("mu", "lambda"),
                       "wc-J": ("p", "lambda_u")}
 SHARED_FIELDS = ("family", "ranges", "w_points")    # the symbol fields of every family
+MAX_SEED = 2**64 - 1            # SplitMix64 keeps 64 bits: another seed aliases one of these
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,12 @@ class Family:
     how its pair is made, how a sweep draws it and what the paper predicts."""
 
     fields: tuple
-    make: Callable                  # (symbols, space) -> its pair
+    make: Callable                  # (symbols, space) -> the pair
     ranges: tuple = ()              # the radii that draw reads
-    draw: Callable | None = None    # (rng, ranges) -> its fields, None if rejected (None: no sweep)
+    draw: Callable | None = None    # (rng, ranges) -> the fields, None if rejected; None: no sweep
     min_abs_c: float = 0.0          # smallest nonzero |c| of a draw
-    auto: Callable | None = None    # symbols -> conjugation 'auto' (None, or it gives None: plain-J)
-    normal: Callable | None = None  # symbols -> normality predicted (None: no prediction)
+    auto: Callable | None = None    # symbols -> the 'auto' descriptor; None, or None out: plain-J
+    normal: Callable | None = None  # symbols -> the paper's normality prediction; None: none
 
 
 @dataclass(frozen=True)
@@ -225,6 +226,14 @@ def _number(kind, value, path: str):
     return number
 
 
+def parse_seed(value, path: str) -> int:
+    """A seed in 0..MAX_SEED, or a ConfigError at path."""
+    seed = _number(int, value, path)
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(path, f"expected a seed in 0..2^64 - 1, got {value!r}")
+    return seed
+
+
 def _check_ranges(symbols: dict, record: Family | None) -> None:
     """Sweep draw ranges are ranges the family draws (any of RANGE_DEFAULTS
     without a record), [lo, hi] with 0 <= lo <= hi (0 < lo outside ZERO_RADII),
@@ -330,6 +339,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         path = f"tolerances.{name}"
         if name not in CHECKS:
             raise ConfigError(path, "tolerance for an unknown check")
+        if CHECK_RECORDS[name].tol is None:
+            raise ConfigError(path, f"{name} takes no tolerance")
         tols[name] = _number(float, value, path)
         if tols[name] < 0:
             raise ConfigError(path, f"expected a tolerance >= 0, got {value!r}")
@@ -339,7 +350,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         conjugation_doc=conjugation,
         checks=tuple(checks),
         tolerances=tols,
-        seed=_number(int, doc.get("seed", 0), "seed"),
+        seed=parse_seed(doc.get("seed", 0), "seed"),
         raw=doc,
     )
     # family and conjugation preconditions surface as config errors before any check runs

@@ -5,6 +5,12 @@ both runs must give the fixtures' bytes: no report may depend on the BLAS
 thread count. The fixtures are valid for the BLAS build recorded in their
 manifest.
 
+The verdicts are compared on any machine: every status, provenance,
+tolerance and exit code equals the fixture's, a macroscopic defect is
+within a relative 1e-12 of it, and a rounding-level defect is below its
+tolerance. They are compared also on reports made with numpy's SIMD loops
+held to its X86_V2 baseline, which move the bytes of many defects.
+
 Two macroscopic pinned defects are also computed independently, in mpmath
 at 40 digits from the family definitions, so that they are checked and not
 only frozen.
@@ -21,9 +27,11 @@ import pytest
 
 from cswcd.conjugations import KERNEL_POINTS
 from cswcd.diagnostics import GRAM_POINTS
+from cswcd.runner import CHECK_RECORDS
 from pinned_reports import (
     EXPLICIT_KINDS,
     KIND_CONFIGS,
+    MISSING,
     THREAD_VARS,
     blas_record,
     cases,
@@ -32,21 +40,37 @@ from pinned_reports import (
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures" / "pinned"
+# numpy runs its X86_V2 baseline loops, as on a CPU without AVX2
+BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"}
+MACROSCOPIC = 1e-6      # a defect this large is compared within RELATIVE of the fixture's
+RELATIVE = 1e-12
+
+
+def write_reports(out, threads: str, **extra_env) -> None:
+    """The pinned cases' reports in out, made in a subprocess at threads
+    BLAS threads, with extra_env set."""
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, threads), **extra_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(HERE.parent / "src"),
+                                                      env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, str(HERE / "pinned_reports.py"), str(out)],
+                   env=env, check=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
     """BLAS thread count -> a directory of fresh reports made at that count."""
-    src = str(HERE.parent / "src")
     out = {}
     for threads in ("1", "2"):
         out[threads] = tmp_path_factory.mktemp(f"pinned-{threads}")
-        env = dict(os.environ, **dict.fromkeys(THREAD_VARS, threads))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        subprocess.run(
-            [sys.executable, str(HERE / "pinned_reports.py"), str(out[threads])],
-            env=env, check=True, timeout=300,
-        )
+        write_reports(out[threads], threads)
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline_simd(tmp_path_factory):
+    """A directory of fresh reports made under BASELINE_SIMD."""
+    out = tmp_path_factory.mktemp("pinned-baseline-simd")
+    write_reports(out, "1", **BASELINE_SIMD)
     return out
 
 
@@ -77,6 +101,95 @@ def test_report_bytes(fresh, name):
 
 def report(directory, name):
     return json.loads((directory / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def defect_leaves(doc, parsed) -> dict:
+    """path -> (defect, its tolerance) for each defect of a parsed report of
+    config doc: each check report's, and each sweep check's worst."""
+    if "reports" in parsed:
+        return {f"$.reports[{i}].defect": (r.get("defect"), r.get("tolerance"))
+                for i, r in enumerate(parsed["reports"])}
+    tolerances = doc.get("tolerances", {})
+    return {f"$.aggregate.checks.{name}.worst_defect":
+            (slot.get("worst_defect"), tolerances.get(name, CHECK_RECORDS[name].tol))
+            for name, slot in parsed["aggregate"]["checks"].items()}
+
+
+def without_defects(parsed):
+    if isinstance(parsed, dict):
+        return {key: without_defects(value) for key, value in parsed.items()
+                if key not in ("defect", "worst_defect")}
+    if isinstance(parsed, list):
+        return [without_defects(value) for value in parsed]
+    return parsed
+
+
+def defect_holds(pinned, fresh, tolerance) -> bool:
+    """A macroscopic defect within RELATIVE of the fixture's; a smaller one
+    at most its tolerance, or equal to the fixture's for a check with none."""
+    if not (isinstance(pinned, float) and isinstance(fresh, float)):
+        return pinned == fresh
+    if pinned >= MACROSCOPIC:
+        return abs(fresh - pinned) <= RELATIVE * pinned
+    return fresh == pinned if tolerance is None else fresh <= tolerance
+
+
+def verdict_diffs(doc, pinned, fresh) -> list:
+    """``path: pinned -> fresh`` for every leaf of a fresh report of config
+    doc that leaves the pinned report's verdict: any leaf but a defect that
+    differs, and any defect that ``defect_holds`` refuses."""
+    got = defect_leaves(doc, fresh)
+    return leaf_diffs(without_defects(pinned), without_defects(fresh)) + [
+        f"{path}: {value!r} \u2192 {got.get(path, (MISSING,))[0]!r}"
+        for path, (value, tolerance) in defect_leaves(doc, pinned).items()
+        if not defect_holds(value, got.get(path, (MISSING,))[0], tolerance)]
+
+
+@pytest.mark.parametrize("name, doc", [(name, doc) for name, doc, _ in cases()],
+                         ids=[name for name, _, _ in cases()])
+def test_report_verdicts(fresh, baseline_simd, name, doc):
+    # never skipped: the verdicts must not depend on the BLAS build or on
+    # numpy's SIMD level, even where the bytes do
+    pinned = report(FIXTURES, name)
+    runs = {**{f"{threads} BLAS threads": directory for threads, directory in fresh.items()},
+            "baseline SIMD": baseline_simd}
+    for label, directory in runs.items():
+        assert manifest(directory)["exit_codes"][name] \
+            == manifest(FIXTURES)["exit_codes"][name], label
+        assert verdict_diffs(doc, pinned, report(directory, name)) == [], label
+
+
+def test_verdict_diffs_name_each_leaf_that_moves_a_verdict():
+    doc = {"tolerances": {"normality": 1e-9}}
+    pinned = {"header": {"seed": 3}, "reports": [
+        {"defect": 0.0152, "status": "pass", "tolerance": None},
+        {"defect": 3e-16, "status": "pass", "tolerance": 1e-10},
+        {"defect": 0.0, "status": "pass", "tolerance": None},
+        {"defect": None, "status": "unverified", "tolerance": 1e-10}]}
+    moved = {"header": {"seed": 3}, "reports": [
+        {"defect": 0.0152 * (1 + 5e-13), "status": "pass", "tolerance": None},
+        {"defect": 9e-11, "status": "pass", "tolerance": 1e-10},
+        {"defect": 0.0, "status": "pass", "tolerance": None},
+        {"defect": None, "status": "unverified", "tolerance": 1e-10}]}
+    assert verdict_diffs(doc, pinned, moved) == []
+    broken = {"header": {"seed": 4}, "reports": [
+        {"defect": 0.0152 * (1 + 2e-12), "status": "pass", "tolerance": None},
+        {"defect": 2e-10, "status": "fail", "tolerance": 1e-10},
+        {"defect": 1e-300, "status": "pass", "tolerance": None}]}
+    assert verdict_diffs(doc, pinned, broken) == [
+        "$.header.seed: 3 \u2192 4",
+        "$.reports[1].status: 'pass' \u2192 'fail'",
+        "$.reports[3]: {'status': 'unverified', 'tolerance': 1e-10} \u2192 '<missing>'",
+        f"$.reports[0].defect: 0.0152 \u2192 {0.0152 * (1 + 2e-12)!r}",
+        "$.reports[1].defect: 3e-16 \u2192 2e-10",
+        "$.reports[2].defect: 0.0 \u2192 1e-300",
+        "$.reports[3].defect: None \u2192 '<missing>'",
+    ]
+    sweep = {"aggregate": {"checks": {"normality": {"pass": 8, "worst_defect": 2e-16}}}}
+    over = {"aggregate": {"checks": {"normality": {"pass": 8, "worst_defect": 2e-9}}}}
+    assert verdict_diffs(doc, sweep, over) == [
+        "$.aggregate.checks.normality.worst_defect: 2e-16 \u2192 2e-09"]
+    assert verdict_diffs({}, sweep, over) == []
 
 
 @pytest.mark.parametrize("kind", EXPLICIT_KINDS)

@@ -1314,3 +1314,60 @@ class TestFileErrors:
         cfg = write_config(tmp_path, config_with(checks=[]))
         argv = ["export-matrix", cfg, "--out", str(tmp_path / "missing" / "m.csv")]
         assert self.run_main(argv, capsys) == ("", "--out")
+
+
+class TestInputsThatWereIgnored:
+    """A seed that the generator would alias, a tolerance for a check that
+    takes none and a run without checks are refused at their path, not
+    accepted and ignored."""
+
+    @pytest.mark.parametrize("mode", ["check", "sweep"])
+    @pytest.mark.parametrize("doc, path", [
+        (config_with(seed=-1), "seed"),
+        (config_with(seed=2**64), "seed"),
+        (config_with(seed=-2**64), "seed"),
+        (config_with(tolerances={"boundedness-grid": 1e-3}), "tolerances.boundedness-grid"),
+        (config_with(tolerances={"necessary-conditions": 0.5}),
+         "tolerances.necessary-conditions"),
+        (config_with(checks=["J-symmetry"], tolerances={"nevanlinna-grid": 1.0}),
+         "tolerances.nevanlinna-grid"),
+        (config_with(checks=[]), "checks"),
+        ({key: value for key, value in BASE.items() if key != "checks"}, "checks"),
+    ], ids=["negative-seed", "seed-2^64", "seed-minus-2^64", "grid-tolerance",
+            "conditions-tolerance", "tolerance-of-an-unlisted-check", "empty-checks",
+            "no-checks"])
+    def test_refused_at_its_path(self, tmp_path, capsys, monkeypatch, mode, doc, path):
+        runs = counting(monkeypatch, "run")
+        extra = ["--draws", "3"] if mode == "sweep" else []
+        assert main([mode, write_config(tmp_path, doc), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["path"] == path
+        assert runs == []
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(-2**64), "-1"])
+    def test_sweep_seed_flag_outside_64_bits(self, tmp_path, capsys, monkeypatch, seed):
+        # 2^64 and -2^64 would draw as seed 0, and -1 as 2^64 - 1
+        runs = counting(monkeypatch, "run")
+        cfg = write_config(tmp_path, config_with(symbols={"family": "general"},
+                                                 checks=["adjoint-kernel"]))
+        assert main(["sweep", cfg, "--draws", "3", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["path"] == "--seed"
+        assert runs == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_ends_of_the_seed_range_are_accepted(self, tmp_path, seed):
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, config_with(seed=seed))
+        assert main(["sweep", cfg, "--draws", "2", "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["header"]["sweep_seed"] == seed
+        assert main(["check", cfg, "--out", str(out)]) == 0
+
+    def test_grid_and_export_matrix_keep_their_rules_without_checks(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_with(checks=[]))
+        assert main(["grid", cfg, "--out", str(tmp_path / "grids")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "checks: no grid checks configured", "path": "checks"}
+        assert main(["export-matrix", cfg, "--out", str(tmp_path / "matrix.csv")]) == 0

@@ -11,7 +11,11 @@ no six-decimal format spec and no ``abs(abs(...))`` outside its one home.
 Likewise a check name is written once, as the first argument of its
 ``Check(...)`` record in ``runner``: a second copy, say a ``name ==
 "boundedness-grid"`` test, would decide something about the check outside
-its record. Docstrings and other bare strings do not count.
+its record. Docstrings and other bare strings do not count. And in
+``runner`` a family name is written once, as its key in ``FAMILIES``: a
+``family == "general"`` test would decide something about the family
+outside its record. The one exception is the provenance tag that the
+``explicit`` family gives its pair.
 """
 
 import ast
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from cswcd.runner import CHECKS
+from cswcd.runner import CHECKS, FAMILIES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cswcd"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -179,3 +183,64 @@ def test_each_check_name_is_written_once_in_its_record():
 ])
 def test_the_walk_finds_check_name_copies(source, count):
     assert len(check_name_copies(source)) == count
+
+
+# (family name, keyword) of the one family name that runner writes outside FAMILIES
+FAMILY_TAGS = {("explicit", "provenance")}
+
+
+def family_name_sites(source: str) -> list:
+    """(line, name, where) for every string of the source that is a family
+    name, bare strings excluded; ``where`` is "record" for a key of the
+    ``FAMILIES = {...}`` dict, the keyword's name for a keyword's value, and
+    None elsewhere."""
+    tree = ast.parse(source)
+    bare = _bare_strings(tree)
+    where = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) and any(
+                isinstance(target, ast.Name) and target.id == "FAMILIES"
+                for target in node.targets):
+            where.update((id(key), "record") for key in node.value.keys)
+        elif isinstance(node, ast.keyword):
+            where[id(node.value)] = node.arg
+    return sorted((node.lineno, node.value, where.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in FAMILIES and id(node) not in bare)
+
+
+def family_name_copies(source: str) -> list:
+    """(line, name) for every site of a family name but its first record
+    key and the tags of FAMILY_TAGS."""
+    recorded, copies = set(), []
+    for line, name, where in family_name_sites(source):
+        if where == "record" and name not in recorded:
+            recorded.add(name)
+        elif (name, where) not in FAMILY_TAGS:
+            copies.append((line, name))
+    return copies
+
+
+def test_each_family_name_is_written_once_in_runner():
+    source = (PACKAGE / "runner.py").read_text(encoding="utf-8")
+    assert family_name_copies(source) == []
+    assert [name for _, name, where in family_name_sites(source)
+            if where == "record"] == list(FAMILIES)
+
+
+@pytest.mark.parametrize("source, count", [
+    ('FAMILIES = {"general": Family(), "unitary": Family()}\n', 0),
+    ('def f(s):\n    """general"""\n    return s\n', 0),
+    ('x = f"a {family} draw"\n', 0),
+    ('x = "a general draw"\n', 0),
+    ('pair = make(provenance="explicit")\n', 0),
+    ('def f(family):\n    return family == "general"\n', 1),
+    ('x = family in ("general", "self-adjoint")\n', 2),
+    ('FAMILIES = {"general": Family()}\nOTHER = {"general": 1}\n', 1),
+    ('FAMILIES = {"general": Family(), "general": Family()}\n', 1),
+    ('pair = make(provenance="general")\n', 1),
+    ('pair = make(kind="explicit")\n', 1),
+    ('Check("normality-predicate", rule, families=("general",))\n', 1),
+])
+def test_the_walk_finds_family_name_copies(source, count):
+    assert len(family_name_copies(source)) == count
