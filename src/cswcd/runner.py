@@ -782,7 +782,7 @@ ZERO_RADII = ("abs_c",)             # radii whose range may start at 0
 
 def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
     """Draw concrete family parameters inside the admissible region by the
-    family's ``draw``, which is None for a draw outside it."""
+    family's ``draw``, which returns None for a draw outside it."""
     family = symbols["family"]
     record = _family_record(family)
     if record is None or record.draw is None:
