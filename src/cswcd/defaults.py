@@ -29,6 +29,10 @@ TOL_PREDICATE = 1e-8
 TOL_AXIOMS = 1e-9
 
 MAX_WORK_DIM = 2048        # largest dense dimension built; 2049^2 complex is about 64 MiB
+# largest order n: the families' weights divide by n!, which leaves the
+# double range from 171! on; the order-n kernels' factor (alpha+2)_n >= n!
+# for every alpha > -1, so no alpha keeps a larger order in range
+MAX_ORDER = 170
 # most terms of the normality Gram's term table; its kernel array holds
 # 2 |GRAM_POINTS|^2 = 32 complex values per term, 64 MiB at the budget (n <= 71)
 MAX_GRAM_TERMS = 131072

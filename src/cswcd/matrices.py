@@ -355,12 +355,8 @@ def cowen_adjoint_pair(
     sigma = sigma_companion(phi)
     phi_0 = lft_eval(phi, 0.0)
     sigma_0 = lft_eval(sigma, 0.0)
-    pair_a = SymbolPair.from_series(
-        kernel(sigma_0, n, space.alpha, space.N), phi, n, provenance="companion-adjoint-A"
-    )
-    pair_b = SymbolPair.from_series(
-        kernel(phi_0, n, space.alpha, space.N), sigma, n, provenance="companion-adjoint-B"
-    )
+    pair_a = SymbolPair.from_series(kernel(sigma_0, n, space.alpha, space.N), phi, n)
+    pair_b = SymbolPair.from_series(kernel(phi_0, n, space.alpha, space.N), sigma, n)
     return pair_a, pair_b
 
 

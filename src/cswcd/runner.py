@@ -37,6 +37,7 @@ from .conjugations import (
 from .defaults import (
     DEFAULT_N,
     MAX_GRAM_TERMS,
+    MAX_ORDER,
     MAX_WORK_DIM,
     TOL_ADJOINT_KERNEL,
     TOL_ADJOINT_PAIR,
@@ -234,19 +235,18 @@ def parse_seed(value, path: str) -> int:
     return seed
 
 
-def _check_ranges(symbols: dict, record: Family | None) -> None:
-    """Sweep draw ranges are ranges the family draws (any of RANGE_DEFAULTS
-    without a record), [lo, hi] with 0 <= lo <= hi (0 < lo outside ZERO_RADII),
-    hi < 1 for a radius in the disk, and hi >= the family's min_abs_c for abs_c."""
+def _check_ranges(symbols: dict, record: Family) -> None:
+    """Sweep draw ranges are ranges the family draws, [lo, hi] with
+    0 <= lo <= hi (0 < lo outside ZERO_RADII), hi < 1 for a radius in the
+    disk, and hi >= the family's min_abs_c for abs_c."""
     ranges = symbols.get("ranges", {})
     if not isinstance(ranges, dict):
         raise ConfigError("symbols.ranges", "expected an object of radius -> [lo, hi]")
-    known = tuple(RANGE_DEFAULTS) if record is None else record.ranges or ()
     for key, value in ranges.items():
         path = f"symbols.ranges.{key}"
-        if key not in known:
+        if key not in record.ranges:
             raise ConfigError(path, f"unknown range for family {symbols['family']!r}; "
-                              f"known: {', '.join(known) or 'none'}")
+                              f"known: {', '.join(record.ranges) or 'none'}")
         if not (isinstance(value, list) and len(value) == 2):
             raise ConfigError(path, "expected two numbers [lo, hi]")
         lo, hi = (_number(float, v, path) for v in value)
@@ -256,7 +256,7 @@ def _check_ranges(symbols: dict, record: Family | None) -> None:
             raise ConfigError(path, f"a draw of {key} needs lo > 0, got {value!r}")
         if key in DISK_RADII and not hi < 1:
             raise ConfigError(path, f"a radius in the disk needs hi < 1, got {hi!r}")
-        if key == "abs_c" and record and hi < record.min_abs_c:
+        if key == "abs_c" and hi < record.min_abs_c:
             raise ConfigError(path, f"a {symbols['family']} draw of c != 0 needs "
                               f"hi >= {record.min_abs_c}, got {hi!r}")
 
@@ -264,16 +264,25 @@ def _check_ranges(symbols: dict, record: Family | None) -> None:
 def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     """Validate a configuration document, including family preconditions.
 
-    Sweep base configurations carry a family plus draw ranges rather than
-    concrete parameters; pass require_concrete=False to skip building the
-    probe pair. The probe is the config's own ``pair``, which ``run`` then
-    reuses. An explicit conjugation descriptor is made as the config's own
+    The family is read first: a family that ``FAMILIES`` does not name is
+    refused before any other field, in every mode. Sweep base
+    configurations carry a family plus draw ranges rather than concrete
+    parameters; pass require_concrete=False to skip building the probe
+    pair. The probe is the config's own ``pair``, which ``run`` then reuses.
+    An explicit conjugation descriptor is made as the config's own
     ``conjugation``, so its constructor's preconditions surface here too.
     The report header's hash (``sha256``) is made last, so a non-finite
     number in a field that no check reads is a ConfigError at its path.
     """
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
+    symbols = _require(doc, "symbols", "$")
+    if not isinstance(symbols, dict) or "family" not in symbols:
+        raise ConfigError("symbols.family", "missing family name")
+    family = symbols["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError("symbols.family", f"unknown family {family!r}")
+    record = FAMILIES[family]
     space_doc = _require(doc, "space", "$")
     if not isinstance(space_doc, dict):
         raise ConfigError("space", "expected an object with alpha, n and N")
@@ -290,14 +299,10 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         raise ConfigError(
             "space.N", f"dimension {space.N + 1} exceeds the budget of {MAX_WORK_DIM}"
         )
-    symbols = _require(doc, "symbols", "$")
-    if not isinstance(symbols, dict) or "family" not in symbols:
-        raise ConfigError("symbols.family", "missing family name")
-    family = symbols["family"]
-    # an unknown family is refused where the pair is made, or as unsweepable
-    record = _family_record(family)
+    if space.n > MAX_ORDER:
+        raise ConfigError("space.n", f"order {space.n} exceeds the largest order {MAX_ORDER}")
     for key in symbols:
-        if record and key not in record.fields and key not in SHARED_FIELDS:
+        if key not in record.fields and key not in SHARED_FIELDS:
             raise ConfigError(f"symbols.{key}", f"unknown field for {family!r}; "
                               f"known: {', '.join(record.fields)}")
     _check_ranges(symbols, record)
@@ -341,6 +346,8 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             raise ConfigError(path, "tolerance for an unknown check")
         if CHECK_RECORDS[name].tol is None:
             raise ConfigError(path, f"{name} takes no tolerance")
+        if name not in checks:
+            raise ConfigError(path, f"{name} is not among the config's checks")
         tols[name] = _number(float, value, path)
         if tols[name] < 0:
             raise ConfigError(path, f"expected a tolerance >= 0, got {value!r}")
@@ -364,7 +371,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             config.pair
         except (DomainError, SingularityError) as exc:
             raise ConfigError("symbols", str(exc)) from exc
-    elif family not in SWEEPABLE_FAMILIES:
+    elif record.draw is None:
         raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
     # a non-finite number in a field that nothing reads would otherwise
     # refuse the hash only in the report header, after every check had run
@@ -420,8 +427,7 @@ def _make_explicit(symbols: dict, space: SpaceParams) -> SymbolPair:
     if sup > 1.0 + 1e-12:
         raise ConfigError("symbols.phi",
                           f"the map leaves the disk: sup|phi| = {format_magnitude(sup)}")
-    return SymbolPair.from_series(polynomial(coeffs, space.N), phi, space.n,
-                                  provenance="explicit", params={"bounded": bounded})
+    return SymbolPair.from_series(polynomial(coeffs, space.N), phi, space.n, bounded=bounded)
 
 
 def _draw_plain_denominator(rng: SplitMix64, ranges: dict, then=None) -> dict | None:
@@ -519,17 +525,9 @@ SWEEPABLE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.d
 PREDICTED_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.normal)
 
 
-def _family_record(family) -> Family | None:
-    """The record of a family name; None for any other value."""
-    return FAMILIES.get(family) if isinstance(family, str) else None
-
-
 def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
     """Build the symbol pair described by the config at the truncation of space."""
-    record = _family_record(symbols["family"])
-    if record is None:
-        raise ConfigError("symbols.family", f"unknown family {symbols['family']!r}")
-    return record.make(symbols, space)
+    return FAMILIES[symbols["family"]].make(symbols, space)
 
 
 def resolve_conjugation_kind(config: RunConfig) -> dict:
@@ -542,6 +540,8 @@ def resolve_conjugation_kind(config: RunConfig) -> dict:
 
 
 def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
+    """The conjugation of a descriptor of kind plain-J, rotation-J or wc-J:
+    ``parse_config`` admits no other kind, and 'auto' resolves to one of them."""
     kind = descriptor["kind"]
     if kind == "plain-J":
         return make_J(alpha)
@@ -551,13 +551,11 @@ def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
             _complex_value(descriptor.get("lambda", 1.0), "conjugation.lambda"),
             alpha,
         )
-    if kind == "wc-J":
-        return make_wc_J(
-            _complex_value(_require(descriptor, "p", "conjugation"), "conjugation.p"),
-            _complex_value(descriptor.get("lambda_u", 1.0), "conjugation.lambda_u"),
-            alpha,
-        )
-    raise ConfigError("conjugation.kind", f"unknown kind {kind!r}")
+    return make_wc_J(
+        _complex_value(_require(descriptor, "p", "conjugation"), "conjugation.p"),
+        _complex_value(descriptor.get("lambda_u", 1.0), "conjugation.lambda_u"),
+        alpha,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +780,9 @@ ZERO_RADII = ("abs_c",)             # radii whose range may start at 0
 
 def draw_symbols(symbols: dict, rng: SplitMix64) -> dict:
     """Draw concrete family parameters inside the admissible region by the
-    family's ``draw``, which returns None for a draw outside it."""
-    family = symbols["family"]
-    record = _family_record(family)
-    if record is None or record.draw is None:
-        raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
+    family's ``draw``, which returns None for a draw outside it; the family
+    is one that ``parse_config`` admits for a sweep."""
+    record = FAMILIES[symbols["family"]]
     given = symbols.get("ranges", {})
     ranges = {key: tuple(map(float, given[key])) if key in given else RANGE_DEFAULTS[key]
               for key in record.ranges}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -225,20 +225,16 @@ def _monomial_weight(coeff: complex, n: int, rho: complex, exponent: float) -> R
 
 @dataclass(frozen=True)
 class SymbolPair:
-    """Closed-form weight psi, composition map phi, differentiation order n
-    and the truncation order N of the weight's Taylor series.
-
-    ``provenance`` records which family built the pair; ``params`` keeps the
-    closed-form parameters for exact cross-checks downstream and, for an
-    explicit pair, the user's ``bounded`` flag.
+    """Closed-form weight psi, composition map phi, differentiation order n,
+    the truncation order of the weight's Taylor series, and ``bounded``, the
+    user's flag that the operator is bounded (an explicit pair's field).
     """
 
     weight: RationalWeight
     phi: LinearFractionalMap
     n: int
     order: int
-    provenance: str = "explicit"
-    params: dict = field(default_factory=dict)
+    bounded: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -263,11 +259,7 @@ class SymbolPair:
     def bounded_hint(self) -> bool:
         """Whether the operator is known to be bounded: order 0 (a weighted
         composition), sup |phi| < 1 over the closed disk, or the user's flag."""
-        return (
-            self.n == 0
-            or sup_norm_lft(self.phi) < 1.0
-            or bool(self.params.get("bounded", False))
-        )
+        return self.n == 0 or sup_norm_lft(self.phi) < 1.0 or self.bounded
 
 
 def bounded_sufficient(b: complex, c: complex) -> bool:
@@ -329,8 +321,7 @@ def _check_family_params(a: complex, b: complex, c: complex) -> None:
 
 
 def _rational_family(
-    a: complex, b: complex, c: complex, c_den: complex, n: int, alpha: float, N: int,
-    provenance: str,
+    a: complex, b: complex, c: complex, c_den: complex, n: int, alpha: float, N: int
 ) -> SymbolPair:
     """psi(z) = (a/n!) z^n (1 - c_den z)^-(n+alpha+2) and
     phi(z) = c + b z / (1 - c_den z), for nonzero a, b and |c| < 1."""
@@ -340,8 +331,6 @@ def _rational_family(
         _family_phi(b, c_den, c),
         n,
         N,
-        provenance=provenance,
-        params={"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha},
     )
 
 
@@ -355,7 +344,7 @@ def family_j_symmetric(
 
     with nonzero complex a, b and |c| < 1.
     """
-    return _rational_family(a, b, c, c, n, alpha, N, "j-symmetric")
+    return _rational_family(a, b, c, c, n, alpha, N)
 
 
 def family_general(
@@ -369,7 +358,7 @@ def family_general(
     Self-adjoint exactly when a and b are real; normal exactly when b is
     real or c = 0.
     """
-    return _rational_family(a, b, c, np.conj(c), n, alpha, N, "general")
+    return _rational_family(a, b, c, np.conj(c), n, alpha, N)
 
 
 def family_self_adjoint(
@@ -379,8 +368,7 @@ def family_self_adjoint(
     for name, val in (("a", a), ("b", b)):
         if complex(val).imag != 0:
             raise DomainError(f"{name} must be real for the self-adjoint family")
-    return _rational_family(complex(a).real, complex(b).real, c, np.conj(c), n, alpha, N,
-                            "self-adjoint")
+    return _rational_family(complex(a).real, complex(b).real, c, np.conj(c), n, alpha, N)
 
 
 def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
@@ -389,14 +377,7 @@ def family_normal_origin(a: complex, b: complex, n: int, N: int) -> SymbolPair:
         raise DomainError("a must be nonzero")
     if b == 0 or abs(b) >= 1.0:
         raise DomainError(f"b must satisfy 0 < |b| < 1, got {format_magnitude(abs(b))}")
-    return SymbolPair(
-        _monomial_weight(a, n, 0j, 0.0),
-        rotation_map(b),
-        n,
-        N,
-        provenance="normal-origin",
-        params={"a": complex(a), "b": complex(b)},
-    )
+    return SymbolPair(_monomial_weight(a, n, 0j, 0.0), rotation_map(b), n, N)
 
 
 def unitary_parameters(
@@ -429,14 +410,7 @@ def unitary_symbols(
     truncated at N. The order is 0.
     """
     g, q, phi = unitary_parameters(p, lambda_u, alpha)
-    return SymbolPair(
-        RationalWeight([lambda_u], q, alpha + 2, g),
-        phi,
-        0,
-        N,
-        provenance="unitary-wc",
-        params={"p": complex(p), "lambda_u": complex(lambda_u), "alpha": alpha},
-    )
+    return SymbolPair(RationalWeight([lambda_u], q, alpha + 2, g), phi, 0, N)
 
 
 def transported_weight(
@@ -499,8 +473,6 @@ def family_conjugated(
         g, _, phi_p = unitary_parameters(p, lambda_u, alpha)
         phi = lft_compose(base_phi, phi_p)
         weight = transported_weight(scale, n, c, alpha, lambda_u, g, phi_p)
-        provenance = "wc-conjugated"
-        extra = {"p": complex(p), "lambda_u": complex(lambda_u)}
     else:
         if mu is None or lam is None:
             raise DomainError("rotation case needs both mu and lam")
@@ -508,7 +480,4 @@ def family_conjugated(
             raise DomainError("mu and lam must be unimodular")
         phi = lft_compose(base_phi, rotation_map(lam))
         weight = _monomial_weight(mu * scale * lam**n, n, c * lam, n + alpha + 2)
-        provenance = "rotation-conjugated"
-        extra = {"mu": complex(mu), "lam": complex(lam)}
-    params = {"a": complex(a), "b": complex(b), "c": complex(c), "alpha": alpha, **extra}
-    return SymbolPair(weight, phi, n, N, provenance=provenance, params=params)
+    return SymbolPair(weight, phi, n, N)

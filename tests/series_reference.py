@@ -4,7 +4,7 @@ Before the weights were carried in closed form, each family built its
 weight as a Taylor series at the truncation N; the weighted-composition
 transport multiplied the series of (1 - conj(p) z)^-(alpha+2) by that of
 (1 - conj(p) z)^(alpha+2) in floating point. ``reference_weight_series``
-rebuilds that series from a pair's parameters with
+rebuilds that series from a family's name and parameters with
 ``symbols.rational_symbol_series``, for the tests that compare the closed
 form with it. It forms the unitary weight constant
 k = lambda_u (1 - |p|^2)^((alpha+2)/2) itself, so that it stays independent
@@ -25,26 +25,26 @@ def unitary_weight_series(p, lambda_u, alpha, N):
     return series_scale(expand_rational_kernel(alpha + 2, np.conj(p), N), k)
 
 
-def reference_weight_series(pair, N):
-    """The weight series at order N of a family pair, built as a product of
-    binomial series, as the families built it before the closed form."""
-    params, n = pair.params, pair.n
-    if pair.provenance == "normal-origin":
+def reference_weight_series(family, params, n, N):
+    """The weight series at order N of the family's pair of order n, built as
+    a product of binomial series, as the families built it before the closed
+    form. ``params`` holds the family's complex fields and alpha."""
+    if family == "normal-origin":
         return monomial(n, N, params["a"])
-    if pair.provenance == "unitary-wc":
+    if family == "unitary":
         return unitary_weight_series(params["p"], params["lambda_u"], params["alpha"], N)
     a, c, alpha = params["a"], params["c"], params["alpha"]
     scale, s = a / math.factorial(n), n + alpha + 2
-    if pair.provenance in ("general", "self-adjoint"):
+    if family in ("general", "self-adjoint"):
         return rational_symbol_series(scale, n, np.conj(c), s, IDENTITY_MAP, N)
-    if pair.provenance == "j-symmetric":
+    if family == "j-symmetric":
         return rational_symbol_series(scale, n, c, s, IDENTITY_MAP, N)
-    if pair.provenance == "rotation-conjugated":
+    if family == "rotation-conjugated":
         return rational_symbol_series(params["mu"] * scale, n, c, s,
                                       rotation_map(params["lam"]), N)
-    if pair.provenance == "wc-conjugated":
+    if family == "wc-conjugated":
         p, pbar = params["p"], np.conj(params["p"])
         phi_p = LinearFractionalMap(-pbar / p, pbar, -pbar, 1.0)
         return series_mul(unitary_weight_series(p, params["lambda_u"], alpha, N),
                           rational_symbol_series(scale, n, c, s, phi_p, N))
-    raise ValueError(f"no reference series for provenance {pair.provenance!r}")
+    raise ValueError(f"no reference series for family {family!r}")

@@ -164,7 +164,7 @@ def test_criterion_4_symmetry_characterization():
         defect = is_C_symmetric(M, make_J(space.alpha))
         worst_forward = max(worst_forward, defect)
         # converse probe: weight rebuilt with c + 0.1, map unchanged
-        a, b, c = pair.params["a"], pair.params["b"], pair.params["c"]
+        a, b, c = (complex(*raw[key]) for key in ("a", "b", "c"))
         shifted = family_j_symmetric(a, b, c + 0.1, n, alpha, N_DEFAULT)
         broken = SymbolPair(shifted.weight, pair.phi, n, shifted.order)
         bad = is_C_symmetric(build_wcd_matrix(broken, space), make_J(space.alpha))

@@ -633,12 +633,16 @@ class TestIsCSymmetric:
         assert defect > 1e-3
 
 
-def series_weight_values(pair, u, N=64):
-    """psi(u) summed from the old product-of-series weight, as the kernel
-    forms read it before the closed form: the order N doubles while the last
-    quarter of any sum holds more than GRAM_TAIL of it."""
+def series_weight_values(config, u, N=64):
+    """psi(u) summed from the old product-of-series weight of the config's
+    drawn pair, as the kernel forms read it before the closed form: the
+    order N doubles while the last quarter of any sum holds more than
+    GRAM_TAIL of it."""
+    symbols = config.symbols
+    params = {key: complex(*value) for key, value in symbols.items() if key != "family"}
+    params["alpha"] = config.space.alpha
     while True:
-        coeffs = reference_weight_series(pair, N).coeffs
+        coeffs = reference_weight_series(symbols["family"], params, config.space.n, N).coeffs
         powers = power_table(u, N + 1)
         terms = np.abs(powers * coeffs)
         if (terms[:, N + 1 - (N + 1) // 4:].sum(axis=1) <= GRAM_TAIL * terms.sum(axis=1)).all():
@@ -660,7 +664,7 @@ def test_closed_form_weight_keeps_the_series_verdicts(family):
         config = parse_config(doc)
         pair, space = config.pair, config.space
         verdicts = []
-        for psi_u in (kernel_weight_values(pair), series_weight_values(pair, u)):
+        for psi_u in (kernel_weight_values(pair), series_weight_values(config, u)):
             verdicts.append((
                 kernel_symmetry_defect(pair, make_J(space.alpha), psi_u) <= TOL_EXACT,
                 kernel_symmetry_defect(pair, config.conjugation, psi_u) <= TOL_EXACT,

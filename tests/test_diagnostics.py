@@ -15,6 +15,7 @@ from cswcd.diagnostics import (
     GRAM_POINTS,
     TREND_BOUNDED,
     TREND_DIVERGING,
+    TREND_INCONCLUSIVE,
     _classify_trend,
     _polar_grid,
     boundedness_ratio_grid,
@@ -73,6 +74,15 @@ class TestBoundednessRatioGrid:
         real_axis = [v for w, v in report.samples if abs(w.imag) < 1e-12 and w.real > 0]
         expect = 2 ** (alpha + 2 + 2 * n) * (1 - 0.9) ** (-2 * n)
         assert real_axis[0] == pytest.approx(expect)
+
+    @pytest.mark.parametrize("maxima, trend", [
+        ((1.0, 2.0, 4.0), TREND_INCONCLUSIVE),      # growing, but by less than 10
+        ((1.0, 2.0), TREND_INCONCLUSIVE),
+        ((1.0, 5.0, 20.0), TREND_DIVERGING),
+        ((1.0, 1.02, 1.05), TREND_BOUNDED),
+    ])
+    def test_classify_trend(self, maxima, trend):
+        assert _classify_trend(maxima) == trend
 
     def test_gated_family_map_bounded_looking(self):
         pair = family_j_symmetric(1.0, 0.3, 0.2, 1, 0.0, 16)
@@ -528,12 +538,12 @@ class TestNormalityGram:
 
     def test_only_an_explicit_pair_may_keep_the_pole_of_phi(self):
         # psi (1 + (c/d) z)^s is no polynomial for a polynomial psi and c != 0:
-        # the Gram follows the weight's shape, not the provenance, so a pair
-        # of this shape under a family's name sums the same series as an
-        # explicit one
+        # the Gram follows the weight's shape, the one thing a pair records
+        # besides its map, orders and the user's flag, so a pair of this shape
+        # sums the same series with the explicit family's bounded flag or not
         psi, phi = polynomial([0.0, 1.0], 32), LinearFractionalMap(0.5, 0.1, -0.2, 1.0)
-        pair = SymbolPair.from_series(psi, phi, 1, provenance="general")
-        explicit = SymbolPair.from_series(psi, phi, 1, provenance="explicit")
+        pair = SymbolPair.from_series(psi, phi, 1)
+        explicit = SymbolPair.from_series(psi, phi, 1, bounded=True)
         for got, want in zip(normality_gram(pair, 0.5), normality_gram(explicit, 0.5)):
             assert got.tobytes() == want.tobytes()
         assert normality_gram_defect(*normality_gram(explicit, 0.5)) > 1e-3
@@ -653,8 +663,8 @@ def test_gram_reads_a_long_explicit_weight_at_its_own_order():
     # leading block of the explicit polynomial, with or without the series
     # at N built first
     psi = polynomial([0.5**j for j in range(100)], 150)
-    fresh = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
-    built = SymbolPair.from_series(psi, rotation_map(0.5), 1, params={"bounded": True})
+    fresh = SymbolPair.from_series(psi, rotation_map(0.5), 1, bounded=True)
+    built = SymbolPair.from_series(psi, rotation_map(0.5), 1, bounded=True)
     assert np.array_equal(built.psi.coeffs, psi.coeffs)
     assert normality_gram_defect(*normality_gram(fresh, 0.5)) == normality_gram_defect(
         *normality_gram(built, 0.5))

@@ -56,7 +56,7 @@ SPACE = SpaceParams(0.0, 1, 24)
 
 
 def explicit_pair(psi, phi, n, bounded=True):
-    return SymbolPair.from_series(psi, phi, n, params={"bounded": bounded})
+    return SymbolPair.from_series(psi, phi, n, bounded=bounded)
 
 
 def draw_contractive_lft(rng, sup_cap=0.7):

@@ -50,6 +50,9 @@ EXPLICIT_NEAR_POLE = {"family": "explicit", "psi": [1.0], "phi": [0.0, 0.0009, -
 # this general pair has a non-real b and c != 0, so it is not normal
 NOT_NORMAL = {"family": "general", "a": 1.0, "b": [0.4, 0.3], "c": [0.2, 0.1]}
 UNITARY = {"family": "unitary", "p": [0.3, 0.1], "lambda_u": [0.0, 1.0]}
+# an explicit weight of degree 6 on a truncation of 4
+PSI_OVER_THE_TRUNCATION = {"space": {"alpha": 0.0, "n": 1, "N": 4},
+                           "symbols": {**EXPLICIT_UNIT_MAP, "psi": [0.0, 1.0, 0, 0, 0, 0, 0.5]}}
 
 
 WC_SPACE = {"alpha": 0.5, "n": 2, "N": 96}
@@ -133,7 +136,7 @@ class TestParseConfig:
             symbols={"family": "j-symmetric", "a": 1.0, "b": [0.2, 0.1], "c": [0.0, 0.3]}
         )
         pair = make_pair(parse_config(doc).symbols, parse_config(doc).space)
-        assert pair.params["c"] == 0.3j
+        assert pair.phi.b == 0.3j
 
     def test_explicit_conjugation_is_made_for_alpha(self, monkeypatch):
         # a conjugation carries alpha and no truncation, so none is made up
@@ -460,6 +463,20 @@ class TestPredicates:
             err = json.loads(capsys.readouterr().err)
             assert err["path"] == "checks[1]"
 
+    @pytest.mark.parametrize("check, defect", [("normality-predicate", 1.0925e-6),
+                                               ("kernel-norm-balance", 1.6469e-6)])
+    def test_non_normal_prediction_fails_at_a_defect_within_tolerance(self, tmp_path, capsys,
+                                                                      check, defect):
+        # b is not real and c != 0, so the pair is predicted non-normal; with
+        # Im b = 1e-6 its defect lies within a tolerance of 1e-4
+        doc = config_with(symbols={**NOT_NORMAL, "b": [0.3, 1e-6]}, checks=[check],
+                          tolerances={check: 1e-4})
+        code, out, _ = outcome(lambda: main(["check", write_config(tmp_path, doc)]), capsys)
+        report, = json.loads(out)["reports"]
+        assert (code, report["status"], report["tolerance"]) == (1, "fail", 1e-4)
+        assert report["defect"] == pytest.approx(defect, rel=1e-4)
+        assert report["provenance"] == f"{check}; predicted=nonnormal"
+
     def test_scope_rejected_for_sweep(self):
         doc = config_with(symbols={"family": "wc-conjugated"}, checks=["kernel-norm-balance"])
         with pytest.raises(ConfigError) as err:
@@ -702,6 +719,25 @@ class TestSweep:
         aggregate = sweep(config, 0, seed=3)
         assert aggregate["draws"] == 0
 
+    def test_failed_predicates_are_counted_as_mismatches(self):
+        # at a tolerance of 0 a normal prediction fails on any rounding
+        doc = config_with(symbols={"family": "general"}, checks=["normality-predicate"],
+                          tolerances={"normality-predicate": 0.0})
+        aggregate = sweep(parse_config(doc, require_concrete=False), 12, seed=3)
+        assert aggregate["mismatches"] == 8
+        counts = aggregate["checks"]["normality-predicate"]
+        assert (counts["pass"], counts["fail"], counts["unverified"]) == (4, 8, 0)
+
+    def test_too_many_redraws_are_refused(self, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_REJECTIONS", 5)
+        monkeypatch.setattr(runner, "_draw_passes_gates", lambda config: False)
+        runs = counting(monkeypatch, "run")
+        doc = config_with(symbols={"family": "unitary"}, checks=["adjoint-kernel"])
+        with pytest.raises(ConfigError, match="rejected too many draws") as err:
+            sweep(parse_config(doc, require_concrete=False), 2, seed=1)
+        assert err.value.path == "symbols"
+        assert runs == []
+
     def test_deterministic(self):
         doc = config_with(symbols={"family": "general"}, checks=["normality-predicate"])
         config = parse_config(doc, require_concrete=False)
@@ -855,6 +891,8 @@ class TestCli:
             ({"symbols": {**EXPLICIT_UNIT_MAP, "lambda_u": 1.0}}, "symbols.lambda_u"),
             ({"space": 5}, "space"),
             ({"space": "alpha"}, "space"),
+            ({"symbols": {**EXPLICIT_UNIT_MAP, "phi": [0.5, 0.5, 1.0]}}, "symbols.phi"),
+            (PSI_OVER_THE_TRUNCATION, "symbols"),
         ],
         ids=["conjugation-mu", "N", "tolerance", "alpha", "n", "seed",
              "fractional-N", "fractional-n", "fractional-seed", "alpha-overflow",
@@ -864,7 +902,8 @@ class TestCli:
              "rotation-field-lam", "wc-field-lambda", "plain-field", "auto-field", "list-kind",
              "bounded-pole-in-disk", "grid-pole-in-disk", "bounded-map-leaves-disk",
              "symbols-typo", "symbols-field-of-another-family", "explicit-extra-field",
-             "space-number", "space-string"],
+             "space-number", "space-string", "explicit-phi-of-three",
+             "psi-over-the-truncation"],
     )
     def test_unparseable_value_exit(self, tmp_path, capsys, overrides, path):
         assert main(["check", self.write(tmp_path, config_with(**overrides))]) == 2
@@ -1281,6 +1320,16 @@ class TestFileErrors:
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert self.run_main(["check", str(tmp_path)], capsys) == ("", "$")
 
+    @pytest.mark.parametrize("mode", ["check", "sweep"])
+    @pytest.mark.parametrize("text", [None, '{"space": ', "[1, 2]"],
+                             ids=["missing", "invalid-json", "not-an-object"])
+    def test_config_is_missing_or_no_object(self, tmp_path, capsys, mode, text):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        extra = ["--draws", "2"] if mode == "sweep" else []
+        assert self.run_main([mode, str(cfg), *extra], capsys) == ("", "$")
+
     def test_config_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"note": "\xff\xfe"}')
@@ -1318,8 +1367,8 @@ class TestFileErrors:
 
 class TestInputsThatWereIgnored:
     """A seed that the generator would alias, a tolerance for a check that
-    takes none and a run without checks are refused at their path, not
-    accepted and ignored."""
+    takes none or that the config does not list, and a run without checks
+    are refused at their path, not accepted and ignored."""
 
     @pytest.mark.parametrize("mode", ["check", "sweep"])
     @pytest.mark.parametrize("doc, path", [
@@ -1331,11 +1380,13 @@ class TestInputsThatWereIgnored:
          "tolerances.necessary-conditions"),
         (config_with(checks=["J-symmetry"], tolerances={"nevanlinna-grid": 1.0}),
          "tolerances.nevanlinna-grid"),
+        (config_with(checks=["J-symmetry"], tolerances={"normality": 1e-6}),
+         "tolerances.normality"),
         (config_with(checks=[]), "checks"),
         ({key: value for key, value in BASE.items() if key != "checks"}, "checks"),
     ], ids=["negative-seed", "seed-2^64", "seed-minus-2^64", "grid-tolerance",
-            "conditions-tolerance", "tolerance-of-an-unlisted-check", "empty-checks",
-            "no-checks"])
+            "conditions-tolerance", "tolerance-of-an-unlisted-check",
+            "tolerance-of-an-unlisted-tolerated-check", "empty-checks", "no-checks"])
     def test_refused_at_its_path(self, tmp_path, capsys, monkeypatch, mode, doc, path):
         runs = counting(monkeypatch, "run")
         extra = ["--draws", "3"] if mode == "sweep" else []
@@ -1371,3 +1422,56 @@ class TestInputsThatWereIgnored:
         assert json.loads(capsys.readouterr().err) == {
             "error": "checks: no grid checks configured", "path": "checks"}
         assert main(["export-matrix", cfg, "--out", str(tmp_path / "matrix.csv")]) == 0
+
+
+# a config that check and sweep both refuse, and the path of the refusal
+BOTH_MODES = {
+    "no-family": (config_with(symbols={"a": 1.0, "b": 0.3, "c": 0.2}), "symbols.family"),
+    "unknown-family": (config_with(symbols={"family": "x"}), "symbols.family"),
+    "non-string-family": (config_with(symbols={"family": ["general"]}), "symbols.family"),
+    # the family is read before any other field
+    "unknown-family-before-space": (config_with(space="bad", symbols={"family": "x"},
+                                                checks="bad"), "symbols.family"),
+    "no-kind": (config_with(conjugation={"mu": 1.0}), "conjugation.kind"),
+    "checks-not-a-list": (config_with(checks="J-symmetry"), "checks"),
+    "tolerances-not-an-object": (config_with(tolerances=[1e-3]), "tolerances"),
+    "tolerance-of-an-unknown-check": (config_with(tolerances={"symmetry": 1e-3}),
+                                      "tolerances.symmetry"),
+    "ranges-not-an-object": (config_with(symbols={**BASE["symbols"], "ranges": [0.1, 0.2]}),
+                             "symbols.ranges"),
+    "order-above-170": (config_with(space={"alpha": 0.5, "n": 171, "N": 180}), "space.n"),
+}
+
+
+class TestEachRefusal:
+    """A malformed field that check and sweep both read is refused at its
+    path with exit 2, before any check runs."""
+
+    def refusal(self, argv, capsys):
+        code, out, err = outcome(lambda: main(argv), capsys)
+        assert (code, out) == (2, ""), err
+        return json.loads(err)
+
+    @pytest.mark.parametrize("mode", ["check", "sweep"])
+    @pytest.mark.parametrize("doc, path", BOTH_MODES.values(), ids=BOTH_MODES.keys())
+    def test_config_field(self, tmp_path, capsys, monkeypatch, mode, doc, path):
+        runs = counting(monkeypatch, "run")
+        extra = ["--draws", "2"] if mode == "sweep" else []
+        assert self.refusal([mode, write_config(tmp_path, doc), *extra], capsys)["path"] == path
+        assert runs == []
+
+    def test_the_messages(self, tmp_path, capsys):
+        # an unknown family reads the same in a sweep as in a check
+        for mode, extra in (("check", []), ("sweep", ["--draws", "2"])):
+            cfg = write_config(tmp_path, BOTH_MODES["unknown-family"][0])
+            assert self.refusal([mode, cfg, *extra], capsys)["error"] \
+                == "symbols.family: unknown family 'x'"
+        cfg = write_config(tmp_path, config_with(**PSI_OVER_THE_TRUNCATION))
+        assert "polynomial degree 6 exceeds truncation 4" \
+            in self.refusal(["check", cfg], capsys)["error"]
+
+    def test_the_largest_order_is_admitted(self):
+        # 170! is the largest factorial in the double range
+        doc = config_with(space={"alpha": 0.5, "n": runner.MAX_ORDER, "N": 180})
+        report, = run(parse_config(doc))
+        assert report.status == "unverified"

@@ -11,11 +11,11 @@ no six-decimal format spec and no ``abs(abs(...))`` outside its one home.
 Likewise a check name is written once, as the first argument of its
 ``Check(...)`` record in ``runner``: a second copy, say a ``name ==
 "boundedness-grid"`` test, would decide something about the check outside
-its record. Docstrings and other bare strings do not count. And in
-``runner`` a family name is written once, as its key in ``FAMILIES``: a
-``family == "general"`` test would decide something about the family
-outside its record. The one exception is the provenance tag that the
-``explicit`` family gives its pair.
+its record. Docstrings and other bare strings do not count. And a family
+name is written once in the package, as its key in ``runner.FAMILIES``: a
+``family == "general"`` test, or a pair tagged with the name of the family
+that made it, would decide or record something about the family outside
+its record.
 """
 
 import ast
@@ -185,10 +185,6 @@ def test_the_walk_finds_check_name_copies(source, count):
     assert len(check_name_copies(source)) == count
 
 
-# (family name, keyword) of the one family name that runner writes outside FAMILIES
-FAMILY_TAGS = {("explicit", "provenance")}
-
-
 def family_name_sites(source: str) -> list:
     """(line, name, where) for every string of the source that is a family
     name, bare strings excluded; ``where`` is "record" for a key of the
@@ -210,20 +206,23 @@ def family_name_sites(source: str) -> list:
 
 
 def family_name_copies(source: str) -> list:
-    """(line, name) for every site of a family name but its first record
-    key and the tags of FAMILY_TAGS."""
+    """(line, name) for every site of a family name but its first record key."""
     recorded, copies = set(), []
     for line, name, where in family_name_sites(source):
         if where == "record" and name not in recorded:
             recorded.add(name)
-        elif (name, where) not in FAMILY_TAGS:
+        else:
             copies.append((line, name))
     return copies
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_family_name_is_written_outside_its_record(path):
+    assert family_name_copies(path.read_text(encoding="utf-8")) == []
+
+
 def test_each_family_name_is_written_once_in_runner():
     source = (PACKAGE / "runner.py").read_text(encoding="utf-8")
-    assert family_name_copies(source) == []
     assert [name for _, name, where in family_name_sites(source)
             if where == "record"] == list(FAMILIES)
 
@@ -233,12 +232,14 @@ def test_each_family_name_is_written_once_in_runner():
     ('def f(s):\n    """general"""\n    return s\n', 0),
     ('x = f"a {family} draw"\n', 0),
     ('x = "a general draw"\n', 0),
-    ('pair = make(provenance="explicit")\n', 0),
+    ('pair = make(provenance="explicit")\n', 1),
     ('def f(family):\n    return family == "general"\n', 1),
     ('x = family in ("general", "self-adjoint")\n', 2),
     ('FAMILIES = {"general": Family()}\nOTHER = {"general": 1}\n', 1),
     ('FAMILIES = {"general": Family(), "general": Family()}\n', 1),
     ('pair = make(provenance="general")\n', 1),
+    ('return SymbolPair(weight, phi, n, N, provenance="general")\n', 1),
+    ('provenance = "wc-conjugated"\n', 1),
     ('pair = make(kind="explicit")\n', 1),
     ('Check("normality-predicate", rule, families=("general",))\n', 1),
 ])

@@ -240,7 +240,6 @@ class TestFamilySelfAdjoint:
 class TestFamilyGeneral:
     def test_accepts_complex_parameters(self):
         pair = family_general(1.0 + 0.5j, 0.4j, 0.3, 1, 0.0, 16)
-        assert pair.provenance == "general"
         assert lft_eval(pair.phi, 0.0) == pytest.approx(0.3)
 
     def test_same_shape_as_self_adjoint(self):
@@ -352,8 +351,7 @@ class TestFamilyConjugated:
         monkeypatch.setattr(symbols, "SymbolPair", counted(SymbolPair, made))
         monkeypatch.setattr(symbols, "unitary_parameters",
                             counted(symbols.unitary_parameters, calls))
-        pair = family_conjugated(1.0, 0.3, 0.2 + 0.1j, 2, 0.5, 16, p=0.3 - 0.2j)
-        assert pair.provenance == "wc-conjugated"
+        family_conjugated(1.0, 0.3, 0.2 + 0.1j, 2, 0.5, 16, p=0.3 - 0.2j)
         assert len(made) == 1 and len(calls) == 1
 
     def test_mode_selection(self):
@@ -443,6 +441,19 @@ def oracle_pair(family, n, alpha, N=32):
     return pair, lambda z: mpmath.mpc(ORACLE_MU) * base(mpmath.mpc(ORACLE_LAM) * z)
 
 
+def oracle_params(family, alpha):
+    """The parameters of ``oracle_pair``'s pair, as ``reference_weight_series``
+    reads them."""
+    params = {**ORACLE_BASE, "alpha": alpha}
+    if family == "self-adjoint":
+        params.update(a=-0.7, b=0.35)
+    if family in ("unitary", "wc-conjugated"):
+        params.update(p=ORACLE_P, lambda_u=ORACLE_LAMBDA_U)
+    if family == "rotation-conjugated":
+        params.update(mu=ORACLE_MU, lam=ORACLE_LAM)
+    return params
+
+
 class TestClosedFormWeight:
     """Each family carries psi = exp(g) P (1 - rho z)^-e; the series is built
     only when read."""
@@ -467,7 +478,8 @@ class TestClosedFormWeight:
         for n in range(4):
             pair, _ = oracle_pair(family, n, 0.5, N=96)
             assert "psi" not in pair.__dict__
-            got, want = pair.psi.coeffs, reference_weight_series(pair, 96).coeffs
+            want = reference_weight_series(family, oracle_params(family, 0.5), n, 96).coeffs
+            got = pair.psi.coeffs
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
 
     def test_wc_gain_is_kept_in_logs(self):
