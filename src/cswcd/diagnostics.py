@@ -31,19 +31,31 @@ from .matrices import (OperatorMatrix, frobenius_norm, kernel_point_gate, operat
 from .series import power_table
 from .symbols import LinearFractionalMap, SymbolPair, lft_inverse, lft_values
 
-DEFAULT_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
-DEFAULT_ANGLES = 64
+GRID_RADII = (0.5, 0.7, 0.9, 0.97, 0.99, 0.997, 0.999)
+GRID_ANGLES = 64
+# the lattice r e^(2 pi i k / GRID_ANGLES) of the two grids, one row per radius r,
+# and log(1 - |w|) and log(1 / |w|) at its points: the grids' powers of |w| are
+# these logs times an exponent
+_GRID_W = (np.asarray(GRID_RADII, dtype=float)[:, None]
+           * np.exp(1j * (2 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES)))
+_GRID_LOG_1M = np.log(1 - np.abs(_GRID_W))
+_GRID_LOG_INV = np.log(1.0 / np.abs(_GRID_W))
 
 SCAN_RADII = np.linspace(0.1, 0.9, 9)   # the zero scan of necessary_conditions_check
 SCAN_ANGLES = 64
+# the points r e^(2 pi i k / SCAN_ANGLES) of the zero scan, one row per radius r
+_SCAN_POINTS = (SCAN_RADII[:, None]
+                * np.exp(1j * (2 * np.pi * np.arange(SCAN_ANGLES) / SCAN_ANGLES)))
 
 GRAM_POINTS = (0.3, 0.25j, -0.2 + 0.1j, 0.1 - 0.3j)
-# the points w, conj(w) and log conj(w), and the zero log scale of G_T*, read-only
+# the points w, conj(w) and log conj(w), and the zero log scale of G_T*
 _GRAM_W = np.array(GRAM_POINTS, dtype=complex)
 _GRAM_WBAR = _GRAM_W.conjugate()
 _GRAM_LOG_WBAR = np.log(_GRAM_WBAR)
 _GRAM_ZERO_SCALE = np.zeros(_GRAM_W.size)
-for _arr in (_GRAM_W, _GRAM_WBAR, _GRAM_LOG_WBAR, _GRAM_ZERO_SCALE):
+# every table above is made once, at import, and read-only
+for _arr in (_GRID_W, _GRID_LOG_1M, _GRID_LOG_INV, SCAN_RADII, _SCAN_POINTS,
+             _GRAM_W, _GRAM_WBAR, _GRAM_LOG_WBAR, _GRAM_ZERO_SCALE):
     _arr.flags.writeable = False
 # the Taylor series of T K_w where it is no kernel sum, the only Gram with a series:
 GRAM_START = 64            # weight coefficients the series starts with
@@ -88,41 +100,14 @@ def _classify_trend(radial_maxima) -> str:
     return TREND_INCONCLUSIVE
 
 
-@lru_cache(maxsize=8)
-def _polar_grid(radii: tuple, angles: int) -> np.ndarray:
-    """Points r e^(2 pi i k / angles), one row per radius r, read-only.
-
-    Every draw of a sweep uses the same grid, so it is cached and shared, as
-    ``matrices.kernel_coordinates`` is.
-    """
-    theta = 2 * np.pi * np.arange(angles) / angles
-    W = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)
-    W.flags.writeable = False
-    return W
-
-
-@lru_cache(maxsize=8)
-def _grid_logs(radii: tuple, angles: int) -> tuple:
-    """log(1 - |w|) and log(1 / |w|) at each point w of ``_polar_grid``,
-    read-only and cached with it: the grids' powers of |w| are these logs
-    times an exponent. A point at 0 has log(1 / |w|) = inf, and the
-    Nevanlinna grid leaves it out."""
-    radius = np.abs(_polar_grid(radii, angles))
-    with np.errstate(divide="ignore"):
-        logs = np.log(1 - radius), np.log(1.0 / radius)
-    for arr in logs:
-        arr.flags.writeable = False
-    return logs
-
-
-def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridReport:
-    """Report of the samples ``W[keep]``, whose values are ``values`` in
-    row-major order; a radius with no kept sample has a NaN maximum, and a
-    grid with no kept sample has no supremum."""
-    full = np.full(W.shape, -np.inf)
+def _grid_report(keep: np.ndarray, values: np.ndarray) -> GridReport:
+    """Report of the lattice samples ``_GRID_W[keep]``, whose values are
+    ``values`` in row-major order; a radius with no kept sample has a NaN
+    maximum, and a grid with no kept sample has no supremum."""
+    full = np.full(_GRID_W.shape, -np.inf)
     full[keep] = values
     radial_maxima = tuple(np.where(keep.any(axis=1), full.max(axis=1), np.nan).tolist())
-    points = W[keep]
+    points = _GRID_W[keep]
     points.flags.writeable = False
     values.flags.writeable = False
     return GridReport(
@@ -134,14 +119,8 @@ def _grid_report(W: np.ndarray, keep: np.ndarray, values: np.ndarray) -> GridRep
     )
 
 
-def boundedness_ratio_grid(
-    phi: LinearFractionalMap,
-    alpha: float,
-    n: int,
-    radii=DEFAULT_RADII,
-    angles: int = DEFAULT_ANGLES,
-) -> GridReport:
-    """Ratio (1-|w|)^(alpha+2) / (1-|phi(w)|)^(alpha+2+2n) over a polar grid.
+def boundedness_ratio_grid(phi: LinearFractionalMap, alpha: float, n: int) -> GridReport:
+    """Ratio (1-|w|)^(alpha+2) / (1-|phi(w)|)^(alpha+2+2n) over the polar grid.
 
     For univalent phi the composition-differentiation operator of order n is
     bounded exactly when this ratio stays bounded as |w| -> 1, and compact
@@ -150,67 +129,57 @@ def boundedness_ratio_grid(
     exp((alpha+2) ln(1-|w|) - (alpha+2+2n) ln(1-|phi(w)|)), so that neither
     power can underflow to 0 at a large exponent.
     """
-    radii = tuple(radii)
-    W = _polar_grid(radii, angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at the pole of phi, which the comparison below skips
-        image = np.abs(lft_values(phi, W))
+        image = np.abs(lft_values(phi, _GRID_W))
     keep = image < 1.0
     values = np.exp(
-        (alpha + 2) * _grid_logs(radii, angles)[0][keep]
+        (alpha + 2) * _GRID_LOG_1M[keep]
         - (alpha + 2 + 2 * n) * np.log(1 - image[keep])
     )
-    return _grid_report(W, keep, values)
+    return _grid_report(keep, values)
 
 
-def nevanlinna_bound_grid(
-    phi: LinearFractionalMap,
-    alpha: float,
-    n: int,
-    radii=DEFAULT_RADII,
-    angles: int = DEFAULT_ANGLES,
-) -> GridReport:
-    """Counting function against [ln(1/|w|)]^(alpha+2+2n) over a polar grid.
+def nevanlinna_bound_grid(phi: LinearFractionalMap, alpha: float, n: int) -> GridReport:
+    """Counting function against [ln(1/|w|)]^(alpha+2+2n) over the polar grid.
 
     Boundedness of the order-n operator is equivalent to this ratio staying
-    O(1) as |w| -> 1 (little-o for compactness). The samples w = 0 and
-    w = phi(0) are excluded. A univalent map has at most one preimage z0 of
-    w, so the counting value is [ln(1/|z0|)]^(alpha+2), or 0 when z0 lies
-    outside the disk (at infinity for w = phi(infinity)).
+    O(1) as |w| -> 1 (little-o for compactness). The sample w = phi(0) is
+    excluded. A univalent map has at most one preimage z0 of w, so the
+    counting value is [ln(1/|z0|)]^(alpha+2), or 0 when z0 lies outside the
+    disk (at infinity for w = phi(infinity)).
     """
-    radii = tuple(radii)
-    W = _polar_grid(radii, angles)
-    keep = (W != 0) & (W != phi.b / phi.d)
+    keep = _GRID_W != phi.b / phi.d
     with np.errstate(divide="ignore", invalid="ignore"):
         # inf or NaN at w = phi(infinity), whose preimage is outside the disk
-        preimage = np.abs(lft_values(lft_inverse(phi), W))
+        preimage = np.abs(lft_values(lft_inverse(phi), _GRID_W))
     inside = keep & (preimage < 1.0)
-    counting = np.zeros(W.shape)
+    counting = np.zeros(_GRID_W.shape)
     counting[inside] = np.log(1.0 / preimage[inside]) ** (alpha + 2)
-    values = counting[keep] / _grid_logs(radii, angles)[1][keep] ** (alpha + 2 + 2 * n)
-    return _grid_report(W, keep, values)
+    values = counting[keep] / _GRID_LOG_INV[keep] ** (alpha + 2 + 2 * n)
+    return _grid_report(keep, values)
 
 
-# the points r e^(2 pi i k / SCAN_ANGLES) of the zero scan, one row per radius r
-_SCAN_POINTS = _polar_grid(tuple(SCAN_RADII.tolist()), SCAN_ANGLES)
-
-
-def _circle_values(coeffs: np.ndarray) -> np.ndarray:
+def _circle_values(coeffs: np.ndarray) -> tuple:
     """The polynomial with these coefficients at the scan points, one row per
-    radius r of SCAN_RADII.
+    radius r of SCAN_RADII, and the size sum_k |P_k| r^k of the terms that
+    it sums on each circle.
 
     Horner's rule runs from the last nonzero coefficient down, two in-place
-    ufunc calls per coefficient on the 576 points: P has degree <= n for
-    every family but ``explicit``, so a scan costs a few calls, with no FFT
-    and no BLAS.
+    ufunc calls per coefficient on the 576 points and two on the 9 radii: P
+    has degree <= n for every family but ``explicit``, so a scan costs a few
+    calls, with no FFT and no BLAS.
     """
     nonzero = np.flatnonzero(coeffs)
     top = int(nonzero[-1]) if nonzero.size else 0
     values = np.full(_SCAN_POINTS.shape, coeffs[top])
+    size = np.full(SCAN_RADII.shape, abs(coeffs[top]))
     for c in coeffs[:top][::-1].tolist():
         np.multiply(values, _SCAN_POINTS, out=values)
         np.add(values, c, out=values)
-    return values
+        np.multiply(size, SCAN_RADII, out=size)
+        np.add(size, abs(c), out=size)
+    return values, size
 
 
 def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
@@ -224,15 +193,18 @@ def necessary_conditions_check(pair: SymbolPair) -> tuple[str, ...]:
     other factor has no zero in the disk, so psi and P vanish at the same
     points to the same orders; a P shorter than n + 1 has P_n = 0. No series
     is summed, so a large alpha cannot round the scan to a false zero. The
-    zero scan walks |z| in 0.1..0.9 with 64 angles and trips when
-    |P(z)| <= 1e-10; it is a regression tripwire rather than a proof.
+    zero scan walks |z| = r in 0.1..0.9 with 64 angles and trips when
+    |P(z)| <= 1e-10 sum_k |P_k| r^k, a bound relative to the terms summed on
+    that circle, so that neither the scale of P nor a high power of a small
+    r trips it; it is a regression tripwire rather than a proof.
     """
     n = pair.n
     coeffs = pair.weight.poly
+    values, size = _circle_values(coeffs)
     violated = (
         ("weight_flat_at_origin", (coeffs[:n] != 0).any()),
         ("weight_order_exact", coeffs.size <= n or coeffs[n] == 0),
-        ("weight_nonvanishing", (np.abs(_circle_values(coeffs)) <= 1e-10).any()),
+        ("weight_nonvanishing", (np.abs(values) <= 1e-10 * size[:, None]).any()),
     )
     return tuple(name for name, bad in violated if bad)
 

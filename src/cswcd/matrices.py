@@ -256,23 +256,16 @@ def kernel_point_gate(phi: LinearFractionalMap, w: complex) -> complex:
 
 
 @lru_cache(maxsize=32)
-def kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
-    """Basis coordinates k_w beta(j) of the kernels at ``points``, one row
-    per point, read-only.
+def conj_kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
+    """Conjugated basis coordinates conj(k_w beta(j)) of the kernels at
+    ``points``, one row per point, read-only: the table that
+    ``adjoint_on_kernels`` reads.
 
     They depend only on the points, alpha and N, which stay the same for
     every draw of a sweep, so the tables are cached and shared, as
     ``beta_sq_vector`` is; the returned array cannot be written.
     """
-    coords = kernel_table(points, 0, alpha, N) * beta_root_vector(N, alpha)
-    coords.flags.writeable = False
-    return coords
-
-
-@lru_cache(maxsize=32)
-def _conj_kernel_coordinates(points: tuple, alpha: float, N: int) -> np.ndarray:
-    """The conjugates of ``kernel_coordinates``, read-only, cached with them."""
-    coords = np.conj(kernel_coordinates(points, alpha, N))
+    coords = np.conj(kernel_table(points, 0, alpha, N) * beta_root_vector(N, alpha))
     coords.flags.writeable = False
     return coords
 
@@ -303,7 +296,7 @@ def adjoint_on_kernels(M: OperatorMatrix, pair: SymbolPair, points) -> np.ndarra
     bsq = beta_sq_vector(space.N, space.alpha)
     broot = beta_root_vector(space.N, space.alpha)
     y = np.einsum("ij,pi->pj", M.entries,
-                  _conj_kernel_coordinates(points, space.alpha, space.N), optimize=False).conj()
+                  conj_kernel_coordinates(points, space.alpha, space.N), optimize=False).conj()
     psi_w = series_values(pair.psi, points)
     via_formula = kernel_table(phi_w, pair.n, space.alpha, space.N) * np.conj(psi_w)[:, None]
     # componentwise float division; complex/float promotion would round x/x

@@ -418,8 +418,9 @@ def transported_weight(
     inner: LinearFractionalMap,
 ) -> RationalWeight:
     """psi_p (psi_base o L) in closed form, for the unitary symbols (psi_p, L)
-    with log gain g (``unitary_parameters``) and psi_base = scale z^n (1 - c z)^-s
-    with s = n + alpha + 2.
+    with log gain g (``unitary_parameters``), or a rotation (psi_p = mu,
+    g = 0, L = lam z, so q = 0), and psi_base = scale z^n (1 - c z)^-s with
+    s = n + alpha + 2.
 
     With psi_p = lambda_u exp(g) (1 - q z)^-(alpha+2) and L = (u z + v)/(w z + x),
     where x = 1 and w = -q, substituting L gives
@@ -462,22 +463,20 @@ def family_conjugated(
     phi = phi_base o phi_p and psi = psi_p * (psi_base o phi_p), in closed
     form by ``transported_weight``. With unimodular (mu, lam) instead,
     psi(z) = mu psi_base(lam z) = mu (a/n!) lam^n z^n (1 - c lam z)^-(n+alpha+2)
-    and phi(z) = phi_base(lam z).
+    and phi(z) = phi_base(lam z), by the same formula with the unitary
+    symbols (mu, 0, lam z).
     """
     _check_family_params(a, b, c)
     base_phi = _family_phi(b, c, c)
     if (p is None) == (mu is None and lam is None):
         raise DomainError("provide exactly one of p or (mu, lam)")
-    scale = a / math.factorial(n)
     if p is not None:
-        g, _, phi_p = unitary_parameters(p, lambda_u, alpha)
-        phi = lft_compose(base_phi, phi_p)
-        weight = transported_weight(scale, n, c, alpha, lambda_u, g, phi_p)
+        g, _, inner = unitary_parameters(p, lambda_u, alpha)
     else:
         if mu is None or lam is None:
             raise DomainError("rotation case needs both mu and lam")
         if not (is_unimodular(mu) and is_unimodular(lam)):
             raise DomainError("mu and lam must be unimodular")
-        phi = lft_compose(base_phi, rotation_map(lam))
-        weight = _monomial_weight(mu * scale * lam**n, n, c * lam, n + alpha + 2)
-    return SymbolPair(weight, phi, n, N)
+        lambda_u, g, inner = mu, 0.0, rotation_map(lam)
+    weight = transported_weight(a / math.factorial(n), n, c, alpha, lambda_u, g, inner)
+    return SymbolPair(weight, lft_compose(base_phi, inner), n, N)

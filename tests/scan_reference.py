@@ -5,6 +5,7 @@ scan points by Horner's rule. Before that, P was evaluated on each circle
 |z| = r as SCAN_ANGLES times the inverse DFT of the coefficients P_j r^j,
 with the terms whose degrees agree modulo SCAN_ANGLES summed first. The
 values differ in their last bits; the tests require the same verdicts.
+Both scans trip where |P(z)| <= 1e-10 sum_k |P_k| r^k on the circle |z| = r.
 """
 
 import numpy as np
@@ -25,9 +26,11 @@ def necessary_conditions_fft(pair) -> tuple:
     """``diagnostics.necessary_conditions_check`` with the FFT scan."""
     n = pair.n
     coeffs = pair.weight.poly
+    size = (np.abs(coeffs) * SCAN_RADII[:, None] ** np.arange(coeffs.size)).sum(axis=1)
     violated = (
         ("weight_flat_at_origin", np.any(coeffs[:n] != 0)),
         ("weight_order_exact", coeffs.size <= n or coeffs[n] == 0),
-        ("weight_nonvanishing", np.any(np.abs(circle_values_fft(coeffs)) <= 1e-10)),
+        ("weight_nonvanishing",
+         np.any(np.abs(circle_values_fft(coeffs)) <= 1e-10 * size[:, None])),
     )
     return tuple(name for name, bad in violated if bad)

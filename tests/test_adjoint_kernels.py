@@ -22,7 +22,7 @@ from adjoint_reference import (
     formula_side,
     matrix_side_magnitude,
 )
-from cswcd import runner
+from cswcd import matrices, runner
 from cswcd.bergman import SpaceParams, kernel, kernel_table, space_norm
 from cswcd.cli import main
 from cswcd.defaults import TOL_ADJOINT_KERNEL
@@ -31,7 +31,7 @@ from cswcd.matrices import (
     adjoint_on_kernel,
     adjoint_on_kernels,
     build_wcd_matrix,
-    kernel_coordinates,
+    conj_kernel_coordinates,
     kernel_point_gate,
 )
 from cswcd.rng import SplitMix64
@@ -99,10 +99,13 @@ def test_kernel_table_rows_are_the_kernels():
 
 
 def test_kernel_coordinates_are_cached_and_read_only():
-    coords = kernel_coordinates(DEFAULT_KERNEL_POINTS, ALPHA, 48)
-    assert kernel_coordinates(DEFAULT_KERNEL_POINTS, ALPHA, 48) is coords
+    coords = conj_kernel_coordinates(DEFAULT_KERNEL_POINTS, ALPHA, 48)
+    assert conj_kernel_coordinates(DEFAULT_KERNEL_POINTS, ALPHA, 48) is coords
     assert not coords.flags.writeable
     assert coords.shape == (3, 49)
+    # the conjugated coordinates are the only cached table of the kernels
+    assert [name for name in vars(matrices) if "kernel_coordinates" in name] == [
+        "conj_kernel_coordinates"]
 
 
 BOUNDED = {"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": 0.2}

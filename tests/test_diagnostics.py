@@ -1,6 +1,7 @@
 """Tests for the boundedness grids, structural predicates and kernel-norm test."""
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -8,16 +9,17 @@ import numpy as np
 import pytest
 
 from cswcd.bergman import SpaceParams, inner_product, kernel, kernel_norm_sq, space_norm
+from cswcd.cli import main
 from cswcd.defaults import TOL_NORMALITY
 from cswcd.diagnostics import (
-    DEFAULT_ANGLES,
-    DEFAULT_RADII,
     GRAM_POINTS,
+    GRID_ANGLES,
+    GRID_RADII,
     TREND_BOUNDED,
     TREND_DIVERGING,
     TREND_INCONCLUSIVE,
+    _GRID_W,
     _classify_trend,
-    _polar_grid,
     boundedness_ratio_grid,
     export_grid_csv,
     is_hermitian,
@@ -67,13 +69,13 @@ class TestBoundednessRatioGrid:
                 assert report.trend == TREND_DIVERGING
 
     def test_half_shift_closed_form(self):
-        # along the positive real axis the ratio is 2^(alpha+2+2n) (1-r)^(-2n)
+        # along the positive real axis the ratio is 2^(alpha+2+2n) (1-r)^(-2n);
+        # it is read at the sample w = 0.9
         alpha, n = 0.0, 1
         phi = LinearFractionalMap(0.5, 0.5, 0, 1)
-        report = boundedness_ratio_grid(phi, alpha, n, radii=(0.9,), angles=4)
-        real_axis = [v for w, v in report.samples if abs(w.imag) < 1e-12 and w.real > 0]
+        report = boundedness_ratio_grid(phi, alpha, n)
         expect = 2 ** (alpha + 2 + 2 * n) * (1 - 0.9) ** (-2 * n)
-        assert real_axis[0] == pytest.approx(expect)
+        assert dict(report.samples)[0.9] == pytest.approx(expect)
 
     @pytest.mark.parametrize("maxima, trend", [
         ((1.0, 2.0, 4.0), TREND_INCONCLUSIVE),      # growing, but by less than 10
@@ -93,15 +95,17 @@ class TestBoundednessRatioGrid:
         # an automorphism reaches |phi(w)| = 1 only at the boundary; the
         # expanding map (1+z)/2 stays inside, so force skips with a rotation
         phi = rotation_map(1.0 + 0j)
-        report = boundedness_ratio_grid(phi, 0.0, 1, radii=(0.999,), angles=8)
-        assert len(report.samples) == 8  # |phi(w)| = 0.999 < 1, nothing skipped
-        # z / (0.5 - z) has its pole at the sample w = 0.5 and |phi(w)| > 1 at
-        # angles +-pi/4: all three are skipped, and nothing is raised
+        report = boundedness_ratio_grid(phi, 0.0, 1)
+        # |phi(w)| = |w| < 1, nothing skipped
+        assert len(report.samples) == len(GRID_RADII) * GRID_ANGLES
+        # z / (0.5 - z) has its pole at the sample w = 0.5, and |phi(w)| > 1 at
+        # other samples: all of them are skipped, and nothing is raised
         pole = LinearFractionalMap(1, 0, -1, 0.5)
-        report = boundedness_ratio_grid(pole, 0.0, 1, radii=(0.5,), angles=8)
+        report = boundedness_ratio_grid(pole, 0.0, 1)
         kept = [w for w, _ in report.samples]
-        assert kept == [0.5 * cmath.exp(1j * math.pi * k / 4) for k in range(2, 7)]
-        assert all(abs(lft_eval(pole, w)) < 1.0 for w in kept)
+        assert kept == [w for w in _GRID_W.ravel().tolist()
+                        if w != 0.5 and abs(lft_eval(pole, w)) < 1.0]
+        assert len(kept) < len(GRID_RADII) * GRID_ANGLES - 1   # more than the pole
 
     def test_no_kept_sample_has_no_supremum(self):
         # phi = z + 3 maps the disk outside itself: every sample is skipped
@@ -134,7 +138,7 @@ class TestNevanlinna:
             nevanlinna_univalent(phi, lft_eval(phi, 0.0), 0.0)
 
     def test_grid_dilation_compact(self):
-        report = nevanlinna_bound_grid(rotation_map(0.8), 0.0, 1, radii=(0.3, 0.5, 0.9, 0.99))
+        report = nevanlinna_bound_grid(rotation_map(0.8), 0.0, 1)
         assert report.trend == TREND_BOUNDED
         assert report.radial_maxima[-1] == 0.0
 
@@ -145,25 +149,23 @@ class TestNevanlinna:
         phi = LinearFractionalMap(0.5, 0.1, 1, 3)
         assert nevanlinna_univalent(phi, 0.5, 0.5) == 0.0
         report = nevanlinna_bound_grid(phi, 0.5, 1)
-        assert len(report.samples) == len(DEFAULT_RADII) * DEFAULT_ANGLES
+        assert len(report.samples) == len(GRID_RADII) * GRID_ANGLES
         assert dict(report.samples)[0.5] == 0.0
 
     def test_grid_identity_diverges(self):
         # ratio [ln(1/r)]^(-2n) blows up as r -> 1
-        report = nevanlinna_bound_grid(
-            rotation_map(1.0), 0.0, 1, radii=(0.9, 0.99, 0.997, 0.999)
-        )
+        report = nevanlinna_bound_grid(rotation_map(1.0), 0.0, 1)
         assert report.trend == TREND_DIVERGING
 
 
 def reference_grid(value_at):
-    """The per-point loop over the default polar grid: the (w, value, kappa)
+    """The per-point loop over the polar grid: the (w, value, kappa)
     of each sample that ``value_at`` keeps, and the maximum per radius."""
     samples, radial_maxima = [], []
-    for r in DEFAULT_RADII:
+    for r in GRID_RADII:
         best = math.nan
-        for k in range(DEFAULT_ANGLES):
-            w = r * cmath.exp(2j * math.pi * k / DEFAULT_ANGLES)
+        for k in range(GRID_ANGLES):
+            w = r * cmath.exp(2j * math.pi * k / GRID_ANGLES)
             sample = value_at(w)
             if sample is None:
                 continue
@@ -234,7 +236,7 @@ def test_grids_match_the_per_point_reference(family):
 def test_grid_maps_keep_the_bits_of_the_written_out_forms():
     # both grids evaluate their map by lft_values: phi, and phi^-1 for the
     # Nevanlinna preimage, whose former form was (d w - b) / (a - c w)
-    W = _polar_grid(DEFAULT_RADII, DEFAULT_ANGLES)
+    W = _GRID_W
     rng = np.random.default_rng(28)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2000):
@@ -244,6 +246,16 @@ def test_grid_maps_keep_the_bits_of_the_written_out_forms():
             preimage = (phi.d * W - phi.b) / (phi.a - phi.c * W)
             assert lft_values(phi, W).tobytes() == image.tobytes()
             assert lft_values(lft_inverse(phi), W).tobytes() == preimage.tobytes()
+
+
+# the families whose weight vanishes only at the origin, with fields besides a
+ORIGIN_ZERO_FAMILIES = {
+    "j-symmetric": {"b": 0.3, "c": 0.2},
+    "general": {"b": [0.3, 0.1], "c": [0.2, -0.1]},
+    "self-adjoint": {"b": 0.3, "c": [0.2, -0.1]},
+    "normal-origin": {"b": [0.5, 0.2]},
+    "rotation-conjugated": {"b": 0.3, "c": 0.2, "mu": [0.6, 0.8], "lam": [0.0, 1.0]},
+}
 
 
 class TestNecessaryConditions:
@@ -263,6 +275,29 @@ class TestNecessaryConditions:
     def test_missing_order_coefficient(self):
         pair = SymbolPair.from_series(monomial(3, 32), rotation_map(0.5), 2)
         assert "weight_order_exact" in necessary_conditions_check(pair)
+
+    @pytest.mark.parametrize("family", ORIGIN_ZERO_FAMILIES)
+    @pytest.mark.parametrize("n", (1, 3, 7, 10, 12))
+    def test_no_false_zero_at_any_order_or_scale(self, family, n):
+        # P = (a/n!) z^n (a z^n for normal-origin) reads (a/n!) 0.1^n on the
+        # r 0.1 circle, 2e-11 at a 1 and n 7: far below any absolute trip,
+        # but it is all of the one term that P sums there
+        space = SpaceParams(0.5, n, 31)
+        for a in (1e-12, 1.0, 1e12):
+            pair = make_pair({"family": family, "a": a, **ORIGIN_ZERO_FAMILIES[family]}, space)
+            assert necessary_conditions_check(pair) == (), (a, n)
+
+    def test_cli_check_passes_at_a_high_order(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "space": {"alpha": 0.5, "n": 7, "N": 31},
+            "symbols": {"family": "j-symmetric", "a": 1.0, "b": 0.3, "c": 0.2},
+            "checks": ["necessary-conditions", "J-symmetry", "normality"],
+            "seed": 1,
+        }), encoding="utf-8")
+        assert main(["check", str(config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in report["reports"]] == ["pass"] * 3
 
 
 class TestIsHermitian:
@@ -647,12 +682,12 @@ class TestContainmentChain:
 
 class TestGridCsv:
     def test_columns(self, tmp_path):
-        report = boundedness_ratio_grid(rotation_map(0.5), 0.0, 1, radii=(0.5,), angles=4)
+        report = boundedness_ratio_grid(rotation_map(0.5), 0.0, 1)
         path = tmp_path / "grid.csv"
         export_grid_csv(report, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "re_w,im_w,value"
-        assert len(lines) == 5
+        assert len(lines) == 1 + len(GRID_RADII) * GRID_ANGLES
         cells = lines[1].split(",")
         assert len(cells) == 3
         float(cells[0]), float(cells[1]), float(cells[2])

@@ -6,18 +6,23 @@ cached array is computed by the operations that were computed on every call
 before, so every matrix must equal the uncached build of
 ``tests/build_reference.py`` byte for byte, on seeded draws of every
 sweepable family and of explicit pairs, and every cached array must be
-read-only, so that no caller can change what the next draw reads.
+read-only, so that no caller can change what the next draw reads; so must
+every array that a module of the package holds.
 
 The zero scan of ``necessary-conditions`` evaluates P by Horner's rule on
 the scan points instead of the folded FFT of ``tests/scan_reference.py``.
 The values move in their last bits; every verdict must stay, including
-those of a P with a zero planted on a scan point, of a P with trailing zero
-coefficients and of a P with 300 coefficients.
+those of a P with a zero planted on a scan point, at any scale of P, of a P
+with trailing zero coefficients and of a P with 300 coefficients.
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import cswcd
 from build_reference import build_reference
 from cswcd import bergman, conjugations, diagnostics, matrices
 from cswcd.bergman import SpaceParams
@@ -84,8 +89,6 @@ def cached_arrays() -> dict:
     column, row = matrices._scale_factors(N, n, alpha)
     falling, exponents = bergman._kernel_exponents(n, N)
     falling_0, exponents_0 = bergman._kernel_exponents(0, N)
-    log_1m, log_inv = diagnostics._grid_logs(diagnostics.DEFAULT_RADII,
-                                             diagnostics.DEFAULT_ANGLES)
     return {
         "beta_root_vector": bergman.beta_root_vector(N, alpha),
         "kernel_exponents.falling": falling,
@@ -94,10 +97,11 @@ def cached_arrays() -> dict:
         "kernel_exponents.exponents at m 0": exponents_0,
         "scale_factors.column": column,
         "scale_factors.row": row,
-        "kernel_coordinates": matrices.kernel_coordinates(points, alpha, N),
-        "conj_kernel_coordinates": matrices._conj_kernel_coordinates(points, alpha, N),
-        "grid_logs.log_1m": log_1m,
-        "grid_logs.log_inv": log_inv,
+        "conj_kernel_coordinates": matrices.conj_kernel_coordinates(points, alpha, N),
+        "grid.w": diagnostics._GRID_W,
+        "grid.log_1m": diagnostics._GRID_LOG_1M,
+        "grid.log_inv": diagnostics._GRID_LOG_INV,
+        "scan_radii": diagnostics.SCAN_RADII,
         "scan_points": diagnostics._SCAN_POINTS,
         "gram.w": diagnostics._GRAM_W,
         "gram.wbar": diagnostics._GRAM_WBAR,
@@ -117,6 +121,15 @@ def test_cached_arrays_are_read_only():
             arr[...] = 0
 
 
+def test_every_module_level_array_is_read_only():
+    modules = [importlib.import_module(f"cswcd.{info.name}")
+               for info in pkgutil.iter_modules(cswcd.__path__)]
+    arrays = {f"{module.__name__}.{name}": value for module in modules
+              for name, value in vars(module).items() if isinstance(value, np.ndarray)}
+    assert {"cswcd.diagnostics._GRID_W", "cswcd.diagnostics.SCAN_RADII"} <= arrays.keys()
+    assert [name for name, arr in arrays.items() if arr.flags.writeable] == []
+
+
 def test_cached_tables_hold_what_they_replace():
     N, n, alpha = 24, 2, 0.5
     broot = np.sqrt(bergman.beta_sq_vector(N, alpha))
@@ -125,18 +138,13 @@ def test_cached_tables_hold_what_they_replace():
     want = bergman.falling_factorial(np.arange(n, N + 1), n) / broot[n:]
     assert column.tobytes() == want.tobytes()
     assert row.tobytes() == broot[:, None].tobytes()
-    W = diagnostics._polar_grid(diagnostics.DEFAULT_RADII, diagnostics.DEFAULT_ANGLES)
-    log_1m, log_inv = diagnostics._grid_logs(diagnostics.DEFAULT_RADII,
-                                             diagnostics.DEFAULT_ANGLES)
-    assert log_1m.tobytes() == np.log(1 - np.abs(W)).tobytes()
-    assert log_inv.tobytes() == np.log(1.0 / np.abs(W)).tobytes()
+    W = diagnostics._GRID_W
+    assert diagnostics._GRID_LOG_1M.tobytes() == np.log(1 - np.abs(W)).tobytes()
+    assert diagnostics._GRID_LOG_INV.tobytes() == np.log(1.0 / np.abs(W)).tobytes()
     assert diagnostics._GRAM_WBAR.tobytes() == np.conj(diagnostics.GRAM_POINTS).tobytes()
-
-
-def test_grid_logs_at_a_zero_radius_warn_nothing():
-    # the RuntimeWarning filter of the test configuration makes a warning an error
-    _, log_inv = diagnostics._grid_logs((0.0, 0.5), 8)
-    assert np.isinf(log_inv[0]).all() and np.isfinite(log_inv[1]).all()
+    points = (0.4, 0.3j, -0.25)
+    coords = np.conj(bergman.kernel_table(points, 0, alpha, N) * broot)
+    assert matrices.conj_kernel_coordinates(points, alpha, N).tobytes() == coords.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +181,19 @@ SCAN_SAMPLE = [(i, k) for i in range(9) for k in (0, 5, 16, 31, 47, 63)]
 
 @pytest.mark.parametrize("i, k", SCAN_SAMPLE)
 def test_a_zero_on_a_scan_point_trips_both_scans(i, k):
+    # the trip is relative to the terms that P sums, so scaling P moves it along
     z0 = complex(diagnostics._SCAN_POINTS[i, k])
-    for tail in ([0.7], [0.2, 0.7], [1.0, -0.3, 0.05]):
-        pair = explicit_pair(planted(z0, tail))
+    for scale in (1.0, 1e-12, 1e12):
+        for tail in ([0.7], [0.2, 0.7], [1.0, -0.3, 0.05]):
+            pair = explicit_pair([scale * c for c in planted(z0, tail)])
+            got = diagnostics.necessary_conditions_check(pair)
+            assert got == necessary_conditions_fft(pair)
+            assert "weight_nonvanishing" in got
+        # a zero 1e-8 off the point leaves |P| there near 1e-8 scale, above the
+        # trip, 1e-10 times the size 0.7 scale (|z0| + r) <= 1.3 scale of P's terms
+        pair = explicit_pair([scale * c for c in planted(z0 + 1e-8, [0.7])])
         got = diagnostics.necessary_conditions_check(pair)
-        assert got == necessary_conditions_fft(pair)
-        assert "weight_nonvanishing" in got
-    # a zero 1e-8 off the point leaves |P| there near 1e-8, above the 1e-10 trip
-    pair = explicit_pair(planted(z0 + 1e-8, [0.7]))
-    got = diagnostics.necessary_conditions_check(pair)
-    assert got == necessary_conditions_fft(pair) and "weight_nonvanishing" not in got
+        assert got == necessary_conditions_fft(pair) and "weight_nonvanishing" not in got
 
 
 @pytest.mark.parametrize("coeffs, n", [

@@ -5,7 +5,9 @@
 README repeats them in four places: the default-tolerance table and the
 no-tolerance sentence under "What it computes", the "Registered checks"
 list and the family tables under Configuration and Sweeps. A record that
-changes without its row, or a row without its record, fails here.
+changes without its row, or a row without its record, fails here. So does
+the sentence that gives the lattice of the two grid checks, held to
+``diagnostics.GRID_RADII`` and ``GRID_ANGLES``.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cswcd import defaults, runner
+from cswcd import defaults, diagnostics, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -93,3 +95,12 @@ def test_the_ranges_table_names_the_families_that_cannot_be_swept():
     rows = table_rows("| family                | ranges drawn")
     unswept = [ticked(first)[0] for first, rest in rows if "cannot be swept" in rest]
     assert unswept == [name for name in runner.FAMILIES if name not in runner.SWEEPABLE_FAMILIES]
+
+
+def test_the_grid_sentence_matches_the_lattice():
+    match = re.search(r"grid `w = r e\^\(2 pi i k / (\d+)\)` at the\s+radii `([^`]+)` "
+                      r"\((\d+) points\)", README)
+    angles, radii, points = match.groups()
+    assert int(angles) == diagnostics.GRID_ANGLES
+    assert tuple(float(r) for r in radii.split(", ")) == diagnostics.GRID_RADII
+    assert int(points) == len(diagnostics.GRID_RADII) * diagnostics.GRID_ANGLES

@@ -13,6 +13,7 @@ from cswcd.bergman import kernel, t_constant
 from cswcd.conjugations import KERNEL_POINTS
 from cswcd.errors import DomainError, SingularityError
 from cswcd.rng import SplitMix64
+from cswcd.runner import draw_symbols
 from cswcd.series import TruncatedSeries, polynomial, series_eval
 from cswcd.symbols import (
     IDENTITY_MAP,
@@ -34,6 +35,7 @@ from cswcd.symbols import (
     sup_norm_lft,
     unitary_symbols,
 )
+from rotation_reference import rotation_conjugated_reference
 from series_reference import reference_weight_series
 
 DISK_POINTS = (0.2 + 0.1j, -0.4j, 0.55, -0.3 + 0.35j, 0.1 - 0.6j)
@@ -359,6 +361,22 @@ class TestFamilyConjugated:
             family_conjugated(1.0, 0.3, 0.2, 1, 0.0, 16)
         with pytest.raises(DomainError):
             family_conjugated(1.0, 0.3, 0.2, 1, 0.0, 16, p=0.3, mu=1.0, lam=1.0)
+
+    @pytest.mark.parametrize("alpha", (-0.5, 0.5, 50.0))
+    def test_rotation_transport_equals_the_written_out_weight(self, alpha):
+        # the transport by (mu, 0, lam z) forms the numbers of the written-out
+        # rotation case; == leaves the sign of a zero aside
+        rng = SplitMix64(3400)
+        for n in (1, 2, 3):
+            for _ in range(40):
+                s = draw_symbols({"family": "rotation-conjugated"}, rng)
+                a, b, c, mu, lam = (complex(*s[key]) for key in ("a", "b", "c", "mu", "lam"))
+                pair = family_conjugated(a, b, c, n, alpha, 16, mu=mu, lam=lam)
+                weight, phi = rotation_conjugated_reference(a, b, c, n, alpha, mu, lam)
+                assert pair.weight.poly.tolist() == weight.poly.tolist()
+                assert (pair.weight.rho, pair.weight.exponent, pair.weight.log_gain) == (
+                    weight.rho, weight.exponent, weight.log_gain)
+                assert pair.phi == phi
 
 
 class TestBoundedSufficient:
