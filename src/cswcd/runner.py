@@ -16,7 +16,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -69,6 +69,7 @@ from .matrices import OperatorMatrix, adjoint_on_kernels, build_wcd_matrix, kern
 from .rng import SplitMix64
 from .series import polynomial
 from .symbols import (
+    IDENTITY_MAP,
     LinearFractionalMap,
     SymbolPair,
     _family_phi,
@@ -102,7 +103,7 @@ class Family:
     ranges: tuple = ()              # the radii that draw reads
     draw: Callable | None = None    # (rng, ranges) -> the fields, None if rejected; None: no sweep
     min_abs_c: float = 0.0          # smallest nonzero |c| of a draw
-    auto: Callable | None = None    # symbols -> the 'auto' descriptor; None, or None out: plain-J
+    auto: Callable | None = None    # (symbols, alpha) -> the conjugation; None, or None out: plain-J
     normal: Callable | None = None  # symbols -> the paper's normality prediction; None: none
 
 
@@ -111,18 +112,20 @@ class RunConfig:
     """A validated configuration and what its checks share, each built the
     first time asked.
 
-    ``conjugation`` is made for the config's alpha from ``conjugation_doc``;
-    it carries no truncation, and no check reads ``seed``. The pair carries
-    its weight in closed form; its Taylor series is built only if a check
-    reads it.
+    ``parse_config`` decides ``kernel_points`` and the conjugation of a
+    written-out descriptor once; a sweep draw is a ``replace`` copy that
+    differs only in its symbols and shares them. A conjugation carries no
+    truncation, and no check reads ``seed``. The pair carries its weight in
+    closed form; its Taylor series is built only if a check reads it.
     """
 
     space: SpaceParams
     symbols: dict
-    conjugation_doc: dict
+    kernel_points: tuple            # the points of ``adjoint-kernel``
     checks: tuple
     tolerances: dict
     seed: int
+    written_conjugation: AntilinearConjugation | None = None    # None: kind 'auto'
     raw: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -141,7 +144,10 @@ class RunConfig:
 
     @cached_property
     def conjugation(self) -> AntilinearConjugation:
-        return make_conjugation(resolve_conjugation_kind(self), self.space.alpha)
+        """The written-out conjugation, else the family's ``auto`` one, else plain J."""
+        auto = FAMILIES[self.symbols["family"]].auto
+        return self.written_conjugation or (auto and auto(self.symbols, self.space.alpha)) \
+            or make_J(self.space.alpha)
 
     @cached_property
     def kernel_weights(self) -> np.ndarray:
@@ -153,11 +159,6 @@ class RunConfig:
         """The kernel Grams (G_T, G_T*) at GRAM_POINTS, read by both normality
         checks and by ``kernel-norm-balance``."""
         return normality_gram(self.pair, self.space.alpha)
-
-    @cached_property
-    def kernel_points(self) -> tuple:
-        """The points of ``adjoint-kernel``, read by its gate and by the check."""
-        return tuple(_kernel_points(self.symbols))
 
     @cached_property
     def predicted_normal(self) -> bool:
@@ -269,8 +270,10 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
     configurations carry a family plus draw ranges rather than concrete
     parameters; pass require_concrete=False to skip building the probe
     pair. The probe is the config's own ``pair``, which ``run`` then reuses.
-    An explicit conjugation descriptor is made as the config's own
-    ``conjugation``, so its constructor's preconditions surface here too.
+    The kernel points and the conjugation of a written-out descriptor are
+    made here, once, so its constructor's preconditions surface here too; a
+    sweep base config refuses a point that fails ``adjoint-kernel``'s
+    |w| gate, which no draw can change.
     The report header's hash (``sha256``) is made last, so a non-finite
     number in a field that no check reads is a ConfigError at its path.
     """
@@ -306,7 +309,7 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             raise ConfigError(f"symbols.{key}", f"unknown field for {family!r}; "
                               f"known: {', '.join(record.fields)}")
     _check_ranges(symbols, record)
-    _kernel_points(symbols)
+    kernel_points = _kernel_points(symbols)
     conjugation = doc.get("conjugation", {"kind": "auto"})
     if not isinstance(conjugation, dict) or "kind" not in conjugation:
         raise ConfigError("conjugation.kind", "missing conjugation kind")
@@ -329,9 +332,10 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         if families is not None and family not in families:
             raise ConfigError(f"checks[{i}]", f"{name} applies to the families "
                               f"{', '.join(families)}, not {family!r}")
+    gates = {CHECK_RECORDS[name].gate for name in checks}
     # the normality Grams' term table grows like n^3; refused before it is made
     terms = leibniz_term_count(space.n)
-    if terms > MAX_GRAM_TERMS and _gate_gram in {CHECK_RECORDS[name].gate for name in checks}:
+    if terms > MAX_GRAM_TERMS and _gate_gram in gates:
         raise ConfigError(
             "space.n", f"order {space.n} gives {terms} normality Gram terms, "
             f"over the budget of {MAX_GRAM_TERMS}"
@@ -351,21 +355,22 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
         tols[name] = _number(float, value, path)
         if tols[name] < 0:
             raise ConfigError(path, f"expected a tolerance >= 0, got {value!r}")
+    seed = parse_seed(doc.get("seed", 0), "seed")
+    # family and conjugation preconditions surface as config errors before any check runs
+    try:
+        written = None if kind == "auto" else make_conjugation(conjugation, space.alpha)
+    except DomainError as exc:
+        raise ConfigError("conjugation", str(exc)) from exc
     config = RunConfig(
         space=space,
         symbols=symbols,
-        conjugation_doc=conjugation,
+        kernel_points=kernel_points,
         checks=tuple(checks),
         tolerances=tols,
-        seed=parse_seed(doc.get("seed", 0), "seed"),
+        seed=seed,
+        written_conjugation=written,
         raw=doc,
     )
-    # family and conjugation preconditions surface as config errors before any check runs
-    if kind != "auto":
-        try:
-            config.conjugation
-        except DomainError as exc:
-            raise ConfigError("conjugation", str(exc)) from exc
     if require_concrete:
         try:
             config.pair
@@ -373,6 +378,14 @@ def parse_config(doc: dict, *, require_concrete: bool = True) -> RunConfig:
             raise ConfigError("symbols", str(exc)) from exc
     elif record.draw is None:
         raise ConfigError("symbols.family", f"family {family!r} cannot be swept")
+    elif _gate_adjoint_kernel in gates:
+        # the |w| half of the gate reads no draw: a sweep would redraw a
+        # point that it refuses until MAX_REJECTIONS
+        for i, w in enumerate(kernel_points):
+            try:
+                kernel_point_gate(IDENTITY_MAP, w)
+            except UnboundedSymbolError as exc:
+                raise ConfigError(f"symbols.w_points[{i}]", str(exc)) from exc
     # a non-finite number in a field that nothing reads would otherwise
     # refuse the hash only in the report header, after every check had run
     try:
@@ -460,20 +473,18 @@ def _draw_general(rng: SplitMix64, ranges: dict) -> dict | None:
     return _conjugated_denominator(a, b, c)
 
 
-def _rotation_by_c(symbols: dict) -> dict | None:
+def _rotation_by_c(symbols: dict, alpha: float) -> AntilinearConjugation | None:
     """rotation-J with mu 1 and lambda = exp(-2i arg c); None for c = 0."""
-    c = _complex_value(symbols.get("c", 0.0), "symbols.c")
+    c = _field(symbols, "c")
     if c == 0:
         return None
     theta = math.atan2(c.imag, c.real)
-    lam = complex(math.cos(-2 * theta), math.sin(-2 * theta))
-    return {"kind": "rotation-J", "mu": [1.0, 0.0], "lambda": [lam.real, lam.imag]}
+    return make_rotation_J(1.0, complex(math.cos(-2 * theta), math.sin(-2 * theta)), alpha)
 
 
 def _normal_prediction(symbols: dict) -> bool:
     """Normal iff b is real and nonzero, or c = 0."""
-    b = _complex_value(symbols.get("b", 0.0), "symbols.b")
-    c = _complex_value(symbols.get("c", 0.0), "symbols.c")
+    b, c = _field(symbols, "b"), _field(symbols, "c")
     return (b.imag == 0 and b.real != 0) or c == 0
 
 
@@ -510,14 +521,14 @@ FAMILIES = {
         lambda s, space: family_conjugated(*_abc(s), space.n, space.alpha, space.N,
                                            p=_field(s, "p"), lambda_u=_lambda_u(s)),
         (*ABC_RANGES, "abs_p"), partial(_draw_plain_denominator, then=_draw_unitary),
-        auto=lambda s: {"kind": "wc-J", "p": s["p"], "lambda_u": s.get("lambda_u", 1.0)}),
+        auto=lambda s, alpha: make_wc_J(_field(s, "p"), _lambda_u(s), alpha)),
     "rotation-conjugated": Family(
         (*ABC_FIELDS, "mu", "lam"),
         lambda s, space: family_conjugated(*_abc(s), space.n, space.alpha, space.N,
                                            mu=_field(s, "mu"), lam=_field(s, "lam")),
         ABC_RANGES, partial(_draw_plain_denominator, then=lambda rng, r: {
             "mu": rng.unimodular(), "lam": rng.unimodular()}),
-        auto=lambda s: {"kind": "rotation-J", "mu": s["mu"], "lambda": s["lam"]}),
+        auto=lambda s, alpha: make_rotation_J(_field(s, "mu"), _field(s, "lam"), alpha)),
     "explicit": Family(("psi", "phi", "bounded"), _make_explicit),
 }
 SWEEPABLE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.draw)
@@ -530,18 +541,10 @@ def make_pair(symbols: dict, space: SpaceParams) -> SymbolPair:
     return FAMILIES[symbols["family"]].make(symbols, space)
 
 
-def resolve_conjugation_kind(config: RunConfig) -> dict:
-    """Replace kind 'auto' with the descriptor of the family's record."""
-    conj = dict(config.conjugation_doc)
-    if conj.get("kind") != "auto":
-        return conj
-    auto = FAMILIES[config.symbols["family"]].auto
-    return (auto and auto(config.symbols)) or {"kind": "plain-J"}
-
-
 def make_conjugation(descriptor: dict, alpha: float) -> AntilinearConjugation:
-    """The conjugation of a descriptor of kind plain-J, rotation-J or wc-J:
-    ``parse_config`` admits no other kind, and 'auto' resolves to one of them."""
+    """The conjugation of a written-out descriptor, of kind plain-J,
+    rotation-J or wc-J: ``parse_config`` admits no other kind, and makes
+    'auto' from the family's record."""
     kind = descriptor["kind"]
     if kind == "plain-J":
         return make_J(alpha)
@@ -633,15 +636,13 @@ def _check_predicate(check: Check, config: RunConfig) -> CheckReport:
     return CheckReport(name, status, defect, tol, provenance)
 
 
-def _kernel_points(symbols: dict) -> list:
+def _kernel_points(symbols: dict) -> tuple:
     if "w_points" not in symbols:
-        return list(DEFAULT_KERNEL_POINTS)
+        return DEFAULT_KERNEL_POINTS
     if not isinstance(symbols["w_points"], list) or not symbols["w_points"]:
         raise ConfigError("symbols.w_points", "expected a non-empty list of points")
-    return [
-        _complex_value(v, f"symbols.w_points[{i}]")
-        for i, v in enumerate(symbols["w_points"])
-    ]
+    return tuple(_complex_value(v, f"symbols.w_points[{i}]")
+                 for i, v in enumerate(symbols["w_points"]))
 
 
 def _gate_adjoint_kernel(config: RunConfig) -> None:
@@ -826,14 +827,7 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
     redraws = 0
     completed = 0
     while completed < draws:
-        draw_config = RunConfig(
-            space=config.space,
-            symbols=draw_symbols(config.symbols, rng),
-            conjugation_doc=config.conjugation_doc,
-            checks=config.checks,
-            tolerances=config.tolerances,
-            seed=seed,
-        )
+        draw_config = replace(config, symbols=draw_symbols(config.symbols, rng), seed=seed)
         reports = run(draw_config) if _draw_passes_gates(draw_config) else None
         # only a predicate is 'unverified' with a finite defect: in its ambiguous band
         if reports is None or any(r.status == "unverified" and r.defect is not None

@@ -32,7 +32,14 @@ from cswcd.conjugations import (
 from cswcd.errors import ConfigError, UnboundedSymbolError
 from cswcd.matrices import relative_defect
 from cswcd.rng import SplitMix64
-from cswcd.runner import SWEEPABLE_FAMILIES, RunConfig, draw_symbols, parse_config, run
+from cswcd.runner import (
+    DEFAULT_KERNEL_POINTS,
+    SWEEPABLE_FAMILIES,
+    RunConfig,
+    draw_symbols,
+    parse_config,
+    run,
+)
 from cswcd.symbols import lft_inverse
 
 DRAWS = 1000
@@ -53,7 +60,7 @@ def drawn_configs(family: str):
         alpha, n = SHAPES[i % len(SHAPES)]
         symbols = draw_symbols({"family": family}, rng)
         yield RunConfig(space=SpaceParams(alpha, n, 16), symbols=symbols,
-                        conjugation_doc={"kind": "auto"}, checks=(), tolerances={}, seed=0)
+                        kernel_points=DEFAULT_KERNEL_POINTS, checks=(), tolerances={}, seed=0)
 
 
 @pytest.mark.parametrize("family", SWEEPABLE_FAMILIES)

@@ -347,9 +347,10 @@ class TestOneBuildPerConfig:
         assert len(pairs) == 6
 
     def test_inputs_parsed_once_per_sweep_draw(self, monkeypatch):
-        # the checks of the scalar-sweep benchmark: the sweep's gate and
-        # adjoint-kernel share the kernel points, both predicates share the
-        # prediction, so a draw reads w_points once and a, b, c, b, c
+        # the checks of the scalar-sweep benchmark: a draw shares the kernel
+        # points that parse_config made for its base config, and both
+        # predicates share the prediction, so a draw reads no w_points and
+        # a, b, c, b, c
         doc = config_with(symbols={"family": "general"},
                           checks=["adjoint-kernel", "adjoint-pair", "necessary-conditions",
                                   "boundedness-grid", "nevanlinna-grid", "normality-predicate",
@@ -360,7 +361,19 @@ class TestOneBuildPerConfig:
         aggregate = sweep(config, 5, seed=3)
         assert aggregate["redraws"] == 0
         assert {c["pass"] for c in aggregate["checks"].values()} == {5}
-        assert (len(points), len(values)) == (5, 25)
+        assert (len(points), len(values)) == (0, 25)
+
+    def test_written_out_conjugation_and_points_made_once_per_sweep(self, monkeypatch):
+        # a draw is a copy of its base config with new symbols: the wc-J
+        # conjugation and the kernel points are made once, not per draw
+        conjugations = counting(monkeypatch, "make_wc_J")
+        points = counting(monkeypatch, "_kernel_points")
+        doc = config_with(symbols={"family": "j-symmetric", "w_points": [0.2, [0.1, 0.3]]},
+                          conjugation={"kind": "wc-J", "p": [0.3, 0.2]},
+                          checks=["adjoint-kernel", "conjugation-axioms"])
+        aggregate = sweep(parse_config(doc, require_concrete=False), 10, seed=3)
+        assert aggregate["checks"]["conjugation-axioms"]["pass"] == 10
+        assert (len(conjugations), len(points)) == (1, 1)
 
     def test_one_matrix_build_per_run(self, monkeypatch):
         # the large-check shape: every check reads kernels, none builds a matrix
@@ -601,7 +614,7 @@ class TestNormality:
         assert "image gate" in report.provenance
 
     @pytest.mark.parametrize("alpha, status", [(50.0, "pass"), (100.0, "pass"), (200.0, "pass")])
-    def test_cancelling_weight_product_is_unverified(self, alpha, status):
+    def test_unitary_weight_that_cancels_in_series_passes_on_kernel_sums(self, alpha, status):
         # on the normal unitary pair psi (1 + (c/d) z)^s is the constant k; the
         # weight's Taylor series sums it from terms near 1e33 at alpha 100, so
         # the series Gram refused this pair there, while the kernel sums form
@@ -611,6 +624,19 @@ class TestNormality:
         (report,) = run(parse_config(doc))
         assert report.status == status
         assert report.defect <= 1e-10
+
+    def test_cancelling_weight_products_exceed_the_rounding_bound(self, tmp_path, capsys):
+        # psi = (1 - 0.8 z)^30 has coefficients up to 6.6e6 of both signs,
+        # and the Gram's weight products cancel to below their rounding
+        psi = [math.comb(30, j) * (-0.8) ** j for j in range(31)]
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 32}, checks=["normality"],
+                          symbols={"family": "explicit", "psi": psi, "phi": [0.4, 0, 0, 1]})
+        code, out, _ = outcome(lambda: main(["check", write_config(tmp_path, doc)]), capsys)
+        (report,) = json.loads(out)["reports"]
+        assert (code, report["status"], report["defect"]) == (3, "unverified", None)
+        assert report["provenance"] == (
+            "gate-refusal; normality Gram: the weight products cancel; the rounding "
+            "bound 4.34e-08 of the defect exceeds 1e-08")
 
     def test_explicit_weight_above_the_start_order(self, monkeypatch):
         # a weight coefficient of degree 100 is above GRAM_START - 1 = 63, but
@@ -737,6 +763,29 @@ class TestSweep:
             sweep(parse_config(doc, require_concrete=False), 2, seed=1)
         assert err.value.path == "symbols"
         assert runs == []
+
+    @pytest.mark.parametrize("points, index, magnitude", [
+        ([0.3, 0.8], 1, "0.800000"), ([[0.0, -0.75], 0.2], 0, "0.750000")])
+    def test_kernel_point_that_no_draw_passes_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                         points, index, magnitude):
+        # the |w| half of the kernel point gate reads no draw, so a sweep
+        # refuses the point at once instead of redrawing MAX_REJECTIONS times;
+        # check keeps the gate's 'unverified' report
+        runs = counting(monkeypatch, "run")
+        path = f"symbols.w_points[{index}]"
+        doc = config_with(space={"alpha": 0.5, "n": 1, "N": 16},
+                          symbols={"family": "j-symmetric", "w_points": points},
+                          checks=["adjoint-kernel"])
+        cfg = write_config(tmp_path, doc)
+        code, out, err = outcome(lambda: main(["sweep", cfg, "--draws", "1"]), capsys)
+        message = f"kernel point gate |w| <= 0.7 violated: {magnitude}"
+        assert (code, out, json.loads(err)) == (2, "", {"path": path,
+                                                        "error": f"{path}: {message}"})
+        assert runs == []
+        doc["symbols"].update(a=1.0, b=0.3, c=0.2)
+        code, out, _ = outcome(lambda: main(["check", write_config(tmp_path, doc)]), capsys)
+        assert code == 3
+        assert json.loads(out)["reports"][0]["provenance"] == f"gate-refusal; {message}"
 
     def test_deterministic(self):
         doc = config_with(symbols={"family": "general"}, checks=["normality-predicate"])

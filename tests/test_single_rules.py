@@ -16,6 +16,11 @@ name is written once in the package, as its key in ``runner.FAMILIES``: a
 ``family == "general"`` test, or a pair tagged with the name of the family
 that made it, would decide or record something about the family outside
 its record.
+
+And a ``RunConfig`` is made once, by ``parse_config``: a sweep draw is a
+``dataclasses.replace`` copy of its base config, so it shares the kernel
+points and the written-out conjugation that ``parse_config`` decided. A
+second ``RunConfig(...)`` call would decide them again.
 """
 
 import ast
@@ -245,3 +250,41 @@ def test_each_family_name_is_written_once_in_runner():
 ])
 def test_the_walk_finds_family_name_copies(source, count):
     assert len(family_name_copies(source)) == count
+
+
+def run_config_calls(source: str) -> list:
+    """The name of the function around each ``RunConfig(...)`` call of the
+    source, by line ("" at module level)."""
+    sites = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "RunConfig" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                sites.append((child.lineno, owner))
+            walk(child, owner)
+
+    walk(ast.parse(source), "")
+    return [owner for _, owner in sorted(sites)]
+
+
+def test_only_parse_config_makes_a_run_config():
+    sites = [(path.stem, owner) for path in SOURCES
+             for owner in run_config_calls(path.read_text(encoding="utf-8"))]
+    assert sites == [("runner", "parse_config")]
+
+
+@pytest.mark.parametrize("source, owners", [
+    ('def parse_config(doc):\n    return RunConfig(space=doc)\n', ["parse_config"]),
+    ('def sweep(config):\n    return RunConfig(space=config.space)\n', ["sweep"]),
+    ('def sweep(config):\n    return replace(config, seed=1)\n', []),
+    ('def f():\n    """RunConfig(space=s)"""\n', []),
+    ('config = runner.RunConfig()\n', [""]),
+    ('def f():\n    def g():\n        return RunConfig()\n    return RunConfig()\n',
+     ["g", "f"]),
+])
+def test_the_walk_finds_run_config_calls(source, owners):
+    assert run_config_calls(source) == owners
