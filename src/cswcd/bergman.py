@@ -6,10 +6,10 @@ the disk with sum |c_j|^2 beta(j)^2 finite, where
     beta(j)^2 = j! Gamma(alpha+2) / Gamma(j+alpha+2).
 
 The point-evaluation kernels of derivative order m satisfy
-<f, kernel(w, m)> = f^(m)(w); their coefficients and norm series are
-implemented directly from the coefficient formulas. The norm series is
-checked against an independent closed form, evaluated in mpmath at 40
-digits in the tests:
+<f, kernel(w, m)> = f^(m)(w); their coefficients come from the coefficient
+formulas, and their squared norm is a finite sum of m + 1 terms
+(``kernel_norm_sq``). The tests check that sum against an independent closed
+form, evaluated in mpmath at 40 digits:
 
     ||kernel(w, m)||^2 = m! Gamma(m+alpha+2) / Gamma(alpha+2)
                          * 2F1(m+1, m+alpha+2; 1; |w|^2).
@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import KERNEL_NORM_CAP, KERNEL_NORM_TOL
 from .errors import DomainError, TruncationMismatchError, format_magnitude
 from .series import TruncatedSeries
 
@@ -101,12 +100,6 @@ def falling_factorial(j, m: int):
     return out
 
 
-def kernel_term_ratio(x: float, j: int, m: int, alpha: float) -> float:
-    """Ratio of term j + 1 to term j of the series of ||kernel(w, m)||^2 at
-    x = |w|^2. It decreases toward x, so it bounds every later ratio."""
-    return x * ((j + alpha + 2) / (j + 1)) * ((j + 1) / (j + 1 - m)) ** 2
-
-
 def kernel_table(points, m: int, alpha: float, N: int) -> np.ndarray:
     """Coefficients of the order-m kernels at ``points``, truncated at N, one
     row per point.
@@ -150,51 +143,30 @@ def kernel(w: complex, m: int, alpha: float, N: int) -> TruncatedSeries:
 
 class KernelNorm(NamedTuple):
     value: float
-    tail: float
     terms: int
-    converged: bool
 
 
-def kernel_norm_sq(
-    w: complex,
-    m: int,
-    alpha: float,
-    tol: float = KERNEL_NORM_TOL,
-    cap: int = KERNEL_NORM_CAP,
-) -> KernelNorm:
-    """Squared norm of kernel(w, m) by adaptive summation of its series.
+def kernel_norm_sq(w: complex, m: int, alpha: float) -> KernelNorm:
+    """Squared norm of kernel(w, m): with x = |w|^2, the m-th derivative in z
+    and in conj(w) of (1 - conj(w) z)^-(alpha+2) at z = w,
 
-    Sums (|w|^2)^(j-m) (j!/(j-m)!)^2 / beta(j)^2 over j >= m, stopping once
-    the ratio-test tail estimate drops below tol. The term ratio decreases
-    toward |w|^2, so bounding every later ratio by the current one gives a
-    valid geometric tail bound. Exceeding the term cap returns converged=False.
+        sum_(k <= m) C(m, k) (m!/k!) (alpha+2)_(m+k) x^k (1 - x)^-(alpha+2+m+k),
+
+    summed from k = 0 by the ratio of consecutive terms (only the first is
+    nonzero at x = 0, so an inf one stays inf); inf beyond the double range.
     """
     if abs(w) >= 1.0:
         raise DomainError(f"kernel norm requires |w| < 1, got {format_magnitude(abs(w))}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if m < 0:
+        raise DomainError("derivative order m must be nonnegative")
     x = abs(w) ** 2
-    # term at j = m: (m!/0!... falling(m, m)) = m!, beta via recurrence below
-    bsq = 1.0
-    for j in range(1, m + 1):
-        bsq *= j / (j + alpha + 1)
-    term = falling_factorial(m, m) ** 2 / bsq
-    total = term
-    tail = term  # refined below; w = 0 keeps the single exact term
-    if x == 0.0:
-        return KernelNorm(total, 0.0, 1, True)
-    j = m
-    terms = 1
-    while terms < cap:
-        ratio = kernel_term_ratio(x, j, m, alpha)
-        tail = term * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
-        if tail < tol:
-            return KernelNorm(total, tail, terms, True)
-        term *= ratio
-        total += term
-        j += 1
-        terms += 1
-    return KernelNorm(total, tail, terms, False)
+    with np.errstate(over="ignore"):
+        total = term = (falling_factorial(m, m) * t_constant(alpha, m)
+                        * np.float64(1.0 - x) ** -(alpha + 2 + m))
+        for k in range(m if x else 0):
+            term *= (m - k) / (k + 1) ** 2 * (alpha + 2 + m + k) * x / (1.0 - x)
+            total += term
+    return KernelNorm(float(total), m + 1)
 
 
 def t_constant(alpha: float, n: int) -> float:

@@ -38,5 +38,3 @@ MAX_ORDER = 170
 MAX_GRAM_TERMS = 131072
 
 EVAL_EDGE = 1e-6           # refuse series evaluation for |z| > 1 - EVAL_EDGE
-KERNEL_NORM_TOL = 1e-12    # adaptive cutoff for kernel norm series
-KERNEL_NORM_CAP = 10**6    # hard cap on summed terms

@@ -827,7 +827,7 @@ def sweep(config: RunConfig, draws: int, seed: int) -> dict:
     redraws = 0
     completed = 0
     while completed < draws:
-        draw_config = replace(config, symbols=draw_symbols(config.symbols, rng), seed=seed)
+        draw_config = replace(config, symbols=draw_symbols(config.symbols, rng))
         reports = run(draw_config) if _draw_passes_gates(draw_config) else None
         # only a predicate is 'unverified' with a finite defect: in its ambiguous band
         if reports is None or any(r.status == "unverified" and r.defect is not None

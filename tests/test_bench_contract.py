@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from cswcd import cli, runner
+from cswcd import bergman, cli, conjugations, diagnostics, matrices, runner
+from cswcd.bergman import SpaceParams
+from cswcd.symbols import family_general
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -56,6 +58,42 @@ def test_install_resolves_every_traced_name(tracing):
             assert callable(check.__wrapped__), name
     finally:
         tracer.uninstall()
+
+
+def test_every_hook_reads_its_function_result(tracing):
+    # no CLI run or workload calls most hooked functions, so a hook that no
+    # longer fits its function's result would show only in a traced benchmark
+    # run; each hooked function is called here once through its module
+    space = SpaceParams(0.5, 1, 16)
+    pair = family_general(1.0, 0.3, 0.2, 1, 0.5, 16)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        norm = bergman.kernel_norm_sq(0.3, 2, 0.5)
+        M = matrices.build_wcd_matrix(pair, space)
+        matrices.build_weighted_composition(pair.psi, pair.phi, space)
+        wide = conjugations.extended_space(space, 0.3)
+        # a rotation's U is diagonal, so no second weighted-composition build
+        conjugations.conjugated_adjoint(conjugations.make_rotation_J(1.0, 1j, 0.5), M)
+        diagnostics.is_normal(M)
+        grids = [diagnostics.boundedness_ratio_grid(pair.phi, 0.5, 1),
+                 diagnostics.nevanlinna_bound_grid(pair.phi, 0.5, 1)]
+    finally:
+        tracer.uninstall()
+    hooked = [f"{mod}.{fn}" for mod, fn, _, hook in tracing.TRACED if hook is not None]
+    assert {name: tracer.calls[name] for name in hooked} == dict.fromkeys(hooked, 1)
+    assert norm.terms == 3
+    flops = 2 * 8 * 17**3
+    assert dict(tracer.counters) == {
+        "bergman.kernel_norm_sq.terms": 3,
+        "matrices.build.cells": 2 * 17**2,
+        "conjugations.wc_dim.sum": wide.N,
+        "conjugations.wc_dim.count": 1,
+        "conjugations.conjugated_adjoint.flops": flops,
+        "diagnostics.is_normal.flops": flops,
+        "diagnostics.grid.samples": sum(len(grid.samples) for grid in grids),
+    }
+    assert [(key[0], dim) for _, key, dim in tracer.builds] == [("wcd", 17), ("wc", 17)]
 
 
 def test_uninstall_restores_bindings_and_checks(tracing, tmp_path):

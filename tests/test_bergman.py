@@ -1,12 +1,16 @@
 """Tests for the weighted-space structure: norms, inner products, kernels."""
 
+import inspect
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from cswcd.bergman import (
+    KernelNorm,
     SpaceParams,
     beta_sq_vector,
     inner_product,
@@ -14,7 +18,6 @@ from cswcd.bergman import (
     kernel_norm_sq,
     t_constant,
 )
-from cswcd.defaults import KERNEL_NORM_TOL
 from cswcd.errors import DomainError, TruncationMismatchError
 from cswcd.series import (
     TruncatedSeries,
@@ -24,6 +27,16 @@ from cswcd.series import (
     series_scale,
 )
 from reproducing_reference import reproducing_check
+
+
+GRID_POINTS = (0.0, 0.3j, -0.6, 0.85, 0.85 * np.exp(1.3j), 0.95)
+
+
+def hypergeometric_norm_sq(w, m, alpha):
+    """||kernel(w, m)||^2 = m! Gamma(m+alpha+2)/Gamma(alpha+2)
+    2F1(m+1, m+alpha+2; 1; |w|^2), in mpmath at the caller's precision."""
+    scale = mpmath.factorial(m) * mpmath.gamma(m + alpha + 2) / mpmath.gamma(alpha + 2)
+    return scale * mpmath.hyp2f1(m + 1, m + alpha + 2, 1, abs(w) ** 2)
 
 
 def gamma_oracle(j, alpha):
@@ -166,7 +179,6 @@ class TestKernelNormSq:
     def test_origin(self):
         out = kernel_norm_sq(0.0, 0, 0.8)
         assert out.value == 1.0
-        assert out.converged
 
     def test_origin_first_order(self):
         # single surviving term (1!)^2 / beta(1)^2 = 2 at alpha = 0
@@ -177,17 +189,7 @@ class TestKernelNormSq:
         # sum (j+1) x^j = (1-x)^(-2)
         for w in (0.5, 0.3j, -0.55):
             out = kernel_norm_sq(w, 0, 0.0)
-            assert out.converged
             assert out.value == pytest.approx(1.0 / (1.0 - abs(w) ** 2) ** 2, abs=1e-10)
-
-    def test_tail_estimate_valid(self):
-        ref = kernel_norm_sq(0.45, 1, 0.5, tol=1e-15)
-        loose = kernel_norm_sq(0.45, 1, 0.5, tol=1e-6)
-        assert abs(loose.value - ref.value) <= loose.tail
-
-    def test_cap_flags_nonconvergence(self):
-        out = kernel_norm_sq(0.99, 0, 0.0, tol=1e-30, cap=50)
-        assert not out.converged
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -195,17 +197,39 @@ class TestKernelNormSq:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
     def test_mpmath_hypergeometric_oracle(self, alpha):
-        # ||K_w^(m)||^2 = m! Gamma(m+alpha+2)/Gamma(alpha+2) 2F1(m+1, m+alpha+2; 1; |w|^2),
-        # at 40 digits; the series may miss its tail (< tol) and round once per term
+        # each of the m + 1 terms may round
         with mpmath.workdps(40):
             for m in range(4):
-                scale = mpmath.factorial(m) * mpmath.gamma(m + alpha + 2) / mpmath.gamma(alpha + 2)
                 for w in (0.0, 0.3j, -0.6, 0.85, 0.85 * np.exp(1.3j)):
                     got = kernel_norm_sq(w, m, alpha)
-                    ref = scale * mpmath.hyp2f1(m + 1, m + alpha + 2, 1, abs(w) ** 2)
-                    assert got.converged
+                    ref = hypergeometric_norm_sq(w, m, alpha)
                     err = abs(mpmath.mpf(got.value) - ref)
-                    assert err <= KERNEL_NORM_TOL + got.terms * 2.2e-16 * ref, (m, w)
+                    assert err <= 1e-12 + got.terms * 2.2e-16 * ref, (m, w)
+
+    @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.5, 2.0, 10.0, 50.0, 100.0, 400.0])
+    def test_finite_sum_on_the_hypergeometric_grid(self, alpha):
+        # m 0..5 at six points: a relative 1e-13 wherever the norm is finite,
+        # and inf exactly where the oracle leaves the double range
+        with mpmath.workdps(40):
+            for m in range(6):
+                for w in GRID_POINTS:
+                    got = kernel_norm_sq(w, m, alpha)
+                    ref = hypergeometric_norm_sq(w, m, alpha)
+                    assert got.terms == m + 1
+                    if ref > sys.float_info.max:
+                        assert got.value == math.inf, (m, w)
+                    else:
+                        assert abs(mpmath.mpf(got.value) - ref) <= 1e-13 * ref, (m, w)
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [kernel_norm_sq(0.95, m, 400.0).value for m in range(6)]
+        assert values == [math.inf] * 6
+
+    def test_fields_and_parameters(self):
+        assert KernelNorm._fields == ("value", "terms")
+        assert list(inspect.signature(kernel_norm_sq).parameters) == ["w", "m", "alpha"]
 
 
 class TestTConstant:
@@ -220,13 +244,14 @@ class TestTConstant:
 
 class TestParseval:
     def test_kernel_self_inner_product(self):
-        # truncated <K_w, K_w> matches the adaptive norm within combined tails
+        # truncated <K_w, K_w> matches the closed-form norm; the kernel's
+        # own tail beyond N 96 is below 1e-10
         alpha, N = -0.5, 96
         for w in (0.3, 0.5j, -0.6):
             kw = kernel(w, 0, alpha, N)
             ip = inner_product(kw, kw, alpha).real
             norm = kernel_norm_sq(w, 0, alpha)
-            assert abs(ip - norm.value) <= norm.tail + 1e-10
+            assert abs(ip - norm.value) <= 1e-10
 
 
 class TestSpaceParams:

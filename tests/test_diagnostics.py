@@ -613,7 +613,7 @@ class TestKernelNormBalance:
     @pytest.mark.parametrize("case", BALANCE_CASES.values(), ids=BALANCE_CASES)
     def test_adjoint_diagonal_is_the_kernel_norm(self, case):
         # ||T* K_w||^2 = |psi(w)|^2 ||K^[n]_phi(w)||^2, with psi and phi from
-        # the family's formulas and the kernel norm from its adaptive series
+        # the family's formulas and the kernel norm from its finite sum
         _, a, b, c, n, alpha = case
         _, G_star = balance_grams(*case)
         for i, w in enumerate(GRAM_POINTS):

@@ -6,8 +6,9 @@ import pytest
 
 from cswcd.bergman import SpaceParams, kernel_norm_sq, kernel_table
 from cswcd.conjugations import extended_space
-from cswcd.diagnostics import is_normal
-from cswcd.errors import DomainError, SingularityError, TruncationMismatchError
+from cswcd.diagnostics import _operator_kernel_sums, is_normal
+from cswcd.errors import (DomainError, SingularityError, TruncationMismatchError,
+                          UnboundedSymbolError)
 from cswcd.matrices import OperatorMatrix, _build
 from cswcd.series import TruncatedSeries, monomial, one_series, polynomial, series_power
 from cswcd.symbols import (
@@ -16,6 +17,7 @@ from cswcd.symbols import (
     RationalWeight,
     SymbolPair,
     family_conjugated,
+    family_general,
     rational_symbol_series,
     transported_weight,
 )
@@ -25,10 +27,24 @@ SPACE = SpaceParams(0.5, 1, 16)
 VANISHING_C = 1.0
 
 
+def gram_kernel_sums(q):
+    """T K_w as a kernel sum at one point w = 0.3 whose q is given; no config
+    reaches |q| >= 1, since the operator gate keeps the root 1/q of
+    1 - conj(w) phi outside the closed disk."""
+    wbar = np.array([0.3])
+    return _operator_kernel_sums(family_general(1.0, 0.3, 0.2, 1, 0.5, 16), 0.5, wbar,
+                                 np.log(wbar), np.array([q]))
+
+
 @pytest.mark.parametrize("call, kind, message", [
     (lambda: kernel_table([0.3], -1, 0.5, 8), DomainError,
      "derivative order m must be nonnegative"),
-    (lambda: kernel_norm_sq(0.3, 1, 0.5, tol=0.0), DomainError, "tol must be positive"),
+    (lambda: kernel_norm_sq(0.3, -1, 0.5), DomainError,
+     "derivative order m must be nonnegative"),
+    (lambda: gram_kernel_sums(1.2), UnboundedSymbolError,
+     "normality Gram: 1 - conj(w) phi vanishes in the closed disk, |q| = 1.200000"),
+    (lambda: gram_kernel_sums(1e300), UnboundedSymbolError,
+     "normality Gram: 1 - conj(w) phi vanishes in the closed disk, |q| = 1.000000e+300"),
     (lambda: extended_space(SPACE, 1.0j), DomainError,
      "|p| must be < 1, got 1.000000"),
     (lambda: OperatorMatrix(np.zeros((2, 3)), SPACE), ValueError,
@@ -52,10 +68,11 @@ VANISHING_C = 1.0
      DomainError, "1 - c L(z) vanishes on the closed disk"),
     (lambda: family_conjugated(1.0, 0.3, 0.2, 1, 0.5, 16, mu=1.0), DomainError,
      "rotation case needs both mu and lam"),
-], ids=["kernel-table-m", "kernel-norm-tol", "extended-space-p", "matrix-not-square",
-        "build-order", "empty-series", "monomial-above", "monomial-below", "power-exponent",
-        "weight-exponent", "pair-order", "series-inner-pole", "series-vanishing",
-        "transported-vanishing", "mu-without-lam"])
+], ids=["kernel-table-m", "kernel-norm-m", "gram-q-outside", "gram-q-huge",
+        "extended-space-p", "matrix-not-square", "build-order", "empty-series",
+        "monomial-above", "monomial-below", "power-exponent", "weight-exponent",
+        "pair-order", "series-inner-pole", "series-vanishing", "transported-vanishing",
+        "mu-without-lam"])
 def test_refusal(call, kind, message):
     with pytest.raises(kind) as err:
         call()

@@ -47,7 +47,6 @@ UNREACHED = {
     ("series", "series_add"), ("series", "series_scale"),
     ("series", "series_conjugate_reflect"),
     ("bergman", "inner_product"), ("bergman", "space_norm"),
-    ("bergman", "kernel_term_ratio"),
     ("matrices", "OperatorMatrix.dim"), ("matrices", "frobenius_norm"),
     ("conjugations", "AntilinearConjugation.exact"), ("conjugations", "unitary_part"),
     ("conjugations", "conjugation_apply"),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,24 @@ class TestOneBuildPerConfig:
         aggregate = sweep(parse_config(doc, require_concrete=False), 10, seed=3)
         assert aggregate["checks"]["conjugation-axioms"]["pass"] == 10
         assert (len(conjugations), len(points)) == (1, 1)
+
+    def test_sweep_draw_differs_from_its_base_only_in_symbols(self, tmp_path, monkeypatch):
+        # the report header reads --seed; a draw keeps its base config's seed
+        runs = counting(monkeypatch, "run")
+        doc = config_with(symbols={"family": "j-symmetric", "w_points": [0.2, [0.1, 0.3]]},
+                          conjugation={"kind": "wc-J", "p": [0.3, 0.2]},
+                          checks=["adjoint-kernel", "conjugation-axioms"], seed=5)
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--draws", "3", "--seed", "11", "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["header"]["sweep_seed"] == 11
+        base = parse_config(doc, require_concrete=False)
+        others = [f.name for f in fields(base) if f.name != "symbols"]
+        assert len(runs) == 3
+        for (config,) in runs:
+            assert config.symbols != base.symbols
+            assert {name: getattr(config, name) for name in others} == \
+                {name: getattr(base, name) for name in others}
 
     def test_one_matrix_build_per_run(self, monkeypatch):
         # the large-check shape: every check reads kernels, none builds a matrix
